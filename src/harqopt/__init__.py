@@ -36,8 +36,6 @@ from .harq_analysis import (
     outage_from_failures,
     reliable_throughput,
     stage_outage,
-    transmission_probabilities,
-    unreliable_outage,
     unreliable_throughput,
 )
 from .mc_simulator import (
@@ -120,8 +118,6 @@ __all__ = [
     "solve_lambda",
     "solve_lambda_for_rates",
     "stage_outage",
-    "transmission_probabilities",
-    "unreliable_outage",
     "unreliable_throughput",
     "__version__",
 ]

@@ -429,18 +429,17 @@ def _run_validate(config: RunConfig, out: str) -> int:
     policy = _policy_from(config)
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
-    bd = harq_analysis.unreliable_throughput(
-        policy, dl, fb, route="convolution", bins=config.conv_bins
-    )
     if config.feedback_mode == "duplicated-ack":
+        bd = harq_analysis.duplicated_ack_performance(
+            policy, dl, fb, route="convolution", bins=config.conv_bins
+        )
         est = mc_simulator.estimate_duplicated_ack(
             policy, dl, fb, config.n_episodes, config.seed
         )
-        dup = harq_analysis.duplicated_ack_performance(
+    else:
+        bd = harq_analysis.unreliable_throughput(
             policy, dl, fb, route="convolution", bins=config.conv_bins
         )
-        bd = dup
-    else:
         est = mc_simulator.estimate_performance(
             policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
         )
@@ -520,15 +519,8 @@ def _best_fixed_alpha(config: RunConfig, dl, grid):
 
 
 def _eta_breakdown(config: RunConfig, dl, rhos, alphas) -> float:
-    policy = harq_analysis.HarqPolicy(
-        rhos=tuple(float(r) for r in rhos),
-        alphas=tuple(alphas),
-        m_max=config.m_max,
-        n_b=config.n_b,
-        n_m=config.n_m,
-        rho_min=config.rho_min_units * config.unit_rho,
-        rho_max=config.max_units * config.unit_rho,
-    )
+    policy = dataclasses.replace(_policy_from(config), rhos=tuple(rhos),
+                                 alphas=tuple(alphas))
     fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
     return harq_analysis.unreliable_throughput(policy, dl, fb).throughput
 
@@ -543,15 +535,8 @@ def _duplicated_best_throughput(config: RunConfig, dl, grid) -> tuple[float, boo
                                                    config.optimizer)
     except InfeasibleError:
         return 0.0, False
-    policy = harq_analysis.HarqPolicy(
-        rhos=tuple(float(r) for r in rhos),
-        alphas=(0.0,) * (config.m_max - 1),
-        m_max=config.m_max,
-        n_b=config.n_b,
-        n_m=config.n_m,
-        rho_min=config.rho_min_units * config.unit_rho,
-        rho_max=config.max_units * config.unit_rho,
-    )
+    policy = dataclasses.replace(_policy_from(config), rhos=tuple(rhos),
+                                 alphas=(0.0,) * (config.m_max - 1))
     bd = harq_analysis.duplicated_ack_performance(policy, dl, fb)
     return bd.throughput, True
 

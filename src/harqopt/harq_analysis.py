@@ -11,14 +11,16 @@ cost, and throughput.
 
 Outage composes the premature-stop hazard with the final decoding failure
 as 1 - (1 - sum_i P_{N,i} P_{i,f} prod_{j<i}(1-P_{N,j})) (1 - P_{M,f}).
-This treats the stop events and the final failure as if independent; the
-small resulting bias is quantified against Monte Carlo rather than
-corrected, because the rate optimizer minimizes exactly this expression.
+This treats the stop events and the final failure as if independent, so it
+never under-estimates the outage; the bias is quantified against Monte
+Carlo rather than corrected, because the rate optimizer minimizes exactly
+this expression.
 
-The array-level helpers (occurrence_probabilities, outage_from_failures)
-are the canonical evaluation order: the vectorized rate-allocation search
-mirrors their loop structure operation for operation so that both routes
-produce bit-identical values.
+occurrence_probabilities and outage_from_failures are the only
+implementations of their formulas. They take prefix failures of shape
+(..., M), so the same code serves a single policy here and the whole
+allocation grid in the optimizer; the optimizer's scalar brute-force
+oracle checks the two routes against each other.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     and all feedbacks from m on were misread as NACK. Exact for the
     protocol (unlike the outage composition).
 
-    Loop structure and operation order are canonical: the optimizer's
-    vectorized mirror must match it exactly.
+    ``p_fail`` has shape (..., M): one prefix-failure vector per leading
+    index, all sharing the feedback error pairs. The result has the same
+    shape, and each row equals the call on that row alone bit for bit.
     """
     F = np.asarray(p_fail, dtype=float)
     pn = np.asarray(p_nack, dtype=float)
@@ -120,42 +123,47 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     m = F.shape[-1]
     if pn.shape[-1] < m - 1 or pa.shape[-1] < m - 1:
         raise ValueError("occurrence_probabilities: need m-1 error pairs")
-    P = np.empty(m)
-    P[0] = 1.0
+    P = np.empty(F.shape)
+    # transposed views put the round axis first, so a single vector and a
+    # whole table index alike
+    Fr = F.T
+    Pr = P.T
+    Pr[0] = 1.0
     for i in range(2, m + 1):
         # all of rounds 1..i-1 failed, every NACK correctly detected
-        term = F[i - 2]
+        term = Fr[i - 2]
         for j in range(i - 1):
             term = term * (1.0 - pn[j])
         total = term
         # decoded at round k, ACKs k..i-1 all misread as NACK
         for k in range(1, i):
-            term = (1.0 if k == 1 else F[k - 2]) - F[k - 1]
+            term = (1.0 if k == 1 else Fr[k - 2]) - Fr[k - 1]
             for j in range(k - 1):
                 term = term * (1.0 - pn[j])
             for j in range(k - 1, i - 1):
                 term = term * pa[j]
             total = total + term
-        P[i - 1] = total
+        Pr[i - 1] = total
     return P
 
 
-def outage_from_failures(p_fail, p_nack) -> float:
+def outage_from_failures(p_fail, p_nack):
     """Unreliable-feedback outage from prefix failures and NACK->ACK rates.
 
     Sequential form of 1 - (1 - sum_i P_{N,i} P_{i,f} prod_{j<i}(1-P_{N,j}))
-    * (1 - P_{M,f}); the subtraction order is part of the canonical
-    evaluation contract shared with the vectorized optimizer.
+    * (1 - P_{M,f}). ``p_fail`` has shape (..., M); the result has shape
+    (...), a scalar for a single failure vector.
     """
-    F = np.asarray(p_fail, dtype=float)
+    Fr = np.asarray(p_fail, dtype=float).T  # round axis first
     pn = np.asarray(p_nack, dtype=float)
-    m = F.shape[-1]
+    m = Fr.shape[0]
     inner = 1.0
     surv = 1.0
     for i in range(m - 1):
-        inner = inner - pn[i] * F[i] * surv
+        inner = inner - pn[i] * Fr[i] * surv
         surv = surv * (1.0 - pn[i])
-    return 1.0 - inner * (1.0 - F[m - 1])
+    # .T restores the leading-axis order that F.T reversed
+    return (1.0 - inner * (1.0 - Fr[m - 1])).T
 
 
 def reliable_throughput(policy: HarqPolicy, dl, *, route: str = "gaussian",
@@ -170,19 +178,6 @@ def reliable_throughput(policy: HarqPolicy, dl, *, route: str = "gaussian",
     return (1.0 - F[policy.m_max - 1]) / cost
 
 
-def transmission_probabilities(policy: HarqPolicy, dl, rates, *,
-                               route: str = "gaussian",
-                               bins: int = mi_model.DEFAULT_CONV_BINS) -> np.ndarray:
-    F = _p_fail(policy, dl, route, bins)
-    return occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-
-
-def unreliable_outage(policy: HarqPolicy, dl, rates, *, route: str = "gaussian",
-                      bins: int = mi_model.DEFAULT_CONV_BINS) -> float:
-    F = _p_fail(policy, dl, route, bins)
-    return outage_from_failures(F, rates.p_nack)
-
-
 def expected_symbols(policy: HarqPolicy, p_occur) -> float:
     """Mean downlink symbol count sum_i rho_i n_b P_i."""
     P = np.asarray(p_occur, dtype=float)
@@ -192,6 +187,30 @@ def expected_symbols(policy: HarqPolicy, p_occur) -> float:
     for i, rho in enumerate(policy.rhos):
         total = total + rho * policy.n_b * P[i]
     return total
+
+
+def _stage_outage(F, pn, P) -> tuple[np.ndarray, list[int]]:
+    # Shared core of stage_outage and the breakdown: returns the stage
+    # values with unreachable stages (P_k = 0) at zero, and their indices.
+    m = F.shape[-1]
+    out = np.zeros(m)
+    unreachable = []
+    cum = 0.0
+    surv = 1.0
+    for k in range(m):
+        if k < m - 1:
+            cum = cum + pn[k] * F[k] * surv
+            surv = surv * (1.0 - pn[k])
+            hazard = cum
+        else:
+            hazard = F[k]
+        if k == 0 and m > 1:
+            out[0] = hazard
+        elif P[k] == 0.0:
+            unreachable.append(k)
+        else:
+            out[k] = hazard / P[k]
+    return out, unreachable
 
 
 def stage_outage(policy: HarqPolicy, dl, rates, p_occur, *, route: str = "gaussian",
@@ -204,43 +223,10 @@ def stage_outage(policy: HarqPolicy, dl, rates, p_occur, *, route: str = "gaussi
     Unreachable stages (P_k = 0) have no conditional value and raise.
     """
     F = _p_fail(policy, dl, route, bins)
-    pn = np.asarray(rates.p_nack, dtype=float)
-    P = np.asarray(p_occur, dtype=float)
-    m = policy.m_max
-    out = np.empty(m)
-    cum = 0.0
-    surv = 1.0
-    for k in range(m):
-        if k < m - 1:
-            cum = cum + pn[k] * F[k] * surv
-            surv = surv * (1.0 - pn[k])
-            if k == 0:
-                out[0] = cum
-            else:
-                if P[k] == 0.0:
-                    raise DegenerateStateError(f"stage {k + 1} unreachable (P_k = 0)")
-                out[k] = cum / P[k]
-        else:
-            if P[k] == 0.0:
-                raise DegenerateStateError(f"stage {k + 1} unreachable (P_k = 0)")
-            out[k] = F[k] / P[k]
-    return out
-
-
-def _stage_outage_or_zero(policy, F, pn, P) -> np.ndarray:
-    # Breakdown variant: unreachable stages contribute nothing instead of
-    # raising, so perfect-feedback corner cases still produce a full report.
-    m = policy.m_max
-    out = np.zeros(m)
-    cum = 0.0
-    surv = 1.0
-    for k in range(m):
-        if k < m - 1:
-            cum = cum + pn[k] * F[k] * surv
-            surv = surv * (1.0 - pn[k])
-            out[k] = cum if k == 0 else (cum / P[k] if P[k] > 0.0 else 0.0)
-        else:
-            out[k] = F[k] / P[k] if P[k] > 0.0 else 0.0
+    out, unreachable = _stage_outage(F, np.asarray(rates.p_nack, dtype=float),
+                                     np.asarray(p_occur, dtype=float))
+    if unreachable:
+        raise DegenerateStateError(f"stage {unreachable[0] + 1} unreachable (P_k = 0)")
     return out
 
 
@@ -250,7 +236,9 @@ def _breakdown_from_rates(policy: HarqPolicy, dl, rates, route, bins) -> Perform
     pa = np.asarray(rates.p_ack, dtype=float)
     P = occurrence_probabilities(F, pn, pa)
     p_out = outage_from_failures(F, pn)
-    stage = _stage_outage_or_zero(policy, F, pn, P)
+    # unreachable stages contribute nothing instead of raising, so
+    # perfect-feedback corner cases still produce a full report
+    stage, _ = _stage_outage(F, pn, P)
     e_sym = expected_symbols(policy, P)
     eta = policy.n_b * (1.0 - p_out) / e_sym
     p_out_rel = float(F[policy.m_max - 1])

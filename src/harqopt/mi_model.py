@@ -138,16 +138,32 @@ def p_fail_gaussian(rates, spec: DownlinkSpec) -> np.ndarray:
     mean sum(rho_i) * mean_mi and variance sum(rho_i^2) * var_mi, so the
     failure probability is Q((sum(rho_i) * mean_mi - 1) / sqrt(sum(rho_i^2)
     * var_mi)). Returns one value per prefix length.
+
+    ``rates`` is a RateVector or a sequence of rates, or an ndarray of shape
+    (..., M) holding one rate vector per leading index (the optimizer passes
+    its whole allocation grid); the result has the same shape and each row
+    is bit-identical to the call on that row alone.
     """
-    rhos = _as_rhos(rates)
+    if isinstance(rates, np.ndarray):
+        rhos = rates.astype(float, copy=False)
+        if rhos.ndim == 0 or rhos.shape[-1] == 0:
+            raise ValueError("p_fail_gaussian: at least one round is required")
+        if not np.all(np.isfinite(rhos) & (rhos > 0.0)):
+            raise ValueError("p_fail_gaussian: rates must be positive and finite")
+    else:
+        rhos = np.asarray(_as_rhos(rates))
     sigma = math.sqrt(spec.var_mi)
-    out = np.empty(len(rhos))
+    out = np.empty(rhos.shape)
+    # transposed views put the round axis first: rounds[k] is round k of
+    # every rate vector (a plain scalar for a single vector)
+    rounds = rhos.T
+    out_rounds = out.T
     s1 = 0.0
     s2 = 0.0
-    for k, rho in enumerate(rhos):
+    for k, rho in enumerate(rounds):
         s1 = s1 + rho
         s2 = s2 + rho * rho
-        out[k] = numerics.q_function((s1 * spec.mean_mi - 1.0) / (np.sqrt(s2) * sigma))
+        out_rounds[k] = numerics.q_function((s1 * spec.mean_mi - 1.0) / (np.sqrt(s2) * sigma))
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     return out
 

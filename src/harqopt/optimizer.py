@@ -14,18 +14,20 @@ sum units squared) cannot represent the objective exactly: the missed-ACK
 memory inside P_i and the stop-hazard cross term inside P_out both depend
 on the whole prefix-failure path, not just the current sums. Exhaustive
 evaluation is cheap at the default scale (M = 4, 64 units, about 6.4e5
-paths, well under a second) and is guarded by a scalar brute-force oracle
-that must match it bit for bit.
+paths, well under a second).
 
-Bit-exactness contract: _failure_table, _occurrence_paths, _outage_paths
-and the cost loop mirror the scalar loops of mi_model.p_fail_gaussian,
-harq_analysis.occurrence_probabilities and
-harq_analysis.outage_from_failures operation for operation, so the
-vectorized values equal the scalar route's exactly, not just to rounding.
+The whole-grid search has no formulas of its own: it hands the (paths, M)
+rate table to mi_model.p_fail_gaussian and the resulting failure table to
+harq_analysis.occurrence_probabilities and outage_from_failures, the same
+functions that evaluate a single policy. brute_force_rate_allocation is the
+independent oracle: it walks the candidates one at a time through the
+scalar API with its own cost loop and tie-breaking, and must match
+dp_rate_allocation bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import feedback_model, harq_analysis, mi_model, numerics
+from . import feedback_model, harq_analysis, mi_model
 from .errors import GridError, InfeasibleError
 
 _log = logging.getLogger(__name__)
@@ -159,76 +161,30 @@ def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
 
 
 def _failure_table(grid: RateGrid, m: int, dl) -> tuple[np.ndarray, np.ndarray]:
-    """(units, F) with F[p, k] the Gaussian prefix-failure probability of path p.
-
-    Accumulation order mirrors mi_model.p_fail_gaussian exactly.
-    """
+    """(units, F) with F[p, k] the Gaussian prefix-failure probability of path p."""
     key = (grid.unit_rho, grid.min_units, grid.max_units, grid.units_total, m,
            _dl_key(dl))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
     units = _enumerate_units(grid, m)
-    sigma = math.sqrt(dl.var_mi)
-    n = units.shape[0]
-    s1 = np.zeros(n)
-    s2 = np.zeros(n)
-    F = np.empty((n, m))
-    for k in range(m):
-        rho = units[:, k].astype(np.float64) * grid.unit_rho
-        s1 = s1 + rho
-        s2 = s2 + rho * rho
-        F[:, k] = numerics.q_function((s1 * dl.mean_mi - 1.0) / (np.sqrt(s2) * sigma))
+    # the float rho table is transient: only units stay cached beside F
+    F = mi_model.p_fail_gaussian(units * grid.unit_rho, dl)
     while len(_TABLE_CACHE) >= _TABLE_CACHE_CAP:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
     _TABLE_CACHE[key] = (units, F)
     return units, F
 
 
-def _occurrence_paths(F: np.ndarray, p_nack, p_ack) -> np.ndarray:
-    # mirrors harq_analysis.occurrence_probabilities
-    n, m = F.shape
-    P = np.empty((n, m))
-    P[:, 0] = 1.0
-    for i in range(2, m + 1):
-        term = F[:, i - 2]
-        for j in range(i - 1):
-            term = term * (1.0 - p_nack[j])
-        total = term
-        for k in range(1, i):
-            term = (1.0 if k == 1 else F[:, k - 2]) - F[:, k - 1]
-            for j in range(k - 1):
-                term = term * (1.0 - p_nack[j])
-            for j in range(k - 1, i - 1):
-                term = term * p_ack[j]
-            total = total + term
-        P[:, i - 1] = total
-    return P
-
-
-def _outage_paths(F: np.ndarray, p_nack) -> np.ndarray:
-    # mirrors harq_analysis.outage_from_failures
-    n, m = F.shape
-    inner = np.ones(n)
-    surv = 1.0
-    for i in range(m - 1):
-        inner = inner - p_nack[i] * F[:, i] * surv
-        surv = surv * (1.0 - p_nack[i])
-    return 1.0 - inner * (1.0 - F[:, m - 1])
-
-
 def _cost_outage(units: np.ndarray, F: np.ndarray, unit_rho: float,
                  rates: feedback_model.FeedbackErrorRates) -> tuple[np.ndarray, np.ndarray]:
     """Per-path expected normalized symbols and outage."""
-    m = F.shape[1]
-    if len(rates) < m - 1:
-        raise ValueError("need at least m-1 feedback error pairs")
-    P = _occurrence_paths(F, rates.p_nack, rates.p_ack)
+    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     cost = np.zeros(F.shape[0])
-    for i in range(m):
+    for i in range(F.shape[1]):
         rho = units[:, i].astype(np.float64) * unit_rho
         cost = cost + rho * P[:, i]
-    return cost, _outage_paths(F, rates.p_nack)
+    return cost, harq_analysis.outage_from_failures(F, rates.p_nack)
 
 
 def _argmin_path(L: np.ndarray, units: np.ndarray) -> int:
@@ -239,12 +195,6 @@ def _argmin_path(L: np.ndarray, units: np.ndarray) -> int:
         totals = units[cand].sum(axis=1)
         cand = cand[totals == totals.min()]
     return int(cand[0])
-
-
-def _rates_for(alphas, snr_linear: float) -> feedback_model.FeedbackErrorRates:
-    pn = tuple(feedback_model.nack_error_rate(a, snr_linear) for a in alphas)
-    pa = tuple(feedback_model.ack_error_rate(a, snr_linear) for a in alphas)
-    return feedback_model.FeedbackErrorRates(p_nack=pn, p_ack=pa)
 
 
 def dp_rate_allocation(lambda_: float, alphas, dl,
@@ -311,8 +261,8 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
                           grid: RateGrid, m: int) -> float:
     """Smallest grid-achievable outage at the given thresholds."""
     units, F = _failure_table(grid, m, dl)
-    rates = _rates_for(tuple(alphas), fb.snr_linear)
-    return float(_outage_paths(F, rates.p_nack).min())
+    rates = feedback_model.error_rates_for(dataclasses.replace(fb, alphas=alphas))
+    return float(harq_analysis.outage_from_failures(F, rates.p_nack).min())
 
 
 def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
@@ -348,7 +298,7 @@ def solve_lambda(alphas, dl, fb: feedback_model.FeedbackSpec, grid: RateGrid,
     always); stops on relative bracket width or once the achieved outage
     lands within a relative 1e-3 band under epsilon.
     """
-    rates = _rates_for(tuple(alphas), fb.snr_linear)
+    rates = feedback_model.error_rates_for(dataclasses.replace(fb, alphas=alphas))
     return solve_lambda_for_rates(rates, dl, grid, len(alphas) + 1, config)
 
 
@@ -408,13 +358,13 @@ def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
     return rhos_at(best_idx), float(best_lambda)
 
 
-def _threshold_objective(rhos, dl, snr_linear):
+def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
     """Factory: alpha vector -> (eta, outage) at fixed rates."""
     F = mi_model.p_fail_gaussian(rhos, dl)
     m = len(rhos)
 
     def evaluate(alphas) -> tuple[float, float]:
-        rates = _rates_for(tuple(float(a) for a in alphas), snr_linear)
+        rates = feedback_model.error_rates_for(dataclasses.replace(fb, alphas=alphas))
         P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
         cost = 0.0
         for i in range(m):
@@ -440,8 +390,7 @@ def optimize_thresholds_pgd(rhos, dl, fb_snr_db: float, config: OptimizerConfig,
     k = len(rhos) - 1
     if k == 0:
         return np.zeros(0)
-    snr_linear = 10.0 ** (float(fb_snr_db) / 10.0)
-    evaluate = _threshold_objective(rhos, dl, snr_linear)
+    evaluate = _threshold_objective(rhos, dl, feedback_model.make_feedback_spec(fb_snr_db))
     eps = config.epsilon
     lo, hi = config.alpha_box
 
@@ -565,7 +514,7 @@ def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.Ha
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
     def eta_of(rhos, al) -> float:
-        return _threshold_objective(tuple(rhos), dl, fb.snr_linear)(al)[0]
+        return _threshold_objective(tuple(rhos), dl, fb)(al)[0]
 
     rhos_inc = None
     lambda_star = config.lambda_lo
@@ -577,7 +526,7 @@ def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.Ha
         rhos_inc = np.asarray(
             [u * grid.unit_rho for u in config.init_units], dtype=float
         )
-        eta0, out0 = _threshold_objective(tuple(rhos_inc), dl, fb.snr_linear)(alphas)
+        eta0, out0 = _threshold_objective(tuple(rhos_inc), dl, fb)(alphas)
         # an infeasible seed must not become the incumbent: its inflated
         # throughput would veto every constraint-satisfying update and the
         # loop would return the seed itself
@@ -613,15 +562,8 @@ def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.Ha
             break
         prev = eta_inc
 
-    policy = harq_analysis.HarqPolicy(
-        rhos=tuple(float(r) for r in rhos_inc),
-        alphas=tuple(float(a) for a in alphas),
-        m_max=m,
-        n_b=policy_template.n_b,
-        n_m=policy_template.n_m,
-        rho_min=policy_template.rho_min,
-        rho_max=policy_template.rho_max,
-    )
+    policy = dataclasses.replace(policy_template, rhos=tuple(rhos_inc),
+                                 alphas=tuple(alphas))
     breakdown = harq_analysis.unreliable_throughput(
         policy, dl, feedback_model.make_feedback_spec(fb_snr_db, policy.alphas)
     )

@@ -88,9 +88,10 @@ def test_unreliable_outage_collapses_without_nack_errors(dl3):
         p_nack=(0.0, 0.0, 0.0), p_ack=(0.3, 0.2, 0.1)
     )
     F = mi_model.p_fail_gaussian(rhos, dl3)
-    assert harq_analysis.unreliable_outage(pol, dl3, rates) == pytest.approx(
-        F[-1], rel=1e-12
+    got = harq_analysis.outage_from_failures(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack
     )
+    assert got == pytest.approx(F[-1], rel=1e-12)
 
 
 def test_unreliable_outage_certain_first_flip(dl3):
@@ -99,9 +100,10 @@ def test_unreliable_outage_certain_first_flip(dl3):
     rates = feedback_model.FeedbackErrorRates(p_nack=(1.0,), p_ack=(0.0,))
     F = mi_model.p_fail_gaussian(rhos, dl3)
     expect = 1.0 - (1.0 - F[0]) * (1.0 - F[1])
-    assert harq_analysis.unreliable_outage(pol, dl3, rates) == pytest.approx(
-        expect, rel=1e-12
+    got = harq_analysis.outage_from_failures(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack
     )
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_unreliable_outage_matches_direct_transcription(dl3):
@@ -112,9 +114,10 @@ def test_unreliable_outage_matches_direct_transcription(dl3):
     rates = feedback_model.error_rates_for(fb)
     F = mi_model.p_fail_gaussian(rhos, dl3)
     want = outage_sequential_form(F, rates.p_nack)
-    assert harq_analysis.unreliable_outage(pol, dl3, rates) == pytest.approx(
-        want, rel=1e-13
+    got = harq_analysis.outage_from_failures(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack
     )
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_occurrence_perfect_feedback_reduces_to_failures(dl3):
@@ -122,7 +125,9 @@ def test_occurrence_perfect_feedback_reduces_to_failures(dl3):
     pol = make_policy(rhos, [0.0] * 3)
     zero = feedback_model.FeedbackErrorRates(p_nack=(0.0,) * 3, p_ack=(0.0,) * 3)
     F = mi_model.p_fail_gaussian(rhos, dl3)
-    P = harq_analysis.transmission_probabilities(pol, dl3, zero)
+    P = harq_analysis.occurrence_probabilities(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), zero.p_nack, zero.p_ack
+    )
     np.testing.assert_allclose(P, np.concatenate([[1.0], F[:-1]]), rtol=1e-13)
 
 
@@ -170,7 +175,9 @@ def test_stage_outage_zero_nack_rates(dl3):
     rhos = [1.0, 0.5, 0.5, 0.5]
     pol = make_policy(rhos, [0.0] * 3)
     zero = feedback_model.FeedbackErrorRates(p_nack=(0.0,) * 3, p_ack=(0.0,) * 3)
-    P = harq_analysis.transmission_probabilities(pol, dl3, zero)
+    P = harq_analysis.occurrence_probabilities(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), zero.p_nack, zero.p_ack
+    )
     stages = harq_analysis.stage_outage(pol, dl3, zero, P)
     np.testing.assert_allclose(stages[:-1], 0.0, atol=1e-15)
     F = mi_model.p_fail_gaussian(rhos, dl3)
@@ -198,7 +205,9 @@ def test_stage_outage_middle_stage_direct_formula(dl3):
     pol = make_policy(rhos, alphas)
     fb = feedback_model.make_feedback_spec(-10.0, alphas)
     rates = feedback_model.error_rates_for(fb)
-    P = harq_analysis.transmission_probabilities(pol, dl3, rates)
+    P = harq_analysis.occurrence_probabilities(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack, rates.p_ack
+    )
     stages = harq_analysis.stage_outage(pol, dl3, rates, P)
     F = mi_model.p_fail_gaussian(rhos, dl3)
     pn = rates.p_nack
@@ -244,8 +253,9 @@ def test_outage_monotone_in_each_threshold(dl3):
             alphas[coord] = a
             fb = feedback_model.make_feedback_spec(-10.0, tuple(alphas))
             pol = make_policy(rhos, alphas)
-            out = harq_analysis.unreliable_outage(
-                pol, dl3, feedback_model.error_rates_for(fb)
+            out = harq_analysis.outage_from_failures(
+                mi_model.p_fail_gaussian(pol.rhos, dl3),
+                feedback_model.error_rates_for(fb).p_nack,
             )
             assert out <= prev + 1e-12
             prev = out
@@ -283,5 +293,7 @@ def test_occurrence_nonincreasing_when_acks_mostly_heard(units, alphas, snr_u):
     fb = feedback_model.make_feedback_spec(snr_u, tuple(alphas))
     rates = feedback_model.error_rates_for(fb)
     assert all(p <= 0.5 for p in rates.p_ack)
-    P = harq_analysis.transmission_probabilities(pol, dl, rates)
+    P = harq_analysis.occurrence_probabilities(
+        mi_model.p_fail_gaussian(pol.rhos, dl), rates.p_nack, rates.p_ack
+    )
     assert np.all(np.diff(P) <= 1e-12)

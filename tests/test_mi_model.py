@@ -158,6 +158,9 @@ def test_p_fail_gaussian_in_unit_interval(rates):
 
 
 @pytest.mark.parametrize("bad", [(), (0.0,), (-1.0,), (math.inf,)])
-def test_rate_vector_validation(bad):
+def test_rate_vector_validation(bad, dl3):
     with pytest.raises(ValueError):
         mi_model.RateVector(tuple(bad))
+    # the array route of p_fail_gaussian bypasses RateVector and checks itself
+    with pytest.raises(ValueError):
+        mi_model.p_fail_gaussian(np.array([[1.0] * len(bad), bad]), dl3)

@@ -67,6 +67,33 @@ def test_dp_matches_brute_force_random_instances(dl3):
         np.testing.assert_array_equal(r_dp, r_bf)
 
 
+def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
+    # the whole-grid search feeds (paths, 4) arrays through the same
+    # formulas that evaluate one policy; each stacked row must equal the
+    # scalar call on that row exactly
+    rng = np.random.default_rng(2401)
+    paths = optimizer._enumerate_units(grid64, 4)
+    units = paths[rng.choice(paths.shape[0], size=500, replace=False)]
+    rhos = units * grid64.unit_rho
+    F = mi_model.p_fail_gaussian(rhos, dl3)
+    F_rows = [mi_model.p_fail_gaussian(tuple(row), dl3) for row in rhos]
+    np.testing.assert_array_equal(F, np.array(F_rows))
+    for _ in range(3):
+        alphas = tuple(rng.uniform(0.0, 2.0, size=3))
+        fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0), alphas)
+        rates = feedback_model.error_rates_for(fb)
+        P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+        out = harq_analysis.outage_from_failures(F, rates.p_nack)
+        assert P.shape == (500, 4) and out.shape == (500,)
+        np.testing.assert_array_equal(P, np.array([
+            harq_analysis.occurrence_probabilities(row, rates.p_nack, rates.p_ack)
+            for row in F_rows
+        ]))
+        np.testing.assert_array_equal(out, np.array([
+            harq_analysis.outage_from_failures(row, rates.p_nack) for row in F_rows
+        ]))
+
+
 def test_dp_value_is_direct_lagrangian(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5, 1.0)
