@@ -8,6 +8,7 @@ are frequent enough to matter but not hopeless.
 """
 
 import argparse
+import os
 import sys
 import tempfile
 
@@ -24,18 +25,19 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
 
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-        fh.write(f"snr_d_db = {args.snr_d_db}\n")
-        fh.write(f"epsilon = {args.epsilon}\n")
-        fh.write("sweep.axis = snr_u_db\n")
-        fh.write(f"sweep.values = {args.snr_u_db}\n")
-        fh.write("sweep.mode = fixed_vs_variable\n")
-        config_path = fh.name
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "sweep.cfg")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            fh.write(f"snr_d_db = {args.snr_d_db}\n")
+            fh.write(f"epsilon = {args.epsilon}\n")
+            fh.write("sweep.axis = snr_u_db\n")
+            fh.write(f"sweep.values = {args.snr_u_db}\n")
+            fh.write("sweep.mode = fixed_vs_variable\n")
 
-    argv = ["sweep", "--config", config_path, "--out", args.out]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    rc = cli.main(argv)
+        argv = ["sweep", "--config", config_path, "--out", args.out]
+        if args.workers is not None:
+            argv += ["--workers", str(args.workers)]
+        rc = cli.main(argv)
     if rc == 0:
         print(f"wrote {args.out}")
     return rc

@@ -9,6 +9,7 @@ cannot meet the budget.
 """
 
 import argparse
+import os
 import sys
 import tempfile
 
@@ -28,18 +29,19 @@ def main() -> int:
 
     step = (args.snr_u_hi - args.snr_u_lo) / (args.points - 1)
     values = ", ".join(f"{args.snr_u_lo + i * step:g}" for i in range(args.points))
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-        fh.write(f"snr_d_db = {args.snr_d_db}\n")
-        fh.write(f"epsilon = {args.epsilon}\n")
-        fh.write("sweep.axis = snr_u_db\n")
-        fh.write(f"sweep.values = {values}\n")
-        fh.write("sweep.mode = vs_duplicated\n")
-        config_path = fh.name
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "sweep.cfg")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            fh.write(f"snr_d_db = {args.snr_d_db}\n")
+            fh.write(f"epsilon = {args.epsilon}\n")
+            fh.write("sweep.axis = snr_u_db\n")
+            fh.write(f"sweep.values = {values}\n")
+            fh.write("sweep.mode = vs_duplicated\n")
 
-    argv = ["sweep", "--config", config_path, "--out", args.out]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    rc = cli.main(argv)
+        argv = ["sweep", "--config", config_path, "--out", args.out]
+        if args.workers is not None:
+            argv += ["--workers", str(args.workers)]
+        rc = cli.main(argv)
     if rc == 0:
         print(f"wrote {args.out}")
     return rc

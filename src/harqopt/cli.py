@@ -350,7 +350,7 @@ def _breakdown_columns(config: RunConfig,
 def _run_analyze(config: RunConfig, out: str) -> int:
     policy = _policy_from(config)
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
     bd = harq_analysis.unreliable_throughput(
         policy, dl, fb, route=config.route, bins=config.conv_bins
     )
@@ -380,9 +380,8 @@ def _solution_columns(config: RunConfig,
 
 def _run_optimize(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    sol = optimizer.alternating_optimize(
-        dl, config.snr_u_db, _policy_from(config), config.optimizer
-    )
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
+    sol = optimizer.alternating_optimize(dl, fb, _policy_from(config), config.optimizer)
     header, row = _solution_columns(config, sol)
     _write_csv(out, header, [row])
     stem, ext = os.path.splitext(out)
@@ -411,7 +410,7 @@ def _estimate_columns(config: RunConfig,
 def _run_simulate(config: RunConfig, out: str) -> int:
     policy = _policy_from(config)
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
     if config.feedback_mode == "duplicated-ack":
         est = mc_simulator.estimate_duplicated_ack(
             policy, dl, fb, config.n_episodes, config.seed
@@ -428,7 +427,7 @@ def _run_simulate(config: RunConfig, out: str) -> int:
 def _run_validate(config: RunConfig, out: str) -> int:
     policy = _policy_from(config)
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
     if config.feedback_mode == "duplicated-ack":
         bd = harq_analysis.duplicated_ack_performance(
             policy, dl, fb, route="convolution", bins=config.conv_bins
@@ -497,38 +496,29 @@ def _alpha_scan(config: RunConfig) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, 50))
 
 
-def _best_fixed_alpha(config: RunConfig, dl, grid):
+def _best_fixed_alpha(config: RunConfig, dl, fb, grid):
     """Best uniform threshold in the scan grid with rates re-optimized
     exactly per threshold. Returns (throughput, alpha, rhos); throughput 0
     and rhos None when every scanned threshold is infeasible."""
     best_eta, best_alpha, best_rhos = 0.0, math.nan, None
     for alpha in _alpha_scan(config):
         alphas = (float(alpha),) * (config.m_max - 1)
-        fb = feedback_model.make_feedback_spec(config.snr_u_db, alphas)
-        rates = feedback_model.error_rates_for(fb)
+        rates = feedback_model.error_rates_for(fb, alphas)
         try:
-            rhos, _ = optimizer.best_feasible_allocation(
+            rhos, eta = optimizer.best_feasible_allocation(
                 rates, dl, grid, config.m_max, config.epsilon
             )
         except InfeasibleError:
             continue
-        eta = _eta_breakdown(config, dl, rhos, alphas)
         if eta > best_eta:
             best_eta, best_alpha, best_rhos = eta, float(alpha), rhos
     return best_eta, best_alpha, best_rhos
 
 
-def _eta_breakdown(config: RunConfig, dl, rhos, alphas) -> float:
-    policy = dataclasses.replace(_policy_from(config), rhos=tuple(rhos),
-                                 alphas=tuple(alphas))
-    fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
-    return harq_analysis.unreliable_throughput(policy, dl, fb).throughput
-
-
-def _duplicated_best_throughput(config: RunConfig, dl, grid) -> tuple[float, bool]:
+def _duplicated_best_throughput(config: RunConfig, dl, fb,
+                                grid) -> tuple[float, bool]:
     """Best duplicated-ACK throughput under the outage constraint; zero when
     the constraint is unreachable (the scheme has no threshold to raise)."""
-    fb = feedback_model.make_feedback_spec(config.snr_u_db)
     rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, config.m_max)
     try:
         rhos, _ = optimizer.solve_lambda_for_rates(rates, dl, grid, config.m_max,
@@ -548,10 +538,10 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     )
     axis = config.sweep_axis
     dl = mi_model.make_downlink_spec(config.snr_d_db)
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
 
     if config.sweep_mode == "analyze":
         policy = _policy_from(config)
-        fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
         bd = harq_analysis.unreliable_throughput(
             policy, dl, fb, route=config.route, bins=config.conv_bins
         )
@@ -563,7 +553,6 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
         header, row = [axis], [value]
         for alpha in (config.sweep_alphas or (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)):
             alphas = (float(alpha),) * (config.m_max - 1)
-            fb = feedback_model.make_feedback_spec(config.snr_u_db, alphas)
             header.append(f"min_outage_alpha_{alpha:g}")
             row.append(optimizer.min_achievable_outage(alphas, dl, fb, grid,
                                                        config.m_max))
@@ -572,11 +561,11 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     if config.sweep_mode == "optimize":
         try:
             sol = optimizer.alternating_optimize(
-                dl, config.snr_u_db, _policy_from(config), config.optimizer
+                dl, fb, _policy_from(config), config.optimizer
             )
             header, row = _solution_columns(config, sol)
         except InfeasibleError as err:
-            header, row = _solution_columns(config, _dummy_solution(config, dl))
+            header, row = _solution_columns(config, _dummy_solution(config, dl, fb))
             row[header.index("lambda_star")] = math.nan
             row[header.index("throughput")] = 0.0
             _log.warning("sweep point %s=%g infeasible: %s", axis, value, err)
@@ -584,10 +573,10 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
 
     if config.sweep_mode == "vs_duplicated":
         grid = _grid_from(config)
-        dup_eta, dup_ok = _duplicated_best_throughput(config, dl, grid)
+        dup_eta, dup_ok = _duplicated_best_throughput(config, dl, fb, grid)
         try:
             sol = optimizer.alternating_optimize(
-                dl, config.snr_u_db, _policy_from(config), config.optimizer
+                dl, fb, _policy_from(config), config.optimizer
             )
             asym_eta, asym_ok = sol.breakdown.throughput, sol.feasible
         except InfeasibleError:
@@ -600,7 +589,7 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
 
     # fixed_vs_variable
     grid = _grid_from(config)
-    fixed_eta, fixed_alpha, fixed_rhos = _best_fixed_alpha(config, dl, grid)
+    fixed_eta, fixed_alpha, fixed_rhos = _best_fixed_alpha(config, dl, fb, grid)
     starts = [config.optimizer]
     if fixed_rhos is not None:
         # warm start at the best fixed-threshold operating point so the
@@ -615,7 +604,7 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     for opt_config in starts:
         try:
             sol = optimizer.alternating_optimize(
-                dl, config.snr_u_db, _policy_from(config), opt_config
+                dl, fb, _policy_from(config), opt_config
             )
         except InfeasibleError:
             continue
@@ -626,9 +615,8 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     )
 
 
-def _dummy_solution(config: RunConfig, dl) -> optimizer.Solution:
+def _dummy_solution(config: RunConfig, dl, fb) -> optimizer.Solution:
     policy = _policy_from(config)
-    fb = feedback_model.make_feedback_spec(config.snr_u_db, policy.alphas)
     bd = harq_analysis.unreliable_throughput(policy, dl, fb)
     return optimizer.Solution(
         policy=policy, lambda_star=math.nan, breakdown=bd, iterations=0,

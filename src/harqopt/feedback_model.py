@@ -15,7 +15,13 @@ On the +-1 scale the detector noise is Gaussian with standard deviation
     nack->ack:  0.5 erfc((1+alpha) sqrt(6 snr))
     ack->nack:  0.5 erfc((1-alpha) sqrt(6 snr))
 
-and simulate_detection realizes the same statistic symbol by symbol.
+and simulate_detection realizes the same statistic symbol by symbol
+(detect_batch for many trials at once, the detector the Monte Carlo
+simulator runs in its symbol-level mode).
+
+A FeedbackSpec is the uplink operating point only, the feedback SNR. The
+thresholds belong to the HARQ policy and are passed to error_rates_for
+explicitly, so they live in one place.
 """
 
 from __future__ import annotations
@@ -36,20 +42,19 @@ _BATCH_CHUNK = 1 << 18
 
 @dataclass(frozen=True)
 class FeedbackSpec:
-    """Uplink operating point: feedback SNR plus per-round thresholds."""
+    """Uplink operating point: the feedback SNR in dB and linear.
+
+    The detection thresholds are per-round decisions of the HARQ policy
+    (HarqPolicy.alphas), so they are passed to error_rates_for alongside
+    the spec rather than stored in it.
+    """
 
     snr_db: float
     snr_linear: float
-    alphas: tuple[float, ...]
 
     def __post_init__(self):
         if not (math.isfinite(self.snr_linear) and self.snr_linear > 0.0):
             raise ValueError("FeedbackSpec: snr_linear must be positive and finite")
-        alphas = tuple(float(a) for a in self.alphas)
-        for a in alphas:
-            if not math.isfinite(a):
-                raise ValueError("FeedbackSpec: alphas must be finite")
-        object.__setattr__(self, "alphas", alphas)
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,11 @@ class FeedbackErrorRates:
         return len(self.p_nack)
 
 
-def make_feedback_spec(snr_db: float, alphas=()) -> FeedbackSpec:
+def make_feedback_spec(snr_db: float) -> FeedbackSpec:
     snr_dbf = float(snr_db)
     if not math.isfinite(snr_dbf):
         raise ValueError("make_feedback_spec: snr_db must be finite")
-    return FeedbackSpec(
-        snr_db=snr_dbf, snr_linear=10.0 ** (snr_dbf / 10.0), alphas=tuple(alphas)
-    )
+    return FeedbackSpec(snr_db=snr_dbf, snr_linear=10.0 ** (snr_dbf / 10.0))
 
 
 def _check_snr(snr_linear: float) -> float:
@@ -107,10 +110,13 @@ def ack_error_rate(alpha: float, snr_linear: float) -> float:
     return 0.5 * numerics.erfc((1.0 - alpha) * np.sqrt(6.0 * s))
 
 
-def error_rates_for(spec: FeedbackSpec) -> FeedbackErrorRates:
-    """Per-round error pairs for a FeedbackSpec's threshold vector."""
-    pn = tuple(nack_error_rate(a, spec.snr_linear) for a in spec.alphas)
-    pa = tuple(ack_error_rate(a, spec.snr_linear) for a in spec.alphas)
+def error_rates_for(spec: FeedbackSpec, alphas) -> FeedbackErrorRates:
+    """Per-round error pairs for a threshold vector at the spec's uplink SNR.
+
+    A non-finite threshold raises ValueError.
+    """
+    pn = tuple(nack_error_rate(a, spec.snr_linear) for a in alphas)
+    pa = tuple(ack_error_rate(a, spec.snr_linear) for a in alphas)
     return FeedbackErrorRates(p_nack=pn, p_ack=pa)
 
 
@@ -152,24 +158,38 @@ def simulate_detection(sent_ack: bool, alpha: float, snr_linear: float, rng) -> 
     return detection_statistic(y, s) >= alpha
 
 
-def detect_batch(sent_ack: bool, alpha: float, snr_linear: float, n: int, rng) -> np.ndarray:
-    """Vectorized simulate_detection: n independent trials, bool array out."""
+def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.ndarray:
+    """Vectorized simulate_detection: n independent trials, bool array out.
+
+    sent_ack is one bool for every trial or an (n,) bool array, one per
+    trial. Noise is drawn in chunks of _BATCH_CHUNK trials, real parts
+    before imaginary parts within a chunk.
+    """
     s = _check_snr(snr_linear)
     if n < 1:
         raise ValueError("detect_batch: n must be positive")
+    sent_ack = np.asarray(sent_ack, dtype=bool)
+    if sent_ack.ndim and sent_ack.shape != (n,):
+        raise ValueError("detect_batch: sent_ack must be a bool or an (n,) array")
     s_ack, s_nack = build_sequences()
-    sent = s_ack if sent_ack else s_nack
     diff_conj = np.conj(s_ack - s_nack)
     scale = SEQUENCE_LENGTH * math.sqrt(s)
+    # entries are +-1 + 0j: scaling the two sequences once gives exactly
+    # the products of scaling every trial's copy
+    clean_ack, clean_nack = math.sqrt(s) * s_ack, math.sqrt(s) * s_nack
     out = np.empty(n, dtype=bool)
     done = 0
     while done < n:
         m = min(_BATCH_CHUNK, n - done)
-        noise = (
+        flags = sent_ack[done : done + m] if sent_ack.ndim else sent_ack
+        # y = noise + clean signal, built in place: fewer (m, 12) complex
+        # temporaries to allocate and page in
+        y = (
             rng.standard_normal((m, SEQUENCE_LENGTH))
             + 1j * rng.standard_normal((m, SEQUENCE_LENGTH))
-        ) * _HALF_COMPLEX
-        y = math.sqrt(s) * sent + noise
+        )
+        y *= _HALF_COMPLEX
+        y += np.where(flags[..., None], clean_ack, clean_nack)
         t = (y @ diff_conj).real / scale
         out[done : done + m] = t >= alpha
         done += m

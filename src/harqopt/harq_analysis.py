@@ -215,11 +215,13 @@ def _stage_outage(F, pn, P) -> tuple[np.ndarray, list[int]]:
 
 def stage_outage(policy: HarqPolicy, dl, rates, p_occur, *, route: str = "gaussian",
                  bins: int = mi_model.DEFAULT_CONV_BINS) -> np.ndarray:
-    """Per-stage outage contributions used by the stagewise rate search.
+    """Per-stage outage contributions: the p_out_stage_k columns of a report.
 
-    Stage 1 carries the first premature-stop hazard P_{N,1} P_{1,f}; middle
-    stages carry the cumulative hazard through stage k divided by the
-    occurrence probability P_k; the final stage carries P_{M,f}/P_M.
+    A diagnostic of where along the exchange the outage accrues; the
+    optimizer constrains only the total outage and never reads it.
+    Stage 1 carries the first premature-stop hazard P_{N,1} P_{1,f};
+    middle stages carry the cumulative hazard through stage k divided by
+    the occurrence probability P_k; the final stage carries P_{M,f}/P_M.
     Unreachable stages (P_k = 0) have no conditional value and raise.
     """
     F = _p_fail(policy, dl, route, bins)
@@ -269,10 +271,7 @@ def unreliable_throughput(policy: HarqPolicy, dl, fb: feedback_model.FeedbackSpe
                           route: str = "gaussian",
                           bins: int = mi_model.DEFAULT_CONV_BINS) -> PerformanceBreakdown:
     """Full performance report for a policy; thresholds come from the policy."""
-    spec = feedback_model.FeedbackSpec(
-        snr_db=fb.snr_db, snr_linear=fb.snr_linear, alphas=policy.alphas
-    )
-    rates = feedback_model.error_rates_for(spec)
+    rates = feedback_model.error_rates_for(fb, policy.alphas)
     return _breakdown_from_rates(policy, dl, rates, route, bins)
 
 

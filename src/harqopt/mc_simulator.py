@@ -34,7 +34,6 @@ SYMBOL_LEVEL = "symbol-level"
 _DUPLICATED = "duplicated-ack"
 _CHUNK = 1 << 17
 _MIN_EPISODES = 10_000
-_HALF_COMPLEX = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -132,16 +131,10 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
         if mode == _DUPLICATED:
             p_slot = feedback_model.nack_error_rate(0.0, fb.snr_linear)
         else:
-            spec = feedback_model.make_feedback_spec(fb.snr_db, policy.alphas)
-            rates = feedback_model.error_rates_for(spec)
+            rates = feedback_model.error_rates_for(fb, policy.alphas)
             pn = np.asarray(rates.p_nack)
             pa = np.asarray(rates.p_ack)
-    elif mode == SYMBOL_LEVEL:
-        s_ack, s_nack = feedback_model.build_sequences()
-        diff_conj = np.conj(s_ack - s_nack)
-        root_s = math.sqrt(fb.snr_linear)
-        seq_len = feedback_model.SEQUENCE_LENGTH
-    else:
+    elif mode != SYMBOL_LEVEL:
         raise ValueError(f"unknown feedback_mode {mode!r}")
 
     sx = 0.0       # delivered count (also sum of squares: indicator)
@@ -169,12 +162,11 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
                 p_err = np.where(sent_ack, pa[j], pn[j])
                 det_ack = sent_ack != (u < p_err)
             elif mode == SYMBOL_LEVEL:
-                noise_re = rng.standard_normal((c, seq_len))
-                noise_im = rng.standard_normal((c, seq_len))
-                sent = np.where(sent_ack[:, None], s_ack, s_nack)
-                y = root_s * sent + (noise_re + 1j * noise_im) * _HALF_COMPLEX
-                stat = (y @ diff_conj).real / (seq_len * root_s)
-                det_ack = stat >= policy.alphas[j]
+                # c <= _CHUNK < feedback_model._BATCH_CHUNK: detect_batch
+                # draws this round's noise as one block, all real parts first
+                det_ack = feedback_model.detect_batch(
+                    sent_ack, policy.alphas[j], fb.snr_linear, c, rng
+                )
             else:
                 u = rng.random((c, 2))
                 # both duplicated slots must read as ACK for a stop

@@ -261,7 +261,7 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
                           grid: RateGrid, m: int) -> float:
     """Smallest grid-achievable outage at the given thresholds."""
     units, F = _failure_table(grid, m, dl)
-    rates = feedback_model.error_rates_for(dataclasses.replace(fb, alphas=alphas))
+    rates = feedback_model.error_rates_for(fb, alphas)
     return float(harq_analysis.outage_from_failures(F, rates.p_nack).min())
 
 
@@ -298,7 +298,7 @@ def solve_lambda(alphas, dl, fb: feedback_model.FeedbackSpec, grid: RateGrid,
     always); stops on relative bracket width or once the achieved outage
     lands within a relative 1e-3 band under epsilon.
     """
-    rates = feedback_model.error_rates_for(dataclasses.replace(fb, alphas=alphas))
+    rates = feedback_model.error_rates_for(fb, alphas)
     return solve_lambda_for_rates(rates, dl, grid, len(alphas) + 1, config)
 
 
@@ -358,13 +358,25 @@ def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
     return rhos_at(best_idx), float(best_lambda)
 
 
+def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
+    """Upper bracket end after `steps` halvings of [lo, hi]: ok(hi) is
+    assumed true, and the end moves down to every midpoint where ok holds."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
     """Factory: alpha vector -> (eta, outage) at fixed rates."""
     F = mi_model.p_fail_gaussian(rhos, dl)
     m = len(rhos)
 
     def evaluate(alphas) -> tuple[float, float]:
-        rates = feedback_model.error_rates_for(dataclasses.replace(fb, alphas=alphas))
+        rates = feedback_model.error_rates_for(fb, alphas)
         P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
         cost = 0.0
         for i in range(m):
@@ -375,8 +387,8 @@ def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
     return evaluate
 
 
-def optimize_thresholds_pgd(rhos, dl, fb_snr_db: float, config: OptimizerConfig, *,
-                            init_alphas=None) -> np.ndarray:
+def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
+                            config: OptimizerConfig, *, init_alphas=None) -> np.ndarray:
     """Projected gradient ascent on throughput over the threshold box.
 
     Gradient by central differences (probes may leave the box, where the
@@ -390,7 +402,7 @@ def optimize_thresholds_pgd(rhos, dl, fb_snr_db: float, config: OptimizerConfig,
     k = len(rhos) - 1
     if k == 0:
         return np.zeros(0)
-    evaluate = _threshold_objective(rhos, dl, feedback_model.make_feedback_spec(fb_snr_db))
+    evaluate = _threshold_objective(rhos, dl, fb)
     eps = config.epsilon
     lo, hi = config.alpha_box
 
@@ -410,14 +422,8 @@ def optimize_thresholds_pgd(rhos, dl, fb_snr_db: float, config: OptimizerConfig,
         if feasible(cand):
             return cand
         ref = np.maximum(cand, anchor)
-        t_lo, t_hi = 0.0, 1.0
-        for _ in range(60):
-            t = 0.5 * (t_lo + t_hi)
-            if feasible(cand + t * (ref - cand)):
-                t_hi = t
-            else:
-                t_lo = t
-        return cand + t_hi * (ref - cand)
+        t = _bisect_upper(0.0, 1.0, lambda t: feasible(cand + t * (ref - cand)), 60)
+        return cand + t * (ref - cand)
 
     if init_alphas is not None:
         x = np.clip(np.asarray(init_alphas, dtype=float), lo, hi)
@@ -430,14 +436,7 @@ def optimize_thresholds_pgd(rhos, dl, fb_snr_db: float, config: OptimizerConfig,
         if feasible(floor):
             x = floor
         else:
-            s_lo, s_hi = lo, hi
-            for _ in range(60):
-                s = 0.5 * (s_lo + s_hi)
-                if feasible(np.full(k, s)):
-                    s_hi = s
-                else:
-                    s_lo = s
-            x = np.full(k, s_hi)
+            x = np.full(k, _bisect_upper(lo, hi, lambda s: feasible(np.full(k, s)), 60))
 
     eta_x, _ = evaluate(x)
     for _ in range(config.pgd_max_iters):
@@ -463,7 +462,8 @@ def optimize_thresholds_pgd(rhos, dl, fb_snr_db: float, config: OptimizerConfig,
     return x
 
 
-def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.HarqPolicy,
+def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
+                         policy_template: harq_analysis.HarqPolicy,
                          config: OptimizerConfig) -> Solution:
     """Alternate Lagrangian rate allocation and PGD threshold tuning.
 
@@ -483,7 +483,6 @@ def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.Ha
                       math.floor(policy_template.rho_max / unit_rho + 1e-9)),
         units_total=config.units_total,
     )
-    fb = feedback_model.make_feedback_spec(fb_snr_db)
     eps = config.epsilon
     lo, hi = config.alpha_box
     k = m - 1
@@ -503,14 +502,10 @@ def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.Ha
                 min_outage=min_achievable_outage(np.full(k, hi), dl, fb, grid, m),
                 iteration=0,
             )
-        s_lo, s_hi = lo, hi
-        for _ in range(40):
-            s = 0.5 * (s_lo + s_hi)
-            if min_achievable_outage(np.maximum(alphas, s), dl, fb, grid, m) <= eps:
-                s_hi = s
-            else:
-                s_lo = s
-        alphas = np.maximum(alphas, s_hi)
+        def reaches(s: float) -> bool:
+            return min_achievable_outage(np.maximum(alphas, s), dl, fb, grid, m) <= eps
+
+        alphas = np.maximum(alphas, _bisect_upper(lo, hi, reaches, 40))
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
     def eta_of(rhos, al) -> float:
@@ -550,7 +545,7 @@ def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.Ha
 
         if k > 0:
             alphas_new = optimize_thresholds_pgd(
-                rhos_inc, dl, fb_snr_db, config, init_alphas=alphas
+                rhos_inc, dl, fb, config, init_alphas=alphas
             )
             eta_alpha = eta_of(rhos_inc, alphas_new)
             if eta_alpha >= eta_inc:
@@ -564,9 +559,7 @@ def alternating_optimize(dl, fb_snr_db: float, policy_template: harq_analysis.Ha
 
     policy = dataclasses.replace(policy_template, rhos=tuple(rhos_inc),
                                  alphas=tuple(alphas))
-    breakdown = harq_analysis.unreliable_throughput(
-        policy, dl, feedback_model.make_feedback_spec(fb_snr_db, policy.alphas)
-    )
+    breakdown = harq_analysis.unreliable_throughput(policy, dl, fb)
     return Solution(
         policy=policy,
         lambda_star=float(lambda_star),

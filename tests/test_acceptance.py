@@ -87,7 +87,7 @@ def test_criterion_02_analytic_vs_simulation(capsys, dl3):
                 continue
             alphas = tuple(rng.uniform(1.5, 2.5, size=3))
             pol = make_policy(tuple(u * UNIT for u in units), alphas)
-            fb = feedback_model.make_feedback_spec(-10.0, alphas)
+            fb = feedback_model.make_feedback_spec(-10.0)
             bd = harq_analysis.unreliable_throughput(pol, dl3, fb, route="convolution")
             if bd.p_out_unreliable <= 0.008:
                 policies.append((pol, fb, bd))
@@ -151,8 +151,8 @@ def test_criterion_04_dp_equals_brute_force(capsys, dl3):
             units = int(rng.integers(m, 17))
             grid = optimizer.make_rate_grid(1024, 4096, units)
             alphas = tuple(rng.uniform(0.0, 2.5, size=m - 1))
-            fb = feedback_model.make_feedback_spec(rng.uniform(-16.0, -4.0), alphas)
-            rates = feedback_model.error_rates_for(fb)
+            fb = feedback_model.make_feedback_spec(rng.uniform(-16.0, -4.0))
+            rates = feedback_model.error_rates_for(fb, alphas)
             lam = float(rng.choice([0.0, rng.uniform(0.0, 1e3), 1e9]))
             r_dp, v_dp = optimizer.dp_rate_allocation(lam, alphas, dl3, rates,
                                                       grid, m)
@@ -166,8 +166,8 @@ def test_criterion_04_dp_equals_brute_force(capsys, dl3):
 def test_criterion_05_lambda_ladder_monotone(capsys, dl3, grid64):
     with criterion(capsys, 5, "achieved outage non-increasing along the lambda ladder"):
         alphas = (0.5, 0.5, 0.5)
-        fb = feedback_model.make_feedback_spec(-10.0, alphas)
-        rates = feedback_model.error_rates_for(fb)
+        fb = feedback_model.make_feedback_spec(-10.0)
+        rates = feedback_model.error_rates_for(fb, alphas)
         outages = []
         for lam in np.logspace(-2.0, 6.0, 20):
             rhos, _ = optimizer.dp_rate_allocation(float(lam), alphas, dl3,
@@ -185,7 +185,7 @@ def test_criterion_06_min_outage_monotone_in_alpha(capsys, dl3, grid64):
             prev = 2.0
             for a in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
                 alphas = (float(a),) * 3
-                fb = feedback_model.make_feedback_spec(float(snr_u), alphas)
+                fb = feedback_model.make_feedback_spec(float(snr_u))
                 mo = optimizer.min_achievable_outage(alphas, dl3, fb, grid64, 4)
                 assert mo <= prev + 1e-12, (snr_u, a, mo, prev)
                 prev = mo
@@ -196,13 +196,12 @@ def test_criterion_07_asymmetric_beats_duplicated(capsys, dl3, grid64):
         cfg = vi_config()
         strict_win = False
         for snr_u in range(-16, -9):
+            fb = feedback_model.make_feedback_spec(float(snr_u))
             try:
-                sol = optimizer.alternating_optimize(dl3, float(snr_u),
-                                                     default_template(), cfg)
+                sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
                 asym = sol.breakdown.throughput
             except InfeasibleError:
                 asym = 0.0
-            fb = feedback_model.make_feedback_spec(float(snr_u))
             dup_rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, 4)
             try:
                 rhos, _ = optimizer.best_feasible_allocation(
@@ -225,11 +224,11 @@ def test_criterion_07_asymmetric_beats_duplicated(capsys, dl3, grid64):
 def test_criterion_08_variable_thresholds_beat_best_fixed(capsys, dl3, grid64):
     with criterion(capsys, 8, "variable thresholds >= best fixed threshold (50-point scan)"):
         for snr_u in (-5.0, -10.0, -15.0):
+            fb = feedback_model.make_feedback_spec(snr_u)
             fixed_eta, fixed_alpha, fixed_rhos = 0.0, None, None
             for a in np.linspace(0.0, 3.0, 50):
                 alphas = (float(a),) * 3
-                fb = feedback_model.make_feedback_spec(snr_u, alphas)
-                rates = feedback_model.error_rates_for(fb)
+                rates = feedback_model.error_rates_for(fb, alphas)
                 try:
                     rhos, eta = optimizer.best_feasible_allocation(
                         rates, dl3, grid64, 4, 0.01
@@ -247,7 +246,7 @@ def test_criterion_08_variable_thresholds_beat_best_fixed(capsys, dl3, grid64):
             ))
             for cfg in starts:
                 try:
-                    sol = optimizer.alternating_optimize(dl3, snr_u,
+                    sol = optimizer.alternating_optimize(dl3, fb,
                                                          default_template(), cfg)
                 except InfeasibleError:
                     continue
@@ -258,12 +257,13 @@ def test_criterion_08_variable_thresholds_beat_best_fixed(capsys, dl3, grid64):
 def test_criterion_09_alternating_convergence(capsys, dl3):
     with criterion(capsys, 9, "alternating solver converges from 20 random starts"):
         rng = np.random.default_rng(20260815)
+        fb = feedback_model.make_feedback_spec(-10.0)
         for _ in range(20):
             cfg = vi_config(
                 init_alphas=tuple(float(a) for a in rng.uniform(0.0, 3.0, size=3)),
                 init_units=tuple(int(u) for u in rng.multinomial(60, [0.25] * 4) + 1),
             )
-            sol = optimizer.alternating_optimize(dl3, -10.0, default_template(), cfg)
+            sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
             assert sol.converged and sol.iterations <= 50
             trace = np.asarray(sol.trace)
             assert np.all(np.diff(trace) >= -1e-9)
@@ -280,7 +280,7 @@ def test_criterion_10_bound_invariants(capsys):
             units = rng.integers(1, 17, size=4)
             alphas = tuple(rng.uniform(0.0, 3.0, size=3))
             pol = make_policy(tuple(u * UNIT for u in units), alphas)
-            fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -3.0), alphas)
+            fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -3.0))
             route = "convolution" if trial % 5 == 0 else "gaussian"
             bd = harq_analysis.unreliable_throughput(pol, dl, fb, route=route)
             assert bd.p_out_unreliable >= bd.p_fail[-1] - 1e-12

@@ -112,16 +112,35 @@ def test_symmetric_detection_balances_errors():
     assert abs(nack_err - ack_err) <= 4.0 * se
 
 
+def test_detect_batch_per_trial_flags_select_the_sent_sequence():
+    # the noise stream does not depend on what was sent, so per-trial flags
+    # must pick each trial's outcome from the all-ACK or all-NACK run with
+    # the same stream, across a chunk boundary
+    n, alpha, snr = feedback_model._BATCH_CHUNK + 1000, 0.3, 0.1
+    flags = np.random.default_rng(3).random(n) < 0.4
+    mixed = feedback_model.detect_batch(flags, alpha, snr, n, np.random.default_rng(9))
+    ack = feedback_model.detect_batch(True, alpha, snr, n, np.random.default_rng(9))
+    nack = feedback_model.detect_batch(False, alpha, snr, n, np.random.default_rng(9))
+    np.testing.assert_array_equal(mixed, np.where(flags, ack, nack))
+    np.testing.assert_array_equal(
+        feedback_model.detect_batch(np.ones(n, dtype=bool), alpha, snr, n,
+                                    np.random.default_rng(9)),
+        ack,
+    )
+    with pytest.raises(ValueError):
+        feedback_model.detect_batch(flags[:-1], alpha, snr, n, np.random.default_rng(9))
+
+
 def test_error_rates_for_symmetric_case():
-    spec = feedback_model.make_feedback_spec(-10.0, (0.0, 0.0, 0.0))
-    rates = feedback_model.error_rates_for(spec)
+    spec = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(spec, (0.0, 0.0, 0.0))
     assert rates.p_nack == rates.p_ack
     assert all(0.0 <= p <= 1.0 for p in rates.p_nack)
 
 
 def test_error_rates_for_ordering():
-    spec = feedback_model.make_feedback_spec(-10.0, (0.2, 0.4, 0.6))
-    rates = feedback_model.error_rates_for(spec)
+    spec = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(spec, (0.2, 0.4, 0.6))
     assert rates.p_nack[0] > rates.p_nack[1] > rates.p_nack[2]
     assert rates.p_ack[0] < rates.p_ack[1] < rates.p_ack[2]
     for pn, pa in zip(rates.p_nack, rates.p_ack):
@@ -129,9 +148,9 @@ def test_error_rates_for_ordering():
 
 
 def test_make_feedback_spec_validation():
-    spec = feedback_model.make_feedback_spec(-10.0, (0.5,))
+    spec = feedback_model.make_feedback_spec(-10.0)
     assert spec.snr_linear == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ValueError):
-        feedback_model.make_feedback_spec(math.nan, ())
+        feedback_model.make_feedback_spec(math.nan)
     with pytest.raises(ValueError):
-        feedback_model.make_feedback_spec(-10.0, (math.inf,))
+        feedback_model.error_rates_for(spec, (math.inf,))

@@ -110,8 +110,8 @@ def test_unreliable_outage_matches_direct_transcription(dl3):
     rhos = [1.25, 0.5, 0.75, 0.25]
     alphas = (0.3, 0.7, 1.1)
     pol = make_policy(rhos, alphas)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     F = mi_model.p_fail_gaussian(rhos, dl3)
     want = outage_sequential_form(F, rates.p_nack)
     got = harq_analysis.outage_from_failures(
@@ -143,8 +143,8 @@ def test_occurrence_pure_missed_ack():
 def test_occurrence_matches_success_time_partition(dl3):
     rhos = [1.25, 0.5, 0.75, 0.25]
     alphas = (0.3, 0.7, 1.1)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     F = mi_model.p_fail_gaussian(rhos, dl3)
     got = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     want = occurrence_by_success_time(F, rates.p_nack, rates.p_ack)
@@ -163,7 +163,7 @@ def test_unreliable_throughput_perfect_feedback_limit(dl3):
     rhos = [1.0, 0.5, 0.5, 0.5]
     alphas = (0.5, 0.5, 0.5)
     pol = make_policy(rhos, alphas)
-    fb = feedback_model.make_feedback_spec(200.0, alphas)  # error rates underflow to 0
+    fb = feedback_model.make_feedback_spec(200.0)  # error rates underflow to 0
     bd = harq_analysis.unreliable_throughput(pol, dl3, fb)
     assert bd.throughput == pytest.approx(
         harq_analysis.reliable_throughput(pol, dl3), abs=1e-9
@@ -203,8 +203,8 @@ def test_stage_outage_middle_stage_direct_formula(dl3):
     rhos = [1.25, 0.5, 0.75, 0.25]
     alphas = (0.3, 0.7, 1.1)
     pol = make_policy(rhos, alphas)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     P = harq_analysis.occurrence_probabilities(
         mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack, rates.p_ack
     )
@@ -228,7 +228,7 @@ def test_duplicated_ack_rates_square_the_flip():
 def test_duplicated_ack_perfect_feedback_matches_standard(dl3):
     rhos = [1.0, 0.5, 0.5, 0.5]
     pol = make_policy(rhos, [0.0] * 3)
-    fb = feedback_model.make_feedback_spec(200.0, (0.0,) * 3)
+    fb = feedback_model.make_feedback_spec(200.0)
     dup = harq_analysis.duplicated_ack_performance(pol, dl3, fb)
     std = harq_analysis.unreliable_throughput(pol, dl3, fb)
     assert dup.throughput == pytest.approx(std.throughput, abs=1e-12)
@@ -237,7 +237,7 @@ def test_duplicated_ack_perfect_feedback_matches_standard(dl3):
 
 def test_duplicated_ack_requires_symmetric_detection(dl3):
     pol = make_policy([1.0, 0.5, 0.5, 0.5], [0.5, 0.0, 0.0])
-    fb = feedback_model.make_feedback_spec(-10.0, pol.alphas)
+    fb = feedback_model.make_feedback_spec(-10.0)
     with pytest.raises(ValueError):
         harq_analysis.duplicated_ack_performance(pol, dl3, fb)
 
@@ -251,11 +251,11 @@ def test_outage_monotone_in_each_threshold(dl3):
         for a in ladder:
             alphas = list(base)
             alphas[coord] = a
-            fb = feedback_model.make_feedback_spec(-10.0, tuple(alphas))
+            fb = feedback_model.make_feedback_spec(-10.0)
             pol = make_policy(rhos, alphas)
             out = harq_analysis.outage_from_failures(
                 mi_model.p_fail_gaussian(pol.rhos, dl3),
-                feedback_model.error_rates_for(fb).p_nack,
+                feedback_model.error_rates_for(fb, tuple(alphas)).p_nack,
             )
             assert out <= prev + 1e-12
             prev = out
@@ -270,7 +270,7 @@ alpha_vecs = st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3)
 def test_breakdown_invariants(units, alphas, snr_u):
     dl = mi_model.make_downlink_spec(3.0)
     pol = make_policy([u * UNIT for u in units], alphas)
-    fb = feedback_model.make_feedback_spec(snr_u, tuple(alphas))
+    fb = feedback_model.make_feedback_spec(snr_u)
     bd = harq_analysis.unreliable_throughput(pol, dl, fb)
     for vec in (bd.p_fail, bd.p_occur):
         assert all(0.0 <= v <= 1.0 for v in vec)
@@ -290,8 +290,8 @@ def test_occurrence_nonincreasing_when_acks_mostly_heard(units, alphas, snr_u):
     # alpha <= 1 keeps the ACK miss rate at or below one half
     dl = mi_model.make_downlink_spec(3.0)
     pol = make_policy([u * UNIT for u in units], alphas)
-    fb = feedback_model.make_feedback_spec(snr_u, tuple(alphas))
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(snr_u)
+    rates = feedback_model.error_rates_for(fb, tuple(alphas))
     assert all(p <= 0.5 for p in rates.p_ack)
     P = harq_analysis.occurrence_probabilities(
         mi_model.p_fail_gaussian(pol.rhos, dl), rates.p_nack, rates.p_ack

@@ -31,7 +31,7 @@ def make_policy(rhos, alphas, n_b=1024, n_m=4096):
 
 @pytest.fixture(scope="module")
 def fb_weak():
-    return feedback_model.make_feedback_spec(-10.0, (0.5, 0.5, 0.5))
+    return feedback_model.make_feedback_spec(-10.0)
 
 
 def test_run_episode_immediate_success(dl3, fb_weak):
@@ -109,7 +109,7 @@ def test_estimate_single_round_sure_delivery():
         rhos=(1e10,), alphas=(), m_max=1, n_b=1, n_m=2 * 10 ** 10,
         rho_min=1.0, rho_max=1e10,
     )
-    fb = feedback_model.make_feedback_spec(0.0, ())
+    fb = feedback_model.make_feedback_spec(0.0)
     est = mc_simulator.estimate_performance(pol, dl, fb, 10_000, seed=5)
     assert est.p_out == 0.0
     assert est.throughput == 1e-10
@@ -133,7 +133,7 @@ def test_estimate_matches_analytic_closure(dl3, fb_weak):
 def test_estimate_perfect_feedback_matches_reliable_closure(dl3):
     alphas = (0.5, 0.5, 0.5)
     pol = make_policy((0.5, 0.75, 1.0, 0.25), alphas)
-    fb = feedback_model.make_feedback_spec(200.0, alphas)
+    fb = feedback_model.make_feedback_spec(200.0)
     eta = harq_analysis.reliable_throughput(pol, dl3, route="convolution")
     f_last = mi_model.p_fail_convolution(pol.rhos, dl3)[-1]
     est = mc_simulator.estimate_performance(pol, dl3, fb, 100_000, seed=31)
@@ -159,7 +159,7 @@ def test_forced_continuation_failure_frequencies(dl3, fb_weak):
     # rounds, so it must track the prefix-failure curve even though most
     # episodes stop early
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.0, 0.0, 0.0))
-    fb = feedback_model.make_feedback_spec(-10.0, pol.alphas)
+    fb = feedback_model.make_feedback_spec(-10.0)
     target = mi_model.p_fail_convolution(pol.rhos, dl3)
     est = mc_simulator.estimate_performance(pol, dl3, fb, 100_000, seed=12)
     for k in range(4):
@@ -176,7 +176,7 @@ def test_duplicated_ack_reduces_to_plain_under_perfect_feedback(dl3):
     # with error-free slots both stop rules behave identically and the two
     # estimators share the fading stream, so every field must coincide
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.0, 0.0, 0.0))
-    fb = feedback_model.make_feedback_spec(200.0, pol.alphas)
+    fb = feedback_model.make_feedback_spec(200.0)
     a = mc_simulator.estimate_performance(pol, dl3, fb, 50_000, seed=17)
     d = mc_simulator.estimate_duplicated_ack(pol, dl3, fb, 50_000, seed=17)
     assert a == d
@@ -191,7 +191,7 @@ def test_duplicated_ack_premature_stop_squares_slot_error():
         rho_min=1e-6, rho_max=1e10,
     )
     s = 0.1368645588
-    fb = feedback_model.make_feedback_spec(10.0 * math.log10(s), pol.alphas)
+    fb = feedback_model.make_feedback_spec(10.0 * math.log10(s))
     p = feedback_model.nack_error_rate(0.0, s)
     assert p == pytest.approx(0.1, abs=1e-6)
     est = mc_simulator.estimate_duplicated_ack(pol, dl, fb, 1_000_000, seed=23)

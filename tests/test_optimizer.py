@@ -16,7 +16,7 @@ from harqopt.errors import GridError, InfeasibleError
 
 
 def eval_policy(rhos, alphas, dl, snr_u_db, grid, n_b=1024, n_m=4096):
-    fb = feedback_model.make_feedback_spec(snr_u_db, tuple(alphas))
+    fb = feedback_model.make_feedback_spec(snr_u_db)
     pol = harq_analysis.HarqPolicy(
         rhos=tuple(rhos), alphas=tuple(alphas), m_max=len(rhos),
         n_b=n_b, n_m=n_m, rho_min=grid.unit_rho,
@@ -58,8 +58,8 @@ def test_dp_matches_brute_force_random_instances(dl3):
         units = int(rng.integers(m, 17))
         grid = optimizer.make_rate_grid(1024, 4096, units)
         alphas = tuple(rng.uniform(0.0, 2.0, size=m - 1))
-        fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0), alphas)
-        rates = feedback_model.error_rates_for(fb)
+        fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0))
+        rates = feedback_model.error_rates_for(fb, alphas)
         lam = float(rng.choice([0.0, rng.uniform(0.0, 100.0), 1e9]))
         r_dp, v_dp = optimizer.dp_rate_allocation(lam, alphas, dl3, rates, grid, m)
         r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, alphas, dl3, rates, grid, m)
@@ -80,8 +80,8 @@ def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
     np.testing.assert_array_equal(F, np.array(F_rows))
     for _ in range(3):
         alphas = tuple(rng.uniform(0.0, 2.0, size=3))
-        fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0), alphas)
-        rates = feedback_model.error_rates_for(fb)
+        fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0))
+        rates = feedback_model.error_rates_for(fb, alphas)
         P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
         out = harq_analysis.outage_from_failures(F, rates.p_nack)
         assert P.shape == (500, 4) and out.shape == (500,)
@@ -98,8 +98,8 @@ def test_dp_value_is_direct_lagrangian(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5, 1.0)
     snr_u = -10.0
-    fb = feedback_model.make_feedback_spec(snr_u, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(snr_u)
+    rates = feedback_model.error_rates_for(fb, alphas)
     lam = 25.0
     rhos, value = optimizer.dp_rate_allocation(lam, alphas, dl3, rates, grid, 3)
     direct = lagrangian_direct(rhos, alphas, dl3, snr_u, grid, lam)
@@ -109,8 +109,8 @@ def test_dp_value_is_direct_lagrangian(dl3):
 def test_dp_huge_lambda_reaches_grid_minimum_outage(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     rhos, _ = optimizer.dp_rate_allocation(1e9, alphas, dl3, rates, grid, 2)
     achieved = eval_policy(rhos, alphas, dl3, -10.0, grid).p_out_unreliable
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
@@ -128,8 +128,8 @@ def test_brute_force_single_round(dl3):
 def test_brute_force_value_monotone_in_lambda(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 12)
     alphas = (0.5, 0.5)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     values = []
     for lam in np.logspace(-2, 4, 12):
         _, v = optimizer.brute_force_rate_allocation(float(lam), alphas, dl3, rates, grid, 3)
@@ -140,8 +140,8 @@ def test_brute_force_value_monotone_in_lambda(dl3):
 def test_brute_force_budget_guard(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 64)
     alphas = (0.5,) * 5
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(GridError):
         optimizer.brute_force_rate_allocation(1.0, alphas, dl3, rates, grid, 6)
 
@@ -150,8 +150,8 @@ def test_solve_lambda_unconstrained_returns_low_end(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     cfg = optimizer.OptimizerConfig(epsilon=0.999999, units_total=16)
     alphas = (0.5,)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     rhos, lam = optimizer.solve_lambda(alphas, dl3, fb, grid, cfg)
     assert lam == cfg.lambda_lo
     ref, _ = optimizer.dp_rate_allocation(cfg.lambda_lo, alphas, dl3, rates, grid, 2)
@@ -162,7 +162,7 @@ def test_solve_lambda_infeasible_names_floor(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     cfg = optimizer.OptimizerConfig(epsilon=0.02, units_total=16)
     alphas = (0.5,)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
+    fb = feedback_model.make_feedback_spec(-10.0)
     with pytest.raises(InfeasibleError) as exc:
         optimizer.solve_lambda(alphas, dl3, fb, grid, cfg)
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
@@ -177,7 +177,7 @@ def test_solve_lambda_matches_constrained_enumeration(dl3, eps):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     cfg = optimizer.OptimizerConfig(epsilon=eps, units_total=16)
     alphas = (0.5,)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
+    fb = feedback_model.make_feedback_spec(-10.0)
     rhos, _ = optimizer.solve_lambda(alphas, dl3, fb, grid, cfg)
     got = eval_policy(rhos, alphas, dl3, -10.0, grid)
     assert got.p_out_unreliable <= eps
@@ -194,8 +194,8 @@ def test_solve_lambda_matches_constrained_enumeration(dl3, eps):
 def test_best_feasible_allocation_is_enumeration_argmax(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
-    fb = feedback_model.make_feedback_spec(-10.0, alphas)
-    rates = feedback_model.error_rates_for(fb)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.05)
     best = (-1.0, None)
     for u1 in range(1, 16):
@@ -213,7 +213,8 @@ def test_best_feasible_allocation_is_enumeration_argmax(dl3):
 
 def test_pgd_perfect_feedback_prefers_low_thresholds(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
-    al = optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, 200.0, cfg)
+    fb = feedback_model.make_feedback_spec(200.0)
+    al = optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, fb, cfg)
     np.testing.assert_allclose(al, cfg.alpha_box[0], atol=1e-12)
 
 
@@ -221,7 +222,8 @@ def test_pgd_single_threshold_matches_dense_scan(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     cfg = optimizer.OptimizerConfig(epsilon=0.05, units_total=16)
     rhos = (7 * grid.unit_rho, 7 * grid.unit_rho)
-    al = optimizer.optimize_thresholds_pgd(rhos, dl3, -10.0, cfg)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    al = optimizer.optimize_thresholds_pgd(rhos, dl3, fb, cfg)
     got = eval_policy(rhos, al, dl3, -10.0, grid)
     assert got.p_out_unreliable <= 0.05 * (1.0 + 1e-9)
     best = -1.0
@@ -237,7 +239,8 @@ def test_pgd_beats_uniform_scan_at_equal_rates(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 64)
     cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
     rhos = (1.0, 1.0, 1.0, 1.0)
-    al = optimizer.optimize_thresholds_pgd(rhos, dl3, -10.0, cfg)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    al = optimizer.optimize_thresholds_pgd(rhos, dl3, fb, cfg)
     got = eval_policy(rhos, al, dl3, -10.0, grid)
     best = -1.0
     for a in np.linspace(*cfg.alpha_box, 50):
@@ -250,8 +253,9 @@ def test_pgd_beats_uniform_scan_at_equal_rates(dl3):
 
 def test_pgd_infeasible_box(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=1e-4, units_total=64)
+    fb = feedback_model.make_feedback_spec(-15.0)
     with pytest.raises(InfeasibleError):
-        optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, -15.0, cfg)
+        optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, fb, cfg)
 
 
 def default_template():
@@ -263,7 +267,8 @@ def default_template():
 
 def test_alternating_default_run(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
-    sol = optimizer.alternating_optimize(dl3, -10.0, default_template(), cfg)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     assert sol.feasible and sol.converged
     assert sol.iterations <= cfg.alt_max_iters
     assert sol.breakdown.p_out_unreliable <= 0.01 * (1.0 + 1e-6)
@@ -275,8 +280,9 @@ def test_alternating_default_run(dl3):
 
 def test_alternating_deterministic(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
-    a = optimizer.alternating_optimize(dl3, -10.0, default_template(), cfg)
-    b = optimizer.alternating_optimize(dl3, -10.0, default_template(), cfg)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    a = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+    b = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     assert a.policy.rhos == b.policy.rhos
     assert a.policy.alphas == b.policy.alphas
     assert a.breakdown.throughput == b.breakdown.throughput
@@ -284,10 +290,11 @@ def test_alternating_deterministic(dl3):
 
 def test_alternating_warm_start_converges_immediately(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
-    cold = optimizer.alternating_optimize(dl3, -10.0, default_template(), cfg)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    cold = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     units = tuple(int(round(r * 16)) for r in cold.policy.rhos)
     warm_cfg = dataclasses.replace(cfg, init_alphas=cold.policy.alphas, init_units=units)
-    warm = optimizer.alternating_optimize(dl3, -10.0, default_template(), warm_cfg)
+    warm = optimizer.alternating_optimize(dl3, fb, default_template(), warm_cfg)
     assert warm.iterations <= 2
     assert warm.breakdown.throughput >= cold.breakdown.throughput - 1e-12
 
@@ -300,15 +307,17 @@ def test_alternating_rejects_infeasible_seed(dl3):
         init_alphas=(0.373173, 0.662475, 0.517323),
         init_units=(17, 11, 20, 16),
     )
-    sol = optimizer.alternating_optimize(dl3, -10.0, default_template(), cfg)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     assert sol.feasible
     assert sol.breakdown.p_out_unreliable <= 0.01 * (1.0 + 1e-6)
 
 
 def test_alternating_infeasible_carries_iteration(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=1e-5, units_total=64)
+    fb = feedback_model.make_feedback_spec(-15.0)
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.alternating_optimize(dl3, -15.0, default_template(), cfg)
+        optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     assert hasattr(exc.value, "iteration")
 
 
@@ -316,7 +325,8 @@ def test_alternating_beats_duplicated_ack_baseline(dl3, grid64):
     # the two-slot ACK baseline cannot even meet the outage budget at this
     # uplink SNR, while the asymmetric solver can
     cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
-    sol = optimizer.alternating_optimize(dl3, -10.0, default_template(), cfg)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     dup_rates = harq_analysis.duplicated_ack_rates(10 ** (-10.0 / 10.0), 4)
     with pytest.raises(InfeasibleError):
         optimizer.best_feasible_allocation(dup_rates, dl3, grid64, 4, 0.01)
