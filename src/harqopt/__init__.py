@@ -65,7 +65,6 @@ from .optimizer import (
     make_rate_grid,
     min_achievable_outage,
     optimize_thresholds_pgd,
-    solve_lambda,
     solve_lambda_for_rates,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "reliable_throughput",
     "run_episode",
     "simulate_detection",
-    "solve_lambda",
     "solve_lambda_for_rates",
     "stage_outage",
     "unreliable_throughput",

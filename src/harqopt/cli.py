@@ -46,6 +46,8 @@ _SWEEP_MODES = ("analyze", "min_outage", "optimize", "fixed_vs_variable",
 _FEEDBACK_MODES = (mc_simulator.ANALYTIC_FLIP, mc_simulator.SYMBOL_LEVEL,
                    "duplicated-ack")
 _Z_LIMIT = 4.0
+# threshold of every round when the config sets no alphas
+_DEFAULT_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,6 @@ _OPT_KEYS = {
     "optimizer.alpha_hi": ("alpha_hi", _parse_float),
     "optimizer.alt_max_iters": ("alt_max_iters", _parse_int),
     "optimizer.alt_tol": ("alt_tol", _parse_float),
-    "optimizer.init_alpha": ("init_alpha", _parse_float),
 }
 
 
@@ -200,8 +201,6 @@ def load_config(path: str) -> RunConfig:
         opt = optimizer.OptimizerConfig(
             epsilon=config.epsilon,
             units_total=config.units_total,
-            init_alphas=config.alphas,
-            init_units=config.rhos_units,
             **opt_fields,
         )
     except ValueError as err:
@@ -269,9 +268,7 @@ def _validate(config: RunConfig) -> None:
 def _default_alphas(config: RunConfig) -> tuple[float, ...]:
     if config.alphas is not None:
         return config.alphas
-    if config.feedback_mode == "duplicated-ack":
-        return (0.0,) * (config.m_max - 1)
-    return (config.optimizer.init_alpha,) * (config.m_max - 1)
+    return (_DEFAULT_ALPHA,) * (config.m_max - 1)
 
 
 def _default_units(config: RunConfig) -> tuple[int, ...]:
@@ -297,6 +294,16 @@ def _policy_from(config: RunConfig) -> harq_analysis.HarqPolicy:
         rho_min=config.rho_min_units * unit,
         rho_max=config.max_units * unit,
     )
+
+
+def _duplicated_ack_policy(config: RunConfig) -> harq_analysis.HarqPolicy:
+    """The policy a duplicated-ACK run simulates. That scheme detects with
+    zero thresholds, so unset alphas are zero; explicit nonzero ones are
+    still rejected by the duplicated-ACK routines."""
+    policy = _policy_from(config)
+    if config.alphas is None:
+        policy = dataclasses.replace(policy, alphas=(0.0,) * (config.m_max - 1))
+    return policy
 
 
 def _grid_from(config: RunConfig) -> optimizer.RateGrid:
@@ -408,16 +415,16 @@ def _estimate_columns(config: RunConfig,
 
 
 def _run_simulate(config: RunConfig, out: str) -> int:
-    policy = _policy_from(config)
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
     if config.feedback_mode == "duplicated-ack":
         est = mc_simulator.estimate_duplicated_ack(
-            policy, dl, fb, config.n_episodes, config.seed
+            _duplicated_ack_policy(config), dl, fb, config.n_episodes, config.seed
         )
     else:
         est = mc_simulator.estimate_performance(
-            policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
+            _policy_from(config), dl, fb, config.n_episodes, config.seed,
+            config.feedback_mode
         )
     header, row = _estimate_columns(config, est)
     _write_csv(out, header, [row])
@@ -425,10 +432,10 @@ def _run_simulate(config: RunConfig, out: str) -> int:
 
 
 def _run_validate(config: RunConfig, out: str) -> int:
-    policy = _policy_from(config)
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
     if config.feedback_mode == "duplicated-ack":
+        policy = _duplicated_ack_policy(config)
         bd = harq_analysis.duplicated_ack_performance(
             policy, dl, fb, route="convolution", bins=config.conv_bins
         )
@@ -436,6 +443,7 @@ def _run_validate(config: RunConfig, out: str) -> int:
             policy, dl, fb, config.n_episodes, config.seed
         )
     else:
+        policy = _policy_from(config)
         bd = harq_analysis.unreliable_throughput(
             policy, dl, fb, route="convolution", bins=config.conv_bins
         )
@@ -482,11 +490,7 @@ def _with_axis(config: RunConfig, value: float) -> RunConfig:
     if config.sweep_axis == "snr_d_db":
         return dataclasses.replace(config, snr_d_db=value)
     # alpha axis: uniform thresholds at the swept value
-    alphas = (value,) * (config.m_max - 1)
-    return dataclasses.replace(
-        config, alphas=alphas,
-        optimizer=dataclasses.replace(config.optimizer, init_alphas=alphas),
-    )
+    return dataclasses.replace(config, alphas=(value,) * (config.m_max - 1))
 
 
 def _alpha_scan(config: RunConfig) -> tuple[float, ...]:
@@ -590,22 +594,18 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     # fixed_vs_variable
     grid = _grid_from(config)
     fixed_eta, fixed_alpha, fixed_rhos = _best_fixed_alpha(config, dl, fb, grid)
-    starts = [config.optimizer]
+    policy = _policy_from(config)
+    starts = [policy]
     if fixed_rhos is not None:
         # warm start at the best fixed-threshold operating point so the
         # variable run can only move upward from there
-        units = tuple(int(round(r / grid.unit_rho)) for r in fixed_rhos)
         starts.append(dataclasses.replace(
-            config.optimizer,
-            init_alphas=(fixed_alpha,) * (config.m_max - 1),
-            init_units=units,
+            policy, rhos=fixed_rhos, alphas=(fixed_alpha,) * (config.m_max - 1)
         ))
     var_eta = 0.0
-    for opt_config in starts:
+    for start in starts:
         try:
-            sol = optimizer.alternating_optimize(
-                dl, fb, _policy_from(config), opt_config
-            )
+            sol = optimizer.alternating_optimize(dl, fb, start, config.optimizer)
         except InfeasibleError:
             continue
         var_eta = max(var_eta, sol.breakdown.throughput)

@@ -62,9 +62,6 @@ class OptimizerConfig:
     alpha_box: tuple[float, float] = (0.0, 3.0)
     alt_max_iters: int = 50
     alt_tol: float = 1e-6
-    init_alpha: float = 0.5
-    init_alphas: tuple[float, ...] | None = None
-    init_units: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -78,7 +75,8 @@ class OptimizerConfig:
         lo, hi = self.alpha_box
         if not lo <= hi:
             raise ValueError("OptimizerConfig: alpha box is empty")
-        if self.pgd_step <= 0.0 or self.pgd_tol <= 0.0 or self.alt_tol <= 0.0:
+        if (self.pgd_step <= 0.0 or self.pgd_tol <= 0.0 or self.alt_tol <= 0.0
+                or self.lambda_tol <= 0.0):
             raise ValueError("OptimizerConfig: steps and tolerances must be positive")
         if self.pgd_max_iters < 1 or self.alt_max_iters < 1:
             raise ValueError("OptimizerConfig: iteration caps must be positive")
@@ -197,7 +195,7 @@ def _argmin_path(L: np.ndarray, units: np.ndarray) -> int:
     return int(cand[0])
 
 
-def dp_rate_allocation(lambda_: float, alphas, dl,
+def dp_rate_allocation(lambda_: float, dl,
                        fb_rates: feedback_model.FeedbackErrorRates,
                        grid: RateGrid, m: int) -> tuple[np.ndarray, float]:
     """Grid-exact minimizer of sum(rho_i P_i) + lambda P_out at fixed thresholds.
@@ -208,8 +206,8 @@ def dp_rate_allocation(lambda_: float, alphas, dl,
     """
     if lambda_ < 0.0:
         raise ValueError("dp_rate_allocation: lambda must be non-negative")
-    if len(alphas) != m - 1:
-        raise ValueError("dp_rate_allocation: need m-1 thresholds")
+    if len(fb_rates) != m - 1:
+        raise ValueError("dp_rate_allocation: need error rates for m-1 feedbacks")
     units, F = _failure_table(grid, m, dl)
     cost, outage = _cost_outage(units, F, grid.unit_rho, fb_rates)
     L = cost + lambda_ * outage
@@ -218,13 +216,15 @@ def dp_rate_allocation(lambda_: float, alphas, dl,
     return rhos, float(L[idx])
 
 
-def brute_force_rate_allocation(lambda_: float, alphas, dl,
+def brute_force_rate_allocation(lambda_: float, dl,
                                 fb_rates: feedback_model.FeedbackErrorRates,
                                 grid: RateGrid, m: int) -> tuple[np.ndarray, float]:
     """Scalar oracle for dp_rate_allocation: explicit loop over candidates
     through the public analysis functions, identical tie-breaking."""
     if lambda_ < 0.0:
         raise ValueError("brute_force_rate_allocation: lambda must be non-negative")
+    if len(fb_rates) != m - 1:
+        raise ValueError("brute_force_rate_allocation: need error rates for m-1 feedbacks")
     span = grid.max_units - grid.min_units + 1
     if span ** m > _BRUTE_FORCE_BUDGET:
         raise GridError(
@@ -290,23 +290,17 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
     )
 
 
-def solve_lambda(alphas, dl, fb: feedback_model.FeedbackSpec, grid: RateGrid,
-                 config: OptimizerConfig) -> tuple[np.ndarray, float]:
-    """Bisection on lambda until the Lagrangian minimizer's outage meets epsilon.
-
-    Returns the feasible bracket endpoint's rates (achieved outage <= epsilon
-    always); stops on relative bracket width or once the achieved outage
-    lands within a relative 1e-3 band under epsilon.
-    """
-    rates = feedback_model.error_rates_for(fb, alphas)
-    return solve_lambda_for_rates(rates, dl, grid, len(alphas) + 1, config)
-
-
 def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
                            grid: RateGrid, m: int,
                            config: OptimizerConfig) -> tuple[np.ndarray, float]:
-    """solve_lambda with the per-round error pairs given directly, for
-    feedback schemes whose rates are not threshold-derived."""
+    """Bisection on lambda until the Lagrangian minimizer's outage meets epsilon.
+
+    Takes the per-round error pairs, so it serves threshold-derived rates
+    (error_rates_for) and other feedback schemes alike. Returns the feasible
+    bracket endpoint's rates (achieved outage <= epsilon always); stops on
+    relative bracket width or once the achieved outage lands within a
+    relative 1e-3 band under epsilon.
+    """
     units, F = _failure_table(grid, m, dl)
     cost, outage = _cost_outage(units, F, grid.unit_rho, rates)
     eps = config.epsilon
@@ -353,7 +347,7 @@ def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
                 break
         else:
             lo = mid
-    _log.debug("solve_lambda: lambda*=%.6g achieved outage %.6g", best_lambda,
+    _log.debug("solve_lambda_for_rates: lambda*=%.6g achieved outage %.6g", best_lambda,
                float(outage[best_idx]))
     return rhos_at(best_idx), float(best_lambda)
 
@@ -388,7 +382,7 @@ def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
 
 
 def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
-                            config: OptimizerConfig, *, init_alphas=None) -> np.ndarray:
+                            config: OptimizerConfig, *, start_alphas=None) -> np.ndarray:
     """Projected gradient ascent on throughput over the threshold box.
 
     Gradient by central differences (probes may leave the box, where the
@@ -425,10 +419,10 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
         t = _bisect_upper(0.0, 1.0, lambda t: feasible(cand + t * (ref - cand)), 60)
         return cand + t * (ref - cand)
 
-    if init_alphas is not None:
-        x = np.clip(np.asarray(init_alphas, dtype=float), lo, hi)
+    if start_alphas is not None:
+        x = np.clip(np.asarray(start_alphas, dtype=float), lo, hi)
         if x.shape != (k,):
-            raise ValueError("optimize_thresholds_pgd: init_alphas length mismatch")
+            raise ValueError("optimize_thresholds_pgd: start_alphas length mismatch")
         x = pull_back(x, top)
     else:
         # start at the smallest feasible uniform threshold
@@ -463,36 +457,34 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
 
 
 def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
-                         policy_template: harq_analysis.HarqPolicy,
+                         start: harq_analysis.HarqPolicy,
                          config: OptimizerConfig) -> Solution:
-    """Alternate Lagrangian rate allocation and PGD threshold tuning.
+    """Alternate Lagrangian rate allocation and PGD threshold tuning from `start`.
 
-    The incumbent is only ever replaced by a better-or-equal candidate, so
-    the recorded objective trace is non-decreasing by construction. If the
-    starting thresholds cannot meet epsilon for any grid allocation, they
-    are first raised to the smallest feasible uniform level.
+    The start policy fixes the block geometry and rate box of the result and
+    is its starting point: the thresholds start at start.alphas clipped to
+    the box, and start.rhos is the first incumbent when it meets epsilon at
+    those thresholds. If the starting thresholds cannot meet epsilon for any
+    grid allocation, they are first raised to the smallest feasible uniform
+    level. The incumbent is only ever replaced by a better-or-equal
+    candidate, so the recorded objective trace is non-decreasing by
+    construction.
     """
-    m = policy_template.m_max
+    m = start.m_max
     if config.units_total < m:
         raise ValueError("alternating_optimize: budget below one unit per round")
-    unit_rho = policy_template.n_m / (config.units_total * policy_template.n_b)
+    unit_rho = start.n_m / (config.units_total * start.n_b)
     grid = RateGrid(
         unit_rho=unit_rho,
-        min_units=max(1, math.ceil(policy_template.rho_min / unit_rho - 1e-9)),
+        min_units=max(1, math.ceil(start.rho_min / unit_rho - 1e-9)),
         max_units=min(config.units_total,
-                      math.floor(policy_template.rho_max / unit_rho + 1e-9)),
+                      math.floor(start.rho_max / unit_rho + 1e-9)),
         units_total=config.units_total,
     )
     eps = config.epsilon
     lo, hi = config.alpha_box
     k = m - 1
-
-    if config.init_alphas is not None:
-        if len(config.init_alphas) != k:
-            raise ValueError("alternating_optimize: init_alphas length mismatch")
-        alphas = np.clip(np.asarray(config.init_alphas, dtype=float), lo, hi)
-    else:
-        alphas = np.clip(np.full(k, config.init_alpha), lo, hi)
+    alphas = np.clip(np.asarray(start.alphas, dtype=float), lo, hi)
 
     if k > 0 and min_achievable_outage(alphas, dl, fb, grid, m) > eps:
         # bootstrap: raise thresholds uniformly until some allocation is feasible
@@ -511,23 +503,17 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     def eta_of(rhos, al) -> float:
         return _threshold_objective(tuple(rhos), dl, fb)(al)[0]
 
-    rhos_inc = None
+    rhos_inc = start.rhos
     lambda_star = config.lambda_lo
     eta_inc = -math.inf
     prev = None
-    if config.init_units is not None:
-        if len(config.init_units) != m:
-            raise ValueError("alternating_optimize: init_units length mismatch")
-        rhos_inc = np.asarray(
-            [u * grid.unit_rho for u in config.init_units], dtype=float
-        )
-        eta0, out0 = _threshold_objective(tuple(rhos_inc), dl, fb)(alphas)
-        # an infeasible seed must not become the incumbent: its inflated
-        # throughput would veto every constraint-satisfying update and the
-        # loop would return the seed itself
-        if out0 <= eps:
-            eta_inc = eta0
-            prev = eta_inc
+    eta0, out0 = _threshold_objective(start.rhos, dl, fb)(alphas)
+    # an infeasible seed must not become the incumbent: its inflated
+    # throughput would veto every constraint-satisfying update and the
+    # loop would return the seed itself
+    if out0 <= eps:
+        eta_inc = eta0
+        prev = eta_inc
 
     trace: list[float] = []
     converged = False
@@ -535,7 +521,9 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     for it in range(1, config.alt_max_iters + 1):
         iterations = it
         try:
-            rhos_new, lam = solve_lambda(alphas, dl, fb, grid, config)
+            rhos_new, lam = solve_lambda_for_rates(
+                feedback_model.error_rates_for(fb, alphas), dl, grid, m, config
+            )
         except InfeasibleError as err:
             err.iteration = it
             raise
@@ -545,7 +533,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
 
         if k > 0:
             alphas_new = optimize_thresholds_pgd(
-                rhos_inc, dl, fb, config, init_alphas=alphas
+                rhos_inc, dl, fb, config, start_alphas=alphas
             )
             eta_alpha = eta_of(rhos_inc, alphas_new)
             if eta_alpha >= eta_inc:
@@ -557,7 +545,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             break
         prev = eta_inc
 
-    policy = dataclasses.replace(policy_template, rhos=tuple(rhos_inc),
+    policy = dataclasses.replace(start, rhos=tuple(rhos_inc),
                                  alphas=tuple(alphas))
     breakdown = harq_analysis.unreliable_throughput(policy, dl, fb)
     return Solution(

@@ -50,8 +50,8 @@ def default_template():
     return make_policy((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
 
 
-def vi_config(**overrides):
-    return optimizer.OptimizerConfig(epsilon=0.01, units_total=64, **overrides)
+def vi_config():
+    return optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
 
 
 def test_criterion_01_feedback_closure(capsys):
@@ -154,10 +154,9 @@ def test_criterion_04_dp_equals_brute_force(capsys, dl3):
             fb = feedback_model.make_feedback_spec(rng.uniform(-16.0, -4.0))
             rates = feedback_model.error_rates_for(fb, alphas)
             lam = float(rng.choice([0.0, rng.uniform(0.0, 1e3), 1e9]))
-            r_dp, v_dp = optimizer.dp_rate_allocation(lam, alphas, dl3, rates,
-                                                      grid, m)
-            r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, alphas, dl3,
-                                                               rates, grid, m)
+            r_dp, v_dp = optimizer.dp_rate_allocation(lam, dl3, rates, grid, m)
+            r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, dl3, rates,
+                                                               grid, m)
             assert v_dp == v_bf
             np.testing.assert_array_equal(r_dp, r_bf)
         assert time.perf_counter() - t0 < 60.0
@@ -170,8 +169,8 @@ def test_criterion_05_lambda_ladder_monotone(capsys, dl3, grid64):
         rates = feedback_model.error_rates_for(fb, alphas)
         outages = []
         for lam in np.logspace(-2.0, 6.0, 20):
-            rhos, _ = optimizer.dp_rate_allocation(float(lam), alphas, dl3,
-                                                   rates, grid64, 4)
+            rhos, _ = optimizer.dp_rate_allocation(float(lam), dl3, rates,
+                                                   grid64, 4)
             bd = harq_analysis.unreliable_throughput(
                 make_policy(rhos, alphas), dl3, fb
             )
@@ -239,15 +238,11 @@ def test_criterion_08_variable_thresholds_beat_best_fixed(capsys, dl3, grid64):
                     fixed_eta, fixed_alpha, fixed_rhos = eta, float(a), rhos
             assert fixed_rhos is not None
             variable = 0.0
-            starts = [vi_config()]
-            starts.append(vi_config(
-                init_alphas=(fixed_alpha,) * 3,
-                init_units=tuple(int(round(r / UNIT)) for r in fixed_rhos),
-            ))
-            for cfg in starts:
+            starts = [default_template(), make_policy(fixed_rhos, (fixed_alpha,) * 3)]
+            for start in starts:
                 try:
-                    sol = optimizer.alternating_optimize(dl3, fb,
-                                                         default_template(), cfg)
+                    sol = optimizer.alternating_optimize(dl3, fb, start,
+                                                         vi_config())
                 except InfeasibleError:
                     continue
                 variable = max(variable, sol.breakdown.throughput)
@@ -259,11 +254,10 @@ def test_criterion_09_alternating_convergence(capsys, dl3):
         rng = np.random.default_rng(20260815)
         fb = feedback_model.make_feedback_spec(-10.0)
         for _ in range(20):
-            cfg = vi_config(
-                init_alphas=tuple(float(a) for a in rng.uniform(0.0, 3.0, size=3)),
-                init_units=tuple(int(u) for u in rng.multinomial(60, [0.25] * 4) + 1),
-            )
-            sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+            alphas = rng.uniform(0.0, 3.0, size=3)
+            units = rng.multinomial(60, [0.25] * 4) + 1
+            start = make_policy(units * UNIT, alphas)
+            sol = optimizer.alternating_optimize(dl3, fb, start, vi_config())
             assert sol.converged and sol.iterations <= 50
             trace = np.asarray(sol.trace)
             assert np.all(np.diff(trace) >= -1e-9)

@@ -1,6 +1,7 @@
 """Config parsing, command dispatch, CSV output, and exit codes."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -39,13 +40,12 @@ def test_load_config_comments_and_optimizer_keys(tmp_path):
         "m_max": 3,
         "alphas": "0.3, 0.7  # trailing comment",
         "optimizer.alpha_hi": 2.0,
-        "optimizer.init_alpha": 0.25,
     })
     cfg = cli.load_config(path)
     assert cfg.alphas == (0.3, 0.7)
     assert cfg.optimizer.alpha_box == (0.0, 2.0)
-    assert cfg.optimizer.init_alpha == 0.25
-    assert cfg.optimizer.init_alphas == (0.3, 0.7)
+    # the configured policy is the optimizer's start point
+    assert cli._policy_from(cfg).alphas == (0.3, 0.7)
 
 
 def test_load_config_epsilon_bound_names_field(tmp_path):
@@ -104,8 +104,8 @@ def test_analyze_writes_deterministic_csv(tmp_path):
     out1, out2 = str(tmp_path / "a1.csv"), str(tmp_path / "a2.csv")
     assert cli.main(["analyze", "--config", path, "--out", out1]) == 0
     assert cli.main(["analyze", "--config", path, "--out", out2]) == 0
-    data = open(out1, "rb").read()
-    assert data == open(out2, "rb").read()
+    data = Path(out1).read_bytes()
+    assert data == Path(out2).read_bytes()
     assert b"\r" not in data
     header = data.decode().splitlines()[0].split(",")
     for col in ("p_fail_1", "p_occur_2", "p_out_stage_2", "p_out_unreliable",
@@ -125,25 +125,34 @@ def test_simulate_deterministic_and_seed_override(tmp_path):
     out1, out2, out3 = (str(tmp_path / f"s{i}.csv") for i in (1, 2, 3))
     assert cli.main(["simulate", "--config", path, "--out", out1]) == 0
     assert cli.main(["simulate", "--config", path, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert cli.main(["simulate", "--config", path, "--out", out3,
                      "--seed", "9"]) == 0
-    assert open(out1, "rb").read() != open(out3, "rb").read()
+    assert Path(out1).read_bytes() != Path(out3).read_bytes()
 
 
 def test_optimize_writes_solution_and_trace(tmp_path):
     path = write_config(tmp_path, SMALL)
     out = str(tmp_path / "opt.csv")
     assert cli.main(["optimize", "--config", path, "--out", out]) == 0
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     header, row = lines[0].split(","), lines[1].split(",")
     fields = dict(zip(header, row))
     assert fields["feasible"] == "1" and fields["converged"] == "1"
     assert float(fields["p_out_unreliable"]) <= 0.05 * (1 + 1e-9)
     assert float(fields["throughput"]) > 0.0
-    trace = open(tmp_path / "opt_trace.csv", encoding="utf-8").read().splitlines()
+    trace = (tmp_path / "opt_trace.csv").read_text(encoding="utf-8").splitlines()
     assert trace[0] == "iteration,objective"
     assert len(trace) >= 2
+
+
+def test_optimize_nonpositive_lambda_tol_exits_2(tmp_path, capsys):
+    # a zero bracket tolerance would never end the lambda bisection
+    path = write_config(tmp_path, {**SMALL, "optimizer.lambda_tol": 0})
+    rc = cli.main(["optimize", "--config", path,
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "tolerances must be positive" in capsys.readouterr().err
 
 
 def test_optimize_infeasible_exits_3(tmp_path, capsys):
@@ -159,7 +168,7 @@ def test_validate_agreement_exit_0(tmp_path, capsys):
     out = str(tmp_path / "v.csv")
     assert cli.main(["validate", "--config", path, "--out", out]) == 0
     assert "worst |z|" in capsys.readouterr().out
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "quantity,analytic,simulated,stderr,z_score"
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert "throughput" in names and "p_out" in names
@@ -185,6 +194,11 @@ def test_validate_duplicated_ack_mode(tmp_path):
     path = write_config(tmp_path, {**SMALL, "mc.feedback_mode": "duplicated-ack"})
     assert cli.main(["validate", "--config", path,
                      "--out", str(tmp_path / "vd.csv")]) == 0
+    # the scheme has no threshold: explicit nonzero ones are an input error
+    path = write_config(tmp_path, {**SMALL, "mc.feedback_mode": "duplicated-ack",
+                                   "alphas": "0.5"}, name="nonzero.cfg")
+    assert cli.main(["validate", "--config", path,
+                     "--out", str(tmp_path / "vn.csv")]) == 2
 
 
 def test_sweep_requires_axis(tmp_path, capsys):
@@ -202,7 +216,7 @@ def test_sweep_analyze_over_alpha(tmp_path):
     out = str(tmp_path / "sw.csv")
     assert cli.main(["sweep", "--config", path, "--out", out,
                      "--workers", "1"]) == 0
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("alpha,")
     assert len(lines) == 4
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0.2", "0.5", "0.8"]
@@ -216,7 +230,7 @@ def test_sweep_min_outage_mode(tmp_path):
     out = str(tmp_path / "mo.csv")
     assert cli.main(["sweep", "--config", path, "--out", out,
                      "--workers", "1"]) == 0
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "snr_u_db,min_outage_alpha_0,min_outage_alpha_0.5"
     assert len(lines) == 3
 
@@ -231,7 +245,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
                      "--workers", "1"]) == 0
     assert cli.main(["sweep", "--config", path, "--out", parallel,
                      "--workers", "2"]) == 0
-    assert open(serial, "rb").read() == open(parallel, "rb").read()
+    assert Path(serial).read_bytes() == Path(parallel).read_bytes()
 
 
 def test_sweep_fixed_vs_variable_smoke(tmp_path):
@@ -242,7 +256,7 @@ def test_sweep_fixed_vs_variable_smoke(tmp_path):
     out = str(tmp_path / "fv.csv")
     assert cli.main(["sweep", "--config", path, "--out", out,
                      "--workers", "1"]) == 0
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "snr_u_db,throughput_fixed,best_fixed_alpha,throughput_variable"
     _, fixed, _, variable = lines[1].split(",")
     assert float(variable) >= float(fixed) - 1e-6 > 0.0
@@ -256,7 +270,7 @@ def test_sweep_vs_duplicated_smoke(tmp_path):
     out = str(tmp_path / "vd.csv")
     assert cli.main(["sweep", "--config", path, "--out", out,
                      "--workers", "1"]) == 0
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert lines[0] == ("snr_u_db,throughput_asymmetric,feasible_asymmetric,"
                         "throughput_duplicated,feasible_duplicated")
     assert len(lines) == 3

@@ -54,6 +54,18 @@ CASES = {
         "sweep.axis": "snr_u_db", "sweep.values": "-14, -10, -6",
         "sweep.mode": "min_outage",
     }, ["sweep_min_outage.csv"]),
+    "sweep_optimize_alpha": ("sweep", {
+        "sweep.axis": "alpha", "sweep.values": "0.3, 1.2",
+        "sweep.mode": "optimize",
+    }, ["sweep_optimize_alpha.csv"]),
+    "sweep_vs_duplicated": ("sweep", {
+        "sweep.axis": "snr_u_db", "sweep.values": "-12, -6",
+        "sweep.mode": "vs_duplicated",
+    }, ["sweep_vs_duplicated.csv"]),
+    # the policy given is the optimizer's start point
+    "optimize_seeded": ("optimize", {"rhos_units": "5, 4, 4, 3",
+                                     "alphas": "1, 1, 1"},
+                        ["optimize_seeded.csv", "optimize_seeded_trace.csv"]),
 }
 
 _INT = re.compile(r"-?\d+")

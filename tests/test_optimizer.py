@@ -49,6 +49,9 @@ def test_optimizer_config_validation():
         optimizer.OptimizerConfig(lambda_lo=2.0, lambda_hi=1.0)
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(alpha_box=(2.0, 1.0))
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            optimizer.OptimizerConfig(lambda_tol=tol)
 
 
 def test_dp_matches_brute_force_random_instances(dl3):
@@ -61,8 +64,8 @@ def test_dp_matches_brute_force_random_instances(dl3):
         fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0))
         rates = feedback_model.error_rates_for(fb, alphas)
         lam = float(rng.choice([0.0, rng.uniform(0.0, 100.0), 1e9]))
-        r_dp, v_dp = optimizer.dp_rate_allocation(lam, alphas, dl3, rates, grid, m)
-        r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, alphas, dl3, rates, grid, m)
+        r_dp, v_dp = optimizer.dp_rate_allocation(lam, dl3, rates, grid, m)
+        r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, dl3, rates, grid, m)
         assert v_dp == v_bf
         np.testing.assert_array_equal(r_dp, r_bf)
 
@@ -101,7 +104,7 @@ def test_dp_value_is_direct_lagrangian(dl3):
     fb = feedback_model.make_feedback_spec(snr_u)
     rates = feedback_model.error_rates_for(fb, alphas)
     lam = 25.0
-    rhos, value = optimizer.dp_rate_allocation(lam, alphas, dl3, rates, grid, 3)
+    rhos, value = optimizer.dp_rate_allocation(lam, dl3, rates, grid, 3)
     direct = lagrangian_direct(rhos, alphas, dl3, snr_u, grid, lam)
     assert value == pytest.approx(direct, abs=1e-9)
 
@@ -111,7 +114,7 @@ def test_dp_huge_lambda_reaches_grid_minimum_outage(dl3):
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, _ = optimizer.dp_rate_allocation(1e9, alphas, dl3, rates, grid, 2)
+    rhos, _ = optimizer.dp_rate_allocation(1e9, dl3, rates, grid, 2)
     achieved = eval_policy(rhos, alphas, dl3, -10.0, grid).p_out_unreliable
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
     assert achieved == pytest.approx(floor, abs=1e-12)
@@ -120,9 +123,13 @@ def test_dp_huge_lambda_reaches_grid_minimum_outage(dl3):
 def test_brute_force_single_round(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 8)
     rates = feedback_model.FeedbackErrorRates(p_nack=(), p_ack=())
-    r_bf, v_bf = optimizer.brute_force_rate_allocation(3.0, (), dl3, rates, grid, 1)
-    r_dp, v_dp = optimizer.dp_rate_allocation(3.0, (), dl3, rates, grid, 1)
+    r_bf, v_bf = optimizer.brute_force_rate_allocation(3.0, dl3, rates, grid, 1)
+    r_dp, v_dp = optimizer.dp_rate_allocation(3.0, dl3, rates, grid, 1)
     assert v_bf == v_dp and r_bf[0] == r_dp[0]
+    # error rates for m - 1 feedbacks are required
+    for alloc in (optimizer.brute_force_rate_allocation, optimizer.dp_rate_allocation):
+        with pytest.raises(ValueError):
+            alloc(3.0, dl3, rates, grid, 2)
 
 
 def test_brute_force_value_monotone_in_lambda(dl3):
@@ -132,7 +139,7 @@ def test_brute_force_value_monotone_in_lambda(dl3):
     rates = feedback_model.error_rates_for(fb, alphas)
     values = []
     for lam in np.logspace(-2, 4, 12):
-        _, v = optimizer.brute_force_rate_allocation(float(lam), alphas, dl3, rates, grid, 3)
+        _, v = optimizer.brute_force_rate_allocation(float(lam), dl3, rates, grid, 3)
         values.append(v)
     assert np.all(np.diff(values) >= -1e-12)
 
@@ -143,7 +150,7 @@ def test_brute_force_budget_guard(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(GridError):
-        optimizer.brute_force_rate_allocation(1.0, alphas, dl3, rates, grid, 6)
+        optimizer.brute_force_rate_allocation(1.0, dl3, rates, grid, 6)
 
 
 def test_solve_lambda_unconstrained_returns_low_end(dl3):
@@ -152,9 +159,9 @@ def test_solve_lambda_unconstrained_returns_low_end(dl3):
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, lam = optimizer.solve_lambda(alphas, dl3, fb, grid, cfg)
+    rhos, lam = optimizer.solve_lambda_for_rates(rates, dl3, grid, 2, cfg)
     assert lam == cfg.lambda_lo
-    ref, _ = optimizer.dp_rate_allocation(cfg.lambda_lo, alphas, dl3, rates, grid, 2)
+    ref, _ = optimizer.dp_rate_allocation(cfg.lambda_lo, dl3, rates, grid, 2)
     np.testing.assert_array_equal(rhos, ref)
 
 
@@ -163,8 +170,9 @@ def test_solve_lambda_infeasible_names_floor(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=0.02, units_total=16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.solve_lambda(alphas, dl3, fb, grid, cfg)
+        optimizer.solve_lambda_for_rates(rates, dl3, grid, 2, cfg)
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
     assert exc.value.min_outage == pytest.approx(floor, rel=1e-12)
 
@@ -178,7 +186,8 @@ def test_solve_lambda_matches_constrained_enumeration(dl3, eps):
     cfg = optimizer.OptimizerConfig(epsilon=eps, units_total=16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rhos, _ = optimizer.solve_lambda(alphas, dl3, fb, grid, cfg)
+    rates = feedback_model.error_rates_for(fb, alphas)
+    rhos, _ = optimizer.solve_lambda_for_rates(rates, dl3, grid, 2, cfg)
     got = eval_policy(rhos, alphas, dl3, -10.0, grid)
     assert got.p_out_unreliable <= eps
     best = -1.0
@@ -292,23 +301,22 @@ def test_alternating_warm_start_converges_immediately(dl3):
     cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
     fb = feedback_model.make_feedback_spec(-10.0)
     cold = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
-    units = tuple(int(round(r * 16)) for r in cold.policy.rhos)
-    warm_cfg = dataclasses.replace(cfg, init_alphas=cold.policy.alphas, init_units=units)
-    warm = optimizer.alternating_optimize(dl3, fb, default_template(), warm_cfg)
-    assert warm.iterations <= 2
+    warm = optimizer.alternating_optimize(dl3, fb, cold.policy, cfg)
+    assert warm.iterations == 1
     assert warm.breakdown.throughput >= cold.breakdown.throughput - 1e-12
 
 
 def test_alternating_rejects_infeasible_seed(dl3):
     # a warm-start pair violating the outage budget must not survive as the
     # returned incumbent just because its (unconstrained) throughput is high
-    cfg = optimizer.OptimizerConfig(
-        epsilon=0.01, units_total=64,
-        init_alphas=(0.373173, 0.662475, 0.517323),
-        init_units=(17, 11, 20, 16),
+    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
+    start = dataclasses.replace(
+        default_template(),
+        rhos=tuple(u / 16 for u in (17, 11, 20, 16)),
+        alphas=(0.373173, 0.662475, 0.517323),
     )
     fb = feedback_model.make_feedback_spec(-10.0)
-    sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+    sol = optimizer.alternating_optimize(dl3, fb, start, cfg)
     assert sol.feasible
     assert sol.breakdown.p_out_unreliable <= 0.01 * (1.0 + 1e-6)
 
