@@ -31,6 +31,7 @@ from .harq_analysis import (
     PerformanceBreakdown,
     duplicated_ack_performance,
     duplicated_ack_rates,
+    expected_cost,
     expected_symbols,
     occurrence_probabilities,
     outage_from_failures,
@@ -47,7 +48,6 @@ from .mc_simulator import (
 )
 from .mi_model import (
     DownlinkSpec,
-    RateVector,
     make_downlink_spec,
     mean_mi_closed_form,
     mi_of_gain,
@@ -85,7 +85,6 @@ __all__ = [
     "OptimizerConfig",
     "PerformanceBreakdown",
     "RateGrid",
-    "RateVector",
     "SimulationEstimate",
     "Solution",
     "ack_error_rate",
@@ -99,6 +98,7 @@ __all__ = [
     "error_rates_for",
     "estimate_duplicated_ack",
     "estimate_performance",
+    "expected_cost",
     "expected_symbols",
     "make_downlink_spec",
     "make_feedback_spec",

@@ -651,6 +651,12 @@ def run(config: RunConfig) -> int:
     if config.command not in _COMMANDS:
         raise ConfigError(f"command: one of {'|'.join(_COMMANDS)}, got "
                           f"{config.command!r}")
+    optimizes = config.command == "optimize" or (
+        config.command == "sweep" and config.sweep_mode != "analyze")
+    if config.route == "convolution" and optimizes:
+        raise ConfigError("route: the optimizer has only the Gaussian failure "
+                          "table; route = convolution applies to analyze and "
+                          "sweep.mode = analyze")
     out = config.output_path or f"harqopt_{config.command}.csv"
     runner = {
         "analyze": _run_analyze,

@@ -62,8 +62,8 @@ class FeedbackErrorRates:
     """Per-round detection error probabilities.
 
     p_nack[i] is the NACK->ACK misdetection probability of the i-th
-    feedback, p_ack[i] the ACK->NACK one. Tuples so instances hash (they
-    key optimizer caches).
+    feedback, p_ack[i] the ACK->NACK one. Stored as tuples of floats, so
+    instances are immutable values.
     """
 
     p_nack: tuple[float, ...]

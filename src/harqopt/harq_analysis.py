@@ -16,11 +16,12 @@ never under-estimates the outage; the bias is quantified against Monte
 Carlo rather than corrected, because the rate optimizer minimizes exactly
 this expression.
 
-occurrence_probabilities and outage_from_failures are the only
-implementations of their formulas. They take prefix failures of shape
-(..., M), so the same code serves a single policy here and the whole
-allocation grid in the optimizer; the optimizer's scalar brute-force
-oracle checks the two routes against each other.
+occurrence_probabilities, expected_cost and outage_from_failures are the
+only implementations of their formulas. They take rates, prefix failures
+and occurrence probabilities of shape (..., M), so the same code serves a
+single policy here and the whole allocation grid in the optimizer; the
+optimizer's scalar brute-force oracle checks the two routes against each
+other.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class HarqPolicy:
             if not math.isfinite(a):
                 raise ValueError("HarqPolicy: thresholds must be finite")
 
-    @property
-    def rate_vector(self) -> mi_model.RateVector:
-        return mi_model.RateVector(self.rhos)
-
 
 @dataclass(frozen=True)
 class PerformanceBreakdown:
@@ -99,9 +96,9 @@ class PerformanceBreakdown:
 
 def _p_fail(policy: HarqPolicy, dl, route: str, bins: int) -> np.ndarray:
     if route == "gaussian":
-        return mi_model.p_fail_gaussian(policy.rate_vector, dl)
+        return mi_model.p_fail_gaussian(policy.rhos, dl)
     if route == "convolution":
-        return mi_model.p_fail_convolution(policy.rate_vector, dl, bins)
+        return mi_model.p_fail_convolution(policy.rhos, dl, bins)
     raise ValueError(f"unknown failure route {route!r}")
 
 
@@ -166,27 +163,39 @@ def outage_from_failures(p_fail, p_nack):
     return (1.0 - inner * (1.0 - Fr[m - 1])).T
 
 
+def expected_cost(rhos, p_occur):
+    """Expected normalized symbol count sum_i rho_i P_i.
+
+    ``rhos`` and ``p_occur`` have shape (..., M); the result has shape
+    (...), a scalar for a single policy, and each row equals the call on
+    that row alone bit for bit.
+    """
+    rr = np.asarray(rhos, dtype=float).T  # round axis first
+    Pr = np.asarray(p_occur, dtype=float).T
+    cost = 0.0
+    for rho, p in zip(rr, Pr):
+        cost = cost + rho * p
+    # .T restores the leading-axis order that .T reversed above
+    return cost.T
+
+
 def reliable_throughput(policy: HarqPolicy, dl, *, route: str = "gaussian",
                         bins: int = mi_model.DEFAULT_CONV_BINS) -> float:
     """Throughput with perfect feedback: (1-P_{M,f}) / sum rho_i P_{i-1,f}."""
     F = _p_fail(policy, dl, route, bins)
-    cost = 0.0
-    prev_fail = 1.0  # round 1 always happens
-    for i, rho in enumerate(policy.rhos):
-        cost = cost + rho * prev_fail
-        prev_fail = F[i]
-    return (1.0 - F[policy.m_max - 1]) / cost
+    # round 1 always happens, round i > 1 after i - 1 failed rounds
+    p_occur = np.concatenate(([1.0], F[:-1]))
+    return (1.0 - F[policy.m_max - 1]) / expected_cost(policy.rhos, p_occur)
 
 
 def expected_symbols(policy: HarqPolicy, p_occur) -> float:
-    """Mean downlink symbol count sum_i rho_i n_b P_i."""
+    """Mean downlink symbol count n_b sum_i rho_i P_i."""
     P = np.asarray(p_occur, dtype=float)
     if P.shape[-1] != policy.m_max:
         raise ValueError("expected_symbols: occurrence vector length mismatch")
-    total = 0.0
-    for i, rho in enumerate(policy.rhos):
-        total = total + rho * policy.n_b * P[i]
-    return total
+    # rho_i n_b per round, as symbols per block: n_b * expected_cost(...)
+    # would round differently whenever n_b is not a power of two
+    return expected_cost(np.multiply(policy.rhos, policy.n_b), P)
 
 
 def _stage_outage(F, pn, P) -> tuple[np.ndarray, list[int]]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,29 +52,15 @@ class DownlinkSpec:
     var_mi: float
 
 
-@dataclass(frozen=True)
-class RateVector:
-    """Normalized per-round lengths rho_1..rho_M, symbols per payload bit."""
-
-    rhos: tuple[float, ...]
-
-    def __post_init__(self):
-        rhos = tuple(float(r) for r in self.rhos)
-        if len(rhos) == 0:
-            raise ValueError("RateVector: at least one round is required")
-        for r in rhos:
-            if not (math.isfinite(r) and r > 0.0):
-                raise ValueError("RateVector: entries must be positive and finite")
-        object.__setattr__(self, "rhos", rhos)
-
-    def __len__(self) -> int:
-        return len(self.rhos)
-
-
-def _as_rhos(rates) -> tuple[float, ...]:
-    if isinstance(rates, RateVector):
-        return rates.rhos
-    return RateVector(tuple(rates)).rhos
+def _check_rates(rates, name: str) -> np.ndarray:
+    """Rate vector(s) of shape (..., M) as a float array: at least one
+    round, every rate positive and finite."""
+    rhos = np.asarray(rates, dtype=float)
+    if rhos.ndim == 0 or rhos.shape[-1] == 0:
+        raise ValueError(f"{name}: at least one round is required")
+    if not np.all(np.isfinite(rhos) & (rhos > 0.0)):
+        raise ValueError(f"{name}: rates must be positive and finite")
+    return rhos
 
 
 def _scaled_e1(x: float) -> float:
@@ -139,19 +124,11 @@ def p_fail_gaussian(rates, spec: DownlinkSpec) -> np.ndarray:
     failure probability is Q((sum(rho_i) * mean_mi - 1) / sqrt(sum(rho_i^2)
     * var_mi)). Returns one value per prefix length.
 
-    ``rates`` is a RateVector or a sequence of rates, or an ndarray of shape
-    (..., M) holding one rate vector per leading index (the optimizer passes
-    its whole allocation grid); the result has the same shape and each row
-    is bit-identical to the call on that row alone.
+    ``rates`` has shape (..., M): one rate vector per leading index (the
+    optimizer passes its whole allocation grid). The result has the same
+    shape, and each row is bit-identical to the call on that row alone.
     """
-    if isinstance(rates, np.ndarray):
-        rhos = rates.astype(float, copy=False)
-        if rhos.ndim == 0 or rhos.shape[-1] == 0:
-            raise ValueError("p_fail_gaussian: at least one round is required")
-        if not np.all(np.isfinite(rhos) & (rhos > 0.0)):
-            raise ValueError("p_fail_gaussian: rates must be positive and finite")
-    else:
-        rhos = np.asarray(_as_rhos(rates))
+    rhos = _check_rates(rates, "p_fail_gaussian")
     sigma = math.sqrt(spec.var_mi)
     out = np.empty(rhos.shape)
     # transposed views put the round axis first: rounds[k] is round k of
@@ -179,7 +156,7 @@ def _round_grid(rho: float, snr: float, step: float, bins: int) -> numerics.PdfG
 
 
 def _fold_above(z: numerics.PdfGrid, cap: float) -> numerics.PdfGrid:
-    pos = z.lower + z.step * np.arange(z.masses.size)
+    pos = z.positions
     n_keep = int(np.searchsorted(pos, cap, side="right"))
     if n_keep >= z.masses.size:
         return z
@@ -191,7 +168,7 @@ def _fold_above(z: numerics.PdfGrid, cap: float) -> numerics.PdfGrid:
 def _mass_below_one(z: numerics.PdfGrid) -> float:
     # Atoms represent bins of width step; the bin straddling the unit
     # threshold contributes its prorated share.
-    pos = z.lower + z.step * np.arange(z.masses.size)
+    pos = z.positions
     frac = np.clip((1.0 - (pos - 0.5 * z.step)) / z.step, 0.0, 1.0)
     return float(np.dot(z.masses, frac))
 
@@ -203,9 +180,9 @@ def p_fail_convolution(rates, spec: DownlinkSpec, bins: int = DEFAULT_CONV_BINS)
     [0, 1 + 10 * sigma_k] where sigma_k is the Gaussian-route standard
     deviation of the full accumulated MI; mass beyond the cap is folded
     into the top bin, which always sits above the unit threshold so the
-    below-one mass is unaffected.
+    below-one mass is unaffected. ``rates`` is a single rate vector.
     """
-    rhos = _as_rhos(rates)
+    rhos = _check_rates(rates, "p_fail_convolution")
     if bins < 256:
         raise GridError("p_fail_convolution: bins must be at least 256")
     s2_full = 0.0

@@ -17,12 +17,13 @@ evaluation is cheap at the default scale (M = 4, 64 units, about 6.4e5
 paths, well under a second).
 
 The whole-grid search has no formulas of its own: it hands the (paths, M)
-rate table to mi_model.p_fail_gaussian and the resulting failure table to
-harq_analysis.occurrence_probabilities and outage_from_failures, the same
-functions that evaluate a single policy. brute_force_rate_allocation is the
-independent oracle: it walks the candidates one at a time through the
-scalar API with its own cost loop and tie-breaking, and must match
-dp_rate_allocation bit for bit.
+float rate table to mi_model.p_fail_gaussian, and the rate and failure
+tables to harq_analysis.occurrence_probabilities, expected_cost and
+outage_from_failures, the same functions that evaluate a single policy.
+dp_rate_allocation and the lambda bisection share one minimizer,
+_argmin_path. brute_force_rate_allocation is the independent oracle: it
+walks the candidates one at a time through the scalar API with its own
+cost loop and tie-breaking, and must match dp_rate_allocation bit for bit.
 """
 
 from __future__ import annotations
@@ -159,40 +160,41 @@ def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
 
 
 def _failure_table(grid: RateGrid, m: int, dl) -> tuple[np.ndarray, np.ndarray]:
-    """(units, F) with F[p, k] the Gaussian prefix-failure probability of path p."""
+    """(rhos, F): rhos[p] the rates of path p (its units times unit_rho) and
+    F[p, k] its Gaussian prefix-failure probability."""
     key = (grid.unit_rho, grid.min_units, grid.max_units, grid.units_total, m,
            _dl_key(dl))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
-    units = _enumerate_units(grid, m)
-    # the float rho table is transient: only units stay cached beside F
-    F = mi_model.p_fail_gaussian(units * grid.unit_rho, dl)
+    rhos = _enumerate_units(grid, m) * grid.unit_rho
+    F = mi_model.p_fail_gaussian(rhos, dl)
     while len(_TABLE_CACHE) >= _TABLE_CACHE_CAP:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = (units, F)
-    return units, F
+    _TABLE_CACHE[key] = (rhos, F)
+    return rhos, F
 
 
-def _cost_outage(units: np.ndarray, F: np.ndarray, unit_rho: float,
+def _cost_outage(rhos: np.ndarray, F: np.ndarray,
                  rates: feedback_model.FeedbackErrorRates) -> tuple[np.ndarray, np.ndarray]:
     """Per-path expected normalized symbols and outage."""
     P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-    cost = np.zeros(F.shape[0])
-    for i in range(F.shape[1]):
-        rho = units[:, i].astype(np.float64) * unit_rho
-        cost = cost + rho * P[:, i]
-    return cost, harq_analysis.outage_from_failures(F, rates.p_nack)
+    return (harq_analysis.expected_cost(rhos, P),
+            harq_analysis.outage_from_failures(F, rates.p_nack))
 
 
-def _argmin_path(L: np.ndarray, units: np.ndarray) -> int:
-    """Minimizer index; ties prefer fewer total units, then the first
-    (lexicographically smallest, given ascending enumeration) allocation."""
+def _argmin_path(cost: np.ndarray, outage: np.ndarray, lambda_: float,
+                 rhos: np.ndarray, unit_rho: float) -> tuple[int, float]:
+    """Index and value of the path minimizing cost + lambda_ * outage; ties
+    prefer fewer total units, then the first (lexicographically smallest,
+    given ascending enumeration) allocation."""
+    L = cost + lambda_ * outage
     cand = np.flatnonzero(L == L.min())
     if cand.size > 1:
-        totals = units[cand].sum(axis=1)
+        totals = np.rint(rhos[cand] / unit_rho).sum(axis=1)
         cand = cand[totals == totals.min()]
-    return int(cand[0])
+    idx = int(cand[0])
+    return idx, float(L[idx])
 
 
 def dp_rate_allocation(lambda_: float, dl,
@@ -208,12 +210,10 @@ def dp_rate_allocation(lambda_: float, dl,
         raise ValueError("dp_rate_allocation: lambda must be non-negative")
     if len(fb_rates) != m - 1:
         raise ValueError("dp_rate_allocation: need error rates for m-1 feedbacks")
-    units, F = _failure_table(grid, m, dl)
-    cost, outage = _cost_outage(units, F, grid.unit_rho, fb_rates)
-    L = cost + lambda_ * outage
-    idx = _argmin_path(L, units)
-    rhos = units[idx].astype(np.float64) * grid.unit_rho
-    return rhos, float(L[idx])
+    rhos, F = _failure_table(grid, m, dl)
+    cost, outage = _cost_outage(rhos, F, fb_rates)
+    idx, value = _argmin_path(cost, outage, lambda_, rhos, grid.unit_rho)
+    return rhos[idx].copy(), value
 
 
 def brute_force_rate_allocation(lambda_: float, dl,
@@ -260,7 +260,7 @@ def brute_force_rate_allocation(lambda_: float, dl,
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
                           grid: RateGrid, m: int) -> float:
     """Smallest grid-achievable outage at the given thresholds."""
-    units, F = _failure_table(grid, m, dl)
+    _, F = _failure_table(grid, m, dl)
     rates = feedback_model.error_rates_for(fb, alphas)
     return float(harq_analysis.outage_from_failures(F, rates.p_nack).min())
 
@@ -274,8 +274,8 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
     Unlike the Lagrangian route this scans the feasible set directly, so it
     serves as the reference fixed-threshold baseline and as a warm start.
     """
-    units, F = _failure_table(grid, m, dl)
-    cost, outage = _cost_outage(units, F, grid.unit_rho, rates)
+    rhos, F = _failure_table(grid, m, dl)
+    cost, outage = _cost_outage(rhos, F, rates)
     mask = outage <= epsilon
     if not mask.any():
         raise InfeasibleError(
@@ -285,9 +285,7 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
     idx_all = np.flatnonzero(mask)
     eta = (1.0 - outage[idx_all]) / cost[idx_all]
     best = idx_all[int(np.argmax(eta))]
-    return units[best].astype(np.float64) * grid.unit_rho, float(
-        (1.0 - outage[best]) / cost[best]
-    )
+    return rhos[best].copy(), float((1.0 - outage[best]) / cost[best])
 
 
 def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
@@ -301,8 +299,8 @@ def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
     relative bracket width or once the achieved outage lands within a
     relative 1e-3 band under epsilon.
     """
-    units, F = _failure_table(grid, m, dl)
-    cost, outage = _cost_outage(units, F, grid.unit_rho, rates)
+    rhos, F = _failure_table(grid, m, dl)
+    cost, outage = _cost_outage(rhos, F, rates)
     eps = config.epsilon
 
     min_outage = float(outage.min())
@@ -313,15 +311,12 @@ def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
         )
 
     def probe(lam: float) -> int:
-        return _argmin_path(cost + lam * outage, units)
-
-    def rhos_at(idx: int) -> np.ndarray:
-        return units[idx].astype(np.float64) * grid.unit_rho
+        return _argmin_path(cost, outage, lam, rhos, grid.unit_rho)[0]
 
     lo = config.lambda_lo
     idx = probe(lo)
     if outage[idx] <= eps:
-        return rhos_at(idx), float(lo)
+        return rhos[idx].copy(), float(lo)
 
     hi = config.lambda_hi
     idx_hi = probe(hi)
@@ -349,7 +344,7 @@ def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
             lo = mid
     _log.debug("solve_lambda_for_rates: lambda*=%.6g achieved outage %.6g", best_lambda,
                float(outage[best_idx]))
-    return rhos_at(best_idx), float(best_lambda)
+    return rhos[best_idx].copy(), float(best_lambda)
 
 
 def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
@@ -367,14 +362,11 @@ def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
 def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
     """Factory: alpha vector -> (eta, outage) at fixed rates."""
     F = mi_model.p_fail_gaussian(rhos, dl)
-    m = len(rhos)
 
     def evaluate(alphas) -> tuple[float, float]:
         rates = feedback_model.error_rates_for(fb, alphas)
         P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-        cost = 0.0
-        for i in range(m):
-            cost = cost + rhos[i] * P[i]
+        cost = harq_analysis.expected_cost(rhos, P)
         out = harq_analysis.outage_from_failures(F, rates.p_nack)
         return (1.0 - out) / cost, out
 
@@ -501,7 +493,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
     def eta_of(rhos, al) -> float:
-        return _threshold_objective(tuple(rhos), dl, fb)(al)[0]
+        return _threshold_objective(rhos, dl, fb)(al)[0]
 
     rhos_inc = start.rhos
     lambda_star = config.lambda_lo

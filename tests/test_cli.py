@@ -155,6 +155,31 @@ def test_optimize_nonpositive_lambda_tol_exits_2(tmp_path, capsys):
     assert "tolerances must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, mode", [
+    ("optimize", None), ("sweep", "min_outage"), ("sweep", "optimize"),
+    ("sweep", "fixed_vs_variable"), ("sweep", "vs_duplicated"),
+])
+def test_optimizer_rejects_convolution_route(tmp_path, capsys, command, mode):
+    # the optimizer has only the Gaussian failure table, so a convolution
+    # request there is refused instead of silently answered with Gaussian
+    # numbers; analyze and sweep.mode = analyze honour the key
+    keys = {**SMALL, "route": "convolution", "sweep.axis": "snr_u_db",
+            "sweep.values": "-10"}
+    if mode is not None:
+        keys["sweep.mode"] = mode
+    path = write_config(tmp_path, keys)
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 2
+    assert "only the Gaussian failure table" in capsys.readouterr().err
+    assert not out.exists()
+    keys["sweep.mode"] = "analyze"
+    path = write_config(tmp_path, keys)
+    for cmd in ("analyze", "sweep"):
+        assert cli.main([cmd, "--config", path, "--out", str(out),
+                         "--workers", "1"]) == 0
+
+
 def test_optimize_infeasible_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, {**SMALL, "epsilon": 1e-4})
     rc = cli.main(["optimize", "--config", path,

@@ -137,11 +137,11 @@ def test_p_fail_convolution_rejects_small_bins(dl3):
         mi_model.p_fail_convolution([1.0], dl3, bins=128)
 
 
-rate_vectors = st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5)
+rate_lists = st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5)
 
 
 @settings(max_examples=25)
-@given(rate_vectors)
+@given(rate_lists)
 def test_p_fail_convolution_monotone_in_prefix(rates):
     dl = mi_model.make_downlink_spec(3.0)
     p = mi_model.p_fail_convolution(rates, dl, bins=1024)
@@ -150,7 +150,7 @@ def test_p_fail_convolution_monotone_in_prefix(rates):
 
 
 @settings(max_examples=25)
-@given(rate_vectors)
+@given(rate_lists)
 def test_p_fail_gaussian_in_unit_interval(rates):
     dl = mi_model.make_downlink_spec(3.0)
     p = mi_model.p_fail_gaussian(rates, dl)
@@ -159,8 +159,11 @@ def test_p_fail_gaussian_in_unit_interval(rates):
 
 @pytest.mark.parametrize("bad", [(), (0.0,), (-1.0,), (math.inf,)])
 def test_rate_vector_validation(bad, dl3):
+    # both failure routes share one check: at least one round, every rate
+    # positive and finite, for one vector or a stack of them
     with pytest.raises(ValueError):
-        mi_model.RateVector(tuple(bad))
-    # the array route of p_fail_gaussian bypasses RateVector and checks itself
+        mi_model.p_fail_gaussian(bad, dl3)
+    with pytest.raises(ValueError):
+        mi_model.p_fail_convolution(bad, dl3)
     with pytest.raises(ValueError):
         mi_model.p_fail_gaussian(np.array([[1.0] * len(bad), bad]), dl3)

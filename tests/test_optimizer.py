@@ -95,6 +95,28 @@ def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
         np.testing.assert_array_equal(out, np.array([
             harq_analysis.outage_from_failures(row, rates.p_nack) for row in F_rows
         ]))
+        cost = harq_analysis.expected_cost(rhos, P)
+        assert cost.shape == (500,)
+        np.testing.assert_array_equal(cost, np.array([
+            harq_analysis.expected_cost(tuple(r), p) for r, p in zip(rhos, P)
+        ]))
+
+
+def test_float_table_on_non_dyadic_grid(dl3):
+    # unit_rho = 4000 / (36 * 1000) is not a power of two: the cached float
+    # table must still round back to the enumerated units, and the
+    # production minimizer must match the scalar oracle bit for bit
+    grid = optimizer.make_rate_grid(1000, 4000, 36)
+    table_rhos, _ = optimizer._failure_table(grid, 3, dl3)
+    np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
+                                  optimizer._enumerate_units(grid, 3))
+    fb = feedback_model.make_feedback_spec(-10.0)
+    rates = feedback_model.error_rates_for(fb, (0.5, 1.0))
+    for lam in (0.0, 25.0, 1e9):
+        r_dp, v_dp = optimizer.dp_rate_allocation(lam, dl3, rates, grid, 3)
+        r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, dl3, rates, grid, 3)
+        assert v_dp == v_bf
+        np.testing.assert_array_equal(r_dp, r_bf)
 
 
 def test_dp_value_is_direct_lagrangian(dl3):
