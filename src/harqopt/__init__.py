@@ -61,11 +61,9 @@ from .optimizer import (
     alternating_optimize,
     best_feasible_allocation,
     brute_force_rate_allocation,
-    dp_rate_allocation,
     make_rate_grid,
     min_achievable_outage,
     optimize_thresholds_pgd,
-    solve_lambda_for_rates,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +90,6 @@ __all__ = [
     "best_feasible_allocation",
     "brute_force_rate_allocation",
     "build_sequences",
-    "dp_rate_allocation",
     "duplicated_ack_performance",
     "duplicated_ack_rates",
     "error_rates_for",
@@ -114,7 +111,6 @@ __all__ = [
     "reliable_throughput",
     "run_episode",
     "simulate_detection",
-    "solve_lambda_for_rates",
     "stage_outage",
     "unreliable_throughput",
     "__version__",

@@ -137,9 +137,6 @@ _KEYS = {
 }
 
 _OPT_KEYS = {
-    "optimizer.lambda_lo": ("lambda_lo", _parse_float),
-    "optimizer.lambda_hi": ("lambda_hi", _parse_float),
-    "optimizer.lambda_tol": ("lambda_tol", _parse_float),
     "optimizer.pgd_step": ("pgd_step", _parse_float),
     "optimizer.pgd_tol": ("pgd_tol", _parse_float),
     "optimizer.pgd_max_iters": ("pgd_max_iters", _parse_int),
@@ -377,9 +374,9 @@ def _solution_columns(config: RunConfig,
     for k in range(m - 1):
         header.append(f"alpha_{k + 1}")
         row.append(sol.policy.alphas[k])
-    header += ["lambda_star", "iterations", "converged", "feasible",
+    header += ["iterations", "converged", "feasible",
                "p_out_unreliable", "expected_symbols", "throughput"]
-    row += [sol.lambda_star, sol.iterations, sol.converged, sol.feasible,
+    row += [sol.iterations, sol.converged, sol.feasible,
             sol.breakdown.p_out_unreliable, sol.breakdown.expected_symbols,
             sol.breakdown.throughput]
     return header, row
@@ -525,8 +522,8 @@ def _duplicated_best_throughput(config: RunConfig, dl, fb,
     the constraint is unreachable (the scheme has no threshold to raise)."""
     rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, config.m_max)
     try:
-        rhos, _ = optimizer.solve_lambda_for_rates(rates, dl, grid, config.m_max,
-                                                   config.optimizer)
+        rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.m_max,
+                                                     config.epsilon)
     except InfeasibleError:
         return 0.0, False
     policy = dataclasses.replace(_policy_from(config), rhos=tuple(rhos),
@@ -570,7 +567,6 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
             header, row = _solution_columns(config, sol)
         except InfeasibleError as err:
             header, row = _solution_columns(config, _dummy_solution(config, dl, fb))
-            row[header.index("lambda_star")] = math.nan
             row[header.index("throughput")] = 0.0
             _log.warning("sweep point %s=%g infeasible: %s", axis, value, err)
         return [axis, *header], [value, *row]
@@ -619,7 +615,7 @@ def _dummy_solution(config: RunConfig, dl, fb) -> optimizer.Solution:
     policy = _policy_from(config)
     bd = harq_analysis.unreliable_throughput(policy, dl, fb)
     return optimizer.Solution(
-        policy=policy, lambda_star=math.nan, breakdown=bd, iterations=0,
+        policy=policy, breakdown=bd, iterations=0,
         converged=False, feasible=False, trace=(),
     )
 

@@ -3,12 +3,12 @@
 The problem: maximize HARQ throughput eta = (1 - P_out)/sum(rho_i P_i)
 over per-round rates drawn from a unit grid and over detection thresholds,
 subject to P_out <= epsilon, a total-units budget, and box bounds. The
-rate subproblem minimizes the Lagrangian L = sum(rho_i P_i) + lambda P_out
-on the grid, with bisection driving lambda until the achieved outage meets
-the constraint; the threshold subproblem runs projected gradient ascent on
-eta at fixed rates; alternating the two yields a monotone objective.
+rate subproblem is solved exactly at fixed thresholds by one scan of the
+grid: the feasible allocation with the largest eta wins. The threshold
+subproblem runs projected gradient ascent on eta at fixed rates;
+alternating the two yields a monotone objective.
 
-The Lagrangian search evaluates every admissible unit allocation in one
+The rate scan evaluates every admissible unit allocation in one
 vectorized pass. A compressed recursion over (round, sum units,
 sum units squared) cannot represent the objective exactly: the missed-ACK
 memory inside P_i and the stop-hazard cross term inside P_out both depend
@@ -20,10 +20,11 @@ The whole-grid search has no formulas of its own: it hands the (paths, M)
 float rate table to mi_model.p_fail_gaussian, and the rate and failure
 tables to harq_analysis.occurrence_probabilities, expected_cost and
 outage_from_failures, the same functions that evaluate a single policy.
-dp_rate_allocation and the lambda bisection share one minimizer,
-_argmin_path. brute_force_rate_allocation is the independent oracle: it
-walks the candidates one at a time through the scalar API with its own
-cost loop and tie-breaking, and must match dp_rate_allocation bit for bit.
+best_feasible_allocation and the alternating loop's rate step share one
+selector, _feasible_argmax. brute_force_rate_allocation is the independent
+oracle: it walks the candidates one at a time through the scalar API with
+its own cost loop and tie-breaking, and must match best_feasible_allocation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,13 +51,10 @@ _TABLE_CACHE_CAP = 4
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the Lagrangian, PGD, and alternating loops."""
+    """Outage budget, rate-grid budget, and the PGD and alternating-loop knobs."""
 
     epsilon: float = 0.01
     units_total: int = 64
-    lambda_lo: float = 0.0
-    lambda_hi: float = 1e6
-    lambda_tol: float = 1e-6  # relative bracket width
     pgd_step: float = 0.25
     pgd_tol: float = 1e-4
     pgd_max_iters: int = 60
@@ -69,15 +67,10 @@ class OptimizerConfig:
             raise ValueError("OptimizerConfig: epsilon must lie in (0, 1)")
         if self.units_total < 1:
             raise ValueError("OptimizerConfig: units_total must be positive")
-        if not self.lambda_lo < self.lambda_hi:
-            raise ValueError("OptimizerConfig: need lambda_lo < lambda_hi")
-        if self.lambda_lo < 0.0:
-            raise ValueError("OptimizerConfig: lambda_lo must be non-negative")
         lo, hi = self.alpha_box
         if not lo <= hi:
             raise ValueError("OptimizerConfig: alpha box is empty")
-        if (self.pgd_step <= 0.0 or self.pgd_tol <= 0.0 or self.alt_tol <= 0.0
-                or self.lambda_tol <= 0.0):
+        if self.pgd_step <= 0.0 or self.pgd_tol <= 0.0 or self.alt_tol <= 0.0:
             raise ValueError("OptimizerConfig: steps and tolerances must be positive")
         if self.pgd_max_iters < 1 or self.alt_max_iters < 1:
             raise ValueError("OptimizerConfig: iteration caps must be positive")
@@ -106,7 +99,6 @@ class Solution:
     """Alternating-optimization result with its per-iteration objective."""
 
     policy: harq_analysis.HarqPolicy
-    lambda_star: float
     breakdown: harq_analysis.PerformanceBreakdown
     iterations: int
     converged: bool
@@ -183,47 +175,32 @@ def _cost_outage(rhos: np.ndarray, F: np.ndarray,
             harq_analysis.outage_from_failures(F, rates.p_nack))
 
 
-def _argmin_path(cost: np.ndarray, outage: np.ndarray, lambda_: float,
-                 rhos: np.ndarray, unit_rho: float) -> tuple[int, float]:
-    """Index and value of the path minimizing cost + lambda_ * outage; ties
-    prefer fewer total units, then the first (lexicographically smallest,
-    given ascending enumeration) allocation."""
-    L = cost + lambda_ * outage
-    cand = np.flatnonzero(L == L.min())
+def _feasible_argmax(cost: np.ndarray, outage: np.ndarray, epsilon: float,
+                     rhos: np.ndarray, unit_rho: float) -> int:
+    """Index of the path maximizing (1 - outage)/cost among those with
+    outage <= epsilon; ties prefer fewer total units, then the first
+    (lexicographically smallest, given ascending enumeration) allocation."""
+    feasible = np.flatnonzero(outage <= epsilon)
+    if feasible.size == 0:
+        raise InfeasibleError(
+            f"no allocation meets outage {epsilon:g} at these error rates",
+            min_outage=float(outage.min()),
+        )
+    eta = (1.0 - outage[feasible]) / cost[feasible]
+    cand = feasible[eta == eta.max()]
     if cand.size > 1:
         totals = np.rint(rhos[cand] / unit_rho).sum(axis=1)
         cand = cand[totals == totals.min()]
-    idx = int(cand[0])
-    return idx, float(L[idx])
+    return int(cand[0])
 
 
-def dp_rate_allocation(lambda_: float, dl,
-                       fb_rates: feedback_model.FeedbackErrorRates,
-                       grid: RateGrid, m: int) -> tuple[np.ndarray, float]:
-    """Grid-exact minimizer of sum(rho_i P_i) + lambda P_out at fixed thresholds.
-
-    Evaluates the whole admissible path space vectorized; the returned value
-    is the Lagrangian at the returned rates, bit-identical to the scalar
-    brute-force route.
-    """
-    if lambda_ < 0.0:
-        raise ValueError("dp_rate_allocation: lambda must be non-negative")
-    if len(fb_rates) != m - 1:
-        raise ValueError("dp_rate_allocation: need error rates for m-1 feedbacks")
-    rhos, F = _failure_table(grid, m, dl)
-    cost, outage = _cost_outage(rhos, F, fb_rates)
-    idx, value = _argmin_path(cost, outage, lambda_, rhos, grid.unit_rho)
-    return rhos[idx].copy(), value
-
-
-def brute_force_rate_allocation(lambda_: float, dl,
-                                fb_rates: feedback_model.FeedbackErrorRates,
-                                grid: RateGrid, m: int) -> tuple[np.ndarray, float]:
-    """Scalar oracle for dp_rate_allocation: explicit loop over candidates
-    through the public analysis functions, identical tie-breaking."""
-    if lambda_ < 0.0:
-        raise ValueError("brute_force_rate_allocation: lambda must be non-negative")
-    if len(fb_rates) != m - 1:
+def brute_force_rate_allocation(rates: feedback_model.FeedbackErrorRates, dl,
+                                grid: RateGrid, m: int,
+                                epsilon: float) -> tuple[np.ndarray, float]:
+    """Scalar oracle for best_feasible_allocation: explicit loop over
+    candidates through the public analysis functions, identical
+    tie-breaking and identical InfeasibleError floor."""
+    if len(rates) != m - 1:
         raise ValueError("brute_force_rate_allocation: need error rates for m-1 feedbacks")
     span = grid.max_units - grid.min_units + 1
     if span ** m > _BRUTE_FORCE_BUDGET:
@@ -231,30 +208,37 @@ def brute_force_rate_allocation(lambda_: float, dl,
             f"brute force over {span}^{m} candidates exceeds the "
             f"{_BRUTE_FORCE_BUDGET} budget"
         )
-    best_value = math.inf
+    best_eta = -math.inf
     best_total = None
     best_rhos = None
-    found = False
+    min_outage = math.inf
     for units in itertools.product(range(grid.min_units, grid.max_units + 1), repeat=m):
         total = sum(units)
         if total > grid.units_total:
             continue
-        found = True
         rhos = tuple(u * grid.unit_rho for u in units)
         F = mi_model.p_fail_gaussian(rhos, dl)
-        P = harq_analysis.occurrence_probabilities(F, fb_rates.p_nack, fb_rates.p_ack)
+        P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
         cost = 0.0
         for i in range(m):
             cost = cost + rhos[i] * P[i]
-        outage = harq_analysis.outage_from_failures(F, fb_rates.p_nack)
-        value = cost + lambda_ * outage
-        if value < best_value or (value == best_value and total < best_total):
-            best_value = value
+        outage = harq_analysis.outage_from_failures(F, rates.p_nack)
+        min_outage = min(min_outage, outage)
+        if outage > epsilon:
+            continue
+        eta = (1.0 - outage) / cost
+        if eta > best_eta or (eta == best_eta and total < best_total):
+            best_eta = eta
             best_total = total
             best_rhos = rhos
-    if not found:
+    if min_outage == math.inf:
         raise InfeasibleError("unit bounds admit no allocation within the budget")
-    return np.asarray(best_rhos), float(best_value)
+    if best_rhos is None:
+        raise InfeasibleError(
+            f"no allocation meets outage {epsilon:g} at these error rates",
+            min_outage=float(min_outage),
+        )
+    return np.asarray(best_rhos), float(best_eta)
 
 
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
@@ -269,82 +253,20 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
                              grid: RateGrid, m: int,
                              epsilon: float) -> tuple[np.ndarray, float]:
     """Exact constrained optimum over the whole grid: the allocation
-    maximizing (1 - P_out)/cost among those with P_out <= epsilon.
-
-    Unlike the Lagrangian route this scans the feasible set directly, so it
-    serves as the reference fixed-threshold baseline and as a warm start.
-    """
-    rhos, F = _failure_table(grid, m, dl)
-    cost, outage = _cost_outage(rhos, F, rates)
-    mask = outage <= epsilon
-    if not mask.any():
-        raise InfeasibleError(
-            f"no allocation meets outage {epsilon:g} at these error rates",
-            min_outage=float(outage.min()),
-        )
-    idx_all = np.flatnonzero(mask)
-    eta = (1.0 - outage[idx_all]) / cost[idx_all]
-    best = idx_all[int(np.argmax(eta))]
-    return rhos[best].copy(), float((1.0 - outage[best]) / cost[best])
-
-
-def solve_lambda_for_rates(rates: feedback_model.FeedbackErrorRates, dl,
-                           grid: RateGrid, m: int,
-                           config: OptimizerConfig) -> tuple[np.ndarray, float]:
-    """Bisection on lambda until the Lagrangian minimizer's outage meets epsilon.
+    maximizing (1 - P_out)/cost among those with P_out <= epsilon, and
+    that throughput.
 
     Takes the per-round error pairs, so it serves threshold-derived rates
-    (error_rates_for) and other feedback schemes alike. Returns the feasible
-    bracket endpoint's rates (achieved outage <= epsilon always); stops on
-    relative bracket width or once the achieved outage lands within a
-    relative 1e-3 band under epsilon.
+    (error_rates_for) and other feedback schemes alike. Raises
+    InfeasibleError carrying the grid's minimum outage when no allocation
+    meets epsilon.
     """
+    if len(rates) != m - 1:
+        raise ValueError("best_feasible_allocation: need error rates for m-1 feedbacks")
     rhos, F = _failure_table(grid, m, dl)
     cost, outage = _cost_outage(rhos, F, rates)
-    eps = config.epsilon
-
-    min_outage = float(outage.min())
-    if min_outage > eps:
-        raise InfeasibleError(
-            f"minimum achievable outage {min_outage:.6g} exceeds epsilon {eps:g}",
-            min_outage=min_outage,
-        )
-
-    def probe(lam: float) -> int:
-        return _argmin_path(cost, outage, lam, rhos, grid.unit_rho)[0]
-
-    lo = config.lambda_lo
-    idx = probe(lo)
-    if outage[idx] <= eps:
-        return rhos[idx].copy(), float(lo)
-
-    hi = config.lambda_hi
-    idx_hi = probe(hi)
-    doublings = 0
-    while outage[idx_hi] > eps:
-        if doublings >= 20:
-            raise InfeasibleError(
-                "no lambda in the doubled bracket met the outage constraint",
-                min_outage=min_outage,
-            )
-        hi *= 2.0
-        doublings += 1
-        idx_hi = probe(hi)
-
-    best_idx, best_lambda = idx_hi, hi
-    while hi - lo > config.lambda_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        idx = probe(mid)
-        if outage[idx] <= eps:
-            hi = mid
-            best_idx, best_lambda = idx, mid
-            if outage[idx] >= eps * (1.0 - 1e-3):
-                break
-        else:
-            lo = mid
-    _log.debug("solve_lambda_for_rates: lambda*=%.6g achieved outage %.6g", best_lambda,
-               float(outage[best_idx]))
-    return rhos[best_idx].copy(), float(best_lambda)
+    best = _feasible_argmax(cost, outage, epsilon, rhos, grid.unit_rho)
+    return rhos[best].copy(), float((1.0 - outage[best]) / cost[best])
 
 
 def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
@@ -451,7 +373,7 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
 def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                          start: harq_analysis.HarqPolicy,
                          config: OptimizerConfig) -> Solution:
-    """Alternate Lagrangian rate allocation and PGD threshold tuning from `start`.
+    """Alternate the exact rate scan and PGD threshold tuning from `start`.
 
     The start policy fixes the block geometry and rate box of the result and
     is its starting point: the thresholds start at start.alphas clipped to
@@ -461,6 +383,9 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     level. The incumbent is only ever replaced by a better-or-equal
     candidate, so the recorded objective trace is non-decreasing by
     construction.
+
+    The rate step is best_feasible_allocation's scan at the current
+    thresholds: the feasible grid allocation of largest throughput.
     """
     m = start.m_max
     if config.units_total < m:
@@ -492,11 +417,8 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
         alphas = np.maximum(alphas, _bisect_upper(lo, hi, reaches, 40))
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
-    def eta_of(rhos, al) -> float:
-        return _threshold_objective(rhos, dl, fb)(al)[0]
-
+    table_rhos, F = _failure_table(grid, m, dl)
     rhos_inc = start.rhos
-    lambda_star = config.lambda_lo
     eta_inc = -math.inf
     prev = None
     eta0, out0 = _threshold_objective(start.rhos, dl, fb)(alphas)
@@ -512,22 +434,22 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     iterations = 0
     for it in range(1, config.alt_max_iters + 1):
         iterations = it
+        cost, outage = _cost_outage(table_rhos, F,
+                                    feedback_model.error_rates_for(fb, alphas))
         try:
-            rhos_new, lam = solve_lambda_for_rates(
-                feedback_model.error_rates_for(fb, alphas), dl, grid, m, config
-            )
+            idx = _feasible_argmax(cost, outage, eps, table_rhos, unit_rho)
         except InfeasibleError as err:
             err.iteration = it
             raise
-        eta_new = eta_of(rhos_new, alphas)
+        eta_new = float((1.0 - outage[idx]) / cost[idx])
         if eta_new >= eta_inc:
-            rhos_inc, lambda_star, eta_inc = rhos_new, lam, eta_new
+            rhos_inc, eta_inc = table_rhos[idx].copy(), eta_new
 
         if k > 0:
             alphas_new = optimize_thresholds_pgd(
                 rhos_inc, dl, fb, config, start_alphas=alphas
             )
-            eta_alpha = eta_of(rhos_inc, alphas_new)
+            eta_alpha, _ = _threshold_objective(rhos_inc, dl, fb)(alphas_new)
             if eta_alpha >= eta_inc:
                 alphas, eta_inc = alphas_new, eta_alpha
 
@@ -542,7 +464,6 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     breakdown = harq_analysis.unreliable_throughput(policy, dl, fb)
     return Solution(
         policy=policy,
-        lambda_star=float(lambda_star),
         breakdown=breakdown,
         iterations=iterations,
         converged=converged,

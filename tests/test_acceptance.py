@@ -143,9 +143,10 @@ def test_criterion_03_gaussian_approximation_bound(capsys, dl3):
 
 
 def test_criterion_04_dp_equals_brute_force(capsys, dl3):
-    with criterion(capsys, 4, "DP rate allocation identical to brute force"):
+    with criterion(capsys, 4, "whole-grid rate scan identical to brute force"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(314159)
+        outcomes = []
         for _ in range(50):
             m = int(rng.integers(2, 4))
             units = int(rng.integers(m, 17))
@@ -153,29 +154,45 @@ def test_criterion_04_dp_equals_brute_force(capsys, dl3):
             alphas = tuple(rng.uniform(0.0, 2.5, size=m - 1))
             fb = feedback_model.make_feedback_spec(rng.uniform(-16.0, -4.0))
             rates = feedback_model.error_rates_for(fb, alphas)
-            lam = float(rng.choice([0.0, rng.uniform(0.0, 1e3), 1e9]))
-            r_dp, v_dp = optimizer.dp_rate_allocation(lam, dl3, rates, grid, m)
-            r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, dl3, rates,
-                                                               grid, m)
-            assert v_dp == v_bf
-            np.testing.assert_array_equal(r_dp, r_bf)
+            eps = float(rng.choice([1e-6, rng.uniform(0.0, 0.2), 0.999]))
+            try:
+                r_scan, v_scan = optimizer.best_feasible_allocation(
+                    rates, dl3, grid, m, eps
+                )
+            except InfeasibleError as err:
+                # both routes refuse, naming the same outage floor
+                with pytest.raises(InfeasibleError) as exc:
+                    optimizer.brute_force_rate_allocation(rates, dl3, grid, m, eps)
+                assert exc.value.min_outage == err.min_outage > eps
+                outcomes.append(False)
+                continue
+            r_bf, v_bf = optimizer.brute_force_rate_allocation(rates, dl3, grid,
+                                                               m, eps)
+            assert v_scan == v_bf
+            np.testing.assert_array_equal(r_scan, r_bf)
+            outcomes.append(True)
+        assert any(outcomes) and not all(outcomes)
         assert time.perf_counter() - t0 < 60.0
 
 
-def test_criterion_05_lambda_ladder_monotone(capsys, dl3, grid64):
-    with criterion(capsys, 5, "achieved outage non-increasing along the lambda ladder"):
+def test_criterion_05_epsilon_ladder_monotone(capsys, dl3, grid64):
+    with criterion(capsys, 5, "outage within budget and throughput non-decreasing "
+                              "along the epsilon ladder"):
         alphas = (0.5, 0.5, 0.5)
         fb = feedback_model.make_feedback_spec(-10.0)
         rates = feedback_model.error_rates_for(fb, alphas)
-        outages = []
-        for lam in np.logspace(-2.0, 6.0, 20):
-            rhos, _ = optimizer.dp_rate_allocation(float(lam), dl3, rates,
-                                                   grid64, 4)
+        floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid64, 4)
+        etas = []
+        for eps in np.geomspace(floor, 0.5, 20):
+            rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid64, 4,
+                                                           float(eps))
             bd = harq_analysis.unreliable_throughput(
                 make_policy(rhos, alphas), dl3, fb
             )
-            outages.append(bd.p_out_unreliable)
-        assert np.all(np.diff(outages) <= 1e-12), outages
+            assert bd.p_out_unreliable <= eps, (eps, bd.p_out_unreliable)
+            etas.append(eta)
+        assert np.all(np.diff(etas) >= 0.0), etas
+        assert etas[-1] > etas[0]
 
 
 def test_criterion_06_min_outage_monotone_in_alpha(capsys, dl3, grid64):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from harqopt import cli, harq_analysis
+from harqopt import cli, feedback_model, harq_analysis, mi_model, optimizer
 from harqopt.errors import ConfigError
 
 
@@ -146,13 +146,18 @@ def test_optimize_writes_solution_and_trace(tmp_path):
     assert len(trace) >= 2
 
 
-def test_optimize_nonpositive_lambda_tol_exits_2(tmp_path, capsys):
-    # a zero bracket tolerance would never end the lambda bisection
-    path = write_config(tmp_path, {**SMALL, "optimizer.lambda_tol": 0})
+@pytest.mark.parametrize("suffix", ["lo", "hi", "tol"])
+def test_optimize_removed_lambda_key_exits_2(tmp_path, capsys, suffix):
+    # the rate step is an exact scan with no multiplier to bracket, so the
+    # old bisection keys are unknown, not silently ignored
+    key = f"optimizer.lambda_{suffix}"
+    keys = {**SMALL, key: 1}
+    path = write_config(tmp_path, keys)
     rc = cli.main(["optimize", "--config", path,
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "tolerances must be positive" in capsys.readouterr().err
+    lineno = list(keys).index(key) + 1
+    assert f"{path}:{lineno}: unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, mode", [
@@ -299,3 +304,22 @@ def test_sweep_vs_duplicated_smoke(tmp_path):
     assert lines[0] == ("snr_u_db,throughput_asymmetric,feasible_asymmetric,"
                         "throughput_duplicated,feasible_duplicated")
     assert len(lines) == 3
+
+
+def test_duplicated_baseline_is_exact_constrained_scan(tmp_path):
+    # the vs_duplicated column is the exact constrained optimum of the
+    # duplicated-ACK scheme, the same baseline acceptance criterion 7 uses
+    config = cli.load_config(write_config(tmp_path, {"units_total": 16,
+                                                     "snr_u_db": -6.0}))
+    dl = mi_model.make_downlink_spec(config.snr_d_db)
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
+    grid = cli._grid_from(config)
+    eta, ok = cli._duplicated_best_throughput(config, dl, fb, grid)
+    rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, config.m_max)
+    rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.m_max,
+                                                 config.epsilon)
+    policy = dataclasses.replace(cli._policy_from(config), rhos=tuple(rhos),
+                                 alphas=(0.0,) * (config.m_max - 1))
+    want = harq_analysis.duplicated_ack_performance(policy, dl, fb).throughput
+    assert ok and eta == want
+    assert eta == pytest.approx(0.769481072, rel=1e-8)

@@ -25,13 +25,6 @@ def eval_policy(rhos, alphas, dl, snr_u_db, grid, n_b=1024, n_m=4096):
     return harq_analysis.unreliable_throughput(pol, dl, fb)
 
 
-def lagrangian_direct(rhos, alphas, dl, snr_u_db, grid, lam):
-    """Direct cost + lam * outage evaluation through the public formulas."""
-    bd = eval_policy(rhos, alphas, dl, snr_u_db, grid)
-    cost = sum(r * p for r, p in zip(rhos, bd.p_occur))
-    return cost + lam * bd.p_out_unreliable
-
-
 def test_make_rate_grid_basics():
     grid = optimizer.make_rate_grid(1024, 4096, 64)
     assert grid.unit_rho == pytest.approx(1.0 / 16.0)
@@ -46,16 +39,30 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(epsilon=1.5)
     with pytest.raises(ValueError):
-        optimizer.OptimizerConfig(lambda_lo=2.0, lambda_hi=1.0)
-    with pytest.raises(ValueError):
         optimizer.OptimizerConfig(alpha_box=(2.0, 1.0))
-    for tol in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            optimizer.OptimizerConfig(lambda_tol=tol)
+    assert len(dataclasses.fields(optimizer.OptimizerConfig)) == 8
+
+
+def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
+    """best_feasible_allocation and the scalar oracle agree bit for bit,
+    including the outage floor they report when nothing is feasible.
+    Returns whether the instance was feasible."""
+    try:
+        r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl, grid, m, eps)
+    except InfeasibleError as err:
+        with pytest.raises(InfeasibleError) as exc:
+            optimizer.brute_force_rate_allocation(rates, dl, grid, m, eps)
+        assert exc.value.min_outage == err.min_outage > eps
+        return False
+    r_bf, v_bf = optimizer.brute_force_rate_allocation(rates, dl, grid, m, eps)
+    assert v_scan == v_bf
+    np.testing.assert_array_equal(r_scan, r_bf)
+    return True
 
 
 def test_dp_matches_brute_force_random_instances(dl3):
     rng = np.random.default_rng(314)
+    feasible = []
     for _ in range(10):
         m = int(rng.integers(2, 4))
         units = int(rng.integers(m, 17))
@@ -63,11 +70,9 @@ def test_dp_matches_brute_force_random_instances(dl3):
         alphas = tuple(rng.uniform(0.0, 2.0, size=m - 1))
         fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0))
         rates = feedback_model.error_rates_for(fb, alphas)
-        lam = float(rng.choice([0.0, rng.uniform(0.0, 100.0), 1e9]))
-        r_dp, v_dp = optimizer.dp_rate_allocation(lam, dl3, rates, grid, m)
-        r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, dl3, rates, grid, m)
-        assert v_dp == v_bf
-        np.testing.assert_array_equal(r_dp, r_bf)
+        eps = float(rng.choice([1e-6, rng.uniform(0.0, 0.2), 0.999]))
+        feasible.append(assert_scan_equals_brute_force(rates, dl3, grid, m, eps))
+    assert any(feasible) and not all(feasible)
 
 
 def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
@@ -105,65 +110,67 @@ def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
 def test_float_table_on_non_dyadic_grid(dl3):
     # unit_rho = 4000 / (36 * 1000) is not a power of two: the cached float
     # table must still round back to the enumerated units, and the
-    # production minimizer must match the scalar oracle bit for bit
+    # production rate scan must match the scalar oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
     table_rhos, _ = optimizer._failure_table(grid, 3, dl3)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   optimizer._enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, (0.5, 1.0))
-    for lam in (0.0, 25.0, 1e9):
-        r_dp, v_dp = optimizer.dp_rate_allocation(lam, dl3, rates, grid, 3)
-        r_bf, v_bf = optimizer.brute_force_rate_allocation(lam, dl3, rates, grid, 3)
-        assert v_dp == v_bf
-        np.testing.assert_array_equal(r_dp, r_bf)
+    feasible = [assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
+                for eps in (0.02, 0.05, 0.5)]
+    assert feasible == [False, True, True]
 
 
-def test_dp_value_is_direct_lagrangian(dl3):
+def test_scan_value_is_direct_throughput(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5, 1.0)
     snr_u = -10.0
     fb = feedback_model.make_feedback_spec(snr_u)
     rates = feedback_model.error_rates_for(fb, alphas)
-    lam = 25.0
-    rhos, value = optimizer.dp_rate_allocation(lam, dl3, rates, grid, 3)
-    direct = lagrangian_direct(rhos, alphas, dl3, snr_u, grid, lam)
-    assert value == pytest.approx(direct, abs=1e-9)
+    rhos, value = optimizer.best_feasible_allocation(rates, dl3, grid, 3, 0.05)
+    direct = eval_policy(rhos, alphas, dl3, snr_u, grid)
+    assert direct.p_out_unreliable <= 0.05
+    assert value == pytest.approx(direct.throughput, abs=1e-9)
 
 
-def test_dp_huge_lambda_reaches_grid_minimum_outage(dl3):
+def test_epsilon_at_floor_reaches_grid_minimum_outage(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, _ = optimizer.dp_rate_allocation(1e9, dl3, rates, grid, 2)
-    achieved = eval_policy(rhos, alphas, dl3, -10.0, grid).p_out_unreliable
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
+    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 2, floor)
+    achieved = eval_policy(rhos, alphas, dl3, -10.0, grid).p_out_unreliable
     assert achieved == pytest.approx(floor, abs=1e-12)
 
 
 def test_brute_force_single_round(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 8)
     rates = feedback_model.FeedbackErrorRates(p_nack=(), p_ack=())
-    r_bf, v_bf = optimizer.brute_force_rate_allocation(3.0, dl3, rates, grid, 1)
-    r_dp, v_dp = optimizer.dp_rate_allocation(3.0, dl3, rates, grid, 1)
-    assert v_bf == v_dp and r_bf[0] == r_dp[0]
+    r_bf, v_bf = optimizer.brute_force_rate_allocation(rates, dl3, grid, 1, 0.5)
+    r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl3, grid, 1, 0.5)
+    assert v_bf == v_scan and r_bf[0] == r_scan[0]
     # error rates for m - 1 feedbacks are required
-    for alloc in (optimizer.brute_force_rate_allocation, optimizer.dp_rate_allocation):
+    for alloc in (optimizer.brute_force_rate_allocation,
+                  optimizer.best_feasible_allocation):
         with pytest.raises(ValueError):
-            alloc(3.0, dl3, rates, grid, 2)
+            alloc(rates, dl3, grid, 2, 0.5)
 
 
-def test_brute_force_value_monotone_in_lambda(dl3):
+def test_brute_force_value_monotone_in_epsilon(dl3):
+    # a larger outage budget only enlarges the feasible set
     grid = optimizer.make_rate_grid(1024, 4096, 12)
     alphas = (0.5, 0.5)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
+    floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 3)
     values = []
-    for lam in np.logspace(-2, 4, 12):
-        _, v = optimizer.brute_force_rate_allocation(float(lam), dl3, rates, grid, 3)
+    for eps in np.geomspace(floor, 0.5, 12):
+        _, v = optimizer.brute_force_rate_allocation(rates, dl3, grid, 3, float(eps))
         values.append(v)
-    assert np.all(np.diff(values) >= -1e-12)
+    assert np.all(np.diff(values) >= 0.0)
+    assert values[-1] > values[0]
 
 
 def test_brute_force_budget_guard(dl3):
@@ -172,44 +179,45 @@ def test_brute_force_budget_guard(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(GridError):
-        optimizer.brute_force_rate_allocation(1.0, dl3, rates, grid, 6)
+        optimizer.brute_force_rate_allocation(rates, dl3, grid, 6, 0.01)
 
 
 def test_solve_lambda_unconstrained_returns_low_end(dl3):
+    # with no binding budget the scan returns the grid's throughput argmax
     grid = optimizer.make_rate_grid(1024, 4096, 16)
-    cfg = optimizer.OptimizerConfig(epsilon=0.999999, units_total=16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, lam = optimizer.solve_lambda_for_rates(rates, dl3, grid, 2, cfg)
-    assert lam == cfg.lambda_lo
-    ref, _ = optimizer.dp_rate_allocation(cfg.lambda_lo, dl3, rates, grid, 2)
-    np.testing.assert_array_equal(rhos, ref)
+    rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.999999)
+    table_rhos, F = optimizer._failure_table(grid, 2, dl3)
+    cost, outage = optimizer._cost_outage(table_rhos, F, rates)
+    assert outage.max() <= 0.999999
+    best = int(np.argmax((1.0 - outage) / cost))
+    np.testing.assert_array_equal(rhos, table_rhos[best])
+    assert eta == (1.0 - outage[best]) / cost[best]
 
 
 def test_solve_lambda_infeasible_names_floor(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
-    cfg = optimizer.OptimizerConfig(epsilon=0.02, units_total=16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.solve_lambda_for_rates(rates, dl3, grid, 2, cfg)
+        optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.02)
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
     assert exc.value.min_outage == pytest.approx(floor, rel=1e-12)
 
 
-@pytest.mark.parametrize("eps", [0.045, 0.07, 0.10])
+@pytest.mark.parametrize("eps", [0.045, 0.05, 0.07, 0.10])
 def test_solve_lambda_matches_constrained_enumeration(dl3, eps):
-    # at these outage budgets the constrained optimum sits on the
-    # cost/outage convex hull, so the dual search must recover it exactly;
-    # off-hull budgets (e.g. 0.05 here) carry a genuine duality gap
+    # the exact scan reaches the constrained optimum at every budget, also
+    # off the cost/outage convex hull (0.05 here), where a Lagrangian
+    # search over cost + lambda * outage cannot
     grid = optimizer.make_rate_grid(1024, 4096, 16)
-    cfg = optimizer.OptimizerConfig(epsilon=eps, units_total=16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, _ = optimizer.solve_lambda_for_rates(rates, dl3, grid, 2, cfg)
+    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 2, eps)
     got = eval_policy(rhos, alphas, dl3, -10.0, grid)
     assert got.p_out_unreliable <= eps
     best = -1.0
@@ -219,7 +227,7 @@ def test_solve_lambda_matches_constrained_enumeration(dl3, eps):
                              alphas, dl3, -10.0, grid)
             if bd.p_out_unreliable <= eps:
                 best = max(best, bd.throughput)
-    assert got.throughput >= best - 1e-6
+    assert got.throughput == best
 
 
 def test_best_feasible_allocation_is_enumeration_argmax(dl3):
