@@ -2,8 +2,9 @@
 
 The fixed side scans uniform thresholds (rates re-optimized exactly for
 each) and keeps the best; the variable side runs the alternating solver
-cold plus warm-started from the fixed winner, so its curve can only sit
-on or above the fixed one. The gain concentrates where feedback errors
+once, warm-started from the fixed winner (from the default policy when no
+fixed threshold is feasible), so its curve can only sit on or above the
+fixed one. The gain concentrates where feedback errors
 are frequent enough to matter but not hopeless.
 """
 

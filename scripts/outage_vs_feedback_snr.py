@@ -11,6 +11,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from harqopt import cli
 
 
@@ -24,9 +26,11 @@ def main() -> int:
     ap.add_argument("--alphas", default="0.0, 0.2, 0.4, 0.6, 0.8, 1.0")
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
+    if args.points < 1:
+        ap.error(f"--points must be at least 1, got {args.points}")
 
-    step = (args.snr_u_hi - args.snr_u_lo) / (args.points - 1)
-    values = ", ".join(f"{args.snr_u_lo + i * step:g}" for i in range(args.points))
+    values = ", ".join(f"{v:g}" for v in np.linspace(args.snr_u_lo, args.snr_u_hi,
+                                                     args.points))
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "sweep.cfg")
         with open(config_path, "w", encoding="utf-8") as fh:

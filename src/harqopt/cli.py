@@ -67,7 +67,7 @@ class RunConfig:
     alphas: tuple[float, ...] | None = None
     rhos_units: tuple[int, ...] | None = None
     route: str = "gaussian"
-    conv_bins: int = 4096
+    conv_bins: int = mi_model.DEFAULT_CONV_BINS
     seed: int = 0
     output_path: str | None = None
     n_episodes: int = 100_000
@@ -137,13 +137,8 @@ _KEYS = {
 }
 
 _OPT_KEYS = {
-    "optimizer.pgd_step": ("pgd_step", _parse_float),
-    "optimizer.pgd_tol": ("pgd_tol", _parse_float),
-    "optimizer.pgd_max_iters": ("pgd_max_iters", _parse_int),
     "optimizer.alpha_lo": ("alpha_lo", _parse_float),
     "optimizer.alpha_hi": ("alpha_hi", _parse_float),
-    "optimizer.alt_max_iters": ("alt_max_iters", _parse_int),
-    "optimizer.alt_tol": ("alt_tol", _parse_float),
 }
 
 
@@ -590,21 +585,18 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     # fixed_vs_variable
     grid = _grid_from(config)
     fixed_eta, fixed_alpha, fixed_rhos = _best_fixed_alpha(config, dl, fb, grid)
-    policy = _policy_from(config)
-    starts = [policy]
+    start = _policy_from(config)
     if fixed_rhos is not None:
-        # warm start at the best fixed-threshold operating point so the
-        # variable run can only move upward from there
-        starts.append(dataclasses.replace(
-            policy, rhos=fixed_rhos, alphas=(fixed_alpha,) * (config.m_max - 1)
-        ))
-    var_eta = 0.0
-    for start in starts:
-        try:
-            sol = optimizer.alternating_optimize(dl, fb, start, config.optimizer)
-        except InfeasibleError:
-            continue
-        var_eta = max(var_eta, sol.breakdown.throughput)
+        # warm start at the best fixed-threshold operating point: the
+        # alternating loop never loses its start, so variable >= fixed
+        start = dataclasses.replace(
+            start, rhos=fixed_rhos, alphas=(fixed_alpha,) * (config.m_max - 1)
+        )
+    try:
+        sol = optimizer.alternating_optimize(dl, fb, start, config.optimizer)
+        var_eta = sol.breakdown.throughput
+    except InfeasibleError:
+        var_eta = 0.0
     return (
         [axis, "throughput_fixed", "best_fixed_alpha", "throughput_variable"],
         [value, fixed_eta, fixed_alpha, var_eta],

@@ -14,7 +14,8 @@ class HarqOptError(Exception):
 
 
 class GridError(HarqOptError, ValueError):
-    """Malformed or incompatible probability-grid operands."""
+    """A grid size outside its supported range: too few convolution bins,
+    or a rate grid with too many allocations to enumerate."""
 
 
 class ConvergenceError(HarqOptError, RuntimeError):

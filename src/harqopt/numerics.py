@@ -1,20 +1,19 @@
-"""Scalar special functions and discrete-distribution kernels.
+"""Scalar special functions and Rayleigh-fading expectations.
 
 Everything in this module is generic numerics with no protocol knowledge:
 complementary error function and Gaussian tail, the exponential integral,
-expectations against the unit-mean exponential density (Rayleigh fading
-power), and a small mass-per-bin lattice type with discrete convolution.
+and expectations against the unit-mean exponential density (Rayleigh
+fading power).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ConvergenceError, GridError
+from .errors import ConvergenceError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -112,53 +111,3 @@ def expect_rayleigh(f, tol: float, node_budget: int = 200) -> float:
         + ("" if prev is not None else " (single ladder level, nothing to compare)"),
         estimate=est,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class PdfGrid:
-    """Probability masses on a uniform lattice.
-
-    ``masses[j]`` is the probability attached to the point
-    ``lower + j * step``. Masses are validated to be non-negative and are
-    normalized to unit total on construction.
-    """
-
-    lower: float
-    step: float
-    masses: np.ndarray
-
-    def __post_init__(self):
-        if not math.isfinite(self.lower):
-            raise GridError("PdfGrid: lower must be finite")
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise GridError("PdfGrid: step must be positive and finite")
-        m = np.asarray(self.masses, dtype=float)
-        if m.ndim != 1 or m.size == 0:
-            raise GridError("PdfGrid: masses must be a non-empty 1-d array")
-        if not np.all(np.isfinite(m)):
-            raise GridError("PdfGrid: masses must be finite")
-        if np.any(m < -1e-12):
-            raise GridError("PdfGrid: masses must be non-negative")
-        m = np.maximum(m, 0.0)
-        total = float(m.sum())
-        if total <= 0.0:
-            raise GridError("PdfGrid: total mass must be positive")
-        object.__setattr__(self, "masses", m / total)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Lattice points carrying the masses."""
-        return self.lower + self.step * np.arange(self.masses.size)
-
-
-def convolve(a: PdfGrid, b: PdfGrid) -> PdfGrid:
-    """Distribution of the sum of two independent lattice variables.
-
-    Both operands must share the same step. The result lives on the same
-    step with lower bound ``a.lower + b.lower``.
-    """
-    if not isinstance(a, PdfGrid) or not isinstance(b, PdfGrid):
-        raise GridError("convolve: operands must be PdfGrid instances")
-    if a.step != b.step:
-        raise GridError(f"convolve: step mismatch ({a.step!r} vs {b.step!r})")
-    return PdfGrid(a.lower + b.lower, a.step, np.convolve(a.masses, b.masses))

@@ -45,22 +45,22 @@ _log = logging.getLogger(__name__)
 _BRUTE_FORCE_BUDGET = 10_000_000  # raw candidate tuples before budget filter
 _PATH_BUDGET = 20_000_000
 _FD_STEP = 1e-4  # central-difference step in alpha
+_PGD_STEP = 0.25  # first trial step of each PGD line search
+_PGD_TOL = 1e-4  # PGD stops once an accepted step moves alpha less than this
+_PGD_MAX_ITERS = 60
+_ALT_MAX_ITERS = 50
+_ALT_TOL = 1e-6  # alternating loop stops on a smaller objective gain
 _TABLE_CACHE: dict = {}
 _TABLE_CACHE_CAP = 4
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Outage budget, rate-grid budget, and the PGD and alternating-loop knobs."""
+    """Outage budget, rate-grid budget and threshold box."""
 
     epsilon: float = 0.01
     units_total: int = 64
-    pgd_step: float = 0.25
-    pgd_tol: float = 1e-4
-    pgd_max_iters: int = 60
     alpha_box: tuple[float, float] = (0.0, 3.0)
-    alt_max_iters: int = 50
-    alt_tol: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -70,10 +70,6 @@ class OptimizerConfig:
         lo, hi = self.alpha_box
         if not lo <= hi:
             raise ValueError("OptimizerConfig: alpha box is empty")
-        if self.pgd_step <= 0.0 or self.pgd_tol <= 0.0 or self.alt_tol <= 0.0:
-            raise ValueError("OptimizerConfig: steps and tolerances must be positive")
-        if self.pgd_max_iters < 1 or self.alt_max_iters < 1:
-            raise ValueError("OptimizerConfig: iteration caps must be positive")
 
 
 @dataclass(frozen=True)
@@ -286,10 +282,7 @@ def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
     F = mi_model.p_fail_gaussian(rhos, dl)
 
     def evaluate(alphas) -> tuple[float, float]:
-        rates = feedback_model.error_rates_for(fb, alphas)
-        P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-        cost = harq_analysis.expected_cost(rhos, P)
-        out = harq_analysis.outage_from_failures(F, rates.p_nack)
+        cost, out = _cost_outage(rhos, F, feedback_model.error_rates_for(fb, alphas))
         return (1.0 - out) / cost, out
 
     return evaluate
@@ -347,7 +340,7 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
             x = np.full(k, _bisect_upper(lo, hi, lambda s: feasible(np.full(k, s)), 60))
 
     eta_x, _ = evaluate(x)
-    for _ in range(config.pgd_max_iters):
+    for _ in range(_PGD_MAX_ITERS):
         grad = np.empty(k)
         for j in range(k):
             up = x.copy()
@@ -355,7 +348,7 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
             dn = x.copy()
             dn[j] -= _FD_STEP
             grad[j] = (evaluate(up)[0] - evaluate(dn)[0]) / (2.0 * _FD_STEP)
-        step = config.pgd_step
+        step = _PGD_STEP
         moved = 0.0
         for _ in range(30):
             cand = pull_back(np.clip(x + step * grad, lo, hi), x)
@@ -365,7 +358,7 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
                 x, eta_x = cand, eta_c
                 break
             step *= 0.5
-        if moved < config.pgd_tol:
+        if moved < _PGD_TOL:
             break
     return x
 
@@ -432,7 +425,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     trace: list[float] = []
     converged = False
     iterations = 0
-    for it in range(1, config.alt_max_iters + 1):
+    for it in range(1, _ALT_MAX_ITERS + 1):
         iterations = it
         cost, outage = _cost_outage(table_rhos, F,
                                     feedback_model.error_rates_for(fb, alphas))
@@ -454,7 +447,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                 alphas, eta_inc = alphas_new, eta_alpha
 
         trace.append(float(eta_inc))
-        if prev is not None and eta_inc - prev < config.alt_tol:
+        if prev is not None and eta_inc - prev < _ALT_TOL:
             converged = True
             break
         prev = eta_inc

@@ -142,7 +142,7 @@ def test_criterion_03_gaussian_approximation_bound(capsys, dl3):
         assert worst <= 0.05, f"max gap {worst:.4f} at (snr_d, units) = {arg}"
 
 
-def test_criterion_04_dp_equals_brute_force(capsys, dl3):
+def test_criterion_04_scan_equals_brute_force(capsys, dl3):
     with criterion(capsys, 4, "whole-grid rate scan identical to brute force"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(314159)

@@ -146,11 +146,7 @@ def test_optimize_writes_solution_and_trace(tmp_path):
     assert len(trace) >= 2
 
 
-@pytest.mark.parametrize("suffix", ["lo", "hi", "tol"])
-def test_optimize_removed_lambda_key_exits_2(tmp_path, capsys, suffix):
-    # the rate step is an exact scan with no multiplier to bracket, so the
-    # old bisection keys are unknown, not silently ignored
-    key = f"optimizer.lambda_{suffix}"
+def assert_unknown_key_exits_2(tmp_path, capsys, key):
     keys = {**SMALL, key: 1}
     path = write_config(tmp_path, keys)
     rc = cli.main(["optimize", "--config", path,
@@ -158,6 +154,21 @@ def test_optimize_removed_lambda_key_exits_2(tmp_path, capsys, suffix):
     assert rc == 2
     lineno = list(keys).index(key) + 1
     assert f"{path}:{lineno}: unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", ["lo", "hi", "tol"])
+def test_optimize_removed_lambda_key_exits_2(tmp_path, capsys, suffix):
+    # the rate step is an exact scan with no multiplier to bracket, so the
+    # old bisection keys are unknown, not silently ignored
+    assert_unknown_key_exits_2(tmp_path, capsys, f"optimizer.lambda_{suffix}")
+
+
+@pytest.mark.parametrize("knob", ["pgd_step", "pgd_tol", "pgd_max_iters",
+                                  "alt_max_iters", "alt_tol"])
+def test_optimize_removed_solver_knob_exits_2(tmp_path, capsys, knob):
+    # the threshold search and the alternating loop run with fixed steps,
+    # tolerances and caps, so their old keys are unknown as well
+    assert_unknown_key_exits_2(tmp_path, capsys, f"optimizer.{knob}")
 
 
 @pytest.mark.parametrize("command, mode", [

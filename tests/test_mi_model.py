@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from harqopt import mi_model
 from harqopt.errors import ConvergenceError, GridError
@@ -101,11 +102,34 @@ def test_p_fail_single_round_gap_recorded(dl3):
     assert g - c == pytest.approx(K1_GAP_3DB, abs=1e-6)
 
 
+def _round_cdf(x, rho, snr):
+    # exact CDF of one round's MI: P(rho log2(1 + snr g) < x)
+    return -math.expm1(-(2.0 ** (x / rho) - 1.0) / snr)
+
+
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
-def test_p_fail_convolution_single_round_closed_form(dl3, rho):
-    p = mi_model.p_fail_convolution([rho], dl3)[0]
-    exact = 1.0 - math.exp(-(2.0 ** (1.0 / rho) - 1.0) / dl3.snr_linear)
-    assert p == pytest.approx(exact, abs=1e-4)
+def test_p_fail_convolution_single_round_closed_form(rho):
+    for snr_db in (0.0, 3.0):
+        dl = mi_model.make_downlink_spec(snr_db)
+        p = mi_model.p_fail_convolution([rho], dl)[0]
+        assert p == pytest.approx(_round_cdf(1.0, rho, dl.snr_linear), abs=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 3.0])
+@pytest.mark.parametrize("rho1, rho2", [(2.0, 0.0625), (0.5, 0.5), (1.0, 0.25)])
+def test_p_fail_convolution_two_round_quadrature(rho1, rho2, snr_db):
+    # F_2 = integral over the first round's gain g below g*, where that round
+    # alone decodes, of the second round's CDF at the remaining MI; the
+    # larger rate goes first so that g* stays small enough for quad
+    dl = mi_model.make_downlink_spec(snr_db)
+    s = dl.snr_linear
+    g_star = (2.0 ** (1.0 / rho1) - 1.0) / s
+    ref, _ = integrate.quad(
+        lambda g: math.exp(-g) * _round_cdf(1.0 - rho1 * math.log2(1.0 + s * g), rho2, s),
+        0.0, g_star, epsabs=1e-13, epsrel=1e-12, limit=200,
+    )
+    p = mi_model.p_fail_convolution([rho1, rho2], dl)[1]
+    assert abs(p - ref) <= 1e-7
 
 
 def test_p_fail_convolution_huge_rate_vanishes(dl3):
@@ -147,6 +171,19 @@ def test_p_fail_convolution_monotone_in_prefix(rates):
     p = mi_model.p_fail_convolution(rates, dl, bins=1024)
     assert np.all(np.diff(p) <= 1e-12)
     assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+@settings(max_examples=25)
+@given(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=5), st.randoms())
+def test_p_fail_convolution_final_independent_of_round_order(rates, rnd):
+    # the accumulated MI is a sum of independent rounds, so F_M must not
+    # depend on the order in which they are sent
+    dl = mi_model.make_downlink_spec(3.0)
+    shuffled = list(rates)
+    rnd.shuffle(shuffled)
+    a = mi_model.p_fail_convolution(rates, dl, bins=1024)[-1]
+    b = mi_model.p_fail_convolution(shuffled, dl, bins=1024)[-1]
+    assert abs(a - b) <= 1e-12
 
 
 @settings(max_examples=25)

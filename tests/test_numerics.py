@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from harqopt import numerics
-from harqopt.errors import ConvergenceError, GridError
+from harqopt.errors import ConvergenceError
 
 # independently computed oracle values
 ERFC_ONE = 0.15729920705028516
@@ -102,77 +102,3 @@ def test_expect_rayleigh_convergence_error_carries_estimate():
     # the failed run still carries the full-ladder estimate
     assert est == pytest.approx(numerics.expect_rayleigh(f, 1e-6), abs=1e-12)
 
-
-def delta_grid(at, step=0.125):
-    return numerics.PdfGrid(lower=at, step=step, masses=np.array([1.0]))
-
-
-def test_convolve_delta_identity():
-    p = numerics.PdfGrid(lower=0.0, step=0.125, masses=np.array([0.2, 0.5, 0.3]))
-    out = numerics.convolve(delta_grid(0.0), p)
-    assert out.lower == p.lower
-    np.testing.assert_allclose(out.masses, p.masses, atol=1e-15)
-
-
-def test_convolve_delta_shift():
-    out = numerics.convolve(delta_grid(0.375), delta_grid(0.25))
-    assert out.lower == pytest.approx(0.625)
-    np.testing.assert_allclose(out.masses, [1.0])
-
-
-def test_convolve_uniform_pair_is_triangular():
-    n = 8
-    u = numerics.PdfGrid(lower=0.0, step=1.0 / n, masses=np.full(n, 1.0 / n))
-    out = numerics.convolve(u, u)
-    # direct double-sum oracle
-    ref = np.zeros(2 * n - 1)
-    for i in range(n):
-        for j in range(n):
-            ref[i + j] += u.masses[i] * u.masses[j]
-    np.testing.assert_allclose(out.masses, ref, atol=1e-15)
-    assert np.argmax(out.masses) == n - 1  # peak at total value ~1
-    assert out.masses.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_convolve_step_mismatch():
-    with pytest.raises(GridError):
-        numerics.convolve(delta_grid(0.0, step=0.125), delta_grid(0.0, step=0.25))
-
-
-@pytest.mark.parametrize("masses", [np.array([]), np.array([-0.5, 1.0]), np.array([math.nan])])
-def test_pdf_grid_rejects_bad_masses(masses):
-    with pytest.raises(GridError):
-        numerics.PdfGrid(lower=0.0, step=0.1, masses=masses)
-
-
-def test_pdf_grid_rejects_bad_step():
-    with pytest.raises(GridError):
-        numerics.PdfGrid(lower=0.0, step=0.0, masses=np.array([1.0]))
-
-
-def test_pdf_grid_normalizes():
-    g = numerics.PdfGrid(lower=0.0, step=0.5, masses=np.array([2.0, 6.0]))
-    assert g.masses.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(g.masses, [0.25, 0.75])
-
-
-grids = st.builds(
-    lambda m, lo: numerics.PdfGrid(lower=lo, step=0.25, masses=np.asarray(m)),
-    st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=16),
-    st.floats(-2.0, 2.0),
-)
-
-
-@given(grids, grids)
-def test_convolve_commutative(a, b):
-    ab, ba = numerics.convolve(a, b), numerics.convolve(b, a)
-    assert ab.lower == ba.lower
-    assert np.abs(ab.masses - ba.masses).sum() <= 1e-9
-
-
-@given(grids, grids, grids)
-def test_convolve_associative(a, b, c):
-    left = numerics.convolve(numerics.convolve(a, b), c)
-    right = numerics.convolve(a, numerics.convolve(b, c))
-    assert left.lower == pytest.approx(right.lower, abs=1e-12)
-    assert np.abs(left.masses - right.masses).sum() <= 1e-9

@@ -40,7 +40,7 @@ def test_optimizer_config_validation():
         optimizer.OptimizerConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         optimizer.OptimizerConfig(alpha_box=(2.0, 1.0))
-    assert len(dataclasses.fields(optimizer.OptimizerConfig)) == 8
+    assert len(dataclasses.fields(optimizer.OptimizerConfig)) == 3
 
 
 def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
@@ -60,7 +60,7 @@ def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
     return True
 
 
-def test_dp_matches_brute_force_random_instances(dl3):
+def test_scan_matches_brute_force_random_instances(dl3):
     rng = np.random.default_rng(314)
     feasible = []
     for _ in range(10):
@@ -182,7 +182,7 @@ def test_brute_force_budget_guard(dl3):
         optimizer.brute_force_rate_allocation(rates, dl3, grid, 6, 0.01)
 
 
-def test_solve_lambda_unconstrained_returns_low_end(dl3):
+def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     # with no binding budget the scan returns the grid's throughput argmax
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
@@ -197,7 +197,7 @@ def test_solve_lambda_unconstrained_returns_low_end(dl3):
     assert eta == (1.0 - outage[best]) / cost[best]
 
 
-def test_solve_lambda_infeasible_names_floor(dl3):
+def test_scan_infeasible_names_floor(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
@@ -209,7 +209,7 @@ def test_solve_lambda_infeasible_names_floor(dl3):
 
 
 @pytest.mark.parametrize("eps", [0.045, 0.05, 0.07, 0.10])
-def test_solve_lambda_matches_constrained_enumeration(dl3, eps):
+def test_scan_matches_constrained_enumeration(dl3, eps):
     # the exact scan reaches the constrained optimum at every budget, also
     # off the cost/outage convex hull (0.05 here), where a Lagrangian
     # search over cost + lambda * outage cannot
@@ -309,7 +309,7 @@ def test_alternating_default_run(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     assert sol.feasible and sol.converged
-    assert sol.iterations <= cfg.alt_max_iters
+    assert sol.iterations <= optimizer._ALT_MAX_ITERS
     assert sol.breakdown.p_out_unreliable <= 0.01 * (1.0 + 1e-6)
     assert sum(sol.policy.rhos) <= 4.0 + 1e-12
     trace = np.asarray(sol.trace)
