@@ -8,23 +8,28 @@ grid: the feasible allocation with the largest eta wins. The threshold
 subproblem runs projected gradient ascent on eta at fixed rates;
 alternating the two yields a monotone objective.
 
-The rate scan evaluates every admissible unit allocation in one
-vectorized pass. A compressed recursion over (round, sum units,
-sum units squared) cannot represent the objective exactly: the missed-ACK
-memory inside P_i and the stop-hazard cross term inside P_out both depend
-on the whole prefix-failure path, not just the current sums. Exhaustive
-evaluation is cheap at the default scale (M = 4, 64 units, about 6.4e5
-paths, well under a second).
+The rate scan evaluates admissible unit allocations in one vectorized
+pass. A compressed recursion over (round, sum units, sum units squared)
+cannot represent the objective exactly: the missed-ACK memory inside P_i
+and the stop-hazard cross term inside P_out both depend on the whole
+prefix-failure path, not just the current sums. The scan skips only paths
+that can never be feasible. The outage 1 - inner (1 - F_M) has inner <= 1
+at any thresholds, so it is never below F_M; in floats, where 1 - F_M is
+rounded, it can sit at most 2^-54 below. A path with F_M above epsilon +
+2^-53 therefore misses epsilon at every threshold, and each scan visits
+only the rows of the failure table with F_M <= epsilon + 2^-53, kept once
+per (table, epsilon). Only the outage floor that an InfeasibleError
+reports is taken over the whole table.
 
 The whole-grid search has no formulas of its own: it hands the (paths, M)
 float rate table to mi_model.p_fail_gaussian, and the rate and failure
 tables to harq_analysis.occurrence_probabilities, expected_cost and
 outage_from_failures, the same functions that evaluate a single policy.
 best_feasible_allocation and the alternating loop's rate step share one
-selector, _feasible_argmax. brute_force_rate_allocation is the independent
-oracle: it walks the candidates one at a time through the scalar API with
-its own cost loop and tie-breaking, and must match best_feasible_allocation
-bit for bit.
+scan, _rate_scan, and its selector, _feasible_argmax.
+brute_force_rate_allocation is the independent oracle: it walks the
+candidates one at a time through the scalar API with its own cost loop and
+tie-breaking, and must match best_feasible_allocation bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ _ALT_MAX_ITERS = 50
 _ALT_TOL = 1e-6  # alternating loop stops on a smaller objective gain
 _TABLE_CACHE: dict = {}
 _TABLE_CACHE_CAP = 4
+# computed outage is at least F_M minus 2^-54 (see the module docstring)
+_ROUNDING_SLACK = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -147,9 +154,11 @@ def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
     return paths
 
 
-def _failure_table(grid: RateGrid, m: int, dl) -> tuple[np.ndarray, np.ndarray]:
-    """(rhos, F): rhos[p] the rates of path p (its units times unit_rho) and
-    F[p, k] its Gaussian prefix-failure probability."""
+def _failure_table(grid: RateGrid, m: int,
+                   dl) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(rhos, F, kept): rhos[p] the rates of path p (its units times
+    unit_rho), F[p, k] its Gaussian prefix-failure probability, and kept the
+    per-epsilon cache of _kept_rows, evicted with the table."""
     key = (grid.unit_rho, grid.min_units, grid.max_units, grid.units_total, m,
            _dl_key(dl))
     hit = _TABLE_CACHE.get(key)
@@ -159,8 +168,20 @@ def _failure_table(grid: RateGrid, m: int, dl) -> tuple[np.ndarray, np.ndarray]:
     F = mi_model.p_fail_gaussian(rhos, dl)
     while len(_TABLE_CACHE) >= _TABLE_CACHE_CAP:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = (rhos, F)
-    return rhos, F
+    hit = _TABLE_CACHE[key] = (rhos, F, {})
+    return hit
+
+
+def _kept_rows(grid: RateGrid, m: int, dl,
+               epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rhos, F) of the failure table restricted, in path order, to the
+    paths that can meet epsilon at some thresholds: F_M <= epsilon + slack."""
+    rhos, F, kept = _failure_table(grid, m, dl)
+    hit = kept.get(epsilon)
+    if hit is None:
+        keep = F[:, -1] <= epsilon + _ROUNDING_SLACK
+        hit = kept[epsilon] = (rhos[keep], F[keep])
+    return hit
 
 
 def _cost_outage(rhos: np.ndarray, F: np.ndarray,
@@ -172,16 +193,14 @@ def _cost_outage(rhos: np.ndarray, F: np.ndarray,
 
 
 def _feasible_argmax(cost: np.ndarray, outage: np.ndarray, epsilon: float,
-                     rhos: np.ndarray, unit_rho: float) -> int:
+                     rhos: np.ndarray, unit_rho: float) -> int | None:
     """Index of the path maximizing (1 - outage)/cost among those with
-    outage <= epsilon; ties prefer fewer total units, then the first
-    (lexicographically smallest, given ascending enumeration) allocation."""
+    outage <= epsilon, None when there is none; ties prefer fewer total
+    units, then the first (lexicographically smallest, given ascending
+    enumeration) allocation."""
     feasible = np.flatnonzero(outage <= epsilon)
     if feasible.size == 0:
-        raise InfeasibleError(
-            f"no allocation meets outage {epsilon:g} at these error rates",
-            min_outage=float(outage.min()),
-        )
+        return None
     eta = (1.0 - outage[feasible]) / cost[feasible]
     cand = feasible[eta == eta.max()]
     if cand.size > 1:
@@ -240,9 +259,26 @@ def brute_force_rate_allocation(rates: feedback_model.FeedbackErrorRates, dl,
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
                           grid: RateGrid, m: int) -> float:
     """Smallest grid-achievable outage at the given thresholds."""
-    _, F = _failure_table(grid, m, dl)
+    _, F, _ = _failure_table(grid, m, dl)
     rates = feedback_model.error_rates_for(fb, alphas)
     return float(harq_analysis.outage_from_failures(F, rates.p_nack).min())
+
+
+def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
+               m: int, epsilon: float) -> tuple[np.ndarray, float]:
+    """best_feasible_allocation over the kept rows; the outage floor of its
+    InfeasibleError is taken over the whole table."""
+    rhos, F = _kept_rows(grid, m, dl, epsilon)
+    cost, outage = _cost_outage(rhos, F, rates)
+    best = _feasible_argmax(cost, outage, epsilon, rhos, grid.unit_rho)
+    if best is None:
+        _, F_all, _ = _failure_table(grid, m, dl)
+        floor = harq_analysis.outage_from_failures(F_all, rates.p_nack).min()
+        raise InfeasibleError(
+            f"no allocation meets outage {epsilon:g} at these error rates",
+            min_outage=float(floor),
+        )
+    return rhos[best].copy(), float((1.0 - outage[best]) / cost[best])
 
 
 def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
@@ -259,10 +295,7 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
     """
     if len(rates) != m - 1:
         raise ValueError("best_feasible_allocation: need error rates for m-1 feedbacks")
-    rhos, F = _failure_table(grid, m, dl)
-    cost, outage = _cost_outage(rhos, F, rates)
-    best = _feasible_argmax(cost, outage, epsilon, rhos, grid.unit_rho)
-    return rhos[best].copy(), float((1.0 - outage[best]) / cost[best])
+    return _rate_scan(rates, dl, grid, m, epsilon)
 
 
 def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
@@ -396,21 +429,27 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     k = m - 1
     alphas = np.clip(np.asarray(start.alphas, dtype=float), lo, hi)
 
-    if k > 0 and min_achievable_outage(alphas, dl, fb, grid, m) > eps:
+    _, kept_F = _kept_rows(grid, m, dl, eps)
+
+    def reaches(a: np.ndarray) -> bool:
+        # some allocation meets eps at thresholds a; only kept rows can, so
+        # with none kept this is an infeasibility certificate
+        p_nack = feedback_model.error_rates_for(fb, a).p_nack
+        return bool((harq_analysis.outage_from_failures(kept_F, p_nack) <= eps).any())
+
+    if k > 0 and not reaches(alphas):
         # bootstrap: raise thresholds uniformly until some allocation is feasible
-        if min_achievable_outage(np.full(k, hi), dl, fb, grid, m) > eps:
+        top = np.full(k, hi)
+        if not reaches(top):
             raise InfeasibleError(
                 f"outage constraint {eps:g} unreachable for any thresholds in the box",
-                min_outage=min_achievable_outage(np.full(k, hi), dl, fb, grid, m),
+                min_outage=min_achievable_outage(top, dl, fb, grid, m),
                 iteration=0,
             )
-        def reaches(s: float) -> bool:
-            return min_achievable_outage(np.maximum(alphas, s), dl, fb, grid, m) <= eps
-
-        alphas = np.maximum(alphas, _bisect_upper(lo, hi, reaches, 40))
+        alphas = np.maximum(alphas, _bisect_upper(
+            lo, hi, lambda s: reaches(np.maximum(alphas, s)), 40))
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
-    table_rhos, F = _failure_table(grid, m, dl)
     rhos_inc = start.rhos
     eta_inc = -math.inf
     prev = None
@@ -427,16 +466,14 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     iterations = 0
     for it in range(1, _ALT_MAX_ITERS + 1):
         iterations = it
-        cost, outage = _cost_outage(table_rhos, F,
-                                    feedback_model.error_rates_for(fb, alphas))
         try:
-            idx = _feasible_argmax(cost, outage, eps, table_rhos, unit_rho)
+            rhos_new, eta_new = _rate_scan(feedback_model.error_rates_for(fb, alphas),
+                                           dl, grid, m, eps)
         except InfeasibleError as err:
             err.iteration = it
             raise
-        eta_new = float((1.0 - outage[idx]) / cost[idx])
         if eta_new >= eta_inc:
-            rhos_inc, eta_inc = table_rhos[idx].copy(), eta_new
+            rhos_inc, eta_inc = rhos_new, eta_new
 
         if k > 0:
             alphas_new = optimize_thresholds_pgd(

@@ -13,7 +13,6 @@ ledger; everything here reports honest numbers.
 """
 
 import contextlib
-import dataclasses
 import math
 import time
 

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from harqopt import feedback_model, harq_analysis, mc_simulator, mi_model

@@ -6,7 +6,6 @@ routes), not approximate.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -112,7 +111,7 @@ def test_float_table_on_non_dyadic_grid(dl3):
     # table must still round back to the enumerated units, and the
     # production rate scan must match the scalar oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    table_rhos, _ = optimizer._failure_table(grid, 3, dl3)
+    table_rhos, _, _ = optimizer._failure_table(grid, 3, dl3)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   optimizer._enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
@@ -120,6 +119,38 @@ def test_float_table_on_non_dyadic_grid(dl3):
     feasible = [assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
                 for eps in (0.02, 0.05, 0.5)]
     assert feasible == [False, True, True]
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_scan_keeps_paths_at_the_prune_boundary(dl3, side):
+    # perfect feedback makes the outage 1 - (1 - F_M), which rounds to just
+    # below F_M on the (4, 4, 4) path; that path meets a budget one ulp
+    # under its own F_M and is the optimum there, so a prune of the rows
+    # with F_M > epsilon that had no float slack would lose it
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    fb = feedback_model.make_feedback_spec(200.0)
+    rates = feedback_model.error_rates_for(fb, (0.5, 0.5))
+    F = mi_model.p_fail_gaussian((1.0, 1.0, 1.0), dl3)
+    f_m = float(F[-1])
+    assert harq_analysis.outage_from_failures(F, rates.p_nack) < f_m
+    eps = float(np.nextafter(f_m, side)) if side else f_m
+    assert assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
+    if side < 0:
+        rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 3, eps)
+        np.testing.assert_array_equal(rhos, [1.0, 1.0, 1.0])
+
+
+def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
+    # a budget below every path's F_M keeps no row; the floor must still be
+    # the smallest outage over all paths
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
+                                           (0.5, 0.5))
+    _, F, _ = optimizer._failure_table(grid, 3, dl3)
+    eps = 0.5 * float(F[:, -1].min())
+    kept_rhos, _ = optimizer._kept_rows(grid, 3, dl3, eps)
+    assert kept_rhos.shape[0] == 0
+    assert not assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
 
 
 def test_scan_value_is_direct_throughput(dl3):
@@ -189,7 +220,7 @@ def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.999999)
-    table_rhos, F = optimizer._failure_table(grid, 2, dl3)
+    table_rhos, F, _ = optimizer._failure_table(grid, 2, dl3)
     cost, outage = optimizer._cost_outage(table_rhos, F, rates)
     assert outage.max() <= 0.999999
     best = int(np.argmax((1.0 - outage) / cost))
@@ -357,6 +388,23 @@ def test_alternating_infeasible_carries_iteration(dl3):
     with pytest.raises(InfeasibleError) as exc:
         optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
     assert hasattr(exc.value, "iteration")
+
+
+def test_alternating_infeasible_box_certificate_at_0db(grid64):
+    # at 0 dB no path has F_M <= 0.01, so the thresholds are never raised:
+    # the error comes before the first iteration and names the outage
+    # floor at the top of the box
+    dl0 = mi_model.make_downlink_spec(0.0)
+    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    assert optimizer._kept_rows(grid64, 4, dl0, cfg.epsilon)[0].shape[0] == 0
+    with pytest.raises(InfeasibleError) as exc:
+        optimizer.alternating_optimize(dl0, fb, default_template(), cfg)
+    assert exc.value.iteration == 0
+    top = np.full(3, cfg.alpha_box[1])
+    assert exc.value.min_outage == optimizer.min_achievable_outage(top, dl0, fb,
+                                                                   grid64, 4)
+    assert exc.value.min_outage > cfg.epsilon
 
 
 def test_alternating_beats_duplicated_ack_baseline(dl3, grid64):
