@@ -55,7 +55,6 @@ from .mi_model import (
     p_fail_gaussian,
 )
 from .optimizer import (
-    OptimizerConfig,
     RateGrid,
     Solution,
     alternating_optimize,
@@ -80,7 +79,6 @@ __all__ = [
     "HarqOptError",
     "HarqPolicy",
     "InfeasibleError",
-    "OptimizerConfig",
     "PerformanceBreakdown",
     "RateGrid",
     "SimulationEstimate",

@@ -2,9 +2,10 @@
 
 Config files are flat `key = value` text: one assignment per line, `#`
 starts a comment, vectors are comma-separated, dotted prefixes group the
-Monte Carlo (mc.), sweep (sweep.) and optimizer (optimizer.) knobs. Later
-assignments override earlier ones. SNRs are in dB at this boundary and
-linear everywhere inside.
+Monte Carlo (mc.) and sweep (sweep.) keys. Later assignments override
+earlier ones. SNRs are in dB at this boundary and linear everywhere
+inside. The optimizer takes the rate grid and the outage budget epsilon
+that the config describes.
 
 Workflows:
   analyze   one-row CSV of the analytic performance breakdown
@@ -76,7 +77,6 @@ class RunConfig:
     sweep_values: tuple[float, ...] | None = None
     sweep_mode: str = "analyze"
     sweep_alphas: tuple[float, ...] | None = None
-    optimizer: optimizer.OptimizerConfig = optimizer.OptimizerConfig()
     workers: int | None = None
 
     @property
@@ -111,7 +111,7 @@ def _parse_str(raw: str) -> str:
     return raw
 
 
-# key -> (RunConfig field, parser); optimizer.* keys are handled separately
+# key -> (RunConfig field, parser)
 _KEYS = {
     "snr_d_db": ("snr_d_db", _parse_float),
     "snr_u_db": ("snr_u_db", _parse_float),
@@ -136,14 +136,9 @@ _KEYS = {
     "sweep.alphas": ("sweep_alphas", _parse_floats),
 }
 
-_OPT_KEYS = {
-    "optimizer.alpha_lo": ("alpha_lo", _parse_float),
-    "optimizer.alpha_hi": ("alpha_hi", _parse_float),
-}
-
 
 def _accepted_keys() -> str:
-    return ", ".join(sorted([*_KEYS, *_OPT_KEYS]))
+    return ", ".join(sorted(_KEYS))
 
 
 def load_config(path: str) -> RunConfig:
@@ -155,7 +150,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
 
     fields: dict = {}
-    opt_fields: dict = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -164,40 +158,19 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
         try:
-            if key in _KEYS:
-                name, parse = _KEYS[key]
-                fields[name] = parse(raw)
-            elif key in _OPT_KEYS:
-                name, parse = _OPT_KEYS[key]
-                opt_fields[name] = parse(raw)
-            else:
+            if key not in _KEYS:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r}; accepted keys: "
                     f"{_accepted_keys()}"
                 )
+            name, parse = _KEYS[key]
+            fields[name] = parse(raw)
         except ConfigError:
             raise
         except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from err
 
-    alpha_lo = opt_fields.pop("alpha_lo", None)
-    alpha_hi = opt_fields.pop("alpha_hi", None)
-    box = optimizer.OptimizerConfig().alpha_box
-    if alpha_lo is not None or alpha_hi is not None:
-        opt_fields["alpha_box"] = (
-            box[0] if alpha_lo is None else alpha_lo,
-            box[1] if alpha_hi is None else alpha_hi,
-        )
     config = RunConfig(**fields)
-    try:
-        opt = optimizer.OptimizerConfig(
-            epsilon=config.epsilon,
-            units_total=config.units_total,
-            **opt_fields,
-        )
-    except ValueError as err:
-        raise ConfigError(f"optimizer: {err}") from err
-    config = dataclasses.replace(config, optimizer=opt)
     _validate(config)
     return config
 
@@ -217,8 +190,8 @@ def _validate(config: RunConfig) -> None:
     _require(config.n_m >= 1, "n_m", "n_m >= 1", config.n_m)
     _require(config.units_total >= 1, "units_total", "units_total >= 1",
              config.units_total)
-    _require(0.0 < config.epsilon < 1.0, "epsilon", "0 < epsilon < 1",
-             config.epsilon)
+    if not 0.0 < config.epsilon < 1.0:
+        raise ConfigError(f"epsilon must lie in (0, 1), got {config.epsilon!r}")
     _require(
         1 <= config.rho_min_units <= config.max_units <= config.units_total,
         "rho_min_units/rho_max_units",
@@ -380,7 +353,8 @@ def _solution_columns(config: RunConfig,
 def _run_optimize(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
-    sol = optimizer.alternating_optimize(dl, fb, _policy_from(config), config.optimizer)
+    sol = optimizer.alternating_optimize(dl, fb, _policy_from(config),
+                                         _grid_from(config), config.epsilon)
     header, row = _solution_columns(config, sol)
     _write_csv(out, header, [row])
     stem, ext = os.path.splitext(out)
@@ -488,8 +462,7 @@ def _with_axis(config: RunConfig, value: float) -> RunConfig:
 def _alpha_scan(config: RunConfig) -> tuple[float, ...]:
     if config.sweep_alphas is not None:
         return config.sweep_alphas
-    lo, hi = config.optimizer.alpha_box
-    return tuple(np.linspace(lo, hi, 50))
+    return tuple(np.linspace(*optimizer.ALPHA_BOX, 50))
 
 
 def _best_fixed_alpha(config: RunConfig, dl, fb, grid):
@@ -557,7 +530,7 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     if config.sweep_mode == "optimize":
         try:
             sol = optimizer.alternating_optimize(
-                dl, fb, _policy_from(config), config.optimizer
+                dl, fb, _policy_from(config), _grid_from(config), config.epsilon
             )
             header, row = _solution_columns(config, sol)
         except InfeasibleError as err:
@@ -571,7 +544,7 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
         dup_eta, dup_ok = _duplicated_best_throughput(config, dl, fb, grid)
         try:
             sol = optimizer.alternating_optimize(
-                dl, fb, _policy_from(config), config.optimizer
+                dl, fb, _policy_from(config), grid, config.epsilon
             )
             asym_eta, asym_ok = sol.breakdown.throughput, sol.feasible
         except InfeasibleError:
@@ -593,7 +566,7 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
             start, rhos=fixed_rhos, alphas=(fixed_alpha,) * (config.m_max - 1)
         )
     try:
-        sol = optimizer.alternating_optimize(dl, fb, start, config.optimizer)
+        sol = optimizer.alternating_optimize(dl, fb, start, grid, config.epsilon)
         var_eta = sol.breakdown.throughput
     except InfeasibleError:
         var_eta = 0.0

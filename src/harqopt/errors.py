@@ -8,6 +8,8 @@ process exit codes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 
 class HarqOptError(Exception):
     """Base class for package-specific failures."""
@@ -33,14 +35,23 @@ class InfeasibleError(HarqOptError, RuntimeError):
     """No candidate satisfies the outage constraint.
 
     ``min_outage`` records the smallest achievable outage found, when known;
-    ``iteration`` the alternating-optimization step that hit the wall.
+    it may be given as a callable, evaluated on first read, so that callers
+    who drop the error do not pay for it. ``iteration`` is the
+    alternating-optimization step that hit the wall.
     """
 
-    def __init__(self, message: str, min_outage: float | None = None,
+    def __init__(self, message: str,
+                 min_outage: float | Callable[[], float] | None = None,
                  iteration: int | None = None):
         super().__init__(message)
-        self.min_outage = min_outage
+        self._min_outage = min_outage
         self.iteration = iteration
+
+    @property
+    def min_outage(self) -> float | None:
+        if callable(self._min_outage):
+            self._min_outage = self._min_outage()
+        return self._min_outage
 
 
 class DegenerateStateError(HarqOptError, ValueError):

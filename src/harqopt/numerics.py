@@ -54,26 +54,24 @@ def _laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _laguerre_cache[n]
 
 
-def expect_rayleigh(f, tol: float, node_budget: int = 200) -> float:
+def expect_rayleigh(f, tol: float) -> float:
     """Expectation of f(g) with g a unit-mean exponential variable.
 
     Evaluates the integral of f(g) * exp(-g) over g >= 0 by Gauss-Laguerre
-    quadrature. The node count climbs a fixed ladder (25, 50, 100, 200,
-    then ``node_budget`` if larger); the whole ladder is always evaluated
-    and the finest estimate is returned, with the last two levels required
-    to agree within ``tol`` (relative above magnitude one, absolute below).
-    Early-stopping on a coarser pair would silently trade accuracy for
-    nothing, and the result must not depend on the tolerance requested.
+    quadrature. The node count climbs a fixed ladder (25, 50, 100, 200);
+    the whole ladder is always evaluated and the finest estimate is
+    returned, with the last two levels required to agree within ``tol``
+    (relative above magnitude one, absolute below). Early-stopping on a
+    coarser pair would silently trade accuracy for nothing, and the result
+    must not depend on the tolerance requested.
 
     Parameters
     ----------
     f : callable
-        Integrand without the exponential weight. May be vectorized over a
-        numpy array of abscissae; a scalar-only callable also works.
+        Integrand without the exponential weight, vectorized: called on the
+        numpy array of abscissae, it returns one value per abscissa.
     tol : float
         Convergence tolerance on the difference of successive estimates.
-    node_budget : int
-        Largest node count tried before giving up.
 
     Raises
     ------
@@ -83,31 +81,21 @@ def expect_rayleigh(f, tol: float, node_budget: int = 200) -> float:
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("expect_rayleigh: tol must be positive and finite")
-    if node_budget < 2:
-        raise ValueError("expect_rayleigh: node_budget must be at least 2")
-    ladder = [n for n in _NODE_LADDER if n <= node_budget]
-    if not ladder:
-        ladder = [node_budget]
-    elif ladder[-1] < node_budget:
-        ladder.append(node_budget)
 
-    prev = None
     est = None
-    for n in ladder:
+    for n in _NODE_LADDER:
         x, w = _laguerre_nodes(n)
-        try:
-            vals = np.asarray(f(x), dtype=float)
-            if vals.shape != x.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(f(xi)) for xi in x])
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape != x.shape:
+            raise ValueError("expect_rayleigh: integrand must return one value "
+                             "per abscissa")
         if not np.all(np.isfinite(vals)):
             raise ValueError("expect_rayleigh: integrand returned non-finite values")
         prev, est = est, float(np.dot(w, vals))
-    if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
+    if abs(est - prev) <= tol * max(1.0, abs(est)):
         return est
     raise ConvergenceError(
-        f"expect_rayleigh: no convergence to tol={tol:g} within {ladder[-1]} nodes"
-        + ("" if prev is not None else " (single ladder level, nothing to compare)"),
+        f"expect_rayleigh: no convergence to tol={tol:g} within "
+        f"{_NODE_LADDER[-1]} nodes",
         estimate=est,
     )

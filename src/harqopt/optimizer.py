@@ -17,9 +17,10 @@ that can never be feasible. The outage 1 - inner (1 - F_M) has inner <= 1
 at any thresholds, so it is never below F_M; in floats, where 1 - F_M is
 rounded, it can sit at most 2^-54 below. A path with F_M above epsilon +
 2^-53 therefore misses epsilon at every threshold, and each scan visits
-only the rows of the failure table with F_M <= epsilon + 2^-53, kept once
-per (table, epsilon). Only the outage floor that an InfeasibleError
-reports is taken over the whole table.
+only the rows of the failure table with F_M <= epsilon + 2^-53. The
+tables and their kept rows sit in two small LRU caches keyed by the frozen
+grid and downlink specs. Only the outage floor that an InfeasibleError
+reports is taken over the whole table, and only when it is read.
 
 The whole-grid search has no formulas of its own: it hands the (paths, M)
 float rate table to mi_model.p_fail_gaussian, and the rate and failure
@@ -35,6 +36,7 @@ tie-breaking, and must match best_feasible_allocation bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import logging
 import math
@@ -55,28 +57,10 @@ _PGD_TOL = 1e-4  # PGD stops once an accepted step moves alpha less than this
 _PGD_MAX_ITERS = 60
 _ALT_MAX_ITERS = 50
 _ALT_TOL = 1e-6  # alternating loop stops on a smaller objective gain
-_TABLE_CACHE: dict = {}
-_TABLE_CACHE_CAP = 4
 # computed outage is at least F_M minus 2^-54 (see the module docstring)
 _ROUNDING_SLACK = 2.0 ** -53
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Outage budget, rate-grid budget and threshold box."""
-
-    epsilon: float = 0.01
-    units_total: int = 64
-    alpha_box: tuple[float, float] = (0.0, 3.0)
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("OptimizerConfig: epsilon must lie in (0, 1)")
-        if self.units_total < 1:
-            raise ValueError("OptimizerConfig: units_total must be positive")
-        lo, hi = self.alpha_box
-        if not lo <= hi:
-            raise ValueError("OptimizerConfig: alpha box is empty")
+# box of every detection threshold the optimizer searches
+ALPHA_BOX = (0.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -124,10 +108,6 @@ def make_rate_grid(n_b: int, n_m: int, units_total: int, min_units: int = 1,
     )
 
 
-def _dl_key(dl) -> tuple:
-    return (dl.snr_db, dl.snr_linear, dl.mean_mi, dl.var_mi)
-
-
 def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
     """All unit allocations within bounds and budget, lexicographically ascending."""
     lo, hi, total = grid.min_units, grid.max_units, grid.units_total
@@ -154,34 +134,22 @@ def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
     return paths
 
 
-def _failure_table(grid: RateGrid, m: int,
-                   dl) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(rhos, F, kept): rhos[p] the rates of path p (its units times
-    unit_rho), F[p, k] its Gaussian prefix-failure probability, and kept the
-    per-epsilon cache of _kept_rows, evicted with the table."""
-    key = (grid.unit_rho, grid.min_units, grid.max_units, grid.units_total, m,
-           _dl_key(dl))
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+@functools.lru_cache(maxsize=4)
+def _failure_table(grid: RateGrid, m: int, dl) -> tuple[np.ndarray, np.ndarray]:
+    """(rhos, F): rhos[p] the rates of path p (its units times unit_rho) and
+    F[p, k] its Gaussian prefix-failure probability."""
     rhos = _enumerate_units(grid, m) * grid.unit_rho
-    F = mi_model.p_fail_gaussian(rhos, dl)
-    while len(_TABLE_CACHE) >= _TABLE_CACHE_CAP:
-        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    hit = _TABLE_CACHE[key] = (rhos, F, {})
-    return hit
+    return rhos, mi_model.p_fail_gaussian(rhos, dl)
 
 
+@functools.lru_cache(maxsize=4)
 def _kept_rows(grid: RateGrid, m: int, dl,
                epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """(rhos, F) of the failure table restricted, in path order, to the
     paths that can meet epsilon at some thresholds: F_M <= epsilon + slack."""
-    rhos, F, kept = _failure_table(grid, m, dl)
-    hit = kept.get(epsilon)
-    if hit is None:
-        keep = F[:, -1] <= epsilon + _ROUNDING_SLACK
-        hit = kept[epsilon] = (rhos[keep], F[keep])
-    return hit
+    rhos, F = _failure_table(grid, m, dl)
+    keep = F[:, -1] <= epsilon + _ROUNDING_SLACK
+    return rhos[keep], F[keep]
 
 
 def _cost_outage(rhos: np.ndarray, F: np.ndarray,
@@ -259,24 +227,27 @@ def brute_force_rate_allocation(rates: feedback_model.FeedbackErrorRates, dl,
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
                           grid: RateGrid, m: int) -> float:
     """Smallest grid-achievable outage at the given thresholds."""
-    _, F, _ = _failure_table(grid, m, dl)
     rates = feedback_model.error_rates_for(fb, alphas)
-    return float(harq_analysis.outage_from_failures(F, rates.p_nack).min())
+    return _outage_floor(grid, m, dl, rates.p_nack)
+
+
+def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
+    """Smallest outage over the whole failure table at these NACK error rates."""
+    _, F = _failure_table(grid, m, dl)
+    return float(harq_analysis.outage_from_failures(F, p_nack).min())
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                m: int, epsilon: float) -> tuple[np.ndarray, float]:
     """best_feasible_allocation over the kept rows; the outage floor of its
-    InfeasibleError is taken over the whole table."""
+    InfeasibleError is taken over the whole table, when it is first read."""
     rhos, F = _kept_rows(grid, m, dl, epsilon)
     cost, outage = _cost_outage(rhos, F, rates)
     best = _feasible_argmax(cost, outage, epsilon, rhos, grid.unit_rho)
     if best is None:
-        _, F_all, _ = _failure_table(grid, m, dl)
-        floor = harq_analysis.outage_from_failures(F_all, rates.p_nack).min()
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
-            min_outage=float(floor),
+            min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
     return rhos[best].copy(), float((1.0 - outage[best]) / cost[best])
 
@@ -322,8 +293,9 @@ def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
 
 
 def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
-                            config: OptimizerConfig, *, start_alphas=None) -> np.ndarray:
-    """Projected gradient ascent on throughput over the threshold box.
+                            epsilon: float, *, start_alphas=None) -> np.ndarray:
+    """Projected gradient ascent on throughput over ALPHA_BOX, subject to
+    outage <= epsilon.
 
     Gradient by central differences (probes may leave the box, where the
     error-rate formulas remain valid); infeasible iterates are pulled back
@@ -337,11 +309,10 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
     if k == 0:
         return np.zeros(0)
     evaluate = _threshold_objective(rhos, dl, fb)
-    eps = config.epsilon
-    lo, hi = config.alpha_box
+    lo, hi = ALPHA_BOX
 
     def feasible(x) -> bool:
-        return evaluate(x)[1] <= eps
+        return evaluate(x)[1] <= epsilon
 
     top = np.full(k, hi)
     if not feasible(top):
@@ -397,52 +368,56 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
 
 
 def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
-                         start: harq_analysis.HarqPolicy,
-                         config: OptimizerConfig) -> Solution:
-    """Alternate the exact rate scan and PGD threshold tuning from `start`.
+                         start: harq_analysis.HarqPolicy, grid: RateGrid,
+                         epsilon: float) -> Solution:
+    """Alternate the exact rate scan and PGD threshold tuning from `start`
+    over the rates of `grid`, subject to outage <= epsilon.
 
     The start policy fixes the block geometry and rate box of the result and
     is its starting point: the thresholds start at start.alphas clipped to
-    the box, and start.rhos is the first incumbent when it meets epsilon at
-    those thresholds. If the starting thresholds cannot meet epsilon for any
-    grid allocation, they are first raised to the smallest feasible uniform
-    level. The incumbent is only ever replaced by a better-or-equal
+    ALPHA_BOX, and start.rhos is the first incumbent when it meets epsilon
+    at those thresholds. If the starting thresholds cannot meet epsilon for
+    any grid allocation, they are first raised to the smallest feasible
+    uniform level. The incumbent is only ever replaced by a better-or-equal
     candidate, so the recorded objective trace is non-decreasing by
     construction.
+
+    The grid must fit the start policy, which the result keeps: its unit
+    box inside [rho_min, rho_max] and its whole budget at most n_m/n_b.
+    Raises ValueError otherwise and for epsilon outside (0, 1).
 
     The rate step is best_feasible_allocation's scan at the current
     thresholds: the feasible grid allocation of largest throughput.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("alternating_optimize: epsilon must lie in (0, 1)")
+    slack = 1e-9 * grid.unit_rho
+    if (grid.min_units * grid.unit_rho < start.rho_min - slack
+            or grid.max_units * grid.unit_rho > start.rho_max + slack
+            or grid.units_total * grid.unit_rho > start.n_m / start.n_b + slack):
+        raise ValueError("alternating_optimize: the rate grid does not fit the "
+                         "start policy's rate box and mother code")
     m = start.m_max
-    if config.units_total < m:
-        raise ValueError("alternating_optimize: budget below one unit per round")
-    unit_rho = start.n_m / (config.units_total * start.n_b)
-    grid = RateGrid(
-        unit_rho=unit_rho,
-        min_units=max(1, math.ceil(start.rho_min / unit_rho - 1e-9)),
-        max_units=min(config.units_total,
-                      math.floor(start.rho_max / unit_rho + 1e-9)),
-        units_total=config.units_total,
-    )
-    eps = config.epsilon
-    lo, hi = config.alpha_box
+    lo, hi = ALPHA_BOX
     k = m - 1
     alphas = np.clip(np.asarray(start.alphas, dtype=float), lo, hi)
 
-    _, kept_F = _kept_rows(grid, m, dl, eps)
+    _, kept_F = _kept_rows(grid, m, dl, epsilon)
 
     def reaches(a: np.ndarray) -> bool:
-        # some allocation meets eps at thresholds a; only kept rows can, so
-        # with none kept this is an infeasibility certificate
+        # some allocation meets epsilon at thresholds a; only kept rows can,
+        # so with none kept this is an infeasibility certificate
         p_nack = feedback_model.error_rates_for(fb, a).p_nack
-        return bool((harq_analysis.outage_from_failures(kept_F, p_nack) <= eps).any())
+        outage = harq_analysis.outage_from_failures(kept_F, p_nack)
+        return bool((outage <= epsilon).any())
 
     if k > 0 and not reaches(alphas):
         # bootstrap: raise thresholds uniformly until some allocation is feasible
         top = np.full(k, hi)
         if not reaches(top):
             raise InfeasibleError(
-                f"outage constraint {eps:g} unreachable for any thresholds in the box",
+                f"outage constraint {epsilon:g} unreachable for any "
+                "thresholds in the box",
                 min_outage=min_achievable_outage(top, dl, fb, grid, m),
                 iteration=0,
             )
@@ -457,7 +432,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     # an infeasible seed must not become the incumbent: its inflated
     # throughput would veto every constraint-satisfying update and the
     # loop would return the seed itself
-    if out0 <= eps:
+    if out0 <= epsilon:
         eta_inc = eta0
         prev = eta_inc
 
@@ -468,7 +443,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
         iterations = it
         try:
             rhos_new, eta_new = _rate_scan(feedback_model.error_rates_for(fb, alphas),
-                                           dl, grid, m, eps)
+                                           dl, grid, m, epsilon)
         except InfeasibleError as err:
             err.iteration = it
             raise
@@ -477,7 +452,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
 
         if k > 0:
             alphas_new = optimize_thresholds_pgd(
-                rhos_inc, dl, fb, config, start_alphas=alphas
+                rhos_inc, dl, fb, epsilon, start_alphas=alphas
             )
             eta_alpha, _ = _threshold_objective(rhos_inc, dl, fb)(alphas_new)
             if eta_alpha >= eta_inc:
@@ -497,6 +472,6 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
         breakdown=breakdown,
         iterations=iterations,
         converged=converged,
-        feasible=breakdown.p_out_unreliable <= eps * (1.0 + 1e-6),
+        feasible=breakdown.p_out_unreliable <= epsilon * (1.0 + 1e-6),
         trace=tuple(trace),
     )

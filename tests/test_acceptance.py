@@ -49,10 +49,6 @@ def default_template():
     return make_policy((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
 
 
-def vi_config():
-    return optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
-
-
 def test_criterion_01_feedback_closure(capsys):
     with criterion(capsys, 1, "detector Monte Carlo matches error-rate formulas"):
         t0 = time.perf_counter()
@@ -208,19 +204,19 @@ def test_criterion_06_min_outage_monotone_in_alpha(capsys, dl3, grid64):
 
 def test_criterion_07_asymmetric_beats_duplicated(capsys, dl3, grid64):
     with criterion(capsys, 7, "optimized asymmetric detection >= duplicated-ACK baseline"):
-        cfg = vi_config()
         strict_win = False
         for snr_u in range(-16, -9):
             fb = feedback_model.make_feedback_spec(float(snr_u))
             try:
-                sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+                sol = optimizer.alternating_optimize(dl3, fb, default_template(),
+                                                     grid64, 0.01)
                 asym = sol.breakdown.throughput
             except InfeasibleError:
                 asym = 0.0
             dup_rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, 4)
             try:
                 rhos, _ = optimizer.best_feasible_allocation(
-                    dup_rates, dl3, grid64, 4, cfg.epsilon
+                    dup_rates, dl3, grid64, 4, 0.01
                 )
                 dup = harq_analysis.duplicated_ack_performance(
                     make_policy(rhos, (0.0, 0.0, 0.0)), dl3, fb
@@ -258,14 +254,14 @@ def test_criterion_08_variable_thresholds_beat_best_fixed(capsys, dl3, grid64):
             for start in starts:
                 try:
                     sol = optimizer.alternating_optimize(dl3, fb, start,
-                                                         vi_config())
+                                                         grid64, 0.01)
                 except InfeasibleError:
                     continue
                 variable = max(variable, sol.breakdown.throughput)
             assert variable >= fixed_eta - 1e-6, (snr_u, variable, fixed_eta)
 
 
-def test_criterion_09_alternating_convergence(capsys, dl3):
+def test_criterion_09_alternating_convergence(capsys, dl3, grid64):
     with criterion(capsys, 9, "alternating solver converges from 20 random starts"):
         rng = np.random.default_rng(20260815)
         fb = feedback_model.make_feedback_spec(-10.0)
@@ -273,7 +269,7 @@ def test_criterion_09_alternating_convergence(capsys, dl3):
             alphas = rng.uniform(0.0, 3.0, size=3)
             units = rng.multinomial(60, [0.25] * 4) + 1
             start = make_policy(units * UNIT, alphas)
-            sol = optimizer.alternating_optimize(dl3, fb, start, vi_config())
+            sol = optimizer.alternating_optimize(dl3, fb, start, grid64, 0.01)
             assert sol.converged and sol.iterations <= 50
             trace = np.asarray(sol.trace)
             assert np.all(np.diff(trace) >= -1e-9)

@@ -39,11 +39,9 @@ def test_load_config_comments_and_optimizer_keys(tmp_path):
     path = write_config(tmp_path, {
         "m_max": 3,
         "alphas": "0.3, 0.7  # trailing comment",
-        "optimizer.alpha_hi": 2.0,
     })
     cfg = cli.load_config(path)
     assert cfg.alphas == (0.3, 0.7)
-    assert cfg.optimizer.alpha_box == (0.0, 2.0)
     # the configured policy is the optimizer's start point
     assert cli._policy_from(cfg).alphas == (0.3, 0.7)
 
@@ -146,6 +144,26 @@ def test_optimize_writes_solution_and_trace(tmp_path):
     assert len(trace) >= 2
 
 
+def test_optimize_run_config_is_the_whole_problem(tmp_path):
+    # a RunConfig built in code is optimized at its own epsilon and grid,
+    # exactly as the same keys read from a file
+    direct = tmp_path / "direct.csv"
+    config = cli.RunConfig(command="optimize", epsilon=0.05, units_total=16,
+                           output_path=str(direct))
+    assert cli.run(config) == 0
+    row = dict(zip(*(line.split(",") for line in
+                     direct.read_text(encoding="utf-8").splitlines())))
+    assert float(row["epsilon"]) == 0.05
+    assert float(row["p_out_unreliable"]) <= 0.05 * (1 + 1e-6)
+    assert float(row["p_out_unreliable"]) > 0.01
+    for k in range(1, 5):
+        assert (float(row[f"rho_{k}"]) / 0.25).is_integer()
+    path = write_config(tmp_path, {"epsilon": 0.05, "units_total": 16})
+    from_file = tmp_path / "file.csv"
+    assert cli.main(["optimize", "--config", path, "--out", str(from_file)]) == 0
+    assert direct.read_bytes() == from_file.read_bytes()
+
+
 def assert_unknown_key_exits_2(tmp_path, capsys, key):
     keys = {**SMALL, key: 1}
     path = write_config(tmp_path, keys)
@@ -164,10 +182,11 @@ def test_optimize_removed_lambda_key_exits_2(tmp_path, capsys, suffix):
 
 
 @pytest.mark.parametrize("knob", ["pgd_step", "pgd_tol", "pgd_max_iters",
-                                  "alt_max_iters", "alt_tol"])
+                                  "alt_max_iters", "alt_tol", "alpha_lo",
+                                  "alpha_hi"])
 def test_optimize_removed_solver_knob_exits_2(tmp_path, capsys, knob):
     # the threshold search and the alternating loop run with fixed steps,
-    # tolerances and caps, so their old keys are unknown as well
+    # tolerances, caps and threshold box, so their old keys are unknown
     assert_unknown_key_exits_2(tmp_path, capsys, f"optimizer.{knob}")
 
 

@@ -76,6 +76,12 @@ def test_expect_rayleigh_normalization_and_mean():
     assert numerics.expect_rayleigh(lambda g: g, 1e-9) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_expect_rayleigh_needs_one_value_per_abscissa():
+    for f in (lambda g: 1.0, lambda g: g[:-1]):
+        with pytest.raises(ValueError, match="one value per abscissa"):
+            numerics.expect_rayleigh(f, 1e-6)
+
+
 def test_expect_rayleigh_exponential_moments():
     # E[g^n] = n! for the unit exponential
     for n in range(5):

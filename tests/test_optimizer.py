@@ -34,12 +34,22 @@ def test_make_rate_grid_basics():
         optimizer.make_rate_grid(1024, 4096, 64, min_units=8, max_units=4)
 
 
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        optimizer.OptimizerConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        optimizer.OptimizerConfig(alpha_box=(2.0, 1.0))
-    assert len(dataclasses.fields(optimizer.OptimizerConfig)) == 3
+def test_optimizer_config_validation(dl3, grid64):
+    # the problem is passed whole: an outage budget outside (0, 1), or a
+    # grid that does not fit the start policy, is refused, never searched
+    fb = feedback_model.make_feedback_spec(-10.0)
+    start = default_template()  # rates in [1/16, 4], n_m/n_b = 4
+    for eps in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            optimizer.alternating_optimize(dl3, fb, start, grid64, eps)
+    misfits = [
+        dataclasses.replace(grid64, units_total=128),  # budget 8 > 4
+        dataclasses.replace(grid64, max_units=80),     # rates up to 5 > 4
+        dataclasses.replace(grid64, unit_rho=1 / 32),  # rates from 1/32 < 1/16
+    ]
+    for grid in misfits:
+        with pytest.raises(ValueError, match="does not fit"):
+            optimizer.alternating_optimize(dl3, fb, start, grid, 0.01)
 
 
 def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
@@ -111,7 +121,7 @@ def test_float_table_on_non_dyadic_grid(dl3):
     # table must still round back to the enumerated units, and the
     # production rate scan must match the scalar oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    table_rhos, _, _ = optimizer._failure_table(grid, 3, dl3)
+    table_rhos, _ = optimizer._failure_table(grid, 3, dl3)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   optimizer._enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
@@ -146,7 +156,7 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5, 0.5))
-    _, F, _ = optimizer._failure_table(grid, 3, dl3)
+    _, F = optimizer._failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
     kept_rhos, _ = optimizer._kept_rows(grid, 3, dl3, eps)
     assert kept_rhos.shape[0] == 0
@@ -220,7 +230,7 @@ def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.999999)
-    table_rhos, F, _ = optimizer._failure_table(grid, 2, dl3)
+    table_rhos, F = optimizer._failure_table(grid, 2, dl3)
     cost, outage = optimizer._cost_outage(table_rhos, F, rates)
     assert outage.max() <= 0.999999
     best = int(np.argmax((1.0 - outage) / cost))
@@ -237,6 +247,38 @@ def test_scan_infeasible_names_floor(dl3):
         optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.02)
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
     assert exc.value.min_outage == pytest.approx(floor, rel=1e-12)
+
+
+def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
+    # callers that drop the error (the fixed-threshold scan) never pay for
+    # the whole-table outage floor; reading it evaluates it once
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
+                                           (0.5,))
+    paths = optimizer._failure_table(grid, 2, dl3)[1].shape[0]
+    rows = []
+    real = harq_analysis.outage_from_failures
+
+    def spy(F, p_nack):
+        rows.append(F.shape[0])
+        return real(F, p_nack)
+
+    monkeypatch.setattr(harq_analysis, "outage_from_failures", spy)
+    with pytest.raises(InfeasibleError) as exc:
+        optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.02)
+    assert rows and paths not in rows
+    floor = exc.value.min_outage
+    assert rows[-1] == paths and exc.value.min_outage == floor > 0.02
+    assert rows.count(paths) == 1
+
+
+def test_kept_rows_cache_is_bounded(dl3):
+    # an epsilon ladder over one table holds at most four kept-row copies
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    for eps in np.geomspace(1e-4, 0.5, 20):
+        optimizer._kept_rows(grid, 3, dl3, float(eps))
+    assert optimizer._kept_rows.cache_info().currsize <= 4
+    assert optimizer._failure_table.cache_info().currsize <= 4
 
 
 @pytest.mark.parametrize("eps", [0.045, 0.05, 0.07, 0.10])
@@ -282,22 +324,20 @@ def test_best_feasible_allocation_is_enumeration_argmax(dl3):
 
 
 def test_pgd_perfect_feedback_prefers_low_thresholds(dl3):
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
     fb = feedback_model.make_feedback_spec(200.0)
-    al = optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, fb, cfg)
-    np.testing.assert_allclose(al, cfg.alpha_box[0], atol=1e-12)
+    al = optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, fb, 0.01)
+    np.testing.assert_allclose(al, optimizer.ALPHA_BOX[0], atol=1e-12)
 
 
 def test_pgd_single_threshold_matches_dense_scan(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
-    cfg = optimizer.OptimizerConfig(epsilon=0.05, units_total=16)
     rhos = (7 * grid.unit_rho, 7 * grid.unit_rho)
     fb = feedback_model.make_feedback_spec(-10.0)
-    al = optimizer.optimize_thresholds_pgd(rhos, dl3, fb, cfg)
+    al = optimizer.optimize_thresholds_pgd(rhos, dl3, fb, 0.05)
     got = eval_policy(rhos, al, dl3, -10.0, grid)
     assert got.p_out_unreliable <= 0.05 * (1.0 + 1e-9)
     best = -1.0
-    for a in np.linspace(*cfg.alpha_box, 3001):
+    for a in np.linspace(*optimizer.ALPHA_BOX, 3001):
         bd = eval_policy(rhos, (float(a),), dl3, -10.0, grid)
         if bd.p_out_unreliable <= 0.05:
             best = max(best, bd.throughput)
@@ -307,13 +347,12 @@ def test_pgd_single_threshold_matches_dense_scan(dl3):
 
 def test_pgd_beats_uniform_scan_at_equal_rates(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 64)
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
     rhos = (1.0, 1.0, 1.0, 1.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    al = optimizer.optimize_thresholds_pgd(rhos, dl3, fb, cfg)
+    al = optimizer.optimize_thresholds_pgd(rhos, dl3, fb, 0.01)
     got = eval_policy(rhos, al, dl3, -10.0, grid)
     best = -1.0
-    for a in np.linspace(*cfg.alpha_box, 50):
+    for a in np.linspace(*optimizer.ALPHA_BOX, 50):
         bd = eval_policy(rhos, (float(a),) * 3, dl3, -10.0, grid)
         if bd.p_out_unreliable <= 0.01:
             best = max(best, bd.throughput)
@@ -322,10 +361,9 @@ def test_pgd_beats_uniform_scan_at_equal_rates(dl3):
 
 
 def test_pgd_infeasible_box(dl3):
-    cfg = optimizer.OptimizerConfig(epsilon=1e-4, units_total=64)
     fb = feedback_model.make_feedback_spec(-15.0)
     with pytest.raises(InfeasibleError):
-        optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, fb, cfg)
+        optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, fb, 1e-4)
 
 
 def default_template():
@@ -335,10 +373,9 @@ def default_template():
     )
 
 
-def test_alternating_default_run(dl3):
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
+def test_alternating_default_run(dl3, grid64):
     fb = feedback_model.make_feedback_spec(-10.0)
-    sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+    sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
     assert sol.feasible and sol.converged
     assert sol.iterations <= optimizer._ALT_MAX_ITERS
     assert sol.breakdown.p_out_unreliable <= 0.01 * (1.0 + 1e-6)
@@ -348,45 +385,41 @@ def test_alternating_default_run(dl3):
     assert trace[-1] == pytest.approx(sol.breakdown.throughput, abs=1e-12)
 
 
-def test_alternating_deterministic(dl3):
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
+def test_alternating_deterministic(dl3, grid64):
     fb = feedback_model.make_feedback_spec(-10.0)
-    a = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
-    b = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+    a = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
+    b = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
     assert a.policy.rhos == b.policy.rhos
     assert a.policy.alphas == b.policy.alphas
     assert a.breakdown.throughput == b.breakdown.throughput
 
 
-def test_alternating_warm_start_converges_immediately(dl3):
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
+def test_alternating_warm_start_converges_immediately(dl3, grid64):
     fb = feedback_model.make_feedback_spec(-10.0)
-    cold = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
-    warm = optimizer.alternating_optimize(dl3, fb, cold.policy, cfg)
+    cold = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
+    warm = optimizer.alternating_optimize(dl3, fb, cold.policy, grid64, 0.01)
     assert warm.iterations == 1
     assert warm.breakdown.throughput >= cold.breakdown.throughput - 1e-12
 
 
-def test_alternating_rejects_infeasible_seed(dl3):
+def test_alternating_rejects_infeasible_seed(dl3, grid64):
     # a warm-start pair violating the outage budget must not survive as the
     # returned incumbent just because its (unconstrained) throughput is high
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
     start = dataclasses.replace(
         default_template(),
         rhos=tuple(u / 16 for u in (17, 11, 20, 16)),
         alphas=(0.373173, 0.662475, 0.517323),
     )
     fb = feedback_model.make_feedback_spec(-10.0)
-    sol = optimizer.alternating_optimize(dl3, fb, start, cfg)
+    sol = optimizer.alternating_optimize(dl3, fb, start, grid64, 0.01)
     assert sol.feasible
     assert sol.breakdown.p_out_unreliable <= 0.01 * (1.0 + 1e-6)
 
 
-def test_alternating_infeasible_carries_iteration(dl3):
-    cfg = optimizer.OptimizerConfig(epsilon=1e-5, units_total=64)
+def test_alternating_infeasible_carries_iteration(dl3, grid64):
     fb = feedback_model.make_feedback_spec(-15.0)
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+        optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 1e-5)
     assert hasattr(exc.value, "iteration")
 
 
@@ -395,24 +428,22 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     # the error comes before the first iteration and names the outage
     # floor at the top of the box
     dl0 = mi_model.make_downlink_spec(0.0)
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
     fb = feedback_model.make_feedback_spec(-10.0)
-    assert optimizer._kept_rows(grid64, 4, dl0, cfg.epsilon)[0].shape[0] == 0
+    assert optimizer._kept_rows(grid64, 4, dl0, 0.01)[0].shape[0] == 0
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.alternating_optimize(dl0, fb, default_template(), cfg)
+        optimizer.alternating_optimize(dl0, fb, default_template(), grid64, 0.01)
     assert exc.value.iteration == 0
-    top = np.full(3, cfg.alpha_box[1])
+    top = np.full(3, optimizer.ALPHA_BOX[1])
     assert exc.value.min_outage == optimizer.min_achievable_outage(top, dl0, fb,
                                                                    grid64, 4)
-    assert exc.value.min_outage > cfg.epsilon
+    assert exc.value.min_outage > 0.01
 
 
 def test_alternating_beats_duplicated_ack_baseline(dl3, grid64):
     # the two-slot ACK baseline cannot even meet the outage budget at this
     # uplink SNR, while the asymmetric solver can
-    cfg = optimizer.OptimizerConfig(epsilon=0.01, units_total=64)
     fb = feedback_model.make_feedback_spec(-10.0)
-    sol = optimizer.alternating_optimize(dl3, fb, default_template(), cfg)
+    sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
     dup_rates = harq_analysis.duplicated_ack_rates(10 ** (-10.0 / 10.0), 4)
     with pytest.raises(InfeasibleError):
         optimizer.best_feasible_allocation(dup_rates, dl3, grid64, 4, 0.01)
