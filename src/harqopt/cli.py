@@ -228,6 +228,8 @@ def _validate(config: RunConfig) -> None:
                  f"one of {'|'.join(_SWEEP_AXES)}", config.sweep_axis)
     _require(config.sweep_mode in _SWEEP_MODES, "sweep.mode",
              f"one of {'|'.join(_SWEEP_MODES)}", config.sweep_mode)
+    _require(config.workers is None or config.workers >= 1, "workers",
+             "workers >= 1", config.workers)
 
 
 def _default_alphas(config: RunConfig) -> tuple[float, ...]:
@@ -608,10 +610,12 @@ def _run_sweep(config: RunConfig, out: str) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured workflow; returns the process exit code."""
+    """Validate the config, then execute its workflow; returns the process
+    exit code. A field out of bounds raises ConfigError, as in load_config."""
     if config.command not in _COMMANDS:
         raise ConfigError(f"command: one of {'|'.join(_COMMANDS)}, got "
                           f"{config.command!r}")
+    _validate(config)
     optimizes = config.command == "optimize" or (
         config.command == "sweep" and config.sweep_mode != "analyze")
     if config.route == "convolution" and optimizes:
@@ -650,14 +654,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         overrides: dict = {"command": args.command}
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"seed: must satisfy seed >= 0, got {args.seed}")
             overrides["seed"] = args.seed
         if args.out is not None:
             overrides["output_path"] = args.out
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"workers: must be >= 1, got {args.workers}")
             overrides["workers"] = args.workers
         config = dataclasses.replace(config, **overrides)
         return run(config)

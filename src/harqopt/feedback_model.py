@@ -98,14 +98,16 @@ def _check_snr(snr_linear: float) -> float:
     return s
 
 
-def nack_error_rate(alpha: float, snr_linear: float) -> float:
-    """NACK->ACK misdetection probability 0.5 erfc((1+alpha) sqrt(6 snr))."""
+def nack_error_rate(alpha, snr_linear: float):
+    """NACK->ACK misdetection probability 0.5 erfc((1+alpha) sqrt(6 snr)),
+    elementwise over an array of thresholds."""
     s = _check_snr(snr_linear)
     return 0.5 * numerics.erfc((1.0 + alpha) * np.sqrt(6.0 * s))
 
 
-def ack_error_rate(alpha: float, snr_linear: float) -> float:
-    """ACK->NACK misdetection probability 0.5 erfc((1-alpha) sqrt(6 snr))."""
+def ack_error_rate(alpha, snr_linear: float):
+    """ACK->NACK misdetection probability 0.5 erfc((1-alpha) sqrt(6 snr)),
+    elementwise over an array of thresholds."""
     s = _check_snr(snr_linear)
     return 0.5 * numerics.erfc((1.0 - alpha) * np.sqrt(6.0 * s))
 
@@ -115,9 +117,9 @@ def error_rates_for(spec: FeedbackSpec, alphas) -> FeedbackErrorRates:
 
     A non-finite threshold raises ValueError.
     """
-    pn = tuple(nack_error_rate(a, spec.snr_linear) for a in alphas)
-    pa = tuple(ack_error_rate(a, spec.snr_linear) for a in alphas)
-    return FeedbackErrorRates(p_nack=pn, p_ack=pa)
+    a = np.asarray(alphas, dtype=float)
+    return FeedbackErrorRates(p_nack=tuple(nack_error_rate(a, spec.snr_linear)),
+                              p_ack=tuple(ack_error_rate(a, spec.snr_linear)))
 
 
 def build_sequences() -> tuple[np.ndarray, np.ndarray]:

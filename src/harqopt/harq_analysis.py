@@ -18,10 +18,11 @@ this expression.
 
 occurrence_probabilities, expected_cost and outage_from_failures are the
 only implementations of their formulas. They take rates, prefix failures
-and occurrence probabilities of shape (..., M), so the same code serves a
-single policy here and the whole allocation grid in the optimizer; the
-optimizer's scalar brute-force oracle checks the two routes against each
-other.
+and occurrence probabilities of shape (..., M), and error rates of shape
+(..., M-1) whose leading axes broadcast against them, so the same code
+serves a single policy here, and in the optimizer the whole allocation
+grid and batches of threshold probes; the optimizer's scalar brute-force
+oracle checks the routes against each other.
 """
 
 from __future__ import annotations
@@ -110,9 +111,11 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     and all feedbacks from m on were misread as NACK. Exact for the
     protocol (unlike the outage composition).
 
-    ``p_fail`` has shape (..., M): one prefix-failure vector per leading
-    index, all sharing the feedback error pairs. The result has the same
-    shape, and each row equals the call on that row alone bit for bit.
+    ``p_fail`` has shape (..., M) and the error rates (..., M-1); their
+    leading axes broadcast, so one table can meet one set of error pairs
+    (the rate scan) or one failure vector many (the threshold search). The
+    result has shape (broadcast leading axes..., M), and each row equals
+    the call on that row alone bit for bit.
     """
     F = np.asarray(p_fail, dtype=float)
     pn = np.asarray(p_nack, dtype=float)
@@ -120,27 +123,25 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     m = F.shape[-1]
     if pn.shape[-1] < m - 1 or pa.shape[-1] < m - 1:
         raise ValueError("occurrence_probabilities: need m-1 error pairs")
-    P = np.empty(F.shape)
-    # transposed views put the round axis first, so a single vector and a
-    # whole table index alike
-    Fr = F.T
-    Pr = P.T
-    Pr[0] = 1.0
+    P = np.empty(np.broadcast_shapes(F.shape[:-1], pn.shape[:-1], pa.shape[:-1]) + (m,))
+    # indexing the round axis from the end, so a single vector and a whole
+    # table index alike
+    P[..., 0] = 1.0
     for i in range(2, m + 1):
         # all of rounds 1..i-1 failed, every NACK correctly detected
-        term = Fr[i - 2]
+        term = F[..., i - 2]
         for j in range(i - 1):
-            term = term * (1.0 - pn[j])
+            term = term * (1.0 - pn[..., j])
         total = term
         # decoded at round k, ACKs k..i-1 all misread as NACK
         for k in range(1, i):
-            term = (1.0 if k == 1 else Fr[k - 2]) - Fr[k - 1]
+            term = (1.0 if k == 1 else F[..., k - 2]) - F[..., k - 1]
             for j in range(k - 1):
-                term = term * (1.0 - pn[j])
+                term = term * (1.0 - pn[..., j])
             for j in range(k - 1, i - 1):
-                term = term * pa[j]
+                term = term * pa[..., j]
             total = total + term
-        Pr[i - 1] = total
+        P[..., i - 1] = total
     return P
 
 
@@ -148,19 +149,19 @@ def outage_from_failures(p_fail, p_nack):
     """Unreliable-feedback outage from prefix failures and NACK->ACK rates.
 
     Sequential form of 1 - (1 - sum_i P_{N,i} P_{i,f} prod_{j<i}(1-P_{N,j}))
-    * (1 - P_{M,f}). ``p_fail`` has shape (..., M); the result has shape
-    (...), a scalar for a single failure vector.
+    * (1 - P_{M,f}). ``p_fail`` has shape (..., M) and ``p_nack`` (...,
+    M-1), with broadcasting leading axes; the result has their broadcast
+    leading shape, a scalar for a single failure vector and error vector.
     """
-    Fr = np.asarray(p_fail, dtype=float).T  # round axis first
+    F = np.asarray(p_fail, dtype=float)
     pn = np.asarray(p_nack, dtype=float)
-    m = Fr.shape[0]
+    m = F.shape[-1]
     inner = 1.0
     surv = 1.0
     for i in range(m - 1):
-        inner = inner - pn[i] * Fr[i] * surv
-        surv = surv * (1.0 - pn[i])
-    # .T restores the leading-axis order that F.T reversed
-    return (1.0 - inner * (1.0 - Fr[m - 1])).T
+        inner = inner - pn[..., i] * F[..., i] * surv
+        surv = surv * (1.0 - pn[..., i])
+    return 1.0 - inner * (1.0 - F[..., m - 1])
 
 
 def expected_cost(rhos, p_occur):

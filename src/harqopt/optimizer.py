@@ -31,6 +31,20 @@ scan, _rate_scan, and its selector, _feasible_argmax.
 brute_force_rate_allocation is the independent oracle: it walks the
 candidates one at a time through the scalar API with its own cost loop and
 tie-breaking, and must match best_feasible_allocation bit for bit.
+
+Every probe computes only what its decision reads, and every batch gives
+the results of the one-at-a-time evaluation bit for bit:
+- the rate scan computes the outage of the kept rows first, then the
+  occurrence probabilities and cost only on the rows that meet epsilon,
+  in path order, so the argmax and its tie rule are unchanged;
+- the threshold search probes (B, k) threshold arrays in one call
+  (_ThresholdProbes): the 2k central differences together, and each
+  pull-back bisection as a tree of the midpoints the next _TREE_DEPTH
+  halvings can visit, walked to the same decisions as the sequential
+  bisection; feasibility probes compute outage only;
+- the grid is enumerated from per-prefix counts of admissible last values
+  (np.repeat), with the path budget checked on counts before any row is
+  built.
 """
 
 from __future__ import annotations
@@ -52,6 +66,10 @@ _log = logging.getLogger(__name__)
 _BRUTE_FORCE_BUDGET = 10_000_000  # raw candidate tuples before budget filter
 _PATH_BUDGET = 20_000_000
 _FD_STEP = 1e-4  # central-difference step in alpha
+# halvings probed per batch by the PGD bisections: 60 halvings in 10 calls of
+# 63 probes; a probe batch costs ~30 us plus ~0.1 us per probe, so deeper
+# trees (1023 probes at depth 10) lose more to wasted probes than they save
+_TREE_DEPTH = 6
 _PGD_STEP = 0.25  # first trial step of each PGD line search
 _PGD_TOL = 1e-4  # PGD stops once an accepted step moves alpha less than this
 _PGD_MAX_ITERS = 60
@@ -109,28 +127,47 @@ def make_rate_grid(n_b: int, n_m: int, units_total: int, min_units: int = 1,
 
 
 def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
-    """All unit allocations within bounds and budget, lexicographically ascending."""
+    """All unit allocations within bounds and budget, lexicographically ascending.
+
+    A prefix of k + 1 rounds is admissible when the remaining rounds can
+    still take min_units each. The path budget is checked first, on the
+    number of admissible prefixes of every length counted by their unit
+    sum, so an oversized grid raises before any row exists. Each prefix is
+    then extended only by its admissible last values: np.repeat over the
+    per-prefix counts, with the values ascending within each prefix.
+    """
     lo, hi, total = grid.min_units, grid.max_units, grid.units_total
     if lo * m > total:
         raise InfeasibleError(
             f"unit bounds admit no allocation: {m} rounds at >= {lo} units "
             f"exceed the budget of {total}"
         )
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    paths = vals.reshape(-1, 1)
-    paths = paths[paths[:, 0] <= total - (m - 1) * lo]
-    for k in range(1, m):
-        n0 = paths.shape[0]
-        ext = np.empty((n0 * vals.size, k + 1), dtype=np.int64)
-        ext[:, :k] = np.repeat(paths, vals.size, axis=0)
-        ext[:, k] = np.tile(vals, n0)
-        # prune partial sums that cannot stay within budget
-        cap = total - (m - k - 1) * lo
-        paths = ext[ext.sum(axis=1) <= cap]
-        if paths.shape[0] > _PATH_BUDGET:
+    # caps[k]: the largest admissible unit sum of a (k + 1)-round prefix
+    caps = [total - (m - k - 1) * lo for k in range(m)]
+    # by_sum[s]: admissible prefixes of the current length with unit sum s
+    by_sum = np.zeros(total + 1, dtype=np.int64)
+    by_sum[lo:min(hi, caps[0]) + 1] = 1
+    s = np.arange(total + 1)
+    for cap in caps[1:]:
+        # a prefix of sum s extends one of sum s - hi .. s - lo
+        below = np.concatenate(([0], np.cumsum(by_sum)))
+        by_sum = below[np.clip(s - lo + 1, 0, None)] - below[np.clip(s - hi, 0, None)]
+        by_sum[cap + 1:] = 0
+        if by_sum.sum() > _PATH_BUDGET:
             raise GridError(
                 f"allocation space exceeds {_PATH_BUDGET} paths; shrink the grid"
             )
+    paths = np.arange(lo, min(hi, caps[0]) + 1, dtype=np.int64).reshape(-1, 1)
+    sums = paths[:, 0]
+    for k, cap in enumerate(caps[1:], start=1):
+        counts = np.minimum(hi, cap - sums) - lo + 1
+        starts = np.cumsum(counts) - counts
+        last = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts) + lo
+        ext = np.empty((last.size, k + 1), dtype=np.int64)
+        ext[:, :k] = np.repeat(paths, counts, axis=0)
+        ext[:, k] = last
+        paths = ext
+        sums = np.repeat(sums, counts) + last
     return paths
 
 
@@ -146,31 +183,18 @@ def _failure_table(grid: RateGrid, m: int, dl) -> tuple[np.ndarray, np.ndarray]:
 def _kept_rows(grid: RateGrid, m: int, dl,
                epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """(rhos, F) of the failure table restricted, in path order, to the
-    paths that can meet epsilon at some thresholds: F_M <= epsilon + slack."""
+    paths that can meet epsilon at some thresholds: F_M <= epsilon + slack.
+    F is column-major: every scan reads it one round of all rows at a time."""
     rhos, F = _failure_table(grid, m, dl)
     keep = F[:, -1] <= epsilon + _ROUNDING_SLACK
-    return rhos[keep], F[keep]
+    return rhos[keep], np.asfortranarray(F[keep])
 
 
-def _cost_outage(rhos: np.ndarray, F: np.ndarray,
-                 rates: feedback_model.FeedbackErrorRates) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path expected normalized symbols and outage."""
-    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-    return (harq_analysis.expected_cost(rhos, P),
-            harq_analysis.outage_from_failures(F, rates.p_nack))
-
-
-def _feasible_argmax(cost: np.ndarray, outage: np.ndarray, epsilon: float,
-                     rhos: np.ndarray, unit_rho: float) -> int | None:
-    """Index of the path maximizing (1 - outage)/cost among those with
-    outage <= epsilon, None when there is none; ties prefer fewer total
-    units, then the first (lexicographically smallest, given ascending
-    enumeration) allocation."""
-    feasible = np.flatnonzero(outage <= epsilon)
-    if feasible.size == 0:
-        return None
-    eta = (1.0 - outage[feasible]) / cost[feasible]
-    cand = feasible[eta == eta.max()]
+def _feasible_argmax(eta: np.ndarray, rhos: np.ndarray, unit_rho: float) -> int:
+    """Index of the largest throughput among feasible paths, given in path
+    order; ties prefer fewer total units, then the first
+    (lexicographically smallest, given ascending enumeration) allocation."""
+    cand = np.flatnonzero(eta == eta.max())
     if cand.size > 1:
         totals = np.rint(rhos[cand] / unit_rho).sum(axis=1)
         cand = cand[totals == totals.min()]
@@ -239,17 +263,23 @@ def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                m: int, epsilon: float) -> tuple[np.ndarray, float]:
-    """best_feasible_allocation over the kept rows; the outage floor of its
-    InfeasibleError is taken over the whole table, when it is first read."""
+    """best_feasible_allocation over the kept rows. Outage comes first: the
+    occurrence probabilities and cost are computed only on the rows that
+    meet epsilon, in path order. The outage floor of an InfeasibleError is
+    taken over the whole table, when it is first read."""
     rhos, F = _kept_rows(grid, m, dl, epsilon)
-    cost, outage = _cost_outage(rhos, F, rates)
-    best = _feasible_argmax(cost, outage, epsilon, rhos, grid.unit_rho)
-    if best is None:
+    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
+    feasible = np.flatnonzero(outage <= epsilon)
+    if feasible.size == 0:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
             min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
-    return rhos[best].copy(), float((1.0 - outage[best]) / cost[best])
+    rhos, outage = rhos[feasible], outage[feasible]
+    P = harq_analysis.occurrence_probabilities(F[feasible], rates.p_nack, rates.p_ack)
+    eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
+    best = _feasible_argmax(eta, rhos, grid.unit_rho)
+    return rhos[best].copy(), float(eta[best])
 
 
 def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
@@ -269,27 +299,70 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
     return _rate_scan(rates, dl, grid, m, epsilon)
 
 
-def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
+def _bisect_upper(lo: float, hi: float, ok, steps: int, depth: int) -> float:
     """Upper bracket end after `steps` halvings of [lo, hi]: ok(hi) is
-    assumed true, and the end moves down to every midpoint where ok holds."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
+    assumed true, and the end moves down to every midpoint where ok holds.
+
+    ok maps an array of points to one bool each. Every call probes the
+    midpoints the next `depth` halvings can visit, a subtree in heap order
+    built with the same 0.5 (lo + hi) arithmetic, and the walk down it
+    takes the decisions a one-probe-per-halving bisection would take. So
+    any depth gives the same result bit for bit, monotone ok or not; a
+    deeper tree trades wasted probes for fewer calls.
+    """
+    while steps > 0:
+        d = min(depth, steps)
+        # the brackets of one tree level tile [lo, hi]: node j of the level
+        # holds [edges[j], edges[j + 1]], its left child the lower half
+        edges = np.array([lo, hi])
+        mids = []
+        for _ in range(d):
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            mids.append(mid)
+            finer = np.empty(2 * edges.size - 1)
+            finer[0::2] = edges
+            finer[1::2] = mid
+            edges = finer
+        mids = np.concatenate(mids)
+        good = ok(mids)
+        node = 0
+        for _ in range(d):
+            # heap order: node i has children 2i + 1 (ok) and 2i + 2
+            if good[node]:
+                hi = mids[node]
+                node = 2 * node + 1
+            else:
+                lo = mids[node]
+                node = 2 * node + 2
+        steps -= d
     return hi
 
 
-def _threshold_objective(rhos, dl, fb: feedback_model.FeedbackSpec):
-    """Factory: alpha vector -> (eta, outage) at fixed rates."""
-    F = mi_model.p_fail_gaussian(rhos, dl)
+class _ThresholdProbes:
+    """Throughput and outage at fixed rates as functions of the thresholds.
 
-    def evaluate(alphas) -> tuple[float, float]:
-        cost, out = _cost_outage(rhos, F, feedback_model.error_rates_for(fb, alphas))
-        return (1.0 - out) / cost, out
+    Both methods take thresholds of shape (..., k) and return values of
+    shape (...), so a batch of B probes is one call on a (B, k) array.
+    outage computes the NACK error rates and the outage only, the whole of
+    what a feasibility test reads.
+    """
 
-    return evaluate
+    def __init__(self, rhos, dl, fb: feedback_model.FeedbackSpec):
+        self.rhos = rhos
+        self.F = mi_model.p_fail_gaussian(rhos, dl)
+        self.snr_linear = fb.snr_linear
+
+    def outage(self, alphas):
+        p_nack = feedback_model.nack_error_rate(alphas, self.snr_linear)
+        return harq_analysis.outage_from_failures(self.F, p_nack)
+
+    def evaluate(self, alphas):
+        """(eta, outage)."""
+        p_nack = feedback_model.nack_error_rate(alphas, self.snr_linear)
+        p_ack = feedback_model.ack_error_rate(alphas, self.snr_linear)
+        P = harq_analysis.occurrence_probabilities(self.F, p_nack, p_ack)
+        out = harq_analysis.outage_from_failures(self.F, p_nack)
+        return (1.0 - out) / harq_analysis.expected_cost(self.rhos, P), out
 
 
 def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
@@ -297,28 +370,29 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
     """Projected gradient ascent on throughput over ALPHA_BOX, subject to
     outage <= epsilon.
 
-    Gradient by central differences (probes may leave the box, where the
-    error-rate formulas remain valid); infeasible iterates are pulled back
-    by bisection toward the elementwise-larger envelope of the incumbent,
-    so coordinates only grow during projection. Accepts only improving
-    steps, so the returned point is feasible and at least as good as the
-    starting one.
+    Gradient by central differences, all 2k probes in one batch (probes may
+    leave the box, where the error-rate formulas remain valid); infeasible
+    iterates are pulled back by bisection toward the elementwise-larger
+    envelope of the incumbent, so coordinates only grow during projection.
+    The bisections probe _TREE_DEPTH halvings per batch and compute outage
+    only. Accepts only improving steps, so the returned point is feasible
+    and at least as good as the starting one.
     """
     rhos = tuple(float(r) for r in rhos)
     k = len(rhos) - 1
     if k == 0:
         return np.zeros(0)
-    evaluate = _threshold_objective(rhos, dl, fb)
+    probes = _ThresholdProbes(rhos, dl, fb)
     lo, hi = ALPHA_BOX
 
     def feasible(x) -> bool:
-        return evaluate(x)[1] <= epsilon
+        return probes.outage(x) <= epsilon
 
     top = np.full(k, hi)
     if not feasible(top):
         raise InfeasibleError(
             "no feasible thresholds inside the box at these rates",
-            min_outage=evaluate(top)[1],
+            min_outage=probes.outage(top),
         )
 
     def pull_back(cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -326,9 +400,11 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
         # elementwise max is feasible and bisection meets the boundary
         if feasible(cand):
             return cand
-        ref = np.maximum(cand, anchor)
-        t = _bisect_upper(0.0, 1.0, lambda t: feasible(cand + t * (ref - cand)), 60)
-        return cand + t * (ref - cand)
+        span = np.maximum(cand, anchor) - cand
+        t = _bisect_upper(0.0, 1.0,
+                          lambda t: probes.outage(cand + t[:, None] * span) <= epsilon,
+                          60, _TREE_DEPTH)
+        return cand + t * span
 
     if start_alphas is not None:
         x = np.clip(np.asarray(start_alphas, dtype=float), lo, hi)
@@ -341,22 +417,22 @@ def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
         if feasible(floor):
             x = floor
         else:
-            x = np.full(k, _bisect_upper(lo, hi, lambda s: feasible(np.full(k, s)), 60))
+            level = _bisect_upper(
+                lo, hi, lambda s: probes.outage(np.repeat(s[:, None], k, axis=1)) <= epsilon,
+                60, _TREE_DEPTH)
+            x = np.full(k, level)
 
-    eta_x, _ = evaluate(x)
+    eta_x, _ = probes.evaluate(x)
+    # rows j and k + j step coordinate j up and down
+    shifts = np.concatenate((np.eye(k), -np.eye(k))) * _FD_STEP
     for _ in range(_PGD_MAX_ITERS):
-        grad = np.empty(k)
-        for j in range(k):
-            up = x.copy()
-            up[j] += _FD_STEP
-            dn = x.copy()
-            dn[j] -= _FD_STEP
-            grad[j] = (evaluate(up)[0] - evaluate(dn)[0]) / (2.0 * _FD_STEP)
+        eta_fd, _ = probes.evaluate(x + shifts)
+        grad = (eta_fd[:k] - eta_fd[k:]) / (2.0 * _FD_STEP)
         step = _PGD_STEP
         moved = 0.0
         for _ in range(30):
             cand = pull_back(np.clip(x + step * grad, lo, hi), x)
-            eta_c, _ = evaluate(cand)
+            eta_c, _ = probes.evaluate(cand)
             if eta_c > eta_x:
                 moved = float(np.max(np.abs(cand - x)))
                 x, eta_x = cand, eta_c
@@ -407,7 +483,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     def reaches(a: np.ndarray) -> bool:
         # some allocation meets epsilon at thresholds a; only kept rows can,
         # so with none kept this is an infeasibility certificate
-        p_nack = feedback_model.error_rates_for(fb, a).p_nack
+        p_nack = feedback_model.nack_error_rate(a, fb.snr_linear)
         outage = harq_analysis.outage_from_failures(kept_F, p_nack)
         return bool((outage <= epsilon).any())
 
@@ -421,14 +497,15 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                 min_outage=min_achievable_outage(top, dl, fb, grid, m),
                 iteration=0,
             )
+        # one probe per call: each is a pass over the whole kept table
         alphas = np.maximum(alphas, _bisect_upper(
-            lo, hi, lambda s: reaches(np.maximum(alphas, s)), 40))
+            lo, hi, lambda s: [reaches(np.maximum(alphas, s[0]))], 40, 1))
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
     rhos_inc = start.rhos
     eta_inc = -math.inf
     prev = None
-    eta0, out0 = _threshold_objective(start.rhos, dl, fb)(alphas)
+    eta0, out0 = _ThresholdProbes(start.rhos, dl, fb).evaluate(alphas)
     # an infeasible seed must not become the incumbent: its inflated
     # throughput would veto every constraint-satisfying update and the
     # loop would return the seed itself
@@ -454,7 +531,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             alphas_new = optimize_thresholds_pgd(
                 rhos_inc, dl, fb, epsilon, start_alphas=alphas
             )
-            eta_alpha, _ = _threshold_objective(rhos_inc, dl, fb)(alphas_new)
+            eta_alpha, _ = _ThresholdProbes(rhos_inc, dl, fb).evaluate(alphas_new)
             if eta_alpha >= eta_inc:
                 alphas, eta_inc = alphas_new, eta_alpha
 

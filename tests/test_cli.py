@@ -97,6 +97,30 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert cli.main(["analyze", "--config", path, "--seed", "-3"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["0", "-2"])
+def test_nonpositive_workers_exits_2(tmp_path, capsys, flag):
+    path = write_config(tmp_path, SMALL)
+    assert cli.main(["analyze", "--config", path, "--workers", flag]) == 2
+    assert "workers: must satisfy workers >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", 1.5, "epsilon must lie in"),
+    ("rho_max_units", 40, "rho_max_units: must satisfy"),
+    ("seed", -1, "seed: must satisfy"),
+    ("workers", 0, "workers: must satisfy"),
+])
+def test_run_validates_a_config_built_in_code(tmp_path, field, value, message):
+    # run() applies the field checks of load_config, so a RunConfig built
+    # in code cannot write a CSV for a problem the file route refuses
+    out = tmp_path / "x.csv"
+    config = cli.RunConfig(command="analyze", m_max=2, units_total=16,
+                           output_path=str(out), **{field: value})
+    with pytest.raises(ConfigError, match=message):
+        cli.run(config)
+    assert not out.exists()
+
+
 def test_analyze_writes_deterministic_csv(tmp_path):
     path = write_config(tmp_path, SMALL)
     out1, out2 = str(tmp_path / "a1.csv"), str(tmp_path / "a2.csv")

@@ -151,6 +151,27 @@ def test_occurrence_matches_success_time_partition(dl3):
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
+def test_formulas_broadcast_over_batched_error_rates(dl3):
+    # one failure vector against a (B, M-1) batch of error pairs, as the
+    # threshold search probes it: row b equals the call on pair b alone
+    rng = np.random.default_rng(77)
+    F = mi_model.p_fail_gaussian((0.75, 0.5, 1.0, 0.25), dl3)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    alphas = rng.uniform(-0.5, 3.5, size=(64, 3))
+    pn = feedback_model.nack_error_rate(alphas, fb.snr_linear)
+    pa = feedback_model.ack_error_rate(alphas, fb.snr_linear)
+    P = harq_analysis.occurrence_probabilities(F, pn, pa)
+    out = harq_analysis.outage_from_failures(F, pn)
+    assert P.shape == (64, 4) and out.shape == (64,)
+    for b, row in enumerate(alphas):
+        rates = feedback_model.error_rates_for(fb, tuple(row))
+        assert rates.p_nack == tuple(feedback_model.nack_error_rate(float(a), fb.snr_linear)
+                                     for a in row)
+        np.testing.assert_array_equal(
+            P[b], harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack))
+        assert out[b] == harq_analysis.outage_from_failures(F, rates.p_nack)
+
+
 def test_expected_symbols_examples(dl3):
     pol = make_policy([0.5, 0.25, 0.25, 0.25], [0.0] * 3)
     assert harq_analysis.expected_symbols(pol, [1, 0, 0, 0]) == pytest.approx(0.5 * 1024)

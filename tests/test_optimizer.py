@@ -6,6 +6,9 @@ routes), not approximate.
 """
 
 import dataclasses
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +117,39 @@ def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
         np.testing.assert_array_equal(cost, np.array([
             harq_analysis.expected_cost(tuple(r), p) for r, p in zip(rhos, P)
         ]))
+
+
+@pytest.mark.parametrize("lo, hi, total", [(2, 9, 24), (3, 11, 20)])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_enumerate_units_is_filtered_product(monkeypatch, lo, hi, total, m):
+    # the rows within budget of the full product, in its lexicographic
+    # order; the budget guard trips exactly when they outnumber the budget
+    grid = optimizer.RateGrid(unit_rho=0.125, min_units=lo, max_units=hi,
+                              units_total=total)
+    expected = np.array([u for u in itertools.product(range(lo, hi + 1), repeat=m)
+                         if sum(u) <= total], dtype=np.int64)
+    got = optimizer._enumerate_units(grid, m)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    if m > 1:
+        monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected))
+        np.testing.assert_array_equal(optimizer._enumerate_units(grid, m), expected)
+        monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected) - 1)
+        with pytest.raises(GridError):
+            optimizer._enumerate_units(grid, m)
+
+
+def test_enumerate_units_over_budget_raises_before_building_rows(grid64):
+    # C(64, 6) ~ 7.5e7 six-round allocations: the guard counts them by unit
+    # sum and raises having allocated kilobytes, not the rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="exceeds"):
+            optimizer._enumerate_units(grid64, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_float_table_on_non_dyadic_grid(dl3):
@@ -231,7 +267,9 @@ def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     rates = feedback_model.error_rates_for(fb, alphas)
     rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.999999)
     table_rhos, F = optimizer._failure_table(grid, 2, dl3)
-    cost, outage = optimizer._cost_outage(table_rhos, F, rates)
+    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+    cost = harq_analysis.expected_cost(table_rhos, P)
+    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
     assert outage.max() <= 0.999999
     best = int(np.argmax((1.0 - outage) / cost))
     np.testing.assert_array_equal(rhos, table_rhos[best])
@@ -323,6 +361,41 @@ def test_best_feasible_allocation_is_enumeration_argmax(dl3):
     assert exc.value.min_outage > 1e-4
 
 
+def sequential_bisect_upper(lo, hi, ok, steps):
+    # one probe per halving: the reference the probe tree must reproduce
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+PREDICATES = {
+    "monotone": lambda t: t >= 0.3183098861837907,
+    "oscillating": lambda t: math.sin(1e4 * t) > 0.0,
+    "mantissa-bits": lambda t: (int(np.float64(t).view(np.int64)) >> 17) % 3 == 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+@pytest.mark.parametrize("steps", [1, 9, 10, 23, 60])
+@pytest.mark.parametrize("depth", [1, 3, 10])
+def test_tree_bisection_equals_sequential(name, steps, depth):
+    pred = PREDICATES[name]
+    calls = []
+
+    def ok(points):
+        calls.append(points.size)
+        return np.array([pred(float(p)) for p in points])
+
+    got = optimizer._bisect_upper(-0.7, 2.9, ok, steps, depth)
+    want = sequential_bisect_upper(-0.7, 2.9, pred, steps)
+    assert float(got).hex() == float(want).hex()
+    assert len(calls) == math.ceil(steps / depth)
+
+
 def test_pgd_perfect_feedback_prefers_low_thresholds(dl3):
     fb = feedback_model.make_feedback_spec(200.0)
     al = optimizer.optimize_thresholds_pgd((1.0, 1.0, 1.0, 1.0), dl3, fb, 0.01)
@@ -383,6 +456,28 @@ def test_alternating_default_run(dl3, grid64):
     trace = np.asarray(sol.trace)
     assert np.all(np.diff(trace) >= -1e-9)
     assert trace[-1] == pytest.approx(sol.breakdown.throughput, abs=1e-12)
+
+
+@pytest.mark.parametrize("snr_d_db, rhos, alphas, eta", [
+    (3.0, (1.3125, 0.9375, 0.875, 0.875),
+     (0.9865127101088584, 0.9865127101093997, 0.9865127101099008),
+     0.42357617044823004),
+    (10.0, (0.625, 0.3125, 0.3125, 0.5625),
+     (0.4997910869299093, 0.49990087587496557, 0.49995805575579483),
+     1.2148289546899769),
+])
+def test_alternating_pinned_outputs(grid64, snr_d_db, rhos, alphas, eta):
+    # the exact results of the sequential one-probe-at-a-time search from
+    # the CLI default start at -10 dB uplink; batched probes must not move
+    # a bit of them
+    start = dataclasses.replace(default_template(), rhos=(1.0,) * 4)
+    dl = mi_model.make_downlink_spec(snr_d_db)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    sol = optimizer.alternating_optimize(dl, fb, start, grid64, 0.01)
+    assert sol.policy.rhos == rhos
+    assert [repr(a) for a in sol.policy.alphas] == [repr(a) for a in alphas]
+    assert sol.breakdown.throughput == eta
+    assert sol.iterations == 2
 
 
 def test_alternating_deterministic(dl3, grid64):
