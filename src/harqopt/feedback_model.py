@@ -16,8 +16,8 @@ On the +-1 scale the detector noise is Gaussian with standard deviation
     ack->nack:  0.5 erfc((1-alpha) sqrt(6 snr))
 
 and simulate_detection realizes the same statistic symbol by symbol
-(detect_batch for many trials at once, the detector the Monte Carlo
-simulator runs in its symbol-level mode).
+(detect_batch for many trials at once from the real parts alone, the
+detector the Monte Carlo simulator runs in its symbol-level mode).
 
 A FeedbackSpec is the uplink operating point only, the feedback SNR. The
 thresholds belong to the HARQ policy and are passed to error_rates_for
@@ -164,8 +164,16 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     """Vectorized simulate_detection: n independent trials, bool array out.
 
     sent_ack is one bool for every trial or an (n,) bool array, one per
-    trial. Noise is drawn in chunks of _BATCH_CHUNK trials, real parts
-    before imaginary parts within a chunk.
+    trial. Noise is drawn in chunks of _BATCH_CHUNK trials: all 12 real
+    parts of the chunk's trials, then all 12 imaginary parts, 24 standard
+    normals per trial.
+
+    The sequence difference is 2 on the 6 positions where the sequences
+    differ and 0 elsewhere, so the statistic is the sum of the real parts
+    of y there, times 2 / (12 sqrt(snr)). It is summed in position order,
+    the order of the complex dot product over all 12 positions, whose other
+    terms are signed zeros. The imaginary parts are drawn only to keep the
+    stream.
     """
     s = _check_snr(snr_linear)
     if n < 1:
@@ -174,25 +182,26 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     if sent_ack.ndim and sent_ack.shape != (n,):
         raise ValueError("detect_batch: sent_ack must be a bool or an (n,) array")
     s_ack, s_nack = build_sequences()
-    diff_conj = np.conj(s_ack - s_nack)
-    scale = SEQUENCE_LENGTH * math.sqrt(s)
-    # entries are +-1 + 0j: scaling the two sequences once gives exactly
-    # the products of scaling every trial's copy
-    clean_ack, clean_nack = math.sqrt(s) * s_ack, math.sqrt(s) * s_nack
+    differ = np.flatnonzero(s_ack != s_nack)
+    root_s = math.sqrt(s)
+    scale = SEQUENCE_LENGTH * root_s
     out = np.empty(n, dtype=bool)
     done = 0
     while done < n:
         m = min(_BATCH_CHUNK, n - done)
         flags = sent_ack[done : done + m] if sent_ack.ndim else sent_ack
-        # y = noise + clean signal, built in place: fewer (m, 12) complex
-        # temporaries to allocate and page in
-        y = (
-            rng.standard_normal((m, SEQUENCE_LENGTH))
-            + 1j * rng.standard_normal((m, SEQUENCE_LENGTH))
-        )
-        y *= _HALF_COMPLEX
-        y += np.where(flags[..., None], clean_ack, clean_nack)
-        t = (y @ diff_conj).real / scale
-        out[done : done + m] = t >= alpha
+        z = rng.standard_normal((m, SEQUENCE_LENGTH))
+        # Re(y) where the sequences differ: the sent symbol there is +1 for
+        # ACK and -1 for NACK, scaled by sqrt(snr)
+        re = z[:, differ]
+        re *= _HALF_COMPLEX
+        re += np.where(flags, root_s, -root_s)[..., None]
+        rng.standard_normal(out=z)
+        corr = re[:, 0] + re[:, 1]
+        for k in range(2, differ.size):
+            corr += re[:, k]
+        corr *= 2.0
+        corr /= scale
+        out[done : done + m] = corr >= alpha
         done += m
     return out

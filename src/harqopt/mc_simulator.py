@@ -11,10 +11,13 @@ ACK costs extra rounds but never an outage.
 
 The batch estimators are vectorized in fixed-size chunks, each driven by
 its own counter-based stream (Philox keyed by the seed, jumped by the
-chunk index), with a fixed draw order inside a chunk: all fading gains
-first, then the feedback randomness round by round for every episode
-whether or not it is still running. Estimates are therefore bit-identical
-for identical (seed, n, mode) and independent of how chunks are executed.
+chunk index), with a fixed draw order inside a chunk. All fading gains
+come first, for every episode and round: the forced-continuation failure
+frequencies read them all. Then, round by round, the feedback randomness
+comes as one block for the episodes still running, in episode order, as
+run_episode draws it; a round with none left draws nothing. Estimates are
+therefore bit-identical for identical (seed, n, mode) and independent of
+how chunks are executed.
 """
 
 from __future__ import annotations
@@ -149,35 +152,42 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
     while done < n:
         c = min(_CHUNK, n - done)
         rng = _chunk_rng(seed, chunk_index)
-        gains = rng.exponential(size=(c, m))
-        acc = np.cumsum(rhos * np.log2(1.0 + gains * snr_d), axis=1)
+        acc = rng.exponential(size=(c, m))
+        # rhos * log2(1 + snr * gain), accumulated over rounds, in place
+        acc *= snr_d
+        acc += 1.0
+        np.log2(acc, out=acc)
+        acc *= rhos
+        np.cumsum(acc, axis=1, out=acc)
         decoded = acc >= 1.0
 
         rounds_used = np.ones(c, dtype=np.int64)
-        alive = np.ones(c, dtype=bool)
+        live = np.arange(c)
         for j in range(m - 1):
-            sent_ack = decoded[:, j]
+            k = live.size
+            if k == 0:
+                break
+            sent_ack = decoded[live, j]
             if mode == ANALYTIC_FLIP:
-                u = rng.random(c)
+                u = rng.random(k)
                 p_err = np.where(sent_ack, pa[j], pn[j])
                 det_ack = sent_ack != (u < p_err)
             elif mode == SYMBOL_LEVEL:
-                # c <= _CHUNK < feedback_model._BATCH_CHUNK: detect_batch
+                # k <= _CHUNK < feedback_model._BATCH_CHUNK: detect_batch
                 # draws this round's noise as one block, all real parts first
                 det_ack = feedback_model.detect_batch(
-                    sent_ack, policy.alphas[j], fb.snr_linear, c, rng
+                    sent_ack, policy.alphas[j], fb.snr_linear, k, rng
                 )
             else:
-                u = rng.random((c, 2))
+                u = rng.random((k, 2))
                 # both duplicated slots must read as ACK for a stop
                 det_ack = np.where(
                     sent_ack,
                     (u[:, 0] >= p_slot) & (u[:, 1] >= p_slot),
                     (u[:, 0] < p_slot) & (u[:, 1] < p_slot),
                 )
-            advance = alive & ~det_ack
-            rounds_used += advance
-            alive = advance
+            live = live[~det_ack]
+            rounds_used[live] += 1
 
         delivered = decoded[np.arange(c), rounds_used - 1]
         symbols = n_b * cum_rhos[rounds_used - 1]
@@ -188,7 +198,7 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
         syy += float((symbols * symbols).sum())
         counts = np.bincount(rounds_used, minlength=m + 1)
         occ_counts += counts[::-1].cumsum()[::-1][1 : m + 1]
-        fail_counts += (~decoded).sum(axis=0)
+        fail_counts += c - np.count_nonzero(decoded, axis=0)
 
         done += c
         chunk_index += 1

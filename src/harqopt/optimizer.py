@@ -265,8 +265,9 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                m: int, epsilon: float) -> tuple[np.ndarray, float]:
     """best_feasible_allocation over the kept rows. Outage comes first: the
     occurrence probabilities and cost are computed only on the rows that
-    meet epsilon, in path order. The outage floor of an InfeasibleError is
-    taken over the whole table, when it is first read."""
+    meet epsilon, in path order; when all of them do, straight from the
+    column-major kept table, with no copy. The outage floor of an
+    InfeasibleError is taken over the whole table, when it is first read."""
     rhos, F = _kept_rows(grid, m, dl, epsilon)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
     feasible = np.flatnonzero(outage <= epsilon)
@@ -275,8 +276,9 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
             f"no allocation meets outage {epsilon:g} at these error rates",
             min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
-    rhos, outage = rhos[feasible], outage[feasible]
-    P = harq_analysis.occurrence_probabilities(F[feasible], rates.p_nack, rates.p_ack)
+    if feasible.size < outage.size:
+        rhos, outage, F = rhos[feasible], outage[feasible], F[feasible]
+    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
     best = _feasible_argmax(eta, rhos, grid.unit_rho)
     return rhos[best].copy(), float(eta[best])

@@ -131,6 +131,31 @@ def test_detect_batch_per_trial_flags_select_the_sent_sequence():
         feedback_model.detect_batch(flags[:-1], alpha, snr, n, np.random.default_rng(9))
 
 
+@pytest.mark.parametrize("alpha, snr", [(0.0, 0.1), (0.5, 0.03), (-0.3, 1.0),
+                                        (1.2, 3.0)])
+def test_detect_batch_matches_scalar_statistic_row_by_row(alpha, snr):
+    # detect_batch reads the same 24 normals per trial as the symbol-by-
+    # symbol detector: 12 real parts for every trial, then 12 imaginary
+    n = 2000
+    flags = np.random.default_rng(4).random(n) < 0.5
+    rng = np.random.default_rng(21)
+    got = feedback_model.detect_batch(flags, alpha, snr, n, rng)
+    ref = np.random.default_rng(21)
+    re = ref.standard_normal((n, 12))
+    im = ref.standard_normal((n, 12))
+    s_ack, s_nack = feedback_model.build_sequences()
+    want = [
+        feedback_model.detection_statistic(
+            math.sqrt(snr) * (s_ack if f else s_nack) + (r + 1j * i) * math.sqrt(0.5),
+            snr,
+        ) >= alpha
+        for f, r, i in zip(flags, re, im)
+    ]
+    assert 0 < sum(want) < n
+    np.testing.assert_array_equal(got, want)
+    assert rng.random() == ref.random()
+
+
 def test_error_rates_for_symmetric_case():
     spec = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(spec, (0.0, 0.0, 0.0))

@@ -1,7 +1,9 @@
 """Episode-level protocol logic and the vectorized batch estimators."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from harqopt import feedback_model, harq_analysis, mc_simulator, mi_model
@@ -92,13 +94,110 @@ def test_estimate_min_episode_guard(dl3, fb_weak):
                                           feedback_mode="oracle")
 
 
-def test_estimate_deterministic_in_seed(dl3, fb_weak):
+# n spans two chunks, the last one partial
+_TWO_CHUNKS = mc_simulator._CHUNK + 10_000
+_MODES = [mc_simulator.ANALYTIC_FLIP, mc_simulator.SYMBOL_LEVEL, "duplicated-ack"]
+
+
+def _estimate(mode, pol, dl, fb, n, seed):
+    """estimate_performance, or estimate_duplicated_ack at zero thresholds."""
+    if mode == "duplicated-ack":
+        pol = dataclasses.replace(pol, alphas=(0.0,) * len(pol.alphas))
+        return mc_simulator.estimate_duplicated_ack(pol, dl, fb, n, seed)
+    return mc_simulator.estimate_performance(pol, dl, fb, n, seed, feedback_mode=mode)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_estimate_deterministic_in_seed(dl3, fb_weak, mode):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
-    a = mc_simulator.estimate_performance(pol, dl3, fb_weak, 20_000, seed=99)
-    b = mc_simulator.estimate_performance(pol, dl3, fb_weak, 20_000, seed=99)
+    a = _estimate(mode, pol, dl3, fb_weak, _TWO_CHUNKS, seed=99)
+    b = _estimate(mode, pol, dl3, fb_weak, _TWO_CHUNKS, seed=99)
     assert a == b
-    c = mc_simulator.estimate_performance(pol, dl3, fb_weak, 20_000, seed=100)
+    c = _estimate(mode, pol, dl3, fb_weak, _TWO_CHUNKS, seed=100)
     assert c != a
+
+
+class _CountingRng:
+    """Wraps a generator and logs the name and result shape of every draw."""
+
+    def __init__(self, rng, draws):
+        self._rng = rng
+        self._draws = draws
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._draws.append((name, np.shape(out)))
+            return out
+
+        return draw
+
+
+@pytest.fixture()
+def chunk_draws(monkeypatch):
+    """One list of (draw name, result shape) per chunk the simulator runs."""
+    chunks = []
+    chunk_rng = mc_simulator._chunk_rng
+
+    def counting_rng(seed, chunk_index):
+        chunks.append([])
+        return _CountingRng(chunk_rng(seed, chunk_index), chunks[-1])
+
+    monkeypatch.setattr(mc_simulator, "_chunk_rng", counting_rng)
+    return chunks
+
+
+def _feedback_block_sizes(mode, draws):
+    """Episodes drawn for in each feedback round of one chunk's draws, after
+    checking that each round draws one block of the mode's shape."""
+    if mode == mc_simulator.SYMBOL_LEVEL:
+        # real parts, then imaginary parts, 12 of each per trial
+        reals, imags = draws[0::2], draws[1::2]
+        assert reals == imags
+        assert all(name == "standard_normal" and shape[1:] == (12,)
+                   for name, shape in reals)
+        return [shape[0] for _, shape in reals]
+    tail = (2,) if mode == "duplicated-ack" else ()
+    assert all(name == "random" and shape[1:] == tail for name, shape in draws)
+    return [shape[0] for _, shape in draws]
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
+    # each chunk draws its gains for every episode, then one feedback block
+    # per round sized to the episodes still running: summed over chunks,
+    # the block of round j holds exactly the episodes that reached round j
+    pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
+    n = _TWO_CHUNKS
+    est = _estimate(mode, pol, dl3, fb_weak, n, seed=41)
+    assert len(chunk_draws) == 2
+    live = [0, 0, 0]
+    for c, draws in zip((mc_simulator._CHUNK, n - mc_simulator._CHUNK), chunk_draws):
+        assert draws[0] == ("exponential", (c, 4))
+        sizes = _feedback_block_sizes(mode, draws[1:])
+        assert len(sizes) == 3 and sizes[0] == c
+        assert sizes == sorted(sizes, reverse=True)
+        live = [a + b for a, b in zip(live, sizes)]
+    assert live == [round(p * n) for p in est.p_occur[:3]]
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
+    # round 1 always decodes and the uplink is error-free, so every episode
+    # stops at the first feedback and the second has no one to draw for
+    dl = mi_model.make_downlink_spec(10.0)
+    pol = harq_analysis.HarqPolicy(
+        rhos=(1e10, 1.0, 1.0), alphas=(0.0, 0.0), m_max=3, n_b=1,
+        n_m=2 * 10 ** 10, rho_min=1.0, rho_max=1e10,
+    )
+    fb = feedback_model.make_feedback_spec(200.0)
+    est = _estimate(mode, pol, dl, fb, 10_000, seed=5)
+    assert est.p_occur == (1.0, 0.0, 0.0)
+    assert est.p_out == 0.0
+    [draws] = chunk_draws
+    assert _feedback_block_sizes(mode, draws[1:]) == [10_000]
 
 
 def test_estimate_single_round_sure_delivery():
