@@ -62,7 +62,7 @@ from .optimizer import (
     brute_force_rate_allocation,
     make_rate_grid,
     min_achievable_outage,
-    optimize_thresholds_pgd,
+    optimize_thresholds,
 )
 
 __version__ = "0.1.0"
@@ -101,8 +101,9 @@ __all__ = [
     "mean_mi_closed_form",
     "mi_of_gain",
     "min_achievable_outage",
+    "nack_error_rate",
     "occurrence_probabilities",
-    "optimize_thresholds_pgd",
+    "optimize_thresholds",
     "outage_from_failures",
     "p_fail_convolution",
     "p_fail_gaussian",

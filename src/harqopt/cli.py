@@ -596,6 +596,13 @@ def _run_sweep(config: RunConfig, out: str) -> int:
         for v in config.sweep_values:
             _require(-20.0 <= v <= 10.0, "sweep.values",
                      "-20 <= snr_d_db <= 10", v)
+    if config.sweep_mode == "fixed_vs_variable" and config.sweep_alphas:
+        # the variable side searches the box only, so a fixed threshold
+        # outside it could beat the search it is compared with
+        lo, hi = optimizer.ALPHA_BOX
+        for a in config.sweep_alphas:
+            _require(lo <= a <= hi, "sweep.alphas",
+                     f"{lo:g} <= alpha <= {hi:g} for sweep.mode = fixed_vs_variable", a)
     jobs = [(config, float(v), i) for i, v in enumerate(config.sweep_values)]
     workers = config.workers or os.cpu_count() or 1
     workers = min(workers, len(jobs))

@@ -20,8 +20,8 @@ occurrence_probabilities, expected_cost and outage_from_failures are the
 only implementations of their formulas. They take rates, prefix failures
 and occurrence probabilities of shape (..., M), and error rates of shape
 (..., M-1) whose leading axes broadcast against them, so the same code
-serves a single policy here, and in the optimizer the whole allocation
-grid and batches of threshold probes; the optimizer's scalar brute-force
+serves a single policy here and in the threshold search, and the whole
+allocation grid in the rate scan; the optimizer's scalar brute-force
 oracle checks the routes against each other.
 """
 
@@ -113,9 +113,9 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
 
     ``p_fail`` has shape (..., M) and the error rates (..., M-1); their
     leading axes broadcast, so one table can meet one set of error pairs
-    (the rate scan) or one failure vector many (the threshold search). The
-    result has shape (broadcast leading axes..., M), and each row equals
-    the call on that row alone bit for bit.
+    (the rate scan) or one failure vector many. The result has shape
+    (broadcast leading axes..., M), and each row equals the call on that
+    row alone bit for bit.
     """
     F = np.asarray(p_fail, dtype=float)
     pn = np.asarray(p_nack, dtype=float)

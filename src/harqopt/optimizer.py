@@ -5,7 +5,7 @@ over per-round rates drawn from a unit grid and over detection thresholds,
 subject to P_out <= epsilon, a total-units budget, and box bounds. The
 rate subproblem is solved exactly at fixed thresholds by one scan of the
 grid: the feasible allocation with the largest eta wins. The threshold
-subproblem runs projected gradient ascent on eta at fixed rates;
+subproblem runs a coordinate pattern search on eta at fixed rates;
 alternating the two yields a monotone objective.
 
 The rate scan evaluates admissible unit allocations in one vectorized
@@ -32,16 +32,12 @@ brute_force_rate_allocation is the independent oracle: it walks the
 candidates one at a time through the scalar API with its own cost loop and
 tie-breaking, and must match best_feasible_allocation bit for bit.
 
-Every probe computes only what its decision reads, and every batch gives
-the results of the one-at-a-time evaluation bit for bit:
+Every evaluation computes only what its decision reads:
 - the rate scan computes the outage of the kept rows first, then the
   occurrence probabilities and cost only on the rows that meet epsilon,
   in path order, so the argmax and its tie rule are unchanged;
-- the threshold search probes (B, k) threshold arrays in one call
-  (_ThresholdProbes): the 2k central differences together, and each
-  pull-back bisection as a tree of the midpoints the next _TREE_DEPTH
-  halvings can visit, walked to the same decisions as the sequential
-  bisection; feasibility probes compute outage only;
+- each threshold probe evaluates one rate vector, outage first and cost
+  only when the probe meets epsilon;
 - the grid is enumerated from per-prefix counts of admissible last values
   (np.repeat), with the path budget checked on counts before any row is
   built.
@@ -65,14 +61,8 @@ _log = logging.getLogger(__name__)
 
 _BRUTE_FORCE_BUDGET = 10_000_000  # raw candidate tuples before budget filter
 _PATH_BUDGET = 20_000_000
-_FD_STEP = 1e-4  # central-difference step in alpha
-# halvings probed per batch by the PGD bisections: 60 halvings in 10 calls of
-# 63 probes; a probe batch costs ~30 us plus ~0.1 us per probe, so deeper
-# trees (1023 probes at depth 10) lose more to wasted probes than they save
-_TREE_DEPTH = 6
-_PGD_STEP = 0.25  # first trial step of each PGD line search
-_PGD_TOL = 1e-4  # PGD stops once an accepted step moves alpha less than this
-_PGD_MAX_ITERS = 60
+_SEARCH_STEP = 0.2  # first step of the threshold pattern search
+_SEARCH_TOL = 1e-6  # the pattern search stops once its step falls below this
 _ALT_MAX_ITERS = 50
 _ALT_TOL = 1e-6  # alternating loop stops on a smaller objective gain
 # computed outage is at least F_M minus 2^-54 (see the module docstring)
@@ -301,155 +291,76 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
     return _rate_scan(rates, dl, grid, m, epsilon)
 
 
-def _bisect_upper(lo: float, hi: float, ok, steps: int, depth: int) -> float:
-    """Upper bracket end after `steps` halvings of [lo, hi]: ok(hi) is
-    assumed true, and the end moves down to every midpoint where ok holds.
-
-    ok maps an array of points to one bool each. Every call probes the
-    midpoints the next `depth` halvings can visit, a subtree in heap order
-    built with the same 0.5 (lo + hi) arithmetic, and the walk down it
-    takes the decisions a one-probe-per-halving bisection would take. So
-    any depth gives the same result bit for bit, monotone ok or not; a
-    deeper tree trades wasted probes for fewer calls.
-    """
-    while steps > 0:
-        d = min(depth, steps)
-        # the brackets of one tree level tile [lo, hi]: node j of the level
-        # holds [edges[j], edges[j + 1]], its left child the lower half
-        edges = np.array([lo, hi])
-        mids = []
-        for _ in range(d):
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            mids.append(mid)
-            finer = np.empty(2 * edges.size - 1)
-            finer[0::2] = edges
-            finer[1::2] = mid
-            edges = finer
-        mids = np.concatenate(mids)
-        good = ok(mids)
-        node = 0
-        for _ in range(d):
-            # heap order: node i has children 2i + 1 (ok) and 2i + 2
-            if good[node]:
-                hi = mids[node]
-                node = 2 * node + 1
-            else:
-                lo = mids[node]
-                node = 2 * node + 2
-        steps -= d
-    return hi
+def _throughput(rhos, F, alphas, fb: feedback_model.FeedbackSpec,
+                epsilon: float) -> float | None:
+    """Throughput of rates `rhos` (prefix failures F) at thresholds
+    `alphas`, or None when the outage misses epsilon. Outage comes first;
+    the occurrence probabilities and cost only when it meets epsilon."""
+    p_nack = feedback_model.nack_error_rate(alphas, fb.snr_linear)
+    outage = harq_analysis.outage_from_failures(F, p_nack)
+    if outage > epsilon:
+        return None
+    p_ack = feedback_model.ack_error_rate(alphas, fb.snr_linear)
+    P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
+    return float((1.0 - outage) / harq_analysis.expected_cost(rhos, P))
 
 
-class _ThresholdProbes:
-    """Throughput and outage at fixed rates as functions of the thresholds.
+def optimize_thresholds(rhos, dl, fb: feedback_model.FeedbackSpec,
+                        epsilon: float, start_alphas) -> np.ndarray:
+    """Thresholds in ALPHA_BOX of largest throughput at fixed rates,
+    subject to outage <= epsilon, by a deterministic coordinate pattern
+    search.
 
-    Both methods take thresholds of shape (..., k) and return values of
-    shape (...), so a batch of B probes is one call on a (B, k) array.
-    outage computes the NACK error rates and the outage only, the whole of
-    what a feasibility test reads.
-    """
-
-    def __init__(self, rhos, dl, fb: feedback_model.FeedbackSpec):
-        self.rhos = rhos
-        self.F = mi_model.p_fail_gaussian(rhos, dl)
-        self.snr_linear = fb.snr_linear
-
-    def outage(self, alphas):
-        p_nack = feedback_model.nack_error_rate(alphas, self.snr_linear)
-        return harq_analysis.outage_from_failures(self.F, p_nack)
-
-    def evaluate(self, alphas):
-        """(eta, outage)."""
-        p_nack = feedback_model.nack_error_rate(alphas, self.snr_linear)
-        p_ack = feedback_model.ack_error_rate(alphas, self.snr_linear)
-        P = harq_analysis.occurrence_probabilities(self.F, p_nack, p_ack)
-        out = harq_analysis.outage_from_failures(self.F, p_nack)
-        return (1.0 - out) / harq_analysis.expected_cost(self.rhos, P), out
-
-
-def optimize_thresholds_pgd(rhos, dl, fb: feedback_model.FeedbackSpec,
-                            epsilon: float, *, start_alphas=None) -> np.ndarray:
-    """Projected gradient ascent on throughput over ALPHA_BOX, subject to
-    outage <= epsilon.
-
-    Gradient by central differences, all 2k probes in one batch (probes may
-    leave the box, where the error-rate formulas remain valid); infeasible
-    iterates are pulled back by bisection toward the elementwise-larger
-    envelope of the incumbent, so coordinates only grow during projection.
-    The bisections probe _TREE_DEPTH halvings per batch and compute outage
-    only. Accepts only improving steps, so the returned point is feasible
-    and at least as good as the starting one.
+    The search starts at start_alphas clipped to the box, or at the box
+    top when that point misses epsilon; InfeasibleError carries the top's
+    outage when the top misses too. Each pass tries +step, then -step, on
+    every coordinate in turn (probes are clipped to the box) and keeps the
+    first feasible probe with a higher throughput, or an equal one on a
+    downward step, so flat directions settle at the box floor. The step
+    starts at _SEARCH_STEP, halves after a pass without a move, and the
+    search stops once it falls below _SEARCH_TOL. The returned point is
+    feasible and at least as good as the start.
     """
     rhos = tuple(float(r) for r in rhos)
     k = len(rhos) - 1
+    x = np.clip(np.asarray(start_alphas, dtype=float), *ALPHA_BOX)
+    if x.shape != (k,):
+        raise ValueError("optimize_thresholds: start_alphas length mismatch")
     if k == 0:
-        return np.zeros(0)
-    probes = _ThresholdProbes(rhos, dl, fb)
-    lo, hi = ALPHA_BOX
-
-    def feasible(x) -> bool:
-        return probes.outage(x) <= epsilon
-
-    top = np.full(k, hi)
-    if not feasible(top):
-        raise InfeasibleError(
-            "no feasible thresholds inside the box at these rates",
-            min_outage=probes.outage(top),
-        )
-
-    def pull_back(cand: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        # anchor is feasible; raising thresholds never raises outage, so the
-        # elementwise max is feasible and bisection meets the boundary
-        if feasible(cand):
-            return cand
-        span = np.maximum(cand, anchor) - cand
-        t = _bisect_upper(0.0, 1.0,
-                          lambda t: probes.outage(cand + t[:, None] * span) <= epsilon,
-                          60, _TREE_DEPTH)
-        return cand + t * span
-
-    if start_alphas is not None:
-        x = np.clip(np.asarray(start_alphas, dtype=float), lo, hi)
-        if x.shape != (k,):
-            raise ValueError("optimize_thresholds_pgd: start_alphas length mismatch")
-        x = pull_back(x, top)
-    else:
-        # start at the smallest feasible uniform threshold
-        floor = np.full(k, lo)
-        if feasible(floor):
-            x = floor
-        else:
-            level = _bisect_upper(
-                lo, hi, lambda s: probes.outage(np.repeat(s[:, None], k, axis=1)) <= epsilon,
-                60, _TREE_DEPTH)
-            x = np.full(k, level)
-
-    eta_x, _ = probes.evaluate(x)
-    # rows j and k + j step coordinate j up and down
-    shifts = np.concatenate((np.eye(k), -np.eye(k))) * _FD_STEP
-    for _ in range(_PGD_MAX_ITERS):
-        eta_fd, _ = probes.evaluate(x + shifts)
-        grad = (eta_fd[:k] - eta_fd[k:]) / (2.0 * _FD_STEP)
-        step = _PGD_STEP
-        moved = 0.0
-        for _ in range(30):
-            cand = pull_back(np.clip(x + step * grad, lo, hi), x)
-            eta_c, _ = probes.evaluate(cand)
-            if eta_c > eta_x:
-                moved = float(np.max(np.abs(cand - x)))
-                x, eta_x = cand, eta_c
-                break
+        return x
+    F = mi_model.p_fail_gaussian(rhos, dl)
+    eta_x = _throughput(rhos, F, x, fb, epsilon)
+    if eta_x is None:
+        x = np.full(k, ALPHA_BOX[1])
+        eta_x = _throughput(rhos, F, x, fb, epsilon)
+    if eta_x is None:
+        p_nack = feedback_model.nack_error_rate(x, fb.snr_linear)
+        raise InfeasibleError("no feasible thresholds inside the box at these rates",
+                              min_outage=harq_analysis.outage_from_failures(F, p_nack))
+    step = _SEARCH_STEP
+    while step >= _SEARCH_TOL:
+        moved = False
+        for j in range(k):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[j] = np.clip(x[j] + sign * step, *ALPHA_BOX)
+                if cand[j] == x[j]:
+                    continue
+                eta_c = _throughput(rhos, F, cand, fb, epsilon)
+                if eta_c is not None and (eta_c > eta_x
+                                          or (eta_c == eta_x and sign < 0.0)):
+                    x, eta_x, moved = cand, eta_c, True
+                    break
+        if not moved:
             step *= 0.5
-        if moved < _PGD_TOL:
-            break
     return x
 
 
 def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                          start: harq_analysis.HarqPolicy, grid: RateGrid,
                          epsilon: float) -> Solution:
-    """Alternate the exact rate scan and PGD threshold tuning from `start`
-    over the rates of `grid`, subject to outage <= epsilon.
+    """Alternate the exact rate scan and the threshold pattern search from
+    `start` over the rates of `grid`, subject to outage <= epsilon.
 
     The start policy fixes the block geometry and rate box of the result and
     is its starting point: the thresholds start at start.alphas clipped to
@@ -499,19 +410,25 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                 min_outage=min_achievable_outage(top, dl, fb, grid, m),
                 iteration=0,
             )
-        # one probe per call: each is a pass over the whole kept table
-        alphas = np.maximum(alphas, _bisect_upper(
-            lo, hi, lambda s: [reaches(np.maximum(alphas, s[0]))], 40, 1))
+        # 40 halvings of [lo, hi]; each probe is a pass over the kept table
+        below, level = lo, hi
+        for _ in range(40):
+            mid = 0.5 * (below + level)
+            below, level = (below, mid) if reaches(np.maximum(alphas, mid)) else (mid, level)
+        alphas = np.maximum(alphas, level)
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
+
+    def throughput(rhos, a) -> float | None:
+        return _throughput(rhos, mi_model.p_fail_gaussian(rhos, dl), a, fb, epsilon)
 
     rhos_inc = start.rhos
     eta_inc = -math.inf
     prev = None
-    eta0, out0 = _ThresholdProbes(start.rhos, dl, fb).evaluate(alphas)
+    eta0 = throughput(start.rhos, alphas)
     # an infeasible seed must not become the incumbent: its inflated
     # throughput would veto every constraint-satisfying update and the
     # loop would return the seed itself
-    if out0 <= epsilon:
+    if eta0 is not None:
         eta_inc = eta0
         prev = eta_inc
 
@@ -530,10 +447,10 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             rhos_inc, eta_inc = rhos_new, eta_new
 
         if k > 0:
-            alphas_new = optimize_thresholds_pgd(
-                rhos_inc, dl, fb, epsilon, start_alphas=alphas
-            )
-            eta_alpha, _ = _ThresholdProbes(rhos_inc, dl, fb).evaluate(alphas_new)
+            # the search starts at the current thresholds, feasible for the
+            # incumbent, so it returns feasible thresholds
+            alphas_new = optimize_thresholds(rhos_inc, dl, fb, epsilon, alphas)
+            eta_alpha = throughput(rhos_inc, alphas_new)
             if eta_alpha >= eta_inc:
                 alphas, eta_inc = alphas_new, eta_alpha
 

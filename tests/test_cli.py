@@ -346,6 +346,49 @@ def test_sweep_fixed_vs_variable_smoke(tmp_path):
     assert float(variable) >= float(fixed) - 1e-6 > 0.0
 
 
+@pytest.mark.parametrize("alphas", ["3.5, 4, 5", "1, 3.01", "-0.5", "nan"])
+def test_sweep_fixed_vs_variable_rejects_alphas_outside_the_box(tmp_path, capsys,
+                                                                alphas):
+    # a fixed threshold above the box (5 at 3 / -15 dB) beat the variable
+    # search, which only runs inside it: 0.3626 against 0.3337, exit 0
+    path = write_config(tmp_path, {
+        "snr_d_db": 3.0, "sweep.axis": "snr_u_db", "sweep.values": "-15",
+        "sweep.mode": "fixed_vs_variable", "sweep.alphas": alphas,
+    })
+    out = tmp_path / "fv.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 2
+    assert "sweep.alphas: must satisfy 0 <= alpha <= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_min_outage_accepts_alphas_outside_the_box(tmp_path):
+    path = write_config(tmp_path, {
+        **SMALL, "sweep.axis": "snr_u_db", "sweep.values": "-10",
+        "sweep.mode": "min_outage", "sweep.alphas": "-0.5, 3.5",
+    })
+    out = tmp_path / "mo.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 0
+    header = out.read_text(encoding="utf-8").splitlines()[0]
+    assert header == "snr_u_db,min_outage_alpha_-0.5,min_outage_alpha_3.5"
+
+
+def test_optimize_single_round(tmp_path):
+    # m_max = 1 has no feedback and no threshold: the rate scan alone
+    # decides, and the row is pinned
+    path = write_config(tmp_path, {"m_max": 1, "units_total": 16,
+                                   "snr_d_db": 10.0, "epsilon": 0.05})
+    out = tmp_path / "one.csv"
+    assert cli.main(["optimize", "--config", path, "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines == [
+        "snr_d_db,snr_u_db,m_max,epsilon,rho_1,iterations,converged,feasible,"
+        "p_out_unreliable,expected_symbols,throughput",
+        "10,-10,1,0.05,1.5,2,1,1,0.0442561846,1536,0.637162544",
+    ]
+
+
 def test_sweep_vs_duplicated_smoke(tmp_path):
     path = write_config(tmp_path, {
         **SMALL, "sweep.axis": "snr_u_db", "sweep.values": "-10, -5",
