@@ -291,6 +291,16 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
     return _rate_scan(rates, dl, grid, m, epsilon)
 
 
+def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
+    """Upper bracket end after `steps` halvings of [lo, hi]: ok(hi) is
+    assumed true, and the end moves down to every midpoint where ok holds.
+    One probe per halving, so a non-monotone ok still gets a fixed walk."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
 def _throughput(rhos, F, alphas, fb: feedback_model.FeedbackSpec,
                 epsilon: float) -> float | None:
     """Throughput of rates `rhos` (prefix failures F) at thresholds
@@ -411,11 +421,8 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                 iteration=0,
             )
         # 40 halvings of [lo, hi]; each probe is a pass over the kept table
-        below, level = lo, hi
-        for _ in range(40):
-            mid = 0.5 * (below + level)
-            below, level = (below, mid) if reaches(np.maximum(alphas, mid)) else (mid, level)
-        alphas = np.maximum(alphas, level)
+        alphas = np.maximum(alphas, _bisect_upper(
+            lo, hi, lambda s: reaches(np.maximum(alphas, s)), 40))
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
     def throughput(rhos, a) -> float | None:

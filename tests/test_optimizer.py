@@ -7,6 +7,7 @@ routes), not approximate.
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -358,6 +359,63 @@ def test_best_feasible_allocation_is_enumeration_argmax(dl3):
     with pytest.raises(InfeasibleError) as exc:
         optimizer.best_feasible_allocation(rates, dl3, grid, 2, 1e-4)
     assert exc.value.min_outage > 1e-4
+
+
+def tree_bisect_upper(lo, hi, ok, steps, depth):
+    # an independent reference for the bisection: each call probes every
+    # midpoint the next `depth` halvings can visit, a subtree in heap order
+    # built with the same 0.5 (lo + hi) arithmetic, and walks it down
+    while steps > 0:
+        d = min(depth, steps)
+        # node j of a level holds [edges[j], edges[j + 1]]
+        edges = np.array([lo, hi])
+        mids = []
+        for _ in range(d):
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            mids.append(mid)
+            finer = np.empty(2 * edges.size - 1)
+            finer[0::2] = edges
+            finer[1::2] = mid
+            edges = finer
+        mids = np.concatenate(mids)
+        good = [ok(float(p)) for p in mids]
+        node = 0
+        for _ in range(d):
+            # node i has children 2i + 1 (ok) and 2i + 2
+            if good[node]:
+                hi = mids[node]
+                node = 2 * node + 1
+            else:
+                lo = mids[node]
+                node = 2 * node + 2
+        steps -= d
+    return hi
+
+
+PREDICATES = {
+    "monotone": lambda t: t >= 0.3183098861837907,
+    "oscillating": lambda t: math.sin(1e4 * t) > 0.0,
+    "mantissa-bits": lambda t: (int(np.float64(t).view(np.int64)) >> 17) % 3 == 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+@pytest.mark.parametrize("steps", [1, 9, 10, 23, 60])
+@pytest.mark.parametrize("depth", [1, 3, 10])
+def test_tree_bisection_equals_sequential(name, steps, depth):
+    # the bootstrap's one-probe-per-halving bisection takes the decisions of
+    # a batched probe tree of any depth bit for bit, monotone predicate or not
+    pred = PREDICATES[name]
+    probes = []
+
+    def ok(t):
+        probes.append(t)
+        return pred(t)
+
+    got = optimizer._bisect_upper(-0.7, 2.9, ok, steps)
+    want = tree_bisect_upper(-0.7, 2.9, pred, steps, depth)
+    assert float(got).hex() == float(want).hex()
+    assert len(probes) == steps
 
 
 def test_search_perfect_feedback_prefers_low_thresholds(dl3):
