@@ -292,9 +292,8 @@ def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
 
 
 def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
-    """Upper bracket end after `steps` halvings of [lo, hi]: ok(hi) is
-    assumed true, and the end moves down to every midpoint where ok holds.
-    One probe per halving, so a non-monotone ok still gets a fixed walk."""
+    """Upper end of [lo, hi] after `steps` halvings, moved down to every
+    midpoint where ok holds (ok(hi) is assumed); one probe per halving."""
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if ok(mid) else (mid, hi)
@@ -441,14 +440,12 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
 
     trace: list[float] = []
     converged = False
-    iterations = 0
-    for it in range(1, _ALT_MAX_ITERS + 1):
-        iterations = it
+    for iterations in range(1, _ALT_MAX_ITERS + 1):
         try:
             rhos_new, eta_new = _rate_scan(feedback_model.error_rates_for(fb, alphas),
                                            dl, grid, m, epsilon)
         except InfeasibleError as err:
-            err.iteration = it
+            err.iteration = iterations
             raise
         if eta_new >= eta_inc:
             rhos_inc, eta_inc = rhos_new, eta_new
@@ -467,8 +464,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             break
         prev = eta_inc
 
-    policy = dataclasses.replace(start, rhos=tuple(rhos_inc),
-                                 alphas=tuple(alphas))
+    policy = dataclasses.replace(start, rhos=tuple(rhos_inc), alphas=tuple(alphas))
     breakdown = harq_analysis.unreliable_throughput(policy, dl, fb)
     return Solution(
         policy=policy,
