@@ -65,16 +65,6 @@ def _check_rates(rates, name: str) -> np.ndarray:
     return rhos
 
 
-def _scaled_e1(x: float) -> float:
-    """exp(x) * E1(x), stable for large x where the factors overflow."""
-    if x < 700.0:
-        return math.exp(x) * numerics.exp_integral_e1(x)
-    # Asymptotic series 1/x - 1/x^2 + 2/x^3 - 6/x^4 + 24/x^5; the truncation
-    # error is below 1e-12 relative for x > 700.
-    inv = 1.0 / x
-    return inv * (1.0 - inv * (1.0 - 2.0 * inv * (1.0 - 3.0 * inv * (1.0 - 4.0 * inv))))
-
-
 def mean_mi_closed_form(snr_linear: float) -> float:
     """E[log2(1 + snr * g)] for unit-exponential g: log2(e) e^{1/snr} E1(1/snr).
 
@@ -83,7 +73,7 @@ def mean_mi_closed_form(snr_linear: float) -> float:
     s = float(snr_linear)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError("mean_mi_closed_form: snr_linear must be positive")
-    return LOG2E * _scaled_e1(1.0 / s)
+    return LOG2E * numerics.exp_integral_e1(1.0 / s, scaled=True)
 
 
 def make_downlink_spec(snr_db: float) -> DownlinkSpec:

@@ -4,7 +4,7 @@ Every command runs in-process on a small 16-unit grid with one worker and
 a fixed seed, and its CSVs and exit code are compared against the files
 in tests/golden/: headers, labels and integer or flag cells exactly,
 floating-point cells to a relative 1e-7 (the last printed digits may move
-with the installed numpy/scipy).
+with the installed numpy and the platform's floating-point kernels).
 
 The golden files are regenerated only for an intended change of output,
 and that change is logged in CHANGES.md. To regenerate, run this file as a

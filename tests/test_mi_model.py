@@ -27,6 +27,15 @@ def test_downlink_spec_3db_oracles(dl3):
     )
 
 
+def test_mean_mi_closed_form_low_snr_asymptotic_series():
+    # e^x E1(x) ~ sum_k (-1)^k k! / x^k; at x = 1/snr >= 700 twelve terms
+    # leave a truncation error below 1e-25
+    for x in (700.0, 1234.5, 1e4, 1e6):
+        series = sum((-1) ** k * math.factorial(k) / x ** (k + 1) for k in range(12))
+        got = mi_model.mean_mi_closed_form(1.0 / x)
+        assert got == pytest.approx(mi_model.LOG2E * series, rel=4e-15)
+
+
 def test_downlink_spec_jensen_bound(dl3):
     # concavity: E[log2(1+g snr)] <= log2(1 + snr E[g])
     assert 0.0 < dl3.mean_mi <= math.log2(1.0 + dl3.snr_linear)

@@ -3,7 +3,8 @@
 The reference constants were produced by separate oracles (series /
 continued-fraction evaluation for erfc and E1, a fine trapezoid grid for
 the Rayleigh expectation) before the kernels were written, so agreement
-here is evidence, not tautology.
+here is evidence, not tautology. scipy, a test-only dependency, is the
+oracle for the kernels over whole ranges.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from harqopt import numerics
 from harqopt.errors import ConvergenceError
@@ -29,6 +31,64 @@ def test_erfc_examples():
     assert numerics.erfc(0.0) == 1.0
     assert numerics.erfc(-0.7) == pytest.approx(2.0 - numerics.erfc(0.7), abs=1e-15)
     assert abs(numerics.erfc(1.0) - ERFC_ONE) <= 1e-12
+
+
+def _ulps(a, b):
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_erfc_matches_scipy_oracle():
+    rng = np.random.default_rng(2024)
+    xs = np.concatenate([np.linspace(-6.0, 27.0, 330_001),
+                         rng.uniform(-6.0, 27.0, 100_000),
+                         rng.uniform(-1.0, 1.0, 20_000),
+                         [-1.0, 1.0, -8.0, 8.0, 26.64, -26.64]])
+    got = numerics.erfc(xs)
+    ref = special.erfc(xs)
+    ulps = _ulps(got, ref)
+    core = np.abs(xs) < 1.0
+    # same rational form and Horner order: exact where no exp is involved
+    assert np.all(ulps[core] == 0)
+    # elsewhere numpy's exp may differ from libm's by an ulp
+    normal = ref >= np.finfo(float).tiny
+    assert ulps[normal].max() <= 4
+    # exp(-x^2) underflows past x^2 = log(DBL_MAX): exactly 0, or 2 below
+    under = xs * xs > 709.782712893384
+    assert np.any(under & (xs > 0.0))
+    assert np.all(got[under & (xs > 0.0)] == 0.0)
+    assert np.all(numerics.erfc(-xs[under]) == 2.0)
+
+
+def test_erfc_same_bits_as_scalar_and_inside_any_block():
+    block = numerics._BLOCK
+    xs = np.random.default_rng(5).uniform(-6.0, 27.0, 3 * block)
+    whole = numerics.erfc(xs)
+    picks = np.r_[0:8, block - 8:block + 8, 2 * block - 8:2 * block + 8, 3 * block - 8:3 * block]
+    for i in picks:
+        v = float(xs[i])
+        assert numerics.erfc(v) == whole[i]
+        assert numerics.erfc(np.array(v)) == whole[i]
+        assert numerics.erfc(np.array([v, 0.5]))[0] == whole[i]
+    assert numerics.erfc(xs.reshape(3, block)).ravel().tobytes() == whole.tobytes()
+
+
+def test_laguerre_nodes_match_scipy_oracle():
+    for n in numerics._NODE_LADDER:
+        x, w = numerics._laguerre_nodes(n)
+        x_ref, w_ref = special.roots_laguerre(n)
+        assert _ulps(x, x_ref).max() <= 4
+        assert _ulps(w, w_ref).max() <= 4
+
+
+def test_exp_integral_matches_scipy_oracle():
+    rng = np.random.default_rng(17)
+    xs = np.concatenate([np.geomspace(1e-3, 700.0, 20_001),
+                         rng.uniform(0.5, 2.0, 5_000)])
+    got = np.array([numerics.exp_integral_e1(x) for x in xs])
+    ref = special.exp1(xs)
+    assert np.max(np.abs(got - ref) / ref) <= 2e-15
+    scaled = np.array([numerics.exp_integral_e1(x, scaled=True) for x in xs])
+    assert np.max(np.abs(scaled * np.exp(-xs) - ref) / ref) <= 2e-15
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
