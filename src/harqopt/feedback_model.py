@@ -15,9 +15,12 @@ On the +-1 scale the detector noise is Gaussian with standard deviation
     nack->ack:  0.5 erfc((1+alpha) sqrt(6 snr))
     ack->nack:  0.5 erfc((1-alpha) sqrt(6 snr))
 
-and simulate_detection realizes the same statistic symbol by symbol
-(detect_batch for many trials at once from the real parts alone, the
-detector the Monte Carlo simulator runs in its symbol-level mode).
+and simulate_detection realizes the same statistic symbol by symbol, from
+24 standard normals per trial. detect_batch, the detector the Monte Carlo
+simulator runs in its symbol-level mode, computes the same statistic for
+many trials at once from the 6 normals it reads: the real parts of the
+noise where the sequences differ. Its draws do not depend on the block
+size it draws them in.
 
 A FeedbackSpec is the uplink operating point only, the feedback SNR. The
 thresholds belong to the HARQ policy and are passed to error_rates_for
@@ -161,19 +164,22 @@ def simulate_detection(sent_ack: bool, alpha: float, snr_linear: float, rng) -> 
 
 
 def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.ndarray:
-    """Vectorized simulate_detection: n independent trials, bool array out.
+    """Vectorized detector: n independent trials, bool array out.
 
     sent_ack is one bool for every trial or an (n,) bool array, one per
-    trial. Noise is drawn in chunks of _BATCH_CHUNK trials: all 12 real
-    parts of the chunk's trials, then all 12 imaginary parts, 24 standard
-    normals per trial.
+    trial. The statistic reads only the real parts of y at the 6 positions
+    where the sequences differ, so each trial draws just those 6 standard
+    normals, in position order, and one call draws one (n, 6) block. The
+    noise is drawn in chunks of _BATCH_CHUNK trials only to bound memory:
+    consecutive draws continue one stream, so the output does not depend
+    on the chunk size. The stream differs from simulate_detection's (24
+    normals per trial), which stays the symbol-by-symbol reference.
 
-    The sequence difference is 2 on the 6 positions where the sequences
-    differ and 0 elsewhere, so the statistic is the sum of the real parts
-    of y there, times 2 / (12 sqrt(snr)). It is summed in position order,
-    the order of the complex dot product over all 12 positions, whose other
-    terms are signed zeros. The imaginary parts are drawn only to keep the
-    stream.
+    The sequence difference is 2 on the differing positions and 0
+    elsewhere, so the statistic is the sum of the real parts of y there,
+    times 2 / (12 sqrt(snr)). It is summed in position order, the order of
+    the complex dot product over all 12 positions, whose other terms are
+    signed zeros, so it matches detection_statistic bit for bit.
     """
     s = _check_snr(snr_linear)
     if n < 1:
@@ -182,7 +188,7 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     if sent_ack.ndim and sent_ack.shape != (n,):
         raise ValueError("detect_batch: sent_ack must be a bool or an (n,) array")
     s_ack, s_nack = build_sequences()
-    differ = np.flatnonzero(s_ack != s_nack)
+    n_differ = np.count_nonzero(s_ack != s_nack)
     root_s = math.sqrt(s)
     scale = SEQUENCE_LENGTH * root_s
     out = np.empty(n, dtype=bool)
@@ -190,15 +196,13 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     while done < n:
         m = min(_BATCH_CHUNK, n - done)
         flags = sent_ack[done : done + m] if sent_ack.ndim else sent_ack
-        z = rng.standard_normal((m, SEQUENCE_LENGTH))
         # Re(y) where the sequences differ: the sent symbol there is +1 for
         # ACK and -1 for NACK, scaled by sqrt(snr)
-        re = z[:, differ]
+        re = rng.standard_normal((m, n_differ))
         re *= _HALF_COMPLEX
         re += np.where(flags, root_s, -root_s)[..., None]
-        rng.standard_normal(out=z)
         corr = re[:, 0] + re[:, 1]
-        for k in range(2, differ.size):
+        for k in range(2, n_differ):
             corr += re[:, k]
         corr *= 2.0
         corr /= scale

@@ -14,10 +14,13 @@ its own counter-based stream (Philox keyed by the seed, jumped by the
 chunk index), with a fixed draw order inside a chunk. All fading gains
 come first, for every episode and round: the forced-continuation failure
 frequencies read them all. Then, round by round, the feedback randomness
-comes as one block for the episodes still running, in episode order, as
-run_episode draws it; a round with none left draws nothing. Estimates are
-therefore bit-identical for identical (seed, n, mode) and independent of
-how chunks are executed.
+comes as one block for the episodes still running, in episode order; a
+round with none left draws nothing. The analytic-flip block holds one
+uniform per episode, as run_episode draws it. The symbol-level block is
+detect_batch's: the 6 normals per episode that its statistic reads, not the
+24 of run_episode's symbol-by-symbol reference, so the two streams differ.
+Estimates are bit-identical for identical (seed, n, mode) and independent
+of how chunks are executed.
 """
 
 from __future__ import annotations
@@ -158,7 +161,8 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
         acc += 1.0
         np.log2(acc, out=acc)
         acc *= rhos
-        np.cumsum(acc, axis=1, out=acc)
+        for j in range(1, m):
+            acc[:, j] += acc[:, j - 1]
         decoded = acc >= 1.0
 
         rounds_used = np.ones(c, dtype=np.int64)
@@ -173,8 +177,6 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
                 p_err = np.where(sent_ack, pa[j], pn[j])
                 det_ack = sent_ack != (u < p_err)
             elif mode == SYMBOL_LEVEL:
-                # k <= _CHUNK < feedback_model._BATCH_CHUNK: detect_batch
-                # draws this round's noise as one block, all real parts first
                 det_ack = feedback_model.detect_batch(
                     sent_ack, policy.alphas[j], fb.snr_linear, k, rng
                 )
@@ -198,7 +200,8 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
         syy += float((symbols * symbols).sum())
         counts = np.bincount(rounds_used, minlength=m + 1)
         occ_counts += counts[::-1].cumsum()[::-1][1 : m + 1]
-        fail_counts += c - np.count_nonzero(decoded, axis=0)
+        for j in range(m):
+            fail_counts[j] += c - np.count_nonzero(decoded[:, j])
 
         done += c
         chunk_index += 1

@@ -53,7 +53,7 @@ def test_criterion_01_feedback_closure(capsys):
     with criterion(capsys, 1, "detector Monte Carlo matches error-rate formulas"):
         t0 = time.perf_counter()
         n = 10 ** 6
-        rng = np.random.default_rng(20260815)  # measured worst |z| = 1.84
+        rng = np.random.default_rng(20260815)  # measured worst |z| = 2.69
         for alpha in (0.0, 0.2, 0.5, 1.0):
             for snr_db in (-15.0, -10.0, -5.0):
                 s = 10.0 ** (snr_db / 10.0)

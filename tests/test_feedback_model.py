@@ -134,16 +134,21 @@ def test_detect_batch_per_trial_flags_select_the_sent_sequence():
 @pytest.mark.parametrize("alpha, snr", [(0.0, 0.1), (0.5, 0.03), (-0.3, 1.0),
                                         (1.2, 3.0)])
 def test_detect_batch_matches_scalar_statistic_row_by_row(alpha, snr):
-    # detect_batch reads the same 24 normals per trial as the symbol-by-
-    # symbol detector: 12 real parts for every trial, then 12 imaginary
+    # detect_batch draws one (n, 6) block: the real parts of the noise at
+    # the positions where the sequences differ, in position order. Placed
+    # there in a full 12-symbol y, with arbitrary noise in every other real
+    # and imaginary part, they give the symbol-by-symbol statistic exactly
     n = 2000
     flags = np.random.default_rng(4).random(n) < 0.5
     rng = np.random.default_rng(21)
     got = feedback_model.detect_batch(flags, alpha, snr, n, rng)
     ref = np.random.default_rng(21)
-    re = ref.standard_normal((n, 12))
-    im = ref.standard_normal((n, 12))
     s_ack, s_nack = feedback_model.build_sequences()
+    differ = np.flatnonzero(s_ack != s_nack)
+    other = np.random.default_rng(22)
+    re = other.standard_normal((n, 12))
+    im = other.standard_normal((n, 12))
+    re[:, differ] = ref.standard_normal((n, differ.size))
     want = [
         feedback_model.detection_statistic(
             math.sqrt(snr) * (s_ack if f else s_nack) + (r + 1j * i) * math.sqrt(0.5),
@@ -154,6 +159,20 @@ def test_detect_batch_matches_scalar_statistic_row_by_row(alpha, snr):
     assert 0 < sum(want) < n
     np.testing.assert_array_equal(got, want)
     assert rng.random() == ref.random()
+
+
+def test_detect_batch_does_not_depend_on_its_block_size(monkeypatch):
+    # consecutive draws continue one stream, so blocks of 1000 or of 7
+    # trials read the same normals in the same order
+    n, alpha, snr = 2 * 10**4, 0.3, 0.1
+    flags = np.random.default_rng(5).random(n) < 0.5
+    outs = []
+    for block in (1000, 7):
+        monkeypatch.setattr(feedback_model, "_BATCH_CHUNK", block)
+        outs.append(feedback_model.detect_batch(flags, alpha, snr, n,
+                                                np.random.default_rng(13)))
+    assert 0 < outs[0].sum() < n
+    np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def test_error_rates_for_symmetric_case():

@@ -153,14 +153,11 @@ def _feedback_block_sizes(mode, draws):
     """Episodes drawn for in each feedback round of one chunk's draws, after
     checking that each round draws one block of the mode's shape."""
     if mode == mc_simulator.SYMBOL_LEVEL:
-        # real parts, then imaginary parts, 12 of each per trial
-        reals, imags = draws[0::2], draws[1::2]
-        assert reals == imags
-        assert all(name == "standard_normal" and shape[1:] == (12,)
-                   for name, shape in reals)
-        return [shape[0] for _, shape in reals]
-    tail = (2,) if mode == "duplicated-ack" else ()
-    assert all(name == "random" and shape[1:] == tail for name, shape in draws)
+        # the 6 real parts the detector statistic reads, per trial
+        name, tail = "standard_normal", (6,)
+    else:
+        name, tail = "random", (2,) if mode == "duplicated-ack" else ()
+    assert all(d == name and shape[1:] == tail for d, shape in draws)
     return [shape[0] for _, shape in draws]
 
 
