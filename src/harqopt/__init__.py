@@ -11,7 +11,6 @@ Carlo oracle, and cli the file-driven workflows.
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DegenerateStateError,
     GridError,
     HarqOptError,
     InfeasibleError,
@@ -36,7 +35,6 @@ from .harq_analysis import (
     occurrence_probabilities,
     outage_from_failures,
     reliable_throughput,
-    stage_outage,
     unreliable_throughput,
 )
 from .mc_simulator import (
@@ -62,7 +60,6 @@ from .optimizer import (
     brute_force_rate_allocation,
     make_rate_grid,
     min_achievable_outage,
-    optimize_thresholds,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ConvergenceError",
-    "DegenerateStateError",
     "DownlinkSpec",
     "EpisodeOutcome",
     "FeedbackErrorRates",
@@ -103,14 +99,12 @@ __all__ = [
     "min_achievable_outage",
     "nack_error_rate",
     "occurrence_probabilities",
-    "optimize_thresholds",
     "outage_from_failures",
     "p_fail_convolution",
     "p_fail_gaussian",
     "reliable_throughput",
     "run_episode",
     "simulate_detection",
-    "stage_outage",
     "unreliable_throughput",
     "__version__",
 ]

@@ -94,7 +94,8 @@ def _parse_float(raw: str) -> float:
 
 def _parse_int(raw: str) -> int:
     v = float(raw)
-    if v != int(v):
+    # int() of an infinity raises OverflowError, not a bad-value ValueError
+    if not math.isfinite(v) or v != int(v):
         raise ValueError(f"expected an integer, got {raw!r}")
     return int(v)
 

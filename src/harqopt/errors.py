@@ -54,9 +54,5 @@ class InfeasibleError(HarqOptError, RuntimeError):
         return self._min_outage
 
 
-class DegenerateStateError(HarqOptError, ValueError):
-    """A conditional quantity was requested for an unreachable state."""
-
-
 class ConfigError(HarqOptError, ValueError):
     """A run configuration failed to parse or violated a field bound."""

@@ -19,8 +19,7 @@ and simulate_detection realizes the same statistic symbol by symbol, from
 24 standard normals per trial. detect_batch, the detector the Monte Carlo
 simulator runs in its symbol-level mode, computes the same statistic for
 many trials at once from the 6 normals it reads: the real parts of the
-noise where the sequences differ. Its draws do not depend on the block
-size it draws them in.
+noise where the sequences differ, drawn as one block per call.
 
 A FeedbackSpec is the uplink operating point only, the feedback SNR. The
 thresholds belong to the HARQ policy and are passed to error_rates_for
@@ -38,9 +37,6 @@ from . import numerics
 
 SEQUENCE_LENGTH = 12
 _HALF_COMPLEX = math.sqrt(0.5)  # per-symbol complex noise has unit variance
-
-# Batch detection draws noise in blocks of this many trials.
-_BATCH_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -169,11 +165,10 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     sent_ack is one bool for every trial or an (n,) bool array, one per
     trial. The statistic reads only the real parts of y at the 6 positions
     where the sequences differ, so each trial draws just those 6 standard
-    normals, in position order, and one call draws one (n, 6) block. The
-    noise is drawn in chunks of _BATCH_CHUNK trials only to bound memory:
-    consecutive draws continue one stream, so the output does not depend
-    on the chunk size. The stream differs from simulate_detection's (24
-    normals per trial), which stays the symbol-by-symbol reference.
+    normals, in position order, and one call draws one (n, 6) block; its
+    caller bounds n, and so the memory, by the trials it passes. The
+    stream differs from simulate_detection's (24 normals per trial), which
+    stays the symbol-by-symbol reference.
 
     The sequence difference is 2 on the differing positions and 0
     elsewhere, so the statistic is the sum of the real parts of y there,
@@ -191,21 +186,14 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     n_differ = np.count_nonzero(s_ack != s_nack)
     root_s = math.sqrt(s)
     scale = SEQUENCE_LENGTH * root_s
-    out = np.empty(n, dtype=bool)
-    done = 0
-    while done < n:
-        m = min(_BATCH_CHUNK, n - done)
-        flags = sent_ack[done : done + m] if sent_ack.ndim else sent_ack
-        # Re(y) where the sequences differ: the sent symbol there is +1 for
-        # ACK and -1 for NACK, scaled by sqrt(snr)
-        re = rng.standard_normal((m, n_differ))
-        re *= _HALF_COMPLEX
-        re += np.where(flags, root_s, -root_s)[..., None]
-        corr = re[:, 0] + re[:, 1]
-        for k in range(2, n_differ):
-            corr += re[:, k]
-        corr *= 2.0
-        corr /= scale
-        out[done : done + m] = corr >= alpha
-        done += m
-    return out
+    # Re(y) where the sequences differ: the sent symbol there is +1 for ACK
+    # and -1 for NACK, scaled by sqrt(snr)
+    re = rng.standard_normal((n, n_differ))
+    re *= _HALF_COMPLEX
+    re += np.where(sent_ack, root_s, -root_s)[..., None]
+    corr = re[:, 0] + re[:, 1]
+    for k in range(2, n_differ):
+        corr += re[:, k]
+    corr *= 2.0
+    corr /= scale
+    return corr >= alpha

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import feedback_model, mi_model
-from .errors import DegenerateStateError
 
 _OUT_SLACK = 1e-12  # float slack for the ordering asserts below
 
@@ -199,12 +198,19 @@ def expected_symbols(policy: HarqPolicy, p_occur) -> float:
     return expected_cost(np.multiply(policy.rhos, policy.n_b), P)
 
 
-def _stage_outage(F, pn, P) -> tuple[np.ndarray, list[int]]:
-    # Shared core of stage_outage and the breakdown: returns the stage
-    # values with unreachable stages (P_k = 0) at zero, and their indices.
+def _stage_outage(F, pn, P) -> np.ndarray:
+    """Per-stage outage contributions: the p_out_stage_k columns of a report.
+
+    A diagnostic of where along the exchange the outage accrues; the
+    optimizer constrains only the total outage and never reads it.
+    Stage 1 carries the first premature-stop hazard P_{N,1} P_{1,f};
+    middle stages carry the cumulative hazard through stage k divided by
+    the occurrence probability P_k; the final stage carries P_{M,f}/P_M.
+    Unreachable stages (P_k = 0) have no conditional value and read 0, so
+    perfect-feedback corner cases still produce a full report.
+    """
     m = F.shape[-1]
     out = np.zeros(m)
-    unreachable = []
     cum = 0.0
     surv = 1.0
     for k in range(m):
@@ -216,29 +222,8 @@ def _stage_outage(F, pn, P) -> tuple[np.ndarray, list[int]]:
             hazard = F[k]
         if k == 0 and m > 1:
             out[0] = hazard
-        elif P[k] == 0.0:
-            unreachable.append(k)
-        else:
+        elif P[k] != 0.0:
             out[k] = hazard / P[k]
-    return out, unreachable
-
-
-def stage_outage(policy: HarqPolicy, dl, rates, p_occur, *, route: str = "gaussian",
-                 bins: int = mi_model.DEFAULT_CONV_BINS) -> np.ndarray:
-    """Per-stage outage contributions: the p_out_stage_k columns of a report.
-
-    A diagnostic of where along the exchange the outage accrues; the
-    optimizer constrains only the total outage and never reads it.
-    Stage 1 carries the first premature-stop hazard P_{N,1} P_{1,f};
-    middle stages carry the cumulative hazard through stage k divided by
-    the occurrence probability P_k; the final stage carries P_{M,f}/P_M.
-    Unreachable stages (P_k = 0) have no conditional value and raise.
-    """
-    F = _p_fail(policy, dl, route, bins)
-    out, unreachable = _stage_outage(F, np.asarray(rates.p_nack, dtype=float),
-                                     np.asarray(p_occur, dtype=float))
-    if unreachable:
-        raise DegenerateStateError(f"stage {unreachable[0] + 1} unreachable (P_k = 0)")
     return out
 
 
@@ -248,9 +233,7 @@ def _breakdown_from_rates(policy: HarqPolicy, dl, rates, route, bins) -> Perform
     pa = np.asarray(rates.p_ack, dtype=float)
     P = occurrence_probabilities(F, pn, pa)
     p_out = outage_from_failures(F, pn)
-    # unreachable stages contribute nothing instead of raising, so
-    # perfect-feedback corner cases still produce a full report
-    stage, _ = _stage_outage(F, pn, P)
+    stage = _stage_outage(F, pn, P)
     e_sym = expected_symbols(policy, P)
     eta = policy.n_b * (1.0 - p_out) / e_sym
     p_out_rel = float(F[policy.m_max - 1])

@@ -36,8 +36,8 @@ DEFAULT_CONV_BINS = 4096
 # Quadrature tolerances. Gauss-Laguerre on log2(1+snr*g)^2 stalls slightly
 # above 1e-9 at high snr, so the second-moment target stays a little looser
 # than machine precision.
-# The quadrature stop rule compares successive node-ladder levels, so it is
-# limited by the second-finest level even though the 200-node value itself is
+# The quadrature check compares the 100- and 200-node estimates, so it is
+# limited by the 100-node level even though the 200-node value itself is
 # accurate to ~1e-9 through +10 dB. These bounds hold up to snr_db = 10 with
 # at least 2x margin (measured 5.2e-7 / 3.4e-6 there) and fail naturally above.
 _MEAN_TOL = 1e-6

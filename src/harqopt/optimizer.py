@@ -314,42 +314,24 @@ def _throughput(rhos, F, alphas, fb: feedback_model.FeedbackSpec,
     return float((1.0 - outage) / harq_analysis.expected_cost(rhos, P))
 
 
-def optimize_thresholds(rhos, dl, fb: feedback_model.FeedbackSpec,
-                        epsilon: float, start_alphas) -> np.ndarray:
-    """Thresholds in ALPHA_BOX of largest throughput at fixed rates,
-    subject to outage <= epsilon, by a deterministic coordinate pattern
-    search.
+def _search(rhos, F, fb: feedback_model.FeedbackSpec, epsilon: float,
+            x: np.ndarray, eta_x: float) -> tuple[np.ndarray, float]:
+    """Thresholds in ALPHA_BOX of largest throughput at fixed rates `rhos`
+    (prefix failures F), subject to outage <= epsilon, by a deterministic
+    coordinate pattern search from x, feasible with throughput eta_x.
 
-    The search starts at start_alphas clipped to the box, or at the box
-    top when that point misses epsilon; InfeasibleError carries the top's
-    outage when the top misses too. Each pass tries +step, then -step, on
-    every coordinate in turn (probes are clipped to the box) and keeps the
-    first feasible probe with a higher throughput, or an equal one on a
-    downward step, so flat directions settle at the box floor. The step
-    starts at _SEARCH_STEP, halves after a pass without a move, and the
-    search stops once it falls below _SEARCH_TOL. The returned point is
-    feasible and at least as good as the start.
+    Each pass tries +step, then -step, on every coordinate in turn (probes
+    are clipped to the box) and keeps the first feasible probe with a
+    higher throughput, or an equal one on a downward step, so flat
+    directions settle at the box floor. The step starts at _SEARCH_STEP,
+    halves after a pass without a move, and the search stops once it falls
+    below _SEARCH_TOL. Returns the final thresholds and their throughput,
+    which is at least eta_x.
     """
-    rhos = tuple(float(r) for r in rhos)
-    k = len(rhos) - 1
-    x = np.clip(np.asarray(start_alphas, dtype=float), *ALPHA_BOX)
-    if x.shape != (k,):
-        raise ValueError("optimize_thresholds: start_alphas length mismatch")
-    if k == 0:
-        return x
-    F = mi_model.p_fail_gaussian(rhos, dl)
-    eta_x = _throughput(rhos, F, x, fb, epsilon)
-    if eta_x is None:
-        x = np.full(k, ALPHA_BOX[1])
-        eta_x = _throughput(rhos, F, x, fb, epsilon)
-    if eta_x is None:
-        p_nack = feedback_model.nack_error_rate(x, fb.snr_linear)
-        raise InfeasibleError("no feasible thresholds inside the box at these rates",
-                              min_outage=harq_analysis.outage_from_failures(F, p_nack))
     step = _SEARCH_STEP
     while step >= _SEARCH_TOL:
         moved = False
-        for j in range(k):
+        for j in range(x.size):
             for sign in (1.0, -1.0):
                 cand = x.copy()
                 cand[j] = np.clip(x[j] + sign * step, *ALPHA_BOX)
@@ -362,7 +344,7 @@ def optimize_thresholds(rhos, dl, fb: feedback_model.FeedbackSpec,
                     break
         if not moved:
             step *= 0.5
-    return x
+    return x, eta_x
 
 
 def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
@@ -424,13 +406,11 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             lo, hi, lambda s: reaches(np.maximum(alphas, s)), 40))
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)
 
-    def throughput(rhos, a) -> float | None:
-        return _throughput(rhos, mi_model.p_fail_gaussian(rhos, dl), a, fb, epsilon)
-
     rhos_inc = start.rhos
     eta_inc = -math.inf
     prev = None
-    eta0 = throughput(start.rhos, alphas)
+    eta0 = _throughput(start.rhos, mi_model.p_fail_gaussian(start.rhos, dl),
+                       alphas, fb, epsilon)
     # an infeasible seed must not become the incumbent: its inflated
     # throughput would veto every constraint-satisfying update and the
     # loop would return the seed itself
@@ -449,14 +429,10 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             raise
         if eta_new >= eta_inc:
             rhos_inc, eta_inc = rhos_new, eta_new
-
-        if k > 0:
-            # the search starts at the current thresholds, feasible for the
-            # incumbent, so it returns feasible thresholds
-            alphas_new = optimize_thresholds(rhos_inc, dl, fb, epsilon, alphas)
-            eta_alpha = throughput(rhos_inc, alphas_new)
-            if eta_alpha >= eta_inc:
-                alphas, eta_inc = alphas_new, eta_alpha
+        # the current thresholds meet epsilon for the incumbent, which has
+        # throughput eta_inc there, so the search starts from them
+        alphas, eta_inc = _search(rhos_inc, mi_model.p_fail_gaussian(rhos_inc, dl),
+                                  fb, epsilon, alphas, eta_inc)
 
         trace.append(float(eta_inc))
         if prev is not None and eta_inc - prev < _ALT_TOL:

@@ -63,9 +63,12 @@ def test_load_config_reports_line_numbers(tmp_path):
     path.write_text("snr_d_db = 3\nnot a key value pair\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r":2: expected 'key = value'"):
         cli.load_config(str(path))
-    path.write_text("m_max = four\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r":1: bad value for m_max"):
-        cli.load_config(str(path))
+    for text, key in (("m_max = four", "m_max"), ("m_max = inf", "m_max"),
+                      ("seed = 1e400", "seed"),
+                      ("rhos_units = 16, inf", "rhos_units")):
+        path.write_text(f"snr_d_db = 3\n{text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf":2: bad value for {key}"):
+            cli.load_config(str(path))
 
 
 def test_load_config_snr_window(tmp_path):

@@ -115,8 +115,8 @@ def test_symmetric_detection_balances_errors():
 def test_detect_batch_per_trial_flags_select_the_sent_sequence():
     # the noise stream does not depend on what was sent, so per-trial flags
     # must pick each trial's outcome from the all-ACK or all-NACK run with
-    # the same stream, across a chunk boundary
-    n, alpha, snr = feedback_model._BATCH_CHUNK + 1000, 0.3, 0.1
+    # the same stream
+    n, alpha, snr = 3 * 10**4, 0.3, 0.1
     flags = np.random.default_rng(3).random(n) < 0.4
     mixed = feedback_model.detect_batch(flags, alpha, snr, n, np.random.default_rng(9))
     ack = feedback_model.detect_batch(True, alpha, snr, n, np.random.default_rng(9))
@@ -159,20 +159,6 @@ def test_detect_batch_matches_scalar_statistic_row_by_row(alpha, snr):
     assert 0 < sum(want) < n
     np.testing.assert_array_equal(got, want)
     assert rng.random() == ref.random()
-
-
-def test_detect_batch_does_not_depend_on_its_block_size(monkeypatch):
-    # consecutive draws continue one stream, so blocks of 1000 or of 7
-    # trials read the same normals in the same order
-    n, alpha, snr = 2 * 10**4, 0.3, 0.1
-    flags = np.random.default_rng(5).random(n) < 0.5
-    outs = []
-    for block in (1000, 7):
-        monkeypatch.setattr(feedback_model, "_BATCH_CHUNK", block)
-        outs.append(feedback_model.detect_batch(flags, alpha, snr, n,
-                                                np.random.default_rng(13)))
-    assert 0 < outs[0].sum() < n
-    np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def test_error_rates_for_symmetric_case():

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harqopt import feedback_model, harq_analysis, mi_model
-from harqopt.errors import DegenerateStateError
 
 UNIT = 1.0 / 16.0  # 64 units of a rate-4 mother code on 1024-bit blocks
 
@@ -199,7 +198,9 @@ def test_stage_outage_zero_nack_rates(dl3):
     P = harq_analysis.occurrence_probabilities(
         mi_model.p_fail_gaussian(pol.rhos, dl3), zero.p_nack, zero.p_ack
     )
-    stages = harq_analysis.stage_outage(pol, dl3, zero, P)
+    stages = harq_analysis._stage_outage(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), np.asarray(zero.p_nack), P
+    )
     np.testing.assert_allclose(stages[:-1], 0.0, atol=1e-15)
     F = mi_model.p_fail_gaussian(rhos, dl3)
     assert stages[-1] == pytest.approx(F[-1] / P[-1], rel=1e-13)
@@ -208,16 +209,11 @@ def test_stage_outage_zero_nack_rates(dl3):
 def test_stage_outage_final_stage_certain_occurrence(dl3):
     pol = make_policy([1.0, 1.0], [0.0])
     zero = feedback_model.FeedbackErrorRates(p_nack=(0.0,), p_ack=(0.0,))
-    stages = harq_analysis.stage_outage(pol, dl3, zero, [1.0, 1.0])
+    stages = harq_analysis._stage_outage(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), np.asarray(zero.p_nack), [1.0, 1.0]
+    )
     F = mi_model.p_fail_gaussian([1.0, 1.0], dl3)
     assert stages[-1] == pytest.approx(F[-1], rel=1e-13)
-
-
-def test_stage_outage_unreachable_stage_raises(dl3):
-    pol = make_policy([1.0, 1.0, 1.0], [0.0, 0.0])
-    rates = feedback_model.FeedbackErrorRates(p_nack=(0.1, 0.1), p_ack=(0.1, 0.1))
-    with pytest.raises(DegenerateStateError):
-        harq_analysis.stage_outage(pol, dl3, rates, [1.0, 0.0, 0.5])
 
 
 def test_stage_outage_middle_stage_direct_formula(dl3):
@@ -229,7 +225,9 @@ def test_stage_outage_middle_stage_direct_formula(dl3):
     P = harq_analysis.occurrence_probabilities(
         mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack, rates.p_ack
     )
-    stages = harq_analysis.stage_outage(pol, dl3, rates, P)
+    stages = harq_analysis._stage_outage(
+        mi_model.p_fail_gaussian(pol.rhos, dl3), np.asarray(rates.p_nack), P
+    )
     F = mi_model.p_fail_gaussian(rhos, dl3)
     pn = rates.p_nack
     cum_2 = pn[0] * F[0] + pn[1] * F[1] * (1.0 - pn[0])

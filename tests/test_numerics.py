@@ -73,7 +73,7 @@ def test_erfc_same_bits_as_scalar_and_inside_any_block():
 
 
 def test_laguerre_nodes_match_scipy_oracle():
-    for n in numerics._NODE_LADDER:
+    for n in (25, 50, 100, 200):
         x, w = numerics._laguerre_nodes(n)
         x_ref, w_ref = special.roots_laguerre(n)
         assert _ulps(x, x_ref).max() <= 4
@@ -165,6 +165,6 @@ def test_expect_rayleigh_convergence_error_carries_estimate():
         numerics.expect_rayleigh(f, 1e-16)
     est = exc.value.estimate
     assert math.isfinite(est)
-    # the failed run still carries the full-ladder estimate
+    # the failed run still carries the 200-node estimate
     assert est == pytest.approx(numerics.expect_rayleigh(f, 1e-6), abs=1e-12)
 

@@ -418,11 +418,23 @@ def test_tree_bisection_equals_sequential(name, steps, depth):
     assert len(probes) == steps
 
 
+def search(rhos, dl, fb, epsilon, start):
+    # the threshold search takes a feasible start and its throughput, as the
+    # alternating loop hands them over
+    F = mi_model.p_fail_gaussian(rhos, dl)
+    x = np.asarray(start, dtype=float)
+    eta = optimizer._throughput(rhos, F, x, fb, epsilon)
+    assert eta is not None
+    al, eta_al = optimizer._search(rhos, F, fb, epsilon, x, eta)
+    assert eta_al == optimizer._throughput(rhos, F, al, fb, epsilon) >= eta
+    return al
+
+
 def test_search_perfect_feedback_prefers_low_thresholds(dl3):
     # throughput is flat in every threshold below 1 here, and ties on a
     # downward step are taken, so the search settles at the box floor
     fb = feedback_model.make_feedback_spec(200.0)
-    al = optimizer.optimize_thresholds((1.0, 1.0, 1.0, 1.0), dl3, fb, 0.01, (0.5,) * 3)
+    al = search((1.0, 1.0, 1.0, 1.0), dl3, fb, 0.01, (0.5,) * 3)
     np.testing.assert_allclose(al, optimizer.ALPHA_BOX[0], atol=1e-12)
 
 
@@ -430,7 +442,7 @@ def test_search_single_threshold_matches_dense_scan(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rhos = (7 * grid.unit_rho, 7 * grid.unit_rho)
     fb = feedback_model.make_feedback_spec(-10.0)
-    al = optimizer.optimize_thresholds(rhos, dl3, fb, 0.05, (0.5,))
+    al = search(rhos, dl3, fb, 0.05, (0.5,))
     got = eval_policy(rhos, al, dl3, -10.0, grid)
     assert got.p_out_unreliable <= 0.05 * (1.0 + 1e-9)
     best = -1.0
@@ -443,10 +455,13 @@ def test_search_single_threshold_matches_dense_scan(dl3):
 
 
 def test_search_beats_uniform_scan_at_equal_rates(dl3):
+    # thresholds of 0.5 miss the budget at these rates; the top of the box
+    # meets it
     grid = optimizer.make_rate_grid(1024, 4096, 64)
     rhos = (1.0, 1.0, 1.0, 1.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    al = optimizer.optimize_thresholds(rhos, dl3, fb, 0.01, (0.5,) * 3)
+    assert eval_policy(rhos, (0.5,) * 3, dl3, -10.0, grid).p_out_unreliable > 0.01
+    al = search(rhos, dl3, fb, 0.01, (optimizer.ALPHA_BOX[1],) * 3)
     got = eval_policy(rhos, al, dl3, -10.0, grid)
     best = -1.0
     for a in np.linspace(*optimizer.ALPHA_BOX, 50):
@@ -457,38 +472,16 @@ def test_search_beats_uniform_scan_at_equal_rates(dl3):
     assert got.p_out_unreliable <= 0.01 * (1.0 + 1e-9)
 
 
-def test_search_infeasible_box(dl3):
-    rhos = (1.0, 1.0, 1.0, 1.0)
-    fb = feedback_model.make_feedback_spec(-15.0)
-    with pytest.raises(InfeasibleError) as exc:
-        optimizer.optimize_thresholds(rhos, dl3, fb, 1e-4, (0.5,) * 3)
-    # the error names the outage at the top of the box
-    top = (optimizer.ALPHA_BOX[1],) * 3
-    assert exc.value.min_outage == harq_analysis.outage_from_failures(
-        mi_model.p_fail_gaussian(rhos, dl3),
-        feedback_model.error_rates_for(fb, top).p_nack)
-
-
-def test_search_from_an_infeasible_start_restarts_at_the_box_top(dl3, grid64):
-    # zero thresholds miss the budget at these rates; the search starts over
-    # at the top of the box and can only improve on it
-    rhos = (1.0, 1.0, 1.0, 1.0)
-    fb = feedback_model.make_feedback_spec(-10.0)
-    assert eval_policy(rhos, (0.0,) * 3, dl3, -10.0, grid64).p_out_unreliable > 0.01
-    al = optimizer.optimize_thresholds(rhos, dl3, fb, 0.01, (-1.0,) * 3)
-    got = eval_policy(rhos, al, dl3, -10.0, grid64)
-    top = eval_policy(rhos, (optimizer.ALPHA_BOX[1],) * 3, dl3, -10.0, grid64)
-    assert got.p_out_unreliable <= 0.01
-    assert got.throughput >= top.throughput
-
-
 def test_search_with_one_round_returns_no_thresholds_unprobed(dl3, monkeypatch):
+    rhos = (1.5,)
+    F = mi_model.p_fail_gaussian(rhos, dl3)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    eta = optimizer._throughput(rhos, F, np.empty(0), fb, 0.05)
     probes = []
     monkeypatch.setattr(feedback_model, "nack_error_rate",
                         lambda *args: probes.append(args))
-    al = optimizer.optimize_thresholds((1.5,), dl3,
-                                       feedback_model.make_feedback_spec(-10.0), 0.05, ())
-    assert al.shape == (0,) and probes == []
+    al, eta_al = optimizer._search(rhos, F, fb, 0.05, np.empty(0), eta)
+    assert al.shape == (0,) and eta_al == eta and probes == []
 
 
 def default_template():
@@ -529,6 +522,41 @@ def test_alternating_pinned_outputs(grid64, snr_d_db, rhos, alphas, eta):
     assert [repr(a) for a in sol.policy.alphas] == [repr(a) for a in alphas]
     assert sol.breakdown.throughput == eta
     assert sol.iterations == 2
+
+
+def test_alternating_search_starts_at_the_feasible_incumbent(grid64, monkeypatch):
+    # the loop hands the threshold search the current thresholds and the
+    # incumbent's throughput there without re-checking either: they must
+    # meet epsilon for the incumbent rates, and eta_x must equal a fresh
+    # evaluation at them bit for bit
+    search = optimizer._search
+    calls = []
+
+    def spy(rhos, F, fb, epsilon, x, eta_x):
+        fresh = optimizer._throughput(rhos, mi_model.p_fail_gaussian(rhos, dl), x,
+                                      fb, epsilon)
+        assert fresh is not None and fresh == eta_x
+        assert np.all((optimizer.ALPHA_BOX[0] <= x) & (x <= optimizer.ALPHA_BOX[1]))
+        calls.append(eta_x)
+        return search(rhos, F, fb, epsilon, x, eta_x)
+
+    monkeypatch.setattr(optimizer, "_search", spy)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    default = dataclasses.replace(default_template(), rhos=(1.0,) * 4)
+    rng = np.random.default_rng(20261018)
+    starts = [(3.0, default), (10.0, default)]
+    for snr_d_db in (3.0, 3.0, 3.0, 10.0, 10.0, 10.0):
+        units = rng.multinomial(60, [0.25] * 4) + 1
+        starts.append((snr_d_db, dataclasses.replace(
+            default, rhos=tuple(units * grid64.unit_rho),
+            alphas=tuple(rng.uniform(-0.5, 3.5, size=3)))))
+    for snr_d_db, start in starts:
+        dl = mi_model.make_downlink_spec(snr_d_db)
+        before = len(calls)
+        sol = optimizer.alternating_optimize(dl, fb, start, grid64, 0.01)
+        # one search per iteration, whose result ends the trace
+        assert len(calls) - before == sol.iterations
+        assert sol.trace[-1] == pytest.approx(sol.breakdown.throughput, abs=1e-12)
 
 
 def test_alternating_beats_the_gradient_solver_at_10db(grid64):
