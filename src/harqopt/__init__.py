@@ -23,7 +23,6 @@ from .feedback_model import (
     error_rates_for,
     make_feedback_spec,
     nack_error_rate,
-    simulate_detection,
 )
 from .harq_analysis import (
     HarqPolicy,
@@ -37,18 +36,11 @@ from .harq_analysis import (
     reliable_throughput,
     unreliable_throughput,
 )
-from .mc_simulator import (
-    EpisodeOutcome,
-    SimulationEstimate,
-    estimate_duplicated_ack,
-    estimate_performance,
-    run_episode,
-)
+from .mc_simulator import SimulationEstimate, estimate_performance
 from .mi_model import (
     DownlinkSpec,
     make_downlink_spec,
     mean_mi_closed_form,
-    mi_of_gain,
     p_fail_convolution,
     p_fail_gaussian,
 )
@@ -57,7 +49,6 @@ from .optimizer import (
     Solution,
     alternating_optimize,
     best_feasible_allocation,
-    brute_force_rate_allocation,
     make_rate_grid,
     min_achievable_outage,
 )
@@ -68,7 +59,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DownlinkSpec",
-    "EpisodeOutcome",
     "FeedbackErrorRates",
     "FeedbackSpec",
     "GridError",
@@ -82,12 +72,10 @@ __all__ = [
     "ack_error_rate",
     "alternating_optimize",
     "best_feasible_allocation",
-    "brute_force_rate_allocation",
     "build_sequences",
     "duplicated_ack_performance",
     "duplicated_ack_rates",
     "error_rates_for",
-    "estimate_duplicated_ack",
     "estimate_performance",
     "expected_cost",
     "expected_symbols",
@@ -95,7 +83,6 @@ __all__ = [
     "make_feedback_spec",
     "make_rate_grid",
     "mean_mi_closed_form",
-    "mi_of_gain",
     "min_achievable_outage",
     "nack_error_rate",
     "occurrence_probabilities",
@@ -103,8 +90,6 @@ __all__ = [
     "p_fail_convolution",
     "p_fail_gaussian",
     "reliable_throughput",
-    "run_episode",
-    "simulate_detection",
     "unreliable_throughput",
     "__version__",
 ]

@@ -44,8 +44,6 @@ _COMMANDS = ("analyze", "optimize", "simulate", "validate", "sweep")
 _SWEEP_AXES = ("snr_u_db", "snr_d_db", "alpha")
 _SWEEP_MODES = ("analyze", "min_outage", "optimize", "fixed_vs_variable",
                 "vs_duplicated")
-_FEEDBACK_MODES = (mc_simulator.ANALYTIC_FLIP, mc_simulator.SYMBOL_LEVEL,
-                   "duplicated-ack")
 _Z_LIMIT = 4.0
 # threshold of every round when the config sets no alphas
 _DEFAULT_ALPHA = 0.5
@@ -222,8 +220,8 @@ def _validate(config: RunConfig) -> None:
     _require(config.seed >= 0, "seed", "seed >= 0", config.seed)
     _require(config.n_episodes >= 10_000, "mc.n_episodes", "n_episodes >= 10000",
              config.n_episodes)
-    _require(config.feedback_mode in _FEEDBACK_MODES, "mc.feedback_mode",
-             f"one of {'|'.join(_FEEDBACK_MODES)}", config.feedback_mode)
+    _require(config.feedback_mode in mc_simulator.FEEDBACK_MODES, "mc.feedback_mode",
+             f"one of {'|'.join(mc_simulator.FEEDBACK_MODES)}", config.feedback_mode)
     if config.sweep_axis is not None:
         _require(config.sweep_axis in _SWEEP_AXES, "sweep.axis",
                  f"one of {'|'.join(_SWEEP_AXES)}", config.sweep_axis)
@@ -264,12 +262,13 @@ def _policy_from(config: RunConfig) -> harq_analysis.HarqPolicy:
     )
 
 
-def _duplicated_ack_policy(config: RunConfig) -> harq_analysis.HarqPolicy:
-    """The policy a duplicated-ACK run simulates. That scheme detects with
-    zero thresholds, so unset alphas are zero; explicit nonzero ones are
-    still rejected by the duplicated-ACK routines."""
+def _mc_policy(config: RunConfig) -> harq_analysis.HarqPolicy:
+    """The policy simulate and validate evaluate in the configured feedback
+    mode. The duplicated-ACK scheme detects with zero thresholds, so there
+    unset alphas are zero; explicit nonzero ones are still rejected by the
+    duplicated-ACK routines."""
     policy = _policy_from(config)
-    if config.alphas is None:
+    if config.feedback_mode == mc_simulator.DUPLICATED_ACK and config.alphas is None:
         policy = dataclasses.replace(policy, alphas=(0.0,) * (config.m_max - 1))
     return policy
 
@@ -302,8 +301,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     _log.info("wrote %s (%d rows)", path, len(rows))
 
 
-def _breakdown_columns(config: RunConfig,
-                       bd: harq_analysis.PerformanceBreakdown) -> tuple[list, list]:
+def _analyze_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
+    """Header and row of the analytic breakdown of the configured policy."""
+    bd = harq_analysis.unreliable_throughput(
+        _policy_from(config), dl, fb, route=config.route, bins=config.conv_bins
+    )
     m = config.m_max
     header = ["snr_d_db", "snr_u_db", "m_max", "epsilon"]
     row: list = [config.snr_d_db, config.snr_u_db, m, config.epsilon]
@@ -323,13 +325,9 @@ def _breakdown_columns(config: RunConfig,
 
 
 def _run_analyze(config: RunConfig, out: str) -> int:
-    policy = _policy_from(config)
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
-    bd = harq_analysis.unreliable_throughput(
-        policy, dl, fb, route=config.route, bins=config.conv_bins
-    )
-    header, row = _breakdown_columns(config, bd)
+    header, row = _analyze_columns(config, dl, fb)
     _write_csv(out, header, [row])
     return 0
 
@@ -386,58 +384,54 @@ def _estimate_columns(config: RunConfig,
 def _run_simulate(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
-    if config.feedback_mode == "duplicated-ack":
-        est = mc_simulator.estimate_duplicated_ack(
-            _duplicated_ack_policy(config), dl, fb, config.n_episodes, config.seed
-        )
-    else:
-        est = mc_simulator.estimate_performance(
-            _policy_from(config), dl, fb, config.n_episodes, config.seed,
-            config.feedback_mode
-        )
+    est = mc_simulator.estimate_performance(
+        _mc_policy(config), dl, fb, config.n_episodes, config.seed,
+        config.feedback_mode
+    )
     header, row = _estimate_columns(config, est)
     _write_csv(out, header, [row])
     return 0
 
 
+def _z_row(name: str, analytic: float, simulated: float, se: float,
+           n: int | None = None) -> list:
+    """One validate row: quantity, analytic, simulated, stderr, z_score.
+
+    With n the quantity is a proportion over n episodes. One that came out
+    0 or 1 has a sample stderr of 0, so its row takes the binomial stderr
+    sqrt(p (1 - p) / n) at the analytic p instead.
+    """
+    if n is not None and simulated in (0.0, 1.0):
+        se = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / n)
+    if se > 0.0:
+        z = (simulated - analytic) / se
+    else:
+        z = 0.0 if simulated == analytic else math.inf
+    return [name, analytic, simulated, se, z]
+
+
 def _run_validate(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
-    if config.feedback_mode == "duplicated-ack":
-        policy = _duplicated_ack_policy(config)
-        bd = harq_analysis.duplicated_ack_performance(
-            policy, dl, fb, route="convolution", bins=config.conv_bins
-        )
-        est = mc_simulator.estimate_duplicated_ack(
-            policy, dl, fb, config.n_episodes, config.seed
-        )
-    else:
-        policy = _policy_from(config)
-        bd = harq_analysis.unreliable_throughput(
-            policy, dl, fb, route="convolution", bins=config.conv_bins
-        )
-        est = mc_simulator.estimate_performance(
-            policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
-        )
+    policy = _mc_policy(config)
+    analytic = (harq_analysis.duplicated_ack_performance
+                if config.feedback_mode == mc_simulator.DUPLICATED_ACK
+                else harq_analysis.unreliable_throughput)
+    bd = analytic(policy, dl, fb, route="convolution", bins=config.conv_bins)
+    est = mc_simulator.estimate_performance(
+        policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
+    )
 
-    rows = []
-    worst = 0.0
-
-    def add(name: str, analytic: float, simulated: float, se: float) -> None:
-        nonlocal worst
-        if se > 0.0:
-            z = (simulated - analytic) / se
-        else:
-            z = 0.0 if simulated == analytic else math.inf
-        worst = max(worst, abs(z))
-        rows.append([name, analytic, simulated, se, z])
-
-    add("throughput", bd.throughput, est.throughput, est.throughput_se)
-    add("p_out", bd.p_out_unreliable, est.p_out, est.p_out_se)
+    n = est.n_episodes
+    rows = [_z_row("throughput", bd.throughput, est.throughput, est.throughput_se),
+            _z_row("p_out", bd.p_out_unreliable, est.p_out, est.p_out_se, n)]
     for k in range(1, config.m_max):
-        add(f"p_occur_{k + 1}", bd.p_occur[k], est.p_occur[k], est.p_occur_se[k])
+        rows.append(_z_row(f"p_occur_{k + 1}", bd.p_occur[k], est.p_occur[k],
+                           est.p_occur_se[k], n))
     for k in range(config.m_max):
-        add(f"p_fail_{k + 1}", bd.p_fail[k], est.p_fail[k], est.p_fail_se[k])
+        rows.append(_z_row(f"p_fail_{k + 1}", bd.p_fail[k], est.p_fail[k],
+                           est.p_fail_se[k], n))
+    worst = max(abs(row[-1]) for row in rows)
     # approximation-quality rows: z_score column carries the raw
     # gaussian-minus-convolution gap (no sampling error applies)
     gauss = mi_model.p_fail_gaussian(policy.rhos, dl)
@@ -513,11 +507,7 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
 
     if config.sweep_mode == "analyze":
-        policy = _policy_from(config)
-        bd = harq_analysis.unreliable_throughput(
-            policy, dl, fb, route=config.route, bins=config.conv_bins
-        )
-        header, row = _breakdown_columns(config, bd)
+        header, row = _analyze_columns(config, dl, fb)
         return [axis, *header], [value, *row]
 
     if config.sweep_mode == "min_outage":

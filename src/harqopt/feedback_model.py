@@ -15,11 +15,10 @@ On the +-1 scale the detector noise is Gaussian with standard deviation
     nack->ack:  0.5 erfc((1+alpha) sqrt(6 snr))
     ack->nack:  0.5 erfc((1-alpha) sqrt(6 snr))
 
-and simulate_detection realizes the same statistic symbol by symbol, from
-24 standard normals per trial. detect_batch, the detector the Monte Carlo
-simulator runs in its symbol-level mode, computes the same statistic for
-many trials at once from the 6 normals it reads: the real parts of the
-noise where the sequences differ, drawn as one block per call.
+and detect_batch, the detector the Monte Carlo simulator runs in its
+symbol-level mode, realizes the statistic for many trials at once from the
+6 normals it reads: the real parts of the noise where the sequences
+differ, drawn as one block per call.
 
 A FeedbackSpec is the uplink operating point only, the feedback SNR. The
 thresholds belong to the HARQ policy and are passed to error_rates_for
@@ -87,7 +86,12 @@ def make_feedback_spec(snr_db: float) -> FeedbackSpec:
     snr_dbf = float(snr_db)
     if not math.isfinite(snr_dbf):
         raise ValueError("make_feedback_spec: snr_db must be finite")
-    return FeedbackSpec(snr_db=snr_dbf, snr_linear=10.0 ** (snr_dbf / 10.0))
+    try:
+        snr = 10.0 ** (snr_dbf / 10.0)
+    except OverflowError:
+        raise ValueError(f"make_feedback_spec: snr_db = {snr_dbf:g} overflows "
+                         "a float linear SNR") from None
+    return FeedbackSpec(snr_db=snr_dbf, snr_linear=snr)
 
 
 def _check_snr(snr_linear: float) -> float:
@@ -133,32 +137,6 @@ def build_sequences() -> tuple[np.ndarray, np.ndarray]:
     return s_ack, s_nack
 
 
-def detection_statistic(y: np.ndarray, snr_linear: float) -> float:
-    """Matched-filter statistic normalized to +-1 noiseless endpoints."""
-    s_ack, s_nack = build_sequences()
-    diff = s_ack - s_nack
-    # <y, s_ack - s_nack> with the usual conjugate-linear first slot
-    corr = np.vdot(diff, np.asarray(y)).real
-    return float(corr) / (SEQUENCE_LENGTH * math.sqrt(snr_linear))
-
-
-def simulate_detection(sent_ack: bool, alpha: float, snr_linear: float, rng) -> bool:
-    """One feedback transmission through complex AWGN; True means ACK detected.
-
-    The sent sequence is scaled by sqrt(snr_linear), the noise has unit
-    variance per complex symbol (real and imaginary parts drawn in that
-    order), and ACK is declared iff the statistic reaches alpha.
-    """
-    s = _check_snr(snr_linear)
-    s_ack, s_nack = build_sequences()
-    sent = s_ack if sent_ack else s_nack
-    noise = (
-        rng.standard_normal(SEQUENCE_LENGTH) + 1j * rng.standard_normal(SEQUENCE_LENGTH)
-    ) * _HALF_COMPLEX
-    y = math.sqrt(s) * sent + noise
-    return detection_statistic(y, s) >= alpha
-
-
 def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.ndarray:
     """Vectorized detector: n independent trials, bool array out.
 
@@ -166,15 +144,14 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     trial. The statistic reads only the real parts of y at the 6 positions
     where the sequences differ, so each trial draws just those 6 standard
     normals, in position order, and one call draws one (n, 6) block; its
-    caller bounds n, and so the memory, by the trials it passes. The
-    stream differs from simulate_detection's (24 normals per trial), which
-    stays the symbol-by-symbol reference.
+    caller bounds n, and so the memory, by the trials it passes.
 
     The sequence difference is 2 on the differing positions and 0
     elsewhere, so the statistic is the sum of the real parts of y there,
     times 2 / (12 sqrt(snr)). It is summed in position order, the order of
     the complex dot product over all 12 positions, whose other terms are
-    signed zeros, so it matches detection_statistic bit for bit.
+    signed zeros, so it matches detection_statistic, the symbol-by-symbol
+    reference in tests/oracles.py, bit for bit.
     """
     s = _check_snr(snr_linear)
     if n < 1:

@@ -2,25 +2,27 @@
 
 Episodes follow the protocol narrative exactly: per-round Rayleigh gains
 accumulate mutual information, the receiver reports ACK once decoding
-succeeds, the single-bit report is corrupted either by Bernoulli flips at
-the analytic error rates (mode "analytic-flip") or by simulating the
-matched-filter detector on the noisy sequence (mode "symbol-level"), and
-the transmitter stops on a detected ACK or after the round cap. A
-detected ACK while the decoder has not succeeded is an outage; a missed
-ACK costs extra rounds but never an outage.
+succeeds, and the transmitter stops on a detected ACK or after the round
+cap. A detected ACK while the decoder has not succeeded is an outage; a
+missed ACK costs extra rounds but never an outage. The feedback modes
+differ only in how the single-bit report is detected:
+- "analytic-flip": Bernoulli flips at the analytic error rates;
+- "symbol-level": the matched-filter detector on the noisy sequence;
+- "duplicated-ack": the baseline that sends the bit in two slots and stops
+  only when both read as ACK; each slot flips at the zero-threshold
+  error rate, so the policy's thresholds must all be zero.
 
-The batch estimators are vectorized in fixed-size chunks, each driven by
-its own counter-based stream (Philox keyed by the seed, jumped by the
-chunk index), with a fixed draw order inside a chunk. All fading gains
-come first, for every episode and round: the forced-continuation failure
+The estimator is vectorized in fixed-size chunks, each driven by its own
+counter-based stream (Philox keyed by the seed, jumped by the chunk
+index), with a fixed draw order inside a chunk. All fading gains come
+first, for every episode and round: the forced-continuation failure
 frequencies read them all. Then, round by round, the feedback randomness
 comes as one block for the episodes still running, in episode order; a
-round with none left draws nothing. The analytic-flip block holds one
-uniform per episode, as run_episode draws it. The symbol-level block is
-detect_batch's: the 6 normals per episode that its statistic reads, not the
-24 of run_episode's symbol-by-symbol reference, so the two streams differ.
-Estimates are bit-identical for identical (seed, n, mode) and independent
-of how chunks are executed.
+round with none left draws nothing. The block holds one uniform per
+episode (analytic-flip), two (duplicated-ack), or detect_batch's 6
+normals, the noise parts its statistic reads (symbol-level). Estimates
+are bit-identical for identical (seed, n, mode) and independent of how
+chunks are executed.
 """
 
 from __future__ import annotations
@@ -31,26 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import feedback_model, harq_analysis, mi_model
+from . import feedback_model, harq_analysis
 
 _log = logging.getLogger(__name__)
 
 ANALYTIC_FLIP = "analytic-flip"
 SYMBOL_LEVEL = "symbol-level"
-_DUPLICATED = "duplicated-ack"
+DUPLICATED_ACK = "duplicated-ack"
+FEEDBACK_MODES = (ANALYTIC_FLIP, SYMBOL_LEVEL, DUPLICATED_ACK)
 _CHUNK = 1 << 17
 _MIN_EPISODES = 10_000
-
-
-@dataclass(frozen=True)
-class EpisodeOutcome:
-    """Accounting for one simulated HARQ episode."""
-
-    rounds_used: int
-    delivered: bool
-    outage: bool
-    symbols_spent: float
-    feedback_events: tuple[tuple[str, str], ...]  # (sent, detected) labels
 
 
 @dataclass(frozen=True)
@@ -74,57 +66,26 @@ class SimulationEstimate:
     seed: int
 
 
-def run_episode(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackSpec,
-                rng, feedback_mode: str = ANALYTIC_FLIP) -> EpisodeOutcome:
-    """Simulate one episode; the rng needs .exponential(), .random() and,
-    for symbol-level feedback, .standard_normal()."""
-    if feedback_mode not in (ANALYTIC_FLIP, SYMBOL_LEVEL):
-        raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-    m = policy.m_max
-    acc = 0.0
-    decoded = False
-    rounds = 0
-    symbols = 0.0
-    events = []
-    for k in range(m):
-        rounds = k + 1
-        gain = float(rng.exponential())
-        acc += mi_model.mi_of_gain(gain, policy.rhos[k], dl)
-        symbols += policy.rhos[k] * policy.n_b
-        if acc >= 1.0:
-            decoded = True
-        if rounds == m:
-            break
-        sent_ack = decoded
-        alpha = policy.alphas[k]
-        if feedback_mode == ANALYTIC_FLIP:
-            p_err = (feedback_model.ack_error_rate(alpha, fb.snr_linear) if sent_ack
-                     else feedback_model.nack_error_rate(alpha, fb.snr_linear))
-            detected_ack = sent_ack != (float(rng.random()) < p_err)
-        else:
-            detected_ack = feedback_model.simulate_detection(
-                sent_ack, alpha, fb.snr_linear, rng
-            )
-        events.append(
-            ("ACK" if sent_ack else "NACK", "ACK" if detected_ack else "NACK")
-        )
-        if detected_ack:
-            break
-    return EpisodeOutcome(
-        rounds_used=rounds,
-        delivered=decoded,
-        outage=not decoded,
-        symbols_spent=symbols,
-        feedback_events=tuple(events),
-    )
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
 
 
-def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackSpec,
-              n: int, seed: int, mode: str) -> SimulationEstimate:
+def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
+                         fb: feedback_model.FeedbackSpec, n: int, seed: int,
+                         feedback_mode: str = ANALYTIC_FLIP) -> SimulationEstimate:
+    """Aggregate n independent episodes in one of FEEDBACK_MODES; throughput
+    is the renewal-reward ratio N_b * (delivered count) / (total symbols),
+    with a delta-method standard error."""
+    if feedback_mode not in FEEDBACK_MODES:
+        raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
+    if feedback_mode == DUPLICATED_ACK:
+        if any(a != 0.0 for a in policy.alphas):
+            raise ValueError("duplicated-ACK simulation requires all-zero thresholds")
+        p_slot = feedback_model.nack_error_rate(0.0, fb.snr_linear)
+    elif feedback_mode == ANALYTIC_FLIP:
+        rates = feedback_model.error_rates_for(fb, policy.alphas)
+        pn = np.asarray(rates.p_nack)
+        pa = np.asarray(rates.p_ack)
     if n < _MIN_EPISODES:
         raise ValueError(f"need at least {_MIN_EPISODES} episodes, got {n}")
     m = policy.m_max
@@ -132,16 +93,6 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
     cum_rhos = np.cumsum(rhos)
     n_b = policy.n_b
     snr_d = dl.snr_linear
-
-    if mode in (ANALYTIC_FLIP, _DUPLICATED):
-        if mode == _DUPLICATED:
-            p_slot = feedback_model.nack_error_rate(0.0, fb.snr_linear)
-        else:
-            rates = feedback_model.error_rates_for(fb, policy.alphas)
-            pn = np.asarray(rates.p_nack)
-            pa = np.asarray(rates.p_ack)
-    elif mode != SYMBOL_LEVEL:
-        raise ValueError(f"unknown feedback_mode {mode!r}")
 
     sx = 0.0       # delivered count (also sum of squares: indicator)
     sy = 0.0       # total symbols
@@ -172,11 +123,11 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
             if k == 0:
                 break
             sent_ack = decoded[live, j]
-            if mode == ANALYTIC_FLIP:
+            if feedback_mode == ANALYTIC_FLIP:
                 u = rng.random(k)
                 p_err = np.where(sent_ack, pa[j], pn[j])
                 det_ack = sent_ack != (u < p_err)
-            elif mode == SYMBOL_LEVEL:
+            elif feedback_mode == SYMBOL_LEVEL:
                 det_ack = feedback_model.detect_batch(
                     sent_ack, policy.alphas[j], fb.snr_linear, k, rng
                 )
@@ -222,7 +173,7 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
     def binom_se(p):
         return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n)
 
-    return SimulationEstimate(
+    est = SimulationEstimate(
         n_episodes=n,
         throughput=float(throughput),
         throughput_se=float(throughput_se),
@@ -234,29 +185,8 @@ def _simulate(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackS
         p_fail_se=tuple(float(v) for v in binom_se(fail)),
         seed=seed,
     )
-
-
-def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
-                         fb: feedback_model.FeedbackSpec, n: int, seed: int,
-                         feedback_mode: str = ANALYTIC_FLIP) -> SimulationEstimate:
-    """Aggregate n independent episodes; throughput is the renewal-reward
-    ratio N_b * (delivered count) / (total symbols), with a delta-method
-    standard error."""
-    if feedback_mode not in (ANALYTIC_FLIP, SYMBOL_LEVEL):
-        raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-    est = _simulate(policy, dl, fb, n, seed, feedback_mode)
     _log.debug(
         "estimate_performance: n=%d mode=%s throughput=%.6g p_out=%.6g",
         n, feedback_mode, est.throughput, est.p_out,
     )
     return est
-
-
-def estimate_duplicated_ack(policy: harq_analysis.HarqPolicy, dl,
-                            fb: feedback_model.FeedbackSpec, n: int,
-                            seed: int) -> SimulationEstimate:
-    """Double-ACK stop rule: the feedback bit occupies two slots and the
-    transmitter stops only when both read as ACK. Thresholds must be zero."""
-    if any(a != 0.0 for a in policy.alphas):
-        raise ValueError("duplicated-ACK simulation requires all-zero thresholds")
-    return _simulate(policy, dl, fb, n, seed, _DUPLICATED)

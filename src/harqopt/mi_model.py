@@ -86,7 +86,11 @@ def make_downlink_spec(snr_db: float) -> DownlinkSpec:
     snr_dbf = float(snr_db)
     if not math.isfinite(snr_dbf):
         raise ValueError("make_downlink_spec: snr_db must be finite")
-    snr = 10.0 ** (snr_dbf / 10.0)
+    try:
+        snr = 10.0 ** (snr_dbf / 10.0)
+    except OverflowError:
+        raise ValueError(f"make_downlink_spec: snr_db = {snr_dbf:g} overflows "
+                         "a float linear SNR") from None
     mean = numerics.expect_rayleigh(lambda g: np.log2(1.0 + snr * g), tol=_MEAN_TOL)
     second = numerics.expect_rayleigh(
         lambda g: np.log2(1.0 + snr * g) ** 2, tol=_MOMENT_TOL
@@ -95,17 +99,6 @@ def make_downlink_spec(snr_db: float) -> DownlinkSpec:
     if not var > 0.0:
         raise ValueError(f"make_downlink_spec: non-positive MI variance at {snr_dbf} dB")
     return DownlinkSpec(snr_db=snr_dbf, snr_linear=snr, mean_mi=mean, var_mi=var)
-
-
-def mi_of_gain(gain: float, rho: float, spec: DownlinkSpec) -> float:
-    """Mutual information contributed by one round with power gain ``gain``."""
-    g = float(gain)
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError("mi_of_gain: gain must be finite and non-negative")
-    r = float(rho)
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError("mi_of_gain: rho must be positive and finite")
-    return r * math.log2(1.0 + g * spec.snr_linear)
 
 
 def p_fail_gaussian(rates, spec: DownlinkSpec) -> np.ndarray:

@@ -28,9 +28,6 @@ tables to harq_analysis.occurrence_probabilities, expected_cost and
 outage_from_failures, the same functions that evaluate a single policy.
 best_feasible_allocation and the alternating loop's rate step share one
 scan, _rate_scan, and its selector, _feasible_argmax.
-brute_force_rate_allocation is the independent oracle: it walks the
-candidates one at a time through the scalar API with its own cost loop and
-tie-breaking, and must match best_feasible_allocation bit for bit.
 
 Every evaluation computes only what its decision reads:
 - the rate scan computes the outage of the kept rows first, then the
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -59,7 +55,6 @@ from .errors import GridError, InfeasibleError
 
 _log = logging.getLogger(__name__)
 
-_BRUTE_FORCE_BUDGET = 10_000_000  # raw candidate tuples before budget filter
 _PATH_BUDGET = 20_000_000
 _SEARCH_STEP = 0.2  # first step of the threshold pattern search
 _SEARCH_TOL = 1e-6  # the pattern search stops once its step falls below this
@@ -189,53 +184,6 @@ def _feasible_argmax(eta: np.ndarray, rhos: np.ndarray, unit_rho: float) -> int:
         totals = np.rint(rhos[cand] / unit_rho).sum(axis=1)
         cand = cand[totals == totals.min()]
     return int(cand[0])
-
-
-def brute_force_rate_allocation(rates: feedback_model.FeedbackErrorRates, dl,
-                                grid: RateGrid, m: int,
-                                epsilon: float) -> tuple[np.ndarray, float]:
-    """Scalar oracle for best_feasible_allocation: explicit loop over
-    candidates through the public analysis functions, identical
-    tie-breaking and identical InfeasibleError floor."""
-    if len(rates) != m - 1:
-        raise ValueError("brute_force_rate_allocation: need error rates for m-1 feedbacks")
-    span = grid.max_units - grid.min_units + 1
-    if span ** m > _BRUTE_FORCE_BUDGET:
-        raise GridError(
-            f"brute force over {span}^{m} candidates exceeds the "
-            f"{_BRUTE_FORCE_BUDGET} budget"
-        )
-    best_eta = -math.inf
-    best_total = None
-    best_rhos = None
-    min_outage = math.inf
-    for units in itertools.product(range(grid.min_units, grid.max_units + 1), repeat=m):
-        total = sum(units)
-        if total > grid.units_total:
-            continue
-        rhos = tuple(u * grid.unit_rho for u in units)
-        F = mi_model.p_fail_gaussian(rhos, dl)
-        P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-        cost = 0.0
-        for i in range(m):
-            cost = cost + rhos[i] * P[i]
-        outage = harq_analysis.outage_from_failures(F, rates.p_nack)
-        min_outage = min(min_outage, outage)
-        if outage > epsilon:
-            continue
-        eta = (1.0 - outage) / cost
-        if eta > best_eta or (eta == best_eta and total < best_total):
-            best_eta = eta
-            best_total = total
-            best_rhos = rhos
-    if min_outage == math.inf:
-        raise InfeasibleError("unit bounds admit no allocation within the budget")
-    if best_rhos is None:
-        raise InfeasibleError(
-            f"no allocation meets outage {epsilon:g} at these error rates",
-            min_outage=float(min_outage),
-        )
-    return np.asarray(best_rhos), float(best_eta)
 
 
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,

@@ -22,6 +22,8 @@ import pytest
 from harqopt import feedback_model, harq_analysis, mc_simulator, mi_model, optimizer
 from harqopt.errors import InfeasibleError
 
+import oracles
+
 UNIT = 1.0 / 16.0
 
 
@@ -157,12 +159,12 @@ def test_criterion_04_scan_equals_brute_force(capsys, dl3):
             except InfeasibleError as err:
                 # both routes refuse, naming the same outage floor
                 with pytest.raises(InfeasibleError) as exc:
-                    optimizer.brute_force_rate_allocation(rates, dl3, grid, m, eps)
+                    oracles.brute_force_rate_allocation(rates, dl3, grid, m, eps)
                 assert exc.value.min_outage == err.min_outage > eps
                 outcomes.append(False)
                 continue
-            r_bf, v_bf = optimizer.brute_force_rate_allocation(rates, dl3, grid,
-                                                               m, eps)
+            r_bf, v_bf = oracles.brute_force_rate_allocation(rates, dl3, grid,
+                                                             m, eps)
             assert v_scan == v_bf
             np.testing.assert_array_equal(r_scan, r_bf)
             outcomes.append(True)

@@ -1,11 +1,12 @@
 """Config parsing, command dispatch, CSV output, and exit codes."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
 
-from harqopt import cli, feedback_model, harq_analysis, mi_model, optimizer
+from harqopt import cli, feedback_model, harq_analysis, mc_simulator, mi_model, optimizer
 from harqopt.errors import ConfigError
 
 
@@ -286,6 +287,81 @@ def test_validate_duplicated_ack_mode(tmp_path):
                                    "alphas": "0.5"}, name="nonzero.cfg")
     assert cli.main(["validate", "--config", path,
                      "--out", str(tmp_path / "vn.csv")]) == 2
+
+
+def test_cli_accepts_exactly_the_simulator_feedback_modes(tmp_path):
+    # the config check reads the simulator's own mode list, so a mode is
+    # accepted by both or refused by both
+    for mode in mc_simulator.FEEDBACK_MODES:
+        path = write_config(tmp_path, {**SMALL, "mc.feedback_mode": mode})
+        assert cli.load_config(path).feedback_mode == mode
+    config = cli.load_config(write_config(tmp_path, SMALL))
+    dl = mi_model.make_downlink_spec(config.snr_d_db)
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
+    listed = "|".join(mc_simulator.FEEDBACK_MODES)
+    for mode in ("oracle", "", "Analytic-Flip", "duplicated_ack"):
+        path = write_config(tmp_path, {**SMALL, "mc.feedback_mode": mode})
+        with pytest.raises(ConfigError, match=rf"mc.feedback_mode.*one of {listed}"):
+            cli.load_config(path)
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        with pytest.raises(ValueError, match="unknown feedback_mode"):
+            mc_simulator.estimate_performance(cli._policy_from(config), dl, fb,
+                                              10_000, 1, mode)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_validate_passes_when_a_rare_event_never_occurs(tmp_path, capsys):
+    # at 10 / 0 dB the analytic outage is 1.6e-6, so 10^5 episodes with
+    # seed 1 see none; the row's stderr is the binomial one at the
+    # analytic p, not the 0 of an empty sample
+    path = write_config(tmp_path, {"snr_d_db": 10, "snr_u_db": 0})
+    out = tmp_path / "v.csv"
+    assert cli.main(["validate", "--config", path, "--seed", "1",
+                     "--out", str(out)]) == 0
+    rows = {r.split(",")[0]: r.split(",")
+            for r in out.read_text(encoding="utf-8").splitlines()[1:]}
+    for name in ("p_out", "p_fail_4"):
+        p, simulated, se, z = (float(v) for v in rows[name][1:])
+        assert simulated == 0.0 and p > 0.0
+        assert se == pytest.approx(math.sqrt(p * (1.0 - p) / 100_000), rel=1e-8)
+        assert abs(z) < 1.0
+
+
+def test_validate_rows_of_an_empty_proportion_still_flag_a_real_gap():
+    # analytic 0.01 against 0 events in 10^5 episodes is a disagreement of
+    # about 32 binomial standard errors
+    *_, se, z = cli._z_row("p_out", 0.01, 0.0, 0.0, 100_000)
+    assert se == pytest.approx(math.sqrt(0.01 * 0.99 / 100_000), rel=1e-15)
+    assert z == pytest.approx(-31.78, abs=0.01)
+    assert cli._z_row("p_occur_2", 0.99, 1.0, 0.0, 100_000)[4] == pytest.approx(31.78, abs=0.01)
+    # the throughput row is no proportion: a zero stderr with a gap is inf
+    assert cli._z_row("throughput", 0.5, 0.4, 0.0)[4] == math.inf
+    assert cli._z_row("throughput", 0.5, 0.5, 0.0)[4] == 0.0
+    # a nonzero count keeps the sample stderr
+    assert cli._z_row("p_out", 0.01, 0.02, 0.001, 100_000)[3:] == [0.001, pytest.approx(10.0)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
+def test_huge_uplink_snr_is_a_config_error(tmp_path, capsys, command):
+    # 10^(4000/10) overflows a float: an input error (exit 2), not a
+    # traceback with the validation exit code 1
+    path = write_config(tmp_path, {**SMALL, "snr_u_db": 4000})
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    assert "snr_db = 4000 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_huge_swept_uplink_snr_is_a_config_error(tmp_path, capsys, workers):
+    path = write_config(tmp_path, {**SMALL, "sweep.axis": "snr_u_db",
+                                   "sweep.values": "-10, 4000"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 2
+    assert "snr_db = 4000 overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_axis(tmp_path, capsys):

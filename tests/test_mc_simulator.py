@@ -1,4 +1,5 @@
-"""Episode-level protocol logic and the vectorized batch estimators."""
+"""Episode-level protocol logic, checked on the scalar oracle run_episode
+(tests/oracles.py), and the vectorized estimator in every feedback mode."""
 
 import dataclasses
 import math
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from harqopt import feedback_model, harq_analysis, mc_simulator, mi_model
+
+import oracles
 
 
 class ScriptedRng:
@@ -39,7 +42,7 @@ def test_run_episode_immediate_success(dl3, fb_weak):
     pol = make_policy((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
     # decode after round one, feedback survives (uniform above any error rate)
     rng = ScriptedRng(gains=[1e9], uniforms=[0.999])
-    out = mc_simulator.run_episode(pol, dl3, fb_weak, rng)
+    out = oracles.run_episode(pol, dl3, fb_weak, rng)
     assert out.rounds_used == 1 and out.delivered and not out.outage
     assert out.symbols_spent == pytest.approx(1024.0)
     assert out.feedback_events == (("ACK", "ACK"),)
@@ -48,7 +51,7 @@ def test_run_episode_immediate_success(dl3, fb_weak):
 def test_run_episode_exhausts_rounds(dl3, fb_weak):
     pol = make_policy((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
     rng = ScriptedRng(gains=[0.0] * 4, uniforms=[0.999] * 3)
-    out = mc_simulator.run_episode(pol, dl3, fb_weak, rng)
+    out = oracles.run_episode(pol, dl3, fb_weak, rng)
     assert out.rounds_used == 4 and out.outage and not out.delivered
     assert out.symbols_spent == pytest.approx(4 * 1024.0)
     assert out.feedback_events == (("NACK", "NACK"),) * 3
@@ -58,7 +61,7 @@ def test_run_episode_premature_stop_on_flipped_nack(dl3, fb_weak):
     pol = make_policy((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
     # uniform 0.0 is below every positive error rate, so the NACK flips
     rng = ScriptedRng(gains=[0.0], uniforms=[0.0])
-    out = mc_simulator.run_episode(pol, dl3, fb_weak, rng)
+    out = oracles.run_episode(pol, dl3, fb_weak, rng)
     assert out.rounds_used == 1 and out.outage
     assert out.feedback_events == (("NACK", "ACK"),)
 
@@ -66,13 +69,13 @@ def test_run_episode_premature_stop_on_flipped_nack(dl3, fb_weak):
 def test_run_episode_rejects_unknown_mode(dl3, fb_weak):
     pol = make_policy((1.0,) * 4, (0.5,) * 3)
     with pytest.raises(ValueError):
-        mc_simulator.run_episode(pol, dl3, fb_weak, ScriptedRng([]), "oracle")
+        oracles.run_episode(pol, dl3, fb_weak, ScriptedRng([]), "oracle")
 
 
 def test_run_episode_accounting_over_random_draws(dl3, fb_weak, rng):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
     for _ in range(200):
-        out = mc_simulator.run_episode(pol, dl3, fb_weak, rng)
+        out = oracles.run_episode(pol, dl3, fb_weak, rng)
         assert 1 <= out.rounds_used <= 4
         assert out.outage == (not out.delivered)
         spent = 1024.0 * sum(pol.rhos[: out.rounds_used])
@@ -96,18 +99,17 @@ def test_estimate_min_episode_guard(dl3, fb_weak):
 
 # n spans two chunks, the last one partial
 _TWO_CHUNKS = mc_simulator._CHUNK + 10_000
-_MODES = [mc_simulator.ANALYTIC_FLIP, mc_simulator.SYMBOL_LEVEL, "duplicated-ack"]
 
 
 def _estimate(mode, pol, dl, fb, n, seed):
-    """estimate_performance, or estimate_duplicated_ack at zero thresholds."""
-    if mode == "duplicated-ack":
+    """estimate_performance in the given mode; the duplicated-ACK mode
+    detects with zero thresholds."""
+    if mode == mc_simulator.DUPLICATED_ACK:
         pol = dataclasses.replace(pol, alphas=(0.0,) * len(pol.alphas))
-        return mc_simulator.estimate_duplicated_ack(pol, dl, fb, n, seed)
     return mc_simulator.estimate_performance(pol, dl, fb, n, seed, feedback_mode=mode)
 
 
-@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
 def test_estimate_deterministic_in_seed(dl3, fb_weak, mode):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
     a = _estimate(mode, pol, dl3, fb_weak, _TWO_CHUNKS, seed=99)
@@ -156,12 +158,12 @@ def _feedback_block_sizes(mode, draws):
         # the 6 real parts the detector statistic reads, per trial
         name, tail = "standard_normal", (6,)
     else:
-        name, tail = "random", (2,) if mode == "duplicated-ack" else ()
+        name, tail = "random", (2,) if mode == mc_simulator.DUPLICATED_ACK else ()
     assert all(d == name and shape[1:] == tail for d, shape in draws)
     return [shape[0] for _, shape in draws]
 
 
-@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
 def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
     # each chunk draws its gains for every episode, then one feedback block
     # per round sized to the episodes still running: summed over chunks,
@@ -180,7 +182,7 @@ def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
     assert live == [round(p * n) for p in est.p_occur[:3]]
 
 
-@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
 def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
     # round 1 always decodes and the uplink is error-free, so every episode
     # stops at the first feedback and the second has no one to draw for
@@ -264,7 +266,8 @@ def test_forced_continuation_failure_frequencies(dl3, fb_weak):
 def test_duplicated_ack_requires_zero_thresholds(dl3, fb_weak):
     pol = make_policy((1.0,) * 4, (0.5, 0.0, 0.0))
     with pytest.raises(ValueError):
-        mc_simulator.estimate_duplicated_ack(pol, dl3, fb_weak, 10_000, seed=1)
+        mc_simulator.estimate_performance(pol, dl3, fb_weak, 10_000, seed=1,
+                                          feedback_mode="duplicated-ack")
 
 
 def test_duplicated_ack_reduces_to_plain_under_perfect_feedback(dl3):
@@ -273,7 +276,8 @@ def test_duplicated_ack_reduces_to_plain_under_perfect_feedback(dl3):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.0, 0.0, 0.0))
     fb = feedback_model.make_feedback_spec(200.0)
     a = mc_simulator.estimate_performance(pol, dl3, fb, 50_000, seed=17)
-    d = mc_simulator.estimate_duplicated_ack(pol, dl3, fb, 50_000, seed=17)
+    d = mc_simulator.estimate_performance(pol, dl3, fb, 50_000, seed=17,
+                                          feedback_mode="duplicated-ack")
     assert a == d
 
 
@@ -289,7 +293,8 @@ def test_duplicated_ack_premature_stop_squares_slot_error():
     fb = feedback_model.make_feedback_spec(10.0 * math.log10(s))
     p = feedback_model.nack_error_rate(0.0, s)
     assert p == pytest.approx(0.1, abs=1e-6)
-    est = mc_simulator.estimate_duplicated_ack(pol, dl, fb, 1_000_000, seed=23)
+    est = mc_simulator.estimate_performance(pol, dl, fb, 1_000_000, seed=23,
+                                            feedback_mode="duplicated-ack")
     assert abs(est.p_out - p * p) <= 3.0 * est.p_out_se
     assert est.p_occur[0] == 1.0
     assert abs(est.p_occur[1] - (1.0 - p * p)) <= 3.0 * est.p_occur_se[1]

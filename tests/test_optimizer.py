@@ -16,6 +16,8 @@ import pytest
 from harqopt import feedback_model, harq_analysis, mi_model, optimizer
 from harqopt.errors import GridError, InfeasibleError
 
+import oracles
+
 
 def eval_policy(rhos, alphas, dl, snr_u_db, grid, n_b=1024, n_m=4096):
     fb = feedback_model.make_feedback_spec(snr_u_db)
@@ -63,10 +65,10 @@ def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
         r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl, grid, m, eps)
     except InfeasibleError as err:
         with pytest.raises(InfeasibleError) as exc:
-            optimizer.brute_force_rate_allocation(rates, dl, grid, m, eps)
+            oracles.brute_force_rate_allocation(rates, dl, grid, m, eps)
         assert exc.value.min_outage == err.min_outage > eps
         return False
-    r_bf, v_bf = optimizer.brute_force_rate_allocation(rates, dl, grid, m, eps)
+    r_bf, v_bf = oracles.brute_force_rate_allocation(rates, dl, grid, m, eps)
     assert v_scan == v_bf
     np.testing.assert_array_equal(r_scan, r_bf)
     return True
@@ -225,11 +227,11 @@ def test_epsilon_at_floor_reaches_grid_minimum_outage(dl3):
 def test_brute_force_single_round(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 8)
     rates = feedback_model.FeedbackErrorRates(p_nack=(), p_ack=())
-    r_bf, v_bf = optimizer.brute_force_rate_allocation(rates, dl3, grid, 1, 0.5)
+    r_bf, v_bf = oracles.brute_force_rate_allocation(rates, dl3, grid, 1, 0.5)
     r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl3, grid, 1, 0.5)
     assert v_bf == v_scan and r_bf[0] == r_scan[0]
     # error rates for m - 1 feedbacks are required
-    for alloc in (optimizer.brute_force_rate_allocation,
+    for alloc in (oracles.brute_force_rate_allocation,
                   optimizer.best_feasible_allocation):
         with pytest.raises(ValueError):
             alloc(rates, dl3, grid, 2, 0.5)
@@ -244,7 +246,7 @@ def test_brute_force_value_monotone_in_epsilon(dl3):
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 3)
     values = []
     for eps in np.geomspace(floor, 0.5, 12):
-        _, v = optimizer.brute_force_rate_allocation(rates, dl3, grid, 3, float(eps))
+        _, v = oracles.brute_force_rate_allocation(rates, dl3, grid, 3, float(eps))
         values.append(v)
     assert np.all(np.diff(values) >= 0.0)
     assert values[-1] > values[0]
@@ -256,7 +258,7 @@ def test_brute_force_budget_guard(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(GridError):
-        optimizer.brute_force_rate_allocation(rates, dl3, grid, 6, 0.01)
+        oracles.brute_force_rate_allocation(rates, dl3, grid, 6, 0.01)
 
 
 def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
