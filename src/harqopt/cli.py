@@ -78,10 +78,6 @@ class RunConfig:
     workers: int | None = None
 
     @property
-    def unit_rho(self) -> float:
-        return self.n_m / (self.units_total * self.n_b)
-
-    @property
     def max_units(self) -> int:
         return self.units_total if self.rho_max_units is None else self.rho_max_units
 
@@ -250,15 +246,12 @@ def _default_units(config: RunConfig) -> tuple[int, ...]:
 
 
 def _policy_from(config: RunConfig) -> harq_analysis.HarqPolicy:
-    unit = config.unit_rho
+    # the start rates are rows of the rate grid, bit for bit
+    unit = _grid_from(config).unit_rho
     return harq_analysis.HarqPolicy(
         rhos=tuple(u * unit for u in _default_units(config)),
         alphas=_default_alphas(config),
-        m_max=config.m_max,
         n_b=config.n_b,
-        n_m=config.n_m,
-        rho_min=config.rho_min_units * unit,
-        rho_max=config.max_units * unit,
     )
 
 
@@ -274,8 +267,10 @@ def _mc_policy(config: RunConfig) -> harq_analysis.HarqPolicy:
 
 
 def _grid_from(config: RunConfig) -> optimizer.RateGrid:
+    # make_rate_grid's unit, built without calling into the optimizer:
+    # analyze, simulate and validate read this grid for their policy too
     return optimizer.RateGrid(
-        unit_rho=config.unit_rho,
+        unit_rho=config.n_m / (config.units_total * config.n_b),
         min_units=config.rho_min_units,
         max_units=config.max_units,
         units_total=config.units_total,
@@ -472,7 +467,7 @@ def _best_fixed_alpha(config: RunConfig, dl, fb, grid):
         rates = feedback_model.error_rates_for(fb, alphas)
         try:
             rhos, eta = optimizer.best_feasible_allocation(
-                rates, dl, grid, config.m_max, config.epsilon
+                rates, dl, grid, config.epsilon
             )
         except InfeasibleError:
             continue
@@ -487,8 +482,7 @@ def _duplicated_best_throughput(config: RunConfig, dl, fb,
     the constraint is unreachable (the scheme has no threshold to raise)."""
     rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, config.m_max)
     try:
-        rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.m_max,
-                                                     config.epsilon)
+        rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.epsilon)
     except InfeasibleError:
         return 0.0, False
     policy = dataclasses.replace(_policy_from(config), rhos=tuple(rhos),
@@ -516,8 +510,7 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
         for alpha in (config.sweep_alphas or (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)):
             alphas = (float(alpha),) * (config.m_max - 1)
             header.append(f"min_outage_alpha_{alpha:g}")
-            row.append(optimizer.min_achievable_outage(alphas, dl, fb, grid,
-                                                       config.m_max))
+            row.append(optimizer.min_achievable_outage(alphas, dl, fb, grid))
         return header, row
 
     if config.sweep_mode == "optimize":
@@ -573,8 +566,7 @@ def _dummy_solution(config: RunConfig, dl, fb) -> optimizer.Solution:
     policy = _policy_from(config)
     bd = harq_analysis.unreliable_throughput(policy, dl, fb)
     return optimizer.Solution(
-        policy=policy, breakdown=bd, iterations=0,
-        converged=False, feasible=False, trace=(),
+        policy=policy, breakdown=bd, converged=False, feasible=False, trace=(),
     )
 
 

@@ -40,14 +40,13 @@ _HALF_COMPLEX = math.sqrt(0.5)  # per-symbol complex noise has unit variance
 
 @dataclass(frozen=True)
 class FeedbackSpec:
-    """Uplink operating point: the feedback SNR in dB and linear.
+    """Uplink operating point: the linear feedback SNR.
 
     The detection thresholds are per-round decisions of the HARQ policy
     (HarqPolicy.alphas), so they are passed to error_rates_for alongside
     the spec rather than stored in it.
     """
 
-    snr_db: float
     snr_linear: float
 
     def __post_init__(self):
@@ -91,7 +90,7 @@ def make_feedback_spec(snr_db: float) -> FeedbackSpec:
     except OverflowError:
         raise ValueError(f"make_feedback_spec: snr_db = {snr_dbf:g} overflows "
                          "a float linear SNR") from None
-    return FeedbackSpec(snr_db=snr_dbf, snr_linear=snr)
+    return FeedbackSpec(snr_linear=snr)
 
 
 def _check_snr(snr_linear: float) -> float:
@@ -101,18 +100,24 @@ def _check_snr(snr_linear: float) -> float:
     return s
 
 
+def _root_6snr(snr_linear: float):
+    """sqrt(6 snr), also where 6 snr overflows a float: there the product
+    would be inf and a threshold of exactly +-1 would give 0 * inf."""
+    s = _check_snr(snr_linear)
+    six_s = 6.0 * s
+    return np.sqrt(six_s) if six_s < math.inf else np.sqrt(6.0) * np.sqrt(s)
+
+
 def nack_error_rate(alpha, snr_linear: float):
     """NACK->ACK misdetection probability 0.5 erfc((1+alpha) sqrt(6 snr)),
     elementwise over an array of thresholds."""
-    s = _check_snr(snr_linear)
-    return 0.5 * numerics.erfc((1.0 + alpha) * np.sqrt(6.0 * s))
+    return 0.5 * numerics.erfc((1.0 + alpha) * _root_6snr(snr_linear))
 
 
 def ack_error_rate(alpha, snr_linear: float):
     """ACK->NACK misdetection probability 0.5 erfc((1-alpha) sqrt(6 snr)),
     elementwise over an array of thresholds."""
-    s = _check_snr(snr_linear)
-    return 0.5 * numerics.erfc((1.0 - alpha) * np.sqrt(6.0 * s))
+    return 0.5 * numerics.erfc((1.0 - alpha) * _root_6snr(snr_linear))
 
 
 def error_rates_for(spec: FeedbackSpec, alphas) -> FeedbackErrorRates:

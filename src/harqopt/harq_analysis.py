@@ -21,8 +21,8 @@ only implementations of their formulas. They take rates, prefix failures
 and occurrence probabilities of shape (..., M), and error rates of shape
 (..., M-1) whose leading axes broadcast against them, so the same code
 serves a single policy here and in the threshold search, and the whole
-allocation grid in the rate scan; the optimizer's scalar brute-force
-oracle checks the routes against each other.
+allocation grid in the rate scan; the scalar brute-force oracle in
+tests/oracles.py checks the routes against each other.
 """
 
 from __future__ import annotations
@@ -39,46 +39,38 @@ _OUT_SLACK = 1e-12  # float slack for the ordering asserts below
 
 @dataclass(frozen=True)
 class HarqPolicy:
-    """Full protocol description: rates, thresholds, and block geometry.
+    """A HARQ policy: the rate of each round and the threshold of each feedback.
 
-    rhos are symbols per information bit for each round, alphas the
-    detection thresholds for the first m_max-1 feedbacks, n_b the payload
-    size in bits, n_m the mother-codeword length limiting sum(rhos) to
-    n_m/n_b, and [rho_min, rho_max] the per-round rate box.
+    rhos are symbols per information bit for each of the m_max rounds,
+    alphas the detection thresholds for the first m_max-1 feedbacks, and
+    n_b the payload size in bits. The rate box and the mother-code budget
+    limit where the optimizer searches, so they belong to its RateGrid.
     """
 
     rhos: tuple[float, ...]
     alphas: tuple[float, ...]
-    m_max: int
     n_b: int
-    n_m: int
-    rho_min: float
-    rho_max: float
 
     def __post_init__(self):
         rhos = tuple(float(r) for r in self.rhos)
         alphas = tuple(float(a) for a in self.alphas)
         object.__setattr__(self, "rhos", rhos)
         object.__setattr__(self, "alphas", alphas)
-        if self.m_max < 1:
-            raise ValueError("HarqPolicy: m_max must be at least 1")
-        if len(rhos) != self.m_max:
-            raise ValueError("HarqPolicy: need exactly m_max rates")
-        if len(alphas) != self.m_max - 1:
-            raise ValueError("HarqPolicy: need exactly m_max - 1 thresholds")
-        if self.n_b < 1 or self.n_m < 1:
-            raise ValueError("HarqPolicy: block lengths must be positive")
-        if not (0.0 < self.rho_min <= self.rho_max):
-            raise ValueError("HarqPolicy: need 0 < rho_min <= rho_max")
-        for r in rhos:
-            if not (self.rho_min - 1e-12 <= r <= self.rho_max + 1e-12):
-                raise ValueError(f"HarqPolicy: rate {r} outside [rho_min, rho_max]")
-        budget = self.n_m / self.n_b
-        if sum(rhos) > budget + 1e-12:
-            raise ValueError(f"HarqPolicy: sum(rhos) exceeds n_m/n_b = {budget}")
-        for a in alphas:
-            if not math.isfinite(a):
-                raise ValueError("HarqPolicy: thresholds must be finite")
+        if not rhos:
+            raise ValueError("HarqPolicy: at least one rate is required")
+        if len(alphas) != len(rhos) - 1:
+            raise ValueError("HarqPolicy: need exactly one threshold fewer than rates")
+        if self.n_b < 1:
+            raise ValueError("HarqPolicy: n_b must be positive")
+        if not all(math.isfinite(r) and r > 0.0 for r in rhos):
+            raise ValueError("HarqPolicy: rates must be positive and finite")
+        if not all(math.isfinite(a) for a in alphas):
+            raise ValueError("HarqPolicy: thresholds must be finite")
+
+    @property
+    def m_max(self) -> int:
+        """Number of transmission rounds."""
+        return len(self.rhos)
 
 
 @dataclass(frozen=True)
@@ -89,9 +81,13 @@ class PerformanceBreakdown:
     p_occur: tuple[float, ...]
     p_out_stage: tuple[float, ...]
     p_out_unreliable: float
-    p_out_reliable: float
     expected_symbols: float
     throughput: float
+
+    @property
+    def p_out_reliable(self) -> float:
+        """Outage with perfect feedback: the final-round failure P_{M,f}."""
+        return self.p_fail[-1]
 
 
 def _p_fail(policy: HarqPolicy, dl, route: str, bins: int) -> np.ndarray:
@@ -236,7 +232,6 @@ def _breakdown_from_rates(policy: HarqPolicy, dl, rates, route, bins) -> Perform
     stage = _stage_outage(F, pn, P)
     e_sym = expected_symbols(policy, P)
     eta = policy.n_b * (1.0 - p_out) / e_sym
-    p_out_rel = float(F[policy.m_max - 1])
 
     for arr in (F, P):
         assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
@@ -246,7 +241,7 @@ def _breakdown_from_rates(policy: HarqPolicy, dl, rates, route, bins) -> Perform
     assert np.all(stage >= 0.0)
     assert 0.0 <= p_out <= 1.0
     # unreliable feedback can only hurt; capacity caps the rate
-    assert p_out >= p_out_rel - _OUT_SLACK
+    assert p_out >= F[-1] - _OUT_SLACK
     assert eta <= dl.mean_mi + _OUT_SLACK
 
     return PerformanceBreakdown(
@@ -254,7 +249,6 @@ def _breakdown_from_rates(policy: HarqPolicy, dl, rates, route, bins) -> Perform
         p_occur=tuple(float(x) for x in P),
         p_out_stage=tuple(float(x) for x in stage),
         p_out_unreliable=float(p_out),
-        p_out_reliable=p_out_rel,
         expected_symbols=float(e_sym),
         throughput=float(eta),
     )

@@ -48,7 +48,6 @@ _MOMENT_TOL = 1e-5
 class DownlinkSpec:
     """Downlink operating point with precomputed per-round MI statistics."""
 
-    snr_db: float
     snr_linear: float
     mean_mi: float
     var_mi: float
@@ -98,7 +97,7 @@ def make_downlink_spec(snr_db: float) -> DownlinkSpec:
     var = second - mean * mean
     if not var > 0.0:
         raise ValueError(f"make_downlink_spec: non-positive MI variance at {snr_dbf} dB")
-    return DownlinkSpec(snr_db=snr_dbf, snr_linear=snr, mean_mi=mean, var_mi=var)
+    return DownlinkSpec(snr_linear=snr, mean_mi=mean, var_mi=var)
 
 
 def p_fail_gaussian(rates, spec: DownlinkSpec) -> np.ndarray:

@@ -90,10 +90,14 @@ class Solution:
 
     policy: harq_analysis.HarqPolicy
     breakdown: harq_analysis.PerformanceBreakdown
-    iterations: int
     converged: bool
     feasible: bool
     trace: tuple[float, ...]
+
+    @property
+    def iterations(self) -> int:
+        """Alternating iterations run: one objective per iteration in trace."""
+        return len(self.trace)
 
 
 def make_rate_grid(n_b: int, n_m: int, units_total: int, min_units: int = 1,
@@ -129,11 +133,12 @@ def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
         )
     # caps[k]: the largest admissible unit sum of a (k + 1)-round prefix
     caps = [total - (m - k - 1) * lo for k in range(m)]
-    # by_sum[s]: admissible prefixes of the current length with unit sum s
+    # by_sum[s]: admissible prefixes of the current length with unit sum s,
+    # starting from the one empty prefix, so every length is checked
     by_sum = np.zeros(total + 1, dtype=np.int64)
-    by_sum[lo:min(hi, caps[0]) + 1] = 1
+    by_sum[0] = 1
     s = np.arange(total + 1)
-    for cap in caps[1:]:
+    for cap in caps:
         # a prefix of sum s extends one of sum s - hi .. s - lo
         below = np.concatenate(([0], np.cumsum(by_sum)))
         by_sum = below[np.clip(s - lo + 1, 0, None)] - below[np.clip(s - hi, 0, None)]
@@ -187,10 +192,11 @@ def _feasible_argmax(eta: np.ndarray, rhos: np.ndarray, unit_rho: float) -> int:
 
 
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
-                          grid: RateGrid, m: int) -> float:
-    """Smallest grid-achievable outage at the given thresholds."""
+                          grid: RateGrid) -> float:
+    """Smallest grid-achievable outage at the given thresholds, one per
+    feedback of the len(alphas) + 1 rounds."""
     rates = feedback_model.error_rates_for(fb, alphas)
-    return _outage_floor(grid, m, dl, rates.p_nack)
+    return _outage_floor(grid, len(rates) + 1, dl, rates.p_nack)
 
 
 def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
@@ -200,12 +206,13 @@ def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
-               m: int, epsilon: float) -> tuple[np.ndarray, float]:
+               epsilon: float) -> tuple[np.ndarray, float]:
     """best_feasible_allocation over the kept rows. Outage comes first: the
     occurrence probabilities and cost are computed only on the rows that
     meet epsilon, in path order; when all of them do, straight from the
     column-major kept table, with no copy. The outage floor of an
     InfeasibleError is taken over the whole table, when it is first read."""
+    m = len(rates) + 1
     rhos, F = _kept_rows(grid, m, dl, epsilon)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
     feasible = np.flatnonzero(outage <= epsilon)
@@ -223,20 +230,18 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
 
 
 def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
-                             grid: RateGrid, m: int,
+                             grid: RateGrid,
                              epsilon: float) -> tuple[np.ndarray, float]:
-    """Exact constrained optimum over the whole grid: the allocation
-    maximizing (1 - P_out)/cost among those with P_out <= epsilon, and
-    that throughput.
+    """Exact constrained optimum over the whole grid: the allocation of
+    len(rates) + 1 rounds maximizing (1 - P_out)/cost among those with
+    P_out <= epsilon, and that throughput.
 
     Takes the per-round error pairs, so it serves threshold-derived rates
     (error_rates_for) and other feedback schemes alike. Raises
     InfeasibleError carrying the grid's minimum outage when no allocation
     meets epsilon.
     """
-    if len(rates) != m - 1:
-        raise ValueError("best_feasible_allocation: need error rates for m-1 feedbacks")
-    return _rate_scan(rates, dl, grid, m, epsilon)
+    return _rate_scan(rates, dl, grid, epsilon)
 
 
 def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
@@ -301,7 +306,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     """Alternate the exact rate scan and the threshold pattern search from
     `start` over the rates of `grid`, subject to outage <= epsilon.
 
-    The start policy fixes the block geometry and rate box of the result and
+    The start policy fixes the round count and block size of the result and
     is its starting point: the thresholds start at start.alphas clipped to
     ALPHA_BOX, and start.rhos is the first incumbent when it meets epsilon
     at those thresholds. If the starting thresholds cannot meet epsilon for
@@ -310,21 +315,15 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     candidate, so the recorded objective trace is non-decreasing by
     construction.
 
-    The grid must fit the start policy, which the result keeps: its unit
-    box inside [rho_min, rho_max] and its whole budget at most n_m/n_b.
-    Raises ValueError otherwise and for epsilon outside (0, 1).
+    The rate box and the budget of the search are the grid's alone;
+    start.rhos need not lie on the grid. Raises ValueError for epsilon
+    outside (0, 1).
 
     The rate step is best_feasible_allocation's scan at the current
     thresholds: the feasible grid allocation of largest throughput.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("alternating_optimize: epsilon must lie in (0, 1)")
-    slack = 1e-9 * grid.unit_rho
-    if (grid.min_units * grid.unit_rho < start.rho_min - slack
-            or grid.max_units * grid.unit_rho > start.rho_max + slack
-            or grid.units_total * grid.unit_rho > start.n_m / start.n_b + slack):
-        raise ValueError("alternating_optimize: the rate grid does not fit the "
-                         "start policy's rate box and mother code")
     m = start.m_max
     lo, hi = ALPHA_BOX
     k = m - 1
@@ -346,7 +345,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             raise InfeasibleError(
                 f"outage constraint {epsilon:g} unreachable for any "
                 "thresholds in the box",
-                min_outage=min_achievable_outage(top, dl, fb, grid, m),
+                min_outage=min_achievable_outage(top, dl, fb, grid),
                 iteration=0,
             )
         # 40 halvings of [lo, hi]; each probe is a pass over the kept table
@@ -371,7 +370,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     for iterations in range(1, _ALT_MAX_ITERS + 1):
         try:
             rhos_new, eta_new = _rate_scan(feedback_model.error_rates_for(fb, alphas),
-                                           dl, grid, m, epsilon)
+                                           dl, grid, epsilon)
         except InfeasibleError as err:
             err.iteration = iterations
             raise
@@ -393,7 +392,6 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     return Solution(
         policy=policy,
         breakdown=breakdown,
-        iterations=iterations,
         converged=converged,
         feasible=breakdown.p_out_unreliable <= epsilon * (1.0 + 1e-6),
         trace=tuple(trace),

@@ -42,8 +42,7 @@ def criterion(capsys, number, title):
 
 def make_policy(rhos, alphas):
     return harq_analysis.HarqPolicy(
-        rhos=tuple(float(r) for r in rhos), alphas=tuple(float(a) for a in alphas),
-        m_max=len(rhos), n_b=1024, n_m=4096, rho_min=UNIT, rho_max=4.0,
+        rhos=tuple(float(r) for r in rhos), alphas=tuple(float(a) for a in alphas), n_b=1024
     )
 
 
@@ -154,7 +153,7 @@ def test_criterion_04_scan_equals_brute_force(capsys, dl3):
             eps = float(rng.choice([1e-6, rng.uniform(0.0, 0.2), 0.999]))
             try:
                 r_scan, v_scan = optimizer.best_feasible_allocation(
-                    rates, dl3, grid, m, eps
+                    rates, dl3, grid, eps
                 )
             except InfeasibleError as err:
                 # both routes refuse, naming the same outage floor
@@ -178,10 +177,10 @@ def test_criterion_05_epsilon_ladder_monotone(capsys, dl3, grid64):
         alphas = (0.5, 0.5, 0.5)
         fb = feedback_model.make_feedback_spec(-10.0)
         rates = feedback_model.error_rates_for(fb, alphas)
-        floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid64, 4)
+        floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid64)
         etas = []
         for eps in np.geomspace(floor, 0.5, 20):
-            rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid64, 4,
+            rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid64,
                                                            float(eps))
             bd = harq_analysis.unreliable_throughput(
                 make_policy(rhos, alphas), dl3, fb
@@ -199,7 +198,7 @@ def test_criterion_06_min_outage_monotone_in_alpha(capsys, dl3, grid64):
             for a in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
                 alphas = (float(a),) * 3
                 fb = feedback_model.make_feedback_spec(float(snr_u))
-                mo = optimizer.min_achievable_outage(alphas, dl3, fb, grid64, 4)
+                mo = optimizer.min_achievable_outage(alphas, dl3, fb, grid64)
                 assert mo <= prev + 1e-12, (snr_u, a, mo, prev)
                 prev = mo
 
@@ -218,7 +217,7 @@ def test_criterion_07_asymmetric_beats_duplicated(capsys, dl3, grid64):
             dup_rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, 4)
             try:
                 rhos, _ = optimizer.best_feasible_allocation(
-                    dup_rates, dl3, grid64, 4, 0.01
+                    dup_rates, dl3, grid64, 0.01
                 )
                 dup = harq_analysis.duplicated_ack_performance(
                     make_policy(rhos, (0.0, 0.0, 0.0)), dl3, fb
@@ -244,7 +243,7 @@ def test_criterion_08_variable_thresholds_beat_best_fixed(capsys, dl3, grid64):
                 rates = feedback_model.error_rates_for(fb, alphas)
                 try:
                     rhos, eta = optimizer.best_feasible_allocation(
-                        rates, dl3, grid64, 4, 0.01
+                        rates, dl3, grid64, 0.01
                     )
                 except InfeasibleError:
                     continue

@@ -33,7 +33,10 @@ def test_load_config_defaults(tmp_path):
     assert cfg.m_max == 4 and cfg.units_total == 64
     assert cfg.n_b == 1024 and cfg.n_m == 4096
     assert cfg.epsilon == 0.01 and cfg.route == "gaussian"
-    assert cfg.unit_rho == pytest.approx(1.0 / 16.0)
+    assert cli._grid_from(cfg).unit_rho == pytest.approx(1.0 / 16.0)
+    # the CLI's grid is make_rate_grid's, also on a non-dyadic unit
+    for c in (cfg, dataclasses.replace(cfg, n_b=1000, n_m=4000, units_total=36)):
+        assert cli._grid_from(c) == optimizer.make_rate_grid(c.n_b, c.n_m, c.units_total)
 
 
 def test_load_config_comments_and_optimizer_keys(tmp_path):
@@ -353,6 +356,18 @@ def test_huge_uplink_snr_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_analyze_where_six_times_the_uplink_snr_overflows(tmp_path):
+    # at 3080 dB the linear SNR is finite but 6 snr is not; thresholds of 1
+    # still give NACK->ACK rates of 0 and ACK->NACK rates of 0.5
+    path = write_config(tmp_path, {**SMALL, "m_max": 4, "snr_u_db": 3080,
+                                   "alphas": "1, 1, 1"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["p_out_unreliable"] == cells["p_out_reliable"]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_huge_swept_uplink_snr_is_a_config_error(tmp_path, capsys, workers):
     path = write_config(tmp_path, {**SMALL, "sweep.axis": "snr_u_db",
@@ -492,8 +507,7 @@ def test_duplicated_baseline_is_exact_constrained_scan(tmp_path):
     grid = cli._grid_from(config)
     eta, ok = cli._duplicated_best_throughput(config, dl, fb, grid)
     rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, config.m_max)
-    rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.m_max,
-                                                 config.epsilon)
+    rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.epsilon)
     policy = dataclasses.replace(cli._policy_from(config), rhos=tuple(rhos),
                                  alphas=(0.0,) * (config.m_max - 1))
     want = harq_analysis.duplicated_ack_performance(policy, dl, fb).throughput

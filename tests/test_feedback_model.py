@@ -26,11 +26,14 @@ def test_nack_error_rate_examples():
     assert feedback_model.nack_error_rate(0.0, 0.1) == pytest.approx(NACK_A0_S01, abs=1e-14)
     assert feedback_model.nack_error_rate(1.0, 0.1) == pytest.approx(NACK_A1_S01, abs=1e-14)
     assert feedback_model.nack_error_rate(1e6, 0.1) == 0.0
+    # 6 snr overflows a float here, yet a threshold of -1 still reads 0.5
+    assert feedback_model.nack_error_rate(-1.0, 1e308) == 0.5
 
 
 def test_ack_error_rate_examples():
     assert feedback_model.ack_error_rate(1.0, 0.1) == 0.5
     assert feedback_model.ack_error_rate(1.0, 37.0) == 0.5
+    assert feedback_model.ack_error_rate(1.0, 1e308) == 0.5
     assert feedback_model.ack_error_rate(0.0, 0.1) == pytest.approx(NACK_A0_S01, abs=1e-14)
 
 

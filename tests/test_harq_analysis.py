@@ -17,11 +17,8 @@ from harqopt import feedback_model, harq_analysis, mi_model
 UNIT = 1.0 / 16.0  # 64 units of a rate-4 mother code on 1024-bit blocks
 
 
-def make_policy(rhos, alphas, n_b=1024, n_m=4096, rho_max=4.0):
-    return harq_analysis.HarqPolicy(
-        rhos=tuple(rhos), alphas=tuple(alphas), m_max=len(rhos),
-        n_b=n_b, n_m=n_m, rho_min=UNIT, rho_max=rho_max,
-    )
+def make_policy(rhos, alphas):
+    return harq_analysis.HarqPolicy(rhos=tuple(rhos), alphas=tuple(alphas), n_b=1024)
 
 
 def occurrence_by_success_time(F, pn, pa):
@@ -52,6 +49,23 @@ def outage_sequential_form(F, pn):
     return 1.0 - inner * (1.0 - F[m - 1])
 
 
+@pytest.mark.parametrize("rhos, alphas, n_b, message", [
+    ((), (), 1024, "at least one rate"),
+    ((1.0, 1.0), (), 1024, "one threshold fewer"),
+    ((1.0, 1.0), (0.5, 0.5), 1024, "one threshold fewer"),
+    ((1.0,), (), 0, "n_b must be positive"),
+    ((1.0, 0.0), (0.5,), 1024, "positive and finite"),
+    ((1.0, -0.5), (0.5,), 1024, "positive and finite"),
+    ((math.inf, 1.0), (0.5,), 1024, "positive and finite"),
+    ((math.nan, 1.0), (0.5,), 1024, "positive and finite"),
+    ((1.0, 1.0), (math.inf,), 1024, "thresholds must be finite"),
+    ((1.0, 1.0), (math.nan,), 1024, "thresholds must be finite"),
+])
+def test_policy_rejects_malformed_fields(rhos, alphas, n_b, message):
+    with pytest.raises(ValueError, match=message):
+        harq_analysis.HarqPolicy(rhos=rhos, alphas=alphas, n_b=n_b)
+
+
 def test_reliable_throughput_single_round(dl3):
     pol = make_policy([1.0], [])
     p1 = mi_model.p_fail_gaussian([1.0], dl3)[0]
@@ -72,10 +86,7 @@ def test_reliable_throughput_composition(dl3):
 
 def test_reliable_throughput_vanishing_failure_limit(dl3):
     # huge first-round rate: failure ~ ln2/(rho snr), only round 1 costs
-    pol = harq_analysis.HarqPolicy(
-        rhos=(1e7,), alphas=(), m_max=1, n_b=1, n_m=10**8,
-        rho_min=1.0, rho_max=1e7,
-    )
+    pol = harq_analysis.HarqPolicy(rhos=(1e7,), alphas=(), n_b=1)
     eta = harq_analysis.reliable_throughput(pol, dl3, route="convolution")
     assert eta == pytest.approx(1.0 / 1e7, rel=1e-6)
 

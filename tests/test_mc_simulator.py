@@ -26,11 +26,8 @@ class ScriptedRng:
         return self._uniforms.pop(0)
 
 
-def make_policy(rhos, alphas, n_b=1024, n_m=4096):
-    return harq_analysis.HarqPolicy(
-        rhos=tuple(rhos), alphas=tuple(alphas), m_max=len(rhos),
-        n_b=n_b, n_m=n_m, rho_min=min(rhos), rho_max=max(rhos),
-    )
+def make_policy(rhos, alphas):
+    return harq_analysis.HarqPolicy(rhos=tuple(rhos), alphas=tuple(alphas), n_b=1024)
 
 
 @pytest.fixture(scope="module")
@@ -187,10 +184,7 @@ def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
     # round 1 always decodes and the uplink is error-free, so every episode
     # stops at the first feedback and the second has no one to draw for
     dl = mi_model.make_downlink_spec(10.0)
-    pol = harq_analysis.HarqPolicy(
-        rhos=(1e10, 1.0, 1.0), alphas=(0.0, 0.0), m_max=3, n_b=1,
-        n_m=2 * 10 ** 10, rho_min=1.0, rho_max=1e10,
-    )
+    pol = harq_analysis.HarqPolicy(rhos=(1e10, 1.0, 1.0), alphas=(0.0, 0.0), n_b=1)
     fb = feedback_model.make_feedback_spec(200.0)
     est = _estimate(mode, pol, dl, fb, 10_000, seed=5)
     assert est.p_occur == (1.0, 0.0, 0.0)
@@ -202,10 +196,7 @@ def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
 def test_estimate_single_round_sure_delivery():
     dl = mi_model.make_downlink_spec(10.0)
     # one giant-rate round: failure odds ~ ln2/(rho*snr), negligible at 1e10
-    pol = harq_analysis.HarqPolicy(
-        rhos=(1e10,), alphas=(), m_max=1, n_b=1, n_m=2 * 10 ** 10,
-        rho_min=1.0, rho_max=1e10,
-    )
+    pol = harq_analysis.HarqPolicy(rhos=(1e10,), alphas=(), n_b=1)
     fb = feedback_model.make_feedback_spec(0.0)
     est = mc_simulator.estimate_performance(pol, dl, fb, 10_000, seed=5)
     assert est.p_out == 0.0
@@ -285,10 +276,7 @@ def test_duplicated_ack_premature_stop_squares_slot_error():
     dl = mi_model.make_downlink_spec(10.0)
     # round 1 never decodes, round 2 always does; the only outage path is a
     # double slot flip of the first NACK, probability p^2
-    pol = harq_analysis.HarqPolicy(
-        rhos=(1e-6, 1e10), alphas=(0.0,), m_max=2, n_b=1, n_m=2 * 10 ** 10,
-        rho_min=1e-6, rho_max=1e10,
-    )
+    pol = harq_analysis.HarqPolicy(rhos=(1e-6, 1e10), alphas=(0.0,), n_b=1)
     s = 0.1368645588
     fb = feedback_model.make_feedback_spec(10.0 * math.log10(s))
     p = feedback_model.nack_error_rate(0.0, s)

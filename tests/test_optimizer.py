@@ -19,13 +19,9 @@ from harqopt.errors import GridError, InfeasibleError
 import oracles
 
 
-def eval_policy(rhos, alphas, dl, snr_u_db, grid, n_b=1024, n_m=4096):
+def eval_policy(rhos, alphas, dl, snr_u_db):
     fb = feedback_model.make_feedback_spec(snr_u_db)
-    pol = harq_analysis.HarqPolicy(
-        rhos=tuple(rhos), alphas=tuple(alphas), m_max=len(rhos),
-        n_b=n_b, n_m=n_m, rho_min=grid.unit_rho,
-        rho_max=grid.max_units * grid.unit_rho,
-    )
+    pol = harq_analysis.HarqPolicy(rhos=tuple(rhos), alphas=tuple(alphas), n_b=1024)
     return harq_analysis.unreliable_throughput(pol, dl, fb)
 
 
@@ -40,21 +36,13 @@ def test_make_rate_grid_basics():
 
 
 def test_optimizer_config_validation(dl3, grid64):
-    # the problem is passed whole: an outage budget outside (0, 1), or a
-    # grid that does not fit the start policy, is refused, never searched
+    # the problem is passed whole: an outage budget outside (0, 1) is
+    # refused, never searched
     fb = feedback_model.make_feedback_spec(-10.0)
-    start = default_template()  # rates in [1/16, 4], n_m/n_b = 4
+    start = default_template()
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
             optimizer.alternating_optimize(dl3, fb, start, grid64, eps)
-    misfits = [
-        dataclasses.replace(grid64, units_total=128),  # budget 8 > 4
-        dataclasses.replace(grid64, max_units=80),     # rates up to 5 > 4
-        dataclasses.replace(grid64, unit_rho=1 / 32),  # rates from 1/32 < 1/16
-    ]
-    for grid in misfits:
-        with pytest.raises(ValueError, match="does not fit"):
-            optimizer.alternating_optimize(dl3, fb, start, grid, 0.01)
 
 
 def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
@@ -62,7 +50,7 @@ def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
     including the outage floor they report when nothing is feasible.
     Returns whether the instance was feasible."""
     try:
-        r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl, grid, m, eps)
+        r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl, grid, eps)
     except InfeasibleError as err:
         with pytest.raises(InfeasibleError) as exc:
             oracles.brute_force_rate_allocation(rates, dl, grid, m, eps)
@@ -133,12 +121,11 @@ def test_enumerate_units_is_filtered_product(monkeypatch, lo, hi, total, m):
     got = optimizer._enumerate_units(grid, m)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
-    if m > 1:
-        monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected))
-        np.testing.assert_array_equal(optimizer._enumerate_units(grid, m), expected)
-        monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected) - 1)
-        with pytest.raises(GridError):
-            optimizer._enumerate_units(grid, m)
+    monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected))
+    np.testing.assert_array_equal(optimizer._enumerate_units(grid, m), expected)
+    monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected) - 1)
+    with pytest.raises(GridError):
+        optimizer._enumerate_units(grid, m)
 
 
 def test_enumerate_units_over_budget_raises_before_building_rows(grid64):
@@ -184,7 +171,7 @@ def test_scan_keeps_paths_at_the_prune_boundary(dl3, side):
     eps = float(np.nextafter(f_m, side)) if side else f_m
     assert assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
     if side < 0:
-        rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 3, eps)
+        rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, eps)
         np.testing.assert_array_equal(rhos, [1.0, 1.0, 1.0])
 
 
@@ -207,8 +194,8 @@ def test_scan_value_is_direct_throughput(dl3):
     snr_u = -10.0
     fb = feedback_model.make_feedback_spec(snr_u)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, value = optimizer.best_feasible_allocation(rates, dl3, grid, 3, 0.05)
-    direct = eval_policy(rhos, alphas, dl3, snr_u, grid)
+    rhos, value = optimizer.best_feasible_allocation(rates, dl3, grid, 0.05)
+    direct = eval_policy(rhos, alphas, dl3, snr_u)
     assert direct.p_out_unreliable <= 0.05
     assert value == pytest.approx(direct.throughput, abs=1e-9)
 
@@ -218,9 +205,9 @@ def test_epsilon_at_floor_reaches_grid_minimum_outage(dl3):
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
-    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 2, floor)
-    achieved = eval_policy(rhos, alphas, dl3, -10.0, grid).p_out_unreliable
+    floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
+    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, floor)
+    achieved = eval_policy(rhos, alphas, dl3, -10.0).p_out_unreliable
     assert achieved == pytest.approx(floor, abs=1e-12)
 
 
@@ -228,13 +215,11 @@ def test_brute_force_single_round(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 8)
     rates = feedback_model.FeedbackErrorRates(p_nack=(), p_ack=())
     r_bf, v_bf = oracles.brute_force_rate_allocation(rates, dl3, grid, 1, 0.5)
-    r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl3, grid, 1, 0.5)
+    r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl3, grid, 0.5)
     assert v_bf == v_scan and r_bf[0] == r_scan[0]
-    # error rates for m - 1 feedbacks are required
-    for alloc in (oracles.brute_force_rate_allocation,
-                  optimizer.best_feasible_allocation):
-        with pytest.raises(ValueError):
-            alloc(rates, dl3, grid, 2, 0.5)
+    # the oracle takes m and requires error rates for m - 1 feedbacks
+    with pytest.raises(ValueError):
+        oracles.brute_force_rate_allocation(rates, dl3, grid, 2, 0.5)
 
 
 def test_brute_force_value_monotone_in_epsilon(dl3):
@@ -243,7 +228,7 @@ def test_brute_force_value_monotone_in_epsilon(dl3):
     alphas = (0.5, 0.5)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 3)
+    floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
     values = []
     for eps in np.geomspace(floor, 0.5, 12):
         _, v = oracles.brute_force_rate_allocation(rates, dl3, grid, 3, float(eps))
@@ -267,7 +252,7 @@ def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.999999)
+    rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 0.999999)
     table_rhos, F = optimizer._failure_table(grid, 2, dl3)
     P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     cost = harq_analysis.expected_cost(table_rhos, P)
@@ -284,8 +269,8 @@ def test_scan_infeasible_names_floor(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.02)
-    floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid, 2)
+        optimizer.best_feasible_allocation(rates, dl3, grid, 0.02)
+    floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
     assert exc.value.min_outage == pytest.approx(floor, rel=1e-12)
 
 
@@ -305,7 +290,7 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
 
     monkeypatch.setattr(harq_analysis, "outage_from_failures", spy)
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.02)
+        optimizer.best_feasible_allocation(rates, dl3, grid, 0.02)
     assert rows and paths not in rows
     floor = exc.value.min_outage
     assert rows[-1] == paths and exc.value.min_outage == floor > 0.02
@@ -330,14 +315,14 @@ def test_scan_matches_constrained_enumeration(dl3, eps):
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 2, eps)
-    got = eval_policy(rhos, alphas, dl3, -10.0, grid)
+    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+    got = eval_policy(rhos, alphas, dl3, -10.0)
     assert got.p_out_unreliable <= eps
     best = -1.0
     for u1 in range(1, 16):
         for u2 in range(1, 17 - u1):
             bd = eval_policy((u1 * grid.unit_rho, u2 * grid.unit_rho),
-                             alphas, dl3, -10.0, grid)
+                             alphas, dl3, -10.0)
             if bd.p_out_unreliable <= eps:
                 best = max(best, bd.throughput)
     assert got.throughput == best
@@ -348,18 +333,18 @@ def test_best_feasible_allocation_is_enumeration_argmax(dl3):
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 2, 0.05)
+    rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 0.05)
     best = (-1.0, None)
     for u1 in range(1, 16):
         for u2 in range(1, 17 - u1):
             bd = eval_policy((u1 * grid.unit_rho, u2 * grid.unit_rho),
-                             alphas, dl3, -10.0, grid)
+                             alphas, dl3, -10.0)
             if bd.p_out_unreliable <= 0.05 and bd.throughput > best[0]:
                 best = (bd.throughput, (u1 * grid.unit_rho, u2 * grid.unit_rho))
     assert eta == pytest.approx(best[0], rel=1e-12)
     assert tuple(rhos) == pytest.approx(best[1])
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.best_feasible_allocation(rates, dl3, grid, 2, 1e-4)
+        optimizer.best_feasible_allocation(rates, dl3, grid, 1e-4)
     assert exc.value.min_outage > 1e-4
 
 
@@ -445,11 +430,11 @@ def test_search_single_threshold_matches_dense_scan(dl3):
     rhos = (7 * grid.unit_rho, 7 * grid.unit_rho)
     fb = feedback_model.make_feedback_spec(-10.0)
     al = search(rhos, dl3, fb, 0.05, (0.5,))
-    got = eval_policy(rhos, al, dl3, -10.0, grid)
+    got = eval_policy(rhos, al, dl3, -10.0)
     assert got.p_out_unreliable <= 0.05 * (1.0 + 1e-9)
     best = -1.0
     for a in np.linspace(*optimizer.ALPHA_BOX, 3001):
-        bd = eval_policy(rhos, (float(a),), dl3, -10.0, grid)
+        bd = eval_policy(rhos, (float(a),), dl3, -10.0)
         if bd.p_out_unreliable <= 0.05:
             best = max(best, bd.throughput)
     assert abs(got.throughput - best) <= 1e-3
@@ -459,15 +444,14 @@ def test_search_single_threshold_matches_dense_scan(dl3):
 def test_search_beats_uniform_scan_at_equal_rates(dl3):
     # thresholds of 0.5 miss the budget at these rates; the top of the box
     # meets it
-    grid = optimizer.make_rate_grid(1024, 4096, 64)
     rhos = (1.0, 1.0, 1.0, 1.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    assert eval_policy(rhos, (0.5,) * 3, dl3, -10.0, grid).p_out_unreliable > 0.01
+    assert eval_policy(rhos, (0.5,) * 3, dl3, -10.0).p_out_unreliable > 0.01
     al = search(rhos, dl3, fb, 0.01, (optimizer.ALPHA_BOX[1],) * 3)
-    got = eval_policy(rhos, al, dl3, -10.0, grid)
+    got = eval_policy(rhos, al, dl3, -10.0)
     best = -1.0
     for a in np.linspace(*optimizer.ALPHA_BOX, 50):
-        bd = eval_policy(rhos, (float(a),) * 3, dl3, -10.0, grid)
+        bd = eval_policy(rhos, (float(a),) * 3, dl3, -10.0)
         if bd.p_out_unreliable <= 0.01:
             best = max(best, bd.throughput)
     assert got.throughput >= best - 1e-6
@@ -488,8 +472,7 @@ def test_search_with_one_round_returns_no_thresholds_unprobed(dl3, monkeypatch):
 
 def default_template():
     return harq_analysis.HarqPolicy(
-        rhos=(0.5, 0.5, 0.5, 0.5), alphas=(0.5, 0.5, 0.5), m_max=4,
-        n_b=1024, n_m=4096, rho_min=1.0 / 16.0, rho_max=4.0,
+        rhos=(0.5, 0.5, 0.5, 0.5), alphas=(0.5, 0.5, 0.5), n_b=1024,
     )
 
 
@@ -622,7 +605,7 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     assert exc.value.iteration == 0
     top = np.full(3, optimizer.ALPHA_BOX[1])
     assert exc.value.min_outage == optimizer.min_achievable_outage(top, dl0, fb,
-                                                                   grid64, 4)
+                                                                   grid64)
     assert exc.value.min_outage > 0.01
 
 
@@ -633,5 +616,5 @@ def test_alternating_beats_duplicated_ack_baseline(dl3, grid64):
     sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
     dup_rates = harq_analysis.duplicated_ack_rates(10 ** (-10.0 / 10.0), 4)
     with pytest.raises(InfeasibleError):
-        optimizer.best_feasible_allocation(dup_rates, dl3, grid64, 4, 0.01)
+        optimizer.best_feasible_allocation(dup_rates, dl3, grid64, 0.01)
     assert sol.breakdown.throughput > 0.0
