@@ -108,16 +108,25 @@ def _root_6snr(snr_linear: float):
     return np.sqrt(six_s) if six_s < math.inf else np.sqrt(6.0) * np.sqrt(s)
 
 
+def _erfc_of_scaled(factor, snr_linear: float):
+    """erfc(factor * sqrt(6 snr)). A product beyond the float range is
+    taken as +-inf without a warning: erfc is already at its limit, 0 or 2,
+    long before that."""
+    with np.errstate(over="ignore"):
+        arg = factor * _root_6snr(snr_linear)
+    return numerics.erfc(arg)
+
+
 def nack_error_rate(alpha, snr_linear: float):
     """NACK->ACK misdetection probability 0.5 erfc((1+alpha) sqrt(6 snr)),
     elementwise over an array of thresholds."""
-    return 0.5 * numerics.erfc((1.0 + alpha) * _root_6snr(snr_linear))
+    return 0.5 * _erfc_of_scaled(1.0 + alpha, snr_linear)
 
 
 def ack_error_rate(alpha, snr_linear: float):
     """ACK->NACK misdetection probability 0.5 erfc((1-alpha) sqrt(6 snr)),
     elementwise over an array of thresholds."""
-    return 0.5 * numerics.erfc((1.0 - alpha) * _root_6snr(snr_linear))
+    return 0.5 * _erfc_of_scaled(1.0 - alpha, snr_linear)
 
 
 def error_rates_for(spec: FeedbackSpec, alphas) -> FeedbackErrorRates:
@@ -126,6 +135,8 @@ def error_rates_for(spec: FeedbackSpec, alphas) -> FeedbackErrorRates:
     A non-finite threshold raises ValueError.
     """
     a = np.asarray(alphas, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("error_rates_for: thresholds must be finite")
     return FeedbackErrorRates(p_nack=tuple(nack_error_rate(a, spec.snr_linear)),
                               p_ack=tuple(ack_error_rate(a, spec.snr_linear)))
 

@@ -23,6 +23,14 @@ and occurrence probabilities of shape (..., M), and error rates of shape
 serves a single policy here and in the threshold search, and the whole
 allocation grid in the rate scan; the scalar brute-force oracle in
 tests/oracles.py checks the routes against each other.
+
+Each of them walks the round axis one round at a time, so a round-major
+table (Fortran-order (paths, M), as the rate scan passes it) is read one
+contiguous block per round, and occurrence_probabilities returns its
+result in the same layout. Its decoded-at-round-k terms are carried from
+round to round with one more p_ack factor each, in the multiplication
+order of rebuilding them, so the work per row is O(M^2) and the bits are
+those of the nested form (tests/oracles.py keeps it as the reference).
 """
 
 from __future__ import annotations
@@ -109,8 +117,9 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     ``p_fail`` has shape (..., M) and the error rates (..., M-1); their
     leading axes broadcast, so one table can meet one set of error pairs
     (the rate scan) or one failure vector many. The result has shape
-    (broadcast leading axes..., M), and each row equals the call on that
-    row alone bit for bit.
+    (broadcast leading axes..., M), stored round-major (each round one
+    contiguous block), and each row equals the call on that row alone bit
+    for bit.
     """
     F = np.asarray(p_fail, dtype=float)
     pn = np.asarray(p_nack, dtype=float)
@@ -118,26 +127,31 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     m = F.shape[-1]
     if pn.shape[-1] < m - 1 or pa.shape[-1] < m - 1:
         raise ValueError("occurrence_probabilities: need m-1 error pairs")
-    P = np.empty(np.broadcast_shapes(F.shape[:-1], pn.shape[:-1], pa.shape[:-1]) + (m,))
-    # indexing the round axis from the end, so a single vector and a whole
+    lead = np.broadcast_shapes(F.shape[:-1], pn.shape[:-1], pa.shape[:-1])
+    # round-major: P[i] holds round i + 1 of every row in one block; the
+    # inputs are indexed on their last axis, so a single vector and a whole
     # table index alike
-    P[..., 0] = 1.0
+    P = np.empty((m,) + lead)
+    P[0] = 1.0
+    surv = [1.0 - pn[..., j] for j in range(m - 1)]
+    # decoded[k - 1]: decoded at round k with every feedback since misread
+    # as NACK; each round multiplies every carried term by one more p_ack
+    decoded = []
     for i in range(2, m + 1):
+        # decoded at round i - 1, every earlier NACK correctly detected
+        term = (1.0 if i == 2 else F[..., i - 3]) - F[..., i - 2]
+        for j in range(i - 2):
+            term = term * surv[j]
+        decoded.append(term)
+        decoded = [t * pa[..., i - 2] for t in decoded]
         # all of rounds 1..i-1 failed, every NACK correctly detected
-        term = F[..., i - 2]
+        total = F[..., i - 2]
         for j in range(i - 1):
-            term = term * (1.0 - pn[..., j])
-        total = term
-        # decoded at round k, ACKs k..i-1 all misread as NACK
-        for k in range(1, i):
-            term = (1.0 if k == 1 else F[..., k - 2]) - F[..., k - 1]
-            for j in range(k - 1):
-                term = term * (1.0 - pn[..., j])
-            for j in range(k - 1, i - 1):
-                term = term * pa[..., j]
-            total = total + term
-        P[..., i - 1] = total
-    return P
+            total = total * surv[j]
+        for t in decoded:
+            total = total + t
+        P[i - 1] = total
+    return np.moveaxis(P, 0, -1)
 
 
 def outage_from_failures(p_fail, p_nack):

@@ -113,10 +113,13 @@ def _erfc_block(x: np.ndarray) -> np.ndarray:
 
 
 def erfc(x):
-    """Complementary error function, elementwise on scalars or arrays."""
+    """Complementary error function, elementwise on scalars or arrays.
+
+    Infinite inputs give the limits, 0 at +inf and 2 at -inf, like any
+    input whose exp(-x^2) underflows; NaN raises ValueError."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("erfc: input must be finite")
+    if np.isnan(arr).any():
+        raise ValueError("erfc: input must not be NaN")
     if arr.size <= _SCALAR_MAX:
         out = np.array([_erfc_scalar(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
     else:

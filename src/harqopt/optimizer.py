@@ -17,27 +17,41 @@ that can never be feasible. The outage 1 - inner (1 - F_M) has inner <= 1
 at any thresholds, so it is never below F_M; in floats, where 1 - F_M is
 rounded, it can sit at most 2^-54 below. A path with F_M above epsilon +
 2^-53 therefore misses epsilon at every threshold, and each scan visits
-only the rows of the failure table with F_M <= epsilon + 2^-53. The
-tables and their kept rows sit in two small LRU caches keyed by the frozen
-grid and downlink specs. Only the outage floor that an InfeasibleError
-reports is taken over the whole table, and only when it is read.
+only the rows of the failure table with F_M <= epsilon + 2^-53.
 
-The whole-grid search has no formulas of its own: it hands the (paths, M)
-float rate table to mi_model.p_fail_gaussian, and the rate and failure
-tables to harq_analysis.occurrence_probabilities, expected_cost and
+The failure table is built along the enumeration's prefix tree: level k
+holds each admissible (k + 1)-round prefix once, with its last rate and
+its Gaussian failure F_k, so Q is evaluated once per distinct prefix
+(61, 1,891, 39,711 and 635,376 nodes on the default four-round 64-unit
+grid) rather than once per path and round. The running sums are those of
+mi_model.p_fail_gaussian, through the same Q-of-sums function, so the bits
+are the same. Every whole-grid table is round-major, a Fortran-order
+(paths, M) array with one contiguous block per round, from build to
+argmax: a level becomes a column by one np.repeat over the paths under
+each node, and rows are gathered column by column.
+
+Two small LRU caches, keyed by the frozen grid and downlink specs, hold
+the compact tree and, per epsilon, the kept rows expanded from it. The
+whole table is never held: only the outage floor that an InfeasibleError
+reports (or min_achievable_outage) expands its failure columns, and only
+when it is read.
+
+The whole-grid search has no formulas of its own: the rate and failure
+tables go to harq_analysis.occurrence_probabilities, expected_cost and
 outage_from_failures, the same functions that evaluate a single policy.
 best_feasible_allocation and the alternating loop's rate step share one
 scan, _rate_scan, and its selector, _feasible_argmax.
 
 Every evaluation computes only what its decision reads:
 - the rate scan computes the outage of the kept rows first, then the
-  occurrence probabilities and cost only on the rows that meet epsilon,
-  in path order, so the argmax and its tie rule are unchanged;
+  occurrence probabilities and cost on the rows that meet epsilon (on
+  every kept row, masking the rest, when they are at least half), so the
+  argmax and its tie rule are unchanged;
 - each threshold probe evaluates one rate vector, outage first and cost
   only when the probe meets epsilon;
-- the grid is enumerated from per-prefix counts of admissible last values
-  (np.repeat), with the path budget checked on counts before any row is
-  built.
+- the prefix tree is built level by level from per-prefix counts of
+  admissible last values (np.repeat), with the path budget checked on
+  counts before any node is built.
 """
 
 from __future__ import annotations
@@ -115,15 +129,22 @@ def make_rate_grid(n_b: int, n_m: int, units_total: int, min_units: int = 1,
     )
 
 
-def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
-    """All unit allocations within bounds and budget, lexicographically ascending.
+def _prefix_tree(grid: RateGrid, m: int) -> tuple[tuple[np.ndarray, ...],
+                                                   tuple[np.ndarray, ...]]:
+    """All unit allocations within bounds and budget, as a tree of prefixes.
 
-    A prefix of k + 1 rounds is admissible when the remaining rounds can
-    still take min_units each. The path budget is checked first, on the
-    number of admissible prefixes of every length counted by their unit
-    sum, so an oversized grid raises before any row exists. Each prefix is
-    then extended only by its admissible last values: np.repeat over the
-    per-prefix counts, with the values ascending within each prefix.
+    Level k lists the admissible (k + 1)-round prefixes in lexicographic
+    order; a prefix is admissible when the remaining rounds can still take
+    min_units each. Returns (units, children): units[k] holds the last unit
+    count of each level-k prefix, and children[k], for k < m - 1, the number
+    of admissible one-round extensions of each. The extensions of a prefix
+    are consecutive on the next level, in ascending order, so the leaves
+    (the allocations) come in lexicographic order, called path order.
+
+    The path budget is checked first, on the number of admissible prefixes
+    of every length counted by their unit sum, so an oversized grid raises
+    before any node exists. Each level is then built from its parents'
+    counts of admissible last values (np.repeat over the counts).
     """
     lo, hi, total = grid.min_units, grid.max_units, grid.units_total
     if lo * m > total:
@@ -147,26 +168,81 @@ def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
             raise GridError(
                 f"allocation space exceeds {_PATH_BUDGET} paths; shrink the grid"
             )
-    paths = np.arange(lo, min(hi, caps[0]) + 1, dtype=np.int64).reshape(-1, 1)
-    sums = paths[:, 0]
-    for k, cap in enumerate(caps[1:], start=1):
-        counts = np.minimum(hi, cap - sums) - lo + 1
+    units = [np.arange(lo, min(hi, caps[0]) + 1, dtype=np.int64)]
+    children = []
+    sums = units[0]
+    for k in range(1, m):
+        counts = np.minimum(hi, caps[k] - sums) - lo + 1
         starts = np.cumsum(counts) - counts
-        last = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts) + lo
-        ext = np.empty((last.size, k + 1), dtype=np.int64)
-        ext[:, :k] = np.repeat(paths, counts, axis=0)
-        ext[:, k] = last
-        paths = ext
-        sums = np.repeat(sums, counts) + last
-    return paths
+        last = np.arange(counts.sum(), dtype=np.int64)
+        last -= np.repeat(starts - lo, counts)
+        children.append(counts)
+        units.append(last)
+        if k < m - 1:  # the last level's sums would extend nothing
+            sums = np.repeat(sums, counts) + last
+    return tuple(units), tuple(children)
+
+
+def _kept_per_node(children, keep: np.ndarray) -> list[np.ndarray]:
+    """For each tree level, how many allocations kept by `keep` (a boolean
+    mask over the allocations in path order) lie under each node, summed
+    bottom-up through the children."""
+    counts = [keep]
+    for ch in reversed(children):
+        below = np.concatenate(([0], np.cumsum(counts[0])))
+        ends = np.cumsum(ch)
+        counts.insert(0, below[ends] - below[ends - ch])
+    return counts
+
+
+def _expand(values, counts) -> np.ndarray:
+    """Per-node values of every tree level written out per allocation: a
+    Fortran-order (kept, M) table whose column k repeats each level-k
+    node's value values[k] by its count in counts[k] (_kept_per_node), so
+    the rows come in path order and none is ever gathered."""
+    out = np.empty((len(values), int(counts[0].sum())), dtype=values[0].dtype)
+    for column, v, c in zip(out, values, counts):
+        column[...] = np.repeat(v, c)
+    return out.T
+
+
+def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
+    """All unit allocations within bounds and budget, one row each, in path
+    (lexicographically ascending) order."""
+    units, children = _prefix_tree(grid, m)
+    every = np.ones(units[-1].size, dtype=bool)
+    return _expand(units, _kept_per_node(children, every))
 
 
 @functools.lru_cache(maxsize=4)
-def _failure_table(grid: RateGrid, m: int, dl) -> tuple[np.ndarray, np.ndarray]:
-    """(rhos, F): rhos[p] the rates of path p (its units times unit_rho) and
-    F[p, k] its Gaussian prefix-failure probability."""
-    rhos = _enumerate_units(grid, m) * grid.unit_rho
-    return rhos, mi_model.p_fail_gaussian(rhos, dl)
+def _gaussian_tree(grid: RateGrid, m: int, dl) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(rhos, F, children): the prefix tree with, on each node, the rate of
+    its last round (units times unit_rho) and its Gaussian prefix-failure
+    probability, computed once per distinct prefix. The running sums are
+    formed in p_fail_gaussian's order, so every leaf's failures equal
+    p_fail_gaussian on its rates bit for bit."""
+    units, children = _prefix_tree(grid, m)
+    rhos, F = [], []
+    s1 = s2 = 0.0
+    for k, u in enumerate(units):
+        rho = u * grid.unit_rho
+        if k:
+            s1 = np.repeat(s1, children[k - 1])
+            s2 = np.repeat(s2, children[k - 1])
+        s1 = s1 + rho
+        s2 = s2 + rho * rho
+        rhos.append(rho)
+        F.append(mi_model._q_of_sums(s1, s2, dl))
+    return tuple(rhos), tuple(F), children
+
+
+def _failure_table(grid: RateGrid, m: int, dl) -> np.ndarray:
+    """F over the whole grid, in path order: F[p, k] the Gaussian
+    prefix-failure probability of path p after round k + 1. Expanded from
+    the cached tree on every call, never held."""
+    _, F, children = _gaussian_tree(grid, m, dl)
+    every = np.ones(F[-1].size, dtype=bool)
+    return _expand(F, _kept_per_node(children, every))
 
 
 @functools.lru_cache(maxsize=4)
@@ -174,10 +250,22 @@ def _kept_rows(grid: RateGrid, m: int, dl,
                epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """(rhos, F) of the failure table restricted, in path order, to the
     paths that can meet epsilon at some thresholds: F_M <= epsilon + slack.
-    F is column-major: every scan reads it one round of all rows at a time."""
-    rhos, F = _failure_table(grid, m, dl)
-    keep = F[:, -1] <= epsilon + _ROUNDING_SLACK
-    return rhos[keep], np.asfortranarray(F[keep])
+    Both are Fortran-order: every scan reads them one round of all rows at
+    a time."""
+    rhos, F, children = _gaussian_tree(grid, m, dl)
+    counts = _kept_per_node(children, F[-1] <= epsilon + _ROUNDING_SLACK)
+    return _expand(rhos, counts), _expand(F, counts)
+
+
+def _take_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """table[rows] for a (paths, M) table, gathered column by column into a
+    Fortran-order array."""
+    out = np.empty((table.shape[1], rows.size))
+    for k, column in enumerate(out):
+        # valid indices clip to themselves; the default mode="raise" would
+        # gather into a scratch buffer and copy it into out
+        table[:, k].take(rows, out=column, mode="clip")
+    return out.T
 
 
 def _feasible_argmax(eta: np.ndarray, rhos: np.ndarray, unit_rho: float) -> int:
@@ -201,30 +289,38 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
 
 def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
     """Smallest outage over the whole failure table at these NACK error rates."""
-    _, F = _failure_table(grid, m, dl)
+    F = _failure_table(grid, m, dl)
     return float(harq_analysis.outage_from_failures(F, p_nack).min())
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                epsilon: float) -> tuple[np.ndarray, float]:
-    """best_feasible_allocation over the kept rows. Outage comes first: the
-    occurrence probabilities and cost are computed only on the rows that
-    meet epsilon, in path order; when all of them do, straight from the
-    column-major kept table, with no copy. The outage floor of an
-    InfeasibleError is taken over the whole table, when it is first read."""
+    """best_feasible_allocation over the kept rows. Outage comes first.
+    When fewer than half the kept rows meet epsilon, the occurrence
+    probabilities and cost are computed only on those, gathered in path
+    order; otherwise on every kept row, straight from the column-major
+    table, with the others masked out of the argmax. Rows are independent,
+    so both give the same throughputs and the same choice. The outage
+    floor of an InfeasibleError is taken over the whole table, when it is
+    first read."""
     m = len(rates) + 1
     rhos, F = _kept_rows(grid, m, dl, epsilon)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
-    feasible = np.flatnonzero(outage <= epsilon)
+    meets = outage <= epsilon
+    feasible = np.flatnonzero(meets)
     if feasible.size == 0:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
             min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
-    if feasible.size < outage.size:
-        rhos, outage, F = rhos[feasible], outage[feasible], F[feasible]
+    gather = 2 * feasible.size < outage.size
+    if gather:
+        rhos, F = _take_rows(rhos, feasible), _take_rows(F, feasible)
+        outage = outage[feasible]
     P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
+    if not gather:
+        eta[~meets] = -math.inf
     best = _feasible_argmax(eta, rhos, grid.unit_rho)
     return rhos[best].copy(), float(eta[best])
 

@@ -4,6 +4,8 @@ Each oracle walks one case at a time through the public scalar API, with
 its own loops, so it shares no vectorized code with what it checks:
 - brute_force_rate_allocation: the candidates one by one, against
   optimizer.best_feasible_allocation, bit for bit;
+- occurrence_nested: the round-occurrence sums rebuilt term by term,
+  against harq_analysis.occurrence_probabilities, bit for bit;
 - run_episode: one HARQ episode round by round, with the symbol-level
   feedback realized by simulate_detection from 24 normals per trial,
   against mc_simulator.estimate_performance;
@@ -115,6 +117,35 @@ def run_episode(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.Feedbac
         symbols_spent=symbols,
         feedback_events=tuple(events),
     )
+
+
+def occurrence_nested(p_fail, p_nack, p_ack) -> np.ndarray:
+    """Reference for harq_analysis.occurrence_probabilities: every term of
+    every round rebuilt from scratch, with the same multiplication and
+    summation order, so the two agree bit for bit. Same shapes and
+    broadcasting; the result is row-major (..., M)."""
+    F = np.asarray(p_fail, dtype=float)
+    pn = np.asarray(p_nack, dtype=float)
+    pa = np.asarray(p_ack, dtype=float)
+    m = F.shape[-1]
+    P = np.empty(np.broadcast_shapes(F.shape[:-1], pn.shape[:-1], pa.shape[:-1]) + (m,))
+    P[..., 0] = 1.0
+    for i in range(2, m + 1):
+        # all of rounds 1..i-1 failed, every NACK correctly detected
+        term = F[..., i - 2]
+        for j in range(i - 1):
+            term = term * (1.0 - pn[..., j])
+        total = term
+        # decoded at round k, ACKs k..i-1 all misread as NACK
+        for k in range(1, i):
+            term = (1.0 if k == 1 else F[..., k - 2]) - F[..., k - 1]
+            for j in range(k - 1):
+                term = term * (1.0 - pn[..., j])
+            for j in range(k - 1, i - 1):
+                term = term * pa[..., j]
+            total = total + term
+        P[..., i - 1] = total
+    return P
 
 
 def brute_force_rate_allocation(rates: feedback_model.FeedbackErrorRates, dl,

@@ -368,6 +368,20 @@ def test_analyze_where_six_times_the_uplink_snr_overflows(tmp_path):
     assert cells["p_out_unreliable"] == cells["p_out_reliable"]
 
 
+def test_analyze_with_thresholds_beyond_the_float_range(tmp_path, capsys, recwarn):
+    # (1 +- 1e307) sqrt(6 snr) overflows a float at 20 dB: the rates take
+    # their limits, NACK->ACK 0 and ACK->NACK 1, with no warning
+    path = write_config(tmp_path, {**SMALL, "m_max": 4, "snr_u_db": 20,
+                                   "alphas": "1e307, 1e307, 1e307"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+    assert not recwarn.list and not capsys.readouterr().err
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["p_out_unreliable"] == cells["p_out_reliable"]
+    assert [cells[f"p_occur_{k}"] for k in range(1, 5)] == ["1"] * 4
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_huge_swept_uplink_snr_is_a_config_error(tmp_path, capsys, workers):
     path = write_config(tmp_path, {**SMALL, "sweep.axis": "snr_u_db",

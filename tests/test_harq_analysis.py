@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from harqopt import feedback_model, harq_analysis, mi_model
 
+import oracles
+
 UNIT = 1.0 / 16.0  # 64 units of a rate-4 mother code on 1024-bit blocks
 
 
@@ -159,6 +161,23 @@ def test_occurrence_matches_success_time_partition(dl3):
     got = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     want = occurrence_by_success_time(F, rates.p_nack, rates.p_ack)
     np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_occurrence_matches_nested_reference_bit_for_bit(m):
+    # the carried decoded-at-round-k terms multiply in the order of the
+    # nested rebuild: a single vector, a table against one error pair per
+    # feedback, and one vector against a batch of pairs
+    rng = np.random.default_rng(600 + m)
+    table = np.sort(rng.uniform(0.0, 1.0, size=(50, m)), axis=1)[:, ::-1]
+    pn = rng.uniform(0.0, 0.3, size=(50, m - 1))
+    pa = rng.uniform(0.0, 0.6, size=(50, m - 1))
+    for F, p_nack, p_ack in ((table[0], pn[0], pa[0]), (table, pn[0], pa[0]),
+                             (table[0], pn, pa)):
+        got = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
+        want = oracles.occurrence_nested(F, p_nack, p_ack)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_formulas_broadcast_over_batched_error_rates(dl3):

@@ -91,10 +91,18 @@ def test_exp_integral_matches_scipy_oracle():
     assert np.max(np.abs(scaled * np.exp(-xs) - ref) / ref) <= 2e-15
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_erfc_rejects_non_finite(bad):
-    with pytest.raises(ValueError):
-        numerics.erfc(bad)
+def test_erfc_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        numerics.erfc(math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        numerics.erfc(np.r_[np.zeros(40), math.nan])
+
+
+@pytest.mark.parametrize("x, limit", [(math.inf, 0.0), (-math.inf, 2.0)])
+def test_erfc_limits_at_infinity(x, limit):
+    # element by element and in blocks alike
+    assert numerics.erfc(x) == limit
+    np.testing.assert_array_equal(numerics.erfc(np.full(40, x)), limit)
 
 
 def test_erfc_reflection_and_range_bulk():

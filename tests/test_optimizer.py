@@ -141,12 +141,60 @@ def test_enumerate_units_over_budget_raises_before_building_rows(grid64):
     assert peak < 1 << 20
 
 
+TREE_GRIDS = [
+    *((optimizer.make_rate_grid(1024, 4096, 13), m) for m in range(1, 7)),
+    # min_units > 1 and max_units < units_total
+    (optimizer.make_rate_grid(1024, 4096, 24, min_units=2, max_units=9), 3),
+    (optimizer.make_rate_grid(1024, 4096, 24, min_units=3, max_units=7), 5),
+    # test_float_table_on_non_dyadic_grid's unit, 4000 / (36 * 1000)
+    (optimizer.make_rate_grid(1000, 4000, 36), 3),
+]
+
+
+@pytest.mark.parametrize("grid, m", TREE_GRIDS)
+def test_tree_table_equals_row_by_row_gaussian(dl3, grid, m):
+    # the table built along the prefix tree is p_fail_gaussian on the
+    # enumerated rates, byte for byte and column-major, whole or kept
+    rhos = optimizer._enumerate_units(grid, m) * grid.unit_rho
+    F = mi_model.p_fail_gaussian(rhos, dl3)
+    whole = optimizer._failure_table(grid, m, dl3)
+    assert whole.flags.f_contiguous
+    assert whole.tobytes(order="C") == F.tobytes()
+    # every F_M lies in [0, 1], so epsilon 1 keeps every path
+    for eps in (1.0, float(np.median(F[:, -1]))):
+        keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
+        kept_rhos, kept_F = optimizer._kept_rows(grid, m, dl3, eps)
+        assert kept_rhos.flags.f_contiguous and kept_F.flags.f_contiguous
+        assert kept_rhos.tobytes(order="C") == rhos[keep].tobytes()
+        assert kept_F.tobytes(order="C") == F[keep].tobytes()
+
+
+def test_m5_table_build_peak_stays_under_twice_its_kept_rows():
+    # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: building
+    # the tree and expanding its kept rows must peak below twice the bytes
+    # of the kept (rhos, F) it returns. Holding the whole table beside the
+    # kept copy, as an int64 unit table and a float one, peaks near 2.5x.
+    grid = optimizer.make_rate_grid(1024, 4096, 32)
+    dl = mi_model.make_downlink_spec(10.0)
+    optimizer._gaussian_tree.cache_clear()
+    optimizer._kept_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        rhos, F = optimizer._kept_rows(grid, 5, dl, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rhos.shape == F.shape == (201_340, 5)
+    assert peak < 2 * (rhos.nbytes + F.nbytes)
+
+
 def test_float_table_on_non_dyadic_grid(dl3):
     # unit_rho = 4000 / (36 * 1000) is not a power of two: the cached float
-    # table must still round back to the enumerated units, and the
-    # production rate scan must match the scalar oracle bit for bit
+    # table must still round back to the enumerated units (epsilon 1 keeps
+    # every path), and the production rate scan must match the scalar
+    # oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    table_rhos, _ = optimizer._failure_table(grid, 3, dl3)
+    table_rhos, _ = optimizer._kept_rows(grid, 3, dl3, 1.0)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   optimizer._enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
@@ -181,7 +229,7 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5, 0.5))
-    _, F = optimizer._failure_table(grid, 3, dl3)
+    F = optimizer._failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
     kept_rhos, _ = optimizer._kept_rows(grid, 3, dl3, eps)
     assert kept_rhos.shape[0] == 0
@@ -253,7 +301,8 @@ def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 0.999999)
-    table_rhos, F = optimizer._failure_table(grid, 2, dl3)
+    table_rhos = optimizer._enumerate_units(grid, 2) * grid.unit_rho
+    F = optimizer._failure_table(grid, 2, dl3)
     P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     cost = harq_analysis.expected_cost(table_rhos, P)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
@@ -280,7 +329,7 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5,))
-    paths = optimizer._failure_table(grid, 2, dl3)[1].shape[0]
+    paths = optimizer._failure_table(grid, 2, dl3).shape[0]
     rows = []
     real = harq_analysis.outage_from_failures
 
@@ -298,12 +347,13 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
 
 
 def test_kept_rows_cache_is_bounded(dl3):
-    # an epsilon ladder over one table holds at most four kept-row copies
+    # an epsilon ladder over one table holds at most four kept-row copies,
+    # and the trees they are expanded from at most four grids
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     for eps in np.geomspace(1e-4, 0.5, 20):
         optimizer._kept_rows(grid, 3, dl3, float(eps))
     assert optimizer._kept_rows.cache_info().currsize <= 4
-    assert optimizer._failure_table.cache_info().currsize <= 4
+    assert optimizer._gaussian_tree.cache_info().currsize <= 4
 
 
 @pytest.mark.parametrize("eps", [0.045, 0.05, 0.07, 0.10])
