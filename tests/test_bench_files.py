@@ -3,11 +3,13 @@
 Each is an object keyed by exactly the workload names of BENCHMARK.json.
 Each value is the last-line JSON of one `perfbench/run.py --workload NAME
 --trace 0` run plus its environment line: `correct`, `attempted`,
-`failed`, `env` and every end-to-end metric with its unit.
+`failed`, `env` and every end-to-end metric with its unit. From BENCH_5
+on, every env line of a file names the one commit it measured.
 """
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,13 @@ def test_bench_file_matches_benchmark_spec(path):
             assert metric["unit"] == unit
             assert isinstance(metric["value"], (int, float))
             assert math.isfinite(metric["value"])
+
+
+@pytest.mark.parametrize("path", [p for p in BENCH_FILES
+                                  if int(p.stem.split("_")[1]) >= 5],
+                         ids=lambda p: p.name)
+def test_bench_file_names_the_commit_it_measured(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    commits = {entry["env"].split()[0] for entry in bench.values()}
+    assert len(commits) == 1
+    assert re.fullmatch(r"git=[0-9a-f]{40}", commits.pop())
