@@ -32,9 +32,9 @@ each node, and rows are gathered column by column.
 
 Two small LRU caches, keyed by the frozen grid and downlink specs, hold
 the compact tree and, per epsilon, the kept rows expanded from it. The
-whole table is never held: only the outage floor that an InfeasibleError
-reports (or min_achievable_outage) expands its failure columns, and only
-when it is read.
+whole table is never held or built: the outage floor that an
+InfeasibleError reports (or min_achievable_outage) runs the outage
+recursion along the tree levels, only when it is read.
 
 The whole-grid search has no formulas of its own: the rate and failure
 tables go to harq_analysis.occurrence_probabilities, expected_cost and
@@ -44,9 +44,7 @@ scan, _rate_scan, and its selector, _feasible_argmax.
 
 Every evaluation computes only what its decision reads:
 - the rate scan computes the outage of the kept rows first, then the
-  occurrence probabilities and cost on the rows that meet epsilon (on
-  every kept row, masking the rest, when they are at least half), so the
-  argmax and its tie rule are unchanged;
+  occurrence probabilities and cost only on the rows that meet epsilon;
 - each threshold probe evaluates one rate vector, outage first and cost
   only when the probe meets epsilon;
 - the prefix tree is built level by level from per-prefix counts of
@@ -206,14 +204,6 @@ def _expand(values, counts) -> np.ndarray:
     return out.T
 
 
-def _enumerate_units(grid: RateGrid, m: int) -> np.ndarray:
-    """All unit allocations within bounds and budget, one row each, in path
-    (lexicographically ascending) order."""
-    units, children = _prefix_tree(grid, m)
-    every = np.ones(units[-1].size, dtype=bool)
-    return _expand(units, _kept_per_node(children, every))
-
-
 @functools.lru_cache(maxsize=4)
 def _gaussian_tree(grid: RateGrid, m: int, dl) -> tuple[tuple[np.ndarray, ...], ...]:
     """(rhos, F, children): the prefix tree with, on each node, the rate of
@@ -234,15 +224,6 @@ def _gaussian_tree(grid: RateGrid, m: int, dl) -> tuple[tuple[np.ndarray, ...], 
         rhos.append(rho)
         F.append(mi_model._q_of_sums(s1, s2, dl))
     return tuple(rhos), tuple(F), children
-
-
-def _failure_table(grid: RateGrid, m: int, dl) -> np.ndarray:
-    """F over the whole grid, in path order: F[p, k] the Gaussian
-    prefix-failure probability of path p after round k + 1. Expanded from
-    the cached tree on every call, never held."""
-    _, F, children = _gaussian_tree(grid, m, dl)
-    every = np.ones(F[-1].size, dtype=bool)
-    return _expand(F, _kept_per_node(children, every))
 
 
 @functools.lru_cache(maxsize=4)
@@ -288,39 +269,44 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
 
 
 def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
-    """Smallest outage over the whole failure table at these NACK error rates."""
-    F = _failure_table(grid, m, dl)
-    return float(harq_analysis.outage_from_failures(F, p_nack).min())
+    """Smallest outage over the whole grid at these NACK error rates (one
+    per feedback), without expanding the failure table.
+
+    Runs harq_analysis.outage_from_failures' recursion along the prefix
+    tree: inner, after round i, depends only on the (i + 1)-round prefix,
+    so it is formed once per node and repeated to the node's children,
+    and surv does not depend on the path at all. Every leaf goes through
+    the same operations on the same floats as its row of the whole table,
+    so the minimum is the same bit for bit."""
+    _, F, children = _gaussian_tree(grid, m, dl)
+    pn = np.asarray(p_nack, dtype=float)
+    inner = 1.0
+    surv = 1.0
+    for i in range(m - 1):
+        inner = np.repeat(inner - pn[i] * F[i] * surv, children[i])
+        surv = surv * (1.0 - pn[i])
+    return float((1.0 - inner * (1.0 - F[m - 1])).min())
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                epsilon: float) -> tuple[np.ndarray, float]:
-    """best_feasible_allocation over the kept rows. Outage comes first.
-    When fewer than half the kept rows meet epsilon, the occurrence
-    probabilities and cost are computed only on those, gathered in path
-    order; otherwise on every kept row, straight from the column-major
-    table, with the others masked out of the argmax. Rows are independent,
-    so both give the same throughputs and the same choice. The outage
-    floor of an InfeasibleError is taken over the whole table, when it is
+    """best_feasible_allocation over the kept rows. Outage comes first: the
+    occurrence probabilities and cost are computed only on the rows that
+    meet epsilon, gathered column by column in path order. The outage
+    floor of an InfeasibleError is taken over the whole grid, when it is
     first read."""
     m = len(rates) + 1
     rhos, F = _kept_rows(grid, m, dl, epsilon)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
-    meets = outage <= epsilon
-    feasible = np.flatnonzero(meets)
+    feasible = np.flatnonzero(outage <= epsilon)
     if feasible.size == 0:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
             min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
-    gather = 2 * feasible.size < outage.size
-    if gather:
-        rhos, F = _take_rows(rhos, feasible), _take_rows(F, feasible)
-        outage = outage[feasible]
+    rhos, F = _take_rows(rhos, feasible), _take_rows(F, feasible)
     P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-    eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
-    if not gather:
-        eta[~meets] = -math.inf
+    eta = (1.0 - outage[feasible]) / harq_analysis.expected_cost(rhos, P)
     best = _feasible_argmax(eta, rhos, grid.unit_rho)
     return rhos[best].copy(), float(eta[best])
 

@@ -19,6 +19,31 @@ from harqopt.errors import GridError, InfeasibleError
 import oracles
 
 
+def expand_all(values, children):
+    """Per-node values of every level of an optimizer prefix tree written
+    out per allocation: a (paths, M) table in path order whose column k
+    repeats each level-k value through the child counts of the levels
+    below it."""
+    columns = []
+    for k, v in enumerate(values):
+        for ch in children[k:]:
+            v = np.repeat(v, ch)
+        columns.append(v)
+    return np.stack(columns, axis=1)
+
+
+def enumerate_units(grid, m):
+    """All unit allocations of the grid, one row each, in path order."""
+    units, children = optimizer._prefix_tree(grid, m)
+    return expand_all(units, children)
+
+
+def failure_table(grid, m, dl):
+    """Gaussian prefix failures of every allocation, in path order."""
+    _, F, children = optimizer._gaussian_tree(grid, m, dl)
+    return expand_all(F, children)
+
+
 def eval_policy(rhos, alphas, dl, snr_u_db):
     fb = feedback_model.make_feedback_spec(snr_u_db)
     pol = harq_analysis.HarqPolicy(rhos=tuple(rhos), alphas=tuple(alphas), n_b=1024)
@@ -82,7 +107,7 @@ def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
     # formulas that evaluate one policy; each stacked row must equal the
     # scalar call on that row exactly
     rng = np.random.default_rng(2401)
-    paths = optimizer._enumerate_units(grid64, 4)
+    paths = enumerate_units(grid64, 4)
     units = paths[rng.choice(paths.shape[0], size=500, replace=False)]
     rhos = units * grid64.unit_rho
     F = mi_model.p_fail_gaussian(rhos, dl3)
@@ -118,14 +143,14 @@ def test_enumerate_units_is_filtered_product(monkeypatch, lo, hi, total, m):
                               units_total=total)
     expected = np.array([u for u in itertools.product(range(lo, hi + 1), repeat=m)
                          if sum(u) <= total], dtype=np.int64)
-    got = optimizer._enumerate_units(grid, m)
+    got = enumerate_units(grid, m)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
     monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected))
-    np.testing.assert_array_equal(optimizer._enumerate_units(grid, m), expected)
+    np.testing.assert_array_equal(enumerate_units(grid, m), expected)
     monkeypatch.setattr(optimizer, "_PATH_BUDGET", len(expected) - 1)
     with pytest.raises(GridError):
-        optimizer._enumerate_units(grid, m)
+        enumerate_units(grid, m)
 
 
 def test_enumerate_units_over_budget_raises_before_building_rows(grid64):
@@ -134,7 +159,7 @@ def test_enumerate_units_over_budget_raises_before_building_rows(grid64):
     tracemalloc.start()
     try:
         with pytest.raises(GridError, match="exceeds"):
-            optimizer._enumerate_units(grid64, 6)
+            enumerate_units(grid64, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -154,12 +179,11 @@ TREE_GRIDS = [
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
 def test_tree_table_equals_row_by_row_gaussian(dl3, grid, m):
     # the table built along the prefix tree is p_fail_gaussian on the
-    # enumerated rates, byte for byte and column-major, whole or kept
-    rhos = optimizer._enumerate_units(grid, m) * grid.unit_rho
+    # enumerated rates, byte for byte, whole or kept; the kept rows are
+    # column-major
+    rhos = enumerate_units(grid, m) * grid.unit_rho
     F = mi_model.p_fail_gaussian(rhos, dl3)
-    whole = optimizer._failure_table(grid, m, dl3)
-    assert whole.flags.f_contiguous
-    assert whole.tobytes(order="C") == F.tobytes()
+    assert failure_table(grid, m, dl3).tobytes() == F.tobytes()
     # every F_M lies in [0, 1], so epsilon 1 keeps every path
     for eps in (1.0, float(np.median(F[:, -1]))):
         keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
@@ -167,6 +191,19 @@ def test_tree_table_equals_row_by_row_gaussian(dl3, grid, m):
         assert kept_rhos.flags.f_contiguous and kept_F.flags.f_contiguous
         assert kept_rhos.tobytes(order="C") == rhos[keep].tobytes()
         assert kept_F.tobytes(order="C") == F[keep].tobytes()
+
+
+@pytest.mark.parametrize("grid, m", TREE_GRIDS)
+def test_outage_floor_on_tree_equals_whole_table_minimum(dl3, grid, m):
+    # the floor runs the outage recursion along the tree levels; it must be
+    # the minimum of outage_from_failures over the whole table bit for bit,
+    # also at the error rates 0 and 1
+    F = failure_table(grid, m, dl3)
+    rng = np.random.default_rng(m)
+    for p_nack in (rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 1.0, m - 1),
+                   np.zeros(m - 1), np.ones(m - 1)):
+        whole = harq_analysis.outage_from_failures(F, p_nack).min()
+        assert optimizer._outage_floor(grid, m, dl3, p_nack) == whole
 
 
 def test_m5_table_build_peak_stays_under_twice_its_kept_rows():
@@ -196,7 +233,7 @@ def test_float_table_on_non_dyadic_grid(dl3):
     grid = optimizer.make_rate_grid(1000, 4000, 36)
     table_rhos, _ = optimizer._kept_rows(grid, 3, dl3, 1.0)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
-                                  optimizer._enumerate_units(grid, 3))
+                                  enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, (0.5, 1.0))
     feasible = [assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
@@ -229,7 +266,7 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5, 0.5))
-    F = optimizer._failure_table(grid, 3, dl3)
+    F = failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
     kept_rhos, _ = optimizer._kept_rows(grid, 3, dl3, eps)
     assert kept_rhos.shape[0] == 0
@@ -301,8 +338,8 @@ def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     fb = feedback_model.make_feedback_spec(-10.0)
     rates = feedback_model.error_rates_for(fb, alphas)
     rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 0.999999)
-    table_rhos = optimizer._enumerate_units(grid, 2) * grid.unit_rho
-    F = optimizer._failure_table(grid, 2, dl3)
+    table_rhos = enumerate_units(grid, 2) * grid.unit_rho
+    F = failure_table(grid, 2, dl3)
     P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     cost = harq_analysis.expected_cost(table_rhos, P)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
@@ -325,25 +362,31 @@ def test_scan_infeasible_names_floor(dl3):
 
 def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     # callers that drop the error (the fixed-threshold scan) never pay for
-    # the whole-table outage floor; reading it evaluates it once
+    # the whole-grid outage floor; reading it evaluates it once, along the
+    # tree, without handing the whole table to outage_from_failures
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5,))
-    paths = optimizer._failure_table(grid, 2, dl3).shape[0]
-    rows = []
-    real = harq_analysis.outage_from_failures
+    paths = failure_table(grid, 2, dl3).shape[0]
+    rows, floors = [], []
+    real_outage, real_floor = harq_analysis.outage_from_failures, optimizer._outage_floor
 
-    def spy(F, p_nack):
+    def outage_spy(F, p_nack):
         rows.append(F.shape[0])
-        return real(F, p_nack)
+        return real_outage(F, p_nack)
 
-    monkeypatch.setattr(harq_analysis, "outage_from_failures", spy)
+    def floor_spy(*args):
+        floors.append(args)
+        return real_floor(*args)
+
+    monkeypatch.setattr(harq_analysis, "outage_from_failures", outage_spy)
+    monkeypatch.setattr(optimizer, "_outage_floor", floor_spy)
     with pytest.raises(InfeasibleError) as exc:
         optimizer.best_feasible_allocation(rates, dl3, grid, 0.02)
-    assert rows and paths not in rows
+    assert rows and not floors
     floor = exc.value.min_outage
-    assert rows[-1] == paths and exc.value.min_outage == floor > 0.02
-    assert rows.count(paths) == 1
+    assert len(floors) == 1 and exc.value.min_outage == floor > 0.02
+    assert paths not in rows
 
 
 def test_kept_rows_cache_is_bounded(dl3):
