@@ -20,17 +20,19 @@ occurrence_probabilities, expected_cost and outage_from_failures are the
 only implementations of their formulas. They take rates, prefix failures
 and occurrence probabilities of shape (..., M), and error rates of shape
 (..., M-1) whose leading axes broadcast against them, so the same code
-serves a single policy here and in the threshold search, and the whole
-allocation grid in the rate scan; the scalar brute-force oracle in
-tests/oracles.py checks the routes against each other.
+serves a single policy here and in the threshold search; the scalar
+brute-force oracle in tests/oracles.py checks the routes against each
+other.
 
-Each of them walks the round axis one round at a time, so a round-major
-table (Fortran-order (paths, M), as the rate scan passes it) is read one
-contiguous block per round, and occurrence_probabilities returns its
-result in the same layout. Its decoded-at-round-k terms are carried from
-round to round with one more p_ack factor each, in the multiplication
-order of rebuilding them, so the work per row is O(M^2) and the bits are
-those of the nested form (tests/oracles.py keeps it as the reference).
+Each walks the rounds through a recursion (_outage, _occurrence, _cost)
+with a spread step between rounds: the identity on (..., M) arrays, and
+np.repeat over each node's children on the optimizer's prefix tree of the
+whole grid, where each round's term is formed once per prefix.
+occurrence_probabilities returns its result round-major. Its
+decoded-at-round-k terms are carried from round to round with one more
+p_ack factor each, in the multiplication order of rebuilding them, so the
+work per row is O(M^2) and the bits are those of the nested form
+(tests/oracles.py keeps it as the reference).
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ def _p_fail(policy: HarqPolicy, dl, route: str, bins: int) -> np.ndarray:
     raise ValueError(f"unknown failure route {route!r}")
 
 
+def _same(x, i):
+    """Spread step of (..., M) arrays: round i's rows are round i + 1's."""
+    return x
+
+
 def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     """Round-occurrence probabilities P_1..P_M from prefix failures.
 
@@ -116,10 +123,9 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
 
     ``p_fail`` has shape (..., M) and the error rates (..., M-1); their
     leading axes broadcast, so one table can meet one set of error pairs
-    (the rate scan) or one failure vector many. The result has shape
-    (broadcast leading axes..., M), stored round-major (each round one
-    contiguous block), and each row equals the call on that row alone bit
-    for bit.
+    or one failure vector many. The result has shape (broadcast leading
+    axes..., M), stored round-major (each round one contiguous block), and
+    each row equals the call on that row alone bit for bit.
     """
     F = np.asarray(p_fail, dtype=float)
     pn = np.asarray(p_nack, dtype=float)
@@ -128,30 +134,40 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     if pn.shape[-1] < m - 1 or pa.shape[-1] < m - 1:
         raise ValueError("occurrence_probabilities: need m-1 error pairs")
     lead = np.broadcast_shapes(F.shape[:-1], pn.shape[:-1], pa.shape[:-1])
-    # round-major: P[i] holds round i + 1 of every row in one block; the
-    # inputs are indexed on their last axis, so a single vector and a whole
-    # table index alike
+    # round-major: P[i] holds round i + 1 of every row in one block
     P = np.empty((m,) + lead)
-    P[0] = 1.0
-    surv = [1.0 - pn[..., j] for j in range(m - 1)]
+    for i, p in enumerate(_occurrence(*(np.moveaxis(a, -1, 0) for a in (F, pn, pa)),
+                                      _same)):
+        P[i] = p
+    return np.moveaxis(P, 0, -1)
+
+
+def _occurrence(F, pn, pa, spread) -> list:
+    """occurrence_probabilities over rounds: item i of F, pn and pa is
+    round i + 1's, and spread(x, i) carries a value from the (i + 1)-round
+    prefixes to the (i + 2)-round ones. P_i lies on the (i - 1)-round ones."""
+    m = len(F)
+    surv = [1.0 - pn[j] for j in range(m - 1)]
+    P = [1.0]
     # decoded[k - 1]: decoded at round k with every feedback since misread
     # as NACK; each round multiplies every carried term by one more p_ack
     decoded = []
-    for i in range(2, m + 1):
-        # decoded at round i - 1, every earlier NACK correctly detected
-        term = (1.0 if i == 2 else F[..., i - 3]) - F[..., i - 2]
-        for j in range(i - 2):
+    for i in range(m - 1):
+        decoded = [spread(t, i - 1) for t in decoded]
+        # decoded at round i + 1, every earlier NACK correctly detected
+        term = (1.0 if i == 0 else spread(F[i - 1], i - 1)) - F[i]
+        for j in range(i):
             term = term * surv[j]
         decoded.append(term)
-        decoded = [t * pa[..., i - 2] for t in decoded]
-        # all of rounds 1..i-1 failed, every NACK correctly detected
-        total = F[..., i - 2]
-        for j in range(i - 1):
+        decoded = [t * pa[i] for t in decoded]
+        # all of rounds 1..i+1 failed, every NACK correctly detected
+        total = F[i]
+        for j in range(i + 1):
             total = total * surv[j]
         for t in decoded:
             total = total + t
-        P[i - 1] = total
-    return np.moveaxis(P, 0, -1)
+        P.append(total)
+    return P
 
 
 def outage_from_failures(p_fail, p_nack):
@@ -162,15 +178,20 @@ def outage_from_failures(p_fail, p_nack):
     M-1), with broadcasting leading axes; the result has their broadcast
     leading shape, a scalar for a single failure vector and error vector.
     """
-    F = np.asarray(p_fail, dtype=float)
-    pn = np.asarray(p_nack, dtype=float)
-    m = F.shape[-1]
+    return _outage(*(np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+                     for a in (p_fail, p_nack)), _same)
+
+
+def _outage(F, pn, spread):
+    """outage_from_failures over rounds, as _occurrence takes them; inner
+    after feedback i lies on the i-round prefixes."""
+    m = len(F)
     inner = 1.0
     surv = 1.0
     for i in range(m - 1):
-        inner = inner - pn[..., i] * F[..., i] * surv
-        surv = surv * (1.0 - pn[..., i])
-    return 1.0 - inner * (1.0 - F[..., m - 1])
+        inner = spread(inner - pn[i] * F[i] * surv, i)
+        surv = surv * (1.0 - pn[i])
+    return 1.0 - inner * (1.0 - F[m - 1])
 
 
 def expected_cost(rhos, p_occur):
@@ -180,13 +201,20 @@ def expected_cost(rhos, p_occur):
     (...), a scalar for a single policy, and each row equals the call on
     that row alone bit for bit.
     """
-    rr = np.asarray(rhos, dtype=float).T  # round axis first
-    Pr = np.asarray(p_occur, dtype=float).T
+    # .T puts the round axis first; the result's .T restores the order
+    return _cost(np.asarray(rhos, dtype=float).T,
+                 np.asarray(p_occur, dtype=float).T, _same).T
+
+
+def _cost(rhos, P, spread):
+    """expected_cost over rounds, as _occurrence takes and returns them;
+    the cost through round i lies on the i-round prefixes."""
     cost = 0.0
-    for rho, p in zip(rr, Pr):
+    for i, (rho, p) in enumerate(zip(rhos, P)):
+        if i:
+            cost, p = spread(cost, i - 1), spread(p, i - 1)
         cost = cost + rho * p
-    # .T restores the leading-axis order that .T reversed above
-    return cost.T
+    return cost
 
 
 def reliable_throughput(policy: HarqPolicy, dl, *, route: str = "gaussian",

@@ -17,39 +17,34 @@ that can never be feasible. The outage 1 - inner (1 - F_M) has inner <= 1
 at any thresholds, so it is never below F_M; in floats, where 1 - F_M is
 rounded, it can sit at most 2^-54 below. A path with F_M above epsilon +
 2^-53 therefore misses epsilon at every threshold, and each scan visits
-only the rows of the failure table with F_M <= epsilon + 2^-53.
+only the paths with F_M <= epsilon + 2^-53.
 
-The failure table is built along the enumeration's prefix tree: level k
-holds each admissible (k + 1)-round prefix once, with its last rate and
-its Gaussian failure F_k, so Q is evaluated once per distinct prefix
-(61, 1,891, 39,711 and 635,376 nodes on the default four-round 64-unit
-grid) rather than once per path and round. The running sums are those of
-mi_model.p_fail_gaussian, through the same Q-of-sums function, so the bits
-are the same. Every whole-grid table is round-major, a Fortran-order
-(paths, M) array with one contiguous block per round, from build to
-argmax: a level becomes a column by one np.repeat over the paths under
-each node, and rows are gathered column by column.
+The grid is held as the enumeration's prefix tree, its only whole-grid
+format: level k holds each admissible (k + 1)-round prefix once, with its
+last rate and its Gaussian failure F_k, so Q is evaluated once per
+distinct prefix (61, 1,891, 39,711 and 635,376 nodes on the default
+four-round 64-unit grid) rather than once per path and round. The running
+sums are those of mi_model.p_fail_gaussian, through the same Q-of-sums
+function, so the bits are the same. The tree is built level by level from
+per-prefix counts of admissible last values, with the path budget checked
+on counts before any node is built.
+
+The whole-grid search has no formulas of its own. Each round's term of
+the outage, occurrence and cost recursions in harq_analysis depends on
+one prefix only, so the tree runs them level by level: every node forms
+its term once and np.repeat spreads it to its children, and a leaf goes
+through the same float operations as a single policy with its rates. The
+rate scan (best_feasible_allocation and the alternating loop's rate step)
+evaluates the kept tree, masks the leaves that miss epsilon and walks up
+the tree from the leaves of largest throughput to read their rates; the
+feasibility bootstrap evaluates the kept tree too.
 
 Two small LRU caches, keyed by the frozen grid and downlink specs, hold
-the compact tree and, per epsilon, the kept rows expanded from it. The
-whole table is never held or built: the outage floor that an
-InfeasibleError reports (or min_achievable_outage) runs the outage
-recursion along the tree levels, only when it is read.
-
-The whole-grid search has no formulas of its own: the rate and failure
-tables go to harq_analysis.occurrence_probabilities, expected_cost and
-outage_from_failures, the same functions that evaluate a single policy.
-best_feasible_allocation and the alternating loop's rate step share one
-scan, _rate_scan, and its selector, _feasible_argmax.
-
-Every evaluation computes only what its decision reads:
-- the rate scan computes the outage of the kept rows first, then the
-  occurrence probabilities and cost only on the rows that meet epsilon;
-- each threshold probe evaluates one rate vector, outage first and cost
-  only when the probe meets epsilon;
-- the prefix tree is built level by level from per-prefix counts of
-  admissible last values (np.repeat), with the path budget checked on
-  counts before any node is built.
+the whole tree and, per epsilon, the tree pruned to the nodes above a
+kept path. The outage floor that an InfeasibleError reports (or
+min_achievable_outage) runs on the whole tree, only when it is read. Each
+threshold probe evaluates one rate vector, outage first and cost only
+when the probe meets epsilon.
 """
 
 from __future__ import annotations
@@ -181,27 +176,9 @@ def _prefix_tree(grid: RateGrid, m: int) -> tuple[tuple[np.ndarray, ...],
     return tuple(units), tuple(children)
 
 
-def _kept_per_node(children, keep: np.ndarray) -> list[np.ndarray]:
-    """For each tree level, how many allocations kept by `keep` (a boolean
-    mask over the allocations in path order) lie under each node, summed
-    bottom-up through the children."""
-    counts = [keep]
-    for ch in reversed(children):
-        below = np.concatenate(([0], np.cumsum(counts[0])))
-        ends = np.cumsum(ch)
-        counts.insert(0, below[ends] - below[ends - ch])
-    return counts
-
-
-def _expand(values, counts) -> np.ndarray:
-    """Per-node values of every tree level written out per allocation: a
-    Fortran-order (kept, M) table whose column k repeats each level-k
-    node's value values[k] by its count in counts[k] (_kept_per_node), so
-    the rows come in path order and none is ever gathered."""
-    out = np.empty((len(values), int(counts[0].sum())), dtype=values[0].dtype)
-    for column, v, c in zip(out, values, counts):
-        column[...] = np.repeat(v, c)
-    return out.T
+def _spread(children):
+    """harq_analysis's spread step on a prefix tree: level i to its children."""
+    return lambda x, i: np.repeat(x, children[i])
 
 
 @functools.lru_cache(maxsize=4)
@@ -227,37 +204,45 @@ def _gaussian_tree(grid: RateGrid, m: int, dl) -> tuple[tuple[np.ndarray, ...], 
 
 
 @functools.lru_cache(maxsize=4)
-def _kept_rows(grid: RateGrid, m: int, dl,
-               epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rhos, F) of the failure table restricted, in path order, to the
-    paths that can meet epsilon at some thresholds: F_M <= epsilon + slack.
-    Both are Fortran-order: every scan reads them one round of all rows at
-    a time."""
+def _kept_tree(grid: RateGrid, m: int, dl,
+               epsilon: float) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(rhos, F, children) of the Gaussian tree pruned to the paths that
+    can meet epsilon at some thresholds, F_M <= epsilon + slack: a node
+    stays when a kept leaf lies below it, that is when one of its children
+    stays, counted bottom-up."""
     rhos, F, children = _gaussian_tree(grid, m, dl)
-    counts = _kept_per_node(children, F[-1] <= epsilon + _ROUNDING_SLACK)
-    return _expand(rhos, counts), _expand(F, counts)
+    alive = [F[-1] <= epsilon + _ROUNDING_SLACK]
+    kept_children = []
+    for ch in reversed(children):
+        below = np.concatenate(([0], np.cumsum(alive[0])))
+        ends = np.cumsum(ch)
+        count = below[ends] - below[ends - ch]
+        alive.insert(0, count > 0)
+        kept_children.insert(0, count[alive[0]])
+    return (tuple(r[a] for r, a in zip(rhos, alive)),
+            tuple(f[a] for f, a in zip(F, alive)), tuple(kept_children))
 
 
-def _take_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """table[rows] for a (paths, M) table, gathered column by column into a
-    Fortran-order array."""
-    out = np.empty((table.shape[1], rows.size))
-    for k, column in enumerate(out):
-        # valid indices clip to themselves; the default mode="raise" would
-        # gather into a scratch buffer and copy it into out
-        table[:, k].take(rows, out=column, mode="clip")
-    return out.T
+def _leaf_rates(tree, leaves: np.ndarray) -> np.ndarray:
+    """Rates of the given leaves of a tree (indices in path order), one row
+    each, read by walking up from each leaf to its level-0 ancestor."""
+    rhos, _, children = tree
+    rows = [rhos[-1][leaves]]
+    for k in reversed(range(len(children))):
+        leaves = np.searchsorted(np.cumsum(children[k]), leaves, side="right")
+        rows.insert(0, rhos[k][leaves])
+    return np.stack(rows, axis=1)
 
 
-def _feasible_argmax(eta: np.ndarray, rhos: np.ndarray, unit_rho: float) -> int:
-    """Index of the largest throughput among feasible paths, given in path
-    order; ties prefer fewer total units, then the first
-    (lexicographically smallest, given ascending enumeration) allocation."""
-    cand = np.flatnonzero(eta == eta.max())
-    if cand.size > 1:
-        totals = np.rint(rhos[cand] / unit_rho).sum(axis=1)
-        cand = cand[totals == totals.min()]
-    return int(cand[0])
+def _feasible_argmax(eta: np.ndarray, tree, unit_rho: float) -> np.ndarray:
+    """Rates of the leaf of largest throughput eta (-inf where infeasible);
+    ties prefer fewer total units, then the first leaf in path order
+    (lexicographically smallest). Only the tied leaves are walked up."""
+    rhos = _leaf_rates(tree, np.flatnonzero(eta == eta.max()))
+    if rhos.shape[0] > 1:
+        totals = np.rint(rhos / unit_rho).sum(axis=1)
+        rhos = rhos[totals == totals.min()]
+    return rhos[0]
 
 
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
@@ -269,46 +254,31 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
 
 
 def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
-    """Smallest outage over the whole grid at these NACK error rates (one
-    per feedback), without expanding the failure table.
-
-    Runs harq_analysis.outage_from_failures' recursion along the prefix
-    tree: inner, after round i, depends only on the (i + 1)-round prefix,
-    so it is formed once per node and repeated to the node's children,
-    and surv does not depend on the path at all. Every leaf goes through
-    the same operations on the same floats as its row of the whole table,
-    so the minimum is the same bit for bit."""
+    """Smallest outage over the whole grid (the whole prefix tree) at these
+    NACK error rates, one per feedback."""
     _, F, children = _gaussian_tree(grid, m, dl)
-    pn = np.asarray(p_nack, dtype=float)
-    inner = 1.0
-    surv = 1.0
-    for i in range(m - 1):
-        inner = np.repeat(inner - pn[i] * F[i] * surv, children[i])
-        surv = surv * (1.0 - pn[i])
-    return float((1.0 - inner * (1.0 - F[m - 1])).min())
+    return float(harq_analysis._outage(F, p_nack, _spread(children)).min())
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                epsilon: float) -> tuple[np.ndarray, float]:
-    """best_feasible_allocation over the kept rows. Outage comes first: the
-    occurrence probabilities and cost are computed only on the rows that
-    meet epsilon, gathered column by column in path order. The outage
-    floor of an InfeasibleError is taken over the whole grid, when it is
-    first read."""
+    """best_feasible_allocation: the throughput argmax over the leaves of the
+    kept tree that meet epsilon. The outage floor of an InfeasibleError is
+    taken over the whole grid, when it is first read."""
     m = len(rates) + 1
-    rhos, F = _kept_rows(grid, m, dl, epsilon)
-    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
-    feasible = np.flatnonzero(outage <= epsilon)
-    if feasible.size == 0:
+    rhos, F, children = tree = _kept_tree(grid, m, dl, epsilon)
+    spread = _spread(children)
+    outage = harq_analysis._outage(F, rates.p_nack, spread)
+    feasible = outage <= epsilon
+    if not feasible.any():
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
             min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
-    rhos, F = _take_rows(rhos, feasible), _take_rows(F, feasible)
-    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-    eta = (1.0 - outage[feasible]) / harq_analysis.expected_cost(rhos, P)
-    best = _feasible_argmax(eta, rhos, grid.unit_rho)
-    return rhos[best].copy(), float(eta[best])
+    P = harq_analysis._occurrence(F, rates.p_nack, rates.p_ack, spread)
+    eta = np.where(feasible, (1.0 - outage) / harq_analysis._cost(rhos, P, spread),
+                   -np.inf)
+    return _feasible_argmax(eta, tree, grid.unit_rho), float(eta.max())
 
 
 def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
@@ -411,14 +381,14 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     k = m - 1
     alphas = np.clip(np.asarray(start.alphas, dtype=float), lo, hi)
 
-    _, kept_F = _kept_rows(grid, m, dl, epsilon)
+    _, kept_F, kept_children = _kept_tree(grid, m, dl, epsilon)
+    spread = _spread(kept_children)
 
     def reaches(a: np.ndarray) -> bool:
-        # some allocation meets epsilon at thresholds a; only kept rows can,
-        # so with none kept this is an infeasibility certificate
+        # some allocation meets epsilon at thresholds a; only kept paths
+        # can, so with none kept this is an infeasibility certificate
         p_nack = feedback_model.nack_error_rate(a, fb.snr_linear)
-        outage = harq_analysis.outage_from_failures(kept_F, p_nack)
-        return bool((outage <= epsilon).any())
+        return bool((harq_analysis._outage(kept_F, p_nack, spread) <= epsilon).any())
 
     if k > 0 and not reaches(alphas):
         # bootstrap: raise thresholds uniformly until some allocation is feasible
@@ -430,7 +400,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                 min_outage=min_achievable_outage(top, dl, fb, grid),
                 iteration=0,
             )
-        # 40 halvings of [lo, hi]; each probe is a pass over the kept table
+        # 40 halvings of [lo, hi]; each probe is a pass over the kept tree
         alphas = np.maximum(alphas, _bisect_upper(
             lo, hi, lambda s: reaches(np.maximum(alphas, s)), 40))
         _log.debug("alternating_optimize: raised start thresholds to %s", alphas)

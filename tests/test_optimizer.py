@@ -8,6 +8,11 @@ routes), not approximate.
 import dataclasses
 import itertools
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -42,6 +47,25 @@ def failure_table(grid, m, dl):
     """Gaussian prefix failures of every allocation, in path order."""
     _, F, children = optimizer._gaussian_tree(grid, m, dl)
     return expand_all(F, children)
+
+
+def row_scan(rates, dl, grid, m, eps):
+    """The rate scan row by row: every allocation of the whole table through
+    the (..., M) formulas, infeasible rows masked with -inf, and the
+    throughput argmax with ties to fewer total units, then the first row."""
+    rhos = enumerate_units(grid, m) * grid.unit_rho
+    F = failure_table(grid, m, dl)
+    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
+    feasible = outage <= eps
+    if not feasible.any():
+        raise InfeasibleError("no row meets epsilon", min_outage=float(outage.min()))
+    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+    eta = np.where(feasible, (1.0 - outage) / harq_analysis.expected_cost(rhos, P),
+                   -np.inf)
+    cand = np.flatnonzero(eta == eta.max())
+    totals = np.rint(rhos[cand] / grid.unit_rho).sum(axis=1)
+    best = cand[totals == totals.min()][0]
+    return rhos[best], float(eta[best])
 
 
 def eval_policy(rhos, alphas, dl, snr_u_db):
@@ -179,18 +203,60 @@ TREE_GRIDS = [
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
 def test_tree_table_equals_row_by_row_gaussian(dl3, grid, m):
     # the table built along the prefix tree is p_fail_gaussian on the
-    # enumerated rates, byte for byte, whole or kept; the kept rows are
-    # column-major
-    rhos = enumerate_units(grid, m) * grid.unit_rho
+    # enumerated rates, byte for byte, whole or kept; the kept tree holds
+    # each prefix of a kept row once, as one contiguous array per level,
+    # and no node without a kept row below it
+    units = enumerate_units(grid, m)
+    rhos = units * grid.unit_rho
     F = mi_model.p_fail_gaussian(rhos, dl3)
     assert failure_table(grid, m, dl3).tobytes() == F.tobytes()
     # every F_M lies in [0, 1], so epsilon 1 keeps every path
     for eps in (1.0, float(np.median(F[:, -1]))):
         keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
-        kept_rhos, kept_F = optimizer._kept_rows(grid, m, dl3, eps)
-        assert kept_rhos.flags.f_contiguous and kept_F.flags.f_contiguous
-        assert kept_rhos.tobytes(order="C") == rhos[keep].tobytes()
-        assert kept_F.tobytes(order="C") == F[keep].tobytes()
+        kept_rhos, kept_F, kept_children = optimizer._kept_tree(grid, m, dl3, eps)
+        assert all(a.flags.c_contiguous for a in kept_rhos + kept_F)
+        assert all(np.all(ch > 0) for ch in kept_children)
+        assert [r.size for r in kept_rhos] == [
+            len({tuple(row[:k + 1]) for row in units[keep]}) for k in range(m)]
+        assert expand_all(kept_rhos, kept_children).tobytes() == rhos[keep].tobytes()
+        assert expand_all(kept_F, kept_children).tobytes() == F[keep].tobytes()
+
+
+@pytest.mark.parametrize("grid, m", TREE_GRIDS)
+def test_tree_scan_equals_row_scan_byte_for_byte(dl3, grid, m):
+    # the scan on the kept tree returns the row scan's rates and throughput
+    # byte for byte, or its infeasibility floor, at random error rates and
+    # at the error rates 0 and 1; on the whole tree, the outage and cost of
+    # every leaf equal those of its table row
+    F = failure_table(grid, m, dl3)
+    table_rhos = enumerate_units(grid, m) * grid.unit_rho
+    tree_rhos, tree_F, children = optimizer._gaussian_tree(grid, m, dl3)
+    spread = optimizer._spread(children)
+    rng = np.random.default_rng(100 + m)
+    error_rates = [(rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 0.3, m - 1)),
+                   (rng.uniform(0.0, 1.0, m - 1), rng.uniform(0.0, 1.0, m - 1)),
+                   (np.zeros(m - 1), np.zeros(m - 1)), (np.ones(m - 1), np.ones(m - 1)),
+                   (np.zeros(m - 1), np.ones(m - 1)), (np.ones(m - 1), np.zeros(m - 1))]
+    for p_nack, p_ack in error_rates:
+        outage = harq_analysis._outage(tree_F, p_nack, spread)
+        assert outage.tobytes() == harq_analysis.outage_from_failures(F, p_nack).tobytes()
+        cost = harq_analysis._cost(
+            tree_rhos, harq_analysis._occurrence(tree_F, p_nack, p_ack, spread), spread)
+        P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
+        assert cost.tobytes() == harq_analysis.expected_cost(table_rhos, P).tobytes()
+    for eps in (1.0, float(np.median(F[:, -1]))):
+        for p_nack, p_ack in error_rates:
+            rates = feedback_model.FeedbackErrorRates(p_nack=p_nack, p_ack=p_ack)
+            try:
+                want_rhos, want_eta = row_scan(rates, dl3, grid, m, eps)
+            except InfeasibleError as want:
+                with pytest.raises(InfeasibleError) as got:
+                    optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+                assert got.value.min_outage == want.min_outage
+                continue
+            rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+            assert rhos.dtype == want_rhos.dtype and rhos.tobytes() == want_rhos.tobytes()
+            assert float(eta).hex() == want_eta.hex()
 
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
@@ -206,23 +272,67 @@ def test_outage_floor_on_tree_equals_whole_table_minimum(dl3, grid, m):
         assert optimizer._outage_floor(grid, m, dl3, p_nack) == whole
 
 
-def test_m5_table_build_peak_stays_under_twice_its_kept_rows():
+def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3):
+    # real throughputs never tie across unit totals on the test grids, so
+    # the tie rule is checked on planted ties: walking up from any leaf
+    # gives its row of the expanded table, and among tied leaves the
+    # fewest total units win, then the first in path order
+    grid = optimizer.make_rate_grid(1024, 4096, 13)
+    tree = optimizer._kept_tree(grid, 3, dl3, 1.0)
+    rhos = expand_all(tree[0], tree[2])
+    leaves = np.arange(rhos.shape[0])
+    assert optimizer._leaf_rates(tree, leaves).tobytes() == rhos.tobytes()
+    totals = np.rint(rhos / grid.unit_rho).sum(axis=1)
+    many, few = np.flatnonzero(totals == 9)[[0, -1]], np.flatnonzero(totals == 5)[[-1, 0]]
+    for tied in ([many[0], few[0]], [few[0], many[0], few[1]], [many[1], many[0]]):
+        eta = np.full(rhos.shape[0], -np.inf)
+        eta[leaves[::7]] = 0.5
+        eta[tied] = 1.0
+        want = min(tied, key=lambda j: (totals[j], j))
+        assert optimizer._feasible_argmax(eta, tree, grid.unit_rho).tobytes() == \
+            rhos[want].tobytes()
+
+
+def test_m5_tree_build_peak_stays_under_four_times_its_kept_tree():
     # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: building
-    # the tree and expanding its kept rows must peak below twice the bytes
-    # of the kept (rhos, F) it returns. Holding the whole table beside the
-    # kept copy, as an int64 unit table and a float one, peaks near 2.5x.
+    # the whole tree and pruning it must peak below four times the bytes of
+    # the kept tree (about 16.3 MB; 13.3 MB with numpy 2.4 on x86-64).
+    # Expanding the kept paths into (paths, 5) rate and failure tables as
+    # well adds 16.1 MB.
     grid = optimizer.make_rate_grid(1024, 4096, 32)
     dl = mi_model.make_downlink_spec(10.0)
     optimizer._gaussian_tree.cache_clear()
-    optimizer._kept_rows.cache_clear()
+    optimizer._kept_tree.cache_clear()
     tracemalloc.start()
     try:
-        rhos, F = optimizer._kept_rows(grid, 5, dl, 0.01)
+        tree = optimizer._kept_tree(grid, 5, dl, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rhos.shape == F.shape == (201_340, 5)
-    assert peak < 2 * (rhos.nbytes + F.nbytes)
+    rhos, F, _ = tree
+    assert [r.size for r in rhos] == [f.size for f in F] == [27, 404, 4057, 31461, 201_340]
+    kept = sum(a.nbytes for part in tree for a in part)
+    # below twice the bytes of those expanded tables
+    assert 4 * kept < 2 * 2 * 201_340 * 5 * 8
+    assert peak < 4 * kept
+
+
+def test_m5_cli_optimize_at_10db_stays_under_1gib(tmp_path):
+    # at 10 dB nearly every m_max 5 path on 64 units is kept; the run must
+    # stay under CI's 1 GiB. RUSAGE_CHILDREN is the largest peak of any
+    # child waited for so far, so this child's peak is at most that
+    cfg = tmp_path / "m5.cfg"
+    cfg.write_text("m_max = 5\nunits_total = 64\nsnr_d_db = 10\nsnr_u_db = -10\n",
+                   encoding="utf-8")
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "harqopt.cli", "optimize", "--config",
+                           str(cfg), "--out", str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mib < 1024
 
 
 def test_float_table_on_non_dyadic_grid(dl3):
@@ -231,7 +341,8 @@ def test_float_table_on_non_dyadic_grid(dl3):
     # every path), and the production rate scan must match the scalar
     # oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    table_rhos, _ = optimizer._kept_rows(grid, 3, dl3, 1.0)
+    kept_rhos, _, kept_children = optimizer._kept_tree(grid, 3, dl3, 1.0)
+    table_rhos = expand_all(kept_rhos, kept_children)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
@@ -268,8 +379,8 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
                                            (0.5, 0.5))
     F = failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
-    kept_rhos, _ = optimizer._kept_rows(grid, 3, dl3, eps)
-    assert kept_rhos.shape[0] == 0
+    kept_rhos, kept_F, kept_children = optimizer._kept_tree(grid, 3, dl3, eps)
+    assert all(a.size == 0 for a in kept_rhos + kept_F + kept_children)
     assert not assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
 
 
@@ -362,40 +473,42 @@ def test_scan_infeasible_names_floor(dl3):
 
 def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     # callers that drop the error (the fixed-threshold scan) never pay for
-    # the whole-grid outage floor; reading it evaluates it once, along the
-    # tree, without handing the whole table to outage_from_failures
+    # the whole-grid outage floor; reading it evaluates it once, over every
+    # leaf of the whole tree, and the scan itself sees only the kept tree
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5,))
     paths = failure_table(grid, 2, dl3).shape[0]
-    rows, floors = [], []
-    real_outage, real_floor = harq_analysis.outage_from_failures, optimizer._outage_floor
+    leaves, floors = [], []
+    real_outage, real_floor = harq_analysis._outage, optimizer._outage_floor
 
-    def outage_spy(F, p_nack):
-        rows.append(F.shape[0])
-        return real_outage(F, p_nack)
+    def outage_spy(F, pn, spread):
+        leaves.append(F[-1].size)
+        return real_outage(F, pn, spread)
 
     def floor_spy(*args):
         floors.append(args)
         return real_floor(*args)
 
-    monkeypatch.setattr(harq_analysis, "outage_from_failures", outage_spy)
+    monkeypatch.setattr(harq_analysis, "_outage", outage_spy)
     monkeypatch.setattr(optimizer, "_outage_floor", floor_spy)
     with pytest.raises(InfeasibleError) as exc:
         optimizer.best_feasible_allocation(rates, dl3, grid, 0.02)
-    assert rows and not floors
+    assert leaves and not floors
+    assert paths not in leaves
+    scanned = len(leaves)
     floor = exc.value.min_outage
     assert len(floors) == 1 and exc.value.min_outage == floor > 0.02
-    assert paths not in rows
+    assert leaves[scanned:] == [paths]
 
 
 def test_kept_rows_cache_is_bounded(dl3):
-    # an epsilon ladder over one table holds at most four kept-row copies,
-    # and the trees they are expanded from at most four grids
+    # an epsilon ladder over one table holds at most four kept trees, and
+    # the whole trees they are pruned from at most four grids
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     for eps in np.geomspace(1e-4, 0.5, 20):
-        optimizer._kept_rows(grid, 3, dl3, float(eps))
-    assert optimizer._kept_rows.cache_info().currsize <= 4
+        optimizer._kept_tree(grid, 3, dl3, float(eps))
+    assert optimizer._kept_tree.cache_info().currsize <= 4
     assert optimizer._gaussian_tree.cache_info().currsize <= 4
 
 
@@ -692,7 +805,7 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     # floor at the top of the box
     dl0 = mi_model.make_downlink_spec(0.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    assert optimizer._kept_rows(grid64, 4, dl0, 0.01)[0].shape[0] == 0
+    assert all(r.size == 0 for r in optimizer._kept_tree(grid64, 4, dl0, 0.01)[0])
     with pytest.raises(InfeasibleError) as exc:
         optimizer.alternating_optimize(dl0, fb, default_template(), grid64, 0.01)
     assert exc.value.iteration == 0
