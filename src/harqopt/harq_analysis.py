@@ -197,13 +197,13 @@ def _outage(F, pn, spread):
 def expected_cost(rhos, p_occur):
     """Expected normalized symbol count sum_i rho_i P_i.
 
-    ``rhos`` and ``p_occur`` have shape (..., M); the result has shape
-    (...), a scalar for a single policy, and each row equals the call on
+    ``rhos`` and ``p_occur`` have shape (..., M), with leading axes that
+    broadcast by numpy's rule; the result has their broadcast leading
+    shape, a scalar for a single policy, and each row equals the call on
     that row alone bit for bit.
     """
-    # .T puts the round axis first; the result's .T restores the order
-    return _cost(np.asarray(rhos, dtype=float).T,
-                 np.asarray(p_occur, dtype=float).T, _same).T
+    return _cost(*(np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+                   for a in (rhos, p_occur)), _same)
 
 
 def _cost(rhos, P, spread):

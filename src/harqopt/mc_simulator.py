@@ -23,6 +23,15 @@ episode (analytic-flip), two (duplicated-ack), or detect_batch's 6
 normals, the noise parts its statistic reads (symbol-level). Estimates
 are bit-identical for identical (seed, n, mode) and independent of how
 chunks are executed.
+
+The estimator keeps per-round totals, not per-episode arrays: each
+chunk's gains go into one reused buffer, the decoded flags are built once round-major, and
+each feedback round reads its live episodes' flags, counts the stops and
+delivered stops, and narrows the live set. Occurrence counts and the
+renewal-reward sums come from those totals; the sums weight each stop
+count by its symbol count n_b (rho_1 + ... + rho_k), so they are exact
+when those counts are integers and within a few ulps of summing episode
+by episode otherwise.
 """
 
 from __future__ import annotations
@@ -94,19 +103,21 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
     n_b = policy.n_b
     snr_d = dl.snr_linear
 
-    sx = 0.0       # delivered count (also sum of squares: indicator)
-    sy = 0.0       # total symbols
-    sxy = 0.0      # sum of symbols over delivered episodes
-    syy = 0.0      # sum of squared symbols
-    occ_counts = np.zeros(m, dtype=np.int64)
+    # per-round tallies over every chunk: episodes that stopped after
+    # round k + 1, those of them delivered, and decoder failures at round
+    # k + 1 along every fading path
+    stops = np.zeros(m, dtype=np.int64)
+    delivered = np.zeros(m, dtype=np.int64)
     fail_counts = np.zeros(m, dtype=np.int64)
 
+    gains = np.empty((min(_CHUNK, n), m))
     done = 0
     chunk_index = 0
     while done < n:
         c = min(_CHUNK, n - done)
         rng = _chunk_rng(seed, chunk_index)
-        acc = rng.exponential(size=(c, m))
+        acc = gains[:c]
+        rng.standard_exponential(out=acc)
         # rhos * log2(1 + snr * gain), accumulated over rounds, in place
         acc *= snr_d
         acc += 1.0
@@ -114,19 +125,20 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
         acc *= rhos
         for j in range(1, m):
             acc[:, j] += acc[:, j - 1]
-        decoded = acc >= 1.0
+        # round-major: decoded[j] holds round j + 1 of every episode
+        decoded = np.ascontiguousarray((acc >= 1.0).T)
+        fail_counts += c - np.count_nonzero(decoded, axis=1)
 
-        rounds_used = np.ones(c, dtype=np.int64)
-        live = np.arange(c)
+        live = np.arange(c)  # episodes still running, in order
         for j in range(m - 1):
-            k = live.size
+            sent_ack = decoded[j].take(live)
+            k = sent_ack.size
             if k == 0:
                 break
-            sent_ack = decoded[live, j]
             if feedback_mode == ANALYTIC_FLIP:
                 u = rng.random(k)
-                p_err = np.where(sent_ack, pa[j], pn[j])
-                det_ack = sent_ack != (u < p_err)
+                # a sent ACK flips when u < p_ack, a sent NACK when u < p_nack
+                det_ack = (sent_ack & (u >= pa[j])) | (~sent_ack & (u < pn[j]))
             elif feedback_mode == SYMBOL_LEVEL:
                 det_ack = feedback_model.detect_batch(
                     sent_ack, policy.alphas[j], fb.snr_linear, k, rng
@@ -139,26 +151,30 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
                     (u[:, 0] >= p_slot) & (u[:, 1] >= p_slot),
                     (u[:, 0] < p_slot) & (u[:, 1] < p_slot),
                 )
-            live = live[~det_ack]
-            rounds_used[live] += 1
-
-        delivered = decoded[np.arange(c), rounds_used - 1]
-        symbols = n_b * cum_rhos[rounds_used - 1]
-
-        sx += float(delivered.sum())
-        sy += float(symbols.sum())
-        sxy += float(symbols[delivered].sum())
-        syy += float((symbols * symbols).sum())
-        counts = np.bincount(rounds_used, minlength=m + 1)
-        occ_counts += counts[::-1].cumsum()[::-1][1 : m + 1]
-        for j in range(m):
-            fail_counts[j] += c - np.count_nonzero(decoded[:, j])
+            stops[j] += np.count_nonzero(det_ack)
+            delivered[j] += np.count_nonzero(det_ack & sent_ack)
+            going = np.flatnonzero(~det_ack)
+            live = live.take(going)
+        last = decoded[m - 1].take(live)
+        stops[m - 1] += last.size
+        delivered[m - 1] += np.count_nonzero(last)
 
         done += c
         chunk_index += 1
 
+    # an episode that stops after round k + 1 spends n_b * (rho_1 + ... +
+    # rho_{k+1}) symbols; the count-weighted sums are exact whenever those
+    # symbol counts are integers
+    symbols = n_b * cum_rhos
+    sx = float(delivered.sum())                        # delivered count
+    sy = float((stops * symbols).sum())                # total symbols
+    sxy = float((delivered * symbols).sum())           # symbols of delivered
+    syy = float((stops * (symbols * symbols)).sum())   # squared symbols
+    # round k + 1 happens in every episode that stops at it or later
+    occ_counts = stops[::-1].cumsum()[::-1]
+
     # accounting closure: total symbols must equal the occurrence-weighted
-    # per-round spend (up to float reassociation across chunks)
+    # per-round spend (up to float reassociation)
     recomposed = float(n_b * (rhos * occ_counts).sum())
     assert abs(sy - recomposed) <= 1e-9 * max(1.0, abs(sy)), (sy, recomposed)
 

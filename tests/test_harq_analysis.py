@@ -201,6 +201,24 @@ def test_formulas_broadcast_over_batched_error_rates(dl3):
         assert out[b] == harq_analysis.outage_from_failures(F, rates.p_nack)
 
 
+@pytest.mark.parametrize("rhos_shape, occur_shape, lead", [
+    ((2, 2, 3), (2, 3), (2, 2)),
+    ((3, 1, 3), (2, 3), (3, 2)),
+])
+def test_expected_cost_broadcasts_leading_axes_by_numpy_rule(rhos_shape, occur_shape,
+                                                             lead):
+    # leading axes align from the right, as in any numpy operation: each
+    # element equals the call on its own broadcast pair of rows
+    rng = np.random.default_rng(5)
+    rhos = rng.uniform(0.25, 2.0, size=rhos_shape)
+    p_occur = rng.uniform(0.0, 1.0, size=occur_shape)
+    cost = harq_analysis.expected_cost(rhos, p_occur)
+    assert cost.shape == lead
+    r, p = np.broadcast_arrays(rhos, p_occur)
+    for idx in np.ndindex(lead):
+        assert cost[idx] == harq_analysis.expected_cost(r[idx], p[idx])
+
+
 def test_expected_symbols_examples(dl3):
     pol = make_policy([0.5, 0.25, 0.25, 0.25], [0.0] * 3)
     assert harq_analysis.expected_symbols(pol, [1, 0, 0, 0]) == pytest.approx(0.5 * 1024)

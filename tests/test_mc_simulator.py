@@ -3,6 +3,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
     assert len(chunk_draws) == 2
     live = [0, 0, 0]
     for c, draws in zip((mc_simulator._CHUNK, n - mc_simulator._CHUNK), chunk_draws):
-        assert draws[0] == ("exponential", (c, 4))
+        assert draws[0] == ("standard_exponential", (c, 4))
         sizes = _feedback_block_sizes(mode, draws[1:])
         assert len(sizes) == 3 and sizes[0] == c
         assert sizes == sorted(sizes, reverse=True)
@@ -191,6 +192,108 @@ def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
     assert est.p_out == 0.0
     [draws] = chunk_draws
     assert _feedback_block_sizes(mode, draws[1:]) == [10_000]
+
+
+def _replay(policy, dl, fb, n, seed, mode):
+    """Episode-by-episode reference on each chunk's own stream: the (c, M)
+    gains, then per feedback round one block for the live episodes in
+    episode order, with every episode's rounds and delivery kept. Returns
+    the estimate's count-based fields and its two throughput fields."""
+    m = policy.m_max
+    rhos = np.asarray(policy.rhos)
+    rates = feedback_model.error_rates_for(fb, policy.alphas)
+    p_slot = feedback_model.nack_error_rate(0.0, fb.snr_linear)
+    rounds, delivered, fails = [], [], np.zeros(m)
+    for index, start in enumerate(range(0, n, mc_simulator._CHUNK)):
+        c = min(mc_simulator._CHUNK, n - start)
+        rng = mc_simulator._chunk_rng(seed, index)
+        mi = np.cumsum(np.log2(rng.exponential(size=(c, m)) * dl.snr_linear + 1.0) * rhos,
+                       axis=1)
+        decoded = mi >= 1.0
+        fails += c - decoded.sum(axis=0)
+        used = np.ones(c, dtype=np.int64)
+        live = np.arange(c)
+        for j in range(m - 1):
+            if live.size == 0:
+                break
+            sent = decoded[live, j]
+            if mode == mc_simulator.ANALYTIC_FLIP:
+                p_err = np.where(sent, rates.p_ack[j], rates.p_nack[j])
+                det = sent != (rng.random(live.size) < p_err)
+            elif mode == mc_simulator.SYMBOL_LEVEL:
+                det = feedback_model.detect_batch(sent, policy.alphas[j], fb.snr_linear,
+                                                  live.size, rng)
+            else:
+                flip = rng.random((live.size, 2)) < p_slot
+                det = np.where(sent, ~flip.any(axis=1), flip.all(axis=1))
+            live = live[~det]
+            used[live] += 1
+        rounds.append(used)
+        delivered.append(decoded[np.arange(c), used - 1])
+    rounds = np.concatenate(rounds)
+    delivered = np.concatenate(delivered)
+    symbols = policy.n_b * np.cumsum(rhos)[rounds - 1]
+    sx, sy = float(delivered.sum()), float(symbols.sum())
+    sxy, syy = float(symbols[delivered].sum()), float((symbols * symbols).sum())
+    ratio = sx / sy
+    resid = sx - 2.0 * ratio * sxy + ratio * ratio * syy
+    return {
+        "p_occur": tuple(float(np.count_nonzero(rounds > k) / n) for k in range(m)),
+        "p_fail": tuple(float(f / n) for f in fails),
+        "p_out": (n - sx) / n,
+        "throughput": policy.n_b * ratio,
+        "throughput_se": policy.n_b * math.sqrt(max(resid, 0.0)) / sy,
+    }
+
+
+_REPLAY_CASES = [
+    # (snr_d_db, snr_u_db, rhos, alphas, n_b, n); n_b * cumsum(rhos) are
+    # integers for n_b 1024 and not for n_b 777
+    (3.0, -10.0, (1.0,) * 4, (0.5,) * 3, 1024, _TWO_CHUNKS),
+    (3.0, -10.0, (0.3, 0.6, 0.9), (0.2, 1.1), 777, _TWO_CHUNKS),
+    (3.0, -10.0, (0.75,), (), 777, 10_000),
+    # the uplink always reads ACK, so every episode stops at round 1 (in
+    # the duplicated-ACK mode, whose thresholds are zero, the uplink is
+    # error-free)
+    (3.0, 200.0, (0.5, 0.75, 1.0), (-3.0, -3.0), 1024, 10_000),
+]
+
+
+@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
+@pytest.mark.parametrize("snr_d, snr_u, rhos, alphas, n_b, n", _REPLAY_CASES)
+def test_estimate_matches_episode_replay(mode, snr_d, snr_u, rhos, alphas, n_b, n):
+    pol = harq_analysis.HarqPolicy(rhos=rhos, alphas=alphas, n_b=n_b)
+    if mode == mc_simulator.DUPLICATED_ACK:
+        pol = dataclasses.replace(pol, alphas=(0.0,) * len(alphas))
+    dl = mi_model.make_downlink_spec(snr_d)
+    fb = feedback_model.make_feedback_spec(snr_u)
+    est = mc_simulator.estimate_performance(pol, dl, fb, n, seed=13, feedback_mode=mode)
+    ref = _replay(pol, dl, fb, n, 13, mode)
+    if any(a < -1.0 for a in pol.alphas):
+        assert ref["p_occur"][1:] == (0.0,) * (len(rhos) - 1)
+    assert (est.p_occur, est.p_fail, est.p_out) == (ref["p_occur"], ref["p_fail"],
+                                                  ref["p_out"])
+    symbols = n_b * np.cumsum(rhos)
+    if np.array_equal(symbols, np.round(symbols)):
+        assert (est.throughput, est.throughput_se) == (ref["throughput"],
+                                                       ref["throughput_se"])
+    else:
+        assert est.throughput == pytest.approx(ref["throughput"], rel=1e-12, abs=0.0)
+        assert est.throughput_se == pytest.approx(ref["throughput_se"], rel=1e-12, abs=0.0)
+
+
+def test_estimate_peak_memory_below_two_and_a_half_gain_blocks(dl3, fb_weak):
+    # one chunk's (c, 4) float64 gain block is 4 MiB; two full chunks must
+    # not hold a second block, nor per-episode arrays beside the first
+    pol = make_policy((1.0,) * 4, (0.5,) * 3)
+    block = mc_simulator._CHUNK * 4 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        mc_simulator.estimate_performance(pol, dl3, fb_weak, 2 * mc_simulator._CHUNK, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block
 
 
 def test_estimate_single_round_sure_delivery():
