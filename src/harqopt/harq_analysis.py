@@ -27,7 +27,8 @@ other.
 Each walks the rounds through a recursion (_outage, _occurrence, _cost)
 with a spread step between rounds: the identity on (..., M) arrays, and
 np.repeat over each node's children on the optimizer's prefix tree of the
-whole grid, where each round's term is formed once per prefix.
+whole grid (one block of level-0 subtrees at a time), where each round's
+term is formed once per prefix.
 occurrence_probabilities returns its result round-major. Its
 decoded-at-round-k terms are carried from round to round with one more
 p_ack factor each, in the multiplication order of rebuilding them, so the
@@ -209,11 +210,11 @@ def expected_cost(rhos, p_occur):
 def _cost(rhos, P, spread):
     """expected_cost over rounds, as _occurrence takes and returns them;
     the cost through round i lies on the i-round prefixes."""
-    cost = 0.0
-    for i, (rho, p) in enumerate(zip(rhos, P)):
-        if i:
-            cost, p = spread(cost, i - 1), spread(p, i - 1)
-        cost = cost + rho * p
+    cost = 0.0 + rhos[0] * P[0]
+    for i in range(1, len(P)):
+        # on the tree the spread results are temporaries, which take the
+        # product and the sum in place
+        cost = spread(cost, i - 1) + rhos[i] * spread(P[i], i - 1)
     return cost
 
 

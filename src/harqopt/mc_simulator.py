@@ -146,11 +146,9 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
             else:
                 u = rng.random((k, 2))
                 # both duplicated slots must read as ACK for a stop
-                det_ack = np.where(
-                    sent_ack,
-                    (u[:, 0] >= p_slot) & (u[:, 1] >= p_slot),
-                    (u[:, 0] < p_slot) & (u[:, 1] < p_slot),
-                )
+                u0, u1 = u[:, 0], u[:, 1]
+                det_ack = ((sent_ack & (u0 >= p_slot) & (u1 >= p_slot))
+                           | (~sent_ack & (u0 < p_slot) & (u1 < p_slot)))
             stops[j] += np.count_nonzero(det_ack)
             delivered[j] += np.count_nonzero(det_ack & sent_ack)
             going = np.flatnonzero(~det_ack)

@@ -25,26 +25,38 @@ last rate and its Gaussian failure F_k, so Q is evaluated once per
 distinct prefix (61, 1,891, 39,711 and 635,376 nodes on the default
 four-round 64-unit grid) rather than once per path and round. The running
 sums are those of mi_model.p_fail_gaussian, through the same Q-of-sums
-function, so the bits are the same. The tree is built level by level from
-per-prefix counts of admissible last values, with the path budget checked
-on counts before any node is built.
+function, so the bits are the same. The path budget is checked on
+per-prefix counts before any node is built. The interior levels are then
+built whole from their parents' counts of admissible last values; the leaf
+level, the bulk of the tree, is formed per run of its parents of at most
+_BUILD_LEAVES leaves (units, rates and running sums, then Q in slices of
+_Q_LEAVES) and written into preallocated arrays, so its temporaries never
+span the whole level.
 
-The whole-grid search has no formulas of its own. Each round's term of
-the outage, occurrence and cost recursions in harq_analysis depends on
-one prefix only, so the tree runs them level by level: every node forms
-its term once and np.repeat spreads it to its children, and a leaf goes
-through the same float operations as a single policy with its rates. The
-rate scan (best_feasible_allocation and the alternating loop's rate step)
-evaluates the kept tree, masks the leaves that miss epsilon and walks up
-the tree from the leaves of largest throughput to read their rates; the
-feasibility bootstrap evaluates the kept tree too.
+Each tree also holds its blocks: consecutive level-0 subtrees with at most
+_BLOCK_LEAVES leaves together (a larger subtree forms a block alone), each
+a tree of its own made of views into the levels. The whole-grid search
+has no formulas of its own. Each round's term of the outage, occurrence
+and cost recursions in harq_analysis depends on one prefix only, so a
+block runs them level by level: every node forms its term once and
+np.repeat spreads it to its children, and a leaf goes through the same
+float operations as a single policy with its rates. The rate scan
+(best_feasible_allocation and the alternating loop's rate step)
+evaluates the kept tree block by block, masks the leaves that miss
+epsilon and walks up each block from its leaves of largest throughput;
+the blocks' candidates are then merged by the same rule as one pass over
+all leaves would apply (largest throughput, then fewer units, then path
+order). The feasibility bootstrap and the outage floor go block by block
+too, so no evaluation holds more than a block of leaf-sized temporaries.
 
 Two small LRU caches, keyed by the frozen grid and downlink specs, hold
 the whole tree and, per epsilon, the tree pruned to the nodes above a
-kept path. The outage floor that an InfeasibleError reports (or
-min_achievable_outage) runs on the whole tree, only when it is read. Each
-threshold probe evaluates one rate vector, outage first and cost only
-when the probe meets epsilon.
+kept path, each with its blocks, so the partition is computed once per
+tree. The pruning counts kept children block by block and shares each
+level whose every node is kept instead of copying it. The outage floor
+that an InfeasibleError reports (or min_achievable_outage) runs on the
+whole tree, only when it is read. Each threshold probe evaluates one rate
+vector, outage first and cost only when the probe meets epsilon.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +76,17 @@ from .errors import GridError, InfeasibleError
 _log = logging.getLogger(__name__)
 
 _PATH_BUDGET = 20_000_000
+# leaves per block of the whole-grid evaluation; the default grid's kept
+# tree at 3 dB (67,254 leaves) stays one block
+_BLOCK_LEAVES = 1 << 17
+# leaves per run of the leaf-level build. Freeing a run's temporaries
+# raises glibc's dynamic mmap and trim thresholds above an evaluation
+# block's working set (three block-sized arrays at once), so the scans
+# reuse heap memory instead of faulting it in again after every block
+_BUILD_LEAVES = 2 * _BLOCK_LEAVES
+# leaves per slice of a run's Gaussian Q, whose temporaries are several
+# slice-sized arrays at once
+_Q_LEAVES = 1 << 14
 _SEARCH_STEP = 0.2  # first step of the threshold pattern search
 _SEARCH_TOL = 1e-6  # the pattern search stops once its step falls below this
 _ALT_MAX_ITERS = 50
@@ -128,16 +152,19 @@ def _prefix_tree(grid: RateGrid, m: int) -> tuple[tuple[np.ndarray, ...],
 
     Level k lists the admissible (k + 1)-round prefixes in lexicographic
     order; a prefix is admissible when the remaining rounds can still take
-    min_units each. Returns (units, children): units[k] holds the last unit
-    count of each level-k prefix, and children[k], for k < m - 1, the number
-    of admissible one-round extensions of each. The extensions of a prefix
-    are consecutive on the next level, in ascending order, so the leaves
-    (the allocations) come in lexicographic order, called path order.
+    min_units each. Returns (units, counts): units[k] holds the last unit
+    count of each level-k prefix for the interior levels k < m - 1, and
+    counts[k] the number of admissible one-round extensions of each
+    level-(k - 1) prefix, counts[0] those of the empty prefix (one count).
+    The extensions of a prefix are consecutive on the next level, in
+    ascending order from min_units (_last_units), so the leaves (the
+    allocations) come in lexicographic order, called path order. The leaf
+    units are left to the caller, which forms them block by block.
 
     The path budget is checked first, on the number of admissible prefixes
     of every length counted by their unit sum, so an oversized grid raises
     before any node exists. Each level is then built from its parents'
-    counts of admissible last values (np.repeat over the counts).
+    counts of admissible last values.
     """
     lo, hi, total = grid.min_units, grid.max_units, grid.units_total
     if lo * m > total:
@@ -161,19 +188,70 @@ def _prefix_tree(grid: RateGrid, m: int) -> tuple[tuple[np.ndarray, ...],
             raise GridError(
                 f"allocation space exceeds {_PATH_BUDGET} paths; shrink the grid"
             )
-    units = [np.arange(lo, min(hi, caps[0]) + 1, dtype=np.int64)]
-    children = []
-    sums = units[0]
-    for k in range(1, m):
-        counts = np.minimum(hi, caps[k] - sums) - lo + 1
-        starts = np.cumsum(counts) - counts
-        last = np.arange(counts.sum(), dtype=np.int64)
-        last -= np.repeat(starts - lo, counts)
-        children.append(counts)
-        units.append(last)
-        if k < m - 1:  # the last level's sums would extend nothing
-            sums = np.repeat(sums, counts) + last
-    return tuple(units), tuple(children)
+    units, counts = [], []
+    sums = np.zeros(1, dtype=np.int64)  # the empty prefix's
+    for k in range(m):
+        counts.append(np.minimum(hi, caps[k] - sums) - lo + 1)
+        if k < m - 1:
+            units.append(_last_units(counts[k], lo))
+            sums = np.repeat(sums, counts[k]) + units[k]
+    return tuple(units), tuple(counts)
+
+
+def _last_units(counts: np.ndarray, lo: int) -> np.ndarray:
+    """Last unit counts of the extensions of prefixes with `counts`
+    admissible extensions each: lo, lo + 1, ... for each prefix in turn."""
+    starts = np.cumsum(counts) - counts
+    last = np.arange(counts.sum(), dtype=np.int64)
+    last -= np.repeat(starts - lo, counts)
+    return last
+
+
+def _cuts(ends: np.ndarray, limit: int) -> list[int]:
+    """Runs of consecutive items, item i spanning ends[i]..ends[i + 1]
+    (ends[0] = 0), of at most `limit` in total; an item larger than that
+    forms a run alone. Returns the first item of each run, then the item
+    count."""
+    cuts = [0]
+    while cuts[-1] < len(ends) - 1:
+        start = cuts[-1]
+        stop = int(np.searchsorted(ends, ends[start] + limit, side="right")) - 1
+        cuts.append(max(stop, start + 1))
+    return cuts
+
+
+def _blocks(rhos, F, children) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]:
+    """The tree cut into blocks of consecutive level-0 subtrees with at most
+    _BLOCK_LEAVES leaves together (a larger subtree forms a block alone),
+    in path order: each block is (rhos, F, children) of views, a tree of
+    its own."""
+    offsets = [np.concatenate(([0], np.cumsum(ch))) for ch in children]
+
+    def on_levels(bounds):
+        # node bounds on level 0 -> the bounds of their subtrees on every level
+        levels = [np.asarray(bounds)]
+        for off in offsets:
+            levels.append(off[levels[-1]])
+        return levels
+
+    cuts = on_levels(_cuts(on_levels(np.arange(rhos[0].size + 1))[-1], _BLOCK_LEAVES))
+
+    def block(i):
+        return tuple(tuple(a[c[i]:c[i + 1]] for a, c in zip(arrays, cuts))
+                     for arrays in (rhos, F, children))
+
+    return tuple(block(i) for i in range(len(cuts[0]) - 1))
+
+
+class _Tree(NamedTuple):
+    """A prefix tree and its blocks. Per level: the rate of each node's
+    last round, its Gaussian prefix-failure probability F and, on every
+    level but the last, its child count."""
+
+    rhos: tuple[np.ndarray, ...]
+    F: tuple[np.ndarray, ...]
+    children: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
 
 
 def _spread(children):
@@ -182,50 +260,85 @@ def _spread(children):
 
 
 @functools.lru_cache(maxsize=4)
-def _gaussian_tree(grid: RateGrid, m: int, dl) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(rhos, F, children): the prefix tree with, on each node, the rate of
-    its last round (units times unit_rho) and its Gaussian prefix-failure
-    probability, computed once per distinct prefix. The running sums are
-    formed in p_fail_gaussian's order, so every leaf's failures equal
-    p_fail_gaussian on its rates bit for bit."""
-    units, children = _prefix_tree(grid, m)
+def _gaussian_tree(grid: RateGrid, m: int, dl) -> _Tree:
+    """The whole grid's prefix tree, with the rate of each node's last round
+    (units times unit_rho) and its Gaussian prefix-failure probability,
+    computed once per distinct prefix. The running sums are formed in
+    p_fail_gaussian's order, so every leaf's failures equal p_fail_gaussian
+    on its rates bit for bit. The interior levels are built whole and the
+    leaf level per run of its parents with at most _BUILD_LEAVES leaves
+    (Q in slices of _Q_LEAVES), written into the preallocated leaf
+    arrays."""
+    units, counts = _prefix_tree(grid, m)
     rhos, F = [], []
-    s1 = s2 = 0.0
-    for k, u in enumerate(units):
+    s1 = s2 = np.zeros(1)  # the empty prefix's sums
+    for u, ch in zip(units, counts):
         rho = u * grid.unit_rho
-        if k:
-            s1 = np.repeat(s1, children[k - 1])
-            s2 = np.repeat(s2, children[k - 1])
-        s1 = s1 + rho
-        s2 = s2 + rho * rho
+        s1 = np.repeat(s1, ch) + rho
+        s2 = np.repeat(s2, ch) + rho * rho
         rhos.append(rho)
         F.append(mi_model._q_of_sums(s1, s2, dl))
-    return tuple(rhos), tuple(F), children
+    ends = np.concatenate(([0], np.cumsum(counts[-1])))
+    rhos.append(np.empty(ends[-1]))
+    F.append(np.empty(ends[-1]))
+
+    def fill(a, b):
+        # the leaves below parents a..b-1; their F slice holds the first
+        # running sum until F replaces it
+        ch = counts[-1][a:b]
+        rho, f = rhos[-1][ends[a]:ends[b]], F[-1][ends[a]:ends[b]]
+        np.multiply(_last_units(ch, grid.min_units), grid.unit_rho, out=rho)
+        f[:] = np.repeat(s1[a:b], ch)
+        f += rho
+        sq = np.repeat(s2[a:b], ch)
+        sq += rho * rho
+        for lo in range(0, f.size, _Q_LEAVES):
+            part = slice(lo, lo + _Q_LEAVES)
+            f[part] = mi_model._q_of_sums(f[part], sq[part], dl)
+
+    cuts = _cuts(ends, _BUILD_LEAVES)
+    for a, b in zip(cuts, cuts[1:]):
+        fill(a, b)
+    children = counts[1:]
+    return _Tree(tuple(rhos), tuple(F), children, _blocks(rhos, F, children))
 
 
 @functools.lru_cache(maxsize=4)
-def _kept_tree(grid: RateGrid, m: int, dl,
-               epsilon: float) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(rhos, F, children) of the Gaussian tree pruned to the paths that
-    can meet epsilon at some thresholds, F_M <= epsilon + slack: a node
-    stays when a kept leaf lies below it, that is when one of its children
-    stays, counted bottom-up."""
-    rhos, F, children = _gaussian_tree(grid, m, dl)
-    alive = [F[-1] <= epsilon + _ROUNDING_SLACK]
-    kept_children = []
-    for ch in reversed(children):
-        below = np.concatenate(([0], np.cumsum(alive[0])))
-        ends = np.cumsum(ch)
-        count = below[ends] - below[ends - ch]
-        alive.insert(0, count > 0)
-        kept_children.insert(0, count[alive[0]])
-    return (tuple(r[a] for r, a in zip(rhos, alive)),
-            tuple(f[a] for f, a in zip(F, alive)), tuple(kept_children))
+def _kept_tree(grid: RateGrid, m: int, dl, epsilon: float) -> _Tree:
+    """The Gaussian tree pruned to the paths that can meet epsilon at some
+    thresholds, F_M <= epsilon + slack: a node stays when a kept leaf lies
+    below it, that is when one of its children stays, counted bottom-up
+    block by block. A level whose every node stays is shared, not copied."""
+    whole = _gaussian_tree(grid, m, dl)
+    alive, children = _kept_levels(whole.blocks, epsilon + _ROUNDING_SLACK)
+    rhos, F = (tuple(a if keep.all() else a[keep] for a, keep in zip(arrays, alive))
+               for arrays in (whole.rhos, whole.F))
+    return _Tree(rhos, F, children, _blocks(rhos, F, children))
+
+
+def _kept_levels(blocks, threshold: float) -> tuple[list, tuple]:
+    """(alive, kept_children) of a tree from its blocks: per level, which
+    nodes have a leaf with F_M <= threshold below them, and per level but
+    the last, the number of such children of each of those nodes."""
+    alive, kept_children = [], []
+    for _, F, children in blocks:
+        below, counts = [F[-1] <= threshold], []
+        for ch in reversed(children):
+            seen = np.concatenate(([0], np.cumsum(below[0])))
+            ends = np.cumsum(ch)
+            count = seen[ends] - seen[ends - ch]
+            below.insert(0, count > 0)
+            counts.insert(0, count[below[0]])
+        alive.append(below)
+        kept_children.append(counts)
+    return ([np.concatenate(level) for level in zip(*alive)],
+            tuple(np.concatenate(level) for level in zip(*kept_children)))
 
 
 def _leaf_rates(tree, leaves: np.ndarray) -> np.ndarray:
-    """Rates of the given leaves of a tree (indices in path order), one row
-    each, read by walking up from each leaf to its level-0 ancestor."""
+    """Rates of the given leaves of a tree (rhos, F, children) (indices in
+    path order), one row each, read by walking up from each leaf to its
+    level-0 ancestor."""
     rhos, _, children = tree
     rows = [rhos[-1][leaves]]
     for k in reversed(range(len(children))):
@@ -234,15 +347,22 @@ def _leaf_rates(tree, leaves: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def _feasible_argmax(eta: np.ndarray, tree, unit_rho: float) -> np.ndarray:
-    """Rates of the leaf of largest throughput eta (-inf where infeasible);
-    ties prefer fewer total units, then the first leaf in path order
-    (lexicographically smallest). Only the tied leaves are walked up."""
-    rhos = _leaf_rates(tree, np.flatnonzero(eta == eta.max()))
-    if rhos.shape[0] > 1:
-        totals = np.rint(rhos / unit_rho).sum(axis=1)
-        rhos = rhos[totals == totals.min()]
-    return rhos[0]
+def _tied_leaves(block, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest throughput on a block (eta, -inf where infeasible) and
+    the rates of every leaf that reaches it, in path order. Only these
+    leaves are walked up."""
+    top = eta.max()
+    return top, _leaf_rates(block, np.flatnonzero(eta == top))
+
+
+def _feasible_argmax(tied, unit_rho: float) -> tuple[np.ndarray, float]:
+    """Rates and throughput of the leaf of largest throughput, from the
+    _tied_leaves of each block that has a feasible leaf, in path order.
+    Ties prefer fewer total units, then the first leaf in path order
+    (lexicographically smallest)."""
+    top = max(t for t, _ in tied)
+    rhos = np.concatenate([r for t, r in tied if t == top])
+    return rhos[np.argmin(np.rint(rhos / unit_rho).sum(axis=1))], float(top)
 
 
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
@@ -254,31 +374,37 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
 
 
 def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
-    """Smallest outage over the whole grid (the whole prefix tree) at these
-    NACK error rates, one per feedback."""
-    _, F, children = _gaussian_tree(grid, m, dl)
-    return float(harq_analysis._outage(F, p_nack, _spread(children)).min())
+    """Smallest outage over the whole grid (the whole prefix tree, block by
+    block) at these NACK error rates, one per feedback."""
+    return min(float(harq_analysis._outage(F, p_nack, _spread(children)).min())
+               for _, F, children in _gaussian_tree(grid, m, dl).blocks)
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                epsilon: float) -> tuple[np.ndarray, float]:
     """best_feasible_allocation: the throughput argmax over the leaves of the
-    kept tree that meet epsilon. The outage floor of an InfeasibleError is
-    taken over the whole grid, when it is first read."""
+    kept tree that meet epsilon, block by block. The outage floor of an
+    InfeasibleError is taken over the whole grid, when it is first read."""
     m = len(rates) + 1
-    rhos, F, children = tree = _kept_tree(grid, m, dl, epsilon)
-    spread = _spread(children)
-    outage = harq_analysis._outage(F, rates.p_nack, spread)
-    feasible = outage <= epsilon
-    if not feasible.any():
+
+    def tied(block):
+        rhos, F, children = block
+        spread = _spread(children)
+        outage = harq_analysis._outage(F, rates.p_nack, spread)
+        feasible = outage <= epsilon
+        if not feasible.any():
+            return None
+        P = harq_analysis._occurrence(F, rates.p_nack, rates.p_ack, spread)
+        return _tied_leaves(block, np.where(
+            feasible, (1.0 - outage) / harq_analysis._cost(rhos, P, spread), -np.inf))
+
+    best = [t for t in map(tied, _kept_tree(grid, m, dl, epsilon).blocks) if t is not None]
+    if not best:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
             min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
-    P = harq_analysis._occurrence(F, rates.p_nack, rates.p_ack, spread)
-    eta = np.where(feasible, (1.0 - outage) / harq_analysis._cost(rhos, P, spread),
-                   -np.inf)
-    return _feasible_argmax(eta, tree, grid.unit_rho), float(eta.max())
+    return _feasible_argmax(best, grid.unit_rho)
 
 
 def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
@@ -381,14 +507,14 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     k = m - 1
     alphas = np.clip(np.asarray(start.alphas, dtype=float), lo, hi)
 
-    _, kept_F, kept_children = _kept_tree(grid, m, dl, epsilon)
-    spread = _spread(kept_children)
+    kept = _kept_tree(grid, m, dl, epsilon)
 
     def reaches(a: np.ndarray) -> bool:
         # some allocation meets epsilon at thresholds a; only kept paths
         # can, so with none kept this is an infeasibility certificate
         p_nack = feedback_model.nack_error_rate(a, fb.snr_linear)
-        return bool((harq_analysis._outage(kept_F, p_nack, spread) <= epsilon).any())
+        return any(bool((harq_analysis._outage(F, p_nack, _spread(children))
+                         <= epsilon).any()) for _, F, children in kept.blocks)
 
     if k > 0 and not reaches(alphas):
         # bootstrap: raise thresholds uniformly until some allocation is feasible

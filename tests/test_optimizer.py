@@ -7,10 +7,10 @@ routes), not approximate.
 
 import dataclasses
 import itertools
+import logging
 import math
 import os
 import pathlib
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -39,14 +39,47 @@ def expand_all(values, children):
 
 def enumerate_units(grid, m):
     """All unit allocations of the grid, one row each, in path order."""
-    units, children = optimizer._prefix_tree(grid, m)
-    return expand_all(units, children)
+    units, counts = optimizer._prefix_tree(grid, m)
+    leaves = optimizer._last_units(counts[-1], grid.min_units)
+    return expand_all(units + (leaves,), counts[1:])
 
 
 def failure_table(grid, m, dl):
-    """Gaussian prefix failures of every allocation, in path order."""
-    _, F, children = optimizer._gaussian_tree(grid, m, dl)
-    return expand_all(F, children)
+    """Gaussian prefix failures of every allocation, in path order, row by
+    row through p_fail_gaussian, so no tree and no block size is involved."""
+    return mi_model.p_fail_gaussian(enumerate_units(grid, m) * grid.unit_rho, dl)
+
+
+@pytest.fixture
+def few_leaf_blocks(monkeypatch):
+    """Trees built afresh with the leaf level formed in runs of at most five
+    leaves, its Q two leaves at a time, and cut into blocks of at most
+    three leaves (a larger level-0 subtree forms a block alone); the tree
+    caches are emptied again afterwards."""
+    monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
+    monkeypatch.setattr(optimizer, "_Q_LEAVES", 2)
+    monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
+    optimizer._gaussian_tree.cache_clear()
+    optimizer._kept_tree.cache_clear()
+    yield
+    optimizer._gaussian_tree.cache_clear()
+    optimizer._kept_tree.cache_clear()
+
+
+def assert_blocks_split_the_tree(tree):
+    """The tree's blocks are views that put its levels back together in
+    path order, each one or more whole level-0 subtrees with at most
+    _BLOCK_LEAVES leaves together, or a single larger one."""
+    for whole, parts in ((tree.rhos, [b[0] for b in tree.blocks]),
+                         (tree.F, [b[1] for b in tree.blocks]),
+                         (tree.children, [b[2] for b in tree.blocks])):
+        for k, level in enumerate(whole):
+            pieces = [p[k] for p in parts]
+            assert np.concatenate(pieces or [level[:0]]).tobytes() == level.tobytes()
+            assert all(p.base is not None for p in pieces)
+    for rhos, _, children in tree.blocks:
+        assert rhos[0].size > 0
+        assert rhos[-1].size <= optimizer._BLOCK_LEAVES or rhos[0].size == 1
 
 
 def row_scan(rates, dl, grid, m, eps):
@@ -200,37 +233,44 @@ TREE_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("grid, m", TREE_GRIDS)
-def test_tree_table_equals_row_by_row_gaussian(dl3, grid, m):
-    # the table built along the prefix tree is p_fail_gaussian on the
-    # enumerated rates, byte for byte, whole or kept; the kept tree holds
-    # each prefix of a kept row once, as one contiguous array per level,
-    # and no node without a kept row below it
+def check_tree_table(dl, grid, m):
+    """The tree built along the prefixes is p_fail_gaussian on the
+    enumerated rates, byte for byte, whole or kept; the kept tree holds
+    each prefix of a kept row once, as one contiguous array per level, and
+    no node without a kept row below it. Every tree's blocks split it."""
     units = enumerate_units(grid, m)
     rhos = units * grid.unit_rho
-    F = mi_model.p_fail_gaussian(rhos, dl3)
-    assert failure_table(grid, m, dl3).tobytes() == F.tobytes()
+    F = failure_table(grid, m, dl)
+    tree = optimizer._gaussian_tree(grid, m, dl)
+    assert expand_all(tree.rhos, tree.children).tobytes() == rhos.tobytes()
+    assert expand_all(tree.F, tree.children).tobytes() == F.tobytes()
+    assert_blocks_split_the_tree(tree)
     # every F_M lies in [0, 1], so epsilon 1 keeps every path
     for eps in (1.0, float(np.median(F[:, -1]))):
         keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
-        kept_rhos, kept_F, kept_children = optimizer._kept_tree(grid, m, dl3, eps)
-        assert all(a.flags.c_contiguous for a in kept_rhos + kept_F)
-        assert all(np.all(ch > 0) for ch in kept_children)
-        assert [r.size for r in kept_rhos] == [
+        kept = optimizer._kept_tree(grid, m, dl, eps)
+        assert all(a.flags.c_contiguous for a in kept.rhos + kept.F)
+        assert all(np.all(ch > 0) for ch in kept.children)
+        assert [r.size for r in kept.rhos] == [
             len({tuple(row[:k + 1]) for row in units[keep]}) for k in range(m)]
-        assert expand_all(kept_rhos, kept_children).tobytes() == rhos[keep].tobytes()
-        assert expand_all(kept_F, kept_children).tobytes() == F[keep].tobytes()
+        assert expand_all(kept.rhos, kept.children).tobytes() == rhos[keep].tobytes()
+        assert expand_all(kept.F, kept.children).tobytes() == F[keep].tobytes()
+        assert_blocks_split_the_tree(kept)
 
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
-def test_tree_scan_equals_row_scan_byte_for_byte(dl3, grid, m):
-    # the scan on the kept tree returns the row scan's rates and throughput
-    # byte for byte, or its infeasibility floor, at random error rates and
-    # at the error rates 0 and 1; on the whole tree, the outage and cost of
-    # every leaf equal those of its table row
-    F = failure_table(grid, m, dl3)
+def test_tree_table_equals_row_by_row_gaussian(dl3, grid, m):
+    check_tree_table(dl3, grid, m)
+
+
+def check_tree_scan(dl, grid, m):
+    """The scan on the kept tree returns the row scan's rates and
+    throughput byte for byte, or its infeasibility floor, at random error
+    rates and at the error rates 0 and 1; on the whole tree, the outage and
+    cost of every leaf equal those of its table row."""
+    F = failure_table(grid, m, dl)
     table_rhos = enumerate_units(grid, m) * grid.unit_rho
-    tree_rhos, tree_F, children = optimizer._gaussian_tree(grid, m, dl3)
+    tree_rhos, tree_F, children, _ = optimizer._gaussian_tree(grid, m, dl)
     spread = optimizer._spread(children)
     rng = np.random.default_rng(100 + m)
     error_rates = [(rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 0.3, m - 1)),
@@ -248,57 +288,89 @@ def test_tree_scan_equals_row_scan_byte_for_byte(dl3, grid, m):
         for p_nack, p_ack in error_rates:
             rates = feedback_model.FeedbackErrorRates(p_nack=p_nack, p_ack=p_ack)
             try:
-                want_rhos, want_eta = row_scan(rates, dl3, grid, m, eps)
+                want_rhos, want_eta = row_scan(rates, dl, grid, m, eps)
             except InfeasibleError as want:
                 with pytest.raises(InfeasibleError) as got:
-                    optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+                    optimizer.best_feasible_allocation(rates, dl, grid, eps)
                 assert got.value.min_outage == want.min_outage
                 continue
-            rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+            rhos, eta = optimizer.best_feasible_allocation(rates, dl, grid, eps)
             assert rhos.dtype == want_rhos.dtype and rhos.tobytes() == want_rhos.tobytes()
             assert float(eta).hex() == want_eta.hex()
 
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
-def test_outage_floor_on_tree_equals_whole_table_minimum(dl3, grid, m):
-    # the floor runs the outage recursion along the tree levels; it must be
-    # the minimum of outage_from_failures over the whole table bit for bit,
-    # also at the error rates 0 and 1
-    F = failure_table(grid, m, dl3)
+def test_tree_scan_equals_row_scan_byte_for_byte(dl3, grid, m):
+    check_tree_scan(dl3, grid, m)
+
+
+def check_outage_floor(dl, grid, m):
+    """The floor runs the outage recursion along the tree levels; it must
+    be the minimum of outage_from_failures over the whole table bit for
+    bit, also at the error rates 0 and 1."""
+    F = failure_table(grid, m, dl)
     rng = np.random.default_rng(m)
     for p_nack in (rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 1.0, m - 1),
                    np.zeros(m - 1), np.ones(m - 1)):
         whole = harq_analysis.outage_from_failures(F, p_nack).min()
-        assert optimizer._outage_floor(grid, m, dl3, p_nack) == whole
+        assert optimizer._outage_floor(grid, m, dl, p_nack) == whole
 
 
-def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3):
+@pytest.mark.parametrize("grid, m", TREE_GRIDS)
+def test_outage_floor_on_tree_equals_whole_table_minimum(dl3, grid, m):
+    check_outage_floor(dl3, grid, m)
+
+
+@pytest.mark.parametrize("grid, m", TREE_GRIDS)
+def test_tree_in_few_leaf_blocks_equals_the_tables(dl3, grid, m, few_leaf_blocks):
+    # the same checks with the leaf level built a few leaves at a time and
+    # the trees evaluated block by block, three leaves or one level-0
+    # subtree at a time: rates, failures, scans and floors keep their bytes
+    assert len(optimizer._gaussian_tree(grid, m, dl3).blocks) > 1
+    check_tree_table(dl3, grid, m)
+    check_tree_scan(dl3, grid, m)
+    check_outage_floor(dl3, grid, m)
+
+
+def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
     # real throughputs never tie across unit totals on the test grids, so
-    # the tie rule is checked on planted ties: walking up from any leaf
-    # gives its row of the expanded table, and among tied leaves the
-    # fewest total units win, then the first in path order
+    # the tie rule is checked on planted ties: walking up from any leaf of
+    # a block gives its row of the expanded table, and among tied leaves
+    # the fewest total units win, then the first in path order, also when
+    # the tied leaves lie in different blocks
     grid = optimizer.make_rate_grid(1024, 4096, 13)
     tree = optimizer._kept_tree(grid, 3, dl3, 1.0)
-    rhos = expand_all(tree[0], tree[2])
-    leaves = np.arange(rhos.shape[0])
-    assert optimizer._leaf_rates(tree, leaves).tobytes() == rhos.tobytes()
+    rhos = expand_all(tree.rhos, tree.children)
     totals = np.rint(rhos / grid.unit_rho).sum(axis=1)
     many, few = np.flatnonzero(totals == 9)[[0, -1]], np.flatnonzero(totals == 5)[[-1, 0]]
-    for tied in ([many[0], few[0]], [few[0], many[0], few[1]], [many[1], many[0]]):
-        eta = np.full(rhos.shape[0], -np.inf)
-        eta[leaves[::7]] = 0.5
-        eta[tied] = 1.0
-        want = min(tied, key=lambda j: (totals[j], j))
-        assert optimizer._feasible_argmax(eta, tree, grid.unit_rho).tobytes() == \
-            rhos[want].tobytes()
+    ties = ([many[0], few[0]], [few[0], many[0], few[1]], [many[1], many[0]])
+    for block_leaves in (optimizer._BLOCK_LEAVES, 3):
+        monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", block_leaves)
+        blocks = optimizer._blocks(tree.rhos, tree.F, tree.children)
+        ends = np.cumsum([0] + [b[0][-1].size for b in blocks])
+        for block, lo, hi in zip(blocks, ends, ends[1:]):
+            assert optimizer._leaf_rates(block, np.arange(hi - lo)).tobytes() == \
+                rhos[lo:hi].tobytes()
+        for tied in ties:
+            eta = np.full(rhos.shape[0], -np.inf)
+            eta[::7] = 0.5
+            eta[tied] = 1.0
+            want = min(tied, key=lambda j: (totals[j], j))
+            best = [optimizer._tied_leaves(block, part)
+                    for block, part in zip(blocks, np.split(eta, ends[1:-1]))
+                    if part.max() > -np.inf]
+            got, eta_max = optimizer._feasible_argmax(best, grid.unit_rho)
+            assert got.tobytes() == rhos[want].tobytes() and eta_max == 1.0
+    # with three-leaf blocks, every planted tie spans several blocks
+    assert all(len(set(np.searchsorted(ends, tied, side="right"))) > 1 for tied in ties)
 
 
-def test_m5_tree_build_peak_stays_under_four_times_its_kept_tree():
+def test_m5_tree_build_peak_stays_under_two_and_a_half_times_its_kept_tree():
     # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: building
-    # the whole tree and pruning it must peak below four times the bytes of
-    # the kept tree (about 16.3 MB; 13.3 MB with numpy 2.4 on x86-64).
-    # Expanding the kept paths into (paths, 5) rate and failure tables as
-    # well adds 16.1 MB.
+    # the whole tree and pruning it must peak below 2.5 times the bytes of
+    # the kept tree (about 10.2 MB; 9.0 MB with numpy 2.4 on x86-64, where
+    # the whole and the kept tree alone take 8.2 MB). Expanding the kept
+    # paths into (paths, 5) rate and failure tables as well adds 16.1 MB.
     grid = optimizer.make_rate_grid(1024, 4096, 32)
     dl = mi_model.make_downlink_spec(10.0)
     optimizer._gaussian_tree.cache_clear()
@@ -309,30 +381,41 @@ def test_m5_tree_build_peak_stays_under_four_times_its_kept_tree():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rhos, F, _ = tree
-    assert [r.size for r in rhos] == [f.size for f in F] == [27, 404, 4057, 31461, 201_340]
-    kept = sum(a.nbytes for part in tree for a in part)
+    assert [r.size for r in tree.rhos] == [f.size for f in tree.F] == \
+        [27, 404, 4057, 31461, 201_340]
+    kept = sum(a.nbytes for part in (tree.rhos, tree.F, tree.children) for a in part)
     # below twice the bytes of those expanded tables
-    assert 4 * kept < 2 * 2 * 201_340 * 5 * 8
-    assert peak < 4 * kept
+    assert 2.5 * kept < 2 * 2 * 201_340 * 5 * 8
+    assert peak < 2.5 * kept
 
 
-def test_m5_cli_optimize_at_10db_stays_under_1gib(tmp_path):
-    # at 10 dB nearly every m_max 5 path on 64 units is kept; the run must
-    # stay under CI's 1 GiB. RUSAGE_CHILDREN is the largest peak of any
-    # child waited for so far, so this child's peak is at most that
+@pytest.mark.parametrize("snr_d_db, bound_mib", [(3, 400), (10, 450)],
+                         ids=["3dB", "10dB"])
+def test_m5_cli_optimize_stays_under_its_peak_rss_bound(tmp_path, snr_d_db, bound_mib):
+    # m_max 5 on 64 units: 7,624,512 paths, a whole tree of 122 MB of
+    # leaves, of which 3 dB keeps few and 10 dB nearly all. CLI optimize
+    # must peak below 400 MiB at 3 dB and 450 MiB at 10 dB (about 240 and
+    # 320 MiB with numpy 2.4 on x86-64). The child reports the high-water
+    # mark of its own memory map, VmHWM: its ru_maxrss would also count
+    # the memory of this process, which it inherits across fork and exec
     cfg = tmp_path / "m5.cfg"
-    cfg.write_text("m_max = 5\nunits_total = 64\nsnr_d_db = 10\nsnr_u_db = -10\n",
-                   encoding="utf-8")
+    cfg.write_text(f"m_max = 5\nunits_total = 64\nsnr_d_db = {snr_d_db}\n"
+                   "snr_u_db = -10\n", encoding="utf-8")
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "harqopt.cli", "optimize", "--config",
+    run_cli = ("import re, sys\n"
+               "from harqopt import cli\n"
+               "rc = cli.main(sys.argv[1:])\n"
+               "with open('/proc/self/status', encoding='ascii') as status:\n"
+               "    print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read()).group(1))\n"
+               "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", run_cli, "optimize", "--config",
                            str(cfg), "--out", str(tmp_path / "out.csv")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    assert peak_mib < 1024
+    peak_mib = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mib < bound_mib
 
 
 def test_float_table_on_non_dyadic_grid(dl3):
@@ -341,8 +424,8 @@ def test_float_table_on_non_dyadic_grid(dl3):
     # every path), and the production rate scan must match the scalar
     # oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    kept_rhos, _, kept_children = optimizer._kept_tree(grid, 3, dl3, 1.0)
-    table_rhos = expand_all(kept_rhos, kept_children)
+    kept = optimizer._kept_tree(grid, 3, dl3, 1.0)
+    table_rhos = expand_all(kept.rhos, kept.children)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
@@ -379,8 +462,9 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
                                            (0.5, 0.5))
     F = failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
-    kept_rhos, kept_F, kept_children = optimizer._kept_tree(grid, 3, dl3, eps)
-    assert all(a.size == 0 for a in kept_rhos + kept_F + kept_children)
+    kept = optimizer._kept_tree(grid, 3, dl3, eps)
+    assert all(a.size == 0 for a in kept.rhos + kept.F + kept.children)
+    assert kept.blocks == ()
     assert not assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
 
 
@@ -474,7 +558,8 @@ def test_scan_infeasible_names_floor(dl3):
 def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     # callers that drop the error (the fixed-threshold scan) never pay for
     # the whole-grid outage floor; reading it evaluates it once, over every
-    # leaf of the whole tree, and the scan itself sees only the kept tree
+    # leaf of the whole tree, and the scan itself sees only the kept tree:
+    # some leaves at epsilon 0.035, none at 0.02, below every path's F_M
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5,))
@@ -492,14 +577,17 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
 
     monkeypatch.setattr(harq_analysis, "_outage", outage_spy)
     monkeypatch.setattr(optimizer, "_outage_floor", floor_spy)
-    with pytest.raises(InfeasibleError) as exc:
-        optimizer.best_feasible_allocation(rates, dl3, grid, 0.02)
-    assert leaves and not floors
-    assert paths not in leaves
-    scanned = len(leaves)
-    floor = exc.value.min_outage
-    assert len(floors) == 1 and exc.value.min_outage == floor > 0.02
-    assert leaves[scanned:] == [paths]
+    for eps, kept in ((0.02, False), (0.035, True)):
+        leaves.clear()
+        floors.clear()
+        with pytest.raises(InfeasibleError) as exc:
+            optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+        assert bool(leaves) == kept and not floors
+        assert paths not in leaves
+        scanned = len(leaves)
+        floor = exc.value.min_outage
+        assert len(floors) == 1 and exc.value.min_outage == floor > eps
+        assert leaves[scanned:] == [paths]
 
 
 def test_kept_rows_cache_is_bounded(dl3):
@@ -805,7 +893,7 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     # floor at the top of the box
     dl0 = mi_model.make_downlink_spec(0.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    assert all(r.size == 0 for r in optimizer._kept_tree(grid64, 4, dl0, 0.01)[0])
+    assert all(r.size == 0 for r in optimizer._kept_tree(grid64, 4, dl0, 0.01).rhos)
     with pytest.raises(InfeasibleError) as exc:
         optimizer.alternating_optimize(dl0, fb, default_template(), grid64, 0.01)
     assert exc.value.iteration == 0
@@ -813,6 +901,46 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     assert exc.value.min_outage == optimizer.min_achievable_outage(top, dl0, fb,
                                                                    grid64)
     assert exc.value.min_outage > 0.01
+
+
+def test_alternating_in_few_leaf_blocks_equals_default_blocks(monkeypatch, caplog):
+    # the rate scans, the feasibility bootstrap and the infeasibility
+    # certificate read the trees block by block: with few-leaf blocks every
+    # solution and certificate equals the one at the default block sizes
+    cases = [(16, 10.0, -15.0, 1e-3), (23, 3.0, -10.0, 0.01), (23, 10.0, -10.0, 0.01),
+             (23, 3.0, -15.0, 1e-3)]
+
+    def solve_all():
+        optimizer._gaussian_tree.cache_clear()
+        optimizer._kept_tree.cache_clear()
+        out = []
+        for units, snr_d, snr_u, eps in cases:
+            m = 3 if units == 16 else 4
+            start = harq_analysis.HarqPolicy(rhos=(1.0,) * m, alphas=(0.0,) * (m - 1),
+                                             n_b=1024)
+            try:
+                sol = optimizer.alternating_optimize(
+                    mi_model.make_downlink_spec(snr_d), feedback_model.make_feedback_spec(snr_u),
+                    start, optimizer.make_rate_grid(1024, 4096, units), eps)
+            except InfeasibleError as err:
+                out.append((float(err.min_outage).hex(), err.iteration))
+            else:
+                out.append((sol.policy, sol.breakdown, sol.trace, sol.converged, sol.feasible))
+        return out
+
+    want = solve_all()
+    monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
+    monkeypatch.setattr(optimizer, "_Q_LEAVES", 2)
+    monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
+    with caplog.at_level(logging.DEBUG, logger=optimizer.__name__):
+        got = solve_all()
+    optimizer._gaussian_tree.cache_clear()
+    optimizer._kept_tree.cache_clear()
+    assert got == want
+    # two cases raise their start thresholds, one solves from them and one
+    # cannot meet its budget at any thresholds
+    assert caplog.text.count("raised start thresholds") == 2
+    assert [len(r) for r in want] == [5, 5, 5, 2]
 
 
 def test_alternating_beats_duplicated_ack_baseline(dl3, grid64):
