@@ -13,25 +13,26 @@ differ only in how the single-bit report is detected:
   error rate, so the policy's thresholds must all be zero.
 
 The estimator is vectorized in fixed-size chunks, each driven by its own
-counter-based stream (Philox keyed by the seed, jumped by the chunk
-index), with a fixed draw order inside a chunk. All fading gains come
-first, for every episode and round: the forced-continuation failure
-frequencies read them all. Then, round by round, the feedback randomness
-comes as one block for the episodes still running, in episode order; a
-round with none left draws nothing. The block holds one uniform per
-episode (analytic-flip), two (duplicated-ack), or detect_batch's 6
-normals, the noise parts its statistic reads (symbol-level). Estimates
-are bit-identical for identical (seed, n, mode) and independent of how
-chunks are executed.
+stream (SFC64 seeded by the chunk index-th child that SeedSequence(seed)
+spawns, so any seed >= 0 works), with a fixed draw order inside a chunk.
+All fading gains come first, as one round-major (M, c) block for the
+chunk's c episodes: the forced-continuation failure frequencies read them
+all. Then, round by round, the feedback randomness comes as one block for
+the episodes still running, in episode order; a round with none left
+draws nothing. The block holds one uniform per episode (analytic-flip),
+two (duplicated-ack), or detect_batch's 6 normals, the noise parts its
+statistic reads (symbol-level). Estimates are bit-identical for identical
+(seed, n, mode) and independent of how chunks are executed.
 
 The estimator keeps per-round totals, not per-episode arrays: each
-chunk's gains go into one reused buffer, the decoded flags are built once round-major, and
-each feedback round reads its live episodes' flags, counts the stops and
-delivered stops, and narrows the live set. Occurrence counts and the
-renewal-reward sums come from those totals; the sums weight each stop
-count by its symbol count n_b (rho_1 + ... + rho_k), so they are exact
-when those counts are integers and within a few ulps of summing episode
-by episode otherwise.
+chunk's gains go into one reused (M, c) buffer, and each round turns its
+own row in place into the accumulated mutual information and writes its
+decoded flags into one reused (M, c) bool block. Each feedback round
+reads its live episodes' flags, counts the stops and delivered stops, and
+narrows the live set. Occurrence counts and the renewal-reward sums come
+from those totals; the sums weight each stop count by its symbol count
+n_b (rho_1 + ... + rho_k), so they are exact when those counts are
+integers and within a few ulps of summing episode by episode otherwise.
 """
 
 from __future__ import annotations
@@ -76,7 +77,11 @@ class SimulationEstimate:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
+    """The chunk's own stream: SFC64 seeded by the chunk_index-th child of
+    SeedSequence(seed), numpy's way to spawn independent streams."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    )
 
 
 def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
@@ -110,23 +115,31 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
     delivered = np.zeros(m, dtype=np.int64)
     fail_counts = np.zeros(m, dtype=np.int64)
 
-    gains = np.empty((min(_CHUNK, n), m))
+    # one reused round-major block each for the gains, which become the
+    # accumulated mutual information in place, and the decoded flags
+    gains = np.empty((m, min(_CHUNK, n)))
+    flags = np.empty(gains.shape, dtype=bool)
     done = 0
     chunk_index = 0
     while done < n:
         c = min(_CHUNK, n - done)
         rng = _chunk_rng(seed, chunk_index)
-        acc = gains[:c]
+        # a contiguous (m, c) view, so the partial last chunk draws into
+        # the block's first m * c entries
+        acc = gains.ravel()[:m * c].reshape(m, c)
+        decoded = flags.ravel()[:m * c].reshape(m, c)
         rng.standard_exponential(out=acc)
-        # rhos * log2(1 + snr * gain), accumulated over rounds, in place
-        acc *= snr_d
-        acc += 1.0
-        np.log2(acc, out=acc)
-        acc *= rhos
-        for j in range(1, m):
-            acc[:, j] += acc[:, j - 1]
-        # round-major: decoded[j] holds round j + 1 of every episode
-        decoded = np.ascontiguousarray((acc >= 1.0).T)
+        # round j + 1: rho_{j+1} log2(1 + snr gain) plus the rounds before,
+        # in place on its own row; decoded[j] holds its flag per episode
+        for j in range(m):
+            row = acc[j]
+            row *= snr_d
+            row += 1.0
+            np.log2(row, out=row)
+            row *= rhos[j]
+            if j:
+                row += acc[j - 1]
+            np.greater_equal(row, 1.0, out=decoded[j])
         fail_counts += c - np.count_nonzero(decoded, axis=1)
 
         live = np.arange(c)  # episodes still running, in order

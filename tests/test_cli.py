@@ -292,6 +292,19 @@ def test_validate_duplicated_ack_mode(tmp_path):
                      "--out", str(tmp_path / "vn.csv")]) == 2
 
 
+def test_validate_accepts_a_seed_of_2_to_the_128(tmp_path):
+    # the config takes any seed >= 0, and the simulator seeds each chunk
+    # from SeedSequence(seed), which has no upper limit
+    path = write_config(tmp_path, SMALL)
+    out = tmp_path / "v.csv"
+    rc = cli.main(["validate", "--config", path, "--seed", str(2**128),
+                   "--out", str(out)])
+    assert rc in (0, 1)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "quantity,analytic,simulated,stderr,z_score"
+    assert "throughput" in [ln.split(",")[0] for ln in lines[1:]]
+
+
 def test_cli_accepts_exactly_the_simulator_feedback_modes(tmp_path):
     # the config check reads the simulator's own mode list, so a mode is
     # accepted by both or refused by both

@@ -117,6 +117,19 @@ def test_estimate_deterministic_in_seed(dl3, fb_weak, mode):
     assert c != a
 
 
+def test_chunk_rng_is_the_spawned_child_stream():
+    # chunk i draws from SFC64 seeded by the i-th child SeedSequence(seed)
+    # spawns; every seed >= 0 is accepted, also those of 2^128 and more
+    for seed in (0, 7, 2**128, 3**90):
+        children = np.random.SeedSequence(seed).spawn(3)
+        for i, child in enumerate(children):
+            want = np.random.Generator(np.random.SFC64(child)).random(8)
+            assert np.array_equal(mc_simulator._chunk_rng(seed, i).random(8), want)
+    firsts = {mc_simulator._chunk_rng(seed, i).random()
+              for seed in (0, 1, 2**64, 2**128) for i in range(4)}
+    assert len(firsts) == 16
+
+
 class _CountingRng:
     """Wraps a generator and logs the name and result shape of every draw."""
 
@@ -172,7 +185,7 @@ def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
     assert len(chunk_draws) == 2
     live = [0, 0, 0]
     for c, draws in zip((mc_simulator._CHUNK, n - mc_simulator._CHUNK), chunk_draws):
-        assert draws[0] == ("standard_exponential", (c, 4))
+        assert draws[0] == ("standard_exponential", (4, c))
         sizes = _feedback_block_sizes(mode, draws[1:])
         assert len(sizes) == 3 and sizes[0] == c
         assert sizes == sorted(sizes, reverse=True)
@@ -195,10 +208,11 @@ def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
 
 
 def _replay(policy, dl, fb, n, seed, mode):
-    """Episode-by-episode reference on each chunk's own stream: the (c, M)
-    gains, then per feedback round one block for the live episodes in
-    episode order, with every episode's rounds and delivery kept. Returns
-    the estimate's count-based fields and its two throughput fields."""
+    """Episode-by-episode reference on each chunk's own stream: the (M, c)
+    round-major gains, then per feedback round one block for the live
+    episodes in episode order, with every episode's rounds and delivery
+    kept. Returns the estimate's count-based fields and its two throughput
+    fields."""
     m = policy.m_max
     rhos = np.asarray(policy.rhos)
     rates = feedback_model.error_rates_for(fb, policy.alphas)
@@ -207,8 +221,8 @@ def _replay(policy, dl, fb, n, seed, mode):
     for index, start in enumerate(range(0, n, mc_simulator._CHUNK)):
         c = min(mc_simulator._CHUNK, n - start)
         rng = mc_simulator._chunk_rng(seed, index)
-        mi = np.cumsum(np.log2(rng.exponential(size=(c, m)) * dl.snr_linear + 1.0) * rhos,
-                       axis=1)
+        gains = rng.exponential(size=(m, c)).T  # round-major draw
+        mi = np.cumsum(np.log2(gains * dl.snr_linear + 1.0) * rhos, axis=1)
         decoded = mi >= 1.0
         fails += c - decoded.sum(axis=0)
         used = np.ones(c, dtype=np.int64)
@@ -283,7 +297,7 @@ def test_estimate_matches_episode_replay(mode, snr_d, snr_u, rhos, alphas, n_b, 
 
 
 def test_estimate_peak_memory_below_two_and_a_half_gain_blocks(dl3, fb_weak):
-    # one chunk's (c, 4) float64 gain block is 4 MiB; two full chunks must
+    # one chunk's (4, c) float64 gain block is 4 MiB; two full chunks must
     # not hold a second block, nor per-episode arrays beside the first
     pol = make_policy((1.0,) * 4, (0.5,) * 3)
     block = mc_simulator._CHUNK * 4 * np.dtype(np.float64).itemsize
