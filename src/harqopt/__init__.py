@@ -41,6 +41,7 @@ from .mi_model import (
     DownlinkSpec,
     make_downlink_spec,
     mean_mi_closed_form,
+    p_fail,
     p_fail_convolution,
     p_fail_gaussian,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "nack_error_rate",
     "occurrence_probabilities",
     "outage_from_failures",
+    "p_fail",
     "p_fail_convolution",
     "p_fail_gaussian",
     "reliable_throughput",

@@ -211,7 +211,8 @@ def _validate(config: RunConfig) -> None:
                  "sum <= units_total", config.rhos_units)
     _require(config.route in ("gaussian", "convolution"), "route",
              "one of gaussian|convolution", config.route)
-    _require(config.conv_bins >= 256, "conv_bins", "conv_bins >= 256",
+    lo, hi = mi_model.MIN_CONV_BINS, mi_model.MAX_CONV_BINS
+    _require(lo <= config.conv_bins <= hi, "conv_bins", f"{lo} <= conv_bins <= {hi}",
              config.conv_bins)
     _require(config.seed >= 0, "seed", "seed >= 0", config.seed)
     _require(config.n_episodes >= 10_000, "mc.n_episodes", "n_episodes >= 10000",
@@ -298,9 +299,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _analyze_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
     """Header and row of the analytic breakdown of the configured policy."""
-    bd = harq_analysis.unreliable_throughput(
-        _policy_from(config), dl, fb, route=config.route, bins=config.conv_bins
-    )
+    bins = config.conv_bins if config.route == "convolution" else None
+    bd = harq_analysis.unreliable_throughput(_policy_from(config), dl, fb, bins=bins)
     m = config.m_max
     header = ["snr_d_db", "snr_u_db", "m_max", "epsilon"]
     row: list = [config.snr_d_db, config.snr_u_db, m, config.epsilon]
@@ -412,7 +412,7 @@ def _run_validate(config: RunConfig, out: str) -> int:
     analytic = (harq_analysis.duplicated_ack_performance
                 if config.feedback_mode == mc_simulator.DUPLICATED_ACK
                 else harq_analysis.unreliable_throughput)
-    bd = analytic(policy, dl, fb, route="convolution", bins=config.conv_bins)
+    bd = analytic(policy, dl, fb, bins=config.conv_bins)
     est = mc_simulator.estimate_performance(
         policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
     )

@@ -16,8 +16,9 @@ class HarqOptError(Exception):
 
 
 class GridError(HarqOptError, ValueError):
-    """A grid size outside its supported range: too few convolution bins,
-    or a rate grid with too many allocations to enumerate."""
+    """A grid size outside its supported range: convolution bins outside
+    [MIN_CONV_BINS, MAX_CONV_BINS], or a rate grid with too many allocations
+    to enumerate."""
 
 
 class ConvergenceError(HarqOptError, RuntimeError):

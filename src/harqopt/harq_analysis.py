@@ -21,8 +21,9 @@ only implementations of their formulas. They take rates, prefix failures
 and occurrence probabilities of shape (..., M), and error rates of shape
 (..., M-1) whose leading axes broadcast against them, so the same code
 serves a single policy here and in the threshold search; the scalar
-brute-force oracle in tests/oracles.py checks the routes against each
-other.
+brute-force oracle in tests/oracles.py checks both uses against each
+other. The performance reports take the failure model as one keyword,
+``bins``, which mi_model.p_fail reads.
 
 Each walks the rounds through a recursion (_outage, _occurrence, _cost)
 with a spread step between rounds: the identity on (..., M) arrays, and
@@ -99,14 +100,6 @@ class PerformanceBreakdown:
     def p_out_reliable(self) -> float:
         """Outage with perfect feedback: the final-round failure P_{M,f}."""
         return self.p_fail[-1]
-
-
-def _p_fail(policy: HarqPolicy, dl, route: str, bins: int) -> np.ndarray:
-    if route == "gaussian":
-        return mi_model.p_fail_gaussian(policy.rhos, dl)
-    if route == "convolution":
-        return mi_model.p_fail_convolution(policy.rhos, dl, bins)
-    raise ValueError(f"unknown failure route {route!r}")
 
 
 def _same(x, i):
@@ -218,10 +211,9 @@ def _cost(rhos, P, spread):
     return cost
 
 
-def reliable_throughput(policy: HarqPolicy, dl, *, route: str = "gaussian",
-                        bins: int = mi_model.DEFAULT_CONV_BINS) -> float:
+def reliable_throughput(policy: HarqPolicy, dl, *, bins: int | None = None) -> float:
     """Throughput with perfect feedback: (1-P_{M,f}) / sum rho_i P_{i-1,f}."""
-    F = _p_fail(policy, dl, route, bins)
+    F = mi_model.p_fail(policy.rhos, dl, bins)
     # round 1 always happens, round i > 1 after i - 1 failed rounds
     p_occur = np.concatenate(([1.0], F[:-1]))
     return (1.0 - F[policy.m_max - 1]) / expected_cost(policy.rhos, p_occur)
@@ -266,8 +258,8 @@ def _stage_outage(F, pn, P) -> np.ndarray:
     return out
 
 
-def _breakdown_from_rates(policy: HarqPolicy, dl, rates, route, bins) -> PerformanceBreakdown:
-    F = _p_fail(policy, dl, route, bins)
+def _breakdown_from_rates(policy: HarqPolicy, dl, rates, bins) -> PerformanceBreakdown:
+    F = mi_model.p_fail(policy.rhos, dl, bins)
     pn = np.asarray(rates.p_nack, dtype=float)
     pa = np.asarray(rates.p_ack, dtype=float)
     P = occurrence_probabilities(F, pn, pa)
@@ -298,11 +290,10 @@ def _breakdown_from_rates(policy: HarqPolicy, dl, rates, route, bins) -> Perform
 
 
 def unreliable_throughput(policy: HarqPolicy, dl, fb: feedback_model.FeedbackSpec, *,
-                          route: str = "gaussian",
-                          bins: int = mi_model.DEFAULT_CONV_BINS) -> PerformanceBreakdown:
+                          bins: int | None = None) -> PerformanceBreakdown:
     """Full performance report for a policy; thresholds come from the policy."""
     rates = feedback_model.error_rates_for(fb, policy.alphas)
-    return _breakdown_from_rates(policy, dl, rates, route, bins)
+    return _breakdown_from_rates(policy, dl, rates, bins)
 
 
 def duplicated_ack_rates(snr_linear: float, m_max: int) -> feedback_model.FeedbackErrorRates:
@@ -319,8 +310,7 @@ def duplicated_ack_rates(snr_linear: float, m_max: int) -> feedback_model.Feedba
 
 
 def duplicated_ack_performance(policy: HarqPolicy, dl, fb: feedback_model.FeedbackSpec, *,
-                               route: str = "gaussian",
-                               bins: int = mi_model.DEFAULT_CONV_BINS) -> PerformanceBreakdown:
+                               bins: int | None = None) -> PerformanceBreakdown:
     """Baseline report: ACK repeated in a second slot, AND-rule detection.
 
     Costs one extra feedback slot of latency but no downlink symbols, so
@@ -329,4 +319,4 @@ def duplicated_ack_performance(policy: HarqPolicy, dl, fb: feedback_model.Feedba
     if any(a != 0.0 for a in policy.alphas):
         raise ValueError("duplicated_ack_performance: thresholds must all be 0")
     rates = duplicated_ack_rates(fb.snr_linear, policy.m_max)
-    return _breakdown_from_rates(policy, dl, rates, route, bins)
+    return _breakdown_from_rates(policy, dl, rates, bins)

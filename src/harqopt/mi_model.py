@@ -7,12 +7,15 @@ per information bit (rho is the round length normalized by the codeword
 payload). Decoding after round k succeeds once the accumulated mutual
 information of the first k rounds reaches one bit per information bit.
 
-Two routes to the prefix failure probabilities P(sum_{l<=k} I_l < 1) are
-provided: a Gaussian approximation driven by the per-round mean and
-variance, and a numerically exact convolution of the true per-round
-distributions, discretized on [0, 1) because a prefix whose MI reaches one
-bit never fails again. The Gaussian route is what the optimizer uses; the
-convolution route bounds its error.
+The prefix failure probabilities P(sum_{l<=k} I_l < 1) come two ways: a
+Gaussian approximation driven by the per-round mean and variance, and a
+numerically exact convolution of the true per-round distributions,
+discretized on [0, 1) because a prefix whose MI reaches one bit never fails
+again. The failure model is decided here and is one value, ``bins``: None
+for the Gaussian approximation, an int for the convolution on that many
+bins. p_fail dispatches on it, and the analysis and the CLI carry it
+unchanged. The optimizer uses the Gaussian approximation; the convolution
+bounds its error.
 """
 
 from __future__ import annotations
@@ -27,11 +30,17 @@ from .errors import GridError
 
 LOG2E = math.log2(math.e)
 
-# Default bin count for the convolution route. At 4096 bins two-round
-# results lie within 2e-8 of 1-D quadrature (0 and 3 dB), and quadrupling
-# the bins moves no prefix by more than 2e-7 (1-5 rounds, rates in
-# [0.1, 3], -20 to 10 dB); exposed so callers can trade accuracy for speed.
+# Default bin count for the convolution. At 4096 bins two-round results
+# lie within 2e-8 of 1-D quadrature (0 and 3 dB), and quadrupling the bins
+# moves no prefix by more than 2e-7 (1-5 rounds, rates in [0.1, 3], -20 to
+# 10 dB); exposed so callers can trade accuracy for speed.
 DEFAULT_CONV_BINS = 4096
+# Bin counts p_fail_convolution accepts. The direct convolution is
+# quadratic in the bins: one 4-round call at 3 dB took 0.008 s at 4096
+# bins and 2.8 s at 65536 (2-core VM), and going from 4096 to 65536 bins
+# moved F_4 by 1.2e-10, so more bins buy time and memory, not accuracy.
+MIN_CONV_BINS = 256
+MAX_CONV_BINS = 1 << 16
 
 # Quadrature tolerances. Gauss-Laguerre on log2(1+snr*g)^2 stalls slightly
 # above 1e-9 at high snr, so the second-moment target stays a little looser
@@ -67,7 +76,7 @@ def _check_rates(rates, name: str) -> np.ndarray:
 def mean_mi_closed_form(snr_linear: float) -> float:
     """E[log2(1 + snr * g)] for unit-exponential g: log2(e) e^{1/snr} E1(1/snr).
 
-    Cross-check for the quadrature route in make_downlink_spec.
+    Cross-check for the quadrature in make_downlink_spec.
     """
     s = float(snr_linear)
     if not (math.isfinite(s) and s > 0.0):
@@ -98,6 +107,14 @@ def make_downlink_spec(snr_db: float) -> DownlinkSpec:
     if not var > 0.0:
         raise ValueError(f"make_downlink_spec: non-positive MI variance at {snr_dbf} dB")
     return DownlinkSpec(snr_linear=snr, mean_mi=mean, var_mi=var)
+
+
+def p_fail(rates, spec: DownlinkSpec, bins: int | None = None) -> np.ndarray:
+    """Prefix failure probabilities under the failure model ``bins``:
+    p_fail_gaussian for None, p_fail_convolution on that many bins otherwise."""
+    if bins is None:
+        return p_fail_gaussian(rates, spec)
+    return p_fail_convolution(rates, spec, bins)
 
 
 def p_fail_gaussian(rates, spec: DownlinkSpec) -> np.ndarray:
@@ -154,13 +171,16 @@ def p_fail_convolution(rates, spec: DownlinkSpec, bins: int = DEFAULT_CONV_BINS)
     single round is exact. ``rates`` is a single rate vector.
     """
     rhos = _check_rates(rates, "p_fail_convolution")
-    if bins < 256:
-        raise GridError("p_fail_convolution: bins must be at least 256")
+    if not MIN_CONV_BINS <= bins <= MAX_CONV_BINS:
+        raise GridError(f"p_fail_convolution: bins must lie in [{MIN_CONV_BINS}, "
+                        f"{MAX_CONV_BINS}], got {bins}")
     edges = np.arange(bins + 1) / bins
     out = np.empty(len(rhos))
     z = None
     for k, rho in enumerate(rhos):
-        m = np.diff(-np.expm1(-(np.exp2(edges / rho) - 1.0) / spec.snr_linear))
+        # 2^(x/rho) overflows to inf for tiny rho, where the CDF is exactly 1
+        with np.errstate(over="ignore"):
+            m = np.diff(-np.expm1(-(np.exp2(edges / rho) - 1.0) / spec.snr_linear))
         if z is None:
             z = m
         else:

@@ -84,7 +84,8 @@ def test_criterion_02_analytic_vs_simulation(capsys, dl3):
             alphas = tuple(rng.uniform(1.5, 2.5, size=3))
             pol = make_policy(tuple(u * UNIT for u in units), alphas)
             fb = feedback_model.make_feedback_spec(-10.0)
-            bd = harq_analysis.unreliable_throughput(pol, dl3, fb, route="convolution")
+            bd = harq_analysis.unreliable_throughput(pol, dl3, fb,
+                                                       bins=mi_model.DEFAULT_CONV_BINS)
             if bd.p_out_unreliable <= 0.008:
                 policies.append((pol, fb, bd))
         for i, (pol, fb, bd) in enumerate(policies):  # worst |z| = 2.20
@@ -288,8 +289,8 @@ def test_criterion_10_bound_invariants(capsys):
             alphas = tuple(rng.uniform(0.0, 3.0, size=3))
             pol = make_policy(tuple(u * UNIT for u in units), alphas)
             fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -3.0))
-            route = "convolution" if trial % 5 == 0 else "gaussian"
-            bd = harq_analysis.unreliable_throughput(pol, dl, fb, route=route)
+            bins = mi_model.DEFAULT_CONV_BINS if trial % 5 == 0 else None
+            bd = harq_analysis.unreliable_throughput(pol, dl, fb, bins=bins)
             assert bd.p_out_unreliable >= bd.p_fail[-1] - 1e-12
             assert bd.p_out_unreliable >= bd.p_out_reliable - 1e-12
             assert bd.throughput <= dl.mean_mi + 1e-12

@@ -369,6 +369,17 @@ def test_huge_uplink_snr_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bins", [255, 65537])
+def test_analyze_conv_bins_outside_the_range_exits_2(tmp_path, capsys, bins):
+    # the convolution is quadratic in the bins, so past 2^16 a run would
+    # take seconds to minutes, or die allocating, for no accuracy gained
+    path = write_config(tmp_path, {**SMALL, "route": "convolution", "conv_bins": bins})
+    out = tmp_path / "x.csv"
+    assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+    assert "conv_bins: must satisfy 256 <= conv_bins <= 65536" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_where_six_times_the_uplink_snr_overflows(tmp_path):
     # at 3080 dB the linear SNR is finite but 6 snr is not; thresholds of 1
     # still give NACK->ACK rates of 0 and ACK->NACK rates of 0.5

@@ -89,7 +89,7 @@ def test_reliable_throughput_composition(dl3):
 def test_reliable_throughput_vanishing_failure_limit(dl3):
     # huge first-round rate: failure ~ ln2/(rho snr), only round 1 costs
     pol = harq_analysis.HarqPolicy(rhos=(1e7,), alphas=(), n_b=1)
-    eta = harq_analysis.reliable_throughput(pol, dl3, route="convolution")
+    eta = harq_analysis.reliable_throughput(pol, dl3, bins=mi_model.DEFAULT_CONV_BINS)
     assert eta == pytest.approx(1.0 / 1e7, rel=1e-6)
 
 

@@ -325,7 +325,8 @@ def test_estimate_single_round_sure_delivery():
 
 def test_estimate_matches_analytic_closure(dl3, fb_weak):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.5, 0.5, 0.5))
-    bd = harq_analysis.unreliable_throughput(pol, dl3, fb_weak, route="convolution")
+    bd = harq_analysis.unreliable_throughput(pol, dl3, fb_weak,
+                                             bins=mi_model.DEFAULT_CONV_BINS)
     n = 100_000
     est = mc_simulator.estimate_performance(pol, dl3, fb_weak, n, seed=20260815)
     assert abs(est.p_out - bd.p_out_unreliable) <= 3.0 * est.p_out_se
@@ -339,7 +340,7 @@ def test_estimate_perfect_feedback_matches_reliable_closure(dl3):
     alphas = (0.5, 0.5, 0.5)
     pol = make_policy((0.5, 0.75, 1.0, 0.25), alphas)
     fb = feedback_model.make_feedback_spec(200.0)
-    eta = harq_analysis.reliable_throughput(pol, dl3, route="convolution")
+    eta = harq_analysis.reliable_throughput(pol, dl3, bins=mi_model.DEFAULT_CONV_BINS)
     f_last = mi_model.p_fail_convolution(pol.rhos, dl3)[-1]
     est = mc_simulator.estimate_performance(pol, dl3, fb, 100_000, seed=31)
     assert abs(est.throughput - eta) <= 3.0 * est.throughput_se

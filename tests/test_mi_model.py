@@ -1,6 +1,7 @@
 """Downlink MI statistics and the two failure-probability routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,27 @@ def test_p_fail_convolution_bin_refinement(dl3):
 def test_p_fail_convolution_rejects_small_bins(dl3):
     with pytest.raises(GridError):
         mi_model.p_fail_convolution([1.0], dl3, bins=128)
+
+
+def test_p_fail_convolution_rejects_bins_above_the_cap(dl3):
+    with pytest.raises(GridError):
+        mi_model.p_fail_convolution([1.0], dl3, bins=mi_model.MAX_CONV_BINS + 1)
+
+
+def test_p_fail_convolution_tiny_rates_fail_surely_without_warning(dl3):
+    # 2^(x/rho) overflows at these rates, where the round CDF is exactly 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = mi_model.p_fail_convolution([1e-14] * 4, dl3)
+    assert np.all(F == 1.0)
+
+
+def test_p_fail_dispatches_on_bins(dl3):
+    rates = (0.5, 0.75, 1.0, 0.25)
+    assert np.array_equal(mi_model.p_fail(rates, dl3),
+                          mi_model.p_fail_gaussian(rates, dl3))
+    assert np.array_equal(mi_model.p_fail(rates, dl3, bins=1024),
+                          mi_model.p_fail_convolution(rates, dl3, bins=1024))
 
 
 rate_lists = st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5)
