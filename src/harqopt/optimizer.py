@@ -40,23 +40,47 @@ has no formulas of its own. Each round's term of the outage, occurrence
 and cost recursions in harq_analysis depends on one prefix only, so a
 block runs them level by level: every node forms its term once and
 np.repeat spreads it to its children, and a leaf goes through the same
-float operations as a single policy with its rates. The rate scan
-(best_feasible_allocation and the alternating loop's rate step)
-evaluates the kept tree block by block, masks the leaves that miss
-epsilon and walks up each block from its leaves of largest throughput;
-the blocks' candidates are then merged by the same rule as one pass over
-all leaves would apply (largest throughput, then fewer units, then path
-order). The feasibility bootstrap and the outage floor go block by block
-too, so no evaluation holds more than a block of leaf-sized temporaries.
+float operations as a single policy with its rates.
+
+The rate scan (best_feasible_allocation and the alternating loop's rate
+step) runs the recursions on the kept tree's interior levels only and
+stops on the (M - 1)-round prefixes, the nodes of the last interior
+level, with the outage's running term inner, the cost C of rounds
+1..M-1 and the occurrence P_M of round M. Each kept tree stores, per such
+node, where its children lie on the leaf level and the smallest and
+largest F_M and last rate among them (_Nodes). A leaf's outage
+1 - inner (1 - F_M) is monotone in F_M at its node's inner, so the
+smallest leaf outage of a node is the formula at one of the two F_M
+extremes, exactly, and a node passes iff one of its leaves meets epsilon.
+A leaf throughput (1 - outage) / (C + rho P_M) with 1 - outage >= 0 is
+then at most the same formula at the node's least outage and least cost,
+and since every
+rounded operation in it is monotone in those inputs, this bound holds in
+floats with no slack. The incumbent, a throughput actually read, starts
+in each block from the leaves of its node of largest bound, and only the
+leaves below the feasible nodes whose bound reaches the incumbent are
+read: by gathering their nodes' values, in chunks of at most
+_BLOCK_LEAVES leaves, through the same float operations as the last
+round of the recursions. On the default grid that is 1.6% of the kept
+leaves over the fixed_vs_variable sweep at 3 dB and under 0.1% of them
+for optimize at 10 dB. A leaf tied with the optimum has a bound of at
+least the optimum, so it is always read. Each block's leaves of largest
+throughput are walked up to their rates, and the blocks' candidates are
+merged by the rule one pass over all leaves would apply (largest
+throughput, then fewer units, then path order), so the result is that
+pass's, bit for bit. The feasibility bootstrap runs the same node test.
 
 Two small LRU caches, keyed by the frozen grid and downlink specs, hold
 the whole tree and, per epsilon, the tree pruned to the nodes above a
 kept path, each with its blocks, so the partition is computed once per
 tree. The pruning counts kept children block by block and shares each
 level whose every node is kept instead of copying it. The outage floor
-that an InfeasibleError reports (or min_achievable_outage) runs on the
-whole tree, only when it is read. Each threshold probe evaluates one rate
-vector, outage first and cost only when the probe meets epsilon.
+that an InfeasibleError reports (or min_achievable_outage) runs the
+outage over the whole tree's leaves, block by block, only when it is
+read; the whole tree holds no node data, which would raise the peak of
+building it and its kept tree. Each threshold probe evaluates one rate
+vector through the same recursions, outage first and cost only when the
+probe meets epsilon.
 """
 
 from __future__ import annotations
@@ -220,11 +244,47 @@ def _cuts(ends: np.ndarray, limit: int) -> list[int]:
     return cuts
 
 
-def _blocks(rhos, F, children) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]:
+class _Nodes(NamedTuple):
+    """Per node of a block's last interior level, the (M - 1)-round
+    prefixes (for M = 1, one root above the block's leaves): the offset of
+    its first child on the leaf level, its child count, and the smallest
+    and largest F_M and last rate among its children. Children come in
+    ascending rate order, so the rates are those of its first and last
+    child."""
+
+    first: np.ndarray
+    count: np.ndarray
+    min_F: np.ndarray
+    max_F: np.ndarray
+    rho_first: np.ndarray
+    rho_last: np.ndarray
+
+
+class _Block(NamedTuple):
+    """Consecutive level-0 subtrees of a prefix tree, a tree of its own:
+    views of the levels' rates, F and child counts, and on a kept tree its
+    _Nodes (None on the whole tree)."""
+
+    rhos: tuple[np.ndarray, ...]
+    F: tuple[np.ndarray, ...]
+    children: tuple[np.ndarray, ...]
+    nodes: _Nodes | None = None
+
+
+def _nodes(block: _Block) -> _Nodes:
+    """The _Nodes of a block; every node has a child."""
+    rho, F = block.rhos[-1], block.F[-1]
+    count = block.children[-1] if block.children else np.array([rho.size])
+    first = np.cumsum(count) - count
+    last = first + count - 1
+    return _Nodes(first, count, np.minimum.reduceat(F, first),
+                  np.maximum.reduceat(F, first), rho[first], rho[last])
+
+
+def _blocks(rhos, F, children) -> tuple[_Block, ...]:
     """The tree cut into blocks of consecutive level-0 subtrees with at most
     _BLOCK_LEAVES leaves together (a larger subtree forms a block alone),
-    in path order: each block is (rhos, F, children) of views, a tree of
-    its own."""
+    in path order."""
     offsets = [np.concatenate(([0], np.cumsum(ch))) for ch in children]
 
     def on_levels(bounds):
@@ -237,8 +297,8 @@ def _blocks(rhos, F, children) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]
     cuts = on_levels(_cuts(on_levels(np.arange(rhos[0].size + 1))[-1], _BLOCK_LEAVES))
 
     def block(i):
-        return tuple(tuple(a[c[i]:c[i + 1]] for a, c in zip(arrays, cuts))
-                     for arrays in (rhos, F, children))
+        return _Block(*(tuple(a[c[i]:c[i + 1]] for a, c in zip(arrays, cuts))
+                        for arrays in (rhos, F, children)))
 
     return tuple(block(i) for i in range(len(cuts[0]) - 1))
 
@@ -251,7 +311,7 @@ class _Tree(NamedTuple):
     rhos: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
-    blocks: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    blocks: tuple[_Block, ...]
 
 
 def _spread(children):
@@ -313,7 +373,8 @@ def _kept_tree(grid: RateGrid, m: int, dl, epsilon: float) -> _Tree:
     alive, children = _kept_levels(whole.blocks, epsilon + _ROUNDING_SLACK)
     rhos, F = (tuple(a if keep.all() else a[keep] for a, keep in zip(arrays, alive))
                for arrays in (whole.rhos, whole.F))
-    return _Tree(rhos, F, children, _blocks(rhos, F, children))
+    return _Tree(rhos, F, children, tuple(block._replace(nodes=_nodes(block))
+                                          for block in _blocks(rhos, F, children)))
 
 
 def _kept_levels(blocks, threshold: float) -> tuple[list, tuple]:
@@ -321,7 +382,7 @@ def _kept_levels(blocks, threshold: float) -> tuple[list, tuple]:
     nodes have a leaf with F_M <= threshold below them, and per level but
     the last, the number of such children of each of those nodes."""
     alive, kept_children = [], []
-    for _, F, children in blocks:
+    for _, F, children, _ in blocks:
         below, counts = [F[-1] <= threshold], []
         for ch in reversed(children):
             seen = np.concatenate(([0], np.cumsum(below[0])))
@@ -335,11 +396,10 @@ def _kept_levels(blocks, threshold: float) -> tuple[list, tuple]:
             tuple(np.concatenate(level) for level in zip(*kept_children)))
 
 
-def _leaf_rates(tree, leaves: np.ndarray) -> np.ndarray:
-    """Rates of the given leaves of a tree (rhos, F, children) (indices in
-    path order), one row each, read by walking up from each leaf to its
-    level-0 ancestor."""
-    rhos, _, children = tree
+def _leaf_rates(block: _Block, leaves: np.ndarray) -> np.ndarray:
+    """Rates of the given leaves of a block (indices in path order), one
+    row each, read by walking up from each leaf to its level-0 ancestor."""
+    rhos, children = block.rhos, block.children
     rows = [rhos[-1][leaves]]
     for k in reversed(range(len(children))):
         leaves = np.searchsorted(np.cumsum(children[k]), leaves, side="right")
@@ -347,12 +407,13 @@ def _leaf_rates(tree, leaves: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def _tied_leaves(block, eta: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest throughput on a block (eta, -inf where infeasible) and
-    the rates of every leaf that reaches it, in path order. Only these
-    leaves are walked up."""
+def _tied_leaves(block: _Block, leaves: np.ndarray,
+                 eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest throughput among the given leaves of a block (indices
+    in path order; eta -inf where infeasible) and the rates of every one
+    that reaches it, in path order. Only these leaves are walked up."""
     top = eta.max()
-    return top, _leaf_rates(block, np.flatnonzero(eta == top))
+    return top, _leaf_rates(block, leaves[eta == top])
 
 
 def _feasible_argmax(tied, unit_rho: float) -> tuple[np.ndarray, float]:
@@ -377,34 +438,109 @@ def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
     """Smallest outage over the whole grid (the whole prefix tree, block by
     block) at these NACK error rates, one per feedback."""
     return min(float(harq_analysis._outage(F, p_nack, _spread(children)).min())
-               for _, F, children in _gaussian_tree(grid, m, dl).blocks)
+               for _, F, children, _ in _gaussian_tree(grid, m, dl).blocks)
+
+
+def _node_outage(block: _Block, p_nack) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, least) on each node of the block's last interior level:
+    harq_analysis._inner, the outage's running term after the last
+    feedback, and the smallest outage among the node's leaves, exactly.
+    At a fixed inner every rounded operation of a leaf's outage
+    1 - inner (1 - F_M) is monotone in F_M (rising while inner >= 0, and
+    inner can round a few ulps below zero where it is zero exactly), so
+    over the node's leaves it is least at their smallest or largest F_M."""
+    inner = harq_analysis._inner(block.F, p_nack, _spread(block.children))
+    nodes = block.nodes
+    return inner, np.minimum(1.0 - inner * (1.0 - nodes.min_F),
+                             1.0 - inner * (1.0 - nodes.max_F))
+
+
+def _node_bound(block: _Block, rates: feedback_model.FeedbackErrorRates,
+                least: np.ndarray) -> tuple:
+    """(cost, p_last, bound) on each node of the block's last interior
+    level, whose least leaf outage is `least`: the cost of rounds 1..M-1,
+    the occurrence P_M of round M (the root's 0.0 and 1.0 for M = 1) and a
+    throughput bound on its leaves with 1 - outage >= 0 (every feasible
+    one when epsilon <= 1), the leaf formula (1 - outage) / (cost + rho P_M)
+    at the least outage and the least cost. The cost is monotone in the last rate rho, so it is least
+    at the first or the last child's rate (P_M can be negative where F
+    rises along a path, as the Gaussian F does on some five-round paths at
+    10 dB). Every rounded operation of the formula is monotone in these
+    inputs, so the bound holds in floats, with no slack."""
+    spread = _spread(block.children)
+    P = harq_analysis._occurrence(block.F, rates.p_nack, rates.p_ack, spread)
+    cost = harq_analysis._cost(block.rhos[:-1], P[:-1], spread) if len(P) > 1 else 0.0
+    p_last, nodes = P[-1], block.nodes
+    least_cost = np.minimum(cost + nodes.rho_first * p_last,
+                            cost + nodes.rho_last * p_last)
+    return cost, p_last, (1.0 - least) / least_cost
+
+
+def _leaf_eta(block: _Block, last, read: np.ndarray,
+              epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves below the nodes `read` of the block's last interior level
+    (indices in path order) and their throughput, -inf where the outage
+    misses epsilon. `last` holds each node's inner, cost of rounds
+    1..M-1 and P_M; the leaves finish _outage and _cost with the float
+    operations of harq_analysis, gathering in place of its spread step."""
+    inner, cost, p_last = last
+    count = block.nodes.count[read]
+    owner = np.repeat(read, count)
+    leaves = np.arange(owner.size)
+    leaves += np.repeat(block.nodes.first[read] - (np.cumsum(count) - count), count)
+    # np.take also reads the root's scalars when M = 1
+    outage = 1.0 - np.take(inner, owner) * (1.0 - block.F[-1][leaves])
+    eta = (1.0 - outage) / (np.take(cost, owner)
+                            + block.rhos[-1][leaves] * np.take(p_last, owner))
+    return leaves, np.where(outage <= epsilon, eta, -np.inf)
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
                epsilon: float) -> tuple[np.ndarray, float]:
-    """best_feasible_allocation: the throughput argmax over the leaves of the
-    kept tree that meet epsilon, block by block. The outage floor of an
+    """best_feasible_allocation on the kept tree, block by block.
+
+    The recursions run on the interior levels only. A node of the last
+    one has a feasible leaf iff its least leaf outage meets epsilon
+    (_node_outage), and _node_bound bounds the throughput of its leaves.
+    The incumbent, the largest throughput of a leaf read so far, starts in
+    each block from the leaves of its feasible node of largest bound; then
+    only the leaves of the feasible nodes whose bound reaches it are read,
+    in chunks of at most _BLOCK_LEAVES. A leaf tied with the optimum has a
+    bound of at least the optimum, so it is read, and the argmax and its
+    tie rules are those of a pass over every leaf. The outage floor of an
     InfeasibleError is taken over the whole grid, when it is first read."""
     m = len(rates) + 1
-
-    def tied(block):
-        rhos, F, children = block
-        spread = _spread(children)
-        outage = harq_analysis._outage(F, rates.p_nack, spread)
-        feasible = outage <= epsilon
+    top = -math.inf
+    tied = []
+    for block in _kept_tree(grid, m, dl, epsilon).blocks:
+        inner, least = _node_outage(block, rates.p_nack)
+        feasible = least <= epsilon
         if not feasible.any():
-            return None
-        P = harq_analysis._occurrence(F, rates.p_nack, rates.p_ack, spread)
-        return _tied_leaves(block, np.where(
-            feasible, (1.0 - outage) / harq_analysis._cost(rhos, P, spread), -np.inf))
-
-    best = [t for t in map(tied, _kept_tree(grid, m, dl, epsilon).blocks) if t is not None]
-    if not best:
+            continue
+        cost, p_last, bound = _node_bound(block, rates, least)
+        bound = np.where(feasible, bound, -np.inf)
+        best = np.argmax(bound)
+        # the bound holds for leaves with 1 - outage >= 0, so below a
+        # non-positive incumbent (only possible for epsilon >= 1) every
+        # feasible node is read
+        if top > 0.0 and bound[best] < top:
+            continue
+        last = (inner, cost, p_last)
+        top = max(top, _leaf_eta(block, last, np.array([best]), epsilon)[1].max())
+        read = np.flatnonzero(feasible & (bound >= top) if top > 0.0 else feasible)
+        ends = np.concatenate(([0], np.cumsum(block.nodes.count[read])))
+        cuts = _cuts(ends, _BLOCK_LEAVES)
+        for a, b in zip(cuts, cuts[1:]):
+            leaves, eta = _leaf_eta(block, last, read[a:b], epsilon)
+            if eta.max() > -np.inf:
+                tied.append(_tied_leaves(block, leaves, eta))
+                top = max(top, tied[-1][0])
+    if not tied:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
             min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
         )
-    return _feasible_argmax(best, grid.unit_rho)
+    return _feasible_argmax(tied, grid.unit_rho)
 
 
 def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
@@ -437,12 +573,13 @@ def _throughput(rhos, F, alphas, fb: feedback_model.FeedbackSpec,
     `alphas`, or None when the outage misses epsilon. Outage comes first;
     the occurrence probabilities and cost only when it meets epsilon."""
     p_nack = feedback_model.nack_error_rate(alphas, fb.snr_linear)
-    outage = harq_analysis.outage_from_failures(F, p_nack)
+    same = harq_analysis._same
+    outage = harq_analysis._outage(F, p_nack, same)
     if outage > epsilon:
         return None
     p_ack = feedback_model.ack_error_rate(alphas, fb.snr_linear)
-    P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
-    return float((1.0 - outage) / harq_analysis.expected_cost(rhos, P))
+    P = harq_analysis._occurrence(F, p_nack, p_ack, same)
+    return float((1.0 - outage) / harq_analysis._cost(rhos, P, same))
 
 
 def _search(rhos, F, fb: feedback_model.FeedbackSpec, epsilon: float,
@@ -513,8 +650,8 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
         # some allocation meets epsilon at thresholds a; only kept paths
         # can, so with none kept this is an infeasibility certificate
         p_nack = feedback_model.nack_error_rate(a, fb.snr_linear)
-        return any(bool((harq_analysis._outage(F, p_nack, _spread(children))
-                         <= epsilon).any()) for _, F, children in kept.blocks)
+        return any(bool((_node_outage(block, p_nack)[1] <= epsilon).any())
+                   for block in kept.blocks)
 
     if k > 0 and not reaches(alphas):
         # bootstrap: raise thresholds uniformly until some allocation is feasible

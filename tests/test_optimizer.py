@@ -77,9 +77,29 @@ def assert_blocks_split_the_tree(tree):
             pieces = [p[k] for p in parts]
             assert np.concatenate(pieces or [level[:0]]).tobytes() == level.tobytes()
             assert all(p.base is not None for p in pieces)
-    for rhos, _, children in tree.blocks:
+    for rhos, _, children, _ in tree.blocks:
         assert rhos[0].size > 0
         assert rhos[-1].size <= optimizer._BLOCK_LEAVES or rhos[0].size == 1
+
+
+def assert_nodes_describe_their_children(tree):
+    """Each block of a kept tree holds, per node of its last interior level
+    (one root for M = 1), the offset and count of its children on the leaf
+    level and the extremes of their F_M and of their rates, which are
+    those of its first and last child."""
+    for block in tree.blocks:
+        nodes, rho, F = block.nodes, block.rhos[-1], block.F[-1]
+        if block.children:
+            assert nodes.count.tobytes() == block.children[-1].tobytes()
+        else:
+            assert nodes.count.tolist() == [rho.size]
+        assert nodes.first.tolist() == (np.cumsum(nodes.count) - nodes.count).tolist()
+        for j, (lo, n) in enumerate(zip(nodes.first, nodes.count)):
+            assert n > 0
+            assert nodes.min_F[j] == F[lo:lo + n].min()
+            assert nodes.max_F[j] == F[lo:lo + n].max()
+            assert nodes.rho_first[j] == rho[lo] == rho[lo:lo + n].min()
+            assert nodes.rho_last[j] == rho[lo + n - 1] == rho[lo:lo + n].max()
 
 
 def row_scan(rates, dl, grid, m, eps):
@@ -256,6 +276,7 @@ def check_tree_table(dl, grid, m):
         assert expand_all(kept.rhos, kept.children).tobytes() == rhos[keep].tobytes()
         assert expand_all(kept.F, kept.children).tobytes() == F[keep].tobytes()
         assert_blocks_split_the_tree(kept)
+        assert_nodes_describe_their_children(kept)
 
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
@@ -356,7 +377,7 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
             eta[::7] = 0.5
             eta[tied] = 1.0
             want = min(tied, key=lambda j: (totals[j], j))
-            best = [optimizer._tied_leaves(block, part)
+            best = [optimizer._tied_leaves(block, np.arange(part.size), part)
                     for block, part in zip(blocks, np.split(eta, ends[1:-1]))
                     if part.max() > -np.inf]
             got, eta_max = optimizer._feasible_argmax(best, grid.unit_rho)
@@ -368,9 +389,10 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
 def test_m5_tree_build_peak_stays_under_two_and_a_half_times_its_kept_tree():
     # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: building
     # the whole tree and pruning it must peak below 2.5 times the bytes of
-    # the kept tree (about 10.2 MB; 9.0 MB with numpy 2.4 on x86-64, where
-    # the whole and the kept tree alone take 8.2 MB). Expanding the kept
-    # paths into (paths, 5) rate and failure tables as well adds 16.1 MB.
+    # the kept tree (about 10.2 MB; 9.8 MB with numpy 2.4 on x86-64, where
+    # the whole and the kept tree alone take 8.2 MB and the kept tree's
+    # node data 1.3 MB). Expanding the kept paths into (paths, 5) rate and
+    # failure tables as well adds 16.1 MB.
     grid = optimizer.make_rate_grid(1024, 4096, 32)
     dl = mi_model.make_downlink_spec(10.0)
     optimizer._gaussian_tree.cache_clear()
@@ -557,25 +579,27 @@ def test_scan_infeasible_names_floor(dl3):
 
 def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     # callers that drop the error (the fixed-threshold scan) never pay for
-    # the whole-grid outage floor; reading it evaluates it once, over every
-    # leaf of the whole tree, and the scan itself sees only the kept tree:
-    # some leaves at epsilon 0.035, none at 0.02, below every path's F_M
+    # the whole-grid outage floor; reading it evaluates it once, on the
+    # whole tree, and the scan itself sees only the kept tree: some leaves
+    # at epsilon 0.035, none at 0.02, below every path's F_M. Every pass
+    # runs the outage recursion (_inner) on the interior levels of a tree
+    # whose leaf count it records
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5,))
     paths = failure_table(grid, 2, dl3).shape[0]
     leaves, floors = [], []
-    real_outage, real_floor = harq_analysis._outage, optimizer._outage_floor
+    real_inner, real_floor = harq_analysis._inner, optimizer._outage_floor
 
-    def outage_spy(F, pn, spread):
+    def inner_spy(F, pn, spread):
         leaves.append(F[-1].size)
-        return real_outage(F, pn, spread)
+        return real_inner(F, pn, spread)
 
     def floor_spy(*args):
         floors.append(args)
         return real_floor(*args)
 
-    monkeypatch.setattr(harq_analysis, "_outage", outage_spy)
+    monkeypatch.setattr(harq_analysis, "_inner", inner_spy)
     monkeypatch.setattr(optimizer, "_outage_floor", floor_spy)
     for eps, kept in ((0.02, False), (0.035, True)):
         leaves.clear()
@@ -588,6 +612,205 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
         floor = exc.value.min_outage
         assert len(floors) == 1 and exc.value.min_outage == floor > eps
         assert leaves[scanned:] == [paths]
+
+
+def random_scan_instances(seed, count, max_candidates):
+    """Random scan instances (grid, m, dl, fb, alphas, epsilon): m_max 2-5
+    on 8-32 units, at most max_candidates unit tuples before the budget
+    filter (the brute-force oracle's loop), one threshold per feedback in
+    ALPHA_BOX, uplink -15 to -5 dB, epsilon in [1e-3, 0.2], and the
+    downlink at 3 and 10 dB in turn."""
+    rng = np.random.default_rng(seed)
+    dls = [mi_model.make_downlink_spec(3.0), mi_model.make_downlink_spec(10.0)]
+    instances = []
+    while len(instances) < count:
+        m, units = int(rng.integers(2, 6)), int(rng.integers(8, 33))
+        if units ** m > max_candidates:
+            continue
+        fb = feedback_model.make_feedback_spec(float(rng.uniform(-15.0, -5.0)))
+        alphas = tuple(rng.uniform(*optimizer.ALPHA_BOX, size=m - 1))
+        instances.append((optimizer.make_rate_grid(1024, 4096, units), m,
+                          dls[len(instances) % 2], fb, alphas,
+                          float(rng.uniform(1e-3, 0.2))))
+    return instances
+
+
+def check_node_outage_and_bound(tree, rates, eps) -> int:
+    """On every node of the kept tree's last interior level, against its
+    leaves evaluated row by row: the least outage is the smallest leaf
+    outage bit for bit, so the node passes iff some leaf meets eps, and
+    no positive leaf throughput exceeds the node's bound. Returns the
+    number of nodes that pass."""
+    rhos = expand_all(tree.rhos, tree.children)
+    F = expand_all(tree.F, tree.children)
+    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
+    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+    eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
+    passed = start = 0
+    for block in tree.blocks:
+        nodes = block.nodes
+        rows = slice(start, start + block.rhos[-1].size)
+        start = rows.stop
+        _, least = optimizer._node_outage(block, rates.p_nack)
+        assert least.tobytes() == np.minimum.reduceat(outage[rows], nodes.first).tobytes()
+        meets = np.logical_or.reduceat(outage[rows] <= eps, nodes.first)
+        assert np.array_equal(least <= eps, meets)
+        _, _, bound = optimizer._node_bound(block, rates, least)
+        assert np.all((eta[rows] <= np.repeat(bound, nodes.count)) | (eta[rows] <= 0.0))
+        passed += int(meets.sum())
+    assert start == rhos.shape[0]
+    return passed
+
+
+@pytest.mark.parametrize("blocks", ["default", "few"])
+def test_node_outage_and_bound_are_exact_on_random_instances(blocks, request):
+    # the scan decides feasibility on the (M - 1)-round prefixes and reads
+    # the leaves only below the nodes whose bound reaches its incumbent:
+    # on random instances the test must be exact and the bound must hold
+    # for every leaf, kept by the instance's epsilon or (epsilon 1) all
+    if blocks == "few":
+        request.getfixturevalue("few_leaf_blocks")
+    passed = []
+    for grid, m, dl, fb, alphas, eps in random_scan_instances(27, 16, 300_000):
+        rates = feedback_model.error_rates_for(fb, alphas)
+        for budget in (eps, 1.0):
+            tree = optimizer._kept_tree(grid, m, dl, budget)
+            passed.append(check_node_outage_and_bound(tree, rates, budget))
+    assert sum(p > 0 for p in passed[::2]) >= 4
+
+
+def test_node_outage_and_bound_are_exact_at_any_error_rates():
+    # the same checks on error rates outside what thresholds give, up to
+    # a NACK rate of 1: at -10 dB, where many prefixes fail for certain,
+    # the outage's running term then rounds below zero on some nodes,
+    # whose least outage lies at their largest F_M
+    rng = np.random.default_rng(28)
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    below_zero = 0
+    for m in (2, 3, 4, 5):
+        tree = optimizer._kept_tree(grid, m, mi_model.make_downlink_spec(-10.0), 1.0)
+        for p_nack in (rng.uniform(0.0, 1.0, m - 1), np.ones(m - 1),
+                       *(np.r_[rng.uniform(0.0, 1.0, m - 2), 1.0] for _ in range(3))):
+            rates = feedback_model.FeedbackErrorRates(
+                p_nack=tuple(p_nack), p_ack=tuple(rng.uniform(0.0, 1.0, m - 1)))
+            for eps in (0.5, 1.0):
+                check_node_outage_and_bound(tree, rates, eps)
+            below_zero += sum(int(np.sum(optimizer._node_outage(block, p_nack)[0] < 0.0))
+                              for block in tree.blocks)
+    assert below_zero > 0
+
+
+@pytest.mark.parametrize("blocks", ["default", "few"])
+def test_scan_equals_brute_force_on_random_instances_at_3_and_10_db(blocks, request):
+    if blocks == "few":
+        request.getfixturevalue("few_leaf_blocks")
+    # each instance also at epsilon 1e-6, below every outage here, where
+    # the scan and the oracle raise with the same floor
+    feasible = []
+    for grid, m, dl, fb, alphas, eps in random_scan_instances(29, 8, 60_000):
+        rates = feedback_model.error_rates_for(fb, alphas)
+        for budget in (eps, 1e-6):
+            feasible.append(assert_scan_equals_brute_force(rates, dl, grid, m, budget))
+    assert sum(feasible) >= 5 and not all(feasible)
+
+
+def test_min_achievable_outage_is_the_leaf_minimum_on_random_instances():
+    for grid, m, dl, fb, alphas, _ in random_scan_instances(30, 10, 300_000):
+        p_nack = feedback_model.error_rates_for(fb, alphas).p_nack
+        want = harq_analysis.outage_from_failures(failure_table(grid, m, dl), p_nack).min()
+        assert optimizer.min_achievable_outage(alphas, dl, fb, grid) == want
+
+
+@pytest.fixture
+def failure_curve(monkeypatch):
+    """use(curve) puts prefix failures curve(rate sum) in place of the
+    Gaussian Q of every tree and of p_fail_gaussian; the tree caches are
+    emptied each time and afterwards."""
+    def use(curve):
+        monkeypatch.setattr(mi_model, "_q_of_sums", lambda s1, s2, spec: curve(s1))
+        optimizer._gaussian_tree.cache_clear()
+        optimizer._kept_tree.cache_clear()
+
+    yield use
+    optimizer._gaussian_tree.cache_clear()
+    optimizer._kept_tree.cache_clear()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_node_bound_holds_where_failures_rise_along_a_path(dl3, failure_curve, m):
+    # failures 0.1, then 0.5, then 0.001 as the rate sum grows: with the
+    # first feedback always right, every later NACK missed and ACKs missed
+    # at rate 0.2, P_M is negative on some nodes, so a leaf's cost falls
+    # with its last rate and the least cost lies at the node's last child
+    # (every cost stays positive). Node test and bound stay exact, and the
+    # scan equals the oracle
+    failure_curve(lambda s1: np.select([s1 < 1.0, s1 < 2.0], [0.1, 0.5], 0.001))
+    grid = optimizer.make_rate_grid(1024, 4096, 12)
+    rates = feedback_model.FeedbackErrorRates(p_nack=(0.0,) + (1.0,) * (m - 2),
+                                              p_ack=(0.0,) + (0.2,) * (m - 2))
+    tree = optimizer._kept_tree(grid, m, dl3, 1.0)
+    assert check_node_outage_and_bound(tree, rates, 1.0) > 0
+    negative = 0
+    for block in tree.blocks:
+        _, least = optimizer._node_outage(block, rates.p_nack)
+        negative += int(np.sum(optimizer._node_bound(block, rates, least)[1] < 0.0))
+    assert negative > 0
+    for eps in (0.2, 0.6, 1.0):
+        assert_scan_equals_brute_force(rates, dl3, grid, m, eps)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("blocks", ["default", "few"])
+def test_scan_keeps_ties_planted_across_subtrees(dl3, failure_curve, m, blocks, request):
+    # on 16 units of rate 1/4, with failures 1.0 below a rate sum of 12
+    # units and 2^-10 from there on and with no feedback errors,
+    # round i happens iff the first i - 1 rounds fail, so every allocation
+    # of exactly 12 units costs 3.0 exactly and has the largest throughput
+    # (1 - 2^-10) / 3, a tie across many (M - 1)-round prefixes (and, in
+    # few-leaf blocks, across blocks) whose nodes' bounds equal it. The
+    # scan must read them all and return the first in path order, as the
+    # oracle does
+    if blocks == "few":
+        request.getfixturevalue("few_leaf_blocks")
+    failure_curve(lambda s1: np.where(s1 < 2.875, 1.0, 2.0 ** -10))
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    rates = feedback_model.FeedbackErrorRates(p_nack=(0.0,) * (m - 1),
+                                              p_ack=(0.0,) * (m - 1))
+    rhos = enumerate_units(grid, m) * grid.unit_rho
+    F = failure_table(grid, m, dl3)
+    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+    eta = (1.0 - harq_analysis.outage_from_failures(F, rates.p_nack)) / \
+        harq_analysis.expected_cost(rhos, P)
+    tied = np.flatnonzero(eta == eta.max())
+    assert eta.max() == (1.0 - 2.0 ** -10) / 3.0
+    assert len(tied) == math.comb(11, m - 1)
+    assert len({tuple(row[:-1]) for row in rhos[tied]}) > 1
+    assert assert_scan_equals_brute_force(rates, dl3, grid, m, 0.01)
+    got, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 0.01)
+    assert got.tobytes() == rhos[tied[0]].tobytes()
+
+
+@pytest.mark.parametrize("snr_d_db, alpha, most", [(3.0, 1.5, 0.05), (10.0, 1.0, 0.005)])
+def test_scan_reads_few_kept_leaves_on_the_default_grid(grid64, monkeypatch,
+                                                        snr_d_db, alpha, most):
+    # the node bound leaves most kept leaves unread: at 3 / -10 dB (67,254
+    # kept leaves, 2,516 read) and 10 / -10 dB (626,462 kept, 1,005 read),
+    # at most the given share
+    dl = mi_model.make_downlink_spec(snr_d_db)
+    rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
+                                           (alpha,) * 3)
+    read = []
+    real_leaf_eta = optimizer._leaf_eta
+
+    def leaf_eta_spy(block, last, nodes, eps):
+        leaves, eta = real_leaf_eta(block, last, nodes, eps)
+        read.append(leaves.size)
+        return leaves, eta
+
+    monkeypatch.setattr(optimizer, "_leaf_eta", leaf_eta_spy)
+    optimizer.best_feasible_allocation(rates, dl, grid64, 0.01)
+    kept = optimizer._kept_tree(grid64, 4, dl, 0.01).rhos[-1].size
+    assert 0 < sum(read) <= most * kept
 
 
 def test_kept_rows_cache_is_bounded(dl3):
