@@ -54,9 +54,8 @@ smallest leaf outage of a node is the formula at one of the two F_M
 extremes, exactly, and a node passes iff one of its leaves meets epsilon.
 A leaf throughput (1 - outage) / (C + rho P_M) with 1 - outage >= 0 is
 then at most the same formula at the node's least outage and least cost,
-and since every
-rounded operation in it is monotone in those inputs, this bound holds in
-floats with no slack. The incumbent, a throughput actually read, starts
+and since every rounded operation in it is monotone in those inputs,
+this bound holds in floats with no slack. The incumbent, a throughput actually read, starts
 in each block from the leaves of its node of largest bound, and only the
 leaves below the feasible nodes whose bound reaches the incumbent are
 read: by gathering their nodes' values, in chunks of at most
