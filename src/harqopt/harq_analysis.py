@@ -27,13 +27,15 @@ other. The performance reports take the failure model as one keyword,
 
 Each walks the rounds through a recursion (_outage, _occurrence, _cost)
 with a spread step between rounds: the identity on (..., M) arrays, and
-np.repeat over each node's children on the optimizer's prefix tree of the
-whole grid (one block of level-0 subtrees at a time), where each round's
-term is formed once per prefix. The optimizer's rate scan stops them on
+np.repeat over each node's children on the optimizer's prefix trees (one
+block of level-0 subtrees at a time), where each round's term is formed
+once per prefix. The optimizer's rate scan stops them on
 the (M - 1)-round prefixes: _inner, the outage's running term after the
 last feedback, _occurrence, whose P_M already lies there, and _cost of
 the first M - 1 rounds; it finishes the last round only for the leaves it
-reads.
+reads. _inner takes the failures of those M - 1 rounds only, so the
+optimizer's outage floor runs it on its whole tree, which holds no leaf
+level.
 occurrence_probabilities returns its result round-major. Its
 decoded-at-round-k terms are carried from round to round with one more
 p_ack factor each, in the multiplication order of rebuilding them, so the
@@ -183,7 +185,7 @@ def outage_from_failures(p_fail, p_nack):
 def _outage(F, pn, spread):
     """outage_from_failures over rounds, as _occurrence takes them."""
     m = len(F)
-    inner = _inner(F, pn, spread)
+    inner = _inner(F[:m - 1], pn, spread)
     if m > 1:
         inner = spread(inner, m - 2)
     return 1.0 - inner * (1.0 - F[m - 1])
@@ -191,12 +193,12 @@ def _outage(F, pn, spread):
 
 def _inner(F, pn, spread):
     """_outage's running term 1 - sum_i pn_i F_i prod_{j<i}(1 - pn_j) after
-    the last feedback, left on the (M - 1)-round prefixes (1.0 for M = 1):
-    the outage is 1 - inner (1 - F_M). Only F[:M-1] is read."""
-    m = len(F)
+    the last feedback, from the failures F of the M - 1 rounds that end in
+    one, left on the (M - 1)-round prefixes (1.0 for M = 1): the outage is
+    1 - inner (1 - F_M)."""
     inner = 1.0
     surv = 1.0
-    for i in range(m - 1):
+    for i in range(len(F)):
         if i:
             inner = spread(inner, i - 1)
         inner = inner - pn[i] * F[i] * surv

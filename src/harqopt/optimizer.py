@@ -19,23 +19,30 @@ rounded, it can sit at most 2^-54 below. A path with F_M above epsilon +
 2^-53 therefore misses epsilon at every threshold, and each scan visits
 only the paths with F_M <= epsilon + 2^-53.
 
-The grid is held as the enumeration's prefix tree, its only whole-grid
-format: level k holds each admissible (k + 1)-round prefix once, with its
-last rate and its Gaussian failure F_k, so Q is evaluated once per
-distinct prefix (61, 1,891, 39,711 and 635,376 nodes on the default
-four-round 64-unit grid) rather than once per path and round. The running
-sums are those of mi_model.p_fail_gaussian, through the same Q-of-sums
-function, so the bits are the same. The path budget is checked on
-per-prefix counts before any node is built. The interior levels are then
-built whole from their parents' counts of admissible last values; the leaf
-level, the bulk of the tree, is formed per run of its parents of at most
-_BUILD_LEAVES leaves (units, rates and running sums, then Q in slices of
-_Q_LEAVES) and written into preallocated arrays, so its temporaries never
-span the whole level.
+The grid is held as the enumeration's prefix tree: level k holds each
+admissible (k + 1)-round prefix once, with its last rate and its Gaussian
+failure F_k, so Q is evaluated once per distinct prefix (61, 1,891,
+39,711 and 635,376 nodes on the default four-round 64-unit grid) rather
+than once per path and round. The running sums are those of
+mi_model.p_fail_gaussian, through the same Q-of-sums function, so the
+bits are the same. The path budget is checked on per-prefix counts before
+any node is built. The interior levels are then built whole from their
+parents' counts of admissible last values. The leaf level, the bulk of the
+tree, is never held whole: it is streamed in runs of its parents with at
+most _BUILD_LEAVES leaves (units, rates and running sums, then Q in slices
+of _Q_LEAVES), and each run is reduced as soon as it is formed, to its
+parents' leaf counts and smallest and largest F_M, and to its leaves with
+F_M <= epsilon + 2^-53, written in path order into arrays allocated at the
+grid's leaf count, whose pages past the last kept leaf are never written,
+and cut to the kept leaves at the end. One stream so gives two trees: the
+whole tree, its interior levels and those per-node summaries, and the
+kept tree, the prefixes of the kept leaves and those leaves. On the
+default grid at 3 dB a CLI optimize peaks about 7 MiB above its imports,
+where holding the whole leaf level took 17 MiB.
 
-Each tree also holds its blocks: consecutive level-0 subtrees with at most
-_BLOCK_LEAVES leaves together (a larger subtree forms a block alone), each
-a tree of its own made of views into the levels. The whole-grid search
+The kept tree also holds its blocks: consecutive level-0 subtrees with at
+most _BLOCK_LEAVES leaves together (a larger subtree forms a block alone),
+each a tree of its own made of views into the levels. The whole-grid search
 has no formulas of its own. Each round's term of the outage, occurrence
 and cost recursions in harq_analysis depends on one prefix only, so a
 block runs them level by level: every node forms its term once and
@@ -70,16 +77,21 @@ throughput, then fewer units, then path order), so the result is that
 pass's, bit for bit. The feasibility bootstrap runs the same node test.
 
 Two small LRU caches, keyed by the frozen grid and downlink specs, hold
-the whole tree and, per epsilon, the tree pruned to the nodes above a
-kept path, each with its blocks, so the partition is computed once per
-tree. The pruning counts kept children block by block and shares each
-level whose every node is kept instead of copying it. The outage floor
-that an InfeasibleError reports (or min_achievable_outage) runs the
-outage over the whole tree's leaves, block by block, only when it is
-read; the whole tree holds no node data, which would raise the peak of
-building it and its kept tree. Each threshold probe evaluates one rate
-vector through the same recursions, outage first and cost only when the
-probe meets epsilon.
+the whole tree and, per epsilon, the kept tree with its blocks, so the
+partition is computed once per tree. The stream of a kept tree hands its
+whole tree to the other cache, so a solve and the floor read after it
+evaluate each leaf's Q once; a kept tree for another epsilon streams
+again. A node stays in the kept tree when one of its children does,
+counted bottom-up on the interior levels, and an interior level whose
+every node stays is kept as built, not copied. The outage
+floor that an InfeasibleError reports (or min_achievable_outage) is one
+node-level pass on the whole tree, made only when it is read: a node's
+least leaf outage lies at its smallest or largest F_M, as in the node
+test, so the smallest over the nodes is the smallest over every leaf,
+exactly. The threshold search keeps the error rates of its current
+thresholds, and each probe forms only those of the threshold it steps and
+evaluates one rate vector through the same recursions, outage first and
+cost only when the probe meets epsilon.
 """
 
 from __future__ import annotations
@@ -99,17 +111,19 @@ from .errors import GridError, InfeasibleError
 _log = logging.getLogger(__name__)
 
 _PATH_BUDGET = 20_000_000
-# leaves per block of the whole-grid evaluation; the default grid's kept
+# leaves per block of a kept tree's evaluation; the default grid's kept
 # tree at 3 dB (67,254 leaves) stays one block
 _BLOCK_LEAVES = 1 << 17
-# leaves per run of the leaf-level build. Freeing a run's temporaries
-# raises glibc's dynamic mmap and trim thresholds above an evaluation
-# block's working set (three block-sized arrays at once), so the scans
-# reuse heap memory instead of faulting it in again after every block
-_BUILD_LEAVES = 2 * _BLOCK_LEAVES
+# leaves per run of the leaf-level build. A run's temporaries (256 KiB
+# each) set the build's peak above the trees it keeps: on the default grid
+# at 3 dB, runs of 2^16 leaves peak 1.9 MB higher and build ~10% faster,
+# runs of 2^14 peak 0.9 MB lower and build ~50% slower
+_BUILD_LEAVES = 1 << 15
 # leaves per slice of a run's Gaussian Q, whose temporaries are several
-# slice-sized arrays at once
-_Q_LEAVES = 1 << 14
+# slice-sized arrays at once. Freed, they stay under glibc's trim
+# threshold, so the next slice reuses their heap pages: at 2^14 they are
+# returned and faulted in again, twice the build's minor faults
+_Q_LEAVES = 1 << 13
 _SEARCH_STEP = 0.2  # first step of the threshold pattern search
 _SEARCH_TOL = 1e-6  # the pattern search stops once its step falls below this
 _ALT_MAX_ITERS = 50
@@ -260,9 +274,9 @@ class _Nodes(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """Consecutive level-0 subtrees of a prefix tree, a tree of its own:
-    views of the levels' rates, F and child counts, and on a kept tree its
-    _Nodes (None on the whole tree)."""
+    """Consecutive level-0 subtrees of a kept tree, a tree of its own:
+    views of the levels' rates, F and child counts, and its _Nodes (None
+    until _stream adds them)."""
 
     rhos: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
@@ -303,9 +317,9 @@ def _blocks(rhos, F, children) -> tuple[_Block, ...]:
 
 
 class _Tree(NamedTuple):
-    """A prefix tree and its blocks. Per level: the rate of each node's
-    last round, its Gaussian prefix-failure probability F and, on every
-    level but the last, its child count."""
+    """A kept prefix tree and its blocks. Per level: the rate of each
+    node's last round, its Gaussian prefix-failure probability F and, on
+    every level but the last, its child count."""
 
     rhos: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
@@ -313,86 +327,125 @@ class _Tree(NamedTuple):
     blocks: tuple[_Block, ...]
 
 
+class _Whole(NamedTuple):
+    """The whole grid's prefix tree without its leaf level, as its outage
+    floor reads it: per interior level (the first M - 1 rounds), each
+    node's F and, on every level but the last, its child count; then, per
+    node of the last interior level (one root for M = 1), its leaf count
+    and the smallest and largest F_M among those leaves."""
+
+    F: tuple[np.ndarray, ...]
+    children: tuple[np.ndarray, ...]
+    count: np.ndarray
+    min_F: np.ndarray
+    max_F: np.ndarray
+
+
 def _spread(children):
     """harq_analysis's spread step on a prefix tree: level i to its children."""
     return lambda x, i: np.repeat(x, children[i])
 
 
-@functools.lru_cache(maxsize=4)
-def _gaussian_tree(grid: RateGrid, m: int, dl) -> _Tree:
-    """The whole grid's prefix tree, with the rate of each node's last round
-    (units times unit_rho) and its Gaussian prefix-failure probability,
-    computed once per distinct prefix. The running sums are formed in
-    p_fail_gaussian's order, so every leaf's failures equal p_fail_gaussian
-    on its rates bit for bit. The interior levels are built whole and the
-    leaf level per run of its parents with at most _BUILD_LEAVES leaves
-    (Q in slices of _Q_LEAVES), written into the preallocated leaf
-    arrays."""
+def _stream(grid: RateGrid, m: int, dl, threshold: float) -> tuple[_Whole, _Tree]:
+    """The whole grid's tree and the tree kept at `threshold` (the paths
+    with F_M <= threshold and their prefixes), from one pass over the leaf
+    level.
+
+    Each node holds the rate of its last round (units times unit_rho) and
+    its Gaussian prefix-failure probability, computed once per distinct
+    prefix. The running sums are formed in p_fail_gaussian's order, so
+    every leaf's failures equal p_fail_gaussian on its rates bit for bit.
+    The interior levels are built whole. The leaf level is formed per run
+    of its parents with at most _BUILD_LEAVES leaves (Q in slices of
+    _Q_LEAVES), and each run is reduced at once: to its parents' smallest
+    and largest F_M and kept leaf counts, and to its kept leaves, written
+    in path order into arrays of the grid's leaf count whose pages past
+    the last kept leaf are never written, then cut to the kept ones. A node
+    stays when one of its children does, counted bottom-up on the interior
+    levels; a level whose every node stays is kept as built, not copied."""
     units, counts = _prefix_tree(grid, m)
-    rhos, F = [], []
+    rhos = [u * grid.unit_rho for u in units]
+    del units  # only their rates are held
+    F = []
     s1 = s2 = np.zeros(1)  # the empty prefix's sums
-    for u, ch in zip(units, counts):
-        rho = u * grid.unit_rho
+    for rho, ch in zip(rhos, counts):
         s1 = np.repeat(s1, ch) + rho
         s2 = np.repeat(s2, ch) + rho * rho
-        rhos.append(rho)
         F.append(mi_model._q_of_sums(s1, s2, dl))
-    ends = np.concatenate(([0], np.cumsum(counts[-1])))
-    rhos.append(np.empty(ends[-1]))
-    F.append(np.empty(ends[-1]))
-
-    def fill(a, b):
-        # the leaves below parents a..b-1; their F slice holds the first
-        # running sum until F replaces it
-        ch = counts[-1][a:b]
-        rho, f = rhos[-1][ends[a]:ends[b]], F[-1][ends[a]:ends[b]]
-        np.multiply(_last_units(ch, grid.min_units), grid.unit_rho, out=rho)
-        f[:] = np.repeat(s1[a:b], ch)
-        f += rho
-        sq = np.repeat(s2[a:b], ch)
-        sq += rho * rho
-        for lo in range(0, f.size, _Q_LEAVES):
-            part = slice(lo, lo + _Q_LEAVES)
-            f[part] = mi_model._q_of_sums(f[part], sq[part], dl)
-
-    cuts = _cuts(ends, _BUILD_LEAVES)
+    count = counts[-1]  # leaves below each node of the last interior level
+    leaves = int(count.sum())
+    min_F, max_F, kept = np.empty(count.size), np.empty(count.size), np.empty_like(count)
+    leaf_rho, leaf_F = np.empty(leaves), np.empty(leaves)
+    size = 0
+    cuts = _cuts(np.concatenate(([0], np.cumsum(count))), _BUILD_LEAVES)
     for a, b in zip(cuts, cuts[1:]):
-        fill(a, b)
-    children = counts[1:]
-    return _Tree(tuple(rhos), tuple(F), children, _blocks(rhos, F, children))
+        ch = count[a:b]
+        ends = np.concatenate(([0], np.cumsum(ch)))
+        first = ends[:-1]
+        rho = _last_units(ch, grid.min_units) * grid.unit_rho
+        f = np.repeat(s1[a:b], ch)
+        f += rho
+        # Q per slice of the run's parents with at most _Q_LEAVES leaves,
+        # the slice's second running sum formed for it alone (rho^2 first:
+        # IEEE addition commutes)
+        slices = _cuts(ends, _Q_LEAVES)
+        for c, d in zip(slices, slices[1:]):
+            part = slice(ends[c], ends[d])
+            sq = rho[part] * rho[part]
+            sq += np.repeat(s2[a + c:a + d], ch[c:d])
+            f[part] = mi_model._q_of_sums(f[part], sq, dl)
+        min_F[a:b] = np.minimum.reduceat(f, first)
+        max_F[a:b] = np.maximum.reduceat(f, first)
+        keep = f <= threshold
+        kept[a:b] = np.add.reduceat(keep, first)
+        stop = size + int(kept[a:b].sum())
+        np.compress(keep, rho, out=leaf_rho[size:stop])
+        np.compress(keep, f, out=leaf_F[size:stop])
+        size = stop
+    del s1, s2  # only the leaves read the running sums
+    for leaf in (leaf_rho, leaf_F):
+        # no view of these arrays exists yet
+        leaf.resize(size, refcheck=False)
+    whole = _Whole(tuple(F), counts[1:-1], count, min_F, max_F)
+    alive, children = [], []
+    for k in reversed(range(m - 1)):
+        # kept: the kept children of each level-k node
+        alive.insert(0, kept > 0)
+        children.insert(0, kept[alive[0]])
+        kept = np.add.reduceat(alive[0], np.cumsum(counts[k]) - counts[k])
+    rhos, F = (tuple(a if keep.all() else a[keep] for a, keep in zip(levels, alive))
+               + (leaf,) for levels, leaf in ((rhos, leaf_rho), (F, leaf_F)))
+    children = tuple(children)
+    return whole, _Tree(rhos, F, children, tuple(block._replace(nodes=_nodes(block))
+                                                 for block in _blocks(rhos, F, children)))
+
+
+# whole trees that a _kept_tree stream formed, on their way into
+# _gaussian_tree's cache; empty between calls
+_streamed: dict = {}
+
+
+@functools.lru_cache(maxsize=4)
+def _gaussian_tree(grid: RateGrid, m: int, dl) -> _Whole:
+    """The whole grid's tree without its leaf level (_Whole): the one that
+    _kept_tree's stream formed on the way, or else a stream of its own
+    that keeps no leaf."""
+    whole = _streamed.pop((grid, m, dl), None)
+    return whole if whole is not None else _stream(grid, m, dl, -math.inf)[0]
 
 
 @functools.lru_cache(maxsize=4)
 def _kept_tree(grid: RateGrid, m: int, dl, epsilon: float) -> _Tree:
     """The Gaussian tree pruned to the paths that can meet epsilon at some
-    thresholds, F_M <= epsilon + slack: a node stays when a kept leaf lies
-    below it, that is when one of its children stays, counted bottom-up
-    block by block. A level whose every node stays is shared, not copied."""
-    whole = _gaussian_tree(grid, m, dl)
-    alive, children = _kept_levels(whole.blocks, epsilon + _ROUNDING_SLACK)
-    rhos, F = (tuple(a if keep.all() else a[keep] for a, keep in zip(arrays, alive))
-               for arrays in (whole.rhos, whole.F))
-    return _Tree(rhos, F, children, tuple(block._replace(nodes=_nodes(block))
-                                          for block in _blocks(rhos, F, children)))
-
-
-def _kept_levels(blocks, threshold: float) -> tuple[list, tuple]:
-    """(alive, kept_children) of a tree from its blocks: per level, which
-    nodes have a leaf with F_M <= threshold below them, and per level but
-    the last, the number of such children of each of those nodes."""
-    alive, kept_children = [], []
-    for _, F, children, _ in blocks:
-        below, counts = [F[-1] <= threshold], []
-        for ch in reversed(children):
-            seen = np.concatenate(([0], np.cumsum(below[0])))
-            ends = np.cumsum(ch)
-            count = seen[ends] - seen[ends - ch]
-            below.insert(0, count > 0)
-            counts.insert(0, count[below[0]])
-        alive.append(below)
-        kept_children.append(counts)
-    return ([np.concatenate(level) for level in zip(*alive)],
-            tuple(np.concatenate(level) for level in zip(*kept_children)))
+    thresholds, F_M <= epsilon + slack, with its blocks and their _Nodes.
+    Its stream also forms the whole tree, which goes into _gaussian_tree's
+    cache unless that holds one for the grid already, so each leaf's Q is
+    evaluated once for both."""
+    whole, kept = _stream(grid, m, dl, epsilon + _ROUNDING_SLACK)
+    _streamed[grid, m, dl] = whole
+    _gaussian_tree(grid, m, dl)
+    _streamed.clear()
+    return kept
 
 
 def _leaf_rates(block: _Block, leaves: np.ndarray) -> np.ndarray:
@@ -434,24 +487,33 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
 
 
 def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
-    """Smallest outage over the whole grid (the whole prefix tree, block by
-    block) at these NACK error rates, one per feedback."""
-    return min(float(harq_analysis._outage(F, p_nack, _spread(children)).min())
-               for _, F, children, _ in _gaussian_tree(grid, m, dl).blocks)
+    """Smallest outage over the whole grid at these NACK error rates, one
+    per feedback: the least leaf outage of each node of the whole tree's
+    last interior level (_least_outage), at its smallest and largest F_M,
+    so the smallest over every leaf exactly, with no leaf formed."""
+    whole = _gaussian_tree(grid, m, dl)
+    inner = harq_analysis._inner(whole.F, p_nack, _spread(whole.children))
+    return float(_least_outage(inner, whole.min_F, whole.max_F).min())
+
+
+def _least_outage(inner, min_F, max_F) -> np.ndarray:
+    """The smallest leaf outage 1 - inner (1 - F_M) of each node of a last
+    interior level, from its inner (harq_analysis._inner) and the smallest
+    and largest F_M of its leaves, exactly. At a fixed inner every rounded
+    operation of the outage is monotone in F_M (rising while inner >= 0,
+    and inner can round a few ulps below zero where it is zero exactly),
+    so over the node's leaves it is least at one of those two."""
+    return np.minimum(1.0 - inner * (1.0 - min_F), 1.0 - inner * (1.0 - max_F))
 
 
 def _node_outage(block: _Block, p_nack) -> tuple[np.ndarray, np.ndarray]:
     """(inner, least) on each node of the block's last interior level:
     harq_analysis._inner, the outage's running term after the last
-    feedback, and the smallest outage among the node's leaves, exactly.
-    At a fixed inner every rounded operation of a leaf's outage
-    1 - inner (1 - F_M) is monotone in F_M (rising while inner >= 0, and
-    inner can round a few ulps below zero where it is zero exactly), so
-    over the node's leaves it is least at their smallest or largest F_M."""
-    inner = harq_analysis._inner(block.F, p_nack, _spread(block.children))
+    feedback, and the smallest outage among the node's leaves
+    (_least_outage)."""
+    inner = harq_analysis._inner(block.F[:-1], p_nack, _spread(block.children))
     nodes = block.nodes
-    return inner, np.minimum(1.0 - inner * (1.0 - nodes.min_F),
-                             1.0 - inner * (1.0 - nodes.max_F))
+    return inner, _least_outage(inner, nodes.min_F, nodes.max_F)
 
 
 def _node_bound(block: _Block, rates: feedback_model.FeedbackErrorRates,
@@ -572,11 +634,16 @@ def _throughput(rhos, F, alphas, fb: feedback_model.FeedbackSpec,
     `alphas`, or None when the outage misses epsilon. Outage comes first;
     the occurrence probabilities and cost only when it meets epsilon."""
     p_nack = feedback_model.nack_error_rate(alphas, fb.snr_linear)
-    same = harq_analysis._same
-    outage = harq_analysis._outage(F, p_nack, same)
+    outage = harq_analysis._outage(F, p_nack, harq_analysis._same)
     if outage > epsilon:
         return None
-    p_ack = feedback_model.ack_error_rate(alphas, fb.snr_linear)
+    return _eta(rhos, F, outage, p_nack, feedback_model.ack_error_rate(alphas, fb.snr_linear))
+
+
+def _eta(rhos, F, outage, p_nack, p_ack) -> float:
+    """Throughput of rates `rhos` (prefix failures F) whose outage at these
+    error rates is `outage`."""
+    same = harq_analysis._same
     P = harq_analysis._occurrence(F, p_nack, p_ack, same)
     return float((1.0 - outage) / harq_analysis._cost(rhos, P, same))
 
@@ -594,20 +661,35 @@ def _search(rhos, F, fb: feedback_model.FeedbackSpec, epsilon: float,
     halves after a pass without a move, and the search stops once it falls
     below _SEARCH_TOL. Returns the final thresholds and their throughput,
     which is at least eta_x.
+
+    The error rates at x are kept per threshold, and a probe forms only
+    those of the threshold it steps, the NACK rate first and the ACK rate
+    when the outage meets epsilon: the rates are elementwise, so each
+    equals its element of _throughput's vector call bit for bit.
     """
+    snr = fb.snr_linear
+    p_nack = np.array([feedback_model.nack_error_rate(a, snr) for a in x])
+    p_ack = np.array([feedback_model.ack_error_rate(a, snr) for a in x])
     step = _SEARCH_STEP
     while step >= _SEARCH_TOL:
         moved = False
         for j in range(x.size):
             for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[j] = np.clip(x[j] + sign * step, *ALPHA_BOX)
-                if cand[j] == x[j]:
+                a = np.clip(x[j] + sign * step, *ALPHA_BOX)
+                if a == x[j]:
                     continue
-                eta_c = _throughput(rhos, F, cand, fb, epsilon)
-                if eta_c is not None and (eta_c > eta_x
-                                          or (eta_c == eta_x and sign < 0.0)):
-                    x, eta_x, moved = cand, eta_c, True
+                pn = p_nack.copy()
+                pn[j] = feedback_model.nack_error_rate(a, snr)
+                outage = harq_analysis._outage(F, pn, harq_analysis._same)
+                if outage > epsilon:
+                    continue
+                pa = p_ack.copy()
+                pa[j] = feedback_model.ack_error_rate(a, snr)
+                eta_c = _eta(rhos, F, outage, pn, pa)
+                if eta_c > eta_x or (eta_c == eta_x and sign < 0.0):
+                    x = x.copy()
+                    x[j] = a
+                    eta_x, p_nack, p_ack, moved = eta_c, pn, pa, True
                     break
         if not moved:
             step *= 0.5

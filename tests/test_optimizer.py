@@ -254,20 +254,18 @@ TREE_GRIDS = [
 
 
 def check_tree_table(dl, grid, m):
-    """The tree built along the prefixes is p_fail_gaussian on the
-    enumerated rates, byte for byte, whole or kept; the kept tree holds
-    each prefix of a kept row once, as one contiguous array per level, and
-    no node without a kept row below it. Every tree's blocks split it."""
+    """The kept tree built along the prefixes is p_fail_gaussian on the
+    enumerated rates of its rows, byte for byte, and at epsilon 1, which
+    keeps every path, on the whole table; it holds each prefix of a kept
+    row once, as one contiguous array per level, and no node without a
+    kept row below it. Its blocks split it."""
     units = enumerate_units(grid, m)
     rhos = units * grid.unit_rho
     F = failure_table(grid, m, dl)
-    tree = optimizer._gaussian_tree(grid, m, dl)
-    assert expand_all(tree.rhos, tree.children).tobytes() == rhos.tobytes()
-    assert expand_all(tree.F, tree.children).tobytes() == F.tobytes()
-    assert_blocks_split_the_tree(tree)
     # every F_M lies in [0, 1], so epsilon 1 keeps every path
     for eps in (1.0, float(np.median(F[:, -1]))):
         keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
+        assert keep.all() or eps < 1.0
         kept = optimizer._kept_tree(grid, m, dl, eps)
         assert all(a.flags.c_contiguous for a in kept.rhos + kept.F)
         assert all(np.all(ch > 0) for ch in kept.children)
@@ -287,11 +285,12 @@ def test_tree_table_equals_row_by_row_gaussian(dl3, grid, m):
 def check_tree_scan(dl, grid, m):
     """The scan on the kept tree returns the row scan's rates and
     throughput byte for byte, or its infeasibility floor, at random error
-    rates and at the error rates 0 and 1; on the whole tree, the outage and
-    cost of every leaf equal those of its table row."""
+    rates and at the error rates 0 and 1; on the tree kept at epsilon 1,
+    which holds every path, the outage and cost of every leaf equal those
+    of its table row."""
     F = failure_table(grid, m, dl)
     table_rhos = enumerate_units(grid, m) * grid.unit_rho
-    tree_rhos, tree_F, children, _ = optimizer._gaussian_tree(grid, m, dl)
+    tree_rhos, tree_F, children, _ = optimizer._kept_tree(grid, m, dl, 1.0)
     spread = optimizer._spread(children)
     rng = np.random.default_rng(100 + m)
     error_rates = [(rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 0.3, m - 1)),
@@ -347,10 +346,72 @@ def test_tree_in_few_leaf_blocks_equals_the_tables(dl3, grid, m, few_leaf_blocks
     # the same checks with the leaf level built a few leaves at a time and
     # the trees evaluated block by block, three leaves or one level-0
     # subtree at a time: rates, failures, scans and floors keep their bytes
-    assert len(optimizer._gaussian_tree(grid, m, dl3).blocks) > 1
+    assert len(optimizer._kept_tree(grid, m, dl3, 1.0).blocks) > 1
     check_tree_table(dl3, grid, m)
     check_tree_scan(dl3, grid, m)
     check_outage_floor(dl3, grid, m)
+
+
+def check_whole_tree(dl, grid, m):
+    """The whole tree holds no leaf level: its interior levels are the
+    failure table's first M - 1 columns byte for byte, and per (M - 1)-round
+    prefix (one root for M = 1) it holds the row count and the smallest and
+    largest F_M of the table's rows below it."""
+    units = enumerate_units(grid, m)
+    F = failure_table(grid, m, dl)
+    whole = optimizer._gaussian_tree(grid, m, dl)
+    assert len(whole.F) == m - 1
+    # the first row of each (M - 1)-round prefix, in path order
+    starts = np.flatnonzero(np.r_[True, np.any(units[1:, :-1] != units[:-1, :-1], axis=1)])
+    assert whole.count.tolist() == np.diff(np.r_[starts, len(units)]).tolist()
+    assert whole.min_F.tobytes() == np.minimum.reduceat(F[:, -1], starts).tobytes()
+    assert whole.max_F.tobytes() == np.maximum.reduceat(F[:, -1], starts).tobytes()
+    if m > 1:
+        assert expand_all(whole.F, whole.children + (whole.count,)).tobytes() == \
+            F[:, :-1].tobytes()
+
+
+@pytest.mark.parametrize("blocks", ["default", "few"])
+@pytest.mark.parametrize("grid, m", TREE_GRIDS)
+def test_whole_tree_holds_per_prefix_extremes_of_the_table(dl3, grid, m, blocks, request):
+    # built alone, or formed by the stream of a kept tree (which goes into
+    # the whole tree's cache), with the leaf level in runs of the default
+    # size or of five leaves
+    if blocks == "few":
+        request.getfixturevalue("few_leaf_blocks")
+    for eps in (None, 0.01, 1.0):
+        optimizer._gaussian_tree.cache_clear()
+        optimizer._kept_tree.cache_clear()
+        if eps is not None:
+            optimizer._kept_tree(grid, m, dl3, eps)
+        check_whole_tree(dl3, grid, m)
+
+
+def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, monkeypatch):
+    # one alternating_optimize and the outage floor read after it evaluate
+    # the Gaussian Q of each prefix of the grid once, with the leaf level
+    # formed five leaves at a time: the stream that builds the kept tree
+    # also forms the whole tree, which keeps no leaf level
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    m = 4
+    formed = []
+    real_q = mi_model._q_of_sums
+
+    def q_spy(s1, s2, spec):
+        # the trees pass arrays of prefixes, a single policy scalars
+        if np.ndim(s1):
+            formed.append(np.size(s1))
+        return real_q(s1, s2, spec)
+
+    monkeypatch.setattr(mi_model, "_q_of_sums", q_spy)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid, 0.05)
+    floor = optimizer.min_achievable_outage(sol.policy.alphas, dl3, fb, grid)
+    assert sol.feasible and floor <= sol.breakdown.p_out_unreliable
+    units = enumerate_units(grid, m)
+    assert sum(formed) == sum(len({tuple(row[:k + 1]) for row in units}) for k in range(m))
+    assert len(formed) > units.shape[0] // 5
+    assert len(optimizer._gaussian_tree(grid, m, dl3).F) == m - 1
 
 
 def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
@@ -387,12 +448,13 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
 
 
 def test_m5_tree_build_peak_stays_under_two_and_a_half_times_its_kept_tree():
-    # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: building
-    # the whole tree and pruning it must peak below 2.5 times the bytes of
-    # the kept tree (about 10.2 MB; 9.8 MB with numpy 2.4 on x86-64, where
-    # the whole and the kept tree alone take 8.2 MB and the kept tree's
-    # node data 1.3 MB). Expanding the kept paths into (paths, 5) rate and
-    # failure tables as well adds 16.1 MB.
+    # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: the
+    # stream that builds the kept tree must peak below twice the bytes of
+    # that tree (about 8.2 MB; 6.7 MB with numpy 2.4 on x86-64, 1.65 times,
+    # where the kept tree's leaf arrays are allocated at the grid's leaf
+    # count before the stream and the kept tree's node data take 1.3 MB).
+    # Expanding the kept paths into (paths, 5) rate and failure tables as
+    # well adds 16.1 MB.
     grid = optimizer.make_rate_grid(1024, 4096, 32)
     dl = mi_model.make_downlink_spec(10.0)
     optimizer._gaussian_tree.cache_clear()
@@ -407,37 +469,58 @@ def test_m5_tree_build_peak_stays_under_two_and_a_half_times_its_kept_tree():
         [27, 404, 4057, 31461, 201_340]
     kept = sum(a.nbytes for part in (tree.rhos, tree.F, tree.children) for a in part)
     # below twice the bytes of those expanded tables
-    assert 2.5 * kept < 2 * 2 * 201_340 * 5 * 8
-    assert peak < 2.5 * kept
+    assert 2.0 * kept < 2 * 2 * 201_340 * 5 * 8
+    assert peak < 2.0 * kept
 
 
-@pytest.mark.parametrize("snr_d_db, bound_mib", [(3, 400), (10, 450)],
-                         ids=["3dB", "10dB"])
-def test_m5_cli_optimize_stays_under_its_peak_rss_bound(tmp_path, snr_d_db, bound_mib):
-    # m_max 5 on 64 units: 7,624,512 paths, a whole tree of 122 MB of
-    # leaves, of which 3 dB keeps few and 10 dB nearly all. CLI optimize
-    # must peak below 400 MiB at 3 dB and 450 MiB at 10 dB (about 240 and
-    # 320 MiB with numpy 2.4 on x86-64). The child reports the high-water
-    # mark of its own memory map, VmHWM: its ru_maxrss would also count
-    # the memory of this process, which it inherits across fork and exec
-    cfg = tmp_path / "m5.cfg"
-    cfg.write_text(f"m_max = 5\nunits_total = 64\nsnr_d_db = {snr_d_db}\n"
-                   "snr_u_db = -10\n", encoding="utf-8")
+def cli_optimize_high_water(tmp_path, config: str) -> tuple[float, float]:
+    """(after import, at exit): the high-water marks in MiB of a child that
+    imports the CLI and runs `optimize` on the config text. The child
+    reports the high-water mark of its own memory map, VmHWM: its ru_maxrss
+    would also count the memory of this process, which it inherits across
+    fork and exec."""
+    cfg = tmp_path / "optimize.cfg"
+    cfg.write_text(config, encoding="utf-8")
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run_cli = ("import re, sys\n"
                "from harqopt import cli\n"
+               "def high_water():\n"
+               "    with open('/proc/self/status', encoding='ascii') as status:\n"
+               "        return re.search(r'VmHWM:\\s*(\\d+) kB', status.read()).group(1)\n"
+               "imported = high_water()\n"
                "rc = cli.main(sys.argv[1:])\n"
-               "with open('/proc/self/status', encoding='ascii') as status:\n"
-               "    print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read()).group(1))\n"
+               "print(imported, high_water())\n"
                "sys.exit(rc)\n")
     proc = subprocess.run([sys.executable, "-c", run_cli, "optimize", "--config",
                            str(cfg), "--out", str(tmp_path / "out.csv")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    peak_mib = int(proc.stdout.split()[-1]) / 1024
+    imported, peak = proc.stdout.split()[-2:]
+    return int(imported) / 1024, int(peak) / 1024
+
+
+@pytest.mark.parametrize("snr_d_db, bound_mib", [(3, 155), (10, 260)],
+                         ids=["3dB", "10dB"])
+def test_m5_cli_optimize_stays_under_its_peak_rss_bound(tmp_path, snr_d_db, bound_mib):
+    # m_max 5 on 64 units: 7,624,512 paths, 122 MB of leaf rates and
+    # failures, of which 3 dB keeps few and 10 dB nearly all. CLI optimize
+    # must peak below 155 MiB at 3 dB and 260 MiB at 10 dB: about 123 and
+    # 208 MiB with numpy 2.4 on x86-64, and 25% above those
+    _, peak_mib = cli_optimize_high_water(
+        tmp_path, f"m_max = 5\nunits_total = 64\nsnr_d_db = {snr_d_db}\nsnr_u_db = -10\n")
     assert peak_mib < bound_mib
+
+
+def test_default_cli_optimize_holds_no_whole_leaf_level(tmp_path):
+    # on the default grid at 3 dB (635,376 paths, 67,254 kept), CLI optimize
+    # streams the leaf level and holds its kept leaves only: it must raise
+    # the child's high-water mark less than 12 MiB above its mark after
+    # import (about 7 MiB with numpy 2.4 on x86-64; holding the whole
+    # tree's 10.2 MB of leaf rates and failures took 17 MiB)
+    imported, peak = cli_optimize_high_water(tmp_path, "snr_d_db = 3\nsnr_u_db = -10\n")
+    assert peak - imported < 12
 
 
 def test_float_table_on_non_dyadic_grid(dl3):
@@ -583,16 +666,16 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     # whole tree, and the scan itself sees only the kept tree: some leaves
     # at epsilon 0.035, none at 0.02, below every path's F_M. Every pass
     # runs the outage recursion (_inner) on the interior levels of a tree
-    # whose leaf count it records
+    # and records the node count of the last one
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
                                            (0.5,))
-    paths = failure_table(grid, 2, dl3).shape[0]
-    leaves, floors = [], []
+    nodes = len({row[0] for row in enumerate_units(grid, 2)})
+    passes, floors = [], []
     real_inner, real_floor = harq_analysis._inner, optimizer._outage_floor
 
     def inner_spy(F, pn, spread):
-        leaves.append(F[-1].size)
+        passes.append(F[-1].size)
         return real_inner(F, pn, spread)
 
     def floor_spy(*args):
@@ -602,16 +685,16 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     monkeypatch.setattr(harq_analysis, "_inner", inner_spy)
     monkeypatch.setattr(optimizer, "_outage_floor", floor_spy)
     for eps, kept in ((0.02, False), (0.035, True)):
-        leaves.clear()
+        passes.clear()
         floors.clear()
         with pytest.raises(InfeasibleError) as exc:
             optimizer.best_feasible_allocation(rates, dl3, grid, eps)
-        assert bool(leaves) == kept and not floors
-        assert paths not in leaves
-        scanned = len(leaves)
+        assert bool(passes) == kept and not floors
+        assert nodes not in passes
+        scanned = len(passes)
         floor = exc.value.min_outage
         assert len(floors) == 1 and exc.value.min_outage == floor > eps
-        assert leaves[scanned:] == [paths]
+        assert passes[scanned:] == [nodes]
 
 
 def random_scan_instances(seed, count, max_candidates):
