@@ -196,7 +196,7 @@ def _prefix_tree(grid: RateGrid, m: int) -> tuple[tuple[np.ndarray, ...],
     The extensions of a prefix are consecutive on the next level, in
     ascending order from min_units (_last_units), so the leaves (the
     allocations) come in lexicographic order, called path order. The leaf
-    units are left to the caller, which forms them block by block.
+    units are left to the caller, which forms them run by run.
 
     The path budget is checked first, on the number of admissible prefixes
     of every length counted by their unit sum, so an oversized grid raises

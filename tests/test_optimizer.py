@@ -53,9 +53,10 @@ def failure_table(grid, m, dl):
 @pytest.fixture
 def few_leaf_blocks(monkeypatch):
     """Trees built afresh with the leaf level formed in runs of at most five
-    leaves, its Q two leaves at a time, and cut into blocks of at most
-    three leaves (a larger level-0 subtree forms a block alone); the tree
-    caches are emptied again afterwards."""
+    leaves, its Q on slices of at most two leaves (a parent with more forms
+    a slice alone), and cut into blocks of at most three leaves (a larger
+    level-0 subtree forms a block alone); the tree caches are emptied again
+    afterwards."""
     monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
     monkeypatch.setattr(optimizer, "_Q_LEAVES", 2)
     monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
