@@ -82,10 +82,6 @@ class RunConfig:
         return self.units_total if self.rho_max_units is None else self.rho_max_units
 
 
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
 def _parse_int(raw: str) -> int:
     v = float(raw)
     # int() of an infinity raises OverflowError, not a bad-value ValueError
@@ -102,32 +98,28 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(_parse_int(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 # key -> (RunConfig field, parser)
 _KEYS = {
-    "snr_d_db": ("snr_d_db", _parse_float),
-    "snr_u_db": ("snr_u_db", _parse_float),
+    "snr_d_db": ("snr_d_db", float),
+    "snr_u_db": ("snr_u_db", float),
     "m_max": ("m_max", _parse_int),
     "n_b": ("n_b", _parse_int),
     "n_m": ("n_m", _parse_int),
     "units_total": ("units_total", _parse_int),
-    "epsilon": ("epsilon", _parse_float),
+    "epsilon": ("epsilon", float),
     "rho_min_units": ("rho_min_units", _parse_int),
     "rho_max_units": ("rho_max_units", _parse_int),
     "alphas": ("alphas", _parse_floats),
     "rhos_units": ("rhos_units", _parse_ints),
-    "route": ("route", _parse_str),
+    "route": ("route", str),
     "conv_bins": ("conv_bins", _parse_int),
     "seed": ("seed", _parse_int),
-    "output_path": ("output_path", _parse_str),
+    "output_path": ("output_path", str),
     "mc.n_episodes": ("n_episodes", _parse_int),
-    "mc.feedback_mode": ("feedback_mode", _parse_str),
-    "sweep.axis": ("sweep_axis", _parse_str),
+    "mc.feedback_mode": ("feedback_mode", str),
+    "sweep.axis": ("sweep_axis", str),
     "sweep.values": ("sweep_values", _parse_floats),
-    "sweep.mode": ("sweep_mode", _parse_str),
+    "sweep.mode": ("sweep_mode", str),
     "sweep.alphas": ("sweep_alphas", _parse_floats),
 }
 
@@ -224,6 +216,11 @@ def _validate(config: RunConfig) -> None:
                  f"one of {'|'.join(_SWEEP_AXES)}", config.sweep_axis)
     _require(config.sweep_mode in _SWEEP_MODES, "sweep.mode",
              f"one of {'|'.join(_SWEEP_MODES)}", config.sweep_mode)
+    # an empty list would scan no threshold at all; leave the key out for
+    # the mode's default scan
+    if config.sweep_alphas is not None:
+        _require(len(config.sweep_alphas) >= 1, "sweep.alphas", "length >= 1",
+                 config.sweep_alphas)
     _require(config.workers is None or config.workers >= 1, "workers",
              "workers >= 1", config.workers)
 
@@ -268,8 +265,9 @@ def _mc_policy(config: RunConfig) -> harq_analysis.HarqPolicy:
 
 
 def _grid_from(config: RunConfig) -> optimizer.RateGrid:
-    # make_rate_grid's unit, built without calling into the optimizer:
-    # analyze, simulate and validate read this grid for their policy too
+    # make_rate_grid's grid, built without calling into the optimizer:
+    # analyze, simulate and validate read it for their policy, and the
+    # traced benchmark asserts that validate makes no optimizer call
     return optimizer.RateGrid(
         unit_rho=config.n_m / (config.units_total * config.n_b),
         min_units=config.rho_min_units,

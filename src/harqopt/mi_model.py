@@ -130,27 +130,17 @@ def p_fail_gaussian(rates, spec: DownlinkSpec) -> np.ndarray:
     shape, and each row is bit-identical to the call on that row alone.
     """
     rhos = _check_rates(rates, "p_fail_gaussian")
-    out = np.empty(rhos.shape)
-    # transposed views put the round axis first: rounds[k] is round k of
-    # every rate vector (a plain scalar for a single vector)
-    rounds = rhos.T
-    out_rounds = out.T
-    s1 = 0.0
-    s2 = 0.0
-    for k, rho in enumerate(rounds):
-        s1 = s1 + rho
-        s2 = s2 + rho * rho
-        out_rounds[k] = _q_of_sums(s1, s2, spec)
-    return out
+    return _q_of_sums(np.cumsum(rhos, axis=-1), np.cumsum(rhos * rhos, axis=-1), spec)
 
 
 def _q_of_sums(s1, s2, spec: DownlinkSpec):
     """Gaussian failure probability of prefixes with rate sum s1 and sum of
     squared rates s2: Q((s1 * mean_mi - 1) / (sqrt(s2) * sigma)).
 
-    The one implementation of the formula: p_fail_gaussian calls it round
-    by round, and the optimizer's prefix-tree table level by level on the
-    same running sums, so both give the same bits.
+    The one implementation of the formula: p_fail_gaussian calls it once on
+    the running sums of every prefix, and the optimizer's prefix tree level
+    by level on the same sums, each added in round order, so both give the
+    same bits.
     """
     sigma = math.sqrt(spec.var_mi)
     out = numerics.q_function((s1 * spec.mean_mi - 1.0) / (np.sqrt(s2) * sigma))

@@ -23,8 +23,8 @@ The grid is held as the enumeration's prefix tree: level k holds each
 admissible (k + 1)-round prefix once, with its last rate and its Gaussian
 failure F_k, so Q is evaluated once per distinct prefix (61, 1,891,
 39,711 and 635,376 nodes on the default four-round 64-unit grid) rather
-than once per path and round. The running sums are those of
-mi_model.p_fail_gaussian, through the same Q-of-sums function, so the
+than once per path and round. The running sums are added in round order,
+as in mi_model.p_fail_gaussian, and go through the same Q-of-sums, so the
 bits are the same. The path budget is checked on per-prefix counts before
 any node is built. The interior levels are then built whole from their
 parents' counts of admissible last values. The leaf level, the bulk of the
@@ -353,8 +353,9 @@ def _stream(grid: RateGrid, m: int, dl, threshold: float) -> tuple[_Whole, _Tree
 
     Each node holds the rate of its last round (units times unit_rho) and
     its Gaussian prefix-failure probability, computed once per distinct
-    prefix. The running sums are formed in p_fail_gaussian's order, so
-    every leaf's failures equal p_fail_gaussian on its rates bit for bit.
+    prefix. The running sums are added in round order, as p_fail_gaussian's
+    cumulative sums are, so every leaf's failures equal p_fail_gaussian on
+    its rates bit for bit.
     The interior levels are built whole. The leaf level is formed per run
     of its parents with at most _BUILD_LEAVES leaves (Q in slices of
     _Q_LEAVES), and each run is reduced at once: to its parents' smallest

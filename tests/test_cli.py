@@ -494,6 +494,21 @@ def test_sweep_fixed_vs_variable_rejects_alphas_outside_the_box(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["fixed_vs_variable", "min_outage"])
+def test_sweep_rejects_empty_alphas(tmp_path, capsys, mode):
+    # an empty list scanned no fixed threshold (throughput_fixed 0, alpha
+    # nan, exit 0) in one mode and fell back to the default scan in the other
+    path = write_config(tmp_path, {
+        "snr_d_db": 3.0, "sweep.axis": "snr_u_db", "sweep.values": "-10",
+        "sweep.mode": mode, "sweep.alphas": "",
+    })
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 2
+    assert "sweep.alphas: must satisfy length >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_min_outage_accepts_alphas_outside_the_box(tmp_path):
     path = write_config(tmp_path, {
         **SMALL, "sweep.axis": "snr_u_db", "sweep.values": "-10",

@@ -1,5 +1,6 @@
 """harqopt runs on numpy alone: importing the package loads no scipy, and
-every CLI command completes in an interpreter where importing scipy raises.
+every CLI command, and every committed experiment in experiments/ run in
+full, completes in an interpreter where importing scipy raises.
 
 Each run is a fresh subprocess, so an import made lazily deep inside a
 workflow is caught as surely as one at module level.
@@ -12,7 +13,11 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+from harqopt import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+EXPERIMENTS = sorted((ROOT / "experiments").glob("*.cfg"))
 
 # sys.modules["scipy"] = None makes every `import scipy...` raise ImportError
 _RUN_BLOCKED = """
@@ -65,3 +70,15 @@ def test_cli_command_runs_with_scipy_blocked(name, tmp_path):
     assert proc.returncode in codes, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     assert out.read_text(encoding="utf-8").count("\n") >= 2  # a header and rows
+
+
+@pytest.mark.parametrize("cfg", EXPERIMENTS, ids=lambda p: p.stem)
+def test_experiment_runs_with_scipy_blocked(cfg, tmp_path):
+    # no --out: the config's own output_path lands in the working directory
+    proc = _python(["-c", _RUN_BLOCKED, "sweep", "--config", str(cfg),
+                    "--workers", "1"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    rows = (tmp_path / f"{cfg.stem}.csv").read_text(encoding="utf-8").splitlines()
+    # a header and one row per swept point
+    assert len(rows) == 1 + len(cli.load_config(str(cfg)).sweep_values)
