@@ -15,24 +15,28 @@ differ only in how the single-bit report is detected:
 The estimator is vectorized in fixed-size chunks, each driven by its own
 stream (SFC64 seeded by the chunk index-th child that SeedSequence(seed)
 spawns, so any seed >= 0 works), with a fixed draw order inside a chunk.
-All fading gains come first, as one round-major (M, c) block for the
-chunk's c episodes: the forced-continuation failure frequencies read them
-all. Then, round by round, the feedback randomness comes as one block for
-the episodes still running, in episode order; a round with none left
-draws nothing. The block holds one uniform per episode (analytic-flip),
-two (duplicated-ack), or detect_batch's 6 normals, the noise parts its
-statistic reads (symbol-level). Estimates are bit-identical for identical
-(seed, n, mode) and independent of how chunks are executed.
+Accumulated mutual information never falls, so an episode's protocol path
+depends on its fading only through its first decoding round d (1..M, or
+never). The fading gains come first, round by round: round j draws one
+gain for each episode still undecoded after round j - 1, in episode
+order, which the forced-continuation failure frequencies count. Then
+each feedback round draws, for each group of equal d in turn, one block
+for the group's episodes still running, all of which send the same bit
+(ACK when d <= j); a group with none left draws nothing. The block is a
+binomial count of detected ACKs (analytic-flip), two uniforms per episode
+(duplicated-ack), or detect_batch's 6 normals per episode, the noise
+parts its statistic reads (symbol-level). Estimates are bit-identical for
+identical (seed, n, mode) and independent of how chunks are executed.
 
-The estimator keeps per-round totals, not per-episode arrays: each
-chunk's gains go into one reused (M, c) buffer, and each round turns its
-own row in place into the accumulated mutual information and writes its
-decoded flags into one reused (M, c) bool block. Each feedback round
-reads its live episodes' flags, counts the stops and delivered stops, and
-narrows the live set. Occurrence counts and the renewal-reward sums come
-from those totals; the sums weight each stop count by its symbol count
-n_b (rho_1 + ... + rho_k), so they are exact when those counts are
-integers and within a few ulps of summing episode by episode otherwise.
+The estimator keeps per-group totals, not per-episode arrays: each chunk
+draws its gains into one reused length-c buffer, turns them in place into
+the accumulated mutual information, counts each round's decoding group
+and carries only the undecoded episodes' running sums forward. The
+feedback rounds count the stops of each group. Occurrence counts and the
+renewal-reward sums come from those totals; the sums weight each stop
+count by its symbol count n_b (rho_1 + ... + rho_k), so they are exact
+when those counts are integers and within a few ulps of summing episode
+by episode otherwise.
 """
 
 from __future__ import annotations
@@ -60,8 +64,10 @@ class SimulationEstimate:
     """Point estimates with standard errors over n independent episodes.
 
     p_fail is the forced-continuation decoder-failure frequency after each
-    round (every episode's fading path is evaluated through all rounds),
-    so it estimates the unconditional prefix-failure probabilities.
+    round (every episode's fading path is followed through all rounds: a
+    decoded episode stays decoded, so later gains are drawn only for the
+    undecoded), so it estimates the unconditional prefix-failure
+    probabilities.
     """
 
     n_episodes: int
@@ -98,8 +104,7 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
         p_slot = feedback_model.nack_error_rate(0.0, fb.snr_linear)
     elif feedback_mode == ANALYTIC_FLIP:
         rates = feedback_model.error_rates_for(fb, policy.alphas)
-        pn = np.asarray(rates.p_nack)
-        pa = np.asarray(rates.p_ack)
+        pa, pn = rates.p_ack, rates.p_nack
     if n < _MIN_EPISODES:
         raise ValueError(f"need at least {_MIN_EPISODES} episodes, got {n}")
     m = policy.m_max
@@ -108,71 +113,62 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
     n_b = policy.n_b
     snr_d = dl.snr_linear
 
-    # per-round tallies over every chunk: episodes that stopped after
-    # round k + 1, those of them delivered, and decoder failures at round
-    # k + 1 along every fading path
-    stops = np.zeros(m, dtype=np.int64)
-    delivered = np.zeros(m, dtype=np.int64)
+    # halted[j, d]: episodes that stopped after round j + 1 and first
+    # decode at round d + 1 (d = m: never), over every chunk; those with
+    # d <= j are the delivered ones. fail_counts[j]: decoder failures at
+    # round j + 1 along every fading path
+    halted = np.zeros((m, m + 1), dtype=np.int64)
     fail_counts = np.zeros(m, dtype=np.int64)
 
-    # one reused round-major block each for the gains, which become the
-    # accumulated mutual information in place, and the decoded flags
-    gains = np.empty((m, min(_CHUNK, n)))
-    flags = np.empty(gains.shape, dtype=bool)
-    done = 0
-    chunk_index = 0
-    while done < n:
-        c = min(_CHUNK, n - done)
+    # reused buffers for a chunk's undecoded episodes: the round's gains,
+    # which become the accumulated mutual information in place, the
+    # running MI carried to the next round, and the undecoded flags
+    gains = np.empty(min(_CHUNK, n))
+    carried = np.empty(gains.shape)
+    undecoded = np.empty(gains.shape, dtype=bool)
+    for chunk_index, start in enumerate(range(0, n, _CHUNK)):
+        c = min(_CHUNK, n - start)
         rng = _chunk_rng(seed, chunk_index)
-        # a contiguous (m, c) view, so the partial last chunk draws into
-        # the block's first m * c entries
-        acc = gains.ravel()[:m * c].reshape(m, c)
-        decoded = flags.ravel()[:m * c].reshape(m, c)
-        rng.standard_exponential(out=acc)
-        # round j + 1: rho_{j+1} log2(1 + snr gain) plus the rounds before,
-        # in place on its own row; decoded[j] holds its flag per episode
+        # live[d]: the chunk's episodes that first decode at round d + 1
+        # and are still running
+        live = np.empty(m + 1, dtype=np.int64)
+        k = c
         for j in range(m):
-            row = acc[j]
+            row = rng.standard_exponential(out=gains[:k])
             row *= snr_d
             row += 1.0
             np.log2(row, out=row)
             row *= rhos[j]
             if j:
-                row += acc[j - 1]
-            np.greater_equal(row, 1.0, out=decoded[j])
-        fail_counts += c - np.count_nonzero(decoded, axis=1)
+                row += carried[:k]
+            left = np.less(row, 1.0, out=undecoded[:k])
+            k_left = np.count_nonzero(left)
+            live[j] = k - k_left
+            np.compress(left, row, out=carried[:k_left])
+            k = k_left
+            fail_counts[j] += k
+        live[m] = k
 
-        live = np.arange(c)  # episodes still running, in order
         for j in range(m - 1):
-            sent_ack = decoded[j].take(live)
-            k = sent_ack.size
-            if k == 0:
-                break
-            if feedback_mode == ANALYTIC_FLIP:
-                u = rng.random(k)
-                # a sent ACK flips when u < p_ack, a sent NACK when u < p_nack
-                det_ack = (sent_ack & (u >= pa[j])) | (~sent_ack & (u < pn[j]))
-            elif feedback_mode == SYMBOL_LEVEL:
-                det_ack = feedback_model.detect_batch(
-                    sent_ack, policy.alphas[j], fb.snr_linear, k, rng
-                )
-            else:
-                u = rng.random((k, 2))
-                # both duplicated slots must read as ACK for a stop
-                u0, u1 = u[:, 0], u[:, 1]
-                det_ack = ((sent_ack & (u0 >= p_slot) & (u1 >= p_slot))
-                           | (~sent_ack & (u0 < p_slot) & (u1 < p_slot)))
-            stops[j] += np.count_nonzero(det_ack)
-            delivered[j] += np.count_nonzero(det_ack & sent_ack)
-            going = np.flatnonzero(~det_ack)
-            live = live.take(going)
-        last = decoded[m - 1].take(live)
-        stops[m - 1] += last.size
-        delivered[m - 1] += np.count_nonzero(last)
+            for d in np.flatnonzero(live):
+                ack = d <= j  # the bit the group sends after round j + 1
+                if feedback_mode == ANALYTIC_FLIP:
+                    # the same law as live[d] Bernoulli flips
+                    stopped = rng.binomial(live[d], 1.0 - pa[j] if ack else pn[j])
+                elif feedback_mode == SYMBOL_LEVEL:
+                    stopped = np.count_nonzero(feedback_model.detect_batch(
+                        ack, policy.alphas[j], fb.snr_linear, live[d], rng))
+                else:
+                    # a slot reads ACK when a sent ACK survives or a sent
+                    # NACK flips; both duplicated slots must, for a stop
+                    reads_ack = (rng.random((live[d], 2)) < p_slot) != ack
+                    stopped = np.count_nonzero(reads_ack.all(axis=1))
+                halted[j, d] += stopped
+                live[d] -= stopped
+        halted[m - 1] += live
 
-        done += c
-        chunk_index += 1
-
+    stops = halted.sum(axis=1)
+    delivered = np.tril(halted).sum(axis=1)
     # an episode that stops after round k + 1 spends n_b * (rho_1 + ... +
     # rho_{k+1}) symbols; the count-weighted sums are exact whenever those
     # symbol counts are integers

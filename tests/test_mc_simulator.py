@@ -131,7 +131,8 @@ def test_chunk_rng_is_the_spawned_child_stream():
 
 
 class _CountingRng:
-    """Wraps a generator and logs the name and result shape of every draw."""
+    """Wraps a generator and logs every draw: its name, the shape of its
+    result and its positional arguments."""
 
     def __init__(self, rng, draws):
         self._rng = rng
@@ -142,7 +143,7 @@ class _CountingRng:
 
         def draw(*args, **kwargs):
             out = method(*args, **kwargs)
-            self._draws.append((name, np.shape(out)))
+            self._draws.append((name, np.shape(out), args))
             return out
 
         return draw
@@ -150,7 +151,8 @@ class _CountingRng:
 
 @pytest.fixture()
 def chunk_draws(monkeypatch):
-    """One list of (draw name, result shape) per chunk the simulator runs."""
+    """One list of (draw name, result shape, arguments) per chunk the
+    simulator runs."""
     chunks = []
     chunk_rng = mc_simulator._chunk_rng
 
@@ -162,57 +164,92 @@ def chunk_draws(monkeypatch):
     return chunks
 
 
-def _feedback_block_sizes(mode, draws):
-    """Episodes drawn for in each feedback round of one chunk's draws, after
-    checking that each round draws one block of the mode's shape."""
+def _split_draws(mode, draws, m):
+    """One chunk's draws as (gain block sizes, feedback block sizes), after
+    checking that the first m draws are the rounds' exponential gains and
+    every later one a feedback block of the mode's shape. A feedback block
+    serves one group of episodes: its trials, slot pairs or, in the
+    analytic-flip mode, the binomial's n."""
+    gains = []
+    for name, shape, _ in draws[:m]:
+        assert name == "standard_exponential" and len(shape) == 1
+        gains.append(shape[0])
+    if mode == mc_simulator.ANALYTIC_FLIP:
+        assert all(name == "binomial" and shape == () for name, shape, _ in draws[m:])
+        return gains, [args[0] for _, _, args in draws[m:]]
     if mode == mc_simulator.SYMBOL_LEVEL:
         # the 6 real parts the detector statistic reads, per trial
         name, tail = "standard_normal", (6,)
     else:
-        name, tail = "random", (2,) if mode == mc_simulator.DUPLICATED_ACK else ()
-    assert all(d == name and shape[1:] == tail for d, shape in draws)
-    return [shape[0] for _, shape in draws]
+        name, tail = "random", (2,)
+    assert all(d == name and shape[1:] == tail for d, shape, _ in draws[m:])
+    return gains, [shape[0] for _, shape, _ in draws[m:]]
 
 
 @pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
 def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
-    # each chunk draws its gains for every episode, then one feedback block
-    # per round sized to the episodes still running: summed over chunks,
-    # the block of round j holds exactly the episodes that reached round j
+    # round j draws gains only for the episodes still undecoded after round
+    # j - 1; each feedback round then draws one block per group of episodes
+    # that first decode at the same round (1..4, never), sized to those
+    # still running. At this policy every group is nonempty and keeps
+    # running episodes through round 3, so each round draws 5 blocks
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
     n = _TWO_CHUNKS
     est = _estimate(mode, pol, dl3, fb_weak, n, seed=41)
     assert len(chunk_draws) == 2
-    live = [0, 0, 0]
+    undecoded = [0, 0, 0]
+    never = 0
+    live = np.zeros(3, dtype=np.int64)
     for c, draws in zip((mc_simulator._CHUNK, n - mc_simulator._CHUNK), chunk_draws):
-        assert draws[0] == ("standard_exponential", (4, c))
-        sizes = _feedback_block_sizes(mode, draws[1:])
-        assert len(sizes) == 3 and sizes[0] == c
-        assert sizes == sorted(sizes, reverse=True)
-        live = [a + b for a, b in zip(live, sizes)]
-    assert live == [round(p * n) for p in est.p_occur[:3]]
+        gains, blocks = _split_draws(mode, draws, 4)
+        assert gains[0] == c
+        assert gains == sorted(gains, reverse=True)
+        undecoded = [a + b for a, b in zip(undecoded, gains[1:])]
+        assert len(blocks) == 3 * 5
+        rounds = np.array(blocks).reshape(3, 5)
+        # round 1's blocks are the groups: those decoding at rounds 1-3 as
+        # the gain draws tell, then round 4's and the never-decoded
+        assert list(rounds[0, :3]) == [a - b for a, b in zip(gains, gains[1:])]
+        assert rounds[0, 3] + rounds[0, 4] == gains[3]
+        never += rounds[0, 4]
+        assert np.all(np.diff(rounds, axis=0) <= 0)
+        live += rounds.sum(axis=1)
+    assert undecoded == [round(p * n) for p in est.p_fail[:3]]
+    assert never == round(est.p_fail[3] * n)
+    assert list(live) == [round(p * n) for p in est.p_occur[:3]]
 
 
 @pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
 def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
-    # round 1 always decodes and the uplink is error-free, so every episode
-    # stops at the first feedback and the second has no one to draw for
+    # the uplink is error-free. Round 1 always decodes, so every episode
+    # stops at the first feedback, later rounds draw no gains and the
+    # second feedback has no one to draw for. Then no episode decodes
+    # before round 3, so every gain round is full and each feedback round
+    # draws for the one group, all of it
     dl = mi_model.make_downlink_spec(10.0)
-    pol = harq_analysis.HarqPolicy(rhos=(1e10, 1.0, 1.0), alphas=(0.0, 0.0), n_b=1)
     fb = feedback_model.make_feedback_spec(200.0)
-    est = _estimate(mode, pol, dl, fb, 10_000, seed=5)
-    assert est.p_occur == (1.0, 0.0, 0.0)
-    assert est.p_out == 0.0
-    [draws] = chunk_draws
-    assert _feedback_block_sizes(mode, draws[1:]) == [10_000]
+    cases = [((1e10, 1.0, 1.0), (1.0, 0.0, 0.0), [10_000, 0, 0], [10_000]),
+             ((1e-6, 1e-6, 1e10), (1.0, 1.0, 1.0), [10_000] * 3, [10_000] * 2)]
+    for rhos, occur, gains, blocks in cases:
+        chunk_draws.clear()
+        pol = harq_analysis.HarqPolicy(rhos=rhos, alphas=(0.0, 0.0), n_b=1)
+        est = _estimate(mode, pol, dl, fb, 10_000, seed=5)
+        assert est.p_occur == occur
+        assert est.p_out == 0.0
+        [draws] = chunk_draws
+        assert _split_draws(mode, draws, 3) == (gains, blocks)
 
 
 def _replay(policy, dl, fb, n, seed, mode):
-    """Episode-by-episode reference on each chunk's own stream: the (M, c)
-    round-major gains, then per feedback round one block for the live
-    episodes in episode order, with every episode's rounds and delivery
-    kept. Returns the estimate's count-based fields and its two throughput
-    fields."""
+    """Episode-by-episode reference on each chunk's own stream, with every
+    episode's first decoding round, rounds and delivery kept. Round by
+    round, each chunk draws the gains of its undecoded episodes in episode
+    order; then per feedback round it draws one block per group of
+    running episodes that first decode at the same round (1..M, never),
+    in that order, and stops the block's detected ACKs. The analytic-flip
+    mode draws one binomial count per group and stops that many of the
+    group's running episodes. Returns the estimate's count-based fields and
+    its two throughput fields."""
     m = policy.m_max
     rhos = np.asarray(policy.rhos)
     rates = feedback_model.error_rates_for(fb, policy.alphas)
@@ -221,29 +258,35 @@ def _replay(policy, dl, fb, n, seed, mode):
     for index, start in enumerate(range(0, n, mc_simulator._CHUNK)):
         c = min(mc_simulator._CHUNK, n - start)
         rng = mc_simulator._chunk_rng(seed, index)
-        gains = rng.exponential(size=(m, c)).T  # round-major draw
-        mi = np.cumsum(np.log2(gains * dl.snr_linear + 1.0) * rhos, axis=1)
-        decoded = mi >= 1.0
-        fails += c - decoded.sum(axis=0)
+        mi = np.zeros(c)
+        first = np.full(c, m)  # first decoding round - 1; m: never
+        for j in range(m):
+            left = np.flatnonzero(first == m)
+            gains = rng.exponential(size=left.size)
+            mi[left] += np.log2(gains * dl.snr_linear + 1.0) * rhos[j]
+            first[left[mi[left] >= 1.0]] = j
+            fails[j] += np.count_nonzero(first == m)
+        running = np.ones(c, dtype=bool)
         used = np.ones(c, dtype=np.int64)
-        live = np.arange(c)
         for j in range(m - 1):
-            if live.size == 0:
-                break
-            sent = decoded[live, j]
-            if mode == mc_simulator.ANALYTIC_FLIP:
-                p_err = np.where(sent, rates.p_ack[j], rates.p_nack[j])
-                det = sent != (rng.random(live.size) < p_err)
-            elif mode == mc_simulator.SYMBOL_LEVEL:
-                det = feedback_model.detect_batch(sent, policy.alphas[j], fb.snr_linear,
-                                                  live.size, rng)
-            else:
-                flip = rng.random((live.size, 2)) < p_slot
-                det = np.where(sent, ~flip.any(axis=1), flip.all(axis=1))
-            live = live[~det]
-            used[live] += 1
+            for d in range(m + 1):
+                group = np.flatnonzero(running & (first == d))
+                if group.size == 0:
+                    continue
+                sent = d <= j
+                if mode == mc_simulator.ANALYTIC_FLIP:
+                    p_stop = 1.0 - rates.p_ack[j] if sent else rates.p_nack[j]
+                    stop = np.arange(group.size) < rng.binomial(group.size, p_stop)
+                elif mode == mc_simulator.SYMBOL_LEVEL:
+                    stop = feedback_model.detect_batch(sent, policy.alphas[j],
+                                                       fb.snr_linear, group.size, rng)
+                else:
+                    flip = rng.random((group.size, 2)) < p_slot
+                    stop = ~flip.any(axis=1) if sent else flip.all(axis=1)
+                running[group[stop]] = False
+            used[running] += 1
         rounds.append(used)
-        delivered.append(decoded[np.arange(c), used - 1])
+        delivered.append(first < used)
     rounds = np.concatenate(rounds)
     delivered = np.concatenate(delivered)
     symbols = policy.n_b * np.cumsum(rhos)[rounds - 1]
@@ -296,18 +339,22 @@ def test_estimate_matches_episode_replay(mode, snr_d, snr_u, rhos, alphas, n_b, 
         assert est.throughput_se == pytest.approx(ref["throughput_se"], rel=1e-12, abs=0.0)
 
 
-def test_estimate_peak_memory_below_two_and_a_half_gain_blocks(dl3, fb_weak):
-    # one chunk's (4, c) float64 gain block is 4 MiB; two full chunks must
-    # not hold a second block, nor per-episode arrays beside the first
+def test_estimate_peak_memory_below_one_gain_block(dl3, fb_weak):
+    # one chunk's (4, c) float64 gain block, which the estimator no longer
+    # forms, is 4 MiB; two full chunks must stay below it: the per-chunk
+    # buffers are one length-c row each, and no per-episode array is kept
     pol = make_policy((1.0,) * 4, (0.5,) * 3)
     block = mc_simulator._CHUNK * 4 * np.dtype(np.float64).itemsize
+    # a first call imports what SeedSequence loads lazily (about 1 MiB of
+    # modules), which is not the estimator's memory
+    mc_simulator.estimate_performance(pol, dl3, fb_weak, 10_000, seed=3)
     tracemalloc.start()
     try:
         mc_simulator.estimate_performance(pol, dl3, fb_weak, 2 * mc_simulator._CHUNK, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * block
+    assert peak < block
 
 
 def test_estimate_single_round_sure_delivery():
