@@ -160,7 +160,7 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
                         ack, policy.alphas[j], fb.snr_linear, live[d], rng))
                 else:
                     # a slot reads ACK when a sent ACK survives or a sent
-                    # NACK flips; both duplicated slots must, for a stop
+                    # NACK flips; a stop needs both slots to read ACK
                     reads_ack = (rng.random((live[d], 2)) < p_slot) != ack
                     stopped = np.count_nonzero(reads_ack.all(axis=1))
                 halted[j, d] += stopped
