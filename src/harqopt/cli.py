@@ -265,15 +265,8 @@ def _mc_policy(config: RunConfig) -> harq_analysis.HarqPolicy:
 
 
 def _grid_from(config: RunConfig) -> optimizer.RateGrid:
-    # make_rate_grid's grid, built without calling into the optimizer:
-    # analyze, simulate and validate read it for their policy, and the
-    # traced benchmark asserts that validate makes no optimizer call
-    return optimizer.RateGrid(
-        unit_rho=config.n_m / (config.units_total * config.n_b),
-        min_units=config.rho_min_units,
-        max_units=config.max_units,
-        units_total=config.units_total,
-    )
+    return optimizer.RateGrid.for_codeword(config.n_b, config.n_m, config.units_total,
+                                           config.rho_min_units, config.max_units)
 
 
 def _fmt(value) -> str:

@@ -153,12 +153,13 @@ def build_sequences() -> tuple[np.ndarray, np.ndarray]:
     return s_ack, s_nack
 
 
-def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.ndarray:
-    """Vectorized detector: n independent trials, bool array out.
+def detect_batch(sent_ack: bool, alpha: float, snr_linear: float, n: int,
+                 rng) -> np.ndarray:
+    """Vectorized detector: n independent trials of sending the same bit,
+    bool array out.
 
-    sent_ack is one bool for every trial or an (n,) bool array, one per
-    trial. The statistic reads only the real parts of y at the 6 positions
-    where the sequences differ, so each trial draws just those 6 standard
+    The statistic reads only the real parts of y at the 6 positions where
+    the sequences differ, so each trial draws just those 6 standard
     normals, in position order, and one call draws one (n, 6) block; its
     caller bounds n, and so the memory, by the trials it passes.
 
@@ -172,9 +173,6 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     s = _check_snr(snr_linear)
     if n < 1:
         raise ValueError("detect_batch: n must be positive")
-    sent_ack = np.asarray(sent_ack, dtype=bool)
-    if sent_ack.ndim and sent_ack.shape != (n,):
-        raise ValueError("detect_batch: sent_ack must be a bool or an (n,) array")
     s_ack, s_nack = build_sequences()
     n_differ = np.count_nonzero(s_ack != s_nack)
     root_s = math.sqrt(s)
@@ -183,7 +181,7 @@ def detect_batch(sent_ack, alpha: float, snr_linear: float, n: int, rng) -> np.n
     # and -1 for NACK, scaled by sqrt(snr)
     re = rng.standard_normal((n, n_differ))
     re *= _HALF_COMPLEX
-    re += np.where(sent_ack, root_s, -root_s)[..., None]
+    re += root_s if sent_ack else -root_s
     corr = re[:, 0] + re[:, 1]
     for k in range(2, n_differ):
         corr += re[:, k]

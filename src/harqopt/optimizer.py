@@ -29,18 +29,18 @@ bits are the same. The path budget is checked on per-prefix counts before
 any node is built. The interior levels are then built whole from their
 parents' counts of admissible last values. The leaf level, the bulk of the
 tree, is never held whole: it is streamed in runs of its parents with at
-most _BUILD_LEAVES leaves (units, rates and running sums, then Q in slices
-of _Q_LEAVES), and each run is reduced as soon as it is formed, to its
-parents' leaf counts and smallest and largest F_M, and to its leaves with
-F_M <= epsilon + 2^-53, written in path order into arrays allocated at the
-grid's leaf count, whose pages past the last kept leaf are never written,
-and cut to the kept leaves at the end. One stream so gives two trees: the
-whole tree, its interior levels and those per-node summaries, and the
-kept tree, the prefixes of the kept leaves and those leaves. On the
-default grid at 3 dB a CLI optimize peaks about 7 MiB above its imports,
-where holding the whole leaf level took 17 MiB.
+most _BUILD_LEAVES leaves (units, rates, running sums and Q), and each run
+is reduced as soon as it is formed, to its parents' leaf counts and
+smallest and largest F_M, and to its leaves with F_M <= epsilon + 2^-53,
+written in path order into arrays allocated at the grid's leaf count,
+whose pages past the last kept leaf are never written, and cut to the
+kept leaves at the end. One stream so gives two trees: the whole tree,
+its interior levels and those per-node summaries, and the kept tree, the
+prefixes of the kept leaves and those leaves. On the default grid at
+3 dB a CLI optimize peaks about 6 MiB above its imports, where holding
+the whole leaf level took 17 MiB.
 
-The kept tree also holds its blocks: consecutive level-0 subtrees with at
+The kept tree is held as its blocks: consecutive level-0 subtrees with at
 most _BLOCK_LEAVES leaves together (a larger subtree forms a block alone),
 each a tree of its own made of views into the levels. The whole-grid search
 has no formulas of its own. Each round's term of the outage, occurrence
@@ -53,7 +53,7 @@ The rate scan (best_feasible_allocation and the alternating loop's rate
 step) runs the recursions on the kept tree's interior levels only and
 stops on the (M - 1)-round prefixes, the nodes of the last interior
 level, with the outage's running term inner, the cost C of rounds
-1..M-1 and the occurrence P_M of round M. Each kept tree stores, per such
+1..M-1 and the occurrence P_M of round M. Each block stores, per such
 node, where its children lie on the leaf level and the smallest and
 largest F_M and last rate among them (_Nodes). A leaf's outage
 1 - inner (1 - F_M) is monotone in F_M at its node's inner, so the
@@ -77,7 +77,7 @@ throughput, then fewer units, then path order), so the result is that
 pass's, bit for bit. The feasibility bootstrap runs the same node test.
 
 Two small LRU caches, keyed by the frozen grid and downlink specs, hold
-the whole tree and, per epsilon, the kept tree with its blocks, so the
+the whole tree and, per epsilon, the kept tree's blocks, so the
 partition is computed once per tree. The stream of a kept tree hands its
 whole tree to the other cache, so a solve and the floor read after it
 evaluate each leaf's Q once; a kept tree for another epsilon streams
@@ -114,16 +114,14 @@ _PATH_BUDGET = 20_000_000
 # leaves per block of a kept tree's evaluation; the default grid's kept
 # tree at 3 dB (67,254 leaves) stays one block
 _BLOCK_LEAVES = 1 << 17
-# leaves per run of the leaf-level build. A run's temporaries (256 KiB
-# each) set the build's peak above the trees it keeps: on the default grid
-# at 3 dB, runs of 2^16 leaves peak 1.9 MB higher and build ~10% faster,
-# runs of 2^14 peak 0.9 MB lower and build ~50% slower
-_BUILD_LEAVES = 1 << 15
-# leaves per slice of a run's Gaussian Q, whose temporaries are several
-# slice-sized arrays at once. Freed, they stay under glibc's trim
-# threshold, so the next slice reuses their heap pages: at 2^14 they are
-# returned and faulted in again, twice the build's minor faults
-_Q_LEAVES = 1 << 13
+# leaves per run of the leaf-level build. A run's temporaries (64 KiB
+# each) set the build's peak above the trees it keeps, and they stay under
+# glibc's mmap threshold, so each run reuses the last one's heap pages. On
+# the default grid at 3 dB a cold build raises the high-water mark about
+# 3.4 MiB; runs of 2^14 raise it 0.6 MiB more and, mapping their
+# temporaries afresh, take 6x the minor faults; runs of 2^12 build ~20%
+# slower for no less memory
+_BUILD_LEAVES = 1 << 13
 _SEARCH_STEP = 0.2  # first step of the threshold pattern search
 _SEARCH_TOL = 1e-6  # the pattern search stops once its step falls below this
 _ALT_MAX_ITERS = 50
@@ -151,6 +149,22 @@ class RateGrid:
         if self.units_total < self.min_units:
             raise ValueError("RateGrid: budget below min_units")
 
+    @classmethod
+    def for_codeword(cls, n_b: int, n_m: int, units_total: int, min_units: int = 1,
+                     max_units: int | None = None) -> RateGrid:
+        """Grid whose full budget spends the whole mother codeword:
+        unit_rho = n_m/(units_total n_b)."""
+        if n_b < 1 or n_m < 1 or units_total < 1:
+            raise ValueError("RateGrid: sizes must be positive")
+        if max_units is None:
+            max_units = units_total
+        return cls(
+            unit_rho=n_m / (units_total * n_b),
+            min_units=min_units,
+            max_units=max_units,
+            units_total=units_total,
+        )
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -168,19 +182,7 @@ class Solution:
         return len(self.trace)
 
 
-def make_rate_grid(n_b: int, n_m: int, units_total: int, min_units: int = 1,
-                   max_units: int | None = None) -> RateGrid:
-    """Grid whose full budget spends the whole mother codeword: unit_rho = n_m/(units_total n_b)."""
-    if n_b < 1 or n_m < 1 or units_total < 1:
-        raise ValueError("make_rate_grid: sizes must be positive")
-    if max_units is None:
-        max_units = units_total
-    return RateGrid(
-        unit_rho=n_m / (units_total * n_b),
-        min_units=min_units,
-        max_units=max_units,
-        units_total=units_total,
-    )
+make_rate_grid = RateGrid.for_codeword
 
 
 def _prefix_tree(grid: RateGrid, m: int) -> tuple[tuple[np.ndarray, ...],
@@ -274,20 +276,21 @@ class _Nodes(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """Consecutive level-0 subtrees of a kept tree, a tree of its own:
-    views of the levels' rates, F and child counts, and its _Nodes (None
-    until _stream adds them)."""
+    """Consecutive level-0 subtrees of a kept tree, a tree of its own.
+    Per level, views of the rate of each node's last round, its Gaussian
+    prefix-failure probability F and, on every level but the last, its
+    child count; then its _Nodes."""
 
     rhos: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
-    nodes: _Nodes | None = None
+    nodes: _Nodes
 
 
-def _nodes(block: _Block) -> _Nodes:
-    """The _Nodes of a block; every node has a child."""
-    rho, F = block.rhos[-1], block.F[-1]
-    count = block.children[-1] if block.children else np.array([rho.size])
+def _nodes(rhos, F, children) -> _Nodes:
+    """The _Nodes of a block with these levels; every node has a child."""
+    rho, F = rhos[-1], F[-1]
+    count = children[-1] if children else np.array([rho.size])
     first = np.cumsum(count) - count
     last = first + count - 1
     return _Nodes(first, count, np.minimum.reduceat(F, first),
@@ -297,7 +300,7 @@ def _nodes(block: _Block) -> _Nodes:
 def _blocks(rhos, F, children) -> tuple[_Block, ...]:
     """The tree cut into blocks of consecutive level-0 subtrees with at most
     _BLOCK_LEAVES leaves together (a larger subtree forms a block alone),
-    in path order."""
+    in path order, each with its _Nodes."""
     offsets = [np.concatenate(([0], np.cumsum(ch))) for ch in children]
 
     def on_levels(bounds):
@@ -308,23 +311,16 @@ def _blocks(rhos, F, children) -> tuple[_Block, ...]:
         return levels
 
     cuts = on_levels(_cuts(on_levels(np.arange(rhos[0].size + 1))[-1], _BLOCK_LEAVES))
+    # the offsets take as many bytes as the levels' child counts: freed
+    # before the nodes are formed, they do not add to the build's peak
+    del offsets
 
     def block(i):
-        return _Block(*(tuple(a[c[i]:c[i + 1]] for a, c in zip(arrays, cuts))
-                        for arrays in (rhos, F, children)))
+        levels = tuple(tuple(a[c[i]:c[i + 1]] for a, c in zip(arrays, cuts))
+                       for arrays in (rhos, F, children))
+        return _Block(*levels, _nodes(*levels))
 
     return tuple(block(i) for i in range(len(cuts[0]) - 1))
-
-
-class _Tree(NamedTuple):
-    """A kept prefix tree and its blocks. Per level: the rate of each
-    node's last round, its Gaussian prefix-failure probability F and, on
-    every level but the last, its child count."""
-
-    rhos: tuple[np.ndarray, ...]
-    F: tuple[np.ndarray, ...]
-    children: tuple[np.ndarray, ...]
-    blocks: tuple[_Block, ...]
 
 
 class _Whole(NamedTuple):
@@ -346,10 +342,11 @@ def _spread(children):
     return lambda x, i: np.repeat(x, children[i])
 
 
-def _stream(grid: RateGrid, m: int, dl, threshold: float) -> tuple[_Whole, _Tree]:
-    """The whole grid's tree and the tree kept at `threshold` (the paths
-    with F_M <= threshold and their prefixes), from one pass over the leaf
-    level.
+def _stream(grid: RateGrid, m: int, dl,
+            threshold: float) -> tuple[_Whole, tuple[_Block, ...]]:
+    """The whole grid's tree and the blocks of the tree kept at
+    `threshold` (the paths with F_M <= threshold and their prefixes), from
+    one pass over the leaf level.
 
     Each node holds the rate of its last round (units times unit_rho) and
     its Gaussian prefix-failure probability, computed once per distinct
@@ -357,13 +354,13 @@ def _stream(grid: RateGrid, m: int, dl, threshold: float) -> tuple[_Whole, _Tree
     cumulative sums are, so every leaf's failures equal p_fail_gaussian on
     its rates bit for bit.
     The interior levels are built whole. The leaf level is formed per run
-    of its parents with at most _BUILD_LEAVES leaves (Q in slices of
-    _Q_LEAVES), and each run is reduced at once: to its parents' smallest
-    and largest F_M and kept leaf counts, and to its kept leaves, written
-    in path order into arrays of the grid's leaf count whose pages past
-    the last kept leaf are never written, then cut to the kept ones. A node
-    stays when one of its children does, counted bottom-up on the interior
-    levels; a level whose every node stays is kept as built, not copied."""
+    of its parents with at most _BUILD_LEAVES leaves, and each run is
+    reduced at once: to its parents' smallest and largest F_M and kept
+    leaf counts, and to its kept leaves, written in path order into arrays
+    of the grid's leaf count whose pages past the last kept leaf are never
+    written, then cut to the kept ones. A node stays when one of its
+    children does, counted bottom-up on the interior levels; a level whose
+    every node stays is kept as built, not copied."""
     units, counts = _prefix_tree(grid, m)
     rhos = [u * grid.unit_rho for u in units]
     del units  # only their rates are held
@@ -381,20 +378,13 @@ def _stream(grid: RateGrid, m: int, dl, threshold: float) -> tuple[_Whole, _Tree
     cuts = _cuts(np.concatenate(([0], np.cumsum(count))), _BUILD_LEAVES)
     for a, b in zip(cuts, cuts[1:]):
         ch = count[a:b]
-        ends = np.concatenate(([0], np.cumsum(ch)))
-        first = ends[:-1]
+        first = np.cumsum(ch) - ch
         rho = _last_units(ch, grid.min_units) * grid.unit_rho
         f = np.repeat(s1[a:b], ch)
         f += rho
-        # Q per slice of the run's parents with at most _Q_LEAVES leaves,
-        # the slice's second running sum formed for it alone (rho^2 first:
-        # IEEE addition commutes)
-        slices = _cuts(ends, _Q_LEAVES)
-        for c, d in zip(slices, slices[1:]):
-            part = slice(ends[c], ends[d])
-            sq = rho[part] * rho[part]
-            sq += np.repeat(s2[a + c:a + d], ch[c:d])
-            f[part] = mi_model._q_of_sums(f[part], sq, dl)
+        sq = rho * rho  # rho^2 first: IEEE addition commutes
+        sq += np.repeat(s2[a:b], ch)
+        f = mi_model._q_of_sums(f, sq, dl)
         min_F[a:b] = np.minimum.reduceat(f, first)
         max_F[a:b] = np.maximum.reduceat(f, first)
         keep = f <= threshold
@@ -416,9 +406,7 @@ def _stream(grid: RateGrid, m: int, dl, threshold: float) -> tuple[_Whole, _Tree
         kept = np.add.reduceat(alive[0], np.cumsum(counts[k]) - counts[k])
     rhos, F = (tuple(a if keep.all() else a[keep] for a, keep in zip(levels, alive))
                + (leaf,) for levels, leaf in ((rhos, leaf_rho), (F, leaf_F)))
-    children = tuple(children)
-    return whole, _Tree(rhos, F, children, tuple(block._replace(nodes=_nodes(block))
-                                                 for block in _blocks(rhos, F, children)))
+    return whole, _blocks(rhos, F, children)
 
 
 # whole trees that a _kept_tree stream formed, on their way into
@@ -436,12 +424,12 @@ def _gaussian_tree(grid: RateGrid, m: int, dl) -> _Whole:
 
 
 @functools.lru_cache(maxsize=4)
-def _kept_tree(grid: RateGrid, m: int, dl, epsilon: float) -> _Tree:
-    """The Gaussian tree pruned to the paths that can meet epsilon at some
-    thresholds, F_M <= epsilon + slack, with its blocks and their _Nodes.
-    Its stream also forms the whole tree, which goes into _gaussian_tree's
-    cache unless that holds one for the grid already, so each leaf's Q is
-    evaluated once for both."""
+def _kept_tree(grid: RateGrid, m: int, dl, epsilon: float) -> tuple[_Block, ...]:
+    """The blocks of the Gaussian tree pruned to the paths that can meet
+    epsilon at some thresholds, F_M <= epsilon + slack. Its stream also
+    forms the whole tree, which goes into _gaussian_tree's cache unless
+    that holds one for the grid already, so each leaf's Q is evaluated once
+    for both."""
     whole, kept = _stream(grid, m, dl, epsilon + _ROUNDING_SLACK)
     _streamed[grid, m, dl] = whole
     _gaussian_tree(grid, m, dl)
@@ -574,7 +562,7 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
     m = len(rates) + 1
     top = -math.inf
     tied = []
-    for block in _kept_tree(grid, m, dl, epsilon).blocks:
+    for block in _kept_tree(grid, m, dl, epsilon):
         inner, least = _node_outage(block, rates.p_nack)
         feasible = least <= epsilon
         if not feasible.any():
@@ -663,14 +651,17 @@ def _search(rhos, F, fb: feedback_model.FeedbackSpec, epsilon: float,
     below _SEARCH_TOL. Returns the final thresholds and their throughput,
     which is at least eta_x.
 
-    The error rates at x are kept per threshold, and a probe forms only
-    those of the threshold it steps, the NACK rate first and the ACK rate
-    when the outage meets epsilon: the rates are elementwise, so each
-    equals its element of _throughput's vector call bit for bit.
+    The error rates at x are formed by one vector call each and kept per
+    threshold, and a probe forms only those of the threshold it steps, the
+    NACK rate first and the ACK rate when the outage meets epsilon: the
+    rates are elementwise, so each equals its element of _throughput's
+    vector call bit for bit. With no threshold there is nothing to probe.
     """
+    if not x.size:
+        return x, eta_x
     snr = fb.snr_linear
-    p_nack = np.array([feedback_model.nack_error_rate(a, snr) for a in x])
-    p_ack = np.array([feedback_model.ack_error_rate(a, snr) for a in x])
+    p_nack = feedback_model.nack_error_rate(x, snr)
+    p_ack = feedback_model.ack_error_rate(x, snr)
     step = _SEARCH_STEP
     while step >= _SEARCH_TOL:
         moved = False
@@ -733,7 +724,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
         # can, so with none kept this is an infeasibility certificate
         p_nack = feedback_model.nack_error_rate(a, fb.snr_linear)
         return any(bool((_node_outage(block, p_nack)[1] <= epsilon).any())
-                   for block in kept.blocks)
+                   for block in kept)
 
     if k > 0 and not reaches(alphas):
         # bootstrap: raise thresholds uniformly until some allocation is feasible

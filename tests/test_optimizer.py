@@ -53,12 +53,10 @@ def failure_table(grid, m, dl):
 @pytest.fixture
 def few_leaf_blocks(monkeypatch):
     """Trees built afresh with the leaf level formed in runs of at most five
-    leaves, its Q on slices of at most two leaves (a parent with more forms
-    a slice alone), and cut into blocks of at most three leaves (a larger
-    level-0 subtree forms a block alone); the tree caches are emptied again
-    afterwards."""
+    leaves (a parent with more forms a run alone), and cut into blocks of
+    at most three leaves (a larger level-0 subtree forms a block alone);
+    the tree caches are emptied again afterwards."""
     monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
-    monkeypatch.setattr(optimizer, "_Q_LEAVES", 2)
     monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
     optimizer._gaussian_tree.cache_clear()
     optimizer._kept_tree.cache_clear()
@@ -67,28 +65,43 @@ def few_leaf_blocks(monkeypatch):
     optimizer._kept_tree.cache_clear()
 
 
-def assert_blocks_split_the_tree(tree):
-    """The tree's blocks are views that put its levels back together in
-    path order, each one or more whole level-0 subtrees with at most
-    _BLOCK_LEAVES leaves together, or a single larger one."""
-    for whole, parts in ((tree.rhos, [b[0] for b in tree.blocks]),
-                         (tree.F, [b[1] for b in tree.blocks]),
-                         (tree.children, [b[2] for b in tree.blocks])):
-        for k, level in enumerate(whole):
-            pieces = [p[k] for p in parts]
-            assert np.concatenate(pieces or [level[:0]]).tobytes() == level.tobytes()
-            assert all(p.base is not None for p in pieces)
-    for rhos, _, children, _ in tree.blocks:
+def kept_levels(blocks, m):
+    """(rhos, F, children) of the kept tree whose blocks are given: per
+    level (M of rates and failures, M - 1 of child counts), the blocks'
+    pieces joined in path order."""
+    def join(field, levels):
+        return tuple(np.concatenate([b[field][k] for b in blocks] or [np.empty(0)])
+                     for k in range(levels))
+
+    return join(0, m), join(1, m), join(2, m - 1)
+
+
+def assert_blocks_split_the_tree(blocks):
+    """A kept tree's blocks are views that put its levels back together in
+    path order: on every level, their pieces are consecutive views of one
+    contiguous array, which they cover. Each block is one or more whole
+    level-0 subtrees with at most _BLOCK_LEAVES leaves together, or a
+    single larger one."""
+    for field in range(3):
+        for k in range(len(blocks[0][field]) if blocks else 0):
+            pieces = [b[field][k] for b in blocks]
+            base = pieces[0].base
+            assert base is not None and base.ndim == 1 and base.flags.c_contiguous
+            ends = [base.ctypes.data] + [p.ctypes.data + p.nbytes for p in pieces]
+            assert all(p.base is base and p.ctypes.data == start
+                       for p, start in zip(pieces, ends))
+            assert ends[-1] == base.ctypes.data + base.nbytes
+    for rhos, _, children, _ in blocks:
         assert rhos[0].size > 0
         assert rhos[-1].size <= optimizer._BLOCK_LEAVES or rhos[0].size == 1
 
 
-def assert_nodes_describe_their_children(tree):
+def assert_nodes_describe_their_children(blocks):
     """Each block of a kept tree holds, per node of its last interior level
     (one root for M = 1), the offset and count of its children on the leaf
     level and the extremes of their F_M and of their rates, which are
     those of its first and last child."""
-    for block in tree.blocks:
+    for block in blocks:
         nodes, rho, F = block.nodes, block.rhos[-1], block.F[-1]
         if block.children:
             assert nodes.count.tobytes() == block.children[-1].tobytes()
@@ -258,8 +271,8 @@ def check_tree_table(dl, grid, m):
     """The kept tree built along the prefixes is p_fail_gaussian on the
     enumerated rates of its rows, byte for byte, and at epsilon 1, which
     keeps every path, on the whole table; it holds each prefix of a kept
-    row once, as one contiguous array per level, and no node without a
-    kept row below it. Its blocks split it."""
+    row once, on each level in consecutive block views of one contiguous
+    array, and no node without a kept row below it. Its blocks split it."""
     units = enumerate_units(grid, m)
     rhos = units * grid.unit_rho
     F = failure_table(grid, m, dl)
@@ -267,15 +280,15 @@ def check_tree_table(dl, grid, m):
     for eps in (1.0, float(np.median(F[:, -1]))):
         keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
         assert keep.all() or eps < 1.0
-        kept = optimizer._kept_tree(grid, m, dl, eps)
-        assert all(a.flags.c_contiguous for a in kept.rhos + kept.F)
-        assert all(np.all(ch > 0) for ch in kept.children)
-        assert [r.size for r in kept.rhos] == [
+        blocks = optimizer._kept_tree(grid, m, dl, eps)
+        kept_rhos, kept_F, children = kept_levels(blocks, m)
+        assert all(np.all(ch > 0) for ch in children)
+        assert [r.size for r in kept_rhos] == [
             len({tuple(row[:k + 1]) for row in units[keep]}) for k in range(m)]
-        assert expand_all(kept.rhos, kept.children).tobytes() == rhos[keep].tobytes()
-        assert expand_all(kept.F, kept.children).tobytes() == F[keep].tobytes()
-        assert_blocks_split_the_tree(kept)
-        assert_nodes_describe_their_children(kept)
+        assert expand_all(kept_rhos, children).tobytes() == rhos[keep].tobytes()
+        assert expand_all(kept_F, children).tobytes() == F[keep].tobytes()
+        assert_blocks_split_the_tree(blocks)
+        assert_nodes_describe_their_children(blocks)
 
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
@@ -291,7 +304,7 @@ def check_tree_scan(dl, grid, m):
     of its table row."""
     F = failure_table(grid, m, dl)
     table_rhos = enumerate_units(grid, m) * grid.unit_rho
-    tree_rhos, tree_F, children, _ = optimizer._kept_tree(grid, m, dl, 1.0)
+    tree_rhos, tree_F, children = kept_levels(optimizer._kept_tree(grid, m, dl, 1.0), m)
     spread = optimizer._spread(children)
     rng = np.random.default_rng(100 + m)
     error_rates = [(rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 0.3, m - 1)),
@@ -347,7 +360,7 @@ def test_tree_in_few_leaf_blocks_equals_the_tables(dl3, grid, m, few_leaf_blocks
     # the same checks with the leaf level built a few leaves at a time and
     # the trees evaluated block by block, three leaves or one level-0
     # subtree at a time: rates, failures, scans and floors keep their bytes
-    assert len(optimizer._kept_tree(grid, m, dl3, 1.0).blocks) > 1
+    assert len(optimizer._kept_tree(grid, m, dl3, 1.0)) > 1
     check_tree_table(dl3, grid, m)
     check_tree_scan(dl3, grid, m)
     check_outage_floor(dl3, grid, m)
@@ -392,7 +405,8 @@ def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, mon
     # one alternating_optimize and the outage floor read after it evaluate
     # the Gaussian Q of each prefix of the grid once, with the leaf level
     # formed five leaves at a time: the stream that builds the kept tree
-    # also forms the whole tree, which keeps no leaf level
+    # also forms the whole tree, which keeps no leaf level. It calls Q once
+    # per interior level and once per run of the leaf level
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     m = 4
     formed = []
@@ -412,7 +426,12 @@ def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, mon
     assert sol.feasible and floor <= sol.breakdown.p_out_unreliable
     units = enumerate_units(grid, m)
     assert sum(formed) == sum(len({tuple(row[:k + 1]) for row in units}) for k in range(m))
-    assert len(formed) > units.shape[0] // 5
+    # runs of parents with at most five leaves together, a parent with more
+    # alone; the parents' leaf counts in path order
+    runs, size = 0, math.inf
+    for leaves in np.unique(units[:, :-1], axis=0, return_counts=True)[1]:
+        runs, size = (runs + 1, leaves) if size + leaves > 5 else (runs, size + leaves)
+    assert len(formed) == (m - 1) + runs
     assert len(optimizer._gaussian_tree(grid, m, dl3).F) == m - 1
 
 
@@ -423,14 +442,14 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
     # the fewest total units win, then the first in path order, also when
     # the tied leaves lie in different blocks
     grid = optimizer.make_rate_grid(1024, 4096, 13)
-    tree = optimizer._kept_tree(grid, 3, dl3, 1.0)
-    rhos = expand_all(tree.rhos, tree.children)
+    tree_rhos, tree_F, children = kept_levels(optimizer._kept_tree(grid, 3, dl3, 1.0), 3)
+    rhos = expand_all(tree_rhos, children)
     totals = np.rint(rhos / grid.unit_rho).sum(axis=1)
     many, few = np.flatnonzero(totals == 9)[[0, -1]], np.flatnonzero(totals == 5)[[-1, 0]]
     ties = ([many[0], few[0]], [few[0], many[0], few[1]], [many[1], many[0]])
     for block_leaves in (optimizer._BLOCK_LEAVES, 3):
         monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", block_leaves)
-        blocks = optimizer._blocks(tree.rhos, tree.F, tree.children)
+        blocks = optimizer._blocks(tree_rhos, tree_F, children)
         ends = np.cumsum([0] + [b[0][-1].size for b in blocks])
         for block, lo, hi in zip(blocks, ends, ends[1:]):
             assert optimizer._leaf_rates(block, np.arange(hi - lo)).tobytes() == \
@@ -449,12 +468,12 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
     assert all(len(set(np.searchsorted(ends, tied, side="right"))) > 1 for tied in ties)
 
 
-def test_m5_tree_build_peak_stays_under_two_and_a_half_times_its_kept_tree():
+def test_m5_tree_build_peak_stays_under_twice_its_kept_tree():
     # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: the
     # stream that builds the kept tree must peak below twice the bytes of
     # that tree (about 8.2 MB; 6.7 MB with numpy 2.4 on x86-64, 1.65 times,
     # where the kept tree's leaf arrays are allocated at the grid's leaf
-    # count before the stream and the kept tree's node data take 1.3 MB).
+    # count before the stream and the kept tree's node data take 1.5 MB).
     # Expanding the kept paths into (paths, 5) rate and failure tables as
     # well adds 16.1 MB.
     grid = optimizer.make_rate_grid(1024, 4096, 32)
@@ -463,13 +482,14 @@ def test_m5_tree_build_peak_stays_under_two_and_a_half_times_its_kept_tree():
     optimizer._kept_tree.cache_clear()
     tracemalloc.start()
     try:
-        tree = optimizer._kept_tree(grid, 5, dl, 0.01)
+        blocks = optimizer._kept_tree(grid, 5, dl, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [r.size for r in tree.rhos] == [f.size for f in tree.F] == \
+    tree = kept_levels(blocks, 5)
+    assert [r.size for r in tree[0]] == [f.size for f in tree[1]] == \
         [27, 404, 4057, 31461, 201_340]
-    kept = sum(a.nbytes for part in (tree.rhos, tree.F, tree.children) for a in part)
+    kept = sum(a.nbytes for part in tree for a in part)
     # below twice the bytes of those expanded tables
     assert 2.0 * kept < 2 * 2 * 201_340 * 5 * 8
     assert peak < 2.0 * kept
@@ -518,11 +538,11 @@ def test_m5_cli_optimize_stays_under_its_peak_rss_bound(tmp_path, snr_d_db, boun
 def test_default_cli_optimize_holds_no_whole_leaf_level(tmp_path):
     # on the default grid at 3 dB (635,376 paths, 67,254 kept), CLI optimize
     # streams the leaf level and holds its kept leaves only: it must raise
-    # the child's high-water mark less than 12 MiB above its mark after
-    # import (about 7 MiB with numpy 2.4 on x86-64; holding the whole
+    # the child's high-water mark less than 10 MiB above its mark after
+    # import (about 6 MiB with numpy 2.4 on x86-64; holding the whole
     # tree's 10.2 MB of leaf rates and failures took 17 MiB)
     imported, peak = cli_optimize_high_water(tmp_path, "snr_d_db = 3\nsnr_u_db = -10\n")
-    assert peak - imported < 12
+    assert peak - imported < 10
 
 
 def test_float_table_on_non_dyadic_grid(dl3):
@@ -531,8 +551,8 @@ def test_float_table_on_non_dyadic_grid(dl3):
     # every path), and the production rate scan must match the scalar
     # oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    kept = optimizer._kept_tree(grid, 3, dl3, 1.0)
-    table_rhos = expand_all(kept.rhos, kept.children)
+    kept_rhos, _, children = kept_levels(optimizer._kept_tree(grid, 3, dl3, 1.0), 3)
+    table_rhos = expand_all(kept_rhos, children)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
@@ -569,9 +589,10 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
                                            (0.5, 0.5))
     F = failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
-    kept = optimizer._kept_tree(grid, 3, dl3, eps)
-    assert all(a.size == 0 for a in kept.rhos + kept.F + kept.children)
-    assert kept.blocks == ()
+    blocks = optimizer._kept_tree(grid, 3, dl3, eps)
+    kept_rhos, kept_F, children = kept_levels(blocks, 3)
+    assert all(a.size == 0 for a in kept_rhos + kept_F + children)
+    assert blocks == ()
     assert not assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
 
 
@@ -720,19 +741,20 @@ def random_scan_instances(seed, count, max_candidates):
     return instances
 
 
-def check_node_outage_and_bound(tree, rates, eps) -> int:
-    """On every node of the kept tree's last interior level, against its
-    leaves evaluated row by row: the least outage is the smallest leaf
-    outage bit for bit, so the node passes iff some leaf meets eps, and
-    no positive leaf throughput exceeds the node's bound. Returns the
-    number of nodes that pass."""
-    rhos = expand_all(tree.rhos, tree.children)
-    F = expand_all(tree.F, tree.children)
+def check_node_outage_and_bound(blocks, m, rates, eps) -> int:
+    """On every node of the last interior level of the kept tree of these
+    blocks, against its leaves evaluated row by row: the least outage is
+    the smallest leaf outage bit for bit, so the node passes iff some leaf
+    meets eps, and no positive leaf throughput exceeds the node's bound.
+    Returns the number of nodes that pass."""
+    tree_rhos, tree_F, children = kept_levels(blocks, m)
+    rhos = expand_all(tree_rhos, children)
+    F = expand_all(tree_F, children)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
     P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
     eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
     passed = start = 0
-    for block in tree.blocks:
+    for block in blocks:
         nodes = block.nodes
         rows = slice(start, start + block.rhos[-1].size)
         start = rows.stop
@@ -759,8 +781,8 @@ def test_node_outage_and_bound_are_exact_on_random_instances(blocks, request):
     for grid, m, dl, fb, alphas, eps in random_scan_instances(27, 16, 300_000):
         rates = feedback_model.error_rates_for(fb, alphas)
         for budget in (eps, 1.0):
-            tree = optimizer._kept_tree(grid, m, dl, budget)
-            passed.append(check_node_outage_and_bound(tree, rates, budget))
+            blocks = optimizer._kept_tree(grid, m, dl, budget)
+            passed.append(check_node_outage_and_bound(blocks, m, rates, budget))
     assert sum(p > 0 for p in passed[::2]) >= 4
 
 
@@ -773,15 +795,15 @@ def test_node_outage_and_bound_are_exact_at_any_error_rates():
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     below_zero = 0
     for m in (2, 3, 4, 5):
-        tree = optimizer._kept_tree(grid, m, mi_model.make_downlink_spec(-10.0), 1.0)
+        blocks = optimizer._kept_tree(grid, m, mi_model.make_downlink_spec(-10.0), 1.0)
         for p_nack in (rng.uniform(0.0, 1.0, m - 1), np.ones(m - 1),
                        *(np.r_[rng.uniform(0.0, 1.0, m - 2), 1.0] for _ in range(3))):
             rates = feedback_model.FeedbackErrorRates(
                 p_nack=tuple(p_nack), p_ack=tuple(rng.uniform(0.0, 1.0, m - 1)))
             for eps in (0.5, 1.0):
-                check_node_outage_and_bound(tree, rates, eps)
+                check_node_outage_and_bound(blocks, m, rates, eps)
             below_zero += sum(int(np.sum(optimizer._node_outage(block, p_nack)[0] < 0.0))
-                              for block in tree.blocks)
+                              for block in blocks)
     assert below_zero > 0
 
 
@@ -833,10 +855,10 @@ def test_node_bound_holds_where_failures_rise_along_a_path(dl3, failure_curve, m
     grid = optimizer.make_rate_grid(1024, 4096, 12)
     rates = feedback_model.FeedbackErrorRates(p_nack=(0.0,) + (1.0,) * (m - 2),
                                               p_ack=(0.0,) + (0.2,) * (m - 2))
-    tree = optimizer._kept_tree(grid, m, dl3, 1.0)
-    assert check_node_outage_and_bound(tree, rates, 1.0) > 0
+    blocks = optimizer._kept_tree(grid, m, dl3, 1.0)
+    assert check_node_outage_and_bound(blocks, m, rates, 1.0) > 0
     negative = 0
-    for block in tree.blocks:
+    for block in blocks:
         _, least = optimizer._node_outage(block, rates.p_nack)
         negative += int(np.sum(optimizer._node_bound(block, rates, least)[1] < 0.0))
     assert negative > 0
@@ -894,7 +916,7 @@ def test_scan_reads_few_kept_leaves_on_the_default_grid(grid64, monkeypatch,
 
     monkeypatch.setattr(optimizer, "_leaf_eta", leaf_eta_spy)
     optimizer.best_feasible_allocation(rates, dl, grid64, 0.01)
-    kept = optimizer._kept_tree(grid64, 4, dl, 0.01).rhos[-1].size
+    kept = sum(block.rhos[-1].size for block in optimizer._kept_tree(grid64, 4, dl, 0.01))
     assert 0 < sum(read) <= most * kept
 
 
@@ -1201,7 +1223,7 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     # floor at the top of the box
     dl0 = mi_model.make_downlink_spec(0.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    assert all(r.size == 0 for r in optimizer._kept_tree(grid64, 4, dl0, 0.01).rhos)
+    assert all(r.size == 0 for r in kept_levels(optimizer._kept_tree(grid64, 4, dl0, 0.01), 4)[0])
     with pytest.raises(InfeasibleError) as exc:
         optimizer.alternating_optimize(dl0, fb, default_template(), grid64, 0.01)
     assert exc.value.iteration == 0
@@ -1238,7 +1260,6 @@ def test_alternating_in_few_leaf_blocks_equals_default_blocks(monkeypatch, caplo
 
     want = solve_all()
     monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
-    monkeypatch.setattr(optimizer, "_Q_LEAVES", 2)
     monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
     with caplog.at_level(logging.DEBUG, logger=optimizer.__name__):
         got = solve_all()
