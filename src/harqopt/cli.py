@@ -207,8 +207,8 @@ def _validate(config: RunConfig) -> None:
     _require(lo <= config.conv_bins <= hi, "conv_bins", f"{lo} <= conv_bins <= {hi}",
              config.conv_bins)
     _require(config.seed >= 0, "seed", "seed >= 0", config.seed)
-    _require(config.n_episodes >= 10_000, "mc.n_episodes", "n_episodes >= 10000",
-             config.n_episodes)
+    _require(config.n_episodes >= mc_simulator.MIN_EPISODES, "mc.n_episodes",
+             f"n_episodes >= {mc_simulator.MIN_EPISODES}", config.n_episodes)
     _require(config.feedback_mode in mc_simulator.FEEDBACK_MODES, "mc.feedback_mode",
              f"one of {'|'.join(mc_simulator.FEEDBACK_MODES)}", config.feedback_mode)
     if config.sweep_axis is not None:

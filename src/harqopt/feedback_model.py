@@ -82,15 +82,7 @@ class FeedbackErrorRates:
 
 
 def make_feedback_spec(snr_db: float) -> FeedbackSpec:
-    snr_dbf = float(snr_db)
-    if not math.isfinite(snr_dbf):
-        raise ValueError("make_feedback_spec: snr_db must be finite")
-    try:
-        snr = 10.0 ** (snr_dbf / 10.0)
-    except OverflowError:
-        raise ValueError(f"make_feedback_spec: snr_db = {snr_dbf:g} overflows "
-                         "a float linear SNR") from None
-    return FeedbackSpec(snr_linear=snr)
+    return FeedbackSpec(snr_linear=numerics.snr_db_to_linear(snr_db, "make_feedback_spec"))
 
 
 def _check_snr(snr_linear: float) -> float:

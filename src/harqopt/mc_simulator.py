@@ -56,7 +56,7 @@ SYMBOL_LEVEL = "symbol-level"
 DUPLICATED_ACK = "duplicated-ack"
 FEEDBACK_MODES = (ANALYTIC_FLIP, SYMBOL_LEVEL, DUPLICATED_ACK)
 _CHUNK = 1 << 17
-_MIN_EPISODES = 10_000
+MIN_EPISODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
     elif feedback_mode == ANALYTIC_FLIP:
         rates = feedback_model.error_rates_for(fb, policy.alphas)
         pa, pn = rates.p_ack, rates.p_nack
-    if n < _MIN_EPISODES:
-        raise ValueError(f"need at least {_MIN_EPISODES} episodes, got {n}")
+    if n < MIN_EPISODES:
+        raise ValueError(f"need at least {MIN_EPISODES} episodes, got {n}")
     m = policy.m_max
     rhos = np.asarray(policy.rhos)
     cum_rhos = np.cumsum(rhos)

@@ -91,21 +91,14 @@ def make_downlink_spec(snr_db: float) -> DownlinkSpec:
     unit-exponential gain density; mean_mi_closed_form provides an
     independent check of the first moment.
     """
-    snr_dbf = float(snr_db)
-    if not math.isfinite(snr_dbf):
-        raise ValueError("make_downlink_spec: snr_db must be finite")
-    try:
-        snr = 10.0 ** (snr_dbf / 10.0)
-    except OverflowError:
-        raise ValueError(f"make_downlink_spec: snr_db = {snr_dbf:g} overflows "
-                         "a float linear SNR") from None
+    snr = numerics.snr_db_to_linear(snr_db, "make_downlink_spec")
     mean = numerics.expect_rayleigh(lambda g: np.log2(1.0 + snr * g), tol=_MEAN_TOL)
     second = numerics.expect_rayleigh(
         lambda g: np.log2(1.0 + snr * g) ** 2, tol=_MOMENT_TOL
     )
     var = second - mean * mean
     if not var > 0.0:
-        raise ValueError(f"make_downlink_spec: non-positive MI variance at {snr_dbf} dB")
+        raise ValueError(f"make_downlink_spec: non-positive MI variance at {float(snr_db)} dB")
     return DownlinkSpec(snr_linear=snr, mean_mi=mean, var_mi=var)
 
 

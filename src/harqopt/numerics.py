@@ -2,8 +2,8 @@
 
 Everything in this module is generic numerics with no protocol knowledge:
 complementary error function and Gaussian tail, the exponential integral,
-and expectations against the unit-mean exponential density (Rayleigh
-fading power).
+expectations against the unit-mean exponential density (Rayleigh fading
+power), and the conversion of an SNR in dB to a linear one.
 
 The kernels follow the recipes behind the usual library routines:
 
@@ -21,6 +21,7 @@ The kernels follow the recipes behind the usual library routines:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,8 +60,6 @@ _EULER = 0.5772156649015328
 # Node counts of expect_rayleigh's estimate and its check; Gauss-Laguerre
 # weight computation is numerically stable only up to a few hundred nodes.
 _NODE_PAIR = (100, 200)
-
-_laguerre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _horner(x, coef):
@@ -165,6 +164,19 @@ def exp_integral_e1(x: float, scaled: bool = False) -> float:
     return scaled_e1 if scaled else math.exp(-xf) * scaled_e1
 
 
+def snr_db_to_linear(snr_db: float, caller: str) -> float:
+    """10^(snr_db / 10), for the named caller's messages: a ValueError
+    where snr_db is not finite or its linear SNR overflows a float."""
+    snr_dbf = float(snr_db)
+    if not math.isfinite(snr_dbf):
+        raise ValueError(f"{caller}: snr_db must be finite")
+    try:
+        return 10.0 ** (snr_dbf / 10.0)
+    except OverflowError:
+        raise ValueError(f"{caller}: snr_db = {snr_dbf:g} overflows "
+                         "a float linear SNR") from None
+
+
 def _laguerre_poly(n: int, x: np.ndarray) -> np.ndarray:
     """Laguerre polynomial L_n(x), n >= 1, by the three-term recurrence in
     its difference form."""
@@ -177,25 +189,24 @@ def _laguerre_poly(n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
+@functools.cache
 def _laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre abscissae and weights (weights summing to one)."""
-    if n not in _laguerre_cache:
-        k = np.arange(n, dtype=float)
-        jacobi = np.diag(2.0 * k + 1.0) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
-        x = np.linalg.eigvalsh(jacobi)
-        # one Newton step on L_n, with L_n'(x) = n (L_n(x) - L_{n-1}(x)) / x
-        y = _laguerre_poly(n, x)
-        dy = (n * y - n * _laguerre_poly(n - 1, x)) / x
-        x -= y / dy
-        fm = _laguerre_poly(n - 1, x)
-        log_fm = np.log(np.abs(fm))
-        log_dy = np.log(np.abs(dy))
-        fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-        dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-        w = 1.0 / (fm * dy)
-        w *= 1.0 / w.sum()
-        _laguerre_cache[n] = (x, w)
-    return _laguerre_cache[n]
+    k = np.arange(n, dtype=float)
+    jacobi = np.diag(2.0 * k + 1.0) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
+    x = np.linalg.eigvalsh(jacobi)
+    # one Newton step on L_n, with L_n'(x) = n (L_n(x) - L_{n-1}(x)) / x
+    y = _laguerre_poly(n, x)
+    dy = (n * y - n * _laguerre_poly(n - 1, x)) / x
+    x -= y / dy
+    fm = _laguerre_poly(n - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 1.0 / w.sum()
+    return x, w
 
 
 def expect_rayleigh(f, tol: float) -> float:

@@ -30,12 +30,12 @@ any node is built. The interior levels are then built whole from their
 parents' counts of admissible last values. The leaf level, the bulk of the
 tree, is never held whole: it is streamed in runs of its parents with at
 most _BUILD_LEAVES leaves (units, rates, running sums and Q), and each run
-is reduced as soon as it is formed, to its parents' leaf counts and
-smallest and largest F_M, and to its leaves with F_M <= epsilon + 2^-53,
+is reduced as soon as it is formed, to its parents' smallest and largest
+F_M and kept leaf counts, and to its leaves with F_M <= epsilon + 2^-53,
 written in path order into arrays allocated at the grid's leaf count,
 whose pages past the last kept leaf are never written, and cut to the
 kept leaves at the end. One stream so gives two trees: the whole tree,
-its interior levels and those per-node summaries, and the kept tree, the
+its interior levels and those per-node extremes, and the kept tree, the
 prefixes of the kept leaves and those leaves. On the default grid at
 3 dB a CLI optimize peaks about 6 MiB above its imports, where holding
 the whole leaf level took 17 MiB.
@@ -76,14 +76,15 @@ merged by the rule one pass over all leaves would apply (largest
 throughput, then fewer units, then path order), so the result is that
 pass's, bit for bit. The feasibility bootstrap runs the same node test.
 
-Two small LRU caches, keyed by the frozen grid and downlink specs, hold
-the whole tree and, per epsilon, the kept tree's blocks, so the
-partition is computed once per tree. The stream of a kept tree hands its
-whole tree to the other cache, so a solve and the floor read after it
-evaluate each leaf's Q once; a kept tree for another epsilon streams
-again. A node stays in the kept tree when one of its children does,
-counted bottom-up on the interior levels, and an interior level whose
-every node stays is kept as built, not copied. The outage
+One small LRU cache, keyed by the frozen grid and downlink specs and by
+epsilon, holds what one stream forms: the whole tree and the kept tree's
+blocks, so the partition is computed once per tree, and a solve and every
+outage floor read from its errors evaluate each leaf's Q once. A solve at
+another epsilon streams again, and so does the public
+min_achievable_outage, which reads the whole tree of a stream that keeps
+no leaf (epsilon -inf). A node stays in the kept tree when one of its
+children does, counted bottom-up on the interior levels, and an interior
+level whose every node stays is kept as built, not copied. The outage
 floor that an InfeasibleError reports (or min_achievable_outage) is one
 node-level pass on the whole tree, made only when it is read: a node's
 least leaf outage lies at its smallest or largest F_M, as in the node
@@ -327,12 +328,11 @@ class _Whole(NamedTuple):
     """The whole grid's prefix tree without its leaf level, as its outage
     floor reads it: per interior level (the first M - 1 rounds), each
     node's F and, on every level but the last, its child count; then, per
-    node of the last interior level (one root for M = 1), its leaf count
-    and the smallest and largest F_M among those leaves."""
+    node of the last interior level (one root for M = 1), the smallest and
+    largest F_M among its leaves."""
 
     F: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
-    count: np.ndarray
     min_F: np.ndarray
     max_F: np.ndarray
 
@@ -342,11 +342,15 @@ def _spread(children):
     return lambda x, i: np.repeat(x, children[i])
 
 
+@functools.lru_cache(maxsize=4)
 def _stream(grid: RateGrid, m: int, dl,
-            threshold: float) -> tuple[_Whole, tuple[_Block, ...]]:
-    """The whole grid's tree and the blocks of the tree kept at
-    `threshold` (the paths with F_M <= threshold and their prefixes), from
-    one pass over the leaf level.
+            epsilon: float) -> tuple[_Whole, tuple[_Block, ...]]:
+    """The whole grid's tree (_Whole) and the blocks of the tree kept at
+    epsilon: the paths that can meet epsilon at some thresholds,
+    F_M <= epsilon + _ROUNDING_SLACK, and their prefixes. Both come from
+    one pass over the leaf level; an epsilon of -inf keeps no leaf. Cached
+    per grid, downlink spec and epsilon, so a solve and the outage floors
+    read on its entry evaluate each leaf's Q once.
 
     Each node holds the rate of its last round (units times unit_rho) and
     its Gaussian prefix-failure probability, computed once per distinct
@@ -361,6 +365,7 @@ def _stream(grid: RateGrid, m: int, dl,
     written, then cut to the kept ones. A node stays when one of its
     children does, counted bottom-up on the interior levels; a level whose
     every node stays is kept as built, not copied."""
+    threshold = epsilon + _ROUNDING_SLACK
     units, counts = _prefix_tree(grid, m)
     rhos = [u * grid.unit_rho for u in units]
     del units  # only their rates are held
@@ -397,7 +402,7 @@ def _stream(grid: RateGrid, m: int, dl,
     for leaf in (leaf_rho, leaf_F):
         # no view of these arrays exists yet
         leaf.resize(size, refcheck=False)
-    whole = _Whole(tuple(F), counts[1:-1], count, min_F, max_F)
+    whole = _Whole(tuple(F), counts[1:-1], min_F, max_F)
     alive, children = [], []
     for k in reversed(range(m - 1)):
         # kept: the kept children of each level-k node
@@ -406,35 +411,8 @@ def _stream(grid: RateGrid, m: int, dl,
         kept = np.add.reduceat(alive[0], np.cumsum(counts[k]) - counts[k])
     rhos, F = (tuple(a if keep.all() else a[keep] for a, keep in zip(levels, alive))
                + (leaf,) for levels, leaf in ((rhos, leaf_rho), (F, leaf_F)))
+    del alive, kept  # read by the pruning only, not held while _blocks runs
     return whole, _blocks(rhos, F, children)
-
-
-# whole trees that a _kept_tree stream formed, on their way into
-# _gaussian_tree's cache; empty between calls
-_streamed: dict = {}
-
-
-@functools.lru_cache(maxsize=4)
-def _gaussian_tree(grid: RateGrid, m: int, dl) -> _Whole:
-    """The whole grid's tree without its leaf level (_Whole): the one that
-    _kept_tree's stream formed on the way, or else a stream of its own
-    that keeps no leaf."""
-    whole = _streamed.pop((grid, m, dl), None)
-    return whole if whole is not None else _stream(grid, m, dl, -math.inf)[0]
-
-
-@functools.lru_cache(maxsize=4)
-def _kept_tree(grid: RateGrid, m: int, dl, epsilon: float) -> tuple[_Block, ...]:
-    """The blocks of the Gaussian tree pruned to the paths that can meet
-    epsilon at some thresholds, F_M <= epsilon + slack. Its stream also
-    forms the whole tree, which goes into _gaussian_tree's cache unless
-    that holds one for the grid already, so each leaf's Q is evaluated once
-    for both."""
-    whole, kept = _stream(grid, m, dl, epsilon + _ROUNDING_SLACK)
-    _streamed[grid, m, dl] = whole
-    _gaussian_tree(grid, m, dl)
-    _streamed.clear()
-    return kept
 
 
 def _leaf_rates(block: _Block, leaves: np.ndarray) -> np.ndarray:
@@ -472,15 +450,14 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
     """Smallest grid-achievable outage at the given thresholds, one per
     feedback of the len(alphas) + 1 rounds."""
     rates = feedback_model.error_rates_for(fb, alphas)
-    return _outage_floor(grid, len(rates) + 1, dl, rates.p_nack)
+    return _outage_floor(_stream(grid, len(rates) + 1, dl, -math.inf)[0], rates.p_nack)
 
 
-def _outage_floor(grid: RateGrid, m: int, dl, p_nack) -> float:
+def _outage_floor(whole: _Whole, p_nack) -> float:
     """Smallest outage over the whole grid at these NACK error rates, one
     per feedback: the least leaf outage of each node of the whole tree's
     last interior level (_least_outage), at its smallest and largest F_M,
     so the smallest over every leaf exactly, with no leaf formed."""
-    whole = _gaussian_tree(grid, m, dl)
     inner = harq_analysis._inner(whole.F, p_nack, _spread(whole.children))
     return float(_least_outage(inner, whole.min_F, whole.max_F).min())
 
@@ -559,10 +536,10 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
     bound of at least the optimum, so it is read, and the argmax and its
     tie rules are those of a pass over every leaf. The outage floor of an
     InfeasibleError is taken over the whole grid, when it is first read."""
-    m = len(rates) + 1
+    whole, blocks = _stream(grid, len(rates) + 1, dl, epsilon)
     top = -math.inf
     tied = []
-    for block in _kept_tree(grid, m, dl, epsilon):
+    for block in blocks:
         inner, least = _node_outage(block, rates.p_nack)
         feasible = least <= epsilon
         if not feasible.any():
@@ -588,7 +565,7 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
     if not tied:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
-            min_outage=functools.partial(_outage_floor, grid, m, dl, rates.p_nack),
+            min_outage=functools.partial(_outage_floor, whole, rates.p_nack),
         )
     return _feasible_argmax(tied, grid.unit_rho)
 
@@ -717,14 +694,14 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     k = m - 1
     alphas = np.clip(np.asarray(start.alphas, dtype=float), lo, hi)
 
-    kept = _kept_tree(grid, m, dl, epsilon)
+    whole, blocks = _stream(grid, m, dl, epsilon)
 
     def reaches(a: np.ndarray) -> bool:
         # some allocation meets epsilon at thresholds a; only kept paths
         # can, so with none kept this is an infeasibility certificate
         p_nack = feedback_model.nack_error_rate(a, fb.snr_linear)
         return any(bool((_node_outage(block, p_nack)[1] <= epsilon).any())
-                   for block in kept)
+                   for block in blocks)
 
     if k > 0 and not reaches(alphas):
         # bootstrap: raise thresholds uniformly until some allocation is feasible
@@ -733,7 +710,8 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
             raise InfeasibleError(
                 f"outage constraint {epsilon:g} unreachable for any "
                 "thresholds in the box",
-                min_outage=min_achievable_outage(top, dl, fb, grid),
+                min_outage=functools.partial(
+                    _outage_floor, whole, feedback_model.nack_error_rate(top, fb.snr_linear)),
                 iteration=0,
             )
         # 40 halvings of [lo, hi]; each probe is a pass over the kept tree

@@ -55,14 +55,12 @@ def few_leaf_blocks(monkeypatch):
     """Trees built afresh with the leaf level formed in runs of at most five
     leaves (a parent with more forms a run alone), and cut into blocks of
     at most three leaves (a larger level-0 subtree forms a block alone);
-    the tree caches are emptied again afterwards."""
+    the stream cache is emptied again afterwards."""
     monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
     monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
-    optimizer._gaussian_tree.cache_clear()
-    optimizer._kept_tree.cache_clear()
+    optimizer._stream.cache_clear()
     yield
-    optimizer._gaussian_tree.cache_clear()
-    optimizer._kept_tree.cache_clear()
+    optimizer._stream.cache_clear()
 
 
 def kept_levels(blocks, m):
@@ -280,7 +278,7 @@ def check_tree_table(dl, grid, m):
     for eps in (1.0, float(np.median(F[:, -1]))):
         keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
         assert keep.all() or eps < 1.0
-        blocks = optimizer._kept_tree(grid, m, dl, eps)
+        blocks = optimizer._stream(grid, m, dl, eps)[1]
         kept_rhos, kept_F, children = kept_levels(blocks, m)
         assert all(np.all(ch > 0) for ch in children)
         assert [r.size for r in kept_rhos] == [
@@ -304,7 +302,7 @@ def check_tree_scan(dl, grid, m):
     of its table row."""
     F = failure_table(grid, m, dl)
     table_rhos = enumerate_units(grid, m) * grid.unit_rho
-    tree_rhos, tree_F, children = kept_levels(optimizer._kept_tree(grid, m, dl, 1.0), m)
+    tree_rhos, tree_F, children = kept_levels(optimizer._stream(grid, m, dl, 1.0)[1], m)
     spread = optimizer._spread(children)
     rng = np.random.default_rng(100 + m)
     error_rates = [(rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 0.3, m - 1)),
@@ -347,7 +345,8 @@ def check_outage_floor(dl, grid, m):
     for p_nack in (rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 1.0, m - 1),
                    np.zeros(m - 1), np.ones(m - 1)):
         whole = harq_analysis.outage_from_failures(F, p_nack).min()
-        assert optimizer._outage_floor(grid, m, dl, p_nack) == whole
+        assert optimizer._outage_floor(optimizer._stream(grid, m, dl, -math.inf)[0],
+                                       p_nack) == whole
 
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
@@ -360,69 +359,76 @@ def test_tree_in_few_leaf_blocks_equals_the_tables(dl3, grid, m, few_leaf_blocks
     # the same checks with the leaf level built a few leaves at a time and
     # the trees evaluated block by block, three leaves or one level-0
     # subtree at a time: rates, failures, scans and floors keep their bytes
-    assert len(optimizer._kept_tree(grid, m, dl3, 1.0)) > 1
+    assert len(optimizer._stream(grid, m, dl3, 1.0)[1]) > 1
     check_tree_table(dl3, grid, m)
     check_tree_scan(dl3, grid, m)
     check_outage_floor(dl3, grid, m)
 
 
-def check_whole_tree(dl, grid, m):
-    """The whole tree holds no leaf level: its interior levels are the
-    failure table's first M - 1 columns byte for byte, and per (M - 1)-round
-    prefix (one root for M = 1) it holds the row count and the smallest and
+def check_whole_tree(dl, grid, m, eps):
+    """The whole tree of the stream at epsilon holds no leaf level: its
+    interior levels are the failure table's first M - 1 columns byte for
+    byte, and per (M - 1)-round prefix (one root for M = 1), whose row
+    counts are the prefix tree's last counts, it holds the smallest and
     largest F_M of the table's rows below it."""
     units = enumerate_units(grid, m)
     F = failure_table(grid, m, dl)
-    whole = optimizer._gaussian_tree(grid, m, dl)
+    whole = optimizer._stream(grid, m, dl, eps)[0]
+    count = optimizer._prefix_tree(grid, m)[1][-1]
     assert len(whole.F) == m - 1
     # the first row of each (M - 1)-round prefix, in path order
     starts = np.flatnonzero(np.r_[True, np.any(units[1:, :-1] != units[:-1, :-1], axis=1)])
-    assert whole.count.tolist() == np.diff(np.r_[starts, len(units)]).tolist()
+    assert count.tolist() == np.diff(np.r_[starts, len(units)]).tolist()
     assert whole.min_F.tobytes() == np.minimum.reduceat(F[:, -1], starts).tobytes()
     assert whole.max_F.tobytes() == np.maximum.reduceat(F[:, -1], starts).tobytes()
     if m > 1:
-        assert expand_all(whole.F, whole.children + (whole.count,)).tobytes() == \
+        assert expand_all(whole.F, whole.children + (count,)).tobytes() == \
             F[:, :-1].tobytes()
 
 
 @pytest.mark.parametrize("blocks", ["default", "few"])
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
 def test_whole_tree_holds_per_prefix_extremes_of_the_table(dl3, grid, m, blocks, request):
-    # built alone, or formed by the stream of a kept tree (which goes into
-    # the whole tree's cache), with the leaf level in runs of the default
-    # size or of five leaves
+    # formed by a stream that keeps no leaf, some or every leaf, with the
+    # leaf level in runs of the default size or of five leaves
     if blocks == "few":
         request.getfixturevalue("few_leaf_blocks")
-    for eps in (None, 0.01, 1.0):
-        optimizer._gaussian_tree.cache_clear()
-        optimizer._kept_tree.cache_clear()
-        if eps is not None:
-            optimizer._kept_tree(grid, m, dl3, eps)
-        check_whole_tree(dl3, grid, m)
+    for eps in (-math.inf, 0.01, 1.0):
+        optimizer._stream.cache_clear()
+        check_whole_tree(dl3, grid, m, eps)
 
 
-def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, monkeypatch):
-    # one alternating_optimize and the outage floor read after it evaluate
-    # the Gaussian Q of each prefix of the grid once, with the leaf level
-    # formed five leaves at a time: the stream that builds the kept tree
-    # also forms the whole tree, which keeps no leaf level. It calls Q once
-    # per interior level and once per run of the leaf level
-    grid = optimizer.make_rate_grid(1024, 4096, 16)
-    m = 4
+@pytest.fixture
+def optimizer_q(monkeypatch):
+    """The sizes of the Gaussian Q calls that the trees make from here on,
+    one per call; p_fail_gaussian on a single policy, which calls Q from
+    mi_model, is not counted."""
     formed = []
     real_q = mi_model._q_of_sums
 
     def q_spy(s1, s2, spec):
-        # the trees call it from the optimizer, p_fail_gaussian on a single
-        # policy from mi_model
         if sys._getframe(1).f_globals["__name__"] == optimizer.__name__:
             formed.append(np.size(s1))
         return real_q(s1, s2, spec)
 
     monkeypatch.setattr(mi_model, "_q_of_sums", q_spy)
+    return formed
+
+
+def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, optimizer_q):
+    # one alternating_optimize and the outage floor read on its stream
+    # evaluate the Gaussian Q of each prefix of the grid once, with the
+    # leaf level formed five leaves at a time: the stream that builds the
+    # kept tree also forms the whole tree, which keeps no leaf level. It
+    # calls Q once per interior level and once per run of the leaf level
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    m = 4
+    formed = optimizer_q
     fb = feedback_model.make_feedback_spec(-10.0)
     sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid, 0.05)
-    floor = optimizer.min_achievable_outage(sol.policy.alphas, dl3, fb, grid)
+    whole = optimizer._stream(grid, m, dl3, 0.05)[0]
+    floor = optimizer._outage_floor(
+        whole, feedback_model.error_rates_for(fb, sol.policy.alphas).p_nack)
     assert sol.feasible and floor <= sol.breakdown.p_out_unreliable
     units = enumerate_units(grid, m)
     assert sum(formed) == sum(len({tuple(row[:k + 1]) for row in units}) for k in range(m))
@@ -432,7 +438,49 @@ def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, mon
     for leaves in np.unique(units[:, :-1], axis=0, return_counts=True)[1]:
         runs, size = (runs + 1, leaves) if size + leaves > 5 else (runs, size + leaves)
     assert len(formed) == (m - 1) + runs
-    assert len(optimizer._gaussian_tree(grid, m, dl3).F) == m - 1
+    assert len(whole.F) == m - 1
+
+
+def test_infeasible_bootstrap_reads_its_floor_lazily_on_its_stream(grid64, optimizer_q,
+                                                                   monkeypatch):
+    # at 0 dB no path has F_M <= 0.01, so the bootstrap raises before the
+    # first iteration: it runs no outage floor until min_outage is read,
+    # and reading it forms no Q, since the floor is read on the whole tree
+    # of the solve's own stream
+    dl0 = mi_model.make_downlink_spec(0.0)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    floors = []
+    real_floor = optimizer._outage_floor
+
+    def floor_spy(*args):
+        floors.append(args)
+        return real_floor(*args)
+
+    monkeypatch.setattr(optimizer, "_outage_floor", floor_spy)
+    with pytest.raises(InfeasibleError) as exc:
+        optimizer.alternating_optimize(dl0, fb, default_template(), grid64, 0.01)
+    assert exc.value.iteration == 0 and not floors
+    optimizer_q.clear()
+    assert exc.value.min_outage > 0.01
+    assert len(floors) == 1 and not optimizer_q
+    assert floors[0][0] is optimizer._stream(grid64, 4, dl0, 0.01)[0]
+
+
+def test_repeated_min_achievable_outage_streams_once(dl3, optimizer_q):
+    # the public floor reads the whole tree of a stream that keeps no leaf
+    # (epsilon -inf): a second call at other thresholds on the same grid
+    # reads the same cache entry and forms no Q
+    grid = optimizer.make_rate_grid(1024, 4096, 16)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    F = failure_table(grid, 3, dl3)
+    optimizer._stream.cache_clear()
+    for i, alphas in enumerate([(0.5, 0.5), (1.0, 1.5)]):
+        floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
+        p_nack = feedback_model.error_rates_for(fb, alphas).p_nack
+        assert floor == harq_analysis.outage_from_failures(F, p_nack).min()
+        assert bool(optimizer_q) == (i == 0)
+        optimizer_q.clear()
+    assert optimizer._stream.cache_info().currsize == 1
 
 
 def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
@@ -442,7 +490,7 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
     # the fewest total units win, then the first in path order, also when
     # the tied leaves lie in different blocks
     grid = optimizer.make_rate_grid(1024, 4096, 13)
-    tree_rhos, tree_F, children = kept_levels(optimizer._kept_tree(grid, 3, dl3, 1.0), 3)
+    tree_rhos, tree_F, children = kept_levels(optimizer._stream(grid, 3, dl3, 1.0)[1], 3)
     rhos = expand_all(tree_rhos, children)
     totals = np.rint(rhos / grid.unit_rho).sum(axis=1)
     many, few = np.flatnonzero(totals == 9)[[0, -1]], np.flatnonzero(totals == 5)[[-1, 0]]
@@ -478,11 +526,10 @@ def test_m5_tree_build_peak_stays_under_twice_its_kept_tree():
     # well adds 16.1 MB.
     grid = optimizer.make_rate_grid(1024, 4096, 32)
     dl = mi_model.make_downlink_spec(10.0)
-    optimizer._gaussian_tree.cache_clear()
-    optimizer._kept_tree.cache_clear()
+    optimizer._stream.cache_clear()
     tracemalloc.start()
     try:
-        blocks = optimizer._kept_tree(grid, 5, dl, 0.01)
+        blocks = optimizer._stream(grid, 5, dl, 0.01)[1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -551,7 +598,7 @@ def test_float_table_on_non_dyadic_grid(dl3):
     # every path), and the production rate scan must match the scalar
     # oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    kept_rhos, _, children = kept_levels(optimizer._kept_tree(grid, 3, dl3, 1.0), 3)
+    kept_rhos, _, children = kept_levels(optimizer._stream(grid, 3, dl3, 1.0)[1], 3)
     table_rhos = expand_all(kept_rhos, children)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   enumerate_units(grid, 3))
@@ -589,7 +636,7 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
                                            (0.5, 0.5))
     F = failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
-    blocks = optimizer._kept_tree(grid, 3, dl3, eps)
+    blocks = optimizer._stream(grid, 3, dl3, eps)[1]
     kept_rhos, kept_F, children = kept_levels(blocks, 3)
     assert all(a.size == 0 for a in kept_rhos + kept_F + children)
     assert blocks == ()
@@ -781,7 +828,7 @@ def test_node_outage_and_bound_are_exact_on_random_instances(blocks, request):
     for grid, m, dl, fb, alphas, eps in random_scan_instances(27, 16, 300_000):
         rates = feedback_model.error_rates_for(fb, alphas)
         for budget in (eps, 1.0):
-            blocks = optimizer._kept_tree(grid, m, dl, budget)
+            blocks = optimizer._stream(grid, m, dl, budget)[1]
             passed.append(check_node_outage_and_bound(blocks, m, rates, budget))
     assert sum(p > 0 for p in passed[::2]) >= 4
 
@@ -795,7 +842,7 @@ def test_node_outage_and_bound_are_exact_at_any_error_rates():
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     below_zero = 0
     for m in (2, 3, 4, 5):
-        blocks = optimizer._kept_tree(grid, m, mi_model.make_downlink_spec(-10.0), 1.0)
+        blocks = optimizer._stream(grid, m, mi_model.make_downlink_spec(-10.0), 1.0)[1]
         for p_nack in (rng.uniform(0.0, 1.0, m - 1), np.ones(m - 1),
                        *(np.r_[rng.uniform(0.0, 1.0, m - 2), 1.0] for _ in range(3))):
             rates = feedback_model.FeedbackErrorRates(
@@ -831,16 +878,14 @@ def test_min_achievable_outage_is_the_leaf_minimum_on_random_instances():
 @pytest.fixture
 def failure_curve(monkeypatch):
     """use(curve) puts prefix failures curve(rate sum) in place of the
-    Gaussian Q of every tree and of p_fail_gaussian; the tree caches are
+    Gaussian Q of every tree and of p_fail_gaussian; the stream cache is
     emptied each time and afterwards."""
     def use(curve):
         monkeypatch.setattr(mi_model, "_q_of_sums", lambda s1, s2, spec: curve(s1))
-        optimizer._gaussian_tree.cache_clear()
-        optimizer._kept_tree.cache_clear()
+        optimizer._stream.cache_clear()
 
     yield use
-    optimizer._gaussian_tree.cache_clear()
-    optimizer._kept_tree.cache_clear()
+    optimizer._stream.cache_clear()
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -855,7 +900,7 @@ def test_node_bound_holds_where_failures_rise_along_a_path(dl3, failure_curve, m
     grid = optimizer.make_rate_grid(1024, 4096, 12)
     rates = feedback_model.FeedbackErrorRates(p_nack=(0.0,) + (1.0,) * (m - 2),
                                               p_ack=(0.0,) + (0.2,) * (m - 2))
-    blocks = optimizer._kept_tree(grid, m, dl3, 1.0)
+    blocks = optimizer._stream(grid, m, dl3, 1.0)[1]
     assert check_node_outage_and_bound(blocks, m, rates, 1.0) > 0
     negative = 0
     for block in blocks:
@@ -916,18 +961,20 @@ def test_scan_reads_few_kept_leaves_on_the_default_grid(grid64, monkeypatch,
 
     monkeypatch.setattr(optimizer, "_leaf_eta", leaf_eta_spy)
     optimizer.best_feasible_allocation(rates, dl, grid64, 0.01)
-    kept = sum(block.rhos[-1].size for block in optimizer._kept_tree(grid64, 4, dl, 0.01))
+    kept = sum(block.rhos[-1].size for block in optimizer._stream(grid64, 4, dl, 0.01)[1])
     assert 0 < sum(read) <= most * kept
 
 
 def test_kept_rows_cache_is_bounded(dl3):
-    # an epsilon ladder over one table holds at most four kept trees, and
-    # the whole trees they are pruned from at most four grids
+    # an epsilon ladder over one table, with a floor read at each rung,
+    # holds at most four streams, so at most four kept trees and the four
+    # whole trees they are pruned from
     grid = optimizer.make_rate_grid(1024, 4096, 16)
+    fb = feedback_model.make_feedback_spec(-10.0)
     for eps in np.geomspace(1e-4, 0.5, 20):
-        optimizer._kept_tree(grid, 3, dl3, float(eps))
-    assert optimizer._kept_tree.cache_info().currsize <= 4
-    assert optimizer._gaussian_tree.cache_info().currsize <= 4
+        optimizer._stream(grid, 3, dl3, float(eps))
+        optimizer.min_achievable_outage((0.5, 0.5), dl3, fb, grid)
+    assert optimizer._stream.cache_info().currsize <= 4
 
 
 @pytest.mark.parametrize("eps", [0.045, 0.05, 0.07, 0.10])
@@ -1223,7 +1270,7 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     # floor at the top of the box
     dl0 = mi_model.make_downlink_spec(0.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    assert all(r.size == 0 for r in kept_levels(optimizer._kept_tree(grid64, 4, dl0, 0.01), 4)[0])
+    assert all(r.size == 0 for r in kept_levels(optimizer._stream(grid64, 4, dl0, 0.01)[1], 4)[0])
     with pytest.raises(InfeasibleError) as exc:
         optimizer.alternating_optimize(dl0, fb, default_template(), grid64, 0.01)
     assert exc.value.iteration == 0
@@ -1241,8 +1288,7 @@ def test_alternating_in_few_leaf_blocks_equals_default_blocks(monkeypatch, caplo
              (23, 3.0, -15.0, 1e-3)]
 
     def solve_all():
-        optimizer._gaussian_tree.cache_clear()
-        optimizer._kept_tree.cache_clear()
+        optimizer._stream.cache_clear()
         out = []
         for units, snr_d, snr_u, eps in cases:
             m = 3 if units == 16 else 4
@@ -1263,8 +1309,7 @@ def test_alternating_in_few_leaf_blocks_equals_default_blocks(monkeypatch, caplo
     monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
     with caplog.at_level(logging.DEBUG, logger=optimizer.__name__):
         got = solve_all()
-    optimizer._gaussian_tree.cache_clear()
-    optimizer._kept_tree.cache_clear()
+    optimizer._stream.cache_clear()
     assert got == want
     # two cases raise their start thresholds, one solves from them and one
     # cannot meet its budget at any thresholds
