@@ -40,10 +40,6 @@ from .errors import ConfigError, InfeasibleError
 
 _log = logging.getLogger(__name__)
 
-_COMMANDS = ("analyze", "optimize", "simulate", "validate", "sweep")
-_SWEEP_AXES = ("snr_u_db", "snr_d_db", "alpha")
-_SWEEP_MODES = ("analyze", "min_outage", "optimize", "fixed_vs_variable",
-                "vs_duplicated")
 _Z_LIMIT = 4.0
 # threshold of every round when the config sets no alphas
 _DEFAULT_ALPHA = 0.5
@@ -212,8 +208,8 @@ def _validate(config: RunConfig) -> None:
     _require(config.feedback_mode in mc_simulator.FEEDBACK_MODES, "mc.feedback_mode",
              f"one of {'|'.join(mc_simulator.FEEDBACK_MODES)}", config.feedback_mode)
     if config.sweep_axis is not None:
-        _require(config.sweep_axis in _SWEEP_AXES, "sweep.axis",
-                 f"one of {'|'.join(_SWEEP_AXES)}", config.sweep_axis)
+        _require(config.sweep_axis in _AXES, "sweep.axis",
+                 f"one of {'|'.join(_AXES)}", config.sweep_axis)
     _require(config.sweep_mode in _SWEEP_MODES, "sweep.mode",
              f"one of {'|'.join(_SWEEP_MODES)}", config.sweep_mode)
     # an empty list would scan no threshold at all; leave the key out for
@@ -270,8 +266,6 @@ def _grid_from(config: RunConfig) -> optimizer.RateGrid:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -433,13 +427,14 @@ def _run_validate(config: RunConfig, out: str) -> int:
     return 0
 
 
-def _with_axis(config: RunConfig, value: float) -> RunConfig:
-    if config.sweep_axis == "snr_u_db":
-        return dataclasses.replace(config, snr_u_db=value)
-    if config.sweep_axis == "snr_d_db":
-        return dataclasses.replace(config, snr_d_db=value)
-    # alpha axis: uniform thresholds at the swept value
-    return dataclasses.replace(config, alphas=(value,) * (config.m_max - 1))
+# sweep.axis -> the run config at one swept value
+_AXES = {
+    "snr_u_db": lambda config, v: dataclasses.replace(config, snr_u_db=v),
+    "snr_d_db": lambda config, v: dataclasses.replace(config, snr_d_db=v),
+    # uniform thresholds at the swept value
+    "alpha": lambda config, v: dataclasses.replace(
+        config, alphas=(v,) * (config.m_max - 1)),
+}
 
 
 def _alpha_scan(config: RunConfig) -> tuple[float, ...]:
@@ -482,83 +477,85 @@ def _duplicated_best_throughput(config: RunConfig, dl, fb,
     return bd.throughput, True
 
 
-def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
-    base, value, index = args
-    config = _with_axis(
-        dataclasses.replace(base, seed=base.seed + index), value
-    )
-    axis = config.sweep_axis
-    dl = mi_model.make_downlink_spec(config.snr_d_db)
-    fb = feedback_model.make_feedback_spec(config.snr_u_db)
+def _solve(config: RunConfig, dl, fb, start: harq_analysis.HarqPolicy,
+           grid: optimizer.RateGrid) -> optimizer.Solution | None:
+    """The alternating optimum from start; None, after one warning that
+    names the sweep point, when no policy meets the outage budget."""
+    try:
+        return optimizer.alternating_optimize(dl, fb, start, grid, config.epsilon)
+    except InfeasibleError as err:
+        _log.warning("sweep point %s=%g infeasible: %s", config.sweep_axis,
+                     config.sweep_values[0], err)
+        return None
 
-    if config.sweep_mode == "analyze":
-        header, row = _analyze_columns(config, dl, fb)
-        return [axis, *header], [value, *row]
 
-    if config.sweep_mode == "min_outage":
-        grid = _grid_from(config)
-        header, row = [axis], [value]
-        for alpha in (config.sweep_alphas or (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)):
-            alphas = (float(alpha),) * (config.m_max - 1)
-            header.append(f"min_outage_alpha_{alpha:g}")
-            row.append(optimizer.min_achievable_outage(alphas, dl, fb, grid))
-        return header, row
+def _min_outage_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
+    grid = _grid_from(config)
+    header, row = [], []
+    for alpha in (config.sweep_alphas or (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)):
+        alphas = (float(alpha),) * (config.m_max - 1)
+        header.append(f"min_outage_alpha_{alpha:g}")
+        row.append(optimizer.min_achievable_outage(alphas, dl, fb, grid))
+    return header, row
 
-    if config.sweep_mode == "optimize":
-        try:
-            sol = optimizer.alternating_optimize(
-                dl, fb, _policy_from(config), _grid_from(config), config.epsilon
-            )
-            header, row = _solution_columns(config, sol)
-        except InfeasibleError as err:
-            header, row = _solution_columns(config, _dummy_solution(config, dl, fb))
-            row[header.index("throughput")] = 0.0
-            _log.warning("sweep point %s=%g infeasible: %s", axis, value, err)
-        return [axis, *header], [value, *row]
 
-    if config.sweep_mode == "vs_duplicated":
-        grid = _grid_from(config)
-        dup_eta, dup_ok = _duplicated_best_throughput(config, dl, fb, grid)
-        try:
-            sol = optimizer.alternating_optimize(
-                dl, fb, _policy_from(config), grid, config.epsilon
-            )
-            asym_eta, asym_ok = sol.breakdown.throughput, sol.feasible
-        except InfeasibleError:
-            asym_eta, asym_ok = 0.0, False
-        return (
-            [axis, "throughput_asymmetric", "feasible_asymmetric",
-             "throughput_duplicated", "feasible_duplicated"],
-            [value, asym_eta, asym_ok, dup_eta, dup_ok],
+def _optimize_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
+    start = _policy_from(config)
+    sol = _solve(config, dl, fb, start, _grid_from(config))
+    if sol is None:
+        # infeasible: the start policy as evaluated, at throughput 0
+        bd = harq_analysis.unreliable_throughput(start, dl, fb)
+        sol = optimizer.Solution(
+            policy=start, breakdown=dataclasses.replace(bd, throughput=0.0),
+            converged=False, feasible=False, trace=(),
         )
+    return _solution_columns(config, sol)
 
-    # fixed_vs_variable
+
+def _vs_duplicated_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
+    grid = _grid_from(config)
+    dup_eta, dup_ok = _duplicated_best_throughput(config, dl, fb, grid)
+    sol = _solve(config, dl, fb, _policy_from(config), grid)
+    asym = (0.0, False) if sol is None else (sol.breakdown.throughput, sol.feasible)
+    return (["throughput_asymmetric", "feasible_asymmetric",
+             "throughput_duplicated", "feasible_duplicated"],
+            [*asym, dup_eta, dup_ok])
+
+
+def _fixed_vs_variable_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
     grid = _grid_from(config)
     fixed_eta, fixed_alpha, fixed_rhos = _best_fixed_alpha(config, dl, fb, grid)
     start = _policy_from(config)
     if fixed_rhos is not None:
         # warm start at the best fixed-threshold operating point: the
         # alternating loop never loses its start, so variable >= fixed
-        start = dataclasses.replace(
-            start, rhos=fixed_rhos, alphas=(fixed_alpha,) * (config.m_max - 1)
-        )
-    try:
-        sol = optimizer.alternating_optimize(dl, fb, start, grid, config.epsilon)
-        var_eta = sol.breakdown.throughput
-    except InfeasibleError:
-        var_eta = 0.0
-    return (
-        [axis, "throughput_fixed", "best_fixed_alpha", "throughput_variable"],
-        [value, fixed_eta, fixed_alpha, var_eta],
-    )
+        start = dataclasses.replace(start, rhos=fixed_rhos,
+                                    alphas=(fixed_alpha,) * (config.m_max - 1))
+    sol = _solve(config, dl, fb, start, grid)
+    var_eta = 0.0 if sol is None else sol.breakdown.throughput
+    return (["throughput_fixed", "best_fixed_alpha", "throughput_variable"],
+            [fixed_eta, fixed_alpha, var_eta])
 
 
-def _dummy_solution(config: RunConfig, dl, fb) -> optimizer.Solution:
-    policy = _policy_from(config)
-    bd = harq_analysis.unreliable_throughput(policy, dl, fb)
-    return optimizer.Solution(
-        policy=policy, breakdown=bd, converged=False, feasible=False, trace=(),
-    )
+# sweep.mode -> the header and row of one point, without the swept column
+_SWEEP_MODES = {
+    "analyze": _analyze_columns,
+    "min_outage": _min_outage_columns,
+    "optimize": _optimize_columns,
+    "fixed_vs_variable": _fixed_vs_variable_columns,
+    "vs_duplicated": _vs_duplicated_columns,
+}
+
+
+def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
+    base, value, index = args
+    # the point's config sweeps its one value, which names it in a warning
+    config = dataclasses.replace(base, seed=base.seed + index, sweep_values=(value,))
+    config = _AXES[config.sweep_axis](config, value)
+    dl = mi_model.make_downlink_spec(config.snr_d_db)
+    fb = feedback_model.make_feedback_spec(config.snr_u_db)
+    header, row = _SWEEP_MODES[config.sweep_mode](config, dl, fb)
+    return [config.sweep_axis, *header], [value, *row]
 
 
 def _run_sweep(config: RunConfig, out: str) -> int:
@@ -566,10 +563,9 @@ def _run_sweep(config: RunConfig, out: str) -> int:
         raise ConfigError("sweep.axis: required for the sweep command")
     if not config.sweep_values:
         raise ConfigError("sweep.values: required for the sweep command")
-    if config.sweep_axis == "snr_d_db":
-        for v in config.sweep_values:
-            _require(-20.0 <= v <= 10.0, "sweep.values",
-                     "-20 <= snr_d_db <= 10", v)
+    # every swept value must make a valid run before any point runs
+    for v in config.sweep_values:
+        _validate(_AXES[config.sweep_axis](config, v))
     if config.sweep_mode == "fixed_vs_variable" and config.sweep_alphas:
         # the variable side searches the box only, so a fixed threshold
         # outside it could beat the search it is compared with
@@ -590,11 +586,20 @@ def _run_sweep(config: RunConfig, out: str) -> int:
     return 0
 
 
+_RUNNERS = {
+    "analyze": _run_analyze,
+    "optimize": _run_optimize,
+    "simulate": _run_simulate,
+    "validate": _run_validate,
+    "sweep": _run_sweep,
+}
+
+
 def run(config: RunConfig) -> int:
     """Validate the config, then execute its workflow; returns the process
     exit code. A field out of bounds raises ConfigError, as in load_config."""
-    if config.command not in _COMMANDS:
-        raise ConfigError(f"command: one of {'|'.join(_COMMANDS)}, got "
+    if config.command not in _RUNNERS:
+        raise ConfigError(f"command: one of {'|'.join(_RUNNERS)}, got "
                           f"{config.command!r}")
     _validate(config)
     optimizes = config.command == "optimize" or (
@@ -604,14 +609,7 @@ def run(config: RunConfig) -> int:
                           "table; route = convolution applies to analyze and "
                           "sweep.mode = analyze")
     out = config.output_path or f"harqopt_{config.command}.csv"
-    runner = {
-        "analyze": _run_analyze,
-        "optimize": _run_optimize,
-        "simulate": _run_simulate,
-        "validate": _run_validate,
-        "sweep": _run_sweep,
-    }[config.command]
-    return runner(config, out)
+    return _RUNNERS[config.command](config, out)
 
 
 def main(argv=None) -> int:
@@ -619,7 +617,7 @@ def main(argv=None) -> int:
         prog="harqopt",
         description="HARQ rate/threshold analysis and optimization toolkit",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--config", required=True, help="flat key=value file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output CSV path")

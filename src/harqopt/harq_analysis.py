@@ -19,11 +19,10 @@ this expression.
 occurrence_probabilities, expected_cost and outage_from_failures are the
 only implementations of their formulas. They take rates, prefix failures
 and occurrence probabilities of shape (..., M), and error rates of shape
-(..., M-1) whose leading axes broadcast against them, so the same code
-serves a single policy here and in the threshold search; the scalar
-brute-force oracle in tests/oracles.py checks both uses against each
-other. The performance reports take the failure model as one keyword,
-``bins``, which mi_model.p_fail reads.
+(..., M-1) whose leading axes broadcast against them; the scalar
+brute-force oracle in tests/oracles.py checks them row by row. The
+performance reports take the failure model as one keyword, ``bins``,
+which mi_model.p_fail reads.
 
 Each walks the rounds through a recursion (_outage, _occurrence, _cost)
 with a spread step between rounds: the identity on (..., M) arrays, and
@@ -36,11 +35,11 @@ the first M - 1 rounds; it finishes the last round only for the leaves it
 reads. _inner takes the failures of those M - 1 rounds only, so the
 optimizer's outage floor runs it on its whole tree, which holds no leaf
 level.
-occurrence_probabilities returns its result round-major. Its
-decoded-at-round-k terms are carried from round to round with one more
-p_ack factor each, in the multiplication order of rebuilding them, so the
-work per row is O(M^2) and the bits are those of the nested form
-(tests/oracles.py keeps it as the reference).
+In occurrence_probabilities the decoded-at-round-k terms are carried
+from round to round with one more p_ack factor each, in the
+multiplication order of rebuilding them, so the work per row is O(M^2)
+and the bits are those of the nested form (tests/oracles.py keeps it as
+the reference).
 """
 
 from __future__ import annotations
@@ -124,8 +123,7 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     ``p_fail`` has shape (..., M) and the error rates (..., M-1); their
     leading axes broadcast, so one table can meet one set of error pairs
     or one failure vector many. The result has shape (broadcast leading
-    axes..., M), stored round-major (each round one contiguous block), and
-    each row equals the call on that row alone bit for bit.
+    axes..., M), and each row equals the call on that row alone bit for bit.
     """
     F = np.asarray(p_fail, dtype=float)
     pn = np.asarray(p_nack, dtype=float)
@@ -134,12 +132,8 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     if pn.shape[-1] < m - 1 or pa.shape[-1] < m - 1:
         raise ValueError("occurrence_probabilities: need m-1 error pairs")
     lead = np.broadcast_shapes(F.shape[:-1], pn.shape[:-1], pa.shape[:-1])
-    # round-major: P[i] holds round i + 1 of every row in one block
-    P = np.empty((m,) + lead)
-    for i, p in enumerate(_occurrence(*(np.moveaxis(a, -1, 0) for a in (F, pn, pa)),
-                                      _same)):
-        P[i] = p
-    return np.moveaxis(P, 0, -1)
+    P = _occurrence(*(np.moveaxis(a, -1, 0) for a in (F, pn, pa)), _same)
+    return np.stack([np.broadcast_to(p, lead) for p in P], axis=-1)
 
 
 def _occurrence(F, pn, pa, spread) -> list:

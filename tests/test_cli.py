@@ -1,6 +1,7 @@
 """Config parsing, command dispatch, CSV output, and exit codes."""
 
 import dataclasses
+import logging
 import math
 from pathlib import Path
 
@@ -415,6 +416,72 @@ def test_huge_swept_uplink_snr_is_a_config_error(tmp_path, capsys, workers):
                      "--workers", workers]) == 2
     assert "snr_db = 4000 overflows" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_swept_values_are_validated_before_any_point_runs(tmp_path, capsys,
+                                                         monkeypatch, workers):
+    # each swept value is checked as its own run: 12 dB leaves the
+    # downlink window even though the first value, 3 dB, is a valid run
+    def no_point(args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    path = write_config(tmp_path, {**SMALL, "sweep.axis": "snr_d_db",
+                                   "sweep.values": "3, 12"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 2
+    assert "-20 <= snr_d_db <= 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_non_finite_swept_uplink_snr_is_a_config_error(tmp_path, capsys, workers):
+    path = write_config(tmp_path, {**SMALL, "sweep.axis": "snr_u_db",
+                                   "sweep.values": "-10, nan"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 2
+    assert ("config error: snr_u_db: must satisfy finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+# no start and no threshold in the box reaches an outage of 1e-4 on 16 units
+INFEASIBLE = {"snr_d_db": 3, "units_total": 16, "epsilon": 1e-4,
+              "sweep.axis": "snr_u_db", "sweep.values": "-10, 0"}
+
+
+@pytest.mark.parametrize("mode, rows", [
+    # the start policy, evaluated, at throughput 0
+    ("optimize", ["-10,3,-10,4,0.0001,1,1,1,1,0.5,0.5,0.5,0,0,0,"
+                  "0.0263175105,1831.79178,0",
+                  "0,3,0,4,0.0001,1,1,1,1,0.5,0.5,0.5,0,0,0,"
+                  "0.00453601222,1519.9589,0"]),
+    ("vs_duplicated", ["-10,0,0,0,0", "0,0,0,0,0"]),
+    ("fixed_vs_variable", ["-10,0,nan,0", "0,0,nan,0"]),
+])
+def test_infeasible_sweep_rows(tmp_path, mode, rows):
+    path = write_config(tmp_path, {**INFEASIBLE, "sweep.mode": mode})
+    out = tmp_path / "inf.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == rows
+
+
+@pytest.mark.parametrize("mode", ["optimize", "vs_duplicated", "fixed_vs_variable"])
+def test_every_optimizing_sweep_mode_warns_once_per_infeasible_point(tmp_path,
+                                                                     caplog, mode):
+    path = write_config(tmp_path, {**INFEASIBLE, "sweep.mode": mode})
+    with caplog.at_level(logging.WARNING, logger="harqopt.cli"):
+        assert cli.main(["sweep", "--config", path, "--out",
+                         str(tmp_path / "inf.csv"), "--workers", "1"]) == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "harqopt.cli" and r.levelno == logging.WARNING]
+    assert len(warnings) == 2
+    for message, value in zip(warnings, ("-10", "0")):
+        assert message.startswith(f"sweep point snr_u_db={value} infeasible")
 
 
 def test_sweep_requires_axis(tmp_path, capsys):
