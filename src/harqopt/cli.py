@@ -555,7 +555,10 @@ def _sweep_point(args: tuple[RunConfig, float, int]) -> tuple[list[str], list]:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
     header, row = _SWEEP_MODES[config.sweep_mode](config, dl, fb)
-    return [config.sweep_axis, *header], [value, *row]
+    # the swept column goes first and replaces the point's own column of
+    # that name
+    cells = [(h, v) for h, v in zip(header, row) if h != config.sweep_axis]
+    return [config.sweep_axis, *(h for h, _ in cells)], [value, *(v for _, v in cells)]
 
 
 def _run_sweep(config: RunConfig, out: str) -> int:
@@ -566,6 +569,10 @@ def _run_sweep(config: RunConfig, out: str) -> int:
     # every swept value must make a valid run before any point runs
     for v in config.sweep_values:
         _validate(_AXES[config.sweep_axis](config, v))
+    # every row would be the same
+    if config.sweep_axis == "alpha" and config.sweep_mode == "min_outage":
+        raise ConfigError("sweep.axis: alpha does not apply to sweep.mode = "
+                          "min_outage, whose columns fix their own thresholds")
     if config.sweep_mode == "fixed_vs_variable" and config.sweep_alphas:
         # the variable side searches the box only, so a fixed threshold
         # outside it could beat the search it is compared with

@@ -28,13 +28,19 @@ Each walks the rounds through a recursion (_outage, _occurrence, _cost)
 with a spread step between rounds: the identity on (..., M) arrays, and
 np.repeat over each node's children on the optimizer's prefix trees (one
 block of level-0 subtrees at a time), where each round's term is formed
-once per prefix. The optimizer's rate scan stops them on
-the (M - 1)-round prefixes: _inner, the outage's running term after the
-last feedback, _occurrence, whose P_M already lies there, and _cost of
-the first M - 1 rounds; it finishes the last round only for the leaves it
-reads. _inner takes the failures of those M - 1 rounds only, so the
-optimizer's outage floor runs it on its whole tree, which holds no leaf
-level.
+once per prefix. The optimizer's rate scan stops them on the (M - 1)-round
+prefixes: _inner, the outage's running term after the last feedback,
+_occurrence, whose P_M already lies there, and _cost of the first M - 1
+rounds. It finishes the last round only for the leaves it reads, and
+only through the three steps that the recursions and reliable_throughput
+finish with: _outage_step, 1 - inner (1 - F_M), _cost_step, cost + rho P,
+and _throughput_step, (1 - outage) / cost. These are the only places
+those formulas are written, so the scan's outages, costs and throughputs
+are those of the (..., M) functions by construction, and the steps'
+docstrings hold the monotonicity on which the scan's node test and bound
+rest. _inner takes the failures of the M - 1 rounds that end in a
+feedback only, so the optimizer's outage floor runs it on its whole tree,
+which holds no leaf level.
 In occurrence_probabilities the decoded-at-round-k terms are carried
 from round to round with one more p_ack factor each, in the
 multiplication order of rebuilding them, so the work per row is O(M^2)
@@ -182,7 +188,20 @@ def _outage(F, pn, spread):
     inner = _inner(F[:m - 1], pn, spread)
     if m > 1:
         inner = spread(inner, m - 2)
-    return 1.0 - inner * (1.0 - F[m - 1])
+    return _outage_step(inner, F[m - 1])
+
+
+def _outage_step(inner, F_last):
+    """The outage 1 - inner (1 - F_M) from _inner's running term after the
+    last feedback and the last round's failure F_M.
+
+    inner <= 1 at any error rates, so the outage is never below F_M; in
+    floats, where 1 - F_M is rounded, it can sit at most 2^-54 below. At a
+    fixed inner every rounded operation is monotone in F_M: rising while
+    inner >= 0, and inner can round a few ulps below zero where it is zero
+    exactly. So over any set of F_M at one inner the outage is least at the
+    smallest or the largest of them, exactly."""
+    return 1.0 - inner * (1.0 - F_last)
 
 
 def _inner(F, pn, spread):
@@ -215,12 +234,36 @@ def expected_cost(rhos, p_occur):
 def _cost(rhos, P, spread):
     """expected_cost over rounds, as _occurrence takes and returns them;
     the cost through round i lies on the i-round prefixes."""
-    cost = 0.0 + rhos[0] * P[0]
+    cost = _cost_step(0.0, rhos[0], P[0])
     for i in range(1, len(P)):
-        # on the tree the spread results are temporaries, which take the
-        # product and the sum in place
-        cost = spread(cost, i - 1) + rhos[i] * spread(P[i], i - 1)
+        # on the tree the step's product is a temporary, which takes the
+        # sum in place; the spread P is bound to the step's parameter, so
+        # the product cannot reuse it
+        cost = _cost_step(spread(cost, i - 1), rhos[i], spread(P[i], i - 1))
     return cost
+
+
+def _cost_step(cost, rho, P):
+    """The cost cost + rho P through a round of rate rho and occurrence P,
+    from the cost of the rounds before it.
+
+    At fixed cost and P every rounded operation is monotone in rho: rising
+    where P >= 0, falling where P < 0 (P_M can be negative where F rises
+    along a path, as the Gaussian F does on some five-round paths at
+    10 dB). So over the rates of one node's children the cost is least at
+    the first or the last of them."""
+    return cost + rho * P
+
+
+def _throughput_step(outage, cost):
+    """The throughput (1 - outage) / cost.
+
+    At a positive cost every rounded operation is monotone: the
+    throughput does not rise with the outage and, while 1 - outage >= 0,
+    does not rise with the cost. So the step at a least outage and a least
+    cost bounds it at every pair above them with 1 - outage >= 0, in
+    floats, with no slack."""
+    return (1.0 - outage) / cost
 
 
 def reliable_throughput(policy: HarqPolicy, dl, *, bins: int | None = None) -> float:
@@ -228,7 +271,7 @@ def reliable_throughput(policy: HarqPolicy, dl, *, bins: int | None = None) -> f
     F = mi_model.p_fail(policy.rhos, dl, bins)
     # round 1 always happens, round i > 1 after i - 1 failed rounds
     p_occur = np.concatenate(([1.0], F[:-1]))
-    return (1.0 - F[policy.m_max - 1]) / expected_cost(policy.rhos, p_occur)
+    return _throughput_step(F[policy.m_max - 1], expected_cost(policy.rhos, p_occur))
 
 
 def expected_symbols(policy: HarqPolicy, p_occur) -> float:

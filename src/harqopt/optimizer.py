@@ -46,35 +46,35 @@ each a tree of its own made of views into the levels. The whole-grid search
 has no formulas of its own. Each round's term of the outage, occurrence
 and cost recursions in harq_analysis depends on one prefix only, so a
 block runs them level by level: every node forms its term once and
-np.repeat spreads it to its children, and a leaf goes through the same
-float operations as a single policy with its rates.
+np.repeat spreads it to its children. The last round's outage, cost and
+throughput are harq_analysis's steps (_outage_step, _cost_step,
+_throughput_step), which the recursions end with and the node test, the
+node bound and the leaves read call in the same way.
 
 The rate scan (best_feasible_allocation and the alternating loop's rate
 step) runs the recursions on the kept tree's interior levels only and
 stops on the (M - 1)-round prefixes, the nodes of the last interior
 level, with the outage's running term inner, the cost C of rounds
 1..M-1 and the occurrence P_M of round M. Each block stores, per such
-node, where its children lie on the leaf level and the smallest and
-largest F_M and last rate among them (_Nodes). A leaf's outage
-1 - inner (1 - F_M) is monotone in F_M at its node's inner, so the
-smallest leaf outage of a node is the formula at one of the two F_M
-extremes, exactly, and a node passes iff one of its leaves meets epsilon.
-A leaf throughput (1 - outage) / (C + rho P_M) with 1 - outage >= 0 is
-then at most the same formula at the node's least outage and least cost,
-and since every rounded operation in it is monotone in those inputs,
-this bound holds in floats with no slack. The incumbent, a throughput actually read, starts
-in each block from the leaves of its node of largest bound, and only the
+node, the smallest and largest F_M among its children, where they lie on
+the leaf level and their first and last rate (_Nodes). The outage step
+is least at one of the two F_M extremes, exactly, so a node passes iff
+one of its leaves meets epsilon. The throughput step at the node's least
+outage and least cost step (at its first or last rate) then bounds every
+leaf with 1 - outage >= 0, in floats, with no slack; the steps'
+docstrings say why. The incumbent, a throughput actually read, starts in
+each block from the leaves of its node of largest bound, and only the
 leaves below the feasible nodes whose bound reaches the incumbent are
-read: by gathering their nodes' values, in chunks of at most
-_BLOCK_LEAVES leaves, through the same float operations as the last
-round of the recursions. On the default grid that is 1.6% of the kept
-leaves over the fixed_vs_variable sweep at 3 dB and under 0.1% of them
-for optimize at 10 dB. A leaf tied with the optimum has a bound of at
-least the optimum, so it is always read. Each block's leaves of largest
-throughput are walked up to their rates, and the blocks' candidates are
-merged by the rule one pass over all leaves would apply (largest
-throughput, then fewer units, then path order), so the result is that
-pass's, bit for bit. The feasibility bootstrap runs the same node test.
+read: their nodes' values are gathered, in chunks of at most
+_BLOCK_LEAVES leaves, and finished by the steps. On the default grid
+that is 1.6% of the kept leaves over the fixed_vs_variable sweep at 3 dB
+and under 0.1% of them for optimize at 10 dB. A leaf tied with the
+optimum has a bound of at least the optimum, so it is always read. Each
+block's leaves of largest throughput are walked up to their rates, and
+the blocks' candidates are merged by the rule one pass over all leaves
+would apply (largest throughput, then fewer units, then path order), so
+the result is that pass's, bit for bit. The feasibility bootstrap runs
+the same node test.
 
 One small LRU cache, keyed by the frozen grid and downlink specs and by
 epsilon, holds what one stream forms: the whole tree and the kept tree's
@@ -85,11 +85,10 @@ min_achievable_outage, which reads the whole tree of a stream that keeps
 no leaf (epsilon -inf). A node stays in the kept tree when one of its
 children does, counted bottom-up on the interior levels, and an interior
 level whose every node stays is kept as built, not copied. The outage
-floor that an InfeasibleError reports (or min_achievable_outage) is one
-node-level pass on the whole tree, made only when it is read: a node's
-least leaf outage lies at its smallest or largest F_M, as in the node
-test, so the smallest over the nodes is the smallest over every leaf,
-exactly. The threshold search keeps the error rates of its current
+floor that an InfeasibleError reports (or min_achievable_outage) is the
+node test's pass (_node_outage) on the whole tree, made only when it is
+read: the smallest of its nodes' least outages is the smallest over every
+leaf, exactly. The threshold search keeps the error rates of its current
 thresholds, and each probe forms only those of the threshold it steps and
 evaluates one rate vector through the same recursions, outage first and
 cost only when the probe meets epsilon.
@@ -264,14 +263,11 @@ class _Nodes(NamedTuple):
     """Per node of a block's last interior level, the (M - 1)-round
     prefixes (for M = 1, one root above the block's leaves): the offset of
     its first child on the leaf level, its child count, and the smallest
-    and largest F_M and last rate among its children. Children come in
-    ascending rate order, so the rates are those of its first and last
-    child."""
+    and largest last rate among its children. Children come in ascending
+    rate order, so these are the rates of its first and last child."""
 
     first: np.ndarray
     count: np.ndarray
-    min_F: np.ndarray
-    max_F: np.ndarray
     rho_first: np.ndarray
     rho_last: np.ndarray
 
@@ -280,22 +276,27 @@ class _Block(NamedTuple):
     """Consecutive level-0 subtrees of a kept tree, a tree of its own.
     Per level, views of the rate of each node's last round, its Gaussian
     prefix-failure probability F and, on every level but the last, its
-    child count; then its _Nodes."""
+    child count; then, per node of the last interior level, the smallest
+    and largest F_M among its children (as in _Whole) and its _Nodes."""
 
     rhos: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
+    min_F: np.ndarray
+    max_F: np.ndarray
     nodes: _Nodes
 
 
-def _nodes(rhos, F, children) -> _Nodes:
-    """The _Nodes of a block with these levels; every node has a child."""
+def _nodes(rhos, F, children) -> tuple[np.ndarray, np.ndarray, _Nodes]:
+    """The smallest and largest F_M below each node of the last interior
+    level of a block with these levels, and its _Nodes; every node has a
+    child."""
     rho, F = rhos[-1], F[-1]
     count = children[-1] if children else np.array([rho.size])
     first = np.cumsum(count) - count
     last = first + count - 1
-    return _Nodes(first, count, np.minimum.reduceat(F, first),
-                  np.maximum.reduceat(F, first), rho[first], rho[last])
+    return (np.minimum.reduceat(F, first), np.maximum.reduceat(F, first),
+            _Nodes(first, count, rho[first], rho[last]))
 
 
 def _blocks(rhos, F, children) -> tuple[_Block, ...]:
@@ -319,7 +320,7 @@ def _blocks(rhos, F, children) -> tuple[_Block, ...]:
     def block(i):
         levels = tuple(tuple(a[c[i]:c[i + 1]] for a, c in zip(arrays, cuts))
                        for arrays in (rhos, F, children))
-        return _Block(*levels, _nodes(*levels))
+        return _Block(*levels, *_nodes(*levels))
 
     return tuple(block(i) for i in range(len(cuts[0]) - 1))
 
@@ -426,20 +427,12 @@ def _leaf_rates(block: _Block, leaves: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def _tied_leaves(block: _Block, leaves: np.ndarray,
-                 eta: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest throughput among the given leaves of a block (indices
-    in path order; eta -inf where infeasible) and the rates of every one
-    that reaches it, in path order. Only these leaves are walked up."""
-    top = eta.max()
-    return top, _leaf_rates(block, leaves[eta == top])
-
-
 def _feasible_argmax(tied, unit_rho: float) -> tuple[np.ndarray, float]:
-    """Rates and throughput of the leaf of largest throughput, from the
-    _tied_leaves of each block that has a feasible leaf, in path order.
-    Ties prefer fewer total units, then the first leaf in path order
-    (lexicographically smallest)."""
+    """Rates and throughput of the leaf of largest throughput, from one
+    (throughput, rates) pair per chunk of leaves read with a feasible leaf,
+    in path order: the chunk's largest throughput and the rates of every
+    leaf that reaches it, in path order. Ties prefer fewer total units,
+    then the first leaf in path order (lexicographically smallest)."""
     top = max(t for t, _ in tied)
     rhos = np.concatenate([r for t, r in tied if t == top])
     return rhos[np.argmin(np.rint(rhos / unit_rho).sum(axis=1))], float(top)
@@ -455,31 +448,21 @@ def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
 
 def _outage_floor(whole: _Whole, p_nack) -> float:
     """Smallest outage over the whole grid at these NACK error rates, one
-    per feedback: the least leaf outage of each node of the whole tree's
-    last interior level (_least_outage), at its smallest and largest F_M,
-    so the smallest over every leaf exactly, with no leaf formed."""
-    inner = harq_analysis._inner(whole.F, p_nack, _spread(whole.children))
-    return float(_least_outage(inner, whole.min_F, whole.max_F).min())
+    per feedback: the least of the node outages of the whole tree
+    (_node_outage), so the smallest over every leaf exactly, with no leaf
+    formed."""
+    return float(_node_outage(whole, p_nack)[1].min())
 
 
-def _least_outage(inner, min_F, max_F) -> np.ndarray:
-    """The smallest leaf outage 1 - inner (1 - F_M) of each node of a last
-    interior level, from its inner (harq_analysis._inner) and the smallest
-    and largest F_M of its leaves, exactly. At a fixed inner every rounded
-    operation of the outage is monotone in F_M (rising while inner >= 0,
-    and inner can round a few ulps below zero where it is zero exactly),
-    so over the node's leaves it is least at one of those two."""
-    return np.minimum(1.0 - inner * (1.0 - min_F), 1.0 - inner * (1.0 - max_F))
-
-
-def _node_outage(block: _Block, p_nack) -> tuple[np.ndarray, np.ndarray]:
-    """(inner, least) on each node of the block's last interior level:
-    harq_analysis._inner, the outage's running term after the last
-    feedback, and the smallest outage among the node's leaves
-    (_least_outage)."""
-    inner = harq_analysis._inner(block.F[:-1], p_nack, _spread(block.children))
-    nodes = block.nodes
-    return inner, _least_outage(inner, nodes.min_F, nodes.max_F)
+def _node_outage(tree: _Whole | _Block, p_nack) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, least) on each node of the last interior level of the whole
+    tree or of a block (one root for M = 1): harq_analysis._inner, the
+    outage's running term after the last feedback, on the interior levels,
+    and the smallest outage among the node's leaves, exactly, which
+    harq_analysis._outage_step takes at their smallest or largest F_M."""
+    inner = harq_analysis._inner(tree.F[:len(p_nack)], p_nack, _spread(tree.children))
+    return inner, np.minimum(harq_analysis._outage_step(inner, tree.min_F),
+                             harq_analysis._outage_step(inner, tree.max_F))
 
 
 def _node_bound(block: _Block, rates: feedback_model.FeedbackErrorRates,
@@ -488,19 +471,16 @@ def _node_bound(block: _Block, rates: feedback_model.FeedbackErrorRates,
     level, whose least leaf outage is `least`: the cost of rounds 1..M-1,
     the occurrence P_M of round M (the root's 0.0 and 1.0 for M = 1) and a
     throughput bound on its leaves with 1 - outage >= 0 (every feasible
-    one when epsilon <= 1), the leaf formula (1 - outage) / (cost + rho P_M)
-    at the least outage and the least cost. The cost is monotone in the last rate rho, so it is least
-    at the first or the last child's rate (P_M can be negative where F
-    rises along a path, as the Gaussian F does on some five-round paths at
-    10 dB). Every rounded operation of the formula is monotone in these
-    inputs, so the bound holds in floats, with no slack."""
+    one when epsilon <= 1): harq_analysis._throughput_step at the least
+    outage and at the least _cost_step, which lies at the first or the
+    last child's rate."""
     spread = _spread(block.children)
     P = harq_analysis._occurrence(block.F, rates.p_nack, rates.p_ack, spread)
     cost = harq_analysis._cost(block.rhos[:-1], P[:-1], spread) if len(P) > 1 else 0.0
     p_last, nodes = P[-1], block.nodes
-    least_cost = np.minimum(cost + nodes.rho_first * p_last,
-                            cost + nodes.rho_last * p_last)
-    return cost, p_last, (1.0 - least) / least_cost
+    least_cost = np.minimum(harq_analysis._cost_step(cost, nodes.rho_first, p_last),
+                            harq_analysis._cost_step(cost, nodes.rho_last, p_last))
+    return cost, p_last, harq_analysis._throughput_step(least, least_cost)
 
 
 def _leaf_eta(block: _Block, last, read: np.ndarray,
@@ -508,17 +488,17 @@ def _leaf_eta(block: _Block, last, read: np.ndarray,
     """The leaves below the nodes `read` of the block's last interior level
     (indices in path order) and their throughput, -inf where the outage
     misses epsilon. `last` holds each node's inner, cost of rounds
-    1..M-1 and P_M; the leaves finish _outage and _cost with the float
-    operations of harq_analysis, gathering in place of its spread step."""
+    1..M-1 and P_M, which the leaves gather and finish with harq_analysis's
+    last-round steps."""
     inner, cost, p_last = last
     count = block.nodes.count[read]
     owner = np.repeat(read, count)
     leaves = np.arange(owner.size)
     leaves += np.repeat(block.nodes.first[read] - (np.cumsum(count) - count), count)
     # np.take also reads the root's scalars when M = 1
-    outage = 1.0 - np.take(inner, owner) * (1.0 - block.F[-1][leaves])
-    eta = (1.0 - outage) / (np.take(cost, owner)
-                            + block.rhos[-1][leaves] * np.take(p_last, owner))
+    outage = harq_analysis._outage_step(np.take(inner, owner), block.F[-1][leaves])
+    eta = harq_analysis._throughput_step(outage, harq_analysis._cost_step(
+        np.take(cost, owner), block.rhos[-1][leaves], np.take(p_last, owner)))
     return leaves, np.where(outage <= epsilon, eta, -np.inf)
 
 
@@ -559,9 +539,11 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
         cuts = _cuts(ends, _BLOCK_LEAVES)
         for a, b in zip(cuts, cuts[1:]):
             leaves, eta = _leaf_eta(block, last, read[a:b], epsilon)
-            if eta.max() > -np.inf:
-                tied.append(_tied_leaves(block, leaves, eta))
-                top = max(top, tied[-1][0])
+            peak = eta.max()
+            if peak > -np.inf:
+                # only the leaves that reach the chunk's peak are walked up
+                tied.append((peak, _leaf_rates(block, leaves[eta == peak])))
+                top = max(top, peak)
     if not tied:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
@@ -611,7 +593,7 @@ def _eta(rhos, F, outage, p_nack, p_ack) -> float:
     error rates is `outage`."""
     same = harq_analysis._same
     P = harq_analysis._occurrence(F, p_nack, p_ack, same)
-    return float((1.0 - outage) / harq_analysis._cost(rhos, P, same))
+    return float(harq_analysis._throughput_step(outage, harq_analysis._cost(rhos, P, same)))
 
 
 def _search(rhos, F, fb: feedback_model.FeedbackSpec, epsilon: float,

@@ -455,9 +455,9 @@ INFEASIBLE = {"snr_d_db": 3, "units_total": 16, "epsilon": 1e-4,
 
 @pytest.mark.parametrize("mode, rows", [
     # the start policy, evaluated, at throughput 0
-    ("optimize", ["-10,3,-10,4,0.0001,1,1,1,1,0.5,0.5,0.5,0,0,0,"
+    ("optimize", ["-10,3,4,0.0001,1,1,1,1,0.5,0.5,0.5,0,0,0,"
                   "0.0263175105,1831.79178,0",
-                  "0,3,0,4,0.0001,1,1,1,1,0.5,0.5,0.5,0,0,0,"
+                  "0,3,4,0.0001,1,1,1,1,0.5,0.5,0.5,0,0,0,"
                   "0.00453601222,1519.9589,0"]),
     ("vs_duplicated", ["-10,0,0,0,0", "0,0,0,0,0"]),
     ("fixed_vs_variable", ["-10,0,nan,0", "0,0,nan,0"]),
@@ -482,6 +482,41 @@ def test_every_optimizing_sweep_mode_warns_once_per_infeasible_point(tmp_path,
     assert len(warnings) == 2
     for message, value in zip(warnings, ("-10", "0")):
         assert message.startswith(f"sweep point snr_u_db={value} infeasible")
+
+
+@pytest.mark.parametrize("mode, axis, value", [
+    (mode, axis, value) for mode in cli._SWEEP_MODES
+    for axis, value in (("snr_u_db", "-10"), ("snr_d_db", "3"), ("alpha", "0.5"))
+    # rejected before any point runs
+    if (mode, axis) != ("min_outage", "alpha")])
+def test_sweep_header_names_each_column_once(tmp_path, mode, axis, value):
+    # the swept column comes first and stands in for the point's own
+    # column of that name, so csv.DictReader keeps every cell
+    path = write_config(tmp_path, {**SMALL, "sweep.axis": axis, "sweep.values": value,
+                                   "sweep.mode": mode, "sweep.alphas": "0.5, 1"})
+    out = tmp_path / "sw.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 0
+    header, row = (line.split(",") for line in out.read_text(encoding="utf-8").splitlines())
+    assert header[0] == axis and row[0] == value
+    assert len(set(header)) == len(header) == len(row)
+
+
+def test_sweep_over_alpha_in_min_outage_mode_exits_2(tmp_path, capsys, monkeypatch):
+    # the min_outage columns fix their own thresholds: swept values 0.2
+    # and 1.5 gave the same row on 16 units
+    def no_point(args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    path = write_config(tmp_path, {**SMALL, "sweep.axis": "alpha",
+                                   "sweep.values": "0.2, 1.5", "sweep.mode": "min_outage"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 2
+    assert "sweep.axis: alpha does not apply to sweep.mode = min_outage" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_axis(tmp_path, capsys):

@@ -89,16 +89,17 @@ def assert_blocks_split_the_tree(blocks):
             assert all(p.base is base and p.ctypes.data == start
                        for p, start in zip(pieces, ends))
             assert ends[-1] == base.ctypes.data + base.nbytes
-    for rhos, _, children, _ in blocks:
+    for block in blocks:
+        rhos = block.rhos
         assert rhos[0].size > 0
         assert rhos[-1].size <= optimizer._BLOCK_LEAVES or rhos[0].size == 1
 
 
 def assert_nodes_describe_their_children(blocks):
     """Each block of a kept tree holds, per node of its last interior level
-    (one root for M = 1), the offset and count of its children on the leaf
-    level and the extremes of their F_M and of their rates, which are
-    those of its first and last child."""
+    (one root for M = 1), the extremes of its children's F_M, the offset
+    and count of its children on the leaf level and the extremes of their
+    rates, which are those of its first and last child."""
     for block in blocks:
         nodes, rho, F = block.nodes, block.rhos[-1], block.F[-1]
         if block.children:
@@ -108,8 +109,8 @@ def assert_nodes_describe_their_children(blocks):
         assert nodes.first.tolist() == (np.cumsum(nodes.count) - nodes.count).tolist()
         for j, (lo, n) in enumerate(zip(nodes.first, nodes.count)):
             assert n > 0
-            assert nodes.min_F[j] == F[lo:lo + n].min()
-            assert nodes.max_F[j] == F[lo:lo + n].max()
+            assert block.min_F[j] == F[lo:lo + n].min()
+            assert block.max_F[j] == F[lo:lo + n].max()
             assert nodes.rho_first[j] == rho[lo] == rho[lo:lo + n].min()
             assert nodes.rho_last[j] == rho[lo + n - 1] == rho[lo:lo + n].max()
 
@@ -365,6 +366,32 @@ def test_tree_in_few_leaf_blocks_equals_the_tables(dl3, grid, m, few_leaf_blocks
     check_outage_floor(dl3, grid, m)
 
 
+@pytest.mark.parametrize("grid, m", TREE_GRIDS)
+def test_tree_and_table_share_the_last_round_steps(dl3, grid, m, monkeypatch):
+    # harq_analysis writes the last round's outage and cost once, and the
+    # scan's node test, node bound and leaves, the outage floor and the
+    # (..., M) formulas all call those steps: with other steps that keep
+    # what the scan rests on (an outage monotone in F_M and never below
+    # it, a cost monotone in the last rate), the tree still equals the
+    # table, because both sides take the new steps. Here the outage grows
+    # by a quarter and each round's rate costs three quarters of itself
+    F = failure_table(grid, m, dl3)
+    p_nack = np.full(m - 1, 0.1)
+    P = harq_analysis.occurrence_probabilities(F, p_nack, p_nack)
+    rhos = enumerate_units(grid, m) * grid.unit_rho
+    before = (harq_analysis.outage_from_failures(F, p_nack),
+              harq_analysis.expected_cost(rhos, P))
+    real_outage, real_cost = harq_analysis._outage_step, harq_analysis._cost_step
+    monkeypatch.setattr(harq_analysis, "_outage_step",
+                        lambda inner, F_M: 1.25 * np.maximum(real_outage(inner, F_M), F_M))
+    monkeypatch.setattr(harq_analysis, "_cost_step",
+                        lambda cost, rho, P: real_cost(cost, 0.75 * rho, P))
+    assert np.all(harq_analysis.outage_from_failures(F, p_nack) > before[0])
+    assert np.all(harq_analysis.expected_cost(rhos, P) < before[1])
+    check_tree_scan(dl3, grid, m)
+    check_outage_floor(dl3, grid, m)
+
+
 def check_whole_tree(dl, grid, m, eps):
     """The whole tree of the stream at epsilon holds no leaf level: its
     interior levels are the failure table's first M - 1 columns byte for
@@ -507,7 +534,10 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
             eta[::7] = 0.5
             eta[tied] = 1.0
             want = min(tied, key=lambda j: (totals[j], j))
-            best = [optimizer._tied_leaves(block, np.arange(part.size), part)
+            # per block with a feasible leaf, as the scan reads it: its
+            # largest throughput and the rates of the leaves that reach it
+            best = [(part.max(),
+                     optimizer._leaf_rates(block, np.flatnonzero(part == part.max())))
                     for block, part in zip(blocks, np.split(eta, ends[1:-1]))
                     if part.max() > -np.inf]
             got, eta_max = optimizer._feasible_argmax(best, grid.unit_rho)
