@@ -18,17 +18,13 @@ from .errors import (
 from .feedback_model import (
     FeedbackErrorRates,
     FeedbackSpec,
-    ack_error_rate,
     build_sequences,
     error_rates_for,
     make_feedback_spec,
-    nack_error_rate,
 )
 from .harq_analysis import (
     HarqPolicy,
     PerformanceBreakdown,
-    duplicated_ack_performance,
-    duplicated_ack_rates,
     expected_cost,
     expected_symbols,
     occurrence_probabilities,
@@ -70,12 +66,9 @@ __all__ = [
     "RateGrid",
     "SimulationEstimate",
     "Solution",
-    "ack_error_rate",
     "alternating_optimize",
     "best_feasible_allocation",
     "build_sequences",
-    "duplicated_ack_performance",
-    "duplicated_ack_rates",
     "error_rates_for",
     "estimate_performance",
     "expected_cost",
@@ -85,7 +78,6 @@ __all__ = [
     "make_rate_grid",
     "mean_mi_closed_form",
     "min_achievable_outage",
-    "nack_error_rate",
     "occurrence_probabilities",
     "outage_from_failures",
     "p_fail",

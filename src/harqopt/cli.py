@@ -217,6 +217,15 @@ def _validate(config: RunConfig) -> None:
     if config.sweep_alphas is not None:
         _require(len(config.sweep_alphas) >= 1, "sweep.alphas", "length >= 1",
                  config.sweep_alphas)
+        if config.sweep_mode == "fixed_vs_variable":
+            # the variable side searches the box only, so a fixed threshold
+            # outside it could beat the search it is compared with
+            lo, hi = optimizer.ALPHA_BOX
+            for a in config.sweep_alphas:
+                _require(lo <= a <= hi, "sweep.alphas",
+                         f"{lo:g} <= alpha <= {hi:g} for sweep.mode = fixed_vs_variable", a)
+        _require(all(math.isfinite(a) for a in config.sweep_alphas), "sweep.alphas",
+                 "finite", config.sweep_alphas)
     _require(config.workers is None or config.workers >= 1, "workers",
              "workers >= 1", config.workers)
 
@@ -249,15 +258,21 @@ def _policy_from(config: RunConfig) -> harq_analysis.HarqPolicy:
     )
 
 
-def _mc_policy(config: RunConfig) -> harq_analysis.HarqPolicy:
-    """The policy simulate and validate evaluate in the configured feedback
-    mode. The duplicated-ACK scheme detects with zero thresholds, so there
-    unset alphas are zero; explicit nonzero ones are still rejected by the
-    duplicated-ACK routines."""
+def _mc_scheme(config: RunConfig) -> tuple[harq_analysis.HarqPolicy,
+                                            feedback_model.FeedbackSpec]:
+    """The policy and feedback spec that simulate and validate evaluate in
+    the configured feedback mode; the other commands ignore the mode. The
+    duplicated-ACK baseline is the two-slot spec detected at threshold 0,
+    so there unset alphas are zero and explicit nonzero ones are refused."""
     policy = _policy_from(config)
-    if config.feedback_mode == mc_simulator.DUPLICATED_ACK and config.alphas is None:
+    if config.feedback_mode != mc_simulator.DUPLICATED_ACK:
+        return policy, feedback_model.make_feedback_spec(config.snr_u_db)
+    if config.alphas is None:
         policy = dataclasses.replace(policy, alphas=(0.0,) * (config.m_max - 1))
-    return policy
+    _require(all(a == 0.0 for a in policy.alphas), "alphas",
+             f"all 0 for mc.feedback_mode = {mc_simulator.DUPLICATED_ACK}",
+             config.alphas)
+    return policy, feedback_model.make_feedback_spec(config.snr_u_db, slots=2)
 
 
 def _grid_from(config: RunConfig) -> optimizer.RateGrid:
@@ -363,10 +378,9 @@ def _estimate_columns(config: RunConfig,
 
 def _run_simulate(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    fb = feedback_model.make_feedback_spec(config.snr_u_db)
+    policy, fb = _mc_scheme(config)
     est = mc_simulator.estimate_performance(
-        _mc_policy(config), dl, fb, config.n_episodes, config.seed,
-        config.feedback_mode
+        policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
     )
     header, row = _estimate_columns(config, est)
     _write_csv(out, header, [row])
@@ -392,12 +406,8 @@ def _z_row(name: str, analytic: float, simulated: float, se: float,
 
 def _run_validate(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    fb = feedback_model.make_feedback_spec(config.snr_u_db)
-    policy = _mc_policy(config)
-    analytic = (harq_analysis.duplicated_ack_performance
-                if config.feedback_mode == mc_simulator.DUPLICATED_ACK
-                else harq_analysis.unreliable_throughput)
-    bd = analytic(policy, dl, fb, bins=config.conv_bins)
+    policy, fb = _mc_scheme(config)
+    bd = harq_analysis.unreliable_throughput(policy, dl, fb, bins=config.conv_bins)
     est = mc_simulator.estimate_performance(
         policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
     )
@@ -464,17 +474,18 @@ def _best_fixed_alpha(config: RunConfig, dl, fb, grid):
 
 def _duplicated_best_throughput(config: RunConfig, dl, fb,
                                 grid) -> tuple[float, bool]:
-    """Best duplicated-ACK throughput under the outage constraint; zero when
+    """Best duplicated-ACK throughput under the outage constraint: the
+    two-slot spec at threshold 0 and the rates of the exact scan; zero when
     the constraint is unreachable (the scheme has no threshold to raise)."""
-    rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, config.m_max)
+    dup = dataclasses.replace(fb, slots=2)
+    alphas = (0.0,) * (config.m_max - 1)
     try:
-        rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.epsilon)
+        rhos, _ = optimizer.best_feasible_allocation(
+            feedback_model.error_rates_for(dup, alphas), dl, grid, config.epsilon)
     except InfeasibleError:
         return 0.0, False
-    policy = dataclasses.replace(_policy_from(config), rhos=tuple(rhos),
-                                 alphas=(0.0,) * (config.m_max - 1))
-    bd = harq_analysis.duplicated_ack_performance(policy, dl, fb)
-    return bd.throughput, True
+    policy = harq_analysis.HarqPolicy(rhos=tuple(rhos), alphas=alphas, n_b=config.n_b)
+    return harq_analysis.unreliable_throughput(policy, dl, dup).throughput, True
 
 
 def _solve(config: RunConfig, dl, fb, start: harq_analysis.HarqPolicy,
@@ -570,16 +581,11 @@ def _run_sweep(config: RunConfig, out: str) -> int:
     for v in config.sweep_values:
         _validate(_AXES[config.sweep_axis](config, v))
     # every row would be the same
-    if config.sweep_axis == "alpha" and config.sweep_mode == "min_outage":
-        raise ConfigError("sweep.axis: alpha does not apply to sweep.mode = "
-                          "min_outage, whose columns fix their own thresholds")
-    if config.sweep_mode == "fixed_vs_variable" and config.sweep_alphas:
-        # the variable side searches the box only, so a fixed threshold
-        # outside it could beat the search it is compared with
-        lo, hi = optimizer.ALPHA_BOX
-        for a in config.sweep_alphas:
-            _require(lo <= a <= hi, "sweep.alphas",
-                     f"{lo:g} <= alpha <= {hi:g} for sweep.mode = fixed_vs_variable", a)
+    if config.sweep_axis == "alpha" and config.sweep_mode in ("min_outage",
+                                                              "fixed_vs_variable"):
+        raise ConfigError(f"sweep.axis: alpha does not apply to sweep.mode = "
+                          f"{config.sweep_mode}, whose columns choose their own "
+                          "thresholds")
     jobs = [(config, float(v), i) for i, v in enumerate(config.sweep_values)]
     workers = config.workers or os.cpu_count() or 1
     workers = min(workers, len(jobs))

@@ -20,9 +20,13 @@ symbol-level mode, realizes the statistic for many trials at once from the
 6 normals it reads: the real parts of the noise where the sequences
 differ, drawn as one block per call.
 
-A FeedbackSpec is the uplink operating point only, the feedback SNR. The
-thresholds belong to the HARQ policy and are passed to error_rates_for
-explicitly, so they live in one place.
+A FeedbackSpec is a feedback scheme: the uplink SNR and the slots (1 or
+2) that carry the bit. Two slots are the duplicated-ACK baseline: each is
+thresholded at the round's alpha and the transmitter stops only when both
+read ACK, so a NACK is lost when both flip, p^2, and an ACK when either
+does, 1 - (1 - q)^2. The spec's nack_rate and ack_rate are these maps,
+elementwise over the thresholds, which the HARQ policy holds; the rest of
+the package forms error rates only through them.
 """
 
 from __future__ import annotations
@@ -40,18 +44,35 @@ _HALF_COMPLEX = math.sqrt(0.5)  # per-symbol complex noise has unit variance
 
 @dataclass(frozen=True)
 class FeedbackSpec:
-    """Uplink operating point: the linear feedback SNR.
+    """A feedback scheme: the linear uplink SNR and the slots (1 or 2) that
+    carry each feedback bit. A second slot costs uplink energy and latency
+    but no downlink symbols, so the throughput accounting is the same.
 
     The detection thresholds are per-round decisions of the HARQ policy
-    (HarqPolicy.alphas), so they are passed to error_rates_for alongside
-    the spec rather than stored in it.
+    (HarqPolicy.alphas), so they are passed to the maps alongside the spec
+    rather than stored in it.
     """
 
     snr_linear: float
+    slots: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.snr_linear) and self.snr_linear > 0.0):
             raise ValueError("FeedbackSpec: snr_linear must be positive and finite")
+        if self.slots not in (1, 2):
+            raise ValueError("FeedbackSpec: slots must be 1 or 2")
+
+    def nack_rate(self, alphas):
+        """NACK->ACK rate of the scheme, elementwise over thresholds: the
+        one-slot rate p, or p^2 when both slots must flip."""
+        p = nack_error_rate(alphas, self.snr_linear)
+        return p if self.slots == 1 else p * p
+
+    def ack_rate(self, alphas):
+        """ACK->NACK rate of the scheme, elementwise over thresholds: the
+        one-slot rate q, or 1 - (1 - q)^2 when either slot's flip loses it."""
+        q = ack_error_rate(alphas, self.snr_linear)
+        return q if self.slots == 1 else 1.0 - (1.0 - q) * (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -81,8 +102,9 @@ class FeedbackErrorRates:
         return len(self.p_nack)
 
 
-def make_feedback_spec(snr_db: float) -> FeedbackSpec:
-    return FeedbackSpec(snr_linear=numerics.snr_db_to_linear(snr_db, "make_feedback_spec"))
+def make_feedback_spec(snr_db: float, slots: int = 1) -> FeedbackSpec:
+    return FeedbackSpec(snr_linear=numerics.snr_db_to_linear(snr_db, "make_feedback_spec"),
+                        slots=slots)
 
 
 def _check_snr(snr_linear: float) -> float:
@@ -122,15 +144,15 @@ def ack_error_rate(alpha, snr_linear: float):
 
 
 def error_rates_for(spec: FeedbackSpec, alphas) -> FeedbackErrorRates:
-    """Per-round error pairs for a threshold vector at the spec's uplink SNR.
+    """Per-round error pairs of the spec's scheme for a threshold vector.
 
     A non-finite threshold raises ValueError.
     """
     a = np.asarray(alphas, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("error_rates_for: thresholds must be finite")
-    return FeedbackErrorRates(p_nack=tuple(nack_error_rate(a, spec.snr_linear)),
-                              p_ack=tuple(ack_error_rate(a, spec.snr_linear)))
+    return FeedbackErrorRates(p_nack=tuple(spec.nack_rate(a)),
+                              p_ack=tuple(spec.ack_rate(a)))
 
 
 def build_sequences() -> tuple[np.ndarray, np.ndarray]:

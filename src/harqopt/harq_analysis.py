@@ -22,7 +22,8 @@ and occurrence probabilities of shape (..., M), and error rates of shape
 (..., M-1) whose leading axes broadcast against them; the scalar
 brute-force oracle in tests/oracles.py checks them row by row. The
 performance reports take the failure model as one keyword, ``bins``,
-which mi_model.p_fail reads.
+which mi_model.p_fail reads. unreliable_throughput reads the error pairs
+from its FeedbackSpec's maps, so it reports every feedback scheme alike.
 
 Each walks the rounds through a recursion (_outage, _occurrence, _cost)
 with a spread step between rounds: the identity on (..., M) arrays, and
@@ -313,8 +314,12 @@ def _stage_outage(F, pn, P) -> np.ndarray:
     return out
 
 
-def _breakdown_from_rates(policy: HarqPolicy, dl, rates, bins) -> PerformanceBreakdown:
+def unreliable_throughput(policy: HarqPolicy, dl, fb: feedback_model.FeedbackSpec, *,
+                          bins: int | None = None) -> PerformanceBreakdown:
+    """Full performance report for a policy under the feedback scheme fb;
+    the thresholds come from the policy, the error pairs from fb's maps."""
     F = mi_model.p_fail(policy.rhos, dl, bins)
+    rates = feedback_model.error_rates_for(fb, policy.alphas)
     pn = np.asarray(rates.p_nack, dtype=float)
     pa = np.asarray(rates.p_ack, dtype=float)
     P = occurrence_probabilities(F, pn, pa)
@@ -342,36 +347,3 @@ def _breakdown_from_rates(policy: HarqPolicy, dl, rates, bins) -> PerformanceBre
         expected_symbols=float(e_sym),
         throughput=float(eta),
     )
-
-
-def unreliable_throughput(policy: HarqPolicy, dl, fb: feedback_model.FeedbackSpec, *,
-                          bins: int | None = None) -> PerformanceBreakdown:
-    """Full performance report for a policy; thresholds come from the policy."""
-    rates = feedback_model.error_rates_for(fb, policy.alphas)
-    return _breakdown_from_rates(policy, dl, rates, bins)
-
-
-def duplicated_ack_rates(snr_linear: float, m_max: int) -> feedback_model.FeedbackErrorRates:
-    """Effective error pair for the two-slot ACK-repetition baseline.
-
-    Symmetric detection (alpha = 0) in both slots; the transmitter stops
-    only when both decode as ACK, so a NACK survives unless both slots
-    flip (p^2) while an ACK is lost if either slot flips (2p - p^2).
-    """
-    p = feedback_model.nack_error_rate(0.0, snr_linear)
-    pn_eff = tuple(p * p for _ in range(m_max - 1))
-    pa_eff = tuple(1.0 - (1.0 - p) * (1.0 - p) for _ in range(m_max - 1))
-    return feedback_model.FeedbackErrorRates(p_nack=pn_eff, p_ack=pa_eff)
-
-
-def duplicated_ack_performance(policy: HarqPolicy, dl, fb: feedback_model.FeedbackSpec, *,
-                               bins: int | None = None) -> PerformanceBreakdown:
-    """Baseline report: ACK repeated in a second slot, AND-rule detection.
-
-    Costs one extra feedback slot of latency but no downlink symbols, so
-    the throughput accounting is unchanged. Requires symmetric detection.
-    """
-    if any(a != 0.0 for a in policy.alphas):
-        raise ValueError("duplicated_ack_performance: thresholds must all be 0")
-    rates = duplicated_ack_rates(fb.snr_linear, policy.m_max)
-    return _breakdown_from_rates(policy, dl, rates, bins)

@@ -9,8 +9,10 @@ differ only in how the single-bit report is detected:
 - "analytic-flip": Bernoulli flips at the analytic error rates;
 - "symbol-level": the matched-filter detector on the noisy sequence;
 - "duplicated-ack": the baseline that sends the bit in two slots and stops
-  only when both read as ACK; each slot flips at the zero-threshold
-  error rate, so the policy's thresholds must all be zero.
+  only when both read as ACK; each slot flips at the one-slot error rates
+  of the round's threshold.
+The spec's slot count must suit the mode (_MODE_SLOTS): two for
+duplicated-ack, one for symbol-level, either for analytic-flip.
 
 The estimator is vectorized in fixed-size chunks, each driven by its own
 stream (SFC64 seeded by the chunk index-th child that SeedSequence(seed)
@@ -41,6 +43,7 @@ by episode otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -54,7 +57,9 @@ _log = logging.getLogger(__name__)
 ANALYTIC_FLIP = "analytic-flip"
 SYMBOL_LEVEL = "symbol-level"
 DUPLICATED_ACK = "duplicated-ack"
-FEEDBACK_MODES = (ANALYTIC_FLIP, SYMBOL_LEVEL, DUPLICATED_ACK)
+# feedback mode -> the slot counts of the specs it runs on
+_MODE_SLOTS = {ANALYTIC_FLIP: (1, 2), SYMBOL_LEVEL: (1,), DUPLICATED_ACK: (2,)}
+FEEDBACK_MODES = tuple(_MODE_SLOTS)
 _CHUNK = 1 << 17
 MIN_EPISODES = 10_000
 
@@ -98,13 +103,13 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
     with a delta-method standard error."""
     if feedback_mode not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-    if feedback_mode == DUPLICATED_ACK:
-        if any(a != 0.0 for a in policy.alphas):
-            raise ValueError("duplicated-ACK simulation requires all-zero thresholds")
-        p_slot = feedback_model.nack_error_rate(0.0, fb.snr_linear)
-    elif feedback_mode == ANALYTIC_FLIP:
-        rates = feedback_model.error_rates_for(fb, policy.alphas)
-        pa, pn = rates.p_ack, rates.p_nack
+    if fb.slots not in _MODE_SLOTS[feedback_mode]:
+        raise ValueError(f"feedback_mode {feedback_mode!r} does not run on a "
+                         f"{fb.slots}-slot feedback spec")
+    # the duplicated-ack mode flips each slot at the one-slot rates
+    slot = dataclasses.replace(fb, slots=1) if feedback_mode == DUPLICATED_ACK else fb
+    rates = feedback_model.error_rates_for(slot, policy.alphas)
+    pa, pn = rates.p_ack, rates.p_nack
     if n < MIN_EPISODES:
         raise ValueError(f"need at least {MIN_EPISODES} episodes, got {n}")
     m = policy.m_max
@@ -161,7 +166,8 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
                 else:
                     # a slot reads ACK when a sent ACK survives or a sent
                     # NACK flips; a stop needs both slots to read ACK
-                    reads_ack = (rng.random((live[d], 2)) < p_slot) != ack
+                    p_flip = pa[j] if ack else pn[j]
+                    reads_ack = (rng.random((live[d], 2)) < p_flip) != ack
                     stopped = np.count_nonzero(reads_ack.all(axis=1))
                 halted[j, d] += stopped
                 live[d] -= stopped

@@ -581,11 +581,11 @@ def _throughput(rhos, F, alphas, fb: feedback_model.FeedbackSpec,
     """Throughput of rates `rhos` (prefix failures F) at thresholds
     `alphas`, or None when the outage misses epsilon. Outage comes first;
     the occurrence probabilities and cost only when it meets epsilon."""
-    p_nack = feedback_model.nack_error_rate(alphas, fb.snr_linear)
+    p_nack = fb.nack_rate(alphas)
     outage = harq_analysis._outage(F, p_nack, harq_analysis._same)
     if outage > epsilon:
         return None
-    return _eta(rhos, F, outage, p_nack, feedback_model.ack_error_rate(alphas, fb.snr_linear))
+    return _eta(rhos, F, outage, p_nack, fb.ack_rate(alphas))
 
 
 def _eta(rhos, F, outage, p_nack, p_ack) -> float:
@@ -610,17 +610,16 @@ def _search(rhos, F, fb: feedback_model.FeedbackSpec, epsilon: float,
     below _SEARCH_TOL. Returns the final thresholds and their throughput,
     which is at least eta_x.
 
-    The error rates at x are formed by one vector call each and kept per
-    threshold, and a probe forms only those of the threshold it steps, the
-    NACK rate first and the ACK rate when the outage meets epsilon: the
-    rates are elementwise, so each equals its element of _throughput's
-    vector call bit for bit. With no threshold there is nothing to probe.
+    The error rates at x come from one call of each of fb's maps and are
+    kept per threshold, and a probe forms only those of the threshold it
+    steps, the NACK rate first and the ACK rate when the outage meets
+    epsilon: the maps are elementwise, so each equals its element of
+    _throughput's vector call bit for bit. With no threshold, no probe.
     """
     if not x.size:
         return x, eta_x
-    snr = fb.snr_linear
-    p_nack = feedback_model.nack_error_rate(x, snr)
-    p_ack = feedback_model.ack_error_rate(x, snr)
+    p_nack = fb.nack_rate(x)
+    p_ack = fb.ack_rate(x)
     step = _SEARCH_STEP
     while step >= _SEARCH_TOL:
         moved = False
@@ -630,12 +629,12 @@ def _search(rhos, F, fb: feedback_model.FeedbackSpec, epsilon: float,
                 if a == x[j]:
                     continue
                 pn = p_nack.copy()
-                pn[j] = feedback_model.nack_error_rate(a, snr)
+                pn[j] = fb.nack_rate(a)
                 outage = harq_analysis._outage(F, pn, harq_analysis._same)
                 if outage > epsilon:
                     continue
                 pa = p_ack.copy()
-                pa[j] = feedback_model.ack_error_rate(a, snr)
+                pa[j] = fb.ack_rate(a)
                 eta_c = _eta(rhos, F, outage, pn, pa)
                 if eta_c > eta_x or (eta_c == eta_x and sign < 0.0):
                     x = x.copy()
@@ -681,7 +680,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     def reaches(a: np.ndarray) -> bool:
         # some allocation meets epsilon at thresholds a; only kept paths
         # can, so with none kept this is an infeasibility certificate
-        p_nack = feedback_model.nack_error_rate(a, fb.snr_linear)
+        p_nack = fb.nack_rate(a)
         return any(bool((_node_outage(block, p_nack)[1] <= epsilon).any())
                    for block in blocks)
 
@@ -693,7 +692,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
                 f"outage constraint {epsilon:g} unreachable for any "
                 "thresholds in the box",
                 min_outage=functools.partial(
-                    _outage_floor, whole, feedback_model.nack_error_rate(top, fb.snr_linear)),
+                    _outage_floor, whole, fb.nack_rate(top)),
                 iteration=0,
             )
         # 40 halvings of [lo, hi]; each probe is a pass over the kept tree

@@ -215,13 +215,14 @@ def test_criterion_07_asymmetric_beats_duplicated(capsys, dl3, grid64):
                 asym = sol.breakdown.throughput
             except InfeasibleError:
                 asym = 0.0
-            dup_rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, 4)
+            # the duplicated ACK: two slots, each detected at threshold 0
+            dup_fb = feedback_model.make_feedback_spec(float(snr_u), slots=2)
             try:
                 rhos, _ = optimizer.best_feasible_allocation(
-                    dup_rates, dl3, grid64, 0.01
+                    feedback_model.error_rates_for(dup_fb, (0.0,) * 3), dl3, grid64, 0.01
                 )
-                dup = harq_analysis.duplicated_ack_performance(
-                    make_policy(rhos, (0.0, 0.0, 0.0)), dl3, fb
+                dup = harq_analysis.unreliable_throughput(
+                    make_policy(rhos, (0.0, 0.0, 0.0)), dl3, dup_fb
                 ).throughput
             except InfeasibleError:
                 # repeating the same bit twice has no knob to trade

@@ -293,6 +293,29 @@ def test_validate_duplicated_ack_mode(tmp_path):
                      "--out", str(tmp_path / "vn.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_duplicated_ack_mode_refuses_nonzero_alphas_as_config_error(tmp_path, capsys,
+                                                                    command):
+    keys = {**SMALL, "mc.feedback_mode": "duplicated-ack", "alphas": "0.5"}
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--config", write_config(tmp_path, keys),
+                     "--out", str(out)]) == 2
+    assert ("config error: alphas: must satisfy all 0 for mc.feedback_mode = "
+            "duplicated-ack" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_commands_without_a_simulator_ignore_the_feedback_mode(tmp_path):
+    # analyze reads the one-slot spec whatever mc.feedback_mode says
+    keys = {**SMALL, "alphas": "0.5"}
+    outs = []
+    for mode in ("analytic-flip", "duplicated-ack"):
+        outs.append(tmp_path / f"{mode}.csv")
+        path = write_config(tmp_path, {**keys, "mc.feedback_mode": mode})
+        assert cli.main(["analyze", "--config", path, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_validate_accepts_a_seed_of_2_to_the_128(tmp_path):
     # the config takes any seed >= 0, and the simulator seeds each chunk
     # from SeedSequence(seed), which has no upper limit
@@ -488,7 +511,7 @@ def test_every_optimizing_sweep_mode_warns_once_per_infeasible_point(tmp_path,
     (mode, axis, value) for mode in cli._SWEEP_MODES
     for axis, value in (("snr_u_db", "-10"), ("snr_d_db", "3"), ("alpha", "0.5"))
     # rejected before any point runs
-    if (mode, axis) != ("min_outage", "alpha")])
+    if (mode, axis) not in (("min_outage", "alpha"), ("fixed_vs_variable", "alpha"))])
 def test_sweep_header_names_each_column_once(tmp_path, mode, axis, value):
     # the swept column comes first and stands in for the point's own
     # column of that name, so csv.DictReader keeps every cell
@@ -502,20 +525,39 @@ def test_sweep_header_names_each_column_once(tmp_path, mode, axis, value):
     assert len(set(header)) == len(header) == len(row)
 
 
-def test_sweep_over_alpha_in_min_outage_mode_exits_2(tmp_path, capsys, monkeypatch):
-    # the min_outage columns fix their own thresholds: swept values 0.2
-    # and 1.5 gave the same row on 16 units
+@pytest.mark.parametrize("mode", ["min_outage", "fixed_vs_variable"])
+def test_sweep_over_alpha_exits_2_where_rows_would_repeat(tmp_path, capsys, monkeypatch,
+                                                          mode):
+    # these modes' columns choose their own thresholds: swept values 0.2
+    # and 1.5 gave the same row on 16 units in both
     def no_point(args):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
     path = write_config(tmp_path, {**SMALL, "sweep.axis": "alpha",
-                                   "sweep.values": "0.2, 1.5", "sweep.mode": "min_outage"})
+                                   "sweep.values": "0.2, 1.5", "sweep.mode": mode})
     out = tmp_path / "x.csv"
     assert cli.main(["sweep", "--config", path, "--out", str(out),
                      "--workers", "1"]) == 2
-    assert "sweep.axis: alpha does not apply to sweep.mode = min_outage" in \
+    assert f"sweep.axis: alpha does not apply to sweep.mode = {mode}" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_sweep_alphas_exit_2_before_any_point_runs(tmp_path, capsys,
+                                                              monkeypatch):
+    # min_outage takes thresholds outside the box, but not an infinite one
+    def no_point(args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    path = write_config(tmp_path, {**SMALL, "sweep.axis": "snr_u_db",
+                                   "sweep.values": "-10, -6", "sweep.mode": "min_outage",
+                                   "sweep.alphas": "0.5, inf"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 2
+    assert "config error: sweep.alphas: must satisfy finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -661,10 +703,12 @@ def test_duplicated_baseline_is_exact_constrained_scan(tmp_path):
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
     grid = cli._grid_from(config)
     eta, ok = cli._duplicated_best_throughput(config, dl, fb, grid)
-    rates = harq_analysis.duplicated_ack_rates(fb.snr_linear, config.m_max)
+    # the duplicated ACK: two slots, each detected at threshold 0
+    dup = dataclasses.replace(fb, slots=2)
+    alphas = (0.0,) * (config.m_max - 1)
+    rates = feedback_model.error_rates_for(dup, alphas)
     rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.epsilon)
-    policy = dataclasses.replace(cli._policy_from(config), rhos=tuple(rhos),
-                                 alphas=(0.0,) * (config.m_max - 1))
-    want = harq_analysis.duplicated_ack_performance(policy, dl, fb).throughput
+    policy = dataclasses.replace(cli._policy_from(config), rhos=tuple(rhos), alphas=alphas)
+    want = harq_analysis.unreliable_throughput(policy, dl, dup).throughput
     assert ok and eta == want
     assert eta == pytest.approx(0.769481072, rel=1e-8)

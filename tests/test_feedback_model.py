@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from harqopt import feedback_model
+from harqopt import feedback_model, numerics
 
 import oracles
 
@@ -175,3 +175,43 @@ def test_make_feedback_spec_validation():
     assert feedback_model.make_feedback_spec(3000.0).snr_linear == 1e300
     with pytest.raises(ValueError):
         feedback_model.error_rates_for(spec, (math.inf,))
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+@pytest.mark.parametrize("snr_db", [-16.0, -10.0, -3.0, 5.0])
+def test_spec_maps_are_monotone_in_alpha(slots, snr_db):
+    # the contract every threshold search and bound rests on: raising alpha
+    # never raises the NACK->ACK rate nor lowers the ACK->NACK one
+    spec = feedback_model.make_feedback_spec(snr_db, slots=slots)
+    alphas = np.linspace(-2.0, 6.0, 4001)
+    pn, pa = spec.nack_rate(alphas), spec.ack_rate(alphas)
+    assert np.all(np.diff(pn) <= 0.0) and np.all(np.diff(pa) >= 0.0)
+    assert np.all((0.0 <= pn) & (pn <= 1.0)) and np.all((0.0 <= pa) & (pa <= 1.0))
+
+
+@pytest.mark.parametrize("snr_db", [-16.0, -12.0, -8.0, -4.0, 0.0, 5.0])
+def test_two_slot_rates_at_zero_threshold_square_the_flip(snr_db):
+    # the duplicated ACK: a NACK is lost when both slots flip, an ACK when
+    # either does; at alpha 0 both slots flip with the same p
+    s = numerics.snr_db_to_linear(snr_db, "test")
+    p = feedback_model.nack_error_rate(0.0, s)
+    rates = feedback_model.error_rates_for(feedback_model.FeedbackSpec(s, slots=2),
+                                           (0.0,) * 3)
+    assert rates.p_nack == (p * p,) * 3
+    assert rates.p_ack == (1.0 - (1.0 - p) * (1.0 - p),) * 3
+
+
+def test_one_slot_maps_are_the_detector_rates():
+    spec = feedback_model.make_feedback_spec(-10.0)
+    alphas = np.linspace(-1.0, 3.0, 41)
+    assert spec.slots == 1
+    assert np.array_equal(spec.nack_rate(alphas),
+                          feedback_model.nack_error_rate(alphas, spec.snr_linear))
+    assert np.array_equal(spec.ack_rate(alphas),
+                          feedback_model.ack_error_rate(alphas, spec.snr_linear))
+
+
+@pytest.mark.parametrize("slots", [0, 3, -1])
+def test_feedback_spec_takes_one_or_two_slots(slots):
+    with pytest.raises(ValueError, match="slots must be 1 or 2"):
+        feedback_model.FeedbackSpec(0.1, slots=slots)

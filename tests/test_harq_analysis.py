@@ -6,6 +6,7 @@ different decomposition than the production code uses, so agreement is a
 real check rather than a restatement.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -285,7 +286,8 @@ def test_stage_outage_middle_stage_direct_formula(dl3):
 def test_duplicated_ack_rates_square_the_flip():
     s = 0.1368645588  # symmetric flip probability ~0.1 here
     p = feedback_model.nack_error_rate(0.0, s)
-    rates = harq_analysis.duplicated_ack_rates(s, 4)
+    rates = feedback_model.error_rates_for(feedback_model.FeedbackSpec(s, slots=2),
+                                           (0.0,) * 3)
     assert p == pytest.approx(0.1, abs=1e-6)
     assert all(v == p * p for v in rates.p_nack)
     assert all(v == 1.0 - (1.0 - p) ** 2 for v in rates.p_ack)
@@ -296,17 +298,10 @@ def test_duplicated_ack_perfect_feedback_matches_standard(dl3):
     rhos = [1.0, 0.5, 0.5, 0.5]
     pol = make_policy(rhos, [0.0] * 3)
     fb = feedback_model.make_feedback_spec(200.0)
-    dup = harq_analysis.duplicated_ack_performance(pol, dl3, fb)
+    dup = harq_analysis.unreliable_throughput(pol, dl3, dataclasses.replace(fb, slots=2))
     std = harq_analysis.unreliable_throughput(pol, dl3, fb)
     assert dup.throughput == pytest.approx(std.throughput, abs=1e-12)
     assert dup.p_out_unreliable == pytest.approx(std.p_out_unreliable, abs=1e-12)
-
-
-def test_duplicated_ack_requires_symmetric_detection(dl3):
-    pol = make_policy([1.0, 0.5, 0.5, 0.5], [0.5, 0.0, 0.0])
-    fb = feedback_model.make_feedback_spec(-10.0)
-    with pytest.raises(ValueError):
-        harq_analysis.duplicated_ack_performance(pol, dl3, fb)
 
 
 def test_outage_monotone_in_each_threshold(dl3):

@@ -100,10 +100,10 @@ _TWO_CHUNKS = mc_simulator._CHUNK + 10_000
 
 
 def _estimate(mode, pol, dl, fb, n, seed):
-    """estimate_performance in the given mode; the duplicated-ACK mode
-    detects with zero thresholds."""
+    """estimate_performance in the given mode; the duplicated-ACK mode runs
+    on the two-slot spec."""
     if mode == mc_simulator.DUPLICATED_ACK:
-        pol = dataclasses.replace(pol, alphas=(0.0,) * len(pol.alphas))
+        fb = dataclasses.replace(fb, slots=2)
     return mc_simulator.estimate_performance(pol, dl, fb, n, seed, feedback_mode=mode)
 
 
@@ -248,12 +248,13 @@ def _replay(policy, dl, fb, n, seed, mode):
     running episodes that first decode at the same round (1..M, never),
     in that order, and stops the block's detected ACKs. The analytic-flip
     mode draws one binomial count per group and stops that many of the
-    group's running episodes. Returns the estimate's count-based fields and
-    its two throughput fields."""
+    group's running episodes; the duplicated-ACK mode flips each of two
+    slots at the one-slot rates. Returns the estimate's count-based fields
+    and its two throughput fields."""
     m = policy.m_max
     rhos = np.asarray(policy.rhos)
     rates = feedback_model.error_rates_for(fb, policy.alphas)
-    p_slot = feedback_model.nack_error_rate(0.0, fb.snr_linear)
+    slot = feedback_model.error_rates_for(dataclasses.replace(fb, slots=1), policy.alphas)
     rounds, delivered, fails = [], [], np.zeros(m)
     for index, start in enumerate(range(0, n, mc_simulator._CHUNK)):
         c = min(mc_simulator._CHUNK, n - start)
@@ -281,7 +282,8 @@ def _replay(policy, dl, fb, n, seed, mode):
                     stop = feedback_model.detect_batch(sent, policy.alphas[j],
                                                        fb.snr_linear, group.size, rng)
                 else:
-                    flip = rng.random((group.size, 2)) < p_slot
+                    p_flip = slot.p_ack[j] if sent else slot.p_nack[j]
+                    flip = rng.random((group.size, 2)) < p_flip
                     stop = ~flip.any(axis=1) if sent else flip.all(axis=1)
                 running[group[stop]] = False
             used[running] += 1
@@ -309,9 +311,7 @@ _REPLAY_CASES = [
     (3.0, -10.0, (1.0,) * 4, (0.5,) * 3, 1024, _TWO_CHUNKS),
     (3.0, -10.0, (0.3, 0.6, 0.9), (0.2, 1.1), 777, _TWO_CHUNKS),
     (3.0, -10.0, (0.75,), (), 777, 10_000),
-    # the uplink always reads ACK, so every episode stops at round 1 (in
-    # the duplicated-ACK mode, whose thresholds are zero, the uplink is
-    # error-free)
+    # the uplink always reads ACK, so every episode stops at round 1
     (3.0, 200.0, (0.5, 0.75, 1.0), (-3.0, -3.0), 1024, 10_000),
 ]
 
@@ -320,10 +320,9 @@ _REPLAY_CASES = [
 @pytest.mark.parametrize("snr_d, snr_u, rhos, alphas, n_b, n", _REPLAY_CASES)
 def test_estimate_matches_episode_replay(mode, snr_d, snr_u, rhos, alphas, n_b, n):
     pol = harq_analysis.HarqPolicy(rhos=rhos, alphas=alphas, n_b=n_b)
-    if mode == mc_simulator.DUPLICATED_ACK:
-        pol = dataclasses.replace(pol, alphas=(0.0,) * len(alphas))
     dl = mi_model.make_downlink_spec(snr_d)
-    fb = feedback_model.make_feedback_spec(snr_u)
+    fb = feedback_model.make_feedback_spec(
+        snr_u, slots=2 if mode == mc_simulator.DUPLICATED_ACK else 1)
     est = mc_simulator.estimate_performance(pol, dl, fb, n, seed=13, feedback_mode=mode)
     ref = _replay(pol, dl, fb, n, 13, mode)
     if any(a < -1.0 for a in pol.alphas):
@@ -419,11 +418,31 @@ def test_forced_continuation_failure_frequencies(dl3, fb_weak):
         assert abs(est.p_fail[k] - target[k]) <= max(3.0 * est.p_fail_se[k], 2e-4)
 
 
-def test_duplicated_ack_requires_zero_thresholds(dl3, fb_weak):
-    pol = make_policy((1.0,) * 4, (0.5, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        mc_simulator.estimate_performance(pol, dl3, fb_weak, 10_000, seed=1,
-                                          feedback_mode="duplicated-ack")
+@pytest.mark.parametrize("mode, slots", [("duplicated-ack", 1), ("symbol-level", 2)])
+def test_feedback_mode_must_match_the_spec_slots(dl3, mode, slots):
+    # the duplicated-ack mode draws two slots and the symbol-level detector
+    # one, so each refuses the other's spec; analytic-flip takes either
+    pol = make_policy((1.0,) * 4, (0.5,) * 3)
+    fb = feedback_model.make_feedback_spec(-10.0, slots=slots)
+    with pytest.raises(ValueError, match=f"{slots}-slot feedback spec"):
+        mc_simulator.estimate_performance(pol, dl3, fb, 10_000, seed=1,
+                                          feedback_mode=mode)
+    mc_simulator.estimate_performance(pol, dl3, fb, 10_000, seed=1)
+
+
+@pytest.mark.parametrize("mode", ["analytic-flip", "duplicated-ack"])
+def test_two_slot_simulation_matches_analysis_at_nonzero_thresholds(dl3, mode):
+    # each slot is thresholded at the round's alpha and a stop needs two
+    # ACK reads, so both modes sample the two-slot spec's error rates
+    pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.3, 0.6, 0.9))
+    fb = feedback_model.make_feedback_spec(-12.0, slots=2)
+    bd = harq_analysis.unreliable_throughput(pol, dl3, fb, bins=mi_model.DEFAULT_CONV_BINS)
+    est = mc_simulator.estimate_performance(pol, dl3, fb, 200_000, seed=29,
+                                            feedback_mode=mode)
+    assert abs(est.p_out - bd.p_out_unreliable) <= 4.0 * est.p_out_se
+    assert abs(est.throughput - bd.throughput) <= 4.0 * est.throughput_se
+    for k in range(1, 4):
+        assert abs(est.p_occur[k] - bd.p_occur[k]) <= 4.0 * est.p_occur_se[k]
 
 
 def test_duplicated_ack_reduces_to_plain_under_perfect_feedback(dl3):
@@ -432,8 +451,8 @@ def test_duplicated_ack_reduces_to_plain_under_perfect_feedback(dl3):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.0, 0.0, 0.0))
     fb = feedback_model.make_feedback_spec(200.0)
     a = mc_simulator.estimate_performance(pol, dl3, fb, 50_000, seed=17)
-    d = mc_simulator.estimate_performance(pol, dl3, fb, 50_000, seed=17,
-                                          feedback_mode="duplicated-ack")
+    d = mc_simulator.estimate_performance(pol, dl3, dataclasses.replace(fb, slots=2),
+                                          50_000, seed=17, feedback_mode="duplicated-ack")
     assert a == d
 
 
@@ -443,7 +462,7 @@ def test_duplicated_ack_premature_stop_squares_slot_error():
     # double slot flip of the first NACK, probability p^2
     pol = harq_analysis.HarqPolicy(rhos=(1e-6, 1e10), alphas=(0.0,), n_b=1)
     s = 0.1368645588
-    fb = feedback_model.make_feedback_spec(10.0 * math.log10(s))
+    fb = feedback_model.make_feedback_spec(10.0 * math.log10(s), slots=2)
     p = feedback_model.nack_error_rate(0.0, s)
     assert p == pytest.approx(0.1, abs=1e-6)
     est = mc_simulator.estimate_performance(pol, dl, fb, 1_000_000, seed=23,

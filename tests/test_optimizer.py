@@ -1347,12 +1347,28 @@ def test_alternating_in_few_leaf_blocks_equals_default_blocks(monkeypatch, caplo
     assert [len(r) for r in want] == [5, 5, 5, 2]
 
 
+def test_alternating_optimize_solves_the_two_slot_spec(dl3, grid64):
+    # the bootstrap and the threshold search read the spec's maps, so the
+    # duplicated ACK with a free threshold is solved like any scheme: at
+    # alpha 0 it misses the budget at -10 dB, and the bootstrap raises it
+    start = dataclasses.replace(default_template(), alphas=(0.0,) * 3)
+    fb = feedback_model.make_feedback_spec(-10.0, slots=2)
+    sol = optimizer.alternating_optimize(dl3, fb, start, grid64, 0.01)
+    assert sol.feasible and min(sol.policy.alphas) > 0.0
+    assert sol.breakdown == harq_analysis.unreliable_throughput(sol.policy, dl3, fb)
+    one = optimizer.alternating_optimize(dl3, dataclasses.replace(fb, slots=1), start,
+                                         grid64, 0.01)
+    # two slots spend twice the uplink energy per feedback
+    assert sol.breakdown.throughput > one.breakdown.throughput
+
+
 def test_alternating_beats_duplicated_ack_baseline(dl3, grid64):
     # the two-slot ACK baseline cannot even meet the outage budget at this
     # uplink SNR, while the asymmetric solver can
     fb = feedback_model.make_feedback_spec(-10.0)
     sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
-    dup_rates = harq_analysis.duplicated_ack_rates(10 ** (-10.0 / 10.0), 4)
+    dup_rates = feedback_model.error_rates_for(dataclasses.replace(fb, slots=2),
+                                               (0.0,) * 3)
     with pytest.raises(InfeasibleError):
         optimizer.best_feasible_allocation(dup_rates, dl3, grid64, 0.01)
     assert sol.breakdown.throughput > 0.0
