@@ -41,6 +41,10 @@ from .errors import ConfigError, InfeasibleError
 _log = logging.getLogger(__name__)
 
 _Z_LIMIT = 4.0
+# mc.feedback_mode values: the simulator's draw laws, and the duplicated-ACK
+# baseline, drawn symbol by symbol on the two-slot spec
+DUPLICATED_ACK = "duplicated-ack"
+FEEDBACK_MODES = (*mc_simulator.FEEDBACK_MODES, DUPLICATED_ACK)
 # threshold of every round when the config sets no alphas
 _DEFAULT_ALPHA = 0.5
 
@@ -205,8 +209,8 @@ def _validate(config: RunConfig) -> None:
     _require(config.seed >= 0, "seed", "seed >= 0", config.seed)
     _require(config.n_episodes >= mc_simulator.MIN_EPISODES, "mc.n_episodes",
              f"n_episodes >= {mc_simulator.MIN_EPISODES}", config.n_episodes)
-    _require(config.feedback_mode in mc_simulator.FEEDBACK_MODES, "mc.feedback_mode",
-             f"one of {'|'.join(mc_simulator.FEEDBACK_MODES)}", config.feedback_mode)
+    _require(config.feedback_mode in FEEDBACK_MODES, "mc.feedback_mode",
+             f"one of {'|'.join(FEEDBACK_MODES)}", config.feedback_mode)
     if config.sweep_axis is not None:
         _require(config.sweep_axis in _AXES, "sweep.axis",
                  f"one of {'|'.join(_AXES)}", config.sweep_axis)
@@ -258,21 +262,26 @@ def _policy_from(config: RunConfig) -> harq_analysis.HarqPolicy:
     )
 
 
+def _baseline(config: RunConfig) -> tuple[tuple[float, ...], feedback_model.FeedbackSpec]:
+    """The duplicated-ACK baseline: threshold 0 in every round, on the
+    two-slot spec at the config's uplink SNR."""
+    return ((0.0,) * (config.m_max - 1),
+            feedback_model.make_feedback_spec(config.snr_u_db, slots=2))
+
+
 def _mc_scheme(config: RunConfig) -> tuple[harq_analysis.HarqPolicy,
-                                            feedback_model.FeedbackSpec]:
-    """The policy and feedback spec that simulate and validate evaluate in
-    the configured feedback mode; the other commands ignore the mode. The
-    duplicated-ACK baseline is the two-slot spec detected at threshold 0,
+                                            feedback_model.FeedbackSpec, str]:
+    """The policy, feedback spec and simulator mode that simulate and
+    validate run for the configured feedback mode; the other commands
+    ignore the mode. The duplicated-ACK baseline has no threshold to raise,
     so there unset alphas are zero and explicit nonzero ones are refused."""
     policy = _policy_from(config)
-    if config.feedback_mode != mc_simulator.DUPLICATED_ACK:
-        return policy, feedback_model.make_feedback_spec(config.snr_u_db)
-    if config.alphas is None:
-        policy = dataclasses.replace(policy, alphas=(0.0,) * (config.m_max - 1))
-    _require(all(a == 0.0 for a in policy.alphas), "alphas",
-             f"all 0 for mc.feedback_mode = {mc_simulator.DUPLICATED_ACK}",
-             config.alphas)
-    return policy, feedback_model.make_feedback_spec(config.snr_u_db, slots=2)
+    if config.feedback_mode != DUPLICATED_ACK:
+        return policy, feedback_model.make_feedback_spec(config.snr_u_db), config.feedback_mode
+    alphas, spec = _baseline(config)
+    _require(config.alphas in (None, alphas), "alphas",
+             f"all 0 for mc.feedback_mode = {DUPLICATED_ACK}", config.alphas)
+    return dataclasses.replace(policy, alphas=alphas), spec, mc_simulator.SYMBOL_LEVEL
 
 
 def _grid_from(config: RunConfig) -> optimizer.RateGrid:
@@ -378,9 +387,9 @@ def _estimate_columns(config: RunConfig,
 
 def _run_simulate(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    policy, fb = _mc_scheme(config)
+    policy, fb, mode = _mc_scheme(config)
     est = mc_simulator.estimate_performance(
-        policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
+        policy, dl, fb, config.n_episodes, config.seed, mode
     )
     header, row = _estimate_columns(config, est)
     _write_csv(out, header, [row])
@@ -406,10 +415,10 @@ def _z_row(name: str, analytic: float, simulated: float, se: float,
 
 def _run_validate(config: RunConfig, out: str) -> int:
     dl = mi_model.make_downlink_spec(config.snr_d_db)
-    policy, fb = _mc_scheme(config)
+    policy, fb, mode = _mc_scheme(config)
     bd = harq_analysis.unreliable_throughput(policy, dl, fb, bins=config.conv_bins)
     est = mc_simulator.estimate_performance(
-        policy, dl, fb, config.n_episodes, config.seed, config.feedback_mode
+        policy, dl, fb, config.n_episodes, config.seed, mode
     )
 
     n = est.n_episodes
@@ -472,13 +481,11 @@ def _best_fixed_alpha(config: RunConfig, dl, fb, grid):
     return best_eta, best_alpha, best_rhos
 
 
-def _duplicated_best_throughput(config: RunConfig, dl, fb,
-                                grid) -> tuple[float, bool]:
+def _duplicated_best_throughput(config: RunConfig, dl, grid) -> tuple[float, bool]:
     """Best duplicated-ACK throughput under the outage constraint: the
-    two-slot spec at threshold 0 and the rates of the exact scan; zero when
-    the constraint is unreachable (the scheme has no threshold to raise)."""
-    dup = dataclasses.replace(fb, slots=2)
-    alphas = (0.0,) * (config.m_max - 1)
+    baseline at the rates of the exact scan; zero when the constraint is
+    unreachable (the scheme has no threshold to raise)."""
+    alphas, dup = _baseline(config)
     try:
         rhos, _ = optimizer.best_feasible_allocation(
             feedback_model.error_rates_for(dup, alphas), dl, grid, config.epsilon)
@@ -525,7 +532,7 @@ def _optimize_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
 
 def _vs_duplicated_columns(config: RunConfig, dl, fb) -> tuple[list, list]:
     grid = _grid_from(config)
-    dup_eta, dup_ok = _duplicated_best_throughput(config, dl, fb, grid)
+    dup_eta, dup_ok = _duplicated_best_throughput(config, dl, grid)
     sol = _solve(config, dl, fb, _policy_from(config), grid)
     asym = (0.0, False) if sol is None else (sol.breakdown.throughput, sol.feasible)
     return (["throughput_asymmetric", "feasible_asymmetric",

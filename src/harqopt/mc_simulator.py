@@ -4,15 +4,13 @@ Episodes follow the protocol narrative exactly: per-round Rayleigh gains
 accumulate mutual information, the receiver reports ACK once decoding
 succeeds, and the transmitter stops on a detected ACK or after the round
 cap. A detected ACK while the decoder has not succeeded is an outage; a
-missed ACK costs extra rounds but never an outage. The feedback modes
-differ only in how the single-bit report is detected:
-- "analytic-flip": Bernoulli flips at the analytic error rates;
-- "symbol-level": the matched-filter detector on the noisy sequence;
-- "duplicated-ack": the baseline that sends the bit in two slots and stops
-  only when both read as ACK; each slot flips at the one-slot error rates
-  of the round's threshold.
-The spec's slot count must suit the mode (_MODE_SLOTS): two for
-duplicated-ack, one for symbol-level, either for analytic-flip.
+missed ACK costs extra rounds but never an outage. The spec says which
+feedback scheme runs (one slot, or the duplicated-ACK baseline's two),
+and the feedback mode says how its bit is drawn; every mode runs on every
+spec:
+- "analytic-flip": Bernoulli flips at the spec's analytic error rates;
+- "symbol-level": the matched-filter detector on the noisy sequence, once
+  per slot; the transmitter stops only when every slot reads ACK.
 
 The estimator is vectorized in fixed-size chunks, each driven by its own
 stream (SFC64 seeded by the chunk index-th child that SeedSequence(seed)
@@ -22,13 +20,13 @@ depends on its fading only through its first decoding round d (1..M, or
 never). The fading gains come first, round by round: round j draws one
 gain for each episode still undecoded after round j - 1, in episode
 order, which the forced-continuation failure frequencies count. Then
-each feedback round draws, for each group of equal d in turn, one block
-for the group's episodes still running, all of which send the same bit
-(ACK when d <= j); a group with none left draws nothing. The block is a
-binomial count of detected ACKs (analytic-flip), two uniforms per episode
-(duplicated-ack), or detect_batch's 6 normals per episode, the noise
-parts its statistic reads (symbol-level). Estimates are bit-identical for
-identical (seed, n, mode) and independent of how chunks are executed.
+each feedback round draws, for each group of equal d in turn, for the
+group's episodes still running, all of which send the same bit (ACK when
+d <= j); a group with none left draws nothing. The draw is a binomial
+count of detected ACKs (analytic-flip), or one block per slot, in slot
+order, of detect_batch's 6 normals per episode, the noise parts its
+statistic reads (symbol-level). Estimates are bit-identical for identical
+(seed, n, mode, spec) and independent of how chunks are executed.
 
 The estimator keeps per-group totals, not per-episode arrays: each chunk
 draws its gains into one reused length-c buffer, turns them in place into
@@ -43,7 +41,6 @@ by episode otherwise.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -56,10 +53,7 @@ _log = logging.getLogger(__name__)
 
 ANALYTIC_FLIP = "analytic-flip"
 SYMBOL_LEVEL = "symbol-level"
-DUPLICATED_ACK = "duplicated-ack"
-# feedback mode -> the slot counts of the specs it runs on
-_MODE_SLOTS = {ANALYTIC_FLIP: (1, 2), SYMBOL_LEVEL: (1,), DUPLICATED_ACK: (2,)}
-FEEDBACK_MODES = tuple(_MODE_SLOTS)
+FEEDBACK_MODES = (ANALYTIC_FLIP, SYMBOL_LEVEL)
 _CHUNK = 1 << 17
 MIN_EPISODES = 10_000
 
@@ -98,17 +92,13 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
                          fb: feedback_model.FeedbackSpec, n: int, seed: int,
                          feedback_mode: str = ANALYTIC_FLIP) -> SimulationEstimate:
-    """Aggregate n independent episodes in one of FEEDBACK_MODES; throughput
-    is the renewal-reward ratio N_b * (delivered count) / (total symbols),
-    with a delta-method standard error."""
+    """Aggregate n independent episodes of the spec's scheme, drawn in one
+    of FEEDBACK_MODES; throughput is the renewal-reward ratio
+    N_b * (delivered count) / (total symbols), with a delta-method standard
+    error."""
     if feedback_mode not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-    if fb.slots not in _MODE_SLOTS[feedback_mode]:
-        raise ValueError(f"feedback_mode {feedback_mode!r} does not run on a "
-                         f"{fb.slots}-slot feedback spec")
-    # the duplicated-ack mode flips each slot at the one-slot rates
-    slot = dataclasses.replace(fb, slots=1) if feedback_mode == DUPLICATED_ACK else fb
-    rates = feedback_model.error_rates_for(slot, policy.alphas)
+    rates = feedback_model.error_rates_for(fb, policy.alphas)
     pa, pn = rates.p_ack, rates.p_nack
     if n < MIN_EPISODES:
         raise ValueError(f"need at least {MIN_EPISODES} episodes, got {n}")
@@ -160,15 +150,15 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
                 if feedback_mode == ANALYTIC_FLIP:
                     # the same law as live[d] Bernoulli flips
                     stopped = rng.binomial(live[d], 1.0 - pa[j] if ack else pn[j])
-                elif feedback_mode == SYMBOL_LEVEL:
-                    stopped = np.count_nonzero(feedback_model.detect_batch(
-                        ack, policy.alphas[j], fb.snr_linear, live[d], rng))
                 else:
-                    # a slot reads ACK when a sent ACK survives or a sent
-                    # NACK flips; a stop needs both slots to read ACK
-                    p_flip = pa[j] if ack else pn[j]
-                    reads_ack = (rng.random((live[d], 2)) < p_flip) != ack
-                    stopped = np.count_nonzero(reads_ack.all(axis=1))
+                    # one block per slot, in slot order; a stop needs every
+                    # slot to read ACK
+                    reads = feedback_model.detect_batch(
+                        ack, policy.alphas[j], fb.snr_linear, live[d], rng)
+                    for _ in range(1, fb.slots):
+                        reads &= feedback_model.detect_batch(
+                            ack, policy.alphas[j], fb.snr_linear, live[d], rng)
+                    stopped = np.count_nonzero(reads)
                 halted[j, d] += stopped
                 live[d] -= stopped
         halted[m - 1] += live

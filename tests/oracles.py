@@ -6,9 +6,9 @@ its own loops, so it shares no vectorized code with what it checks:
   optimizer.best_feasible_allocation, bit for bit;
 - occurrence_nested: the round-occurrence sums rebuilt term by term,
   against harq_analysis.occurrence_probabilities, bit for bit;
-- run_episode: one HARQ episode round by round, with the symbol-level
-  feedback realized by simulate_detection from 24 normals per trial,
-  against mc_simulator.estimate_performance;
+- run_episode: one HARQ episode round by round on any feedback spec, with
+  the symbol-level feedback realized by simulate_detection from 24
+  normals per slot, against mc_simulator.estimate_performance;
 - detection_statistic: the 12-symbol matched filter that
   feedback_model.detect_batch must match bit for bit;
 - mi_of_gain: the mutual information of one round at one gain.
@@ -78,8 +78,11 @@ class EpisodeOutcome:
 
 def run_episode(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.FeedbackSpec,
                 rng, feedback_mode: str = mc_simulator.ANALYTIC_FLIP) -> EpisodeOutcome:
-    """Simulate one episode; the rng needs .exponential(), .random() and,
-    for symbol-level feedback, .standard_normal()."""
+    """Simulate one episode of the spec's scheme; the rng needs
+    .exponential(), .random() and, for symbol-level feedback,
+    .standard_normal(). Analytic-flip feedback flips at the spec's rates;
+    symbol-level feedback detects every slot, and reads ACK only when all
+    of them do."""
     if feedback_mode not in (mc_simulator.ANALYTIC_FLIP, mc_simulator.SYMBOL_LEVEL):
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
     m = policy.m_max
@@ -100,11 +103,12 @@ def run_episode(policy: harq_analysis.HarqPolicy, dl, fb: feedback_model.Feedbac
         sent_ack = decoded
         alpha = policy.alphas[k]
         if feedback_mode == mc_simulator.ANALYTIC_FLIP:
-            p_err = (feedback_model.ack_error_rate(alpha, fb.snr_linear) if sent_ack
-                     else feedback_model.nack_error_rate(alpha, fb.snr_linear))
+            p_err = fb.ack_rate(alpha) if sent_ack else fb.nack_rate(alpha)
             detected_ack = sent_ack != (float(rng.random()) < p_err)
         else:
-            detected_ack = simulate_detection(sent_ack, alpha, fb.snr_linear, rng)
+            reads = [simulate_detection(sent_ack, alpha, fb.snr_linear, rng)
+                     for _ in range(fb.slots)]
+            detected_ack = all(reads)
         events.append(
             ("ACK" if sent_ack else "NACK", "ACK" if detected_ack else "NACK")
         )

@@ -330,15 +330,17 @@ def test_validate_accepts_a_seed_of_2_to_the_128(tmp_path):
 
 
 def test_cli_accepts_exactly_the_simulator_feedback_modes(tmp_path):
-    # the config check reads the simulator's own mode list, so a mode is
-    # accepted by both or refused by both
-    for mode in mc_simulator.FEEDBACK_MODES:
+    # the config accepts the simulator's modes and the duplicated-ACK
+    # baseline, which runs one of them on the two-slot spec; a mode the
+    # config refuses, the simulator refuses too
+    assert cli.FEEDBACK_MODES == (*mc_simulator.FEEDBACK_MODES, "duplicated-ack")
+    for mode in cli.FEEDBACK_MODES:
         path = write_config(tmp_path, {**SMALL, "mc.feedback_mode": mode})
         assert cli.load_config(path).feedback_mode == mode
     config = cli.load_config(write_config(tmp_path, SMALL))
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
-    listed = "|".join(mc_simulator.FEEDBACK_MODES)
+    listed = "|".join(cli.FEEDBACK_MODES)
     for mode in ("oracle", "", "Analytic-Flip", "duplicated_ack"):
         path = write_config(tmp_path, {**SMALL, "mc.feedback_mode": mode})
         with pytest.raises(ConfigError, match=rf"mc.feedback_mode.*one of {listed}"):
@@ -702,7 +704,7 @@ def test_duplicated_baseline_is_exact_constrained_scan(tmp_path):
     dl = mi_model.make_downlink_spec(config.snr_d_db)
     fb = feedback_model.make_feedback_spec(config.snr_u_db)
     grid = cli._grid_from(config)
-    eta, ok = cli._duplicated_best_throughput(config, dl, fb, grid)
+    eta, ok = cli._duplicated_best_throughput(config, dl, grid)
     # the duplicated ACK: two slots, each detected at threshold 0
     dup = dataclasses.replace(fb, slots=2)
     alphas = (0.0,) * (config.m_max - 1)

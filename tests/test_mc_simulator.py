@@ -1,5 +1,6 @@
 """Episode-level protocol logic, checked on the scalar oracle run_episode
-(tests/oracles.py), and the vectorized estimator in every feedback mode."""
+(tests/oracles.py), and the vectorized estimator in every feedback mode on
+the one- and two-slot specs."""
 
 import dataclasses
 import math
@@ -70,6 +71,22 @@ def test_run_episode_rejects_unknown_mode(dl3, fb_weak):
         oracles.run_episode(pol, dl3, fb_weak, ScriptedRng([]), "oracle")
 
 
+@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
+def test_run_episode_two_slot_premature_stop_squares_slot_error(rng, mode):
+    # round 1 never decodes and round 2 always does, so an episode is in
+    # outage exactly when its first NACK reads ACK: on the two-slot spec
+    # both slots must flip, probability p^2, not the one-slot p
+    dl = mi_model.make_downlink_spec(10.0)
+    pol = harq_analysis.HarqPolicy(rhos=(1e-6, 1e10), alphas=(0.0,), n_b=1)
+    s = 0.1368645588
+    fb = feedback_model.make_feedback_spec(10.0 * math.log10(s), slots=2)
+    p = feedback_model.nack_error_rate(0.0, s)
+    assert p == pytest.approx(0.1, abs=1e-6)
+    n = 4000
+    outages = sum(oracles.run_episode(pol, dl, fb, rng, mode).outage for _ in range(n))
+    assert abs(outages / n - p * p) <= 4.0 * math.sqrt(p * p * (1.0 - p * p) / n)
+
+
 def test_run_episode_accounting_over_random_draws(dl3, fb_weak, rng):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
     for _ in range(200):
@@ -90,30 +107,43 @@ def test_estimate_min_episode_guard(dl3, fb_weak):
     pol = make_policy((1.0,) * 4, (0.5,) * 3)
     with pytest.raises(ValueError):
         mc_simulator.estimate_performance(pol, dl3, fb_weak, 100, seed=1)
-    with pytest.raises(ValueError):
-        mc_simulator.estimate_performance(pol, dl3, fb_weak, 10_000, seed=1,
-                                          feedback_mode="oracle")
+    # the CLI's duplicated-ack is symbol-level on the two-slot spec, not a
+    # mode of the simulator
+    for mode in ("oracle", "duplicated-ack"):
+        with pytest.raises(ValueError, match="unknown feedback_mode"):
+            mc_simulator.estimate_performance(pol, dl3, fb_weak, 10_000, seed=1,
+                                              feedback_mode=mode)
 
 
 # n spans two chunks, the last one partial
 _TWO_CHUNKS = mc_simulator._CHUNK + 10_000
 
 
-def _estimate(mode, pol, dl, fb, n, seed):
-    """estimate_performance in the given mode; the duplicated-ACK mode runs
-    on the two-slot spec."""
-    if mode == mc_simulator.DUPLICATED_ACK:
-        fb = dataclasses.replace(fb, slots=2)
-    return mc_simulator.estimate_performance(pol, dl, fb, n, seed, feedback_mode=mode)
+# test id -> (feedback mode, spec slots): every mode on both specs. The
+# two-slot spec is the duplicated-ACK baseline, and symbol-level draws on
+# it are what the CLI's duplicated-ack runs, hence that id
+_SCHEMES = {
+    mc_simulator.ANALYTIC_FLIP: (mc_simulator.ANALYTIC_FLIP, 1),
+    mc_simulator.SYMBOL_LEVEL: (mc_simulator.SYMBOL_LEVEL, 1),
+    "two-slot-analytic-flip": (mc_simulator.ANALYTIC_FLIP, 2),
+    "duplicated-ack": (mc_simulator.SYMBOL_LEVEL, 2),
+}
 
 
-@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
-def test_estimate_deterministic_in_seed(dl3, fb_weak, mode):
+def _estimate(scheme, pol, dl, fb, n, seed):
+    """estimate_performance in the scheme's mode on fb with its slots."""
+    mode, slots = _SCHEMES[scheme]
+    return mc_simulator.estimate_performance(pol, dl, dataclasses.replace(fb, slots=slots),
+                                             n, seed, feedback_mode=mode)
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_estimate_deterministic_in_seed(dl3, fb_weak, scheme):
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
-    a = _estimate(mode, pol, dl3, fb_weak, _TWO_CHUNKS, seed=99)
-    b = _estimate(mode, pol, dl3, fb_weak, _TWO_CHUNKS, seed=99)
+    a = _estimate(scheme, pol, dl3, fb_weak, _TWO_CHUNKS, seed=99)
+    b = _estimate(scheme, pol, dl3, fb_weak, _TWO_CHUNKS, seed=99)
     assert a == b
-    c = _estimate(mode, pol, dl3, fb_weak, _TWO_CHUNKS, seed=100)
+    c = _estimate(scheme, pol, dl3, fb_weak, _TWO_CHUNKS, seed=100)
     assert c != a
 
 
@@ -164,12 +194,14 @@ def chunk_draws(monkeypatch):
     return chunks
 
 
-def _split_draws(mode, draws, m):
-    """One chunk's draws as (gain block sizes, feedback block sizes), after
+def _split_draws(scheme, draws, m):
+    """One chunk's draws as (gain block sizes, feedback group sizes), after
     checking that the first m draws are the rounds' exponential gains and
-    every later one a feedback block of the mode's shape. A feedback block
-    serves one group of episodes: its trials, slot pairs or, in the
-    analytic-flip mode, the binomial's n."""
+    every later one a feedback block of the mode's shape. A group of
+    episodes gets one binomial, whose n is its size, in the analytic-flip
+    mode, and one block of trials per slot, all of its size, in the
+    symbol-level mode."""
+    mode, slots = _SCHEMES[scheme]
     gains = []
     for name, shape, _ in draws[:m]:
         assert name == "standard_exponential" and len(shape) == 1
@@ -177,31 +209,31 @@ def _split_draws(mode, draws, m):
     if mode == mc_simulator.ANALYTIC_FLIP:
         assert all(name == "binomial" and shape == () for name, shape, _ in draws[m:])
         return gains, [args[0] for _, _, args in draws[m:]]
-    if mode == mc_simulator.SYMBOL_LEVEL:
-        # the 6 real parts the detector statistic reads, per trial
-        name, tail = "standard_normal", (6,)
-    else:
-        name, tail = "random", (2,)
-    assert all(d == name and shape[1:] == tail for d, shape, _ in draws[m:])
-    return gains, [shape[0] for _, shape, _ in draws[m:]]
+    # the 6 real parts the detector statistic reads, per trial
+    assert all(name == "standard_normal" and shape[1:] == (6,)
+               for name, shape, _ in draws[m:])
+    blocks = [shape[0] for _, shape, _ in draws[m:]]
+    groups = blocks[::slots]
+    assert blocks == [size for size in groups for _ in range(slots)]
+    return gains, groups
 
 
-@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
-def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, scheme):
     # round j draws gains only for the episodes still undecoded after round
-    # j - 1; each feedback round then draws one block per group of episodes
-    # that first decode at the same round (1..4, never), sized to those
-    # still running. At this policy every group is nonempty and keeps
-    # running episodes through round 3, so each round draws 5 blocks
+    # j - 1; each feedback round then draws for each group of episodes that
+    # first decode at the same round (1..4, never), sized to those still
+    # running. At this policy every group is nonempty and keeps running
+    # episodes through round 3, so each round draws for 5 groups
     pol = make_policy((0.5, 0.75, 1.0, 0.25), (0.2, 0.6, 1.1))
     n = _TWO_CHUNKS
-    est = _estimate(mode, pol, dl3, fb_weak, n, seed=41)
+    est = _estimate(scheme, pol, dl3, fb_weak, n, seed=41)
     assert len(chunk_draws) == 2
     undecoded = [0, 0, 0]
     never = 0
     live = np.zeros(3, dtype=np.int64)
     for c, draws in zip((mc_simulator._CHUNK, n - mc_simulator._CHUNK), chunk_draws):
-        gains, blocks = _split_draws(mode, draws, 4)
+        gains, blocks = _split_draws(scheme, draws, 4)
         assert gains[0] == c
         assert gains == sorted(gains, reverse=True)
         undecoded = [a + b for a, b in zip(undecoded, gains[1:])]
@@ -219,8 +251,8 @@ def test_feedback_draws_only_for_live_episodes(chunk_draws, dl3, fb_weak, mode):
     assert list(live) == [round(p * n) for p in est.p_occur[:3]]
 
 
-@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
-def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, scheme):
     # the uplink is error-free. Round 1 always decodes, so every episode
     # stops at the first feedback, later rounds draw no gains and the
     # second feedback has no one to draw for. Then no episode decodes
@@ -233,11 +265,11 @@ def test_no_feedback_draws_once_every_episode_stopped(chunk_draws, mode):
     for rhos, occur, gains, blocks in cases:
         chunk_draws.clear()
         pol = harq_analysis.HarqPolicy(rhos=rhos, alphas=(0.0, 0.0), n_b=1)
-        est = _estimate(mode, pol, dl, fb, 10_000, seed=5)
+        est = _estimate(scheme, pol, dl, fb, 10_000, seed=5)
         assert est.p_occur == occur
         assert est.p_out == 0.0
         [draws] = chunk_draws
-        assert _split_draws(mode, draws, 3) == (gains, blocks)
+        assert _split_draws(scheme, draws, 3) == (gains, blocks)
 
 
 def _replay(policy, dl, fb, n, seed, mode):
@@ -248,13 +280,12 @@ def _replay(policy, dl, fb, n, seed, mode):
     running episodes that first decode at the same round (1..M, never),
     in that order, and stops the block's detected ACKs. The analytic-flip
     mode draws one binomial count per group and stops that many of the
-    group's running episodes; the duplicated-ACK mode flips each of two
-    slots at the one-slot rates. Returns the estimate's count-based fields
-    and its two throughput fields."""
+    group's running episodes; the symbol-level mode detects each slot in
+    turn and stops the episodes whose every slot reads ACK. Returns the
+    estimate's count-based fields and its two throughput fields."""
     m = policy.m_max
     rhos = np.asarray(policy.rhos)
     rates = feedback_model.error_rates_for(fb, policy.alphas)
-    slot = feedback_model.error_rates_for(dataclasses.replace(fb, slots=1), policy.alphas)
     rounds, delivered, fails = [], [], np.zeros(m)
     for index, start in enumerate(range(0, n, mc_simulator._CHUNK)):
         c = min(mc_simulator._CHUNK, n - start)
@@ -278,13 +309,11 @@ def _replay(policy, dl, fb, n, seed, mode):
                 if mode == mc_simulator.ANALYTIC_FLIP:
                     p_stop = 1.0 - rates.p_ack[j] if sent else rates.p_nack[j]
                     stop = np.arange(group.size) < rng.binomial(group.size, p_stop)
-                elif mode == mc_simulator.SYMBOL_LEVEL:
-                    stop = feedback_model.detect_batch(sent, policy.alphas[j],
-                                                       fb.snr_linear, group.size, rng)
                 else:
-                    p_flip = slot.p_ack[j] if sent else slot.p_nack[j]
-                    flip = rng.random((group.size, 2)) < p_flip
-                    stop = ~flip.any(axis=1) if sent else flip.all(axis=1)
+                    stop = np.ones(group.size, dtype=bool)
+                    for _ in range(fb.slots):
+                        stop &= feedback_model.detect_batch(sent, policy.alphas[j],
+                                                            fb.snr_linear, group.size, rng)
                 running[group[stop]] = False
             used[running] += 1
         rounds.append(used)
@@ -316,13 +345,13 @@ _REPLAY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
+@pytest.mark.parametrize("scheme", _SCHEMES)
 @pytest.mark.parametrize("snr_d, snr_u, rhos, alphas, n_b, n", _REPLAY_CASES)
-def test_estimate_matches_episode_replay(mode, snr_d, snr_u, rhos, alphas, n_b, n):
+def test_estimate_matches_episode_replay(scheme, snr_d, snr_u, rhos, alphas, n_b, n):
     pol = harq_analysis.HarqPolicy(rhos=rhos, alphas=alphas, n_b=n_b)
     dl = mi_model.make_downlink_spec(snr_d)
-    fb = feedback_model.make_feedback_spec(
-        snr_u, slots=2 if mode == mc_simulator.DUPLICATED_ACK else 1)
+    mode, slots = _SCHEMES[scheme]
+    fb = feedback_model.make_feedback_spec(snr_u, slots=slots)
     est = mc_simulator.estimate_performance(pol, dl, fb, n, seed=13, feedback_mode=mode)
     ref = _replay(pol, dl, fb, n, 13, mode)
     if any(a < -1.0 for a in pol.alphas):
@@ -418,19 +447,7 @@ def test_forced_continuation_failure_frequencies(dl3, fb_weak):
         assert abs(est.p_fail[k] - target[k]) <= max(3.0 * est.p_fail_se[k], 2e-4)
 
 
-@pytest.mark.parametrize("mode, slots", [("duplicated-ack", 1), ("symbol-level", 2)])
-def test_feedback_mode_must_match_the_spec_slots(dl3, mode, slots):
-    # the duplicated-ack mode draws two slots and the symbol-level detector
-    # one, so each refuses the other's spec; analytic-flip takes either
-    pol = make_policy((1.0,) * 4, (0.5,) * 3)
-    fb = feedback_model.make_feedback_spec(-10.0, slots=slots)
-    with pytest.raises(ValueError, match=f"{slots}-slot feedback spec"):
-        mc_simulator.estimate_performance(pol, dl3, fb, 10_000, seed=1,
-                                          feedback_mode=mode)
-    mc_simulator.estimate_performance(pol, dl3, fb, 10_000, seed=1)
-
-
-@pytest.mark.parametrize("mode", ["analytic-flip", "duplicated-ack"])
+@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
 def test_two_slot_simulation_matches_analysis_at_nonzero_thresholds(dl3, mode):
     # each slot is thresholded at the round's alpha and a stop needs two
     # ACK reads, so both modes sample the two-slot spec's error rates
@@ -452,7 +469,7 @@ def test_duplicated_ack_reduces_to_plain_under_perfect_feedback(dl3):
     fb = feedback_model.make_feedback_spec(200.0)
     a = mc_simulator.estimate_performance(pol, dl3, fb, 50_000, seed=17)
     d = mc_simulator.estimate_performance(pol, dl3, dataclasses.replace(fb, slots=2),
-                                          50_000, seed=17, feedback_mode="duplicated-ack")
+                                          50_000, seed=17, feedback_mode="symbol-level")
     assert a == d
 
 
@@ -466,7 +483,31 @@ def test_duplicated_ack_premature_stop_squares_slot_error():
     p = feedback_model.nack_error_rate(0.0, s)
     assert p == pytest.approx(0.1, abs=1e-6)
     est = mc_simulator.estimate_performance(pol, dl, fb, 1_000_000, seed=23,
-                                            feedback_mode="duplicated-ack")
+                                            feedback_mode="symbol-level")
     assert abs(est.p_out - p * p) <= 3.0 * est.p_out_se
     assert est.p_occur[0] == 1.0
     assert abs(est.p_occur[1] - (1.0 - p * p)) <= 3.0 * est.p_occur_se[1]
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+@pytest.mark.parametrize("snr_u, alpha", [(-12.0, 0.0), (-10.0, 0.5), (-6.0, 1.0)])
+def test_symbol_level_agrees_with_analytic_flip_and_analysis(dl3, slots, snr_u, alpha):
+    # detecting every slot symbol by symbol samples the spec's error rates,
+    # so it agrees with the analytic flips and with the analysis on either
+    # spec; alpha 0 on two slots is the duplicated-ACK baseline
+    pol = make_policy((0.5, 0.75, 1.0, 0.25), (alpha,) * 3)
+    fb = feedback_model.make_feedback_spec(snr_u, slots=slots)
+    bd = harq_analysis.unreliable_throughput(pol, dl3, fb, bins=4096)
+    n = 100_000
+    s = mc_simulator.estimate_performance(pol, dl3, fb, n, seed=43,
+                                          feedback_mode="symbol-level")
+    a = mc_simulator.estimate_performance(pol, dl3, fb, n, seed=47,
+                                          feedback_mode="analytic-flip")
+    pairs = [(s.throughput, s.throughput_se, a.throughput, a.throughput_se,
+              bd.throughput),
+             (s.p_out, s.p_out_se, a.p_out, a.p_out_se, bd.p_out_unreliable)]
+    pairs += [(s.p_occur[k], s.p_occur_se[k], a.p_occur[k], a.p_occur_se[k],
+               bd.p_occur[k]) for k in range(1, 4)]
+    for sim, sim_se, flip, flip_se, analytic in pairs:
+        assert abs(sim - analytic) <= 4.0 * sim_se
+        assert abs(sim - flip) <= 4.0 * math.hypot(sim_se, flip_se)
