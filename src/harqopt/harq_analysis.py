@@ -39,9 +39,9 @@ and _throughput_step, (1 - outage) / cost. These are the only places
 those formulas are written, so the scan's outages, costs and throughputs
 are those of the (..., M) functions by construction, and the steps'
 docstrings hold the monotonicity on which the scan's node test and bound
-rest. _inner takes the failures of the M - 1 rounds that end in a
-feedback only, so the optimizer's outage floor runs it on its whole tree,
-which holds no leaf level.
+rest. _inner and _occurrence take the failures of the M - 1 rounds that
+end in a feedback only, so the optimizer runs them on trees that hold no
+leaf level.
 In occurrence_probabilities the decoded-at-round-k terms are carried
 from round to round with one more p_ack factor each, in the
 multiplication order of rebuilding them, so the work per row is O(M^2)
@@ -139,15 +139,17 @@ def occurrence_probabilities(p_fail, p_nack, p_ack) -> np.ndarray:
     if pn.shape[-1] < m - 1 or pa.shape[-1] < m - 1:
         raise ValueError("occurrence_probabilities: need m-1 error pairs")
     lead = np.broadcast_shapes(F.shape[:-1], pn.shape[:-1], pa.shape[:-1])
-    P = _occurrence(*(np.moveaxis(a, -1, 0) for a in (F, pn, pa)), _same)
+    P = _occurrence(*(np.moveaxis(a, -1, 0) for a in (F[..., :-1], pn, pa)), _same)
     return np.stack([np.broadcast_to(p, lead) for p in P], axis=-1)
 
 
 def _occurrence(F, pn, pa, spread) -> list:
-    """occurrence_probabilities over rounds: item i of F, pn and pa is
-    round i + 1's, and spread(x, i) carries a value from the (i + 1)-round
-    prefixes to the (i + 2)-round ones. P_i lies on the (i - 1)-round ones."""
-    m = len(F)
+    """occurrence_probabilities over rounds, from the failures F of the
+    M - 1 rounds that end in a feedback (F_M sets no occurrence): item i
+    of F, pn and pa is round i + 1's, and spread(x, i) carries a value
+    from the (i + 1)-round prefixes to the (i + 2)-round ones. P_i lies on
+    the (i - 1)-round ones."""
+    m = len(F) + 1
     surv = [1.0 - pn[j] for j in range(m - 1)]
     P = [1.0]
     # decoded[k - 1]: decoded at round k with every feedback since misread

@@ -86,13 +86,18 @@ def _erfc_upper(ax, num, den):
 
 
 def _erfc_scalar(v: float) -> float:
+    """erfc(v) for one float; NaN raises ValueError."""
     a = abs(v)
     if a < 1.0:
         return float(_erfc_core(v))
-    if a * a > _MAXLOG:
+    if a < 8.0:
+        y = float(_erfc_upper(a, _P, _Q))
+    elif a * a <= _MAXLOG:
+        y = float(_erfc_upper(a, _R, _S))
+    elif a > 8.0:  # exp(-v^2) underflows
         y = 0.0
     else:
-        y = float(_erfc_upper(a, _P, _Q) if a < 8.0 else _erfc_upper(a, _R, _S))
+        raise ValueError("erfc: input must not be NaN")
     return 2.0 - y if v < 0.0 else y
 
 
@@ -115,19 +120,22 @@ def erfc(x):
     """Complementary error function, elementwise on scalars or arrays.
 
     Infinite inputs give the limits, 0 at +inf and 2 at -inf, like any
-    input whose exp(-x^2) underflows; NaN raises ValueError."""
+    input whose exp(-x^2) underflows; NaN raises ValueError. A float
+    (numpy's included) goes straight to the scalar kernel and returns a
+    float, as does any 0-d input."""
+    if isinstance(x, float):
+        return _erfc_scalar(float(x))
     arr = np.asarray(x, dtype=float)
+    if arr.size <= _SCALAR_MAX:
+        if arr.ndim == 0:
+            return _erfc_scalar(float(arr))
+        return np.array([_erfc_scalar(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
     if np.isnan(arr).any():
         raise ValueError("erfc: input must not be NaN")
-    if arr.size <= _SCALAR_MAX:
-        out = np.array([_erfc_scalar(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
-    else:
-        out = np.empty(arr.shape)
-        src, dst = arr.reshape(-1), out.reshape(-1)
-        for lo in range(0, src.size, _BLOCK):
-            dst[lo:lo + _BLOCK] = _erfc_block(src[lo:lo + _BLOCK])
-    if arr.ndim == 0:
-        return float(out)
+    out = np.empty(arr.shape)
+    src, dst = arr.reshape(-1), out.reshape(-1)
+    for lo in range(0, src.size, _BLOCK):
+        dst[lo:lo + _BLOCK] = _erfc_block(src[lo:lo + _BLOCK])
     return out
 
 
@@ -177,16 +185,16 @@ def snr_db_to_linear(snr_db: float, caller: str) -> float:
                          "a float linear SNR") from None
 
 
-def _laguerre_poly(n: int, x: np.ndarray) -> np.ndarray:
-    """Laguerre polynomial L_n(x), n >= 1, by the three-term recurrence in
-    its difference form."""
+def _laguerre_poly(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Laguerre polynomials (L_{n-1}(x), L_n(x)), n >= 1, by the
+    three-term recurrence in its difference form: one pass gives both."""
     d = -x
-    p = d + 1.0
+    prev, p = np.ones_like(x), d + 1.0
     for kk in range(n - 1):
         k = kk + 1.0
         d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
-        p = d + p
-    return p
+        prev, p = p, d + p
+    return prev, p
 
 
 @functools.cache
@@ -196,10 +204,10 @@ def _laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     jacobi = np.diag(2.0 * k + 1.0) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
     x = np.linalg.eigvalsh(jacobi)
     # one Newton step on L_n, with L_n'(x) = n (L_n(x) - L_{n-1}(x)) / x
-    y = _laguerre_poly(n, x)
-    dy = (n * y - n * _laguerre_poly(n - 1, x)) / x
+    fm, y = _laguerre_poly(n, x)
+    dy = (n * y - n * fm) / x
     x -= y / dy
-    fm = _laguerre_poly(n - 1, x)
+    fm = _laguerre_poly(n - 1, x)[1]
     log_fm = np.log(np.abs(fm))
     log_dy = np.log(np.abs(dy))
     fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)

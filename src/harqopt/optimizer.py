@@ -21,48 +21,56 @@ only the paths with F_M <= epsilon + 2^-53.
 
 The grid is held as the enumeration's prefix tree: level k holds each
 admissible (k + 1)-round prefix once, with its last rate and its Gaussian
-failure F_k, so Q is evaluated once per distinct prefix (61, 1,891,
-39,711 and 635,376 nodes on the default four-round 64-unit grid) rather
-than once per path and round. The running sums are added in round order,
-as in mi_model.p_fail_gaussian, and go through the same Q-of-sums, so the
-bits are the same. The path budget is checked on per-prefix counts before
-any node is built. The interior levels are then built whole from their
-parents' counts of admissible last values. The leaf level, the bulk of the
-tree, is never held whole: it is streamed in runs of its parents with at
-most _BUILD_LEAVES leaves (units, rates, running sums and Q), and each run
-is reduced as soon as it is formed, to its parents' smallest and largest
-F_M and kept leaf counts, and to its leaves with F_M <= epsilon + 2^-53,
-written in path order into arrays allocated at the grid's leaf count,
-whose pages past the last kept leaf are never written, and cut to the
-kept leaves at the end. One stream so gives two trees: the whole tree,
-its interior levels and those per-node extremes, and the kept tree, the
-prefixes of the kept leaves and those leaves. On the default grid at
-3 dB a CLI optimize peaks about 6 MiB above its imports, where holding
-the whole leaf level took 17 MiB.
+failure F_k, so Q is evaluated once per distinct prefix (61, 1,891 and
+39,711 interior nodes on the default four-round 64-unit grid) rather than
+once per path and round. The running sums are added in round order, as in
+mi_model.p_fail_gaussian, and go through the same Q-of-sums, so the bits
+are the same. The path budget is checked on per-prefix counts before any
+node is built. The interior levels are then built whole from their
+parents' counts of admissible last values. The leaf level, the bulk of
+the tree (635,376 leaves), is never built. A leaf's F_M depends only on
+its parent's running sums and its own rate, so parents with the same
+child count and the same bits of those sums form one class, and the leaf
+table holds F_M once per child of each class (5,771 classes and 97,245
+entries on the default grid). The classes are keyed on the float bits,
+not on the integer unit sums: on a grid whose unit rate is not dyadic,
+two orderings of one multiset of rates can have round-order sums, and so
+F_M, that differ in their last bits. Each class is reduced to the
+smallest and largest F_M of its children and to its first and last kept
+child (F_M <= epsilon + 2^-53) and their largest F_M, which its parents
+gather. One stream so gives two trees: the whole tree, its interior
+levels and those per-node extremes, and the kept tree, the prefixes of
+the kept leaves, which reads its leaves from the table. On the default
+grid at 3 dB a CLI optimize peaks 6.5 MiB above its imports, where
+holding the whole leaf level took 17 MiB.
 
 The kept tree is held as its blocks: consecutive level-0 subtrees with at
-most _BLOCK_LEAVES leaves together (a larger subtree forms a block alone),
-each a tree of its own made of views into the levels. The whole-grid search
-has no formulas of its own. Each round's term of the outage, occurrence
-and cost recursions in harq_analysis depends on one prefix only, so a
-block runs them level by level: every node forms its term once and
-np.repeat spreads it to its children. The last round's outage, cost and
-throughput are harq_analysis's steps (_outage_step, _cost_step,
-_throughput_step), which the recursions end with and the node test, the
-node bound and the leaves read call in the same way.
+most _BLOCK_LEAVES leaves together (a larger subtree forms a block
+alone), each a tree of its own made of views into the levels. A node's
+leaves are its children from its first kept child to its last: leaf i has
+the unit count of its first leaf plus i and the table entry i places
+after it. A child in that range that is not kept has F_M above epsilon +
+2^-53, so its outage misses epsilon. The whole-grid search has no
+formulas of its own. Each round's term of the outage, occurrence and cost
+recursions in harq_analysis depends on one prefix only, so a block runs
+them level by level: every node forms its term once and np.repeat spreads
+it to its children. The last round's outage, cost and throughput are
+harq_analysis's steps (_outage_step, _cost_step, _throughput_step), which
+the recursions end with and the node test, the node bound and the leaves
+read call in the same way.
 
 The rate scan (best_feasible_allocation and the alternating loop's rate
 step) runs the recursions on the kept tree's interior levels only and
 stops on the (M - 1)-round prefixes, the nodes of the last interior
 level, with the outage's running term inner, the cost C of rounds
 1..M-1 and the occurrence P_M of round M. Each block stores, per such
-node, the smallest and largest F_M among its children, where they lie on
-the leaf level and their first and last rate (_Nodes). The outage step
-is least at one of the two F_M extremes, exactly, so a node passes iff
-one of its leaves meets epsilon. The throughput step at the node's least
-outage and least cost step (at its first or last rate) then bounds every
-leaf with 1 - outage >= 0, in floats, with no slack; the steps'
-docstrings say why. The incumbent, a throughput actually read, starts in
+node, the smallest and largest F_M among its kept children, where its
+leaves lie in the table and the rates of its first and last leaf
+(_Nodes). The outage step is least at one of the two F_M extremes,
+exactly, so a node passes iff one of its leaves meets epsilon. The
+throughput step at the node's least outage and least cost step (at its
+first or last rate) then bounds every leaf with 1 - outage >= 0, in
+floats, with no slack; the steps' docstrings say why. The incumbent, a throughput actually read, starts in
 each block from the leaves of its node of largest bound, and only the
 leaves below the feasible nodes whose bound reaches the incumbent are
 read: their nodes' values are gathered, in chunks of at most
@@ -79,7 +87,7 @@ the same node test.
 One small LRU cache, keyed by the frozen grid and downlink specs and by
 epsilon, holds what one stream forms: the whole tree and the kept tree's
 blocks, so the partition is computed once per tree, and a solve and every
-outage floor read from its errors evaluate each leaf's Q once. A solve at
+outage floor read from its errors form the leaf table once. A solve at
 another epsilon streams again, and so does the public
 min_achievable_outage, which reads the whole tree of a stream that keeps
 no leaf (epsilon -inf). A node stays in the kept tree when one of its
@@ -114,14 +122,11 @@ _PATH_BUDGET = 20_000_000
 # leaves per block of a kept tree's evaluation; the default grid's kept
 # tree at 3 dB (67,254 leaves) stays one block
 _BLOCK_LEAVES = 1 << 17
-# leaves per run of the leaf-level build. A run's temporaries (64 KiB
-# each) set the build's peak above the trees it keeps, and they stay under
-# glibc's mmap threshold, so each run reuses the last one's heap pages. On
-# the default grid at 3 dB a cold build raises the high-water mark about
-# 3.4 MiB; runs of 2^14 raise it 0.6 MiB more and, mapping their
-# temporaries afresh, take 6x the minor faults; runs of 2^12 build ~20%
-# slower for no less memory
-_BUILD_LEAVES = 1 << 13
+# leaf table entries per Gaussian Q call: the build then holds no array
+# of the table's size but the table, and its temporaries (64 KiB each)
+# stay under glibc's mmap threshold, so each call reuses the last one's
+# heap pages
+_Q_LEAVES = 1 << 13
 _SEARCH_STEP = 0.2  # first step of the threshold pattern search
 _SEARCH_TOL = 1e-6  # the pattern search stops once its step falls below this
 _ALT_MAX_ITERS = 50
@@ -198,7 +203,7 @@ def _prefix_tree(grid: RateGrid, m: int) -> tuple[tuple[np.ndarray, ...],
     The extensions of a prefix are consecutive on the next level, in
     ascending order from min_units (_last_units), so the leaves (the
     allocations) come in lexicographic order, called path order. The leaf
-    units are left to the caller, which forms them run by run.
+    units are left to the caller.
 
     The path budget is checked first, on the number of admissible prefixes
     of every length counted by their unit sum, so an oversized grid raises
@@ -261,23 +266,29 @@ def _cuts(ends: np.ndarray, limit: int) -> list[int]:
 
 class _Nodes(NamedTuple):
     """Per node of a block's last interior level, the (M - 1)-round
-    prefixes (for M = 1, one root above the block's leaves): the offset of
-    its first child on the leaf level, its child count, and the smallest
-    and largest last rate among its children. Children come in ascending
-    rate order, so these are the rates of its first and last child."""
+    prefixes (for M = 1, the root): the offset of its first leaf among the
+    block's leaves, its leaf count, the index of its first leaf's F_M in
+    the leaf table and that leaf's unit count, and the rates of its first
+    and last leaf. A node's leaves are its children from its first kept
+    child to its last, in ascending rate order: leaf i has units + i units
+    and F_M table[at + i]."""
 
     first: np.ndarray
     count: np.ndarray
+    at: np.ndarray
+    units: np.ndarray
     rho_first: np.ndarray
     rho_last: np.ndarray
 
 
 class _Block(NamedTuple):
     """Consecutive level-0 subtrees of a kept tree, a tree of its own.
-    Per level, views of the rate of each node's last round, its Gaussian
-    prefix-failure probability F and, on every level but the last, its
-    child count; then, per node of the last interior level, the smallest
-    and largest F_M among its children (as in _Whole) and its _Nodes."""
+    Per interior level, views of the rate of each node's last round, its
+    Gaussian prefix-failure probability F and, on every level but the
+    last, its child count; then, per node of the last interior level, the
+    smallest and largest F_M among its kept children (as in _Whole) and
+    its _Nodes; then the stream's leaf table and the grid's unit rate, from
+    which its leaves are read."""
 
     rhos: tuple[np.ndarray, ...]
     F: tuple[np.ndarray, ...]
@@ -285,42 +296,43 @@ class _Block(NamedTuple):
     min_F: np.ndarray
     max_F: np.ndarray
     nodes: _Nodes
+    table: np.ndarray
+    unit_rho: float
 
 
-def _nodes(rhos, F, children) -> tuple[np.ndarray, np.ndarray, _Nodes]:
-    """The smallest and largest F_M below each node of the last interior
-    level of a block with these levels, and its _Nodes; every node has a
-    child."""
-    rho, F = rhos[-1], F[-1]
-    count = children[-1] if children else np.array([rho.size])
-    first = np.cumsum(count) - count
-    last = first + count - 1
-    return (np.minimum.reduceat(F, first), np.maximum.reduceat(F, first),
-            _Nodes(first, count, rho[first], rho[last]))
+def _blocks(rhos, F, children, last, table, unit_rho) -> tuple[_Block, ...]:
+    """The kept tree cut into blocks of consecutive level-0 subtrees with
+    at most _BLOCK_LEAVES leaves together (a larger subtree forms a block
+    alone), in path order. `last` holds, per node of the last interior
+    level (the root for M = 1), its leaf count, the table index and unit
+    count of its first leaf and the smallest and largest F_M of its kept
+    children."""
+    if rhos:
+        offsets = [np.concatenate(([0], np.cumsum(ch))) for ch in children + last[:1]]
 
+        def on_levels(bounds):
+            # node bounds on level 0 -> the bounds of their subtrees on every level
+            levels = [np.asarray(bounds)]
+            for off in offsets:
+                levels.append(off[levels[-1]])
+            return levels
 
-def _blocks(rhos, F, children) -> tuple[_Block, ...]:
-    """The tree cut into blocks of consecutive level-0 subtrees with at most
-    _BLOCK_LEAVES leaves together (a larger subtree forms a block alone),
-    in path order, each with its _Nodes."""
-    offsets = [np.concatenate(([0], np.cumsum(ch))) for ch in children]
-
-    def on_levels(bounds):
-        # node bounds on level 0 -> the bounds of their subtrees on every level
-        levels = [np.asarray(bounds)]
-        for off in offsets:
-            levels.append(off[levels[-1]])
-        return levels
-
-    cuts = on_levels(_cuts(on_levels(np.arange(rhos[0].size + 1))[-1], _BLOCK_LEAVES))
-    # the offsets take as many bytes as the levels' child counts: freed
-    # before the nodes are formed, they do not add to the build's peak
-    del offsets
+        # cut on the leaves, kept on the interior levels
+        cuts = on_levels(_cuts(on_levels(np.arange(rhos[0].size + 1))[-1],
+                               _BLOCK_LEAVES))[:-1]
+        # the offsets take as many bytes as the levels' child counts: freed
+        # before the nodes are formed, they do not add to the build's peak
+        del offsets
+    else:
+        cuts = [[0, 1]]  # M = 1: the root alone
 
     def block(i):
         levels = tuple(tuple(a[c[i]:c[i + 1]] for a, c in zip(arrays, cuts))
                        for arrays in (rhos, F, children))
-        return _Block(*levels, *_nodes(*levels))
+        count, at, units, min_F, max_F = (a[cuts[-1][i]:cuts[-1][i + 1]] for a in last)
+        nodes = _Nodes(np.cumsum(count) - count, count, at, units, units * unit_rho,
+                       (units + count - 1) * unit_rho)
+        return _Block(*levels, min_F, max_F, nodes, table, unit_rho)
 
     return tuple(block(i) for i in range(len(cuts[0]) - 1))
 
@@ -343,30 +355,63 @@ def _spread(children):
     return lambda x, i: np.repeat(x, children[i])
 
 
+def _leaf_table(grid: RateGrid, dl, s1: np.ndarray, s2: np.ndarray,
+                count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(key, table, at): the F_M of every leaf, formed once per distinct
+    parent. Two nodes of the last interior level whose child counts and
+    running sums s1, s2 have the same bits have children with the same
+    F_M bits; key numbers each node's class of such nodes, and table holds
+    the F_M of each class's children in ascending rate order, from
+    at[class] on. The sums are taken as p_fail_gaussian takes them, so
+    each leaf's F_M equals p_fail_gaussian on its rates bit for bit."""
+    columns = (count, s1.view(np.int64), s2.view(np.int64))
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(order.size, dtype=bool)  # a node that starts a class, in sorted order
+    new[0] = True
+    for col in columns:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    key = np.empty_like(order)
+    key[order] = np.cumsum(new) - 1
+    first = order[new]  # one node of each class
+    del order, new
+    count = count[first]
+    at = np.cumsum(count) - count
+    s1, s2 = s1[first], s2[first]
+    table = np.empty(int(count.sum()))
+    for lo in range(0, table.size, _Q_LEAVES):
+        leaf = np.arange(lo, min(lo + _Q_LEAVES, table.size))
+        cls = np.searchsorted(at, leaf, side="right") - 1
+        rho = (leaf - at[cls] + grid.min_units) * grid.unit_rho
+        f, sq = s1[cls], s2[cls]
+        f += rho
+        sq += rho * rho
+        table[lo:lo + leaf.size] = mi_model._q_of_sums(f, sq, dl)
+    return key, table, at
+
+
 @functools.lru_cache(maxsize=4)
 def _stream(grid: RateGrid, m: int, dl,
             epsilon: float) -> tuple[_Whole, tuple[_Block, ...]]:
     """The whole grid's tree (_Whole) and the blocks of the tree kept at
     epsilon: the paths that can meet epsilon at some thresholds,
     F_M <= epsilon + _ROUNDING_SLACK, and their prefixes. Both come from
-    one pass over the leaf level; an epsilon of -inf keeps no leaf. Cached
-    per grid, downlink spec and epsilon, so a solve and the outage floors
-    read on its entry evaluate each leaf's Q once.
+    one pass that forms each leaf's F_M once per distinct parent
+    (_leaf_table) and holds no leaf level; an epsilon of -inf keeps no
+    leaf. Cached per grid, downlink spec and epsilon, so a solve and the
+    outage floors read on its entry form that table once.
 
-    Each node holds the rate of its last round (units times unit_rho) and
-    its Gaussian prefix-failure probability, computed once per distinct
-    prefix. The running sums are added in round order, as p_fail_gaussian's
-    cumulative sums are, so every leaf's failures equal p_fail_gaussian on
-    its rates bit for bit.
-    The interior levels are built whole. The leaf level is formed per run
-    of its parents with at most _BUILD_LEAVES leaves, and each run is
-    reduced at once: to its parents' smallest and largest F_M and kept
-    leaf counts, and to its kept leaves, written in path order into arrays
-    of the grid's leaf count whose pages past the last kept leaf are never
-    written, then cut to the kept ones. A node stays when one of its
-    children does, counted bottom-up on the interior levels; a level whose
-    every node stays is kept as built, not copied."""
-    threshold = epsilon + _ROUNDING_SLACK
+    Each interior node holds the rate of its last round (units times
+    unit_rho) and its Gaussian prefix-failure probability, computed once
+    per distinct prefix. The running sums are added in round order, as
+    p_fail_gaussian's cumulative sums are, so every failure equals
+    p_fail_gaussian on its rates bit for bit. The leaf table is reduced
+    per class to the extremes of its F_M, for the whole tree, and to its
+    first and last kept child and the extremes of their F_M, gathered to
+    the kept tree's last-level nodes, whose leaves run from the first to
+    the last. A node stays when one of its children does, counted
+    bottom-up on the interior levels; a level whose every node stays is
+    kept as built, not copied."""
     units, counts = _prefix_tree(grid, m)
     rhos = [u * grid.unit_rho for u in units]
     del units  # only their rates are held
@@ -376,54 +421,52 @@ def _stream(grid: RateGrid, m: int, dl,
         s1 = np.repeat(s1, ch) + rho
         s2 = np.repeat(s2, ch) + rho * rho
         F.append(mi_model._q_of_sums(s1, s2, dl))
-    count = counts[-1]  # leaves below each node of the last interior level
-    leaves = int(count.sum())
-    min_F, max_F, kept = np.empty(count.size), np.empty(count.size), np.empty_like(count)
-    leaf_rho, leaf_F = np.empty(leaves), np.empty(leaves)
-    size = 0
-    cuts = _cuts(np.concatenate(([0], np.cumsum(count))), _BUILD_LEAVES)
-    for a, b in zip(cuts, cuts[1:]):
-        ch = count[a:b]
-        first = np.cumsum(ch) - ch
-        rho = _last_units(ch, grid.min_units) * grid.unit_rho
-        f = np.repeat(s1[a:b], ch)
-        f += rho
-        sq = rho * rho  # rho^2 first: IEEE addition commutes
-        sq += np.repeat(s2[a:b], ch)
-        f = mi_model._q_of_sums(f, sq, dl)
-        min_F[a:b] = np.minimum.reduceat(f, first)
-        max_F[a:b] = np.maximum.reduceat(f, first)
-        keep = f <= threshold
-        kept[a:b] = np.add.reduceat(keep, first)
-        stop = size + int(kept[a:b].sum())
-        np.compress(keep, rho, out=leaf_rho[size:stop])
-        np.compress(keep, f, out=leaf_F[size:stop])
-        size = stop
+    key, table, at = _leaf_table(grid, dl, s1, s2, counts[-1])
     del s1, s2  # only the leaves read the running sums
-    for leaf in (leaf_rho, leaf_F):
-        # no view of these arrays exists yet
-        leaf.resize(size, refcheck=False)
-    whole = _Whole(tuple(F), counts[1:-1], min_F, max_F)
-    alive, children = [], []
-    for k in reversed(range(m - 1)):
-        # kept: the kept children of each level-k node
+    # per class, the smallest and largest F_M of its children
+    low, high = np.minimum.reduceat(table, at), np.maximum.reduceat(table, at)
+    whole = _Whole(tuple(F), counts[1:-1], low[key], high[key])
+    keep = table <= epsilon + _ROUNDING_SLACK
+    if not keep.any():
+        return whole, ()
+    kept = np.add.reduceat(keep, at)  # kept children per class
+    # per class with one, the table indices of its first and last kept
+    # child and their largest F_M; the smallest child is kept when one is,
+    # so their smallest F_M is low
+    where = np.flatnonzero(keep)
+    ends = np.cumsum(kept[kept > 0])
+    starts = ends - kept[kept > 0]
+    first, last = where[starts], where[ends - 1]
+    top = np.maximum.reduceat(table[where], starts)
+    row = np.cumsum(kept > 0) - 1  # class -> its row in those
+    del keep, where
+    kept = kept[key]  # kept children of each node of the last interior level
+    alive, children = [kept > 0], []
+    for ch in reversed(counts[1:-1]):
+        # the kept children of each node of the level above
+        kept = np.add.reduceat(alive[0], np.cumsum(ch) - ch)
         alive.insert(0, kept > 0)
         children.insert(0, kept[alive[0]])
-        kept = np.add.reduceat(alive[0], np.cumsum(counts[k]) - counts[k])
+    cls = key[alive[-1]]
     rhos, F = (tuple(a if keep.all() else a[keep] for a, keep in zip(levels, alive))
-               + (leaf,) for levels, leaf in ((rhos, leaf_rho), (F, leaf_F)))
-    del alive, kept  # read by the pruning only, not held while _blocks runs
-    return whole, _blocks(rhos, F, children)
+               for levels in (rhos, F))
+    del alive, kept, key  # read by the pruning only, not held while _blocks runs
+    first, last, top = (a[row[cls]] for a in (first, last, top))
+    return whole, _blocks(rhos, F, tuple(children),
+                          (last - first + 1, first, grid.min_units + (first - at[cls]),
+                           low[cls], top), table, grid.unit_rho)
 
 
 def _leaf_rates(block: _Block, leaves: np.ndarray) -> np.ndarray:
     """Rates of the given leaves of a block (indices in path order), one
     row each, read by walking up from each leaf to its level-0 ancestor."""
-    rhos, children = block.rhos, block.children
-    rows = [rhos[-1][leaves]]
-    for k in reversed(range(len(children))):
-        leaves = np.searchsorted(np.cumsum(children[k]), leaves, side="right")
-        rows.insert(0, rhos[k][leaves])
+    nodes = block.nodes
+    owner = np.searchsorted(np.cumsum(nodes.count), leaves, side="right")
+    rows = [(nodes.units[owner] + leaves - nodes.first[owner]) * block.unit_rho]
+    for k in reversed(range(len(block.rhos))):
+        rows.insert(0, block.rhos[k][owner])
+        if k:
+            owner = np.searchsorted(np.cumsum(block.children[k - 1]), owner, side="right")
     return np.stack(rows, axis=1)
 
 
@@ -458,9 +501,10 @@ def _node_outage(tree: _Whole | _Block, p_nack) -> tuple[np.ndarray, np.ndarray]
     """(inner, least) on each node of the last interior level of the whole
     tree or of a block (one root for M = 1): harq_analysis._inner, the
     outage's running term after the last feedback, on the interior levels,
-    and the smallest outage among the node's leaves, exactly, which
-    harq_analysis._outage_step takes at their smallest or largest F_M."""
-    inner = harq_analysis._inner(tree.F[:len(p_nack)], p_nack, _spread(tree.children))
+    and the smallest outage among the node's children (in a block, its
+    kept children), exactly, which harq_analysis._outage_step takes at
+    their smallest or largest F_M."""
+    inner = harq_analysis._inner(tree.F, p_nack, _spread(tree.children))
     return inner, np.minimum(harq_analysis._outage_step(inner, tree.min_F),
                              harq_analysis._outage_step(inner, tree.max_F))
 
@@ -473,10 +517,10 @@ def _node_bound(block: _Block, rates: feedback_model.FeedbackErrorRates,
     throughput bound on its leaves with 1 - outage >= 0 (every feasible
     one when epsilon <= 1): harq_analysis._throughput_step at the least
     outage and at the least _cost_step, which lies at the first or the
-    last child's rate."""
+    last leaf's rate."""
     spread = _spread(block.children)
     P = harq_analysis._occurrence(block.F, rates.p_nack, rates.p_ack, spread)
-    cost = harq_analysis._cost(block.rhos[:-1], P[:-1], spread) if len(P) > 1 else 0.0
+    cost = harq_analysis._cost(block.rhos, P[:-1], spread) if block.rhos else 0.0
     p_last, nodes = P[-1], block.nodes
     least_cost = np.minimum(harq_analysis._cost_step(cost, nodes.rho_first, p_last),
                             harq_analysis._cost_step(cost, nodes.rho_last, p_last))
@@ -489,17 +533,22 @@ def _leaf_eta(block: _Block, last, read: np.ndarray,
     (indices in path order) and their throughput, -inf where the outage
     misses epsilon. `last` holds each node's inner, cost of rounds
     1..M-1 and P_M, which the leaves gather and finish with harq_analysis's
-    last-round steps."""
+    last-round steps. A leaf that is not kept has F_M above epsilon +
+    _ROUNDING_SLACK, so its outage misses epsilon."""
     inner, cost, p_last = last
-    count = block.nodes.count[read]
+    nodes = block.nodes
+    count = nodes.count[read]
     owner = np.repeat(read, count)
-    leaves = np.arange(owner.size)
-    leaves += np.repeat(block.nodes.first[read] - (np.cumsum(count) - count), count)
+    # each leaf's place among its node's leaves
+    step = np.arange(owner.size)
+    step -= np.repeat(np.cumsum(count) - count, count)
     # np.take also reads the root's scalars when M = 1
-    outage = harq_analysis._outage_step(np.take(inner, owner), block.F[-1][leaves])
+    outage = harq_analysis._outage_step(np.take(inner, owner),
+                                        block.table[nodes.at[owner] + step])
     eta = harq_analysis._throughput_step(outage, harq_analysis._cost_step(
-        np.take(cost, owner), block.rhos[-1][leaves], np.take(p_last, owner)))
-    return leaves, np.where(outage <= epsilon, eta, -np.inf)
+        np.take(cost, owner), (nodes.units[owner] + step) * block.unit_rho,
+        np.take(p_last, owner)))
+    return nodes.first[owner] + step, np.where(outage <= epsilon, eta, -np.inf)
 
 
 def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
@@ -592,7 +641,7 @@ def _eta(rhos, F, outage, p_nack, p_ack) -> float:
     """Throughput of rates `rhos` (prefix failures F) whose outage at these
     error rates is `outage`."""
     same = harq_analysis._same
-    P = harq_analysis._occurrence(F, p_nack, p_ack, same)
+    P = harq_analysis._occurrence(F[:-1], p_nack, p_ack, same)
     return float(harq_analysis._throughput_step(outage, harq_analysis._cost(rhos, P, same)))
 
 

@@ -72,6 +72,59 @@ def test_erfc_same_bits_as_scalar_and_inside_any_block():
     assert numerics.erfc(xs.reshape(3, block)).ravel().tobytes() == whole.tobytes()
 
 
+def test_erfc_small_inputs_are_the_scalar_kernel_bit_for_bit():
+    # up to _SCALAR_MAX elements, erfc calls _erfc_scalar on each element
+    # and keeps the input's shape; a float or 0-d input gives a float
+    xs = np.random.default_rng(6).uniform(-6.0, 27.0, 3 * numerics._SCALAR_MAX)
+    for v in xs.tolist() + [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, math.inf, -math.inf]:
+        want = numerics._erfc_scalar(v)
+        for x in (v, np.float64(v), np.array(v)):
+            got = numerics.erfc(x)
+            assert type(got) is float and got.hex() == want.hex()
+    three = xs[:3]
+    got = numerics.erfc(three)
+    assert got.shape == (3,)
+    assert got.tobytes() == np.array([numerics._erfc_scalar(v) for v in three.tolist()]).tobytes()
+    grid = xs[:numerics._SCALAR_MAX].reshape(4, -1)
+    assert numerics.erfc(grid).tobytes() == np.array(
+        [numerics._erfc_scalar(v) for v in grid.ravel().tolist()]).reshape(4, -1).tobytes()
+
+
+def two_pass_laguerre_nodes(n):
+    """_laguerre_nodes as written with one recurrence pass per polynomial:
+    L_n and L_{n-1} at the Jacobi eigenvalues each from their own pass."""
+    def poly(n, x):
+        d = -x
+        p = d + 1.0
+        for kk in range(n - 1):
+            k = kk + 1.0
+            d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
+            p = d + p
+        return p
+
+    k = np.arange(n, dtype=float)
+    jacobi = np.diag(2.0 * k + 1.0) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
+    x = np.linalg.eigvalsh(jacobi)
+    y = poly(n, x)
+    dy = (n * y - n * poly(n - 1, x)) / x
+    x -= y / dy
+    fm = poly(n - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 1.0 / w.sum()
+    return x, w
+
+
+@pytest.mark.parametrize("n", [2, 25, 100, 200])
+def test_laguerre_nodes_equal_the_two_pass_form_byte_for_byte(n):
+    # one recurrence pass gives L_{n-1} on the way to L_n
+    for got, want in zip(numerics._laguerre_nodes(n), two_pass_laguerre_nodes(n)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_laguerre_nodes_match_scipy_oracle():
     for n in (25, 50, 100, 200):
         x, w = numerics._laguerre_nodes(n)
@@ -96,6 +149,8 @@ def test_erfc_rejects_nan():
         numerics.erfc(math.nan)
     with pytest.raises(ValueError, match="NaN"):
         numerics.erfc(np.r_[np.zeros(40), math.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        numerics.erfc(np.r_[0.5, math.nan, 9.0])
 
 
 @pytest.mark.parametrize("x, limit", [(math.inf, 0.0), (-math.inf, 2.0)])

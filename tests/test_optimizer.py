@@ -52,67 +52,94 @@ def failure_table(grid, m, dl):
 
 @pytest.fixture
 def few_leaf_blocks(monkeypatch):
-    """Trees built afresh with the leaf level formed in runs of at most five
-    leaves (a parent with more forms a run alone), and cut into blocks of
-    at most three leaves (a larger level-0 subtree forms a block alone);
-    the stream cache is emptied again afterwards."""
-    monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
+    """Trees built afresh with the leaf table formed five entries per Q
+    call, and cut into blocks of at most three leaves (a larger level-0
+    subtree forms a block alone); the stream cache is emptied again
+    afterwards."""
+    monkeypatch.setattr(optimizer, "_Q_LEAVES", 5)
     monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
     optimizer._stream.cache_clear()
     yield
     optimizer._stream.cache_clear()
 
 
-def kept_levels(blocks, m):
-    """(rhos, F, children) of the kept tree whose blocks are given: per
-    level (M of rates and failures, M - 1 of child counts), the blocks'
-    pieces joined in path order."""
-    def join(field, levels):
-        return tuple(np.concatenate([b[field][k] for b in blocks] or [np.empty(0)])
-                     for k in range(levels))
+def block_leaves(block):
+    """(owner, rho, F) of every leaf of a block, in path order: the node of
+    its last interior level that it lies below, and its last rate and F_M,
+    read from the leaf table through its node's _Nodes entries."""
+    nodes = block.nodes
+    owner = np.repeat(np.arange(nodes.count.size), nodes.count)
+    step = np.arange(owner.size) - nodes.first[owner]
+    return (owner, (nodes.units[owner] + step) * block.unit_rho,
+            block.table[nodes.at[owner] + step])
 
-    return join(0, m), join(1, m), join(2, m - 1)
+
+def is_kept(F, eps):
+    """Which failures F_M a stream at eps keeps."""
+    return F <= eps + optimizer._ROUNDING_SLACK
+
+
+def kept_levels(blocks, m, eps):
+    """(rhos, F, children) of the kept tree of the stream at eps whose
+    blocks are given: per level (M of rates and failures, M - 1 of child
+    counts), the blocks' pieces joined in path order. The leaf level is
+    read from the leaf table: the kept leaves and, per node of the last
+    interior level, the count of them."""
+    levels = tuple([[] for _ in range(n)] for n in (m, m, m - 1))
+    for b in blocks:
+        owner, rho, F = block_leaves(b)
+        keep = is_kept(F, eps)
+        leaf_level = (rho[keep], F[keep],
+                      np.bincount(owner[keep], minlength=b.nodes.count.size))
+        for level, interior, leaves in zip(levels, (b.rhos, b.F, b.children), leaf_level):
+            for pieces, piece in zip(level, interior + (leaves,)):
+                pieces.append(piece)
+    return tuple(tuple(np.concatenate(pieces or [np.empty(0)]) for pieces in level)
+                 for level in levels)
 
 
 def assert_blocks_split_the_tree(blocks):
-    """A kept tree's blocks are views that put its levels back together in
-    path order: on every level, their pieces are consecutive views of one
-    contiguous array, which they cover. Each block is one or more whole
-    level-0 subtrees with at most _BLOCK_LEAVES leaves together, or a
-    single larger one."""
-    for field in range(3):
-        for k in range(len(blocks[0][field]) if blocks else 0):
-            pieces = [b[field][k] for b in blocks]
+    """A kept tree's blocks are views that put its interior levels back
+    together in path order: on every level, their pieces are consecutive
+    views of one contiguous array, which they cover, and every block reads
+    one leaf table. Each block is one or more whole level-0 subtrees with
+    at most _BLOCK_LEAVES leaves together, or a single larger one."""
+    for field in ("rhos", "F", "children"):
+        for k in range(len(getattr(blocks[0], field)) if blocks else 0):
+            pieces = [getattr(b, field)[k] for b in blocks]
             base = pieces[0].base
             assert base is not None and base.ndim == 1 and base.flags.c_contiguous
             ends = [base.ctypes.data] + [p.ctypes.data + p.nbytes for p in pieces]
             assert all(p.base is base and p.ctypes.data == start
                        for p, start in zip(pieces, ends))
             assert ends[-1] == base.ctypes.data + base.nbytes
+    assert all(b.table is blocks[0].table for b in blocks)
     for block in blocks:
-        rhos = block.rhos
-        assert rhos[0].size > 0
-        assert rhos[-1].size <= optimizer._BLOCK_LEAVES or rhos[0].size == 1
+        roots = block.rhos[0].size if block.rhos else 1
+        assert roots > 0
+        assert block.nodes.count.sum() <= optimizer._BLOCK_LEAVES or roots == 1
 
 
-def assert_nodes_describe_their_children(blocks):
-    """Each block of a kept tree holds, per node of its last interior level
-    (one root for M = 1), the extremes of its children's F_M, the offset
-    and count of its children on the leaf level and the extremes of their
-    rates, which are those of its first and last child."""
+def assert_nodes_describe_their_children(blocks, eps):
+    """Each block of the kept tree of a stream at eps holds, per node of
+    its last interior level (one root for M = 1), the extremes of its kept
+    children's F_M, and the offset and count of its leaves, which run from
+    its first kept child to its last in ascending rate order, with the
+    rates of the first and the last."""
     for block in blocks:
-        nodes, rho, F = block.nodes, block.rhos[-1], block.F[-1]
-        if block.children:
-            assert nodes.count.tobytes() == block.children[-1].tobytes()
-        else:
-            assert nodes.count.tolist() == [rho.size]
+        nodes = block.nodes
+        _, rho, F = block_leaves(block)
+        assert nodes.count.size == (block.rhos[-1].size if block.rhos else 1)
         assert nodes.first.tolist() == (np.cumsum(nodes.count) - nodes.count).tolist()
         for j, (lo, n) in enumerate(zip(nodes.first, nodes.count)):
-            assert n > 0
-            assert block.min_F[j] == F[lo:lo + n].min()
-            assert block.max_F[j] == F[lo:lo + n].max()
-            assert nodes.rho_first[j] == rho[lo] == rho[lo:lo + n].min()
-            assert nodes.rho_last[j] == rho[lo + n - 1] == rho[lo:lo + n].max()
+            leaves = slice(lo, lo + n)
+            keep = is_kept(F[leaves], eps)
+            assert n > 0 and keep[0] and keep[-1]
+            assert block.min_F[j] == F[leaves][keep].min()
+            assert block.max_F[j] == F[leaves][keep].max()
+            assert np.all(np.diff(rho[leaves]) > 0.0)
+            assert nodes.rho_first[j] == rho[lo]
+            assert nodes.rho_last[j] == rho[lo + n - 1]
 
 
 def row_scan(rates, dl, grid, m, eps):
@@ -280,14 +307,14 @@ def check_tree_table(dl, grid, m):
         keep = F[:, -1] <= eps + optimizer._ROUNDING_SLACK
         assert keep.all() or eps < 1.0
         blocks = optimizer._stream(grid, m, dl, eps)[1]
-        kept_rhos, kept_F, children = kept_levels(blocks, m)
+        kept_rhos, kept_F, children = kept_levels(blocks, m, eps)
         assert all(np.all(ch > 0) for ch in children)
         assert [r.size for r in kept_rhos] == [
             len({tuple(row[:k + 1]) for row in units[keep]}) for k in range(m)]
         assert expand_all(kept_rhos, children).tobytes() == rhos[keep].tobytes()
         assert expand_all(kept_F, children).tobytes() == F[keep].tobytes()
         assert_blocks_split_the_tree(blocks)
-        assert_nodes_describe_their_children(blocks)
+        assert_nodes_describe_their_children(blocks, eps)
 
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
@@ -303,7 +330,7 @@ def check_tree_scan(dl, grid, m):
     of its table row."""
     F = failure_table(grid, m, dl)
     table_rhos = enumerate_units(grid, m) * grid.unit_rho
-    tree_rhos, tree_F, children = kept_levels(optimizer._stream(grid, m, dl, 1.0)[1], m)
+    tree_rhos, tree_F, children = kept_levels(optimizer._stream(grid, m, dl, 1.0)[1], m, 1.0)
     spread = optimizer._spread(children)
     rng = np.random.default_rng(100 + m)
     error_rates = [(rng.uniform(0.0, 0.3, m - 1), rng.uniform(0.0, 0.3, m - 1)),
@@ -314,7 +341,7 @@ def check_tree_scan(dl, grid, m):
         outage = harq_analysis._outage(tree_F, p_nack, spread)
         assert outage.tobytes() == harq_analysis.outage_from_failures(F, p_nack).tobytes()
         cost = harq_analysis._cost(
-            tree_rhos, harq_analysis._occurrence(tree_F, p_nack, p_ack, spread), spread)
+            tree_rhos, harq_analysis._occurrence(tree_F[:-1], p_nack, p_ack, spread), spread)
         P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
         assert cost.tobytes() == harq_analysis.expected_cost(table_rhos, P).tobytes()
     for eps in (1.0, float(np.median(F[:, -1]))):
@@ -357,10 +384,12 @@ def test_outage_floor_on_tree_equals_whole_table_minimum(dl3, grid, m):
 
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
 def test_tree_in_few_leaf_blocks_equals_the_tables(dl3, grid, m, few_leaf_blocks):
-    # the same checks with the leaf level built a few leaves at a time and
-    # the trees evaluated block by block, three leaves or one level-0
-    # subtree at a time: rates, failures, scans and floors keep their bytes
-    assert len(optimizer._stream(grid, m, dl3, 1.0)[1]) > 1
+    # the same checks with the leaf table formed a few entries at a time
+    # and the trees evaluated block by block, three leaves or one level-0
+    # subtree at a time: rates, failures, scans and floors keep their
+    # bytes. With M = 1 there is no level-0 subtree to
+    # cut at, and the root forms the one block
+    assert len(optimizer._stream(grid, m, dl3, 1.0)[1]) > 1 or m == 1
     check_tree_table(dl3, grid, m)
     check_tree_scan(dl3, grid, m)
     check_outage_floor(dl3, grid, m)
@@ -417,7 +446,7 @@ def check_whole_tree(dl, grid, m, eps):
 @pytest.mark.parametrize("grid, m", TREE_GRIDS)
 def test_whole_tree_holds_per_prefix_extremes_of_the_table(dl3, grid, m, blocks, request):
     # formed by a stream that keeps no leaf, some or every leaf, with the
-    # leaf level in runs of the default size or of five leaves
+    # leaf table formed in calls of the default size or of five entries
     if blocks == "few":
         request.getfixturevalue("few_leaf_blocks")
     for eps in (-math.inf, 0.01, 1.0):
@@ -444,10 +473,13 @@ def optimizer_q(monkeypatch):
 
 def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, optimizer_q):
     # one alternating_optimize and the outage floor read on its stream
-    # evaluate the Gaussian Q of each prefix of the grid once, with the
-    # leaf level formed five leaves at a time: the stream that builds the
-    # kept tree also forms the whole tree, which keeps no leaf level. It
-    # calls Q once per interior level and once per run of the leaf level
+    # evaluate the Gaussian Q of each interior prefix of the grid once and
+    # of each leaf once per distinct parent, in few-leaf blocks: the
+    # stream that builds the kept tree also forms the whole tree, and
+    # neither holds a leaf level. Parents whose child counts and running
+    # sums (added in round order) are equal have children with equal F_M,
+    # so Q is formed once per child of each such class of parents, after
+    # one call per interior level
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     m = 4
     formed = optimizer_q
@@ -458,13 +490,17 @@ def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, opt
         whole, feedback_model.error_rates_for(fb, sol.policy.alphas).p_nack)
     assert sol.feasible and floor <= sol.breakdown.p_out_unreliable
     units = enumerate_units(grid, m)
-    assert sum(formed) == sum(len({tuple(row[:k + 1]) for row in units}) for k in range(m))
-    # runs of parents with at most five leaves together, a parent with more
-    # alone; the parents' leaf counts in path order
-    runs, size = 0, math.inf
-    for leaves in np.unique(units[:, :-1], axis=0, return_counts=True)[1]:
-        runs, size = (runs + 1, leaves) if size + leaves > 5 else (runs, size + leaves)
-    assert len(formed) == (m - 1) + runs
+    interior = [len({tuple(row[:k + 1]) for row in units}) for k in range(m - 1)]
+    parents, children = np.unique(units[:, :-1], axis=0, return_counts=True)
+    rhos = parents * grid.unit_rho
+    classes = set(zip(children.tolist(), np.cumsum(rhos, axis=1)[:, -1].tolist(),
+                      np.cumsum(rhos * rhos, axis=1)[:, -1].tolist()))
+    assert len(classes) < len(parents)
+    assert formed[:m - 1] == interior
+    # five entries per call
+    table = sum(count for count, _, _ in classes)
+    assert formed[m - 1:] == [5] * (table // 5) + [table % 5] * (table % 5 > 0)
+    assert table < len(units)
     assert len(whole.F) == m - 1
 
 
@@ -517,15 +553,16 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
     # the fewest total units win, then the first in path order, also when
     # the tied leaves lie in different blocks
     grid = optimizer.make_rate_grid(1024, 4096, 13)
-    tree_rhos, tree_F, children = kept_levels(optimizer._stream(grid, 3, dl3, 1.0)[1], 3)
-    rhos = expand_all(tree_rhos, children)
+    rhos = enumerate_units(grid, 3) * grid.unit_rho
     totals = np.rint(rhos / grid.unit_rho).sum(axis=1)
     many, few = np.flatnonzero(totals == 9)[[0, -1]], np.flatnonzero(totals == 5)[[-1, 0]]
     ties = ([many[0], few[0]], [few[0], many[0], few[1]], [many[1], many[0]])
-    for block_leaves in (optimizer._BLOCK_LEAVES, 3):
-        monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", block_leaves)
-        blocks = optimizer._blocks(tree_rhos, tree_F, children)
-        ends = np.cumsum([0] + [b[0][-1].size for b in blocks])
+    for size in (optimizer._BLOCK_LEAVES, 3):
+        # epsilon 1 keeps every path, so the blocks' leaves are the table's rows
+        monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", size)
+        optimizer._stream.cache_clear()
+        blocks = optimizer._stream(grid, 3, dl3, 1.0)[1]
+        ends = np.cumsum([0] + [b.nodes.count.sum() for b in blocks])
         for block, lo, hi in zip(blocks, ends, ends[1:]):
             assert optimizer._leaf_rates(block, np.arange(hi - lo)).tobytes() == \
                 rhos[lo:hi].tobytes()
@@ -542,18 +579,19 @@ def test_feasible_argmax_prefers_fewer_units_then_path_order(dl3, monkeypatch):
                     if part.max() > -np.inf]
             got, eta_max = optimizer._feasible_argmax(best, grid.unit_rho)
             assert got.tobytes() == rhos[want].tobytes() and eta_max == 1.0
+    optimizer._stream.cache_clear()
     # with three-leaf blocks, every planted tie spans several blocks
     assert all(len(set(np.searchsorted(ends, tied, side="right"))) > 1 for tied in ties)
 
 
 def test_m5_tree_build_peak_stays_under_twice_its_kept_tree():
     # m_max 5 on 32 units at 10 dB keeps 201,340 of 201,376 paths: the
-    # stream that builds the kept tree must peak below twice the bytes of
-    # that tree (about 8.2 MB; 6.7 MB with numpy 2.4 on x86-64, 1.65 times,
-    # where the kept tree's leaf arrays are allocated at the grid's leaf
-    # count before the stream and the kept tree's node data take 1.5 MB).
-    # Expanding the kept paths into (paths, 5) rate and failure tables as
-    # well adds 16.1 MB.
+    # stream that builds the kept tree must peak below 1.47 times the bytes
+    # of that tree with its leaf level written out (about 4.1 MB; the
+    # stream, which holds no leaf level, peaks at 4.8 MB with numpy 2.4 on
+    # x86-64, 1.18 times, and the bound is 25% above that). Expanding the
+    # kept paths into (paths, 5) rate and failure tables as well adds
+    # 16.1 MB.
     grid = optimizer.make_rate_grid(1024, 4096, 32)
     dl = mi_model.make_downlink_spec(10.0)
     optimizer._stream.cache_clear()
@@ -563,13 +601,33 @@ def test_m5_tree_build_peak_stays_under_twice_its_kept_tree():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tree = kept_levels(blocks, 5)
+    tree = kept_levels(blocks, 5, 0.01)
     assert [r.size for r in tree[0]] == [f.size for f in tree[1]] == \
         [27, 404, 4057, 31461, 201_340]
     kept = sum(a.nbytes for part in tree for a in part)
     # below twice the bytes of those expanded tables
     assert 2.0 * kept < 2 * 2 * 201_340 * 5 * 8
-    assert peak < 2.0 * kept
+    assert peak < 1.47 * kept
+
+
+def test_default_grid_stream_at_10_db_peaks_below_its_kept_leaves(grid64):
+    # at 10 dB the default grid keeps 626,462 of its 635,376 leaves, whose
+    # rates and failures take 10.0 MB. The stream holds no leaf array: it
+    # forms each leaf's F_M once per distinct parent into a table of
+    # 97,245 entries, and its traced peak stays below those 10.0 MB (about
+    # 6.6 MB with numpy 2.4 on x86-64)
+    dl = mi_model.make_downlink_spec(10.0)
+    optimizer._stream.cache_clear()
+    tracemalloc.start()
+    try:
+        blocks = optimizer._stream(grid64, 4, dl, 0.01)[1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    leaves = sum(int(is_kept(block_leaves(block)[2], 0.01).sum()) for block in blocks)
+    assert leaves == 626_462
+    assert blocks[0].table.size == 97_245
+    assert peak < leaves * 2 * 8
 
 
 def cli_optimize_high_water(tmp_path, config: str) -> tuple[float, float]:
@@ -600,13 +658,14 @@ def cli_optimize_high_water(tmp_path, config: str) -> tuple[float, float]:
     return int(imported) / 1024, int(peak) / 1024
 
 
-@pytest.mark.parametrize("snr_d_db, bound_mib", [(3, 155), (10, 260)],
+@pytest.mark.parametrize("snr_d_db, bound_mib", [(3, 114), (10, 141)],
                          ids=["3dB", "10dB"])
 def test_m5_cli_optimize_stays_under_its_peak_rss_bound(tmp_path, snr_d_db, bound_mib):
     # m_max 5 on 64 units: 7,624,512 paths, 122 MB of leaf rates and
-    # failures, of which 3 dB keeps few and 10 dB nearly all. CLI optimize
-    # must peak below 155 MiB at 3 dB and 260 MiB at 10 dB: about 123 and
-    # 208 MiB with numpy 2.4 on x86-64, and 25% above those
+    # failures, of which 3 dB keeps 3,030,226 and 10 dB nearly all, but
+    # 190,786 entries of leaf table. CLI optimize must peak below 114 MiB
+    # at 3 dB and 141 MiB at 10 dB: about 91 and 113 MiB with numpy 2.4 on
+    # x86-64, and 25% above those
     _, peak_mib = cli_optimize_high_water(
         tmp_path, f"m_max = 5\nunits_total = 64\nsnr_d_db = {snr_d_db}\nsnr_u_db = -10\n")
     assert peak_mib < bound_mib
@@ -614,9 +673,9 @@ def test_m5_cli_optimize_stays_under_its_peak_rss_bound(tmp_path, snr_d_db, boun
 
 def test_default_cli_optimize_holds_no_whole_leaf_level(tmp_path):
     # on the default grid at 3 dB (635,376 paths, 67,254 kept), CLI optimize
-    # streams the leaf level and holds its kept leaves only: it must raise
-    # the child's high-water mark less than 10 MiB above its mark after
-    # import (about 6 MiB with numpy 2.4 on x86-64; holding the whole
+    # holds no leaf level, only the leaf table of 97,245 entries: it must
+    # raise the child's high-water mark less than 10 MiB above its mark
+    # after import (about 6.5 MiB with numpy 2.4 on x86-64; holding the whole
     # tree's 10.2 MB of leaf rates and failures took 17 MiB)
     imported, peak = cli_optimize_high_water(tmp_path, "snr_d_db = 3\nsnr_u_db = -10\n")
     assert peak - imported < 10
@@ -628,7 +687,7 @@ def test_float_table_on_non_dyadic_grid(dl3):
     # every path), and the production rate scan must match the scalar
     # oracle bit for bit
     grid = optimizer.make_rate_grid(1000, 4000, 36)
-    kept_rhos, _, children = kept_levels(optimizer._stream(grid, 3, dl3, 1.0)[1], 3)
+    kept_rhos, _, children = kept_levels(optimizer._stream(grid, 3, dl3, 1.0)[1], 3, 1.0)
     table_rhos = expand_all(kept_rhos, children)
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   enumerate_units(grid, 3))
@@ -667,7 +726,7 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
     F = failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
     blocks = optimizer._stream(grid, 3, dl3, eps)[1]
-    kept_rhos, kept_F, children = kept_levels(blocks, 3)
+    kept_rhos, kept_F, children = kept_levels(blocks, 3, eps)
     assert all(a.size == 0 for a in kept_rhos + kept_F + children)
     assert blocks == ()
     assert not assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
@@ -818,13 +877,15 @@ def random_scan_instances(seed, count, max_candidates):
     return instances
 
 
-def check_node_outage_and_bound(blocks, m, rates, eps) -> int:
-    """On every node of the last interior level of the kept tree of these
-    blocks, against its leaves evaluated row by row: the least outage is
-    the smallest leaf outage bit for bit, so the node passes iff some leaf
-    meets eps, and no positive leaf throughput exceeds the node's bound.
-    Returns the number of nodes that pass."""
-    tree_rhos, tree_F, children = kept_levels(blocks, m)
+def check_node_outage_and_bound(blocks, kept_at, m, rates, eps) -> int:
+    """On every node of the last interior level of the tree kept at
+    kept_at whose blocks are given, against its kept leaves evaluated row
+    by row: the least outage is the smallest leaf outage bit for bit, so
+    the node passes iff some leaf meets eps, and no positive leaf
+    throughput exceeds the node's bound. The scan's leaves read the rows'
+    throughput where the outage meets eps, and -inf elsewhere, also on
+    the leaves that are not kept. Returns the number of nodes that pass."""
+    tree_rhos, tree_F, children = kept_levels(blocks, m, kept_at)
     rhos = expand_all(tree_rhos, children)
     F = expand_all(tree_F, children)
     outage = harq_analysis.outage_from_failures(F, rates.p_nack)
@@ -832,15 +893,24 @@ def check_node_outage_and_bound(blocks, m, rates, eps) -> int:
     eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
     passed = start = 0
     for block in blocks:
-        nodes = block.nodes
-        rows = slice(start, start + block.rhos[-1].size)
+        owner, _, leaf_F = block_leaves(block)
+        keep = is_kept(leaf_F, kept_at)
+        count = np.bincount(owner[keep], minlength=block.nodes.count.size)
+        first = np.cumsum(count) - count
+        rows = slice(start, start + keep.sum())
         start = rows.stop
-        _, least = optimizer._node_outage(block, rates.p_nack)
-        assert least.tobytes() == np.minimum.reduceat(outage[rows], nodes.first).tobytes()
-        meets = np.logical_or.reduceat(outage[rows] <= eps, nodes.first)
+        inner, least = optimizer._node_outage(block, rates.p_nack)
+        assert least.tobytes() == np.minimum.reduceat(outage[rows], first).tobytes()
+        meets = np.logical_or.reduceat(outage[rows] <= eps, first)
         assert np.array_equal(least <= eps, meets)
-        _, _, bound = optimizer._node_bound(block, rates, least)
-        assert np.all((eta[rows] <= np.repeat(bound, nodes.count)) | (eta[rows] <= 0.0))
+        cost, p_last, bound = optimizer._node_bound(block, rates, least)
+        assert np.all((eta[rows] <= np.repeat(bound, count)) | (eta[rows] <= 0.0))
+        leaves, leaf_eta = optimizer._leaf_eta(block, (inner, cost, p_last),
+                                               np.arange(count.size), eps)
+        assert leaves.tolist() == list(range(owner.size))
+        want = np.full(owner.size, -np.inf)
+        want[keep] = np.where(outage[rows] <= eps, eta[rows], -np.inf)
+        assert leaf_eta.tobytes() == want.tobytes()
         passed += int(meets.sum())
     assert start == rhos.shape[0]
     return passed
@@ -859,7 +929,7 @@ def test_node_outage_and_bound_are_exact_on_random_instances(blocks, request):
         rates = feedback_model.error_rates_for(fb, alphas)
         for budget in (eps, 1.0):
             blocks = optimizer._stream(grid, m, dl, budget)[1]
-            passed.append(check_node_outage_and_bound(blocks, m, rates, budget))
+            passed.append(check_node_outage_and_bound(blocks, budget, m, rates, budget))
     assert sum(p > 0 for p in passed[::2]) >= 4
 
 
@@ -878,7 +948,7 @@ def test_node_outage_and_bound_are_exact_at_any_error_rates():
             rates = feedback_model.FeedbackErrorRates(
                 p_nack=tuple(p_nack), p_ack=tuple(rng.uniform(0.0, 1.0, m - 1)))
             for eps in (0.5, 1.0):
-                check_node_outage_and_bound(blocks, m, rates, eps)
+                check_node_outage_and_bound(blocks, 1.0, m, rates, eps)
             below_zero += sum(int(np.sum(optimizer._node_outage(block, p_nack)[0] < 0.0))
                               for block in blocks)
     assert below_zero > 0
@@ -931,7 +1001,7 @@ def test_node_bound_holds_where_failures_rise_along_a_path(dl3, failure_curve, m
     rates = feedback_model.FeedbackErrorRates(p_nack=(0.0,) + (1.0,) * (m - 2),
                                               p_ack=(0.0,) + (0.2,) * (m - 2))
     blocks = optimizer._stream(grid, m, dl3, 1.0)[1]
-    assert check_node_outage_and_bound(blocks, m, rates, 1.0) > 0
+    assert check_node_outage_and_bound(blocks, 1.0, m, rates, 1.0) > 0
     negative = 0
     for block in blocks:
         _, least = optimizer._node_outage(block, rates.p_nack)
@@ -991,7 +1061,8 @@ def test_scan_reads_few_kept_leaves_on_the_default_grid(grid64, monkeypatch,
 
     monkeypatch.setattr(optimizer, "_leaf_eta", leaf_eta_spy)
     optimizer.best_feasible_allocation(rates, dl, grid64, 0.01)
-    kept = sum(block.rhos[-1].size for block in optimizer._stream(grid64, 4, dl, 0.01)[1])
+    kept = sum(int(is_kept(block_leaves(block)[2], 0.01).sum())
+               for block in optimizer._stream(grid64, 4, dl, 0.01)[1])
     assert 0 < sum(read) <= most * kept
 
 
@@ -1300,7 +1371,7 @@ def test_alternating_infeasible_box_certificate_at_0db(grid64):
     # floor at the top of the box
     dl0 = mi_model.make_downlink_spec(0.0)
     fb = feedback_model.make_feedback_spec(-10.0)
-    assert all(r.size == 0 for r in kept_levels(optimizer._stream(grid64, 4, dl0, 0.01)[1], 4)[0])
+    assert optimizer._stream(grid64, 4, dl0, 0.01)[1] == ()
     with pytest.raises(InfeasibleError) as exc:
         optimizer.alternating_optimize(dl0, fb, default_template(), grid64, 0.01)
     assert exc.value.iteration == 0
@@ -1335,7 +1406,6 @@ def test_alternating_in_few_leaf_blocks_equals_default_blocks(monkeypatch, caplo
         return out
 
     want = solve_all()
-    monkeypatch.setattr(optimizer, "_BUILD_LEAVES", 5)
     monkeypatch.setattr(optimizer, "_BLOCK_LEAVES", 3)
     with caplog.at_level(logging.DEBUG, logger=optimizer.__name__):
         got = solve_all()
