@@ -104,9 +104,9 @@ def assert_blocks_split_the_tree(blocks):
     views of one contiguous array, which they cover, and every block reads
     one leaf table. Each block is one or more whole level-0 subtrees with
     at most _BLOCK_LEAVES leaves together, or a single larger one."""
-    for field in ("rhos", "F", "children"):
-        for k in range(len(getattr(blocks[0], field)) if blocks else 0):
-            pieces = [getattr(b, field)[k] for b in blocks]
+    for field in range(3):
+        for k in range(len(blocks[0][field]) if blocks else 0):
+            pieces = [b[field][k] for b in blocks]
             base = pieces[0].base
             assert base is not None and base.ndim == 1 and base.flags.c_contiguous
             ends = [base.ctypes.data] + [p.ctypes.data + p.nbytes for p in pieces]
