@@ -16,10 +16,8 @@ from .errors import (
     InfeasibleError,
 )
 from .feedback_model import (
-    FeedbackErrorRates,
     FeedbackSpec,
     build_sequences,
-    error_rates_for,
     make_feedback_spec,
 )
 from .harq_analysis import (
@@ -56,7 +54,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DownlinkSpec",
-    "FeedbackErrorRates",
     "FeedbackSpec",
     "GridError",
     "HarqOptError",
@@ -69,7 +66,6 @@ __all__ = [
     "alternating_optimize",
     "best_feasible_allocation",
     "build_sequences",
-    "error_rates_for",
     "estimate_performance",
     "expected_cost",
     "expected_symbols",

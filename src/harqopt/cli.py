@@ -396,21 +396,19 @@ def _run_simulate(config: RunConfig, out: str) -> int:
     return 0
 
 
-def _z_row(name: str, analytic: float, simulated: float, se: float,
-           n: int | None = None) -> list:
-    """One validate row: quantity, analytic, simulated, stderr, z_score.
-
-    With n the quantity is a proportion over n episodes. One that came out
-    0 or 1 has a sample stderr of 0, so its row takes the binomial stderr
-    sqrt(p (1 - p) / n) at the analytic p instead.
-    """
-    if n is not None and simulated in (0.0, 1.0):
-        se = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / n)
+def _z_row(name: str, analytic: float, simulated: float, se: float) -> list:
+    """One validate row: quantity, analytic, simulated, stderr, z_score."""
     if se > 0.0:
         z = (simulated - analytic) / se
     else:
         z = 0.0 if simulated == analytic else math.inf
     return [name, analytic, simulated, se, z]
+
+
+def _proportion_row(name: str, analytic: float, simulated: float, n: int) -> list:
+    """The validate row of a proportion over n episodes: its stderr is the
+    binomial sqrt(p (1 - p) / n) at the analytic p, the law the z-score tests."""
+    return _z_row(name, analytic, simulated, math.sqrt(analytic * (1.0 - analytic) / n))
 
 
 def _run_validate(config: RunConfig, out: str) -> int:
@@ -423,13 +421,11 @@ def _run_validate(config: RunConfig, out: str) -> int:
 
     n = est.n_episodes
     rows = [_z_row("throughput", bd.throughput, est.throughput, est.throughput_se),
-            _z_row("p_out", bd.p_out_unreliable, est.p_out, est.p_out_se, n)]
+            _proportion_row("p_out", bd.p_out_unreliable, est.p_out, n)]
     for k in range(1, config.m_max):
-        rows.append(_z_row(f"p_occur_{k + 1}", bd.p_occur[k], est.p_occur[k],
-                           est.p_occur_se[k], n))
+        rows.append(_proportion_row(f"p_occur_{k + 1}", bd.p_occur[k], est.p_occur[k], n))
     for k in range(config.m_max):
-        rows.append(_z_row(f"p_fail_{k + 1}", bd.p_fail[k], est.p_fail[k],
-                           est.p_fail_se[k], n))
+        rows.append(_proportion_row(f"p_fail_{k + 1}", bd.p_fail[k], est.p_fail[k], n))
     worst = max(abs(row[-1]) for row in rows)
     # approximation-quality rows: z_score column carries the raw
     # gaussian-minus-convolution gap (no sampling error applies)
@@ -469,10 +465,9 @@ def _best_fixed_alpha(config: RunConfig, dl, fb, grid):
     best_eta, best_alpha, best_rhos = 0.0, math.nan, None
     for alpha in _alpha_scan(config):
         alphas = (float(alpha),) * (config.m_max - 1)
-        rates = feedback_model.error_rates_for(fb, alphas)
         try:
             rhos, eta = optimizer.best_feasible_allocation(
-                rates, dl, grid, config.epsilon
+                alphas, dl, fb, grid, config.epsilon
             )
         except InfeasibleError:
             continue
@@ -487,8 +482,8 @@ def _duplicated_best_throughput(config: RunConfig, dl, grid) -> tuple[float, boo
     unreachable (the scheme has no threshold to raise)."""
     alphas, dup = _baseline(config)
     try:
-        rhos, _ = optimizer.best_feasible_allocation(
-            feedback_model.error_rates_for(dup, alphas), dl, grid, config.epsilon)
+        rhos, _ = optimizer.best_feasible_allocation(alphas, dl, dup, grid,
+                                                     config.epsilon)
     except InfeasibleError:
         return 0.0, False
     policy = harq_analysis.HarqPolicy(rhos=tuple(rhos), alphas=alphas, n_b=config.n_b)

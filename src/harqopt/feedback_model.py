@@ -25,8 +25,8 @@ A FeedbackSpec is a feedback scheme: the uplink SNR and the slots (1 or
 thresholded at the round's alpha and the transmitter stops only when both
 read ACK, so a NACK is lost when both flip, p^2, and an ACK when either
 does, 1 - (1 - q)^2. The spec's nack_rate and ack_rate are these maps,
-elementwise over the thresholds, which the HARQ policy holds; the rest of
-the package forms error rates only through them.
+elementwise over the thresholds, which the HARQ policy holds; every error
+pair in the package is fb.nack_rate(a), fb.ack_rate(a) at thresholds a.
 """
 
 from __future__ import annotations
@@ -75,33 +75,6 @@ class FeedbackSpec:
         return q if self.slots == 1 else 1.0 - (1.0 - q) * (1.0 - q)
 
 
-@dataclass(frozen=True)
-class FeedbackErrorRates:
-    """Per-round detection error probabilities.
-
-    p_nack[i] is the NACK->ACK misdetection probability of the i-th
-    feedback, p_ack[i] the ACK->NACK one. Stored as tuples of floats, so
-    instances are immutable values.
-    """
-
-    p_nack: tuple[float, ...]
-    p_ack: tuple[float, ...]
-
-    def __post_init__(self):
-        pn = tuple(float(p) for p in self.p_nack)
-        pa = tuple(float(p) for p in self.p_ack)
-        if len(pn) != len(pa):
-            raise ValueError("FeedbackErrorRates: length mismatch")
-        for p in pn + pa:
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("FeedbackErrorRates: probabilities must lie in [0,1]")
-        object.__setattr__(self, "p_nack", pn)
-        object.__setattr__(self, "p_ack", pa)
-
-    def __len__(self) -> int:
-        return len(self.p_nack)
-
-
 def make_feedback_spec(snr_db: float, slots: int = 1) -> FeedbackSpec:
     return FeedbackSpec(snr_linear=numerics.snr_db_to_linear(snr_db, "make_feedback_spec"),
                         slots=slots)
@@ -141,18 +114,6 @@ def ack_error_rate(alpha, snr_linear: float):
     """ACK->NACK misdetection probability 0.5 erfc((1-alpha) sqrt(6 snr)),
     elementwise over an array of thresholds."""
     return 0.5 * _erfc_of_scaled(1.0 - alpha, snr_linear)
-
-
-def error_rates_for(spec: FeedbackSpec, alphas) -> FeedbackErrorRates:
-    """Per-round error pairs of the spec's scheme for a threshold vector.
-
-    A non-finite threshold raises ValueError.
-    """
-    a = np.asarray(alphas, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("error_rates_for: thresholds must be finite")
-    return FeedbackErrorRates(p_nack=tuple(spec.nack_rate(a)),
-                              p_ack=tuple(spec.ack_rate(a)))
 
 
 def build_sequences() -> tuple[np.ndarray, np.ndarray]:

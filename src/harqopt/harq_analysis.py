@@ -22,8 +22,8 @@ and occurrence probabilities of shape (..., M), and error rates of shape
 (..., M-1) whose leading axes broadcast against them; the scalar
 brute-force oracle in tests/oracles.py checks them row by row. The
 performance reports take the failure model as one keyword, ``bins``,
-which mi_model.p_fail reads. unreliable_throughput reads the error pairs
-from its FeedbackSpec's maps, so it reports every feedback scheme alike.
+which mi_model.p_fail reads. unreliable_throughput's error pairs are
+fb.nack_rate(a) and fb.ack_rate(a) at the policy's thresholds a.
 
 Each walks the rounds through a recursion (_outage, _occurrence, _cost)
 with a spread step between rounds: the identity on (..., M) arrays, and
@@ -321,9 +321,8 @@ def unreliable_throughput(policy: HarqPolicy, dl, fb: feedback_model.FeedbackSpe
     """Full performance report for a policy under the feedback scheme fb;
     the thresholds come from the policy, the error pairs from fb's maps."""
     F = mi_model.p_fail(policy.rhos, dl, bins)
-    rates = feedback_model.error_rates_for(fb, policy.alphas)
-    pn = np.asarray(rates.p_nack, dtype=float)
-    pa = np.asarray(rates.p_ack, dtype=float)
+    alphas = np.asarray(policy.alphas, dtype=float)
+    pn, pa = fb.nack_rate(alphas), fb.ack_rate(alphas)
     P = occurrence_probabilities(F, pn, pa)
     p_out = outage_from_failures(F, pn)
     stage = _stage_outage(F, pn, P)

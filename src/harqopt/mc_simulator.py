@@ -98,8 +98,8 @@ def estimate_performance(policy: harq_analysis.HarqPolicy, dl,
     error."""
     if feedback_mode not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-    rates = feedback_model.error_rates_for(fb, policy.alphas)
-    pa, pn = rates.p_ack, rates.p_nack
+    alphas = np.asarray(policy.alphas, dtype=float)
+    pa, pn = fb.ack_rate(alphas), fb.nack_rate(alphas)
     if n < MIN_EPISODES:
         raise ValueError(f"need at least {MIN_EPISODES} episodes, got {n}")
     m = policy.m_max

@@ -481,12 +481,20 @@ def _feasible_argmax(tied, unit_rho: float) -> tuple[np.ndarray, float]:
     return rhos[np.argmin(np.rint(rhos / unit_rho).sum(axis=1))], float(top)
 
 
+def _thresholds(alphas) -> np.ndarray:
+    """alphas as a float array; a non-finite threshold raises ValueError."""
+    a = np.asarray(alphas, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("thresholds must be finite")
+    return a
+
+
 def min_achievable_outage(alphas, dl, fb: feedback_model.FeedbackSpec,
                           grid: RateGrid) -> float:
-    """Smallest grid-achievable outage at the given thresholds, one per
-    feedback of the len(alphas) + 1 rounds."""
-    rates = feedback_model.error_rates_for(fb, alphas)
-    return _outage_floor(_stream(grid, len(rates) + 1, dl, -math.inf)[0], rates.p_nack)
+    """Smallest grid-achievable outage at the finite thresholds `alphas`
+    (else ValueError), one per feedback of the len(alphas) + 1 rounds."""
+    a = _thresholds(alphas)
+    return _outage_floor(_stream(grid, len(a) + 1, dl, -math.inf)[0], fb.nack_rate(a))
 
 
 def _outage_floor(whole: _Whole, p_nack) -> float:
@@ -509,8 +517,7 @@ def _node_outage(tree: _Whole | _Block, p_nack) -> tuple[np.ndarray, np.ndarray]
                              harq_analysis._outage_step(inner, tree.max_F))
 
 
-def _node_bound(block: _Block, rates: feedback_model.FeedbackErrorRates,
-                least: np.ndarray) -> tuple:
+def _node_bound(block: _Block, p_nack, p_ack, least: np.ndarray) -> tuple:
     """(cost, p_last, bound) on each node of the block's last interior
     level, whose least leaf outage is `least`: the cost of rounds 1..M-1,
     the occurrence P_M of round M (the root's 0.0 and 1.0 for M = 1) and a
@@ -519,7 +526,7 @@ def _node_bound(block: _Block, rates: feedback_model.FeedbackErrorRates,
     outage and at the least _cost_step, which lies at the first or the
     last leaf's rate."""
     spread = _spread(block.children)
-    P = harq_analysis._occurrence(block.F, rates.p_nack, rates.p_ack, spread)
+    P = harq_analysis._occurrence(block.F, p_nack, p_ack, spread)
     cost = harq_analysis._cost(block.rhos, P[:-1], spread) if block.rhos else 0.0
     p_last, nodes = P[-1], block.nodes
     least_cost = np.minimum(harq_analysis._cost_step(cost, nodes.rho_first, p_last),
@@ -551,9 +558,9 @@ def _leaf_eta(block: _Block, last, read: np.ndarray,
     return nodes.first[owner] + step, np.where(outage <= epsilon, eta, -np.inf)
 
 
-def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
+def _rate_scan(p_nack, p_ack, dl, grid: RateGrid,
                epsilon: float) -> tuple[np.ndarray, float]:
-    """best_feasible_allocation on the kept tree, block by block.
+    """best_feasible_allocation at error pairs, on the kept tree, block by block.
 
     The recursions run on the interior levels only. A node of the last
     one has a feasible leaf iff its least leaf outage meets epsilon
@@ -565,15 +572,15 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
     bound of at least the optimum, so it is read, and the argmax and its
     tie rules are those of a pass over every leaf. The outage floor of an
     InfeasibleError is taken over the whole grid, when it is first read."""
-    whole, blocks = _stream(grid, len(rates) + 1, dl, epsilon)
+    whole, blocks = _stream(grid, len(p_nack) + 1, dl, epsilon)
     top = -math.inf
     tied = []
     for block in blocks:
-        inner, least = _node_outage(block, rates.p_nack)
+        inner, least = _node_outage(block, p_nack)
         feasible = least <= epsilon
         if not feasible.any():
             continue
-        cost, p_last, bound = _node_bound(block, rates, least)
+        cost, p_last, bound = _node_bound(block, p_nack, p_ack, least)
         bound = np.where(feasible, bound, -np.inf)
         best = np.argmax(bound)
         # the bound holds for leaves with 1 - outage >= 0, so below a
@@ -596,24 +603,25 @@ def _rate_scan(rates: feedback_model.FeedbackErrorRates, dl, grid: RateGrid,
     if not tied:
         raise InfeasibleError(
             f"no allocation meets outage {epsilon:g} at these error rates",
-            min_outage=functools.partial(_outage_floor, whole, rates.p_nack),
+            min_outage=functools.partial(_outage_floor, whole, p_nack),
         )
     return _feasible_argmax(tied, grid.unit_rho)
 
 
-def best_feasible_allocation(rates: feedback_model.FeedbackErrorRates, dl,
+def best_feasible_allocation(alphas, dl, fb: feedback_model.FeedbackSpec,
                              grid: RateGrid,
                              epsilon: float) -> tuple[np.ndarray, float]:
-    """Exact constrained optimum over the whole grid: the allocation of
-    len(rates) + 1 rounds maximizing (1 - P_out)/cost among those with
+    """Exact constrained optimum over the whole grid at the finite
+    thresholds `alphas` (else ValueError), one per feedback: the allocation
+    of len(alphas) + 1 rounds maximizing (1 - P_out)/cost among those with
     P_out <= epsilon, and that throughput.
 
-    Takes the per-round error pairs, so it serves threshold-derived rates
-    (error_rates_for) and other feedback schemes alike. Raises
-    InfeasibleError carrying the grid's minimum outage when no allocation
-    meets epsilon.
+    The error pairs are fb.nack_rate(alphas) and fb.ack_rate(alphas), so
+    every feedback scheme is served alike. Raises InfeasibleError carrying
+    the grid's minimum outage when no allocation meets epsilon.
     """
-    return _rate_scan(rates, dl, grid, epsilon)
+    a = _thresholds(alphas)
+    return _rate_scan(fb.nack_rate(a), fb.ack_rate(a), dl, grid, epsilon)
 
 
 def _bisect_upper(lo: float, hi: float, ok, steps: int) -> float:
@@ -765,7 +773,7 @@ def alternating_optimize(dl, fb: feedback_model.FeedbackSpec,
     converged = False
     for iterations in range(1, _ALT_MAX_ITERS + 1):
         try:
-            rhos_new, eta_new = _rate_scan(feedback_model.error_rates_for(fb, alphas),
+            rhos_new, eta_new = _rate_scan(fb.nack_rate(alphas), fb.ack_rate(alphas),
                                            dl, grid, epsilon)
         except InfeasibleError as err:
             err.iteration = iterations

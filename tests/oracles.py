@@ -4,6 +4,7 @@ Each oracle walks one case at a time through the public scalar API, with
 its own loops, so it shares no vectorized code with what it checks:
 - brute_force_rate_allocation: the candidates one by one, against
   optimizer.best_feasible_allocation, bit for bit;
+- error_pair: the (p_nack, p_ack) arrays of a spec's maps at thresholds;
 - occurrence_nested: the round-occurrence sums rebuilt term by term,
   against harq_analysis.occurrence_probabilities, bit for bit;
 - run_episode: one HARQ episode round by round on any feedback spec, with
@@ -152,13 +153,20 @@ def occurrence_nested(p_fail, p_nack, p_ack) -> np.ndarray:
     return P
 
 
-def brute_force_rate_allocation(rates: feedback_model.FeedbackErrorRates, dl,
-                                grid: optimizer.RateGrid, m: int,
+def error_pair(fb: feedback_model.FeedbackSpec, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """The error pairs of fb's scheme at thresholds alphas, one per
+    feedback: the arrays fb.nack_rate(alphas) and fb.ack_rate(alphas)."""
+    a = np.asarray(alphas, dtype=float)
+    return fb.nack_rate(a), fb.ack_rate(a)
+
+
+def brute_force_rate_allocation(p_nack, p_ack, dl, grid: optimizer.RateGrid, m: int,
                                 epsilon: float) -> tuple[np.ndarray, float]:
-    """Scalar oracle for best_feasible_allocation: explicit loop over
-    candidates through the public analysis functions, identical
-    tie-breaking and identical InfeasibleError floor."""
-    if len(rates) != m - 1:
+    """Scalar oracle for best_feasible_allocation at the error pairs
+    (p_nack[i], p_ack[i]): explicit loop over candidates through the public
+    analysis functions, identical tie-breaking and identical InfeasibleError
+    floor."""
+    if len(p_nack) != m - 1 or len(p_ack) != m - 1:
         raise ValueError("brute_force_rate_allocation: need error rates for m-1 feedbacks")
     span = grid.max_units - grid.min_units + 1
     if span ** m > _BRUTE_FORCE_BUDGET:
@@ -176,11 +184,11 @@ def brute_force_rate_allocation(rates: feedback_model.FeedbackErrorRates, dl,
             continue
         rhos = tuple(u * grid.unit_rho for u in units)
         F = mi_model.p_fail_gaussian(rhos, dl)
-        P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+        P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
         cost = 0.0
         for i in range(m):
             cost = cost + rhos[i] * P[i]
-        outage = harq_analysis.outage_from_failures(F, rates.p_nack)
+        outage = harq_analysis.outage_from_failures(F, p_nack)
         min_outage = min(min_outage, outage)
         if outage > epsilon:
             continue

@@ -150,20 +150,20 @@ def test_criterion_04_scan_equals_brute_force(capsys, dl3):
             grid = optimizer.make_rate_grid(1024, 4096, units)
             alphas = tuple(rng.uniform(0.0, 2.5, size=m - 1))
             fb = feedback_model.make_feedback_spec(rng.uniform(-16.0, -4.0))
-            rates = feedback_model.error_rates_for(fb, alphas)
+            p_nack, p_ack = oracles.error_pair(fb, alphas)
             eps = float(rng.choice([1e-6, rng.uniform(0.0, 0.2), 0.999]))
             try:
                 r_scan, v_scan = optimizer.best_feasible_allocation(
-                    rates, dl3, grid, eps
+                    alphas, dl3, fb, grid, eps
                 )
             except InfeasibleError as err:
                 # both routes refuse, naming the same outage floor
                 with pytest.raises(InfeasibleError) as exc:
-                    oracles.brute_force_rate_allocation(rates, dl3, grid, m, eps)
+                    oracles.brute_force_rate_allocation(p_nack, p_ack, dl3, grid, m, eps)
                 assert exc.value.min_outage == err.min_outage > eps
                 outcomes.append(False)
                 continue
-            r_bf, v_bf = oracles.brute_force_rate_allocation(rates, dl3, grid,
+            r_bf, v_bf = oracles.brute_force_rate_allocation(p_nack, p_ack, dl3, grid,
                                                              m, eps)
             assert v_scan == v_bf
             np.testing.assert_array_equal(r_scan, r_bf)
@@ -177,11 +177,10 @@ def test_criterion_05_epsilon_ladder_monotone(capsys, dl3, grid64):
                               "along the epsilon ladder"):
         alphas = (0.5, 0.5, 0.5)
         fb = feedback_model.make_feedback_spec(-10.0)
-        rates = feedback_model.error_rates_for(fb, alphas)
         floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid64)
         etas = []
         for eps in np.geomspace(floor, 0.5, 20):
-            rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid64,
+            rhos, eta = optimizer.best_feasible_allocation(alphas, dl3, fb, grid64,
                                                            float(eps))
             bd = harq_analysis.unreliable_throughput(
                 make_policy(rhos, alphas), dl3, fb
@@ -219,7 +218,7 @@ def test_criterion_07_asymmetric_beats_duplicated(capsys, dl3, grid64):
             dup_fb = feedback_model.make_feedback_spec(float(snr_u), slots=2)
             try:
                 rhos, _ = optimizer.best_feasible_allocation(
-                    feedback_model.error_rates_for(dup_fb, (0.0,) * 3), dl3, grid64, 0.01
+                    (0.0,) * 3, dl3, dup_fb, grid64, 0.01
                 )
                 dup = harq_analysis.unreliable_throughput(
                     make_policy(rhos, (0.0, 0.0, 0.0)), dl3, dup_fb
@@ -242,10 +241,9 @@ def test_criterion_08_variable_thresholds_beat_best_fixed(capsys, dl3, grid64):
             fixed_eta, fixed_alpha, fixed_rhos = 0.0, None, None
             for a in np.linspace(0.0, 3.0, 50):
                 alphas = (float(a),) * 3
-                rates = feedback_model.error_rates_for(fb, alphas)
                 try:
                     rhos, eta = optimizer.best_feasible_allocation(
-                        rates, dl3, grid64, 0.01
+                        alphas, dl3, fb, grid64, 0.01
                     )
                 except InfeasibleError:
                     continue

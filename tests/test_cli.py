@@ -373,15 +373,34 @@ def test_validate_passes_when_a_rare_event_never_occurs(tmp_path, capsys):
 def test_validate_rows_of_an_empty_proportion_still_flag_a_real_gap():
     # analytic 0.01 against 0 events in 10^5 episodes is a disagreement of
     # about 32 binomial standard errors
-    *_, se, z = cli._z_row("p_out", 0.01, 0.0, 0.0, 100_000)
+    *_, se, z = cli._proportion_row("p_out", 0.01, 0.0, 100_000)
     assert se == pytest.approx(math.sqrt(0.01 * 0.99 / 100_000), rel=1e-15)
     assert z == pytest.approx(-31.78, abs=0.01)
-    assert cli._z_row("p_occur_2", 0.99, 1.0, 0.0, 100_000)[4] == pytest.approx(31.78, abs=0.01)
+    assert cli._proportion_row("p_occur_2", 0.99, 1.0, 100_000)[4] == pytest.approx(31.78, abs=0.01)
     # the throughput row is no proportion: a zero stderr with a gap is inf
     assert cli._z_row("throughput", 0.5, 0.4, 0.0)[4] == math.inf
     assert cli._z_row("throughput", 0.5, 0.5, 0.0)[4] == 0.0
-    # a nonzero count keeps the sample stderr
-    assert cli._z_row("p_out", 0.01, 0.02, 0.001, 100_000)[3:] == [0.001, pytest.approx(10.0)]
+    # a nonzero count takes the same binomial stderr at the analytic p
+    assert cli._proportion_row("p_out", 0.01, 0.02, 100_000)[3:] == [
+        se, pytest.approx(31.78, abs=0.01)]
+
+
+@pytest.mark.parametrize("mode", ["analytic-flip", "symbol-level", "duplicated-ack"])
+def test_validate_passes_where_a_rare_failure_is_seen_too_rarely(tmp_path, capsys, mode):
+    # at 3 / -10 dB on 16 units the analytic p_fail_4 is 7.7e-4, and seed 0
+    # sees 5 failures in 20000 episodes: their sample stderr puts z at
+    # -4.7, the binomial stderr at the analytic p at -2.7
+    path = write_config(tmp_path, {"units_total": 16, "mc.n_episodes": 20000,
+                                   "mc.feedback_mode": mode})
+    out = tmp_path / "v.csv"
+    assert cli.main(["validate", "--config", path, "--seed", "0",
+                     "--out", str(out)]) == 0
+    rows = {r.split(",")[0]: r.split(",")
+            for r in out.read_text(encoding="utf-8").splitlines()[1:]}
+    p, simulated, se, z = (float(v) for v in rows["p_fail_4"][1:])
+    assert simulated == 0.00025
+    assert se == pytest.approx(math.sqrt(p * (1.0 - p) / 20000), rel=1e-8)
+    assert "ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
@@ -708,8 +727,7 @@ def test_duplicated_baseline_is_exact_constrained_scan(tmp_path):
     # the duplicated ACK: two slots, each detected at threshold 0
     dup = dataclasses.replace(fb, slots=2)
     alphas = (0.0,) * (config.m_max - 1)
-    rates = feedback_model.error_rates_for(dup, alphas)
-    rhos, _ = optimizer.best_feasible_allocation(rates, dl, grid, config.epsilon)
+    rhos, _ = optimizer.best_feasible_allocation(alphas, dl, dup, grid, config.epsilon)
     policy = dataclasses.replace(cli._policy_from(config), rhos=tuple(rhos), alphas=alphas)
     want = harq_analysis.unreliable_throughput(policy, dl, dup).throughput
     assert ok and eta == want

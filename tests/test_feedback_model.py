@@ -148,19 +148,20 @@ def test_detect_batch_matches_scalar_statistic_row_by_row(alpha, snr):
     assert 0 < detected < 2 * n
 
 
-def test_error_rates_for_symmetric_case():
+def test_spec_maps_symmetric_case():
     spec = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(spec, (0.0, 0.0, 0.0))
-    assert rates.p_nack == rates.p_ack
-    assert all(0.0 <= p <= 1.0 for p in rates.p_nack)
+    p_nack, p_ack = oracles.error_pair(spec, (0.0, 0.0, 0.0))
+    assert p_nack.shape == p_ack.shape == (3,)
+    assert np.array_equal(p_nack, p_ack)
+    assert all(0.0 <= p <= 1.0 for p in p_nack)
 
 
-def test_error_rates_for_ordering():
+def test_spec_maps_ordering():
     spec = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(spec, (0.2, 0.4, 0.6))
-    assert rates.p_nack[0] > rates.p_nack[1] > rates.p_nack[2]
-    assert rates.p_ack[0] < rates.p_ack[1] < rates.p_ack[2]
-    for pn, pa in zip(rates.p_nack, rates.p_ack):
+    p_nack, p_ack = oracles.error_pair(spec, (0.2, 0.4, 0.6))
+    assert p_nack[0] > p_nack[1] > p_nack[2]
+    assert p_ack[0] < p_ack[1] < p_ack[2]
+    for pn, pa in zip(p_nack, p_ack):
         assert pn < pa  # alpha > 0 protects NACK
 
 
@@ -173,8 +174,6 @@ def test_make_feedback_spec_validation():
     with pytest.raises(ValueError, match="overflows"):
         feedback_model.make_feedback_spec(4000.0)
     assert feedback_model.make_feedback_spec(3000.0).snr_linear == 1e300
-    with pytest.raises(ValueError):
-        feedback_model.error_rates_for(spec, (math.inf,))
 
 
 @pytest.mark.parametrize("slots", [1, 2])
@@ -195,10 +194,9 @@ def test_two_slot_rates_at_zero_threshold_square_the_flip(snr_db):
     # either does; at alpha 0 both slots flip with the same p
     s = numerics.snr_db_to_linear(snr_db, "test")
     p = feedback_model.nack_error_rate(0.0, s)
-    rates = feedback_model.error_rates_for(feedback_model.FeedbackSpec(s, slots=2),
-                                           (0.0,) * 3)
-    assert rates.p_nack == (p * p,) * 3
-    assert rates.p_ack == (1.0 - (1.0 - p) * (1.0 - p),) * 3
+    p_nack, p_ack = oracles.error_pair(feedback_model.FeedbackSpec(s, slots=2), (0.0,) * 3)
+    assert np.array_equal(p_nack, [p * p] * 3)
+    assert np.array_equal(p_ack, [1.0 - (1.0 - p) * (1.0 - p)] * 3)
 
 
 def test_one_slot_maps_are_the_detector_rates():

@@ -94,15 +94,27 @@ def test_reliable_throughput_vanishing_failure_limit(dl3):
     assert eta == pytest.approx(1.0 / 1e7, rel=1e-6)
 
 
+@pytest.mark.parametrize("slots", [1, 2])
+def test_single_round_report_has_no_feedback(dl3, slots):
+    # one round and no threshold: empty error pairs, so the report is the
+    # perfect-feedback one on either slot count
+    pol = harq_analysis.HarqPolicy(rhos=(1.5,), alphas=(), n_b=1024)
+    fb = feedback_model.make_feedback_spec(-10.0, slots=slots)
+    bd = harq_analysis.unreliable_throughput(pol, dl3, fb)
+    F = mi_model.p_fail_gaussian((1.5,), dl3)
+    assert bd.p_fail == (F[0],) and bd.p_occur == (1.0,)
+    # the outage 1 - inner (1 - F_M) at inner 1
+    assert bd.p_out_unreliable == 1.0 - (1.0 - F[0])
+    assert bd.expected_symbols == 1.5 * 1024
+    assert bd.throughput == (1.0 - bd.p_out_unreliable) / 1.5
+
+
 def test_unreliable_outage_collapses_without_nack_errors(dl3):
     rhos = [1.0, 0.5, 0.5, 0.5]
     pol = make_policy(rhos, [0.5, 0.5, 0.5])
-    rates = feedback_model.FeedbackErrorRates(
-        p_nack=(0.0, 0.0, 0.0), p_ack=(0.3, 0.2, 0.1)
-    )
     F = mi_model.p_fail_gaussian(rhos, dl3)
     got = harq_analysis.outage_from_failures(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack
+        mi_model.p_fail_gaussian(pol.rhos, dl3), (0.0, 0.0, 0.0)
     )
     assert got == pytest.approx(F[-1], rel=1e-12)
 
@@ -110,11 +122,10 @@ def test_unreliable_outage_collapses_without_nack_errors(dl3):
 def test_unreliable_outage_certain_first_flip(dl3):
     rhos = [1.0, 1.0]
     pol = make_policy(rhos, [0.0])
-    rates = feedback_model.FeedbackErrorRates(p_nack=(1.0,), p_ack=(0.0,))
     F = mi_model.p_fail_gaussian(rhos, dl3)
     expect = 1.0 - (1.0 - F[0]) * (1.0 - F[1])
     got = harq_analysis.outage_from_failures(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack
+        mi_model.p_fail_gaussian(pol.rhos, dl3), (1.0,)
     )
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -124,11 +135,11 @@ def test_unreliable_outage_matches_direct_transcription(dl3):
     alphas = (0.3, 0.7, 1.1)
     pol = make_policy(rhos, alphas)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
+    p_nack, _ = oracles.error_pair(fb, alphas)
     F = mi_model.p_fail_gaussian(rhos, dl3)
-    want = outage_sequential_form(F, rates.p_nack)
+    want = outage_sequential_form(F, p_nack)
     got = harq_analysis.outage_from_failures(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack
+        mi_model.p_fail_gaussian(pol.rhos, dl3), p_nack
     )
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -136,10 +147,10 @@ def test_unreliable_outage_matches_direct_transcription(dl3):
 def test_occurrence_perfect_feedback_reduces_to_failures(dl3):
     rhos = [1.0, 0.5, 0.5, 0.5]
     pol = make_policy(rhos, [0.0] * 3)
-    zero = feedback_model.FeedbackErrorRates(p_nack=(0.0,) * 3, p_ack=(0.0,) * 3)
+    zero = (0.0,) * 3
     F = mi_model.p_fail_gaussian(rhos, dl3)
     P = harq_analysis.occurrence_probabilities(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), zero.p_nack, zero.p_ack
+        mi_model.p_fail_gaussian(pol.rhos, dl3), zero, zero
     )
     np.testing.assert_allclose(P, np.concatenate([[1.0], F[:-1]]), rtol=1e-13)
 
@@ -157,10 +168,10 @@ def test_occurrence_matches_success_time_partition(dl3):
     rhos = [1.25, 0.5, 0.75, 0.25]
     alphas = (0.3, 0.7, 1.1)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
+    p_nack, p_ack = oracles.error_pair(fb, alphas)
     F = mi_model.p_fail_gaussian(rhos, dl3)
-    got = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-    want = occurrence_by_success_time(F, rates.p_nack, rates.p_ack)
+    got = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
+    want = occurrence_by_success_time(F, p_nack, p_ack)
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
@@ -194,12 +205,12 @@ def test_formulas_broadcast_over_batched_error_rates(dl3):
     out = harq_analysis.outage_from_failures(F, pn)
     assert P.shape == (64, 4) and out.shape == (64,)
     for b, row in enumerate(alphas):
-        rates = feedback_model.error_rates_for(fb, tuple(row))
-        assert rates.p_nack == tuple(feedback_model.nack_error_rate(float(a), fb.snr_linear)
-                                     for a in row)
+        p_nack, p_ack = oracles.error_pair(fb, row)
+        assert np.array_equal(p_nack, [feedback_model.nack_error_rate(float(a), fb.snr_linear)
+                                       for a in row])
         np.testing.assert_array_equal(
-            P[b], harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack))
-        assert out[b] == harq_analysis.outage_from_failures(F, rates.p_nack)
+            P[b], harq_analysis.occurrence_probabilities(F, p_nack, p_ack))
+        assert out[b] == harq_analysis.outage_from_failures(F, p_nack)
 
 
 @pytest.mark.parametrize("rhos_shape, occur_shape, lead", [
@@ -243,12 +254,12 @@ def test_unreliable_throughput_perfect_feedback_limit(dl3):
 def test_stage_outage_zero_nack_rates(dl3):
     rhos = [1.0, 0.5, 0.5, 0.5]
     pol = make_policy(rhos, [0.0] * 3)
-    zero = feedback_model.FeedbackErrorRates(p_nack=(0.0,) * 3, p_ack=(0.0,) * 3)
+    zero = np.zeros(3)
     P = harq_analysis.occurrence_probabilities(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), zero.p_nack, zero.p_ack
+        mi_model.p_fail_gaussian(pol.rhos, dl3), zero, zero
     )
     stages = harq_analysis._stage_outage(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), np.asarray(zero.p_nack), P
+        mi_model.p_fail_gaussian(pol.rhos, dl3), zero, P
     )
     np.testing.assert_allclose(stages[:-1], 0.0, atol=1e-15)
     F = mi_model.p_fail_gaussian(rhos, dl3)
@@ -257,9 +268,8 @@ def test_stage_outage_zero_nack_rates(dl3):
 
 def test_stage_outage_final_stage_certain_occurrence(dl3):
     pol = make_policy([1.0, 1.0], [0.0])
-    zero = feedback_model.FeedbackErrorRates(p_nack=(0.0,), p_ack=(0.0,))
     stages = harq_analysis._stage_outage(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), np.asarray(zero.p_nack), [1.0, 1.0]
+        mi_model.p_fail_gaussian(pol.rhos, dl3), np.zeros(1), [1.0, 1.0]
     )
     F = mi_model.p_fail_gaussian([1.0, 1.0], dl3)
     assert stages[-1] == pytest.approx(F[-1], rel=1e-13)
@@ -270,15 +280,14 @@ def test_stage_outage_middle_stage_direct_formula(dl3):
     alphas = (0.3, 0.7, 1.1)
     pol = make_policy(rhos, alphas)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
+    pn, pa = oracles.error_pair(fb, alphas)
     P = harq_analysis.occurrence_probabilities(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), rates.p_nack, rates.p_ack
+        mi_model.p_fail_gaussian(pol.rhos, dl3), pn, pa
     )
     stages = harq_analysis._stage_outage(
-        mi_model.p_fail_gaussian(pol.rhos, dl3), np.asarray(rates.p_nack), P
+        mi_model.p_fail_gaussian(pol.rhos, dl3), pn, P
     )
     F = mi_model.p_fail_gaussian(rhos, dl3)
-    pn = rates.p_nack
     cum_2 = pn[0] * F[0] + pn[1] * F[1] * (1.0 - pn[0])
     assert stages[1] == pytest.approx(cum_2 / P[1], rel=1e-13)
 
@@ -286,12 +295,11 @@ def test_stage_outage_middle_stage_direct_formula(dl3):
 def test_duplicated_ack_rates_square_the_flip():
     s = 0.1368645588  # symmetric flip probability ~0.1 here
     p = feedback_model.nack_error_rate(0.0, s)
-    rates = feedback_model.error_rates_for(feedback_model.FeedbackSpec(s, slots=2),
-                                           (0.0,) * 3)
+    p_nack, p_ack = oracles.error_pair(feedback_model.FeedbackSpec(s, slots=2), (0.0,) * 3)
     assert p == pytest.approx(0.1, abs=1e-6)
-    assert all(v == p * p for v in rates.p_nack)
-    assert all(v == 1.0 - (1.0 - p) ** 2 for v in rates.p_ack)
-    assert len(rates.p_nack) == 3
+    assert all(v == p * p for v in p_nack)
+    assert all(v == 1.0 - (1.0 - p) ** 2 for v in p_ack)
+    assert len(p_nack) == len(p_ack) == 3
 
 
 def test_duplicated_ack_perfect_feedback_matches_standard(dl3):
@@ -317,7 +325,7 @@ def test_outage_monotone_in_each_threshold(dl3):
             pol = make_policy(rhos, alphas)
             out = harq_analysis.outage_from_failures(
                 mi_model.p_fail_gaussian(pol.rhos, dl3),
-                feedback_model.error_rates_for(fb, tuple(alphas)).p_nack,
+                oracles.error_pair(fb, alphas)[0],
             )
             assert out <= prev + 1e-12
             prev = out
@@ -353,9 +361,9 @@ def test_occurrence_nonincreasing_when_acks_mostly_heard(units, alphas, snr_u):
     dl = mi_model.make_downlink_spec(3.0)
     pol = make_policy([u * UNIT for u in units], alphas)
     fb = feedback_model.make_feedback_spec(snr_u)
-    rates = feedback_model.error_rates_for(fb, tuple(alphas))
-    assert all(p <= 0.5 for p in rates.p_ack)
+    p_nack, p_ack = oracles.error_pair(fb, alphas)
+    assert all(p <= 0.5 for p in p_ack)
     P = harq_analysis.occurrence_probabilities(
-        mi_model.p_fail_gaussian(pol.rhos, dl), rates.p_nack, rates.p_ack
+        mi_model.p_fail_gaussian(pol.rhos, dl), p_nack, p_ack
     )
     assert np.all(np.diff(P) <= 1e-12)

@@ -285,7 +285,7 @@ def _replay(policy, dl, fb, n, seed, mode):
     estimate's count-based fields and its two throughput fields."""
     m = policy.m_max
     rhos = np.asarray(policy.rhos)
-    rates = feedback_model.error_rates_for(fb, policy.alphas)
+    p_nack, p_ack = oracles.error_pair(fb, policy.alphas)
     rounds, delivered, fails = [], [], np.zeros(m)
     for index, start in enumerate(range(0, n, mc_simulator._CHUNK)):
         c = min(mc_simulator._CHUNK, n - start)
@@ -307,7 +307,7 @@ def _replay(policy, dl, fb, n, seed, mode):
                     continue
                 sent = d <= j
                 if mode == mc_simulator.ANALYTIC_FLIP:
-                    p_stop = 1.0 - rates.p_ack[j] if sent else rates.p_nack[j]
+                    p_stop = 1.0 - p_ack[j] if sent else p_nack[j]
                     stop = np.arange(group.size) < rng.binomial(group.size, p_stop)
                 else:
                     stop = np.ones(group.size, dtype=bool)
@@ -383,6 +383,19 @@ def test_estimate_peak_memory_below_one_gain_block(dl3, fb_weak):
     finally:
         tracemalloc.stop()
     assert peak < block
+
+
+@pytest.mark.parametrize("mode", mc_simulator.FEEDBACK_MODES)
+def test_single_round_estimate_draws_no_feedback(mode):
+    # with one round there is no feedback to draw, so both slot counts give
+    # the same estimate, whose outage is the failure frequency
+    dl = mi_model.make_downlink_spec(3.0)
+    pol = harq_analysis.HarqPolicy(rhos=(1.5,), alphas=(), n_b=1024)
+    one, two = (mc_simulator.estimate_performance(
+        pol, dl, feedback_model.make_feedback_spec(-10.0, slots=slots), 20_000, 3, mode)
+        for slots in (1, 2))
+    assert one == two
+    assert one.p_occur == (1.0,) and one.p_out == one.p_fail[0] > 0.0
 
 
 def test_estimate_single_round_sure_delivery():

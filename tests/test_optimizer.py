@@ -142,17 +142,17 @@ def assert_nodes_describe_their_children(blocks, eps):
             assert nodes.rho_last[j] == rho[lo + n - 1]
 
 
-def row_scan(rates, dl, grid, m, eps):
+def row_scan(p_nack, p_ack, dl, grid, m, eps):
     """The rate scan row by row: every allocation of the whole table through
     the (..., M) formulas, infeasible rows masked with -inf, and the
     throughput argmax with ties to fewer total units, then the first row."""
     rhos = enumerate_units(grid, m) * grid.unit_rho
     F = failure_table(grid, m, dl)
-    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
+    outage = harq_analysis.outage_from_failures(F, p_nack)
     feasible = outage <= eps
     if not feasible.any():
         raise InfeasibleError("no row meets epsilon", min_outage=float(outage.min()))
-    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+    P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
     eta = np.where(feasible, (1.0 - outage) / harq_analysis.expected_cost(rhos, P),
                    -np.inf)
     cand = np.flatnonzero(eta == eta.max())
@@ -187,18 +187,19 @@ def test_optimizer_config_validation(dl3, grid64):
             optimizer.alternating_optimize(dl3, fb, start, grid64, eps)
 
 
-def assert_scan_equals_brute_force(rates, dl, grid, m, eps) -> bool:
-    """best_feasible_allocation and the scalar oracle agree bit for bit,
-    including the outage floor they report when nothing is feasible.
-    Returns whether the instance was feasible."""
+def assert_scan_equals_brute_force(p_nack, p_ack, dl, grid, m, eps) -> bool:
+    """The rate scan of best_feasible_allocation and the scalar oracle agree
+    bit for bit at the error pairs (p_nack[i], p_ack[i]), including the
+    outage floor they report when nothing is feasible. Returns whether the
+    instance was feasible."""
     try:
-        r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl, grid, eps)
+        r_scan, v_scan = optimizer._rate_scan(p_nack, p_ack, dl, grid, eps)
     except InfeasibleError as err:
         with pytest.raises(InfeasibleError) as exc:
-            oracles.brute_force_rate_allocation(rates, dl, grid, m, eps)
+            oracles.brute_force_rate_allocation(p_nack, p_ack, dl, grid, m, eps)
         assert exc.value.min_outage == err.min_outage > eps
         return False
-    r_bf, v_bf = oracles.brute_force_rate_allocation(rates, dl, grid, m, eps)
+    r_bf, v_bf = oracles.brute_force_rate_allocation(p_nack, p_ack, dl, grid, m, eps)
     assert v_scan == v_bf
     np.testing.assert_array_equal(r_scan, r_bf)
     return True
@@ -213,9 +214,9 @@ def test_scan_matches_brute_force_random_instances(dl3):
         grid = optimizer.make_rate_grid(1024, 4096, units)
         alphas = tuple(rng.uniform(0.0, 2.0, size=m - 1))
         fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0))
-        rates = feedback_model.error_rates_for(fb, alphas)
+        p_nack, p_ack = oracles.error_pair(fb, alphas)
         eps = float(rng.choice([1e-6, rng.uniform(0.0, 0.2), 0.999]))
-        feasible.append(assert_scan_equals_brute_force(rates, dl3, grid, m, eps))
+        feasible.append(assert_scan_equals_brute_force(p_nack, p_ack, dl3, grid, m, eps))
     assert any(feasible) and not all(feasible)
 
 
@@ -233,16 +234,16 @@ def test_stacked_formulas_equal_row_by_row_on_default_grid(dl3, grid64):
     for _ in range(3):
         alphas = tuple(rng.uniform(0.0, 2.0, size=3))
         fb = feedback_model.make_feedback_spec(rng.uniform(-15.0, -5.0))
-        rates = feedback_model.error_rates_for(fb, alphas)
-        P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-        out = harq_analysis.outage_from_failures(F, rates.p_nack)
+        p_nack, p_ack = oracles.error_pair(fb, alphas)
+        P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
+        out = harq_analysis.outage_from_failures(F, p_nack)
         assert P.shape == (500, 4) and out.shape == (500,)
         np.testing.assert_array_equal(P, np.array([
-            harq_analysis.occurrence_probabilities(row, rates.p_nack, rates.p_ack)
+            harq_analysis.occurrence_probabilities(row, p_nack, p_ack)
             for row in F_rows
         ]))
         np.testing.assert_array_equal(out, np.array([
-            harq_analysis.outage_from_failures(row, rates.p_nack) for row in F_rows
+            harq_analysis.outage_from_failures(row, p_nack) for row in F_rows
         ]))
         cost = harq_analysis.expected_cost(rhos, P)
         assert cost.shape == (500,)
@@ -346,15 +347,14 @@ def check_tree_scan(dl, grid, m):
         assert cost.tobytes() == harq_analysis.expected_cost(table_rhos, P).tobytes()
     for eps in (1.0, float(np.median(F[:, -1]))):
         for p_nack, p_ack in error_rates:
-            rates = feedback_model.FeedbackErrorRates(p_nack=p_nack, p_ack=p_ack)
             try:
-                want_rhos, want_eta = row_scan(rates, dl, grid, m, eps)
+                want_rhos, want_eta = row_scan(p_nack, p_ack, dl, grid, m, eps)
             except InfeasibleError as want:
                 with pytest.raises(InfeasibleError) as got:
-                    optimizer.best_feasible_allocation(rates, dl, grid, eps)
+                    optimizer._rate_scan(p_nack, p_ack, dl, grid, eps)
                 assert got.value.min_outage == want.min_outage
                 continue
-            rhos, eta = optimizer.best_feasible_allocation(rates, dl, grid, eps)
+            rhos, eta = optimizer._rate_scan(p_nack, p_ack, dl, grid, eps)
             assert rhos.dtype == want_rhos.dtype and rhos.tobytes() == want_rhos.tobytes()
             assert float(eta).hex() == want_eta.hex()
 
@@ -486,8 +486,7 @@ def test_one_solve_and_its_floor_form_each_prefix_once(dl3, few_leaf_blocks, opt
     fb = feedback_model.make_feedback_spec(-10.0)
     sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid, 0.05)
     whole = optimizer._stream(grid, m, dl3, 0.05)[0]
-    floor = optimizer._outage_floor(
-        whole, feedback_model.error_rates_for(fb, sol.policy.alphas).p_nack)
+    floor = optimizer._outage_floor(whole, oracles.error_pair(fb, sol.policy.alphas)[0])
     assert sol.feasible and floor <= sol.breakdown.p_out_unreliable
     units = enumerate_units(grid, m)
     interior = [len({tuple(row[:k + 1]) for row in units}) for k in range(m - 1)]
@@ -539,7 +538,7 @@ def test_repeated_min_achievable_outage_streams_once(dl3, optimizer_q):
     optimizer._stream.cache_clear()
     for i, alphas in enumerate([(0.5, 0.5), (1.0, 1.5)]):
         floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
-        p_nack = feedback_model.error_rates_for(fb, alphas).p_nack
+        p_nack, _ = oracles.error_pair(fb, alphas)
         assert floor == harq_analysis.outage_from_failures(F, p_nack).min()
         assert bool(optimizer_q) == (i == 0)
         optimizer_q.clear()
@@ -692,8 +691,8 @@ def test_float_table_on_non_dyadic_grid(dl3):
     np.testing.assert_array_equal(np.rint(table_rhos / grid.unit_rho),
                                   enumerate_units(grid, 3))
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, (0.5, 1.0))
-    feasible = [assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
+    p_nack, p_ack = oracles.error_pair(fb, (0.5, 1.0))
+    feasible = [assert_scan_equals_brute_force(p_nack, p_ack, dl3, grid, 3, eps)
                 for eps in (0.02, 0.05, 0.5)]
     assert feasible == [False, True, True]
 
@@ -706,14 +705,14 @@ def test_scan_keeps_paths_at_the_prune_boundary(dl3, side):
     # with F_M > epsilon that had no float slack would lose it
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     fb = feedback_model.make_feedback_spec(200.0)
-    rates = feedback_model.error_rates_for(fb, (0.5, 0.5))
+    p_nack, p_ack = oracles.error_pair(fb, (0.5, 0.5))
     F = mi_model.p_fail_gaussian((1.0, 1.0, 1.0), dl3)
     f_m = float(F[-1])
-    assert harq_analysis.outage_from_failures(F, rates.p_nack) < f_m
+    assert harq_analysis.outage_from_failures(F, p_nack) < f_m
     eps = float(np.nextafter(f_m, side)) if side else f_m
-    assert assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
+    assert assert_scan_equals_brute_force(p_nack, p_ack, dl3, grid, 3, eps)
     if side < 0:
-        rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+        rhos, _ = optimizer.best_feasible_allocation((0.5, 0.5), dl3, fb, grid, eps)
         np.testing.assert_array_equal(rhos, [1.0, 1.0, 1.0])
 
 
@@ -721,15 +720,14 @@ def test_scan_with_no_kept_path_reports_whole_grid_floor(dl3):
     # a budget below every path's F_M keeps no row; the floor must still be
     # the smallest outage over all paths
     grid = optimizer.make_rate_grid(1024, 4096, 16)
-    rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
-                                           (0.5, 0.5))
+    p_nack, p_ack = oracles.error_pair(feedback_model.make_feedback_spec(-10.0), (0.5, 0.5))
     F = failure_table(grid, 3, dl3)
     eps = 0.5 * float(F[:, -1].min())
     blocks = optimizer._stream(grid, 3, dl3, eps)[1]
     kept_rhos, kept_F, children = kept_levels(blocks, 3, eps)
     assert all(a.size == 0 for a in kept_rhos + kept_F + children)
     assert blocks == ()
-    assert not assert_scan_equals_brute_force(rates, dl3, grid, 3, eps)
+    assert not assert_scan_equals_brute_force(p_nack, p_ack, dl3, grid, 3, eps)
 
 
 def test_scan_value_is_direct_throughput(dl3):
@@ -737,8 +735,7 @@ def test_scan_value_is_direct_throughput(dl3):
     alphas = (0.5, 1.0)
     snr_u = -10.0
     fb = feedback_model.make_feedback_spec(snr_u)
-    rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, value = optimizer.best_feasible_allocation(rates, dl3, grid, 0.05)
+    rhos, value = optimizer.best_feasible_allocation(alphas, dl3, fb, grid, 0.05)
     direct = eval_policy(rhos, alphas, dl3, snr_u)
     assert direct.p_out_unreliable <= 0.05
     assert value == pytest.approx(direct.throughput, abs=1e-9)
@@ -748,22 +745,42 @@ def test_epsilon_at_floor_reaches_grid_minimum_outage(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
-    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, floor)
+    rhos, _ = optimizer.best_feasible_allocation(alphas, dl3, fb, grid, floor)
     achieved = eval_policy(rhos, alphas, dl3, -10.0).p_out_unreliable
     assert achieved == pytest.approx(floor, abs=1e-12)
 
 
 def test_brute_force_single_round(dl3):
+    # one round has no feedback: the empty thresholds give empty error pairs
     grid = optimizer.make_rate_grid(1024, 4096, 8)
-    rates = feedback_model.FeedbackErrorRates(p_nack=(), p_ack=())
-    r_bf, v_bf = oracles.brute_force_rate_allocation(rates, dl3, grid, 1, 0.5)
-    r_scan, v_scan = optimizer.best_feasible_allocation(rates, dl3, grid, 0.5)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    p_nack, p_ack = oracles.error_pair(fb, ())
+    assert p_nack.shape == p_ack.shape == (0,)
+    r_bf, v_bf = oracles.brute_force_rate_allocation(p_nack, p_ack, dl3, grid, 1, 0.5)
+    r_scan, v_scan = optimizer.best_feasible_allocation((), dl3, fb, grid, 0.5)
     assert v_bf == v_scan and r_bf[0] == r_scan[0]
     # the oracle takes m and requires error rates for m - 1 feedbacks
     with pytest.raises(ValueError):
-        oracles.brute_force_rate_allocation(rates, dl3, grid, 2, 0.5)
+        oracles.brute_force_rate_allocation(p_nack, p_ack, dl3, grid, 2, 0.5)
+
+
+def test_single_round_outage_floor_is_the_least_failure(dl3):
+    # with no feedback the outage of a one-round allocation is its F_1
+    grid = optimizer.make_rate_grid(1024, 4096, 8)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    floor = optimizer.min_achievable_outage((), dl3, fb, grid)
+    assert floor == failure_table(grid, 1, dl3)[:, 0].min()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_scans_refuse_a_non_finite_threshold(dl3, bad):
+    grid = optimizer.make_rate_grid(1024, 4096, 8)
+    fb = feedback_model.make_feedback_spec(-10.0)
+    with pytest.raises(ValueError, match="thresholds must be finite"):
+        optimizer.best_feasible_allocation((0.5, bad), dl3, fb, grid, 0.05)
+    with pytest.raises(ValueError, match="thresholds must be finite"):
+        optimizer.min_achievable_outage((bad,), dl3, fb, grid)
 
 
 def test_brute_force_value_monotone_in_epsilon(dl3):
@@ -771,11 +788,11 @@ def test_brute_force_value_monotone_in_epsilon(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 12)
     alphas = (0.5, 0.5)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
+    p_nack, p_ack = oracles.error_pair(fb, alphas)
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
     values = []
     for eps in np.geomspace(floor, 0.5, 12):
-        _, v = oracles.brute_force_rate_allocation(rates, dl3, grid, 3, float(eps))
+        _, v = oracles.brute_force_rate_allocation(p_nack, p_ack, dl3, grid, 3, float(eps))
         values.append(v)
     assert np.all(np.diff(values) >= 0.0)
     assert values[-1] > values[0]
@@ -785,9 +802,9 @@ def test_brute_force_budget_guard(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 64)
     alphas = (0.5,) * 5
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
+    p_nack, p_ack = oracles.error_pair(fb, alphas)
     with pytest.raises(GridError):
-        oracles.brute_force_rate_allocation(rates, dl3, grid, 6, 0.01)
+        oracles.brute_force_rate_allocation(p_nack, p_ack, dl3, grid, 6, 0.01)
 
 
 def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
@@ -795,13 +812,13 @@ def test_scan_at_loose_epsilon_returns_throughput_argmax(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 0.999999)
+    p_nack, p_ack = oracles.error_pair(fb, alphas)
+    rhos, eta = optimizer.best_feasible_allocation(alphas, dl3, fb, grid, 0.999999)
     table_rhos = enumerate_units(grid, 2) * grid.unit_rho
     F = failure_table(grid, 2, dl3)
-    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+    P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
     cost = harq_analysis.expected_cost(table_rhos, P)
-    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
+    outage = harq_analysis.outage_from_failures(F, p_nack)
     assert outage.max() <= 0.999999
     best = int(np.argmax((1.0 - outage) / cost))
     np.testing.assert_array_equal(rhos, table_rhos[best])
@@ -812,9 +829,8 @@ def test_scan_infeasible_names_floor(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.best_feasible_allocation(rates, dl3, grid, 0.02)
+        optimizer.best_feasible_allocation(alphas, dl3, fb, grid, 0.02)
     floor = optimizer.min_achievable_outage(alphas, dl3, fb, grid)
     assert exc.value.min_outage == pytest.approx(floor, rel=1e-12)
 
@@ -827,8 +843,7 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
     # runs the outage recursion (_inner) on the interior levels of a tree
     # and records the node count of the last one
     grid = optimizer.make_rate_grid(1024, 4096, 16)
-    rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
-                                           (0.5,))
+    fb = feedback_model.make_feedback_spec(-10.0)
     nodes = len({row[0] for row in enumerate_units(grid, 2)})
     passes, floors = [], []
     real_inner, real_floor = harq_analysis._inner, optimizer._outage_floor
@@ -847,7 +862,7 @@ def test_infeasible_scan_reads_whole_table_only_for_its_floor(dl3, monkeypatch):
         passes.clear()
         floors.clear()
         with pytest.raises(InfeasibleError) as exc:
-            optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+            optimizer.best_feasible_allocation((0.5,), dl3, fb, grid, eps)
         assert bool(passes) == kept and not floors
         assert nodes not in passes
         scanned = len(passes)
@@ -877,7 +892,7 @@ def random_scan_instances(seed, count, max_candidates):
     return instances
 
 
-def check_node_outage_and_bound(blocks, kept_at, m, rates, eps) -> int:
+def check_node_outage_and_bound(blocks, kept_at, m, p_nack, p_ack, eps) -> int:
     """On every node of the last interior level of the tree kept at
     kept_at whose blocks are given, against its kept leaves evaluated row
     by row: the least outage is the smallest leaf outage bit for bit, so
@@ -888,8 +903,8 @@ def check_node_outage_and_bound(blocks, kept_at, m, rates, eps) -> int:
     tree_rhos, tree_F, children = kept_levels(blocks, m, kept_at)
     rhos = expand_all(tree_rhos, children)
     F = expand_all(tree_F, children)
-    outage = harq_analysis.outage_from_failures(F, rates.p_nack)
-    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
+    outage = harq_analysis.outage_from_failures(F, p_nack)
+    P = harq_analysis.occurrence_probabilities(F, p_nack, p_ack)
     eta = (1.0 - outage) / harq_analysis.expected_cost(rhos, P)
     passed = start = 0
     for block in blocks:
@@ -899,11 +914,11 @@ def check_node_outage_and_bound(blocks, kept_at, m, rates, eps) -> int:
         first = np.cumsum(count) - count
         rows = slice(start, start + keep.sum())
         start = rows.stop
-        inner, least = optimizer._node_outage(block, rates.p_nack)
+        inner, least = optimizer._node_outage(block, p_nack)
         assert least.tobytes() == np.minimum.reduceat(outage[rows], first).tobytes()
         meets = np.logical_or.reduceat(outage[rows] <= eps, first)
         assert np.array_equal(least <= eps, meets)
-        cost, p_last, bound = optimizer._node_bound(block, rates, least)
+        cost, p_last, bound = optimizer._node_bound(block, p_nack, p_ack, least)
         assert np.all((eta[rows] <= np.repeat(bound, count)) | (eta[rows] <= 0.0))
         leaves, leaf_eta = optimizer._leaf_eta(block, (inner, cost, p_last),
                                                np.arange(count.size), eps)
@@ -926,10 +941,11 @@ def test_node_outage_and_bound_are_exact_on_random_instances(blocks, request):
         request.getfixturevalue("few_leaf_blocks")
     passed = []
     for grid, m, dl, fb, alphas, eps in random_scan_instances(27, 16, 300_000):
-        rates = feedback_model.error_rates_for(fb, alphas)
+        p_nack, p_ack = oracles.error_pair(fb, alphas)
         for budget in (eps, 1.0):
             blocks = optimizer._stream(grid, m, dl, budget)[1]
-            passed.append(check_node_outage_and_bound(blocks, budget, m, rates, budget))
+            passed.append(check_node_outage_and_bound(blocks, budget, m, p_nack, p_ack,
+                                                      budget))
     assert sum(p > 0 for p in passed[::2]) >= 4
 
 
@@ -945,10 +961,9 @@ def test_node_outage_and_bound_are_exact_at_any_error_rates():
         blocks = optimizer._stream(grid, m, mi_model.make_downlink_spec(-10.0), 1.0)[1]
         for p_nack in (rng.uniform(0.0, 1.0, m - 1), np.ones(m - 1),
                        *(np.r_[rng.uniform(0.0, 1.0, m - 2), 1.0] for _ in range(3))):
-            rates = feedback_model.FeedbackErrorRates(
-                p_nack=tuple(p_nack), p_ack=tuple(rng.uniform(0.0, 1.0, m - 1)))
+            p_ack = rng.uniform(0.0, 1.0, m - 1)
             for eps in (0.5, 1.0):
-                check_node_outage_and_bound(blocks, 1.0, m, rates, eps)
+                check_node_outage_and_bound(blocks, 1.0, m, p_nack, p_ack, eps)
             below_zero += sum(int(np.sum(optimizer._node_outage(block, p_nack)[0] < 0.0))
                               for block in blocks)
     assert below_zero > 0
@@ -962,15 +977,16 @@ def test_scan_equals_brute_force_on_random_instances_at_3_and_10_db(blocks, requ
     # the scan and the oracle raise with the same floor
     feasible = []
     for grid, m, dl, fb, alphas, eps in random_scan_instances(29, 8, 60_000):
-        rates = feedback_model.error_rates_for(fb, alphas)
+        p_nack, p_ack = oracles.error_pair(fb, alphas)
         for budget in (eps, 1e-6):
-            feasible.append(assert_scan_equals_brute_force(rates, dl, grid, m, budget))
+            feasible.append(assert_scan_equals_brute_force(p_nack, p_ack, dl, grid, m,
+                                                           budget))
     assert sum(feasible) >= 5 and not all(feasible)
 
 
 def test_min_achievable_outage_is_the_leaf_minimum_on_random_instances():
     for grid, m, dl, fb, alphas, _ in random_scan_instances(30, 10, 300_000):
-        p_nack = feedback_model.error_rates_for(fb, alphas).p_nack
+        p_nack, _ = oracles.error_pair(fb, alphas)
         want = harq_analysis.outage_from_failures(failure_table(grid, m, dl), p_nack).min()
         assert optimizer.min_achievable_outage(alphas, dl, fb, grid) == want
 
@@ -998,17 +1014,16 @@ def test_node_bound_holds_where_failures_rise_along_a_path(dl3, failure_curve, m
     # scan equals the oracle
     failure_curve(lambda s1: np.select([s1 < 1.0, s1 < 2.0], [0.1, 0.5], 0.001))
     grid = optimizer.make_rate_grid(1024, 4096, 12)
-    rates = feedback_model.FeedbackErrorRates(p_nack=(0.0,) + (1.0,) * (m - 2),
-                                              p_ack=(0.0,) + (0.2,) * (m - 2))
+    p_nack, p_ack = (0.0,) + (1.0,) * (m - 2), (0.0,) + (0.2,) * (m - 2)
     blocks = optimizer._stream(grid, m, dl3, 1.0)[1]
-    assert check_node_outage_and_bound(blocks, 1.0, m, rates, 1.0) > 0
+    assert check_node_outage_and_bound(blocks, 1.0, m, p_nack, p_ack, 1.0) > 0
     negative = 0
     for block in blocks:
-        _, least = optimizer._node_outage(block, rates.p_nack)
-        negative += int(np.sum(optimizer._node_bound(block, rates, least)[1] < 0.0))
+        _, least = optimizer._node_outage(block, p_nack)
+        negative += int(np.sum(optimizer._node_bound(block, p_nack, p_ack, least)[1] < 0.0))
     assert negative > 0
     for eps in (0.2, 0.6, 1.0):
-        assert_scan_equals_brute_force(rates, dl3, grid, m, eps)
+        assert_scan_equals_brute_force(p_nack, p_ack, dl3, grid, m, eps)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -1026,19 +1041,18 @@ def test_scan_keeps_ties_planted_across_subtrees(dl3, failure_curve, m, blocks, 
         request.getfixturevalue("few_leaf_blocks")
     failure_curve(lambda s1: np.where(s1 < 2.875, 1.0, 2.0 ** -10))
     grid = optimizer.make_rate_grid(1024, 4096, 16)
-    rates = feedback_model.FeedbackErrorRates(p_nack=(0.0,) * (m - 1),
-                                              p_ack=(0.0,) * (m - 1))
+    zero = (0.0,) * (m - 1)
     rhos = enumerate_units(grid, m) * grid.unit_rho
     F = failure_table(grid, m, dl3)
-    P = harq_analysis.occurrence_probabilities(F, rates.p_nack, rates.p_ack)
-    eta = (1.0 - harq_analysis.outage_from_failures(F, rates.p_nack)) / \
+    P = harq_analysis.occurrence_probabilities(F, zero, zero)
+    eta = (1.0 - harq_analysis.outage_from_failures(F, zero)) / \
         harq_analysis.expected_cost(rhos, P)
     tied = np.flatnonzero(eta == eta.max())
     assert eta.max() == (1.0 - 2.0 ** -10) / 3.0
     assert len(tied) == math.comb(11, m - 1)
     assert len({tuple(row[:-1]) for row in rhos[tied]}) > 1
-    assert assert_scan_equals_brute_force(rates, dl3, grid, m, 0.01)
-    got, _ = optimizer.best_feasible_allocation(rates, dl3, grid, 0.01)
+    assert assert_scan_equals_brute_force(zero, zero, dl3, grid, m, 0.01)
+    got, _ = optimizer._rate_scan(zero, zero, dl3, grid, 0.01)
     assert got.tobytes() == rhos[tied[0]].tobytes()
 
 
@@ -1049,8 +1063,7 @@ def test_scan_reads_few_kept_leaves_on_the_default_grid(grid64, monkeypatch,
     # kept leaves, 2,516 read) and 10 / -10 dB (626,462 kept, 1,005 read),
     # at most the given share
     dl = mi_model.make_downlink_spec(snr_d_db)
-    rates = feedback_model.error_rates_for(feedback_model.make_feedback_spec(-10.0),
-                                           (alpha,) * 3)
+    fb = feedback_model.make_feedback_spec(-10.0)
     read = []
     real_leaf_eta = optimizer._leaf_eta
 
@@ -1060,7 +1073,7 @@ def test_scan_reads_few_kept_leaves_on_the_default_grid(grid64, monkeypatch,
         return leaves, eta
 
     monkeypatch.setattr(optimizer, "_leaf_eta", leaf_eta_spy)
-    optimizer.best_feasible_allocation(rates, dl, grid64, 0.01)
+    optimizer.best_feasible_allocation((alpha,) * 3, dl, fb, grid64, 0.01)
     kept = sum(int(is_kept(block_leaves(block)[2], 0.01).sum())
                for block in optimizer._stream(grid64, 4, dl, 0.01)[1])
     assert 0 < sum(read) <= most * kept
@@ -1086,8 +1099,7 @@ def test_scan_matches_constrained_enumeration(dl3, eps):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, _ = optimizer.best_feasible_allocation(rates, dl3, grid, eps)
+    rhos, _ = optimizer.best_feasible_allocation(alphas, dl3, fb, grid, eps)
     got = eval_policy(rhos, alphas, dl3, -10.0)
     assert got.p_out_unreliable <= eps
     best = -1.0
@@ -1104,8 +1116,7 @@ def test_best_feasible_allocation_is_enumeration_argmax(dl3):
     grid = optimizer.make_rate_grid(1024, 4096, 16)
     alphas = (0.5,)
     fb = feedback_model.make_feedback_spec(-10.0)
-    rates = feedback_model.error_rates_for(fb, alphas)
-    rhos, eta = optimizer.best_feasible_allocation(rates, dl3, grid, 0.05)
+    rhos, eta = optimizer.best_feasible_allocation(alphas, dl3, fb, grid, 0.05)
     best = (-1.0, None)
     for u1 in range(1, 16):
         for u2 in range(1, 17 - u1):
@@ -1116,7 +1127,7 @@ def test_best_feasible_allocation_is_enumeration_argmax(dl3):
     assert eta == pytest.approx(best[0], rel=1e-12)
     assert tuple(rhos) == pytest.approx(best[1])
     with pytest.raises(InfeasibleError) as exc:
-        optimizer.best_feasible_allocation(rates, dl3, grid, 1e-4)
+        optimizer.best_feasible_allocation(alphas, dl3, fb, grid, 1e-4)
     assert exc.value.min_outage > 1e-4
 
 
@@ -1437,8 +1448,7 @@ def test_alternating_beats_duplicated_ack_baseline(dl3, grid64):
     # uplink SNR, while the asymmetric solver can
     fb = feedback_model.make_feedback_spec(-10.0)
     sol = optimizer.alternating_optimize(dl3, fb, default_template(), grid64, 0.01)
-    dup_rates = feedback_model.error_rates_for(dataclasses.replace(fb, slots=2),
-                                               (0.0,) * 3)
     with pytest.raises(InfeasibleError):
-        optimizer.best_feasible_allocation(dup_rates, dl3, grid64, 0.01)
+        optimizer.best_feasible_allocation((0.0,) * 3, dl3, dataclasses.replace(fb, slots=2),
+                                           grid64, 0.01)
     assert sol.breakdown.throughput > 0.0
